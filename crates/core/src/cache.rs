@@ -388,6 +388,11 @@ impl CacheStore {
     ///
     /// Returns [`CoreError::Checkpoint`] when serialization fails.
     pub fn to_json(&self) -> Result<String> {
+        crate::checkpoint::to_checksummed_json(&self.persisted())
+    }
+
+    /// The persisted form of the whole store: entries + admission order.
+    fn persisted(&self) -> StoreSnapshot {
         let g = lock(&self.inner);
         let mut contexts = BTreeMap::new();
         for (ctx, table) in &g.contexts {
@@ -400,13 +405,12 @@ impl CacheStore {
             }
             contexts.insert(ctx.clone(), snap);
         }
-        let snapshot = StoreSnapshot {
+        StoreSnapshot {
             version: STORE_VERSION,
             capacity: g.capacity,
             contexts,
             admissions: g.admissions.iter().cloned().collect(),
-        };
-        crate::checkpoint::to_checksummed_json(&snapshot)
+        }
     }
 
     /// Rebuilds a store from [`CacheStore::to_json`] output. Entries are
@@ -477,13 +481,14 @@ impl CacheStore {
         Ok(store)
     }
 
-    /// Atomically persists the store to `path` (tmp + fsync + rename).
+    /// Atomically persists the store to `path` (tmp + fsync + rename),
+    /// writing the bytes of [`CacheStore::to_json`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Checkpoint`] on serialization or I/O failure.
     pub fn save(&self, path: &Path) -> Result<()> {
-        crate::checkpoint::atomic_save(path, &self.to_json()?)
+        crate::checkpoint::save_checksummed(path, &self.persisted())
     }
 
     /// Loads a store persisted by [`CacheStore::save`].

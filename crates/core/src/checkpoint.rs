@@ -1,11 +1,14 @@
 //! Checkpoint/resume for the Algorithm-2 episode loop.
 //!
 //! A [`Checkpoint`] snapshots everything a killed `lcda search` run needs
-//! to continue: the run configuration, the optimizer's name, every
-//! episode record so far, and (for LLM optimizers) the conversation
-//! transcript. The snapshot is written as JSON after every episode via an
-//! atomic temp-file + rename, so a kill at any instant leaves either the
-//! previous or the new checkpoint on disk — never a torn file.
+//! to continue: the run configuration, the optimizer's name and every
+//! episode record so far. An LLM optimizer's conversation transcript is
+//! not stored: each prompt re-lists the history, so the transcript grows
+//! quadratically with the episode count, and replay (below) rebuilds it
+//! exchange for exchange. The snapshot is written as JSON after every
+//! episode via an atomic temp-file + rename, so a kill at any instant
+//! leaves either the previous or the new checkpoint on disk — never a
+//! torn file.
 //!
 //! Resume does **not** serialize RNG internals. Instead
 //! [`crate::CoDesign`] *replays* the recorded episodes through the
@@ -35,11 +38,12 @@
 //!   back to the newest generation that still verifies.
 
 use crate::codesign::{CoDesignConfig, EpisodeRecord};
-use crate::pipeline::EvalCache;
+use crate::pipeline::{EvalCache, Fnv};
 use crate::{CoreError, Result};
 use lcda_base::json::{FromJson, ToJson, Value};
-use lcda_llm::transcript::ChatTranscript;
-use std::io::Write as _;
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Format version stamped into every checkpoint file.
@@ -55,11 +59,17 @@ fn default_backend_name() -> String {
 }
 
 /// The content checksum of a checkpoint JSON value (without its
-/// checksum field): a stable FNV digest of the compact serialization.
-/// Objects keep their entry order through a parse, so the digest is the
-/// same before a write and after the read.
+/// checksum field): a stable FNV digest of the compact serialization,
+/// equal to `stable_fingerprint(&[&value.to_string()])`. The compact text
+/// is streamed into the hasher, never held as a string. Objects keep
+/// their entry order through a parse, so the digest is the same before a
+/// write and after the read.
 fn checksum_of(value: &Value) -> String {
-    crate::pipeline::stable_fingerprint(&[&value.to_string()])
+    let mut h = Fnv::default();
+    // Writing into the hasher cannot fail.
+    let _ = write!(h, "{value}");
+    h.end_part();
+    h.hex()
 }
 
 /// `artifact`'s JSON object with its content checksum as the first
@@ -78,7 +88,7 @@ fn with_checksum<T: ToJson>(artifact: &T) -> Result<Value> {
 
 /// Serializes any durable artifact to pretty JSON with an embedded
 /// content checksum (shared by [`Checkpoint`], the shard manifest and
-/// the cache store).
+/// the cache store): the bytes [`save_checksummed`] writes, as a string.
 ///
 /// # Errors
 ///
@@ -86,6 +96,20 @@ fn with_checksum<T: ToJson>(artifact: &T) -> Result<Value> {
 /// object.
 pub(crate) fn to_checksummed_json<T: ToJson>(artifact: &T) -> Result<String> {
     Ok(format!("{:#}", with_checksum(artifact)?))
+}
+
+/// Saves a durable artifact to `path` as [`to_checksummed_json`] renders
+/// it, atomically and durably ([`atomic_write`]). The pretty body streams
+/// from the JSON tree into the file, so neither the compact text (for
+/// the checksum) nor the pretty text is ever held in memory.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Checkpoint`] when the value does not form a JSON
+/// object, or on I/O failure.
+pub(crate) fn save_checksummed<T: ToJson>(path: &Path, artifact: &T) -> Result<()> {
+    let value = with_checksum(artifact)?;
+    atomic_write(path, |out| write!(out, "{value:#}"))
 }
 
 /// Serializes a durable artifact to **compact** single-line JSON with an
@@ -121,24 +145,30 @@ pub(crate) fn from_checksummed_json(json: &str) -> Result<Value> {
     Ok(value)
 }
 
-/// Writes `contents` to `path` atomically **and durably**: write to
-/// `<file>.tmp`, fsync it, rename over `path`, then fsync the parent
-/// directory (unix). A kill at any instant leaves either the previous
-/// or the new file — never a torn one.
+/// Writes a file atomically **and durably**: `write` fills `<file>.tmp`
+/// through a buffer, which is fsynced, renamed over `path`, and then the
+/// parent directory is fsynced (unix). A kill at any instant leaves
+/// either the previous or the new file — never a torn one.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Checkpoint`] on I/O failure.
-pub(crate) fn atomic_save(path: &Path, contents: &str) -> Result<()> {
+pub(crate) fn atomic_write(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<()> {
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or("checkpoint");
     let tmp = path.with_file_name(format!("{file_name}.tmp"));
-    let mut file = std::fs::File::create(&tmp)
+    let write_error =
+        |e: &dyn std::fmt::Display| CoreError::Checkpoint(format!("write {}: {e}", tmp.display()));
+    let file = File::create(&tmp)
         .map_err(|e| CoreError::Checkpoint(format!("create {}: {e}", tmp.display())))?;
-    file.write_all(contents.as_bytes())
-        .map_err(|e| CoreError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
+    let mut out = BufWriter::new(file);
+    write(&mut out).map_err(|e| write_error(&e))?;
+    let file = out.into_inner().map_err(|e| write_error(e.error()))?;
     file.sync_all()
         .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", tmp.display())))?;
     drop(file);
@@ -218,10 +248,11 @@ pub struct Checkpoint {
     /// `None`; resume only rejects a checkpoint whose *recorded* digest
     /// disagrees with the resuming run's hierarchy.
     pub hw_digest: Option<String>,
-    /// Every completed episode, in order.
+    /// Every completed episode, in order. For LLM optimizers replay
+    /// rebuilds the conversation transcript from it, so the transcript is
+    /// not stored (older files that carry one still load; the entry is
+    /// ignored).
     pub history: Vec<EpisodeRecord>,
-    /// The conversation transcript, for LLM-driven runs.
-    pub transcript: Option<ChatTranscript>,
     /// The evaluation memo table ([`crate::pipeline::EvalCache`]), so a
     /// resumed run re-serves already-evaluated designs from memory.
     /// Optional: checkpoints written before the pipeline existed (or by
@@ -236,7 +267,6 @@ lcda_base::impl_json!(struct Checkpoint {
     #[default = default_backend_name] backend,
     #[skip_if = Option::is_none] hw_digest,
     history,
-    #[skip_if = Option::is_none] transcript,
     #[skip_if = Option::is_none] eval_cache,
 });
 
@@ -246,7 +276,6 @@ impl Checkpoint {
         config: CoDesignConfig,
         optimizer: impl Into<String>,
         history: Vec<EpisodeRecord>,
-        transcript: Option<ChatTranscript>,
     ) -> Self {
         Checkpoint {
             version: CHECKPOINT_VERSION,
@@ -255,7 +284,6 @@ impl Checkpoint {
             backend: default_backend_name(),
             hw_digest: None,
             history,
-            transcript,
             eval_cache: None,
         }
     }
@@ -327,7 +355,7 @@ impl Checkpoint {
     ///
     /// Returns [`CoreError::Checkpoint`] on serialization or I/O failure.
     pub fn save(&self, path: &Path) -> Result<()> {
-        atomic_save(path, &self.to_json()?)
+        save_checksummed(path, self)
     }
 
     /// Reads a checkpoint from disk.
@@ -452,7 +480,7 @@ mod tests {
 
     #[test]
     fn checksum_is_stable_across_write_parse_write() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new(), None)
+        let cp = Checkpoint::new(cfg(), "random", Vec::new())
             .with_hw_digest(Some("0123456789abcdef".into()))
             .with_eval_cache(EvalCache::new("deadbeefdeadbeef"));
         let first = cp.to_json().unwrap();
@@ -465,9 +493,69 @@ mod tests {
         assert_eq!(digest(&compact), digest(&first));
     }
 
+    /// Every durable artifact saves the bytes its `to_json` renders, and
+    /// the streamed checksum is the fingerprint of the compact text.
+    #[test]
+    fn saves_stream_exactly_what_to_json_renders() {
+        use crate::codesign::{CoDesign, OptimizerSpec};
+        use crate::pipeline::stable_fingerprint;
+        use crate::shard::{manifest_path, ShardPlan, Supervisor};
+        use crate::space::DesignSpace;
+
+        let dir = std::env::temp_dir().join(format!("lcda-ckpt-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let saved_as = |path: &Path, expected: String| {
+            let text = std::fs::read_to_string(path).unwrap();
+            assert_eq!(text, expected, "{}", path.display());
+            let mut value = Value::parse(&text).unwrap();
+            let recorded = value.remove(CHECKSUM_KEY).unwrap();
+            let fingerprint = stable_fingerprint(&[&value.to_string()]);
+            assert_eq!(recorded.as_str(), Some(fingerprint.as_str()));
+        };
+
+        // A checkpoint of a real run: history plus a filled eval_cache.
+        let mut last = None;
+        CoDesign::builder(DesignSpace::tiny_test(), cfg())
+            .optimizer(OptimizerSpec::Random)
+            .build()
+            .unwrap()
+            .run_resumable(None, |cp| {
+                last = Some(cp.clone());
+                Ok(())
+            })
+            .unwrap();
+        let cp = last.unwrap();
+        assert!(cp.eval_cache.as_ref().is_some_and(|c| !c.is_empty()));
+        cp.save(&dir.join("run.json")).unwrap();
+        saved_as(&dir.join("run.json"), cp.to_json().unwrap());
+
+        // The last manifest a fleet saved.
+        let base = dir.join("fleet.json");
+        let mut manifest = None;
+        let mut plan = ShardPlan::new(2);
+        plan.barrier_interval = 2;
+        Supervisor::new(DesignSpace::tiny_test(), cfg(), plan)
+            .checkpoints(&base, 1)
+            .run_with(|_, m| {
+                manifest = Some(m.clone());
+                Ok(())
+            })
+            .unwrap();
+        saved_as(&manifest_path(&base), manifest.unwrap().to_json().unwrap());
+
+        // A cache store, with a key that needs escaping.
+        let store = crate::cache::CacheStore::new();
+        let mut session = store.session("deadbeefdeadbeef");
+        session.insert_accuracy("[[32,3]] | \"quoted\"".into(), 0.875);
+        session.insert_hardware("[[64,5]]".into(), None);
+        store.save(&dir.join("store.json")).unwrap();
+        saved_as(&dir.join("store.json"), store.to_json().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn json_roundtrip() {
-        let cp = Checkpoint::new(cfg(), "lcda/sim-llm/pretrained", Vec::new(), None);
+        let cp = Checkpoint::new(cfg(), "lcda/sim-llm/pretrained", Vec::new());
         let json = cp.to_json().unwrap();
         let back = Checkpoint::from_json(&json).unwrap();
         assert_eq!(cp, back);
@@ -485,7 +573,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        let cp = Checkpoint::new(cfg(), "x", Vec::new(), None);
+        let cp = Checkpoint::new(cfg(), "x", Vec::new());
         // Strip the checksum so the (older) version gate is what fires,
         // not the corruption gate.
         let json =
@@ -498,7 +586,7 @@ mod tests {
 
     #[test]
     fn tampered_json_fails_the_checksum() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new(), None);
+        let cp = Checkpoint::new(cfg(), "random", Vec::new());
         let json = cp
             .to_json()
             .unwrap()
@@ -513,7 +601,7 @@ mod tests {
 
     #[test]
     fn checksum_roundtrip_and_legacy_files_load_unverified() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new(), None);
+        let cp = Checkpoint::new(cfg(), "random", Vec::new());
         let json = cp.to_json().unwrap();
         assert!(json.contains("\"checksum\""));
         assert_eq!(Checkpoint::from_json(&json).unwrap(), cp);
@@ -535,7 +623,7 @@ mod tests {
     fn save_and_load_roundtrip() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("lcda-ckpt-test-{}.json", std::process::id()));
-        let cp = Checkpoint::new(cfg(), "random", Vec::new(), None);
+        let cp = Checkpoint::new(cfg(), "random", Vec::new());
         cp.save(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(cp, back);
@@ -548,7 +636,7 @@ mod tests {
 
     #[test]
     fn eval_cache_rides_along_and_legacy_json_loads_without_it() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new(), None)
+        let cp = Checkpoint::new(cfg(), "random", Vec::new())
             .with_eval_cache(EvalCache::new("deadbeefdeadbeef"));
         let json = cp.to_json().unwrap();
         assert!(json.contains("eval_cache"));
@@ -559,21 +647,21 @@ mod tests {
         );
 
         // A pre-pipeline checkpoint has no eval_cache key at all.
-        let legacy = Checkpoint::new(cfg(), "random", Vec::new(), None);
+        let legacy = Checkpoint::new(cfg(), "random", Vec::new());
         let back = Checkpoint::from_json(&legacy.to_json().unwrap()).unwrap();
         assert!(back.eval_cache.is_none());
     }
 
     #[test]
     fn backend_stamp_roundtrips_and_legacy_json_defaults_to_cim() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new(), None).with_backend("systolic");
+        let cp = Checkpoint::new(cfg(), "random", Vec::new()).with_backend("systolic");
         let back = Checkpoint::from_json(&cp.to_json().unwrap()).unwrap();
         assert_eq!(back.backend, "systolic");
 
         // A pre-backend checkpoint has no `backend` key at all (and, being
         // that old, no checksum either); it must load under the default
         // `cim` backend (forward compatibility).
-        let json = Checkpoint::new(cfg(), "random", Vec::new(), None)
+        let json = Checkpoint::new(cfg(), "random", Vec::new())
             .to_json()
             .unwrap();
         let legacy: String = strip_checksum(&json)
@@ -610,7 +698,6 @@ mod tests {
                 .build(),
             "random",
             Vec::new(),
-            None,
         )
     }
 

@@ -766,14 +766,9 @@ impl CoDesign {
 
     /// Snapshots the run after the episodes in `history`.
     fn snapshot(&self, history: &[EpisodeRecord]) -> Checkpoint {
-        let mut cp = Checkpoint::new(
-            self.config,
-            self.optimizer.name(),
-            history.to_vec(),
-            self.optimizer.transcript().cloned(),
-        )
-        .with_backend(&self.backend)
-        .with_hw_digest(self.hw_digest.clone());
+        let mut cp = Checkpoint::new(self.config, self.optimizer.name(), history.to_vec())
+            .with_backend(&self.backend)
+            .with_hw_digest(self.hw_digest.clone());
         if let Some(cache) = self.pipeline.cache() {
             cp = cp.with_eval_cache(cache);
         }
@@ -1123,8 +1118,8 @@ mod tests {
 
         // Uninterrupted run, capturing every post-episode snapshot.
         let mut snapshots: Vec<crate::Checkpoint> = Vec::new();
-        let full = build(space.clone(), config, OptimizerSpec::ExpertLlm)
-            .unwrap()
+        let mut uninterrupted = build(space.clone(), config, OptimizerSpec::ExpertLlm).unwrap();
+        let full = uninterrupted
             .run_resumable(None, |cp| {
                 snapshots.push(cp.clone());
                 Ok(())
@@ -1132,7 +1127,6 @@ mod tests {
             .unwrap();
         assert_eq!(snapshots.len(), 6);
         assert_eq!(snapshots[2].episodes_done(), 3);
-        assert!(snapshots[5].transcript.is_some());
         assert!(
             snapshots[5].eval_cache.is_some(),
             "snapshots must carry the memo table"
@@ -1144,6 +1138,15 @@ mod tests {
             .run_resumable(Some(snapshots[2].clone()), |_| Ok(()))
             .unwrap();
         assert_eq!(resumed, full);
+        // Checkpoints carry no transcript: replay rebuilds the resumed
+        // run's conversation exchange for exchange, prompts included.
+        let transcript = |run: &CoDesign| run.optimizer.transcript().cloned().unwrap();
+        let (rebuilt, original) = (transcript(&resumer), transcript(&uninterrupted));
+        assert_eq!(original.len(), 6);
+        for (a, b) in rebuilt.exchanges().iter().zip(original.exchanges()) {
+            assert_eq!(a, b, "exchange of episode {} differs", b.episode);
+        }
+        assert_eq!(rebuilt, original);
         // The rehydrated cache serves the resumed episodes' lookups.
         let stats = resumer.cache_stats();
         assert!(stats.hits + stats.misses > 0);

@@ -65,17 +65,52 @@ pub use crate::cache::{CacheStats, EvalCache};
 /// specified and stable across Rust releases, so checkpoints written by
 /// one build rehydrate under another.
 pub fn stable_fingerprint(parts: &[&str]) -> String {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h = Fnv::default();
     for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        // Separator byte so ["ab","c"] and ["a","bc"] differ.
-        h ^= 0x1F;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h.bytes(part.as_bytes());
+        h.end_part();
     }
-    format!("{h:016x}")
+    h.hex()
+}
+
+/// The running state of [`stable_fingerprint`], for digesting a part
+/// that is streamed rather than held in one string: feed the part
+/// through `fmt::Write` (so `write!(h, "{value}")` digests a `Display`
+/// without rendering it), then call [`Fnv::end_part`].
+pub(crate) struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+}
+
+impl Fnv {
+    /// Folds `bytes` into the digest.
+    fn bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Ends one part with a separator byte, so `["ab","c"]` and
+    /// `["a","bc"]` differ.
+    pub(crate) fn end_part(&mut self) {
+        self.bytes(&[0x1F]);
+    }
+
+    /// The digest as fixed-width hex.
+    pub(crate) fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Bounded retry policy for failed evaluations.

@@ -1166,7 +1166,9 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
             // Durability order: the result file reaches disk before the
             // WAL records `done`, so a replayed `done` always finds it.
             let persisted = state.journal_dir.as_ref().map_or(Ok(()), |dir| {
-                crate::checkpoint::atomic_save(&result_path(dir, id), &json)
+                crate::checkpoint::atomic_write(&result_path(dir, id), |out| {
+                    out.write_all(json.as_bytes())
+                })
             });
             match persisted {
                 Ok(()) => (JobState::Done, Some(json), None),
@@ -1399,20 +1401,23 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) -> std::io
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
-    match (&mut reader)
+    let read = (&mut reader)
         .take(MAX_REQUEST_LINE)
-        .read_line(&mut request_line)
-    {
-        Ok(0) => return respond_error(&mut stream, 400, "empty request"),
+        .read_line(&mut request_line);
+    let rejected = match read {
+        Ok(0) => Some("empty request"),
         Ok(_) if !request_line.ends_with('\n') && request_line.len() as u64 >= MAX_REQUEST_LINE => {
-            return respond_error(&mut stream, 400, "request line too long");
+            Some("request line too long")
         }
-        Ok(_) => {}
-        Err(_) => return respond_error(&mut stream, 400, "malformed request line"),
+        Ok(_) => None,
+        Err(_) => Some("malformed request line"),
+    };
+    if let Some(message) = rejected {
+        return reject(&mut stream, reader, 400, message);
     }
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return respond_error(&mut stream, 400, "malformed request");
+        return reject(&mut stream, reader, 400, "malformed request");
     };
     let method = method.to_string();
     let path = target.split('?').next().unwrap_or("").to_string();
@@ -1420,18 +1425,19 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) -> std::io
     let mut header_budget = MAX_HEADER_BYTES;
     loop {
         if header_budget == 0 {
-            return respond_error(&mut stream, 400, "headers too large");
+            return reject(&mut stream, reader, 400, "headers too large");
         }
         let mut line = String::new();
-        match (&mut reader).take(header_budget).read_line(&mut line) {
-            Ok(0) => return respond_error(&mut stream, 400, "truncated headers"),
+        let read = (&mut reader).take(header_budget).read_line(&mut line);
+        match read {
+            Ok(0) => return reject(&mut stream, reader, 400, "truncated headers"),
             Ok(n) => {
                 header_budget = header_budget.saturating_sub(n as u64);
                 if !line.ends_with('\n') {
-                    return respond_error(&mut stream, 400, "headers too large");
+                    return reject(&mut stream, reader, 400, "headers too large");
                 }
             }
-            Err(_) => return respond_error(&mut stream, 400, "malformed headers"),
+            Err(_) => return reject(&mut stream, reader, 400, "malformed headers"),
         }
         let line = line.trim_end();
         if line.is_empty() {
@@ -1441,20 +1447,51 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) -> std::io
             if name.eq_ignore_ascii_case("content-length") {
                 match value.trim().parse::<usize>() {
                     Ok(n) => content_length = Some(n),
-                    Err(_) => return respond_error(&mut stream, 400, "invalid content-length"),
+                    Err(_) => return reject(&mut stream, reader, 400, "invalid content-length"),
                 }
             }
         }
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return respond_error(&mut stream, 413, "request body too large");
+        return reject(&mut stream, reader, 413, "request body too large");
     }
     let mut body = vec![0u8; content_length];
     if !body.is_empty() && reader.read_exact(&mut body).is_err() {
-        return respond_error(&mut stream, 400, "truncated request body");
+        return reject(&mut stream, reader, 400, "truncated request body");
     }
     route(state, &mut stream, &method, &path, &body)
+}
+
+/// Answers a request rejected before it was read in full. Closing a
+/// socket with unread input makes the kernel send a reset, which can
+/// destroy the response before the client reads it; so after the
+/// response, half-close the write side and drain the rest of the request
+/// — at most [`MAX_BODY_BYTES`], for at most [`SOCKET_TIMEOUT`] — before
+/// the stream drops.
+fn reject(
+    stream: &mut TcpStream,
+    mut reader: BufReader<TcpStream>,
+    status: u16,
+    message: &str,
+) -> std::io::Result<()> {
+    let sent = respond_error(stream, status, message);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + SOCKET_TIMEOUT;
+    let mut budget = MAX_BODY_BYTES;
+    let mut chunk = [0u8; 4096];
+    while budget > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        let want = budget.min(chunk.len());
+        match reader.read(&mut chunk[..want]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => budget -= n,
+        }
+    }
+    sent
 }
 
 /// Dispatches one parsed request to its endpoint.

@@ -48,8 +48,8 @@
 
 use crate::backend::BackendRegistry;
 use crate::checkpoint::{
-    atomic_save, from_checksummed_json, generation_path, rotate_generations, to_checksummed_json,
-    Checkpoint, CheckpointStore,
+    from_checksummed_json, generation_path, rotate_generations, save_checksummed,
+    to_checksummed_json, Checkpoint, CheckpointStore,
 };
 use crate::codesign::{judge_episode, CoDesignConfig, EpisodeRecord, OptimizerSpec};
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator};
@@ -312,7 +312,7 @@ impl ShardManifestStore {
     /// Returns [`CoreError::Checkpoint`] on rotation or write failure.
     pub fn save(&self, manifest: &ShardManifest) -> Result<()> {
         rotate_generations(&self.path, self.keep)?;
-        atomic_save(&self.path, &manifest.to_json()?)
+        save_checksummed(&self.path, manifest)
     }
 
     /// Loads the newest generation that parses and verifies. `Ok(None)`
@@ -858,13 +858,8 @@ impl Supervisor {
             seed: runner.seed,
             ..self.config
         };
-        let cp = Checkpoint::new(
-            shard_config,
-            runner.island.name(),
-            history.to_vec(),
-            runner.island.transcript().cloned(),
-        )
-        .with_backend(&self.backend);
+        let cp = Checkpoint::new(shard_config, runner.island.name(), history.to_vec())
+            .with_backend(&self.backend);
         store.save(&cp)
     }
 

@@ -36,8 +36,13 @@ cmp "$journal_dir/run_a.jsonl" "$journal_dir/run_b.jsonl"
 
 # Chaos smoke: kill -9 a checkpointed search mid-run, tear the journal
 # tail like an interrupted write, and require both the resume and the
-# report to come back clean. The kill is racy by design — a fast run may
-# finish first, which is also a pass (the resume then just replays).
+# report to come back clean, and the resumed `--json` to be
+# byte-identical to an uninterrupted run's. Checkpoints carry no LLM
+# transcript, so this also gates that replay rebuilds it. The kill is
+# racy by design — a fast run may finish first, which is also a pass
+# (the resume then just replays).
+./target/release/lcda search --episodes 8 --seed 7 --no-cache --json \
+    > "$journal_dir/chaos_clean.json"
 ./target/release/lcda search --episodes 8 --seed 7 --no-cache \
     --checkpoint "$journal_dir/chaos.json" --keep-checkpoints 2 \
     --journal "$journal_dir/chaos.jsonl" > /dev/null &
@@ -50,9 +55,10 @@ if [ -s "$journal_dir/chaos.jsonl" ]; then
     size=$(wc -c < "$journal_dir/chaos.jsonl")
     truncate -s $((size > 5 ? size - 5 : 0)) "$journal_dir/chaos.jsonl"
 fi
-./target/release/lcda search --episodes 8 --seed 7 --no-cache \
+./target/release/lcda search --episodes 8 --seed 7 --no-cache --json \
     --checkpoint "$journal_dir/chaos.json" --keep-checkpoints 2 --resume \
-    --journal "$journal_dir/chaos.jsonl" > /dev/null
+    --journal "$journal_dir/chaos.jsonl" > "$journal_dir/chaos_resumed.json"
+cmp "$journal_dir/chaos_clean.json" "$journal_dir/chaos_resumed.json"
 ./target/release/lcda report "$journal_dir/chaos.jsonl" | grep -q "episodes"
 
 # Fault-injection smoke: a faulty backend must not change the outcome.

@@ -1,0 +1,116 @@
+//! Checkpoints from before the transcript left the format.
+//!
+//! Such files carry a `"transcript"` entry, and their checksum covers it.
+//! The fixtures in `tests/fixtures/transcript_era/` were written by the
+//! code of that format:
+//!
+//! - `expert_episode3.json`: an expert search (seed 11, 6 episodes)
+//!   killed after episode 3;
+//! - `fleet.*.json`: a two-shard expert fleet (seed 29, 6 episodes per
+//!   shard, barriers every 2) killed after its first barrier.
+//!
+//! Each must verify, load through its store and resume to the outcome of
+//! an uninterrupted run. The transcript entry is ignored on load; replay
+//! rebuilds the transcript.
+
+use lcda::core::shard::{manifest_path, shard_checkpoint_path};
+use lcda::core::CoreError;
+use lcda::prelude::*;
+use lcda_base::json::Value;
+use std::path::{Path, PathBuf};
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/transcript_era")
+        .join(name)
+}
+
+fn cfg(seed: u64) -> CoDesignConfig {
+    CoDesignConfig::builder(Objective::AccuracyEnergy)
+        .episodes(6)
+        .seed(seed)
+        .build()
+}
+
+/// Reads a fixture and checks it is of the old format: a transcript
+/// entry with prompts in it.
+fn transcript_era_json(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    let value = Value::parse(&text).unwrap();
+    let exchanges = value["transcript"]["exchanges"].as_array().unwrap();
+    assert!(
+        exchanges.iter().all(|e| e["prompt"].as_str().is_some()),
+        "{}",
+        path.display()
+    );
+    text
+}
+
+/// The checkpoint at `path` verifies, and its store returns it.
+fn verify_and_load(path: &Path) -> Checkpoint {
+    let text = transcript_era_json(path);
+    let cp = Checkpoint::from_json(&text).expect("a transcript-era checkpoint verifies");
+    // The recorded checksum covers the transcript: editing a prompt
+    // breaks it.
+    let tampered = text.replacen("\"prompt\": \"", "\"prompt\": \"edited ", 1);
+    match Checkpoint::from_json(&tampered) {
+        Err(CoreError::Checkpoint(msg)) => assert!(msg.contains("checksum mismatch"), "{msg}"),
+        other => panic!("expected a checksum mismatch, got {other:?}"),
+    }
+    let (loaded, generation) = CheckpointStore::new(path, 1)
+        .unwrap()
+        .load_latest()
+        .unwrap()
+        .expect("the store finds the checkpoint");
+    assert_eq!(generation, 0);
+    assert_eq!(loaded, cp);
+    loaded
+}
+
+#[test]
+fn transcript_era_checkpoint_resumes_to_the_uninterrupted_outcome() {
+    let cp = verify_and_load(&fixture("expert_episode3.json"));
+    assert_eq!(cp.episodes_done(), 3);
+    let run = || {
+        CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(11))
+            .optimizer(OptimizerSpec::ExpertLlm)
+            .build()
+            .unwrap()
+    };
+    let full = run().run().unwrap();
+    let resumed = run().run_resumable(Some(cp), |_| Ok(())).unwrap();
+    assert_eq!(resumed, full);
+}
+
+#[test]
+fn transcript_era_fleet_checkpoints_resume_to_the_uninterrupted_front() {
+    // Resume writes new generations, so it runs on a copy.
+    let dir = std::env::temp_dir().join(format!("lcda-transcript-era-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("fleet.json");
+    let mut files = vec![manifest_path(&base)];
+    for shard in 0..2 {
+        files.push(shard_checkpoint_path(&base, shard));
+    }
+    for file in &files {
+        let name = file.file_name().unwrap().to_str().unwrap();
+        std::fs::copy(fixture(name), file).unwrap();
+    }
+    for shard in 0..2 {
+        let cp = verify_and_load(&shard_checkpoint_path(&base, shard));
+        assert_eq!(cp.episodes_done(), 2);
+    }
+
+    let fleet = || {
+        let mut plan = ShardPlan::new(2);
+        plan.barrier_interval = 2;
+        plan.elite_k = 2;
+        Supervisor::new(DesignSpace::nacim_cifar10(), cfg(29), plan)
+            .optimizer(OptimizerSpec::ExpertLlm)
+    };
+    let clean = fleet().run().unwrap();
+    let resumed = fleet().checkpoints(&base, 1).resume().unwrap();
+    assert_eq!(resumed, clean);
+    assert_eq!(resumed.to_json().unwrap(), clean.to_json().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
