@@ -34,13 +34,21 @@
 //! boundaries and a per-job result file (`job-<n>.result.json`) written
 //! atomically *before* the `done` transition is journaled. `kill -9` at
 //! any instant therefore loses no acknowledged work: on restart,
-//! [`JobServer::bind`] replays the ledger, restores terminal jobs from
-//! their result files, and re-admits interrupted jobs in original
-//! admission order, resuming each from its newest checkpoint generation.
+//! [`JobServer::bind`] replays the ledger, restores terminal jobs in
+//! place, and re-admits interrupted jobs in original admission order,
+//! resuming each from its newest checkpoint generation.
 //! A recovered job's result is **byte-identical** to an uninterrupted
 //! run's (checkpoint resume replays recorded episodes through the
 //! freshly seeded optimizer — the same discipline `lcda search --resume`
 //! uses).
+//!
+//! The result file is also the only copy the server keeps: a `done`
+//! job's body is read from disk on each `GET /jobs/{id}/result`, and a
+//! restart only checks that the file exists. A job closes its journal
+//! file when it reaches a terminal state. So a finished job holds its
+//! spec and a few counters in memory, not its result or an open file.
+//! A server without a journal directory has nowhere durable to put a
+//! result and keeps it in memory instead.
 //!
 //! # Overload and deadlines
 //!
@@ -76,7 +84,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -98,7 +106,9 @@ use crate::wal::{LedgerJob, Wal, WalEntry, WAL_FILE};
 use crate::{lock, CoreError, Result};
 use lcda_base::json::{FromJson, ToJson, Value};
 
-/// How long an idle worker or acceptor sleeps between shutdown checks.
+/// How often idle loops (workers, the store flusher, [`JobServer::wait`],
+/// journal streams) recheck their condition, and how long the acceptor
+/// backs off after a failed `accept`.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Socket read/write timeout for request handling and streaming: a
@@ -535,7 +545,9 @@ struct JobRecord {
     state: JobState,
     error: Option<String>,
     /// The finished run's outcome: `lcda_base::json::to_string_pretty` plus
-    /// a trailing newline — byte-identical to `lcda search --json`.
+    /// a trailing newline — byte-identical to `lcda search --json`. Held
+    /// only by a server without a journal directory; with one it stays
+    /// `None` and the body lives in the job's result file.
     result: Option<String>,
     stats: Option<SessionStats>,
     cancel: Arc<AtomicBool>,
@@ -655,10 +667,23 @@ impl ServerState {
         })
     }
 
-    /// The finished result JSON, only for `done` jobs.
-    fn result(&self, id: JobId) -> Option<String> {
-        let jobs = lock(&self.jobs);
-        jobs.get(&id.index()).and_then(|rec| rec.result.clone())
+    /// The finished result JSON, only for `done` jobs: from the record
+    /// on a server without a journal directory, else from the job's
+    /// result file.
+    fn result(&self, id: JobId) -> Result<Option<String>> {
+        let held = match lock(&self.jobs).get(&id.index()) {
+            Some(rec) if rec.state == JobState::Done => rec.result.clone(),
+            _ => return Ok(None),
+        };
+        match (held, &self.journal_dir) {
+            (None, Some(dir)) => {
+                let path = result_path(dir, id);
+                std::fs::read_to_string(&path)
+                    .map(Some)
+                    .map_err(|e| CoreError::Journal(format!("read {}: {e}", path.display())))
+            }
+            (held, _) => Ok(held),
+        }
     }
 
     /// Cancels a job: a queued job goes terminal immediately; a running
@@ -687,6 +712,9 @@ impl ServerState {
                     if let Err(e) = rec.journal.finish() {
                         rec.error.get_or_insert(format!("journal: {e}"));
                     }
+                    // Dropping the handle closes the file and frees its
+                    // buffer; `/journal` streams from `journal_path`.
+                    rec.journal = Journal::disabled();
                 }
                 JobState::Running => rec.cancel.store(true, Ordering::SeqCst),
                 _ => {}
@@ -741,12 +769,12 @@ impl ServerState {
     }
 
     /// Rebuilds the job table from a replayed WAL ledger. Terminal jobs
-    /// are restored in place (`done` jobs reload their result file);
-    /// interrupted jobs (`queued` or `running` at the crash) are reset
-    /// to `queued` — the one sanctioned transition outside
-    /// [`JobState::can_advance`], since the claiming worker no longer
-    /// exists — and returned in original admission order for
-    /// re-admission.
+    /// are restored in place (a `done` job only if its result file
+    /// exists; the body stays on disk); interrupted jobs (`queued` or
+    /// `running` at the crash) are reset to `queued` — the one
+    /// sanctioned transition outside [`JobState::can_advance`], since
+    /// the claiming worker no longer exists — and returned in original
+    /// admission order for re-admission.
     fn recover(&self, ledger: &BTreeMap<u64, LedgerJob>) -> Result<Vec<u64>> {
         let Some(dir) = self.journal_dir.clone() else {
             return Ok(Vec::new());
@@ -757,16 +785,11 @@ impl ServerState {
             let id = JobId(index);
             let journal_path = dir.join(format!("{id}.jsonl"));
             let mut state = entry.state;
-            let mut result = None;
-            if state == JobState::Done {
-                match std::fs::read_to_string(result_path(&dir, id)) {
-                    Ok(text) => result = Some(text),
-                    // The `done` transition is journaled only after the
-                    // result file is durably in place, so a missing
-                    // file means outside tampering; re-running is
-                    // deterministic and rebuilds it.
-                    Err(_) => state = JobState::Queued,
-                }
+            // The `done` transition is journaled only after the result
+            // file is durably in place, so a missing file means outside
+            // tampering; re-running is deterministic and rebuilds it.
+            if state == JobState::Done && !result_path(&dir, id).exists() {
+                state = JobState::Queued;
             }
             if state.is_terminal() {
                 jobs.insert(
@@ -775,7 +798,7 @@ impl ServerState {
                         spec: entry.spec.clone(),
                         state,
                         error: entry.error.clone(),
-                        result,
+                        result: None,
                         stats: None,
                         cancel: Arc::new(AtomicBool::new(false)),
                         journal: Journal::disabled(),
@@ -887,9 +910,6 @@ impl JobServer {
         let addr = listener
             .local_addr()
             .map_err(|e| CoreError::InvalidConfig(format!("local addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| CoreError::InvalidConfig(format!("nonblocking listener: {e}")))?;
         let queue_capacity = config.queue_capacity.max(1);
         let (tx, rx) = sync_channel::<u64>(queue_capacity);
         // Replay the durable ledger before anything can be admitted.
@@ -997,7 +1017,12 @@ impl JobServer {
 
     /// The finished result JSON (pretty-printed, trailing newline), or
     /// `None` while the job has not reached `done`.
-    pub fn result(&self, id: JobId) -> Option<String> {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Journal`] naming the file when a `done` job's result
+    /// file cannot be read.
+    pub fn result(&self, id: JobId) -> Result<Option<String>> {
         self.state.result(id)
     }
 
@@ -1027,16 +1052,7 @@ impl JobServer {
     /// Propagates a failed store save; the threads are joined either
     /// way.
     pub fn shutdown(mut self) -> Result<()> {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.flusher.take() {
-            let _ = handle.join();
-        }
+        self.stop_threads();
         let _ = self.state.server_journal.finish();
         if let Some(path) = self.cache_path.take() {
             self.state.store.save(&path)?;
@@ -1057,12 +1073,20 @@ impl JobServer {
         }
         self.shutdown()
     }
-}
 
-impl Drop for JobServer {
-    fn drop(&mut self) {
+    /// Sets the shutdown flag, wakes the acceptor out of its blocking
+    /// `accept` with a loopback connection, and joins every thread.
+    fn stop_threads(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.acceptor.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, SOCKET_TIMEOUT);
             let _ = handle.join();
         }
         for handle in self.workers.drain(..) {
@@ -1071,6 +1095,12 @@ impl Drop for JobServer {
         if let Some(handle) = self.flusher.take() {
             let _ = handle.join();
         }
+    }
+}
+
+impl Drop for JobServer {
+    fn drop(&mut self) {
+        self.stop_threads();
     }
 }
 
@@ -1162,19 +1192,19 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
         },
     );
     let (next, result, error) = match outcome {
-        Ok(json) => {
-            // Durability order: the result file reaches disk before the
-            // WAL records `done`, so a replayed `done` always finds it.
-            let persisted = state.journal_dir.as_ref().map_or(Ok(()), |dir| {
-                crate::checkpoint::atomic_write(&result_path(dir, id), |out| {
-                    out.write_all(json.as_bytes())
-                })
-            });
-            match persisted {
-                Ok(()) => (JobState::Done, Some(json), None),
+        // Durability order: the result file reaches disk before the WAL
+        // records `done`, so a replayed `done` always finds it.
+        Ok(json) => match &state.journal_dir {
+            Some(dir) => match crate::checkpoint::atomic_write(&result_path(dir, id), |out| {
+                out.write_all(json.as_bytes())
+            }) {
+                Ok(()) => (JobState::Done, None, None),
                 Err(e) => (JobState::Failed, None, Some(format!("persist result: {e}"))),
-            }
-        }
+            },
+            // Without a journal directory the record is the result's
+            // only home.
+            None => (JobState::Done, Some(json), None),
+        },
         Err(CoreError::Cancelled(_)) => (JobState::Cancelled, None, None),
         Err(e @ CoreError::DeadlineExceeded(_)) => {
             journal.record(JournalEvent::JobDeadline {
@@ -1206,6 +1236,9 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
         rec.stats = stats;
         rec.error = error.or(journal_error);
         rec.attempts = attempts;
+        // The last other handle is this function's clone, dropped on
+        // return, which closes the job's journal file.
+        rec.journal = Journal::disabled();
     }
 }
 
@@ -1370,21 +1403,24 @@ fn cache_flush_loop(state: &Arc<ServerState>, path: &std::path::Path, every: Dur
     }
 }
 
-/// Acceptor: poll the nonblocking listener, spawning one short-lived
-/// thread per connection, until shutdown.
+/// Acceptor: block in `accept`, spawning one short-lived thread per
+/// connection, until shutdown. [`JobServer`] wakes it after setting the
+/// flag by connecting once; that connection is dropped unanswered.
 fn acceptor_loop(state: &Arc<ServerState>, listener: &TcpListener) {
     loop {
+        let accepted = listener.accept();
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let st = Arc::clone(state);
                 thread::spawn(move || {
                     let _ = handle_connection(&st, stream);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
+            // Back off on errors such as fd exhaustion instead of
+            // spinning on them.
             Err(_) => thread::sleep(POLL),
         }
     }
@@ -1546,14 +1582,15 @@ fn route(
         ("GET", ["jobs", raw, "result"]) => match raw.parse::<JobId>() {
             Err(e) => respond_error(stream, 400, &e.to_string()),
             Ok(id) => match (state.status(id), state.result(id)) {
-                (Some(_), Some(result)) => {
+                (Some(_), Ok(Some(result))) => {
                     respond(stream, 200, "application/json", result.as_bytes())
                 }
-                (Some(status), None) => respond_error(
+                (Some(status), Ok(None)) => respond_error(
                     stream,
                     409,
                     &format!("{id} is {}; no result available", status.state),
                 ),
+                (Some(_), Err(e)) => respond_error(stream, 500, &e.to_string()),
                 (None, _) => not_found(stream),
             },
         },
@@ -1830,7 +1867,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "job never finished");
             thread::sleep(Duration::from_millis(20));
         }
-        let result = server.result(id).unwrap();
+        let result = server.result(id).unwrap().unwrap();
         assert!(result.ends_with('\n'));
         let outcome: lcda_base::json::Value = lcda_base::json::from_str(&result).unwrap();
         assert_eq!(outcome["history"].as_array().unwrap().len(), 2);
@@ -2056,6 +2093,94 @@ mod tests {
         server.shutdown().unwrap();
     }
 
+    fn wait_terminal(server: &JobServer, id: JobId) -> JobStatus {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        loop {
+            let status = server.status(id).unwrap();
+            if status.state.is_terminal() {
+                return status;
+            }
+            assert!(std::time::Instant::now() < deadline, "{id} never finished");
+            thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn terminal_jobs_release_their_result_and_journal() {
+        let dir = std::env::temp_dir().join(format!(
+            "lcda-serve-release-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let server = JobServer::bind(ServeConfig {
+            workers: 1,
+            journal_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let done = server
+            .submit(JobSpec {
+                episodes: 20,
+                seed: 11,
+                ..JobSpec::default()
+            })
+            .unwrap();
+        // The one worker is busy with `done`, so this job is still queued.
+        let cancelled = server
+            .submit(JobSpec {
+                episodes: 2,
+                seed: 12,
+                ..JobSpec::default()
+            })
+            .unwrap();
+        assert_eq!(server.cancel(cancelled).unwrap().state, JobState::Cancelled);
+        let failed = server
+            .submit(JobSpec {
+                episodes: 3,
+                deadline_secs: Some(0),
+                ..JobSpec::default()
+            })
+            .unwrap();
+        assert_eq!(wait_terminal(&server, done).state, JobState::Done);
+        assert_eq!(wait_terminal(&server, failed).state, JobState::Failed);
+        {
+            let jobs = lock(&server.state.jobs);
+            for id in [done, cancelled, failed] {
+                let rec = &jobs[&id.index()];
+                assert!(rec.state.is_terminal(), "{id}");
+                assert_eq!(rec.result, None, "{id} holds its result in memory");
+                assert!(!rec.journal.is_active(), "{id} holds its journal open");
+            }
+        }
+        let on_disk = std::fs::read_to_string(result_path(&dir, done)).unwrap();
+        assert_eq!(server.result(done).unwrap(), Some(on_disk));
+        assert_eq!(server.result(failed).unwrap(), None);
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Without a journal directory the record is the only copy.
+        let server = JobServer::bind(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let id = server
+            .submit(JobSpec {
+                episodes: 2,
+                seed: 11,
+                ..JobSpec::default()
+            })
+            .unwrap();
+        assert_eq!(wait_terminal(&server, id).state, JobState::Done);
+        let held = lock(&server.state.jobs)[&id.index()].result.clone();
+        assert!(held.is_some());
+        assert_eq!(server.result(id).unwrap(), held);
+        server.shutdown().unwrap();
+    }
+
     #[test]
     fn wal_backed_restart_recovers_terminal_and_interrupted_jobs() {
         let dir = std::env::temp_dir().join(format!(
@@ -2085,7 +2210,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "job never finished");
             thread::sleep(Duration::from_millis(20));
         }
-        let first_result = server.result(id).unwrap();
+        let first_result = server.result(id).unwrap().unwrap();
         server.shutdown().unwrap();
         // Simulate an admission the crash interrupted: append a raw
         // `admitted` line to the ledger, as if the process died right
@@ -2117,7 +2242,7 @@ mod tests {
         let restored = server.status(id).unwrap();
         assert_eq!(restored.state, JobState::Done);
         assert!(restored.recovered);
-        assert_eq!(server.result(id).unwrap(), first_result);
+        assert_eq!(server.result(id).unwrap().unwrap(), first_result);
         let recovered_id = JobId(2);
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
         loop {

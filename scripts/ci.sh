@@ -135,6 +135,28 @@ for job in job-1 job-2; do
     done
     [ "$state" = "done" ] || { echo "ci: serve $job never finished" >&2; exit 1; }
 done
+# Finished jobs hold no open files: five more jobs run to `done` must
+# leave the server's descriptor count where it was. The pauses let
+# the connection threads of the last requests close their sockets.
+sleep 0.2
+fds_before=$(ls "/proc/$serve_pid/fd" | wc -l)
+for seed in 31 32 33 34 35; do
+    curl -sf -X POST -d "{\"episodes\": 1, \"seed\": $seed}" "http://$addr/jobs" > /dev/null
+done
+for job in job-3 job-4 job-5 job-6 job-7; do
+    state=""
+    for _ in $(seq 1 600); do
+        state=$(curl -sf "http://$addr/jobs/$job" \
+            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+        [ "$state" = "done" ] && break
+        sleep 0.1
+    done
+    [ "$state" = "done" ] || { echo "ci: serve $job ended '$state', not done" >&2; exit 1; }
+done
+sleep 0.2
+fds_after=$(ls "/proc/$serve_pid/fd" | wc -l)
+[ "$fds_after" -le "$fds_before" ] \
+    || { echo "ci: serve fds grew from $fds_before to $fds_after over 5 jobs" >&2; exit 1; }
 cross=$(curl -sf "http://$addr/jobs/job-2" \
     | sed -n 's/.*"cross_run_hits":\([0-9]*\).*/\1/p')
 [ -n "$cross" ] && [ "$cross" -gt 0 ] \

@@ -497,6 +497,37 @@ fn per_job_journals_never_interleave() {
 }
 
 #[test]
+fn missing_result_file_of_a_done_job_is_a_500_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("lcda-serve-lost-result-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = JobServer::bind(ServeConfig {
+        workers: 1,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let (status, body) = http(server.addr(), "POST", "/jobs", r#"{"episodes": 2}"#);
+    assert_eq!(status, 202, "{body}");
+    let done = wait_terminal(&server, "job-1".parse().unwrap());
+    assert_eq!(done.state, JobState::Done, "{:?}", done.error);
+    let (status, body) = http(server.addr(), "GET", "/jobs/job-1/result", "");
+    assert_eq!(status, 200, "{body}");
+
+    // A done job's body lives only in its result file.
+    let path = dir.join("job-1.result.json");
+    std::fs::remove_file(&path).expect("remove result file");
+    let io_error = std::fs::read(&path).unwrap_err().to_string();
+    let (status, body) = http(server.addr(), "GET", "/jobs/job-1/result", "");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("job-1.result.json"), "{body}");
+    assert!(body.contains(&io_error), "{body}");
+    let (status, body) = http(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_requests_get_typed_errors_and_never_wedge_the_server() {
     let server = JobServer::bind(ServeConfig {
         workers: 1,
