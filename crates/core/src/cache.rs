@@ -17,7 +17,7 @@
 //!   queue; when the store exceeds its bound the *oldest admission* is
 //!   evicted. Two stores fed the same admission sequence evict the same
 //!   entries in the same order, so a bounded store stays reproducible;
-//! - **persistable** — checksummed JSON via the same atomic-save path as
+//! - **persistable** — checksummed JSON saved through [`crate::durable`] like
 //!   checkpoints, so a server restart rehydrates its fleet-wide table;
 //! - **keyed exactly as before** — entries live under the evaluator-pair
 //!   context fingerprint (which embeds the `{backend-id}/{digest}`
@@ -42,7 +42,6 @@
 
 use crate::evaluate::HwMetrics;
 use crate::{lock, CoreError, Result};
-use lcda_base::json::FromJson;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -388,7 +387,7 @@ impl CacheStore {
     ///
     /// Returns [`CoreError::Checkpoint`] when serialization fails.
     pub fn to_json(&self) -> Result<String> {
-        crate::checkpoint::to_checksummed_json(&self.persisted())
+        crate::durable::to_checksummed_json(&self.persisted())
     }
 
     /// The persisted form of the whole store: entries + admission order.
@@ -421,9 +420,11 @@ impl CacheStore {
     ///
     /// Returns [`CoreError::Checkpoint`] for malformed or corrupt JSON.
     pub fn from_json(json: &str) -> Result<Self> {
-        let value = crate::checkpoint::from_checksummed_json(json)?;
-        let snapshot = StoreSnapshot::from_json(&value)
-            .map_err(|e| CoreError::Checkpoint(format!("parse cache store: {e}")))?;
+        crate::durable::from_checksummed_json(json).map(Self::restore)
+    }
+
+    /// Rebuilds a store from its persisted form.
+    fn restore(snapshot: StoreSnapshot) -> Self {
         let store = Self::build(snapshot.capacity);
         {
             let mut g = lock(&store.inner);
@@ -478,7 +479,7 @@ impl CacheStore {
             g.admissions = seen;
             Self::evict_to_capacity(&mut g);
         }
-        Ok(store)
+        store
     }
 
     /// Atomically persists the store to `path` (tmp + fsync + rename),
@@ -488,7 +489,7 @@ impl CacheStore {
     ///
     /// Returns [`CoreError::Checkpoint`] on serialization or I/O failure.
     pub fn save(&self, path: &Path) -> Result<()> {
-        crate::checkpoint::save_checksummed(path, &self.persisted())
+        crate::durable::save_checksummed(path, &self.persisted())
     }
 
     /// Loads a store persisted by [`CacheStore::save`].
@@ -498,9 +499,7 @@ impl CacheStore {
     /// Returns [`CoreError::Checkpoint`] when the file is unreadable or
     /// corrupt.
     pub fn load(path: &Path) -> Result<Self> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| CoreError::Checkpoint(format!("read cache store {path:?}: {e}")))?;
-        Self::from_json(&json)
+        crate::durable::load_checksummed(path).map(Self::restore)
     }
 
     /// Merges a snapshot's entries into the store under `owner`'s id.

@@ -19,212 +19,27 @@
 //! [`crate::CoreError::Checkpoint`] when the checkpoint belongs to a
 //! different config or seed.
 //!
-//! # Durability and corruption
+//! # Durability
 //!
-//! The atomic rename protects against *torn* files, but not against a
-//! crash before the data reaches the platter, nor against on-disk bit
-//! rot. Three further layers close those holes:
-//!
-//! - [`Checkpoint::save`] fsyncs the temp file before the rename and the
-//!   parent directory after it, so a published checkpoint survives a
-//!   power cut;
-//! - every checkpoint embeds a content **checksum** (a stable FNV digest
-//!   of its canonical JSON), verified on load — silent corruption is a
-//!   typed [`CoreError::Checkpoint`] instead of garbage state (files
-//!   written before the checksum existed load without verification);
-//! - [`CheckpointStore`] keeps the last *N* **generations**
-//!   (`--keep-checkpoints N`): `run.json` is the newest, `run.json.1`
-//!   the previous one, and so on; [`CheckpointStore::load_latest`] falls
-//!   back to the newest generation that still verifies.
+//! Saves are atomic, durable and checksummed, and [`CheckpointStore`]
+//! keeps the last *N* generations (`--keep-checkpoints N`), falling back
+//! to the newest one that verifies. `durable.rs` holds these rules for
+//! every artifact.
 
 use crate::codesign::{CoDesignConfig, EpisodeRecord};
-use crate::pipeline::{EvalCache, Fnv};
+use crate::durable::{
+    from_checksummed_json, load_checksummed, save_checksummed, to_checksummed_json, Generation,
+    GenerationStore,
+};
+use crate::pipeline::EvalCache;
 use crate::{CoreError, Result};
-use lcda_base::json::{FromJson, ToJson, Value};
-use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Format version stamped into every checkpoint file.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// The JSON key carrying the content checksum. Not a struct field:
-/// the checksum describes the file, not the run, and keeping it out of
-/// [`Checkpoint`] keeps `PartialEq`/round-trip semantics value-based.
-const CHECKSUM_KEY: &str = "checksum";
-
 fn default_backend_name() -> String {
     crate::backend::DEFAULT_BACKEND.to_string()
-}
-
-/// The content checksum of a checkpoint JSON value (without its
-/// checksum field): a stable FNV digest of the compact serialization,
-/// equal to `stable_fingerprint(&[&value.to_string()])`. The compact text
-/// is streamed into the hasher, never held as a string. Objects keep
-/// their entry order through a parse, so the digest is the same before a
-/// write and after the read.
-fn checksum_of(value: &Value) -> String {
-    let mut h = Fnv::default();
-    // Writing into the hasher cannot fail.
-    let _ = write!(h, "{value}");
-    h.end_part();
-    h.hex()
-}
-
-/// `artifact`'s JSON object with its content checksum as the first
-/// entry, so the checksum leads the file.
-fn with_checksum<T: ToJson>(artifact: &T) -> Result<Value> {
-    let mut value = artifact.to_json();
-    let digest = checksum_of(&value);
-    let Value::Object(entries) = &mut value else {
-        return Err(CoreError::Checkpoint(
-            "serialize: artifact did not form a JSON object".into(),
-        ));
-    };
-    entries.insert(0, (CHECKSUM_KEY.to_string(), Value::String(digest)));
-    Ok(value)
-}
-
-/// Serializes any durable artifact to pretty JSON with an embedded
-/// content checksum (shared by [`Checkpoint`], the shard manifest and
-/// the cache store): the bytes [`save_checksummed`] writes, as a string.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Checkpoint`] when the value does not form a JSON
-/// object.
-pub(crate) fn to_checksummed_json<T: ToJson>(artifact: &T) -> Result<String> {
-    Ok(format!("{:#}", with_checksum(artifact)?))
-}
-
-/// Saves a durable artifact to `path` as [`to_checksummed_json`] renders
-/// it, atomically and durably ([`atomic_write`]). The pretty body streams
-/// from the JSON tree into the file, so neither the compact text (for
-/// the checksum) nor the pretty text is ever held in memory.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Checkpoint`] when the value does not form a JSON
-/// object, or on I/O failure.
-pub(crate) fn save_checksummed<T: ToJson>(path: &Path, artifact: &T) -> Result<()> {
-    let value = with_checksum(artifact)?;
-    atomic_write(path, |out| write!(out, "{value:#}"))
-}
-
-/// Serializes a durable artifact to **compact** single-line JSON with an
-/// embedded content checksum — the WAL-line variant of
-/// [`to_checksummed_json`] (a write-ahead log needs one record per
-/// line, so pretty printing is out).
-///
-/// # Errors
-///
-/// As [`to_checksummed_json`].
-pub(crate) fn to_checksummed_compact_json<T: ToJson>(artifact: &T) -> Result<String> {
-    Ok(with_checksum(artifact)?.to_string())
-}
-
-/// Parses a checksummed JSON artifact, verifying and stripping the
-/// embedded checksum (when present — pre-checksum files pass
-/// unverified). Returns the cleaned value for [`FromJson::from_json`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::Checkpoint`] for malformed JSON or a checksum
-/// mismatch.
-pub(crate) fn from_checksummed_json(json: &str) -> Result<Value> {
-    let mut value = Value::parse(json).map_err(|e| CoreError::Checkpoint(format!("parse: {e}")))?;
-    if let Some(recorded) = value.remove(CHECKSUM_KEY) {
-        let computed = checksum_of(&value);
-        if recorded.as_str() != Some(computed.as_str()) {
-            return Err(CoreError::Checkpoint(format!(
-                "checksum mismatch (corrupted file): recorded {recorded}, computed \"{computed}\""
-            )));
-        }
-    }
-    Ok(value)
-}
-
-/// Writes a file atomically **and durably**: `write` fills `<file>.tmp`
-/// through a buffer, which is fsynced, renamed over `path`, and then the
-/// parent directory is fsynced (unix). A kill at any instant leaves
-/// either the previous or the new file — never a torn one.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Checkpoint`] on I/O failure.
-pub(crate) fn atomic_write(
-    path: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
-) -> Result<()> {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint");
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
-    let write_error =
-        |e: &dyn std::fmt::Display| CoreError::Checkpoint(format!("write {}: {e}", tmp.display()));
-    let file = File::create(&tmp)
-        .map_err(|e| CoreError::Checkpoint(format!("create {}: {e}", tmp.display())))?;
-    let mut out = BufWriter::new(file);
-    write(&mut out).map_err(|e| write_error(&e))?;
-    let file = out.into_inner().map_err(|e| write_error(e.error()))?;
-    file.sync_all()
-        .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", tmp.display())))?;
-    drop(file);
-    std::fs::rename(&tmp, path)
-        .map_err(|e| CoreError::Checkpoint(format!("rename to {}: {e}", path.display())))?;
-    // Durability of the rename itself requires fsyncing the directory
-    // entry (POSIX; meaningless and unsupported on other platforms).
-    #[cfg(unix)]
-    {
-        let parent = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => PathBuf::from("."),
-        };
-        let dir = std::fs::File::open(&parent)
-            .map_err(|e| CoreError::Checkpoint(format!("open {}: {e}", parent.display())))?;
-        dir.sync_all()
-            .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", parent.display())))?;
-    }
-    Ok(())
-}
-
-/// The on-disk path of a rotated generation (0 = newest = `base`;
-/// generation *k* is `<base>.k`).
-pub(crate) fn generation_path(base: &Path, generation: u32) -> PathBuf {
-    if generation == 0 {
-        base.to_path_buf()
-    } else {
-        let name = base
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("checkpoint");
-        base.with_file_name(format!("{name}.{generation}"))
-    }
-}
-
-/// Shifts existing generations of `base` up by one, dropping the oldest
-/// beyond `keep` (the rotation half of a generation-rotating save).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Checkpoint`] on a failed rename.
-pub(crate) fn rotate_generations(base: &Path, keep: u32) -> Result<()> {
-    for generation in (0..keep.saturating_sub(1)).rev() {
-        let from = generation_path(base, generation);
-        if from.exists() {
-            let to = generation_path(base, generation + 1);
-            std::fs::rename(&from, &to).map_err(|e| {
-                CoreError::Checkpoint(format!(
-                    "rotate {} -> {}: {e}",
-                    from.display(),
-                    to.display()
-                ))
-            })?;
-        }
-    }
-    Ok(())
 }
 
 /// A point-in-time snapshot of a co-design run.
@@ -333,16 +148,18 @@ impl Checkpoint {
     /// Returns [`CoreError::Checkpoint`] for malformed JSON, a checksum
     /// mismatch (corruption), or an unsupported version.
     pub fn from_json(json: &str) -> Result<Self> {
-        let value = from_checksummed_json(json)?;
-        let cp = <Checkpoint as FromJson>::from_json(&value)
-            .map_err(|e| CoreError::Checkpoint(format!("parse: {e}")))?;
-        if cp.version != CHECKPOINT_VERSION {
+        from_checksummed_json(json).and_then(Self::supported)
+    }
+
+    /// Rejects a checkpoint of another format version.
+    fn supported(self) -> Result<Self> {
+        if self.version != CHECKPOINT_VERSION {
             return Err(CoreError::Checkpoint(format!(
                 "unsupported checkpoint version {} (expected {CHECKPOINT_VERSION})",
-                cp.version
+                self.version
             )));
         }
-        Ok(cp)
+        Ok(self)
     }
 
     /// Writes the checkpoint atomically **and durably**: serialize to
@@ -365,111 +182,29 @@ impl Checkpoint {
     /// Returns [`CoreError::Checkpoint`] when the file cannot be read or
     /// parsed.
     pub fn load(path: &Path) -> Result<Self> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| CoreError::Checkpoint(format!("read {}: {e}", path.display())))?;
-        Checkpoint::from_json(&json)
+        load_checksummed(path).and_then(Self::supported)
     }
 }
 
-/// Generation-rotating checkpoint persistence (`--keep-checkpoints N`).
-///
-/// Generation 0 is `path` itself; generation *k* is `<path>.k`. Each
-/// [`CheckpointStore::save`] shifts the existing generations up by one
-/// (dropping the oldest beyond the keep budget) before writing the new
-/// snapshot, so the last `keep` snapshots survive on disk.
-/// [`CheckpointStore::load_latest`] returns the newest generation that
-/// still verifies — a corrupted `run.json` falls back to `run.json.1`,
-/// and deterministic replay makes resuming from an older generation
-/// converge to the identical outcome.
-#[derive(Debug, Clone)]
-pub struct CheckpointStore {
-    path: PathBuf,
-    keep: u32,
-}
+impl Generation for Checkpoint {
+    const KIND: &'static str = "checkpoint";
 
-impl CheckpointStore {
-    /// A store rotating up to `keep` generations at `path` (min 1 —
-    /// `keep == 1` is plain non-rotating persistence).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for `keep == 0`.
-    pub fn new(path: impl Into<PathBuf>, keep: u32) -> Result<Self> {
-        if keep == 0 {
-            return Err(CoreError::InvalidConfig(
-                "checkpoint generations to keep must be at least 1".into(),
-            ));
-        }
-        Ok(CheckpointStore {
-            path: path.into(),
-            keep,
-        })
-    }
-
-    /// The generation-0 path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// How many generations are kept.
-    pub fn keep(&self) -> u32 {
-        self.keep
-    }
-
-    /// The on-disk path of a generation (0 = newest = the base path).
-    pub fn generation_path(&self, generation: u32) -> PathBuf {
-        generation_path(&self.path, generation)
-    }
-
-    /// Rotates existing generations up and writes `checkpoint` as
-    /// generation 0 (atomically and durably, via [`Checkpoint::save`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] on rotation or write failure.
-    pub fn save(&self, checkpoint: &Checkpoint) -> Result<()> {
-        rotate_generations(&self.path, self.keep)?;
-        checkpoint.save(&self.path)
-    }
-
-    /// Loads the newest generation that parses and verifies, returning
-    /// it with its generation index. `Ok(None)` when no generation file
-    /// exists (a fresh run).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] when generation files exist but
-    /// none verifies, naming the newest failure.
-    pub fn load_latest(&self) -> Result<Option<(Checkpoint, u32)>> {
-        let mut newest_failure: Option<(u32, CoreError)> = None;
-        for generation in 0..self.keep {
-            let path = self.generation_path(generation);
-            if !path.exists() {
-                continue;
-            }
-            match Checkpoint::load(&path) {
-                Ok(checkpoint) => return Ok(Some((checkpoint, generation))),
-                Err(e) => {
-                    if newest_failure.is_none() {
-                        newest_failure = Some((generation, e));
-                    }
-                }
-            }
-        }
-        match newest_failure {
-            None => Ok(None),
-            Some((generation, e)) => Err(CoreError::Checkpoint(format!(
-                "no valid checkpoint generation under {} (newest failure: generation {generation}: {e})",
-                self.path.display()
-            ))),
-        }
+    fn load(path: &Path) -> Result<Self> {
+        Checkpoint::load(path)
     }
 }
+
+/// Generation-rotating checkpoint persistence (`--keep-checkpoints N`):
+/// `run.json` is the newest generation, `run.json.1` the previous one,
+/// and so on (see [`GenerationStore`]).
+pub type CheckpointStore = GenerationStore<Checkpoint>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{to_checksummed_compact_json, CHECKSUM_KEY};
     use crate::reward::Objective;
+    use lcda_base::json::Value;
 
     fn cfg() -> CoDesignConfig {
         CoDesignConfig::builder(Objective::AccuracyEnergy)

@@ -1,0 +1,388 @@
+//! The on-disk durability rules, in one place (DESIGN §11): atomic
+//! writes ([`atomic_write`]), embedded content checksums
+//! ([`save_checksummed`], [`load_checksummed`]), rotated generations
+//! with newest-valid fallback ([`GenerationStore`]), and torn-tail
+//! salvage of append-only JSONL files ([`open_jsonl`]). Checkpoints, the
+//! shard manifest, the cache store, the serve WAL and run journals all
+//! go through this module.
+
+use crate::pipeline::Fnv;
+use crate::{CoreError, Result};
+use lcda_base::json::{FromJson, ToJson, Value};
+use std::fmt::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, Write as _};
+use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
+
+/// The JSON key carrying the content checksum. Not a struct field:
+/// the checksum describes the file, not the run, and keeping it out of
+/// the artifact types keeps `PartialEq`/round-trip semantics
+/// value-based.
+pub(crate) const CHECKSUM_KEY: &str = "checksum";
+
+/// The content checksum of an artifact JSON value (without its
+/// checksum field): a stable FNV digest of the compact serialization,
+/// equal to `stable_fingerprint(&[&value.to_string()])`. The compact text
+/// is streamed into the hasher, never held as a string. Objects keep
+/// their entry order through a parse, so the digest is the same before a
+/// write and after the read.
+fn checksum_of(value: &Value) -> String {
+    let mut h = Fnv::default();
+    // Writing into the hasher cannot fail.
+    let _ = write!(h, "{value}");
+    h.end_part();
+    h.hex()
+}
+
+/// `artifact`'s JSON object with its content checksum as the first
+/// entry, so the checksum leads the file.
+fn with_checksum<T: ToJson>(artifact: &T) -> Result<Value> {
+    let mut value = artifact.to_json();
+    let digest = checksum_of(&value);
+    let Value::Object(entries) = &mut value else {
+        return Err(CoreError::Checkpoint(
+            "serialize: artifact did not form a JSON object".into(),
+        ));
+    };
+    entries.insert(0, (CHECKSUM_KEY.to_string(), Value::String(digest)));
+    Ok(value)
+}
+
+/// Serializes any durable artifact to pretty JSON with an embedded
+/// content checksum: the bytes [`save_checksummed`] writes, as a string.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Checkpoint`] when the value does not form a JSON
+/// object.
+pub(crate) fn to_checksummed_json<T: ToJson>(artifact: &T) -> Result<String> {
+    Ok(format!("{:#}", with_checksum(artifact)?))
+}
+
+/// Saves a durable artifact to `path` as [`to_checksummed_json`] renders
+/// it, atomically and durably ([`atomic_write`]). The pretty body streams
+/// from the JSON tree into the file, so neither the compact text (for
+/// the checksum) nor the pretty text is ever held in memory.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Checkpoint`] when the value does not form a JSON
+/// object, or on I/O failure.
+pub(crate) fn save_checksummed<T: ToJson>(path: &Path, artifact: &T) -> Result<()> {
+    let value = with_checksum(artifact)?;
+    atomic_write(path, |out| write!(out, "{value:#}"))
+}
+
+/// Serializes a durable artifact to **compact** single-line JSON with an
+/// embedded content checksum — the WAL-line variant of
+/// [`to_checksummed_json`] (a write-ahead log needs one record per
+/// line, so pretty printing is out).
+///
+/// # Errors
+///
+/// As [`to_checksummed_json`].
+pub(crate) fn to_checksummed_compact_json<T: ToJson>(artifact: &T) -> Result<String> {
+    Ok(with_checksum(artifact)?.to_string())
+}
+
+/// Parses a checksummed JSON artifact, verifying and stripping the
+/// embedded checksum (when present — pre-checksum files pass
+/// unverified), then decodes it with [`FromJson`].
+///
+/// # Errors
+///
+/// Returns [`CoreError::Checkpoint`] for malformed JSON, a checksum
+/// mismatch, or a value that does not decode as `T`.
+pub(crate) fn from_checksummed_json<T: FromJson>(json: &str) -> Result<T> {
+    let mut value = Value::parse(json).map_err(|e| CoreError::Checkpoint(format!("parse: {e}")))?;
+    if let Some(recorded) = value.remove(CHECKSUM_KEY) {
+        let computed = checksum_of(&value);
+        if recorded.as_str() != Some(computed.as_str()) {
+            return Err(CoreError::Checkpoint(format!(
+                "checksum mismatch (corrupted file): recorded {recorded}, computed \"{computed}\""
+            )));
+        }
+    }
+    T::from_json(&value).map_err(|e| CoreError::Checkpoint(format!("parse: {e}")))
+}
+
+/// Reads a checksummed artifact from disk: read, verify, decode
+/// ([`from_checksummed_json`]). Version checks stay with each type.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Checkpoint`] when the file cannot be read, or as
+/// [`from_checksummed_json`].
+pub(crate) fn load_checksummed<T: FromJson>(path: &Path) -> Result<T> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| CoreError::Checkpoint(format!("read {}: {e}", path.display())))?;
+    from_checksummed_json(&json)
+}
+
+/// Writes a file atomically **and durably**: `write` fills `<file>.tmp`
+/// through a buffer, which is fsynced, renamed over `path`, and then the
+/// parent directory is fsynced (unix). A kill at any instant leaves
+/// either the previous or the new file — never a torn one.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Checkpoint`] on I/O failure.
+pub(crate) fn atomic_write(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<()> {
+    let file_name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("checkpoint");
+    let tmp = path.with_file_name(format!("{file_name}.tmp"));
+    let write_error =
+        |e: &dyn std::fmt::Display| CoreError::Checkpoint(format!("write {}: {e}", tmp.display()));
+    let file = File::create(&tmp)
+        .map_err(|e| CoreError::Checkpoint(format!("create {}: {e}", tmp.display())))?;
+    let mut out = BufWriter::new(file);
+    write(&mut out).map_err(|e| write_error(&e))?;
+    let file = out.into_inner().map_err(|e| write_error(e.error()))?;
+    file.sync_all()
+        .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", tmp.display())))?;
+    drop(file);
+    std::fs::rename(&tmp, path)
+        .map_err(|e| CoreError::Checkpoint(format!("rename to {}: {e}", path.display())))?;
+    // Durability of the rename itself requires fsyncing the directory
+    // entry (POSIX; meaningless and unsupported on other platforms).
+    #[cfg(unix)]
+    {
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+            _ => PathBuf::from("."),
+        };
+        let dir = std::fs::File::open(&parent)
+            .map_err(|e| CoreError::Checkpoint(format!("open {}: {e}", parent.display())))?;
+        dir.sync_all()
+            .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", parent.display())))?;
+    }
+    Ok(())
+}
+
+/// The on-disk path of a rotated generation (0 = newest = `base`;
+/// generation *k* is `<base>.k`).
+fn generation_path(base: &Path, generation: u32) -> PathBuf {
+    if generation == 0 {
+        base.to_path_buf()
+    } else {
+        let name = base
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or("checkpoint");
+        base.with_file_name(format!("{name}.{generation}"))
+    }
+}
+
+/// Shifts existing generations of `base` up by one, dropping the oldest
+/// beyond `keep` (the rotation half of a generation-rotating save).
+///
+/// # Errors
+///
+/// Returns [`CoreError::Checkpoint`] on a failed rename.
+fn rotate_generations(base: &Path, keep: u32) -> Result<()> {
+    for generation in (0..keep.saturating_sub(1)).rev() {
+        let from = generation_path(base, generation);
+        if from.exists() {
+            let to = generation_path(base, generation + 1);
+            std::fs::rename(&from, &to).map_err(|e| {
+                CoreError::Checkpoint(format!(
+                    "rotate {} -> {}: {e}",
+                    from.display(),
+                    to.display()
+                ))
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// A checksummed artifact a [`GenerationStore`] keeps in rotated
+/// generations.
+pub trait Generation: ToJson + Sized {
+    /// The artifact's name in errors (`checkpoint`, `manifest`).
+    const KIND: &'static str;
+
+    /// Reads one generation file, verifying its checksum and version.
+    fn load(path: &Path) -> Result<Self>;
+}
+
+/// Generation-rotating persistence of one artifact
+/// ([`crate::CheckpointStore`], [`crate::shard::ShardManifestStore`]).
+/// Generation 0 is `path` itself; generation *k* is `<path>.k`, and
+/// only the newest `keep` generations stay on disk.
+#[derive(Debug, Clone)]
+pub struct GenerationStore<T> {
+    path: PathBuf,
+    keep: u32,
+    artifact: PhantomData<fn() -> T>,
+}
+
+impl<T: Generation> GenerationStore<T> {
+    /// A store rotating up to `keep` generations at `path` (min 1 —
+    /// `keep == 1` is plain non-rotating persistence).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for `keep == 0`.
+    pub fn new(path: impl Into<PathBuf>, keep: u32) -> Result<Self> {
+        if keep == 0 {
+            return Err(CoreError::InvalidConfig(format!(
+                "{} generations to keep must be at least 1",
+                T::KIND
+            )));
+        }
+        Ok(GenerationStore {
+            path: path.into(),
+            keep,
+            artifact: PhantomData,
+        })
+    }
+
+    /// The generation-0 path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// How many generations are kept.
+    pub fn keep(&self) -> u32 {
+        self.keep
+    }
+
+    /// The on-disk path of a generation (0 = newest = the base path).
+    pub fn generation_path(&self, generation: u32) -> PathBuf {
+        generation_path(&self.path, generation)
+    }
+
+    /// Rotates existing generations up and writes `artifact` as
+    /// generation 0 (atomically and durably, via [`save_checksummed`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Checkpoint`] on rotation or write failure.
+    pub fn save(&self, artifact: &T) -> Result<()> {
+        rotate_generations(&self.path, self.keep)?;
+        save_checksummed(&self.path, artifact)
+    }
+
+    /// Loads the newest generation that parses and verifies, returning
+    /// it with its generation index. `Ok(None)` when no generation file
+    /// exists (a fresh run).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Checkpoint`] when generation files exist but
+    /// none verifies, naming the newest failure and its generation.
+    pub fn load_latest(&self) -> Result<Option<(T, u32)>> {
+        let mut newest_failure: Option<(u32, CoreError)> = None;
+        for generation in 0..self.keep {
+            let path = self.generation_path(generation);
+            if path.exists() {
+                match T::load(&path) {
+                    Ok(artifact) => return Ok(Some((artifact, generation))),
+                    Err(e) => _ = newest_failure.get_or_insert((generation, e)),
+                }
+            }
+        }
+        match newest_failure {
+            None => Ok(None),
+            Some((generation, e)) => Err(CoreError::Checkpoint(format!(
+                "no valid {} generation under {} (newest failure: generation {generation}: {e})",
+                T::KIND,
+                self.path.display()
+            ))),
+        }
+    }
+}
+
+/// Opens the append-only JSONL file at `path` for appending (creating it
+/// when missing), salvaging a torn tail first.
+///
+/// `decode` sees each complete line of the file in order, without its
+/// line terminator, until it rejects one; the callers keep what they
+/// decode. The longest prefix of complete lines that decode is kept. A
+/// bad or unterminated final line is the signature of a kill
+/// mid-append: the file is truncated back to the prefix and the
+/// truncation is fsynced. A bad line with any line after it is mid-file
+/// damage — truncating there would silently drop the records after it —
+/// so the file is left untouched and `error` builds the typed error.
+///
+/// # Errors
+///
+/// Returns `error(..)` for mid-file damage or an I/O failure.
+pub(crate) fn open_jsonl<E: std::fmt::Display>(
+    path: &Path,
+    error: fn(String) -> CoreError,
+    mut decode: impl FnMut(&str) -> std::result::Result<(), E>,
+) -> Result<File> {
+    let io = |op: &str, e: std::io::Error| error(format!("{op} {}: {e}", path.display()));
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(io("read", e)),
+    };
+    let mut valid_len = 0usize;
+    for (index, chunk) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        // A line missing its newline is torn even when it decodes: the
+        // append was cut before the terminator, so the *next* append
+        // would corrupt it.
+        let bad = match std::str::from_utf8(chunk) {
+            Ok(line) if line.ends_with('\n') => decode(line.trim_end_matches(['\n', '\r']))
+                .err()
+                .map(|e| e.to_string()),
+            Ok(_) => Some("no line terminator".to_string()),
+            Err(e) => Some(e.to_string()),
+        };
+        if let Some(reason) = bad {
+            if valid_len + chunk.len() < bytes.len() {
+                return Err(error(format!(
+                    "{}: corrupted record before the final line (line {}: {reason})",
+                    path.display(),
+                    index + 1
+                )));
+            }
+            break;
+        }
+        valid_len += chunk.len();
+    }
+    let file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| io("open", e))?;
+    if valid_len < bytes.len() {
+        file.set_len(valid_len as u64)
+            .map_err(|e| io("truncate torn tail of", e))?;
+        file.sync_all().map_err(|e| io("fsync", e))?;
+    }
+    Ok(file)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A kill can cut a line inside a multi-byte character (the JSON
+    /// writer emits non-ASCII text raw): that is a torn tail, not a
+    /// read error.
+    #[test]
+    fn a_tail_cut_inside_a_character_is_salvaged() {
+        let path =
+            std::env::temp_dir().join(format!("lcda-durable-utf8-{}.jsonl", std::process::id()));
+        std::fs::write(&path, b"1\n2\n\"\xc3").unwrap();
+        let mut kept = Vec::new();
+        let mut file = open_jsonl(&path, CoreError::Journal, |line| {
+            line.parse::<u64>().map(|n| kept.push(n))
+        })
+        .unwrap();
+        assert_eq!(kept, [1, 2]);
+        file.write_all(b"3\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "1\n2\n3\n");
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -606,53 +606,30 @@ impl Journal {
         (Journal::to_writer(Box::new(buffer.clone())), buffer)
     }
 
-    /// Reopens an existing journal for appending, repairing a torn
-    /// trailing line first (the counterpart of `--resume` for the
-    /// journal file).
+    /// Reopens an existing journal for appending (the counterpart of
+    /// `--resume` for the journal file), salvaging it by the JSONL rule
+    /// of [`crate::durable`]: a torn final line is truncated away, but a
+    /// bad line with any line after it fails the resume and leaves the
+    /// file untouched, as the serve WAL does. Blank lines are skipped.
     ///
-    /// The file is truncated to its longest prefix of complete,
-    /// parseable lines; the step counter continues from the last
-    /// salvaged record and the clock resumes at its timestamp. A later
-    /// [`Journal::set_clock`] (e.g. from the resilient-LLM stack)
-    /// replaces the resumed clock, so `t_ms` may restart while `step`
-    /// stays monotonic — step is the ordering contract, `t_ms` is
-    /// advisory.
+    /// The step counter continues from the last salvaged record and the
+    /// clock resumes at its timestamp. A later [`Journal::set_clock`]
+    /// (e.g. from the resilient-LLM stack) replaces the resumed clock, so
+    /// `t_ms` may restart while `step` stays monotonic — step is the
+    /// ordering contract, `t_ms` is advisory.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Journal`] when the file cannot be read,
-    /// truncated, or reopened for appending.
+    /// Returns [`CoreError::Journal`] for damage before the final line,
+    /// or when the file cannot be read, truncated, or reopened.
     pub fn resume_file(path: &Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CoreError::Journal(format!("read {}: {e}", path.display())))?;
-        let mut valid_len = 0usize;
         let mut last: Option<JournalRecord> = None;
-        for chunk in text.split_inclusive('\n') {
-            if !chunk.ends_with('\n') {
-                break; // torn tail: the final line never got its newline
+        let file = crate::durable::open_jsonl(path, CoreError::Journal, |line| {
+            if line.trim().is_empty() {
+                return Ok(());
             }
-            let line = chunk.trim();
-            if !line.is_empty() {
-                match lcda_base::json::from_str::<JournalRecord>(line) {
-                    Ok(record) => last = Some(record),
-                    Err(_) => break,
-                }
-            }
-            valid_len += chunk.len();
-        }
-        if valid_len < text.len() {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| CoreError::Journal(format!("reopen {}: {e}", path.display())))?;
-            file.set_len(valid_len as u64).map_err(|e| {
-                CoreError::Journal(format!("truncate torn tail of {}: {e}", path.display()))
-            })?;
-        }
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| CoreError::Journal(format!("append to {}: {e}", path.display())))?;
+            lcda_base::json::from_str::<JournalRecord>(line).map(|record| last = Some(record))
+        })?;
         let (step, t_ms) = last.map_or((0, 0), |r| (r.step + 1, r.t_ms));
         let clock = SimClock::new();
         clock.advance_ms(t_ms);
@@ -1585,6 +1562,34 @@ mod tests {
         let last: JournalRecord = lcda_base::json::from_str(text.lines().last().unwrap()).unwrap();
         assert_eq!(last.step, 2, "step must continue past the salvage point");
         assert_eq!(last.t_ms, 40, "clock must resume at the last timestamp");
+    }
+
+    #[test]
+    fn resume_file_fails_on_mid_file_damage_and_leaves_the_file_untouched() {
+        let path = std::env::temp_dir().join(format!(
+            "lcda-journal-midfile-test-{}.jsonl",
+            std::process::id()
+        ));
+        let j = Journal::to_file(&path).unwrap();
+        for _ in 0..5 {
+            j.record(JournalEvent::LlmCircuitClosed);
+        }
+        j.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 5);
+        // Damage line 2 of 5: the records after it must not be dropped.
+        let damaged = text.replacen("\n{", "\n#", 1);
+        std::fs::write(&path, &damaged).unwrap();
+        let err = Journal::resume_file(&path).unwrap_err();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, CoreError::Journal(_)), "{err:?}");
+        assert!(err.to_string().contains("line 2"), "{err}");
+        assert_eq!(
+            bytes,
+            damaged.as_bytes(),
+            "a refused resume must not touch the file"
+        );
     }
 
     #[test]

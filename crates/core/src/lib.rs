@@ -64,6 +64,7 @@ pub mod backend;
 pub mod cache;
 pub mod checkpoint;
 pub mod codesign;
+pub mod durable;
 pub mod evaluate;
 pub mod fault;
 pub mod hwconfig;

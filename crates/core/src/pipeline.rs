@@ -686,13 +686,20 @@ mod tests {
     fn set_caching_toggles() {
         let d = DesignSpace::nacim_cifar10().reference_design();
         let mut p = pipeline(0);
-        p.evaluate(&d).unwrap();
+        let first = p.evaluate(&d).unwrap();
+        let entries = p.cache().unwrap();
+        assert!(!entries.is_empty());
         p.set_caching(false);
         assert!(p.cache().is_none());
+        // Disabling drops the session, not the entries in the store: the
+        // re-enabled session sees them and re-evaluating is a hit.
         p.set_caching(true);
-        assert!(p.cache().unwrap().is_empty());
+        assert_eq!(p.cache().unwrap(), entries);
+        assert_eq!(p.session_stats(), SessionStats::default());
         let again = p.evaluate(&d).unwrap();
-        assert!(again.0 > 0.0);
+        assert_eq!(again, first);
+        let stats = p.session_stats();
+        assert!(stats.hits > 0 && stats.misses == 0, "{stats:?}");
     }
 
     /// An accuracy evaluator that returns NaN: the cache must refuse the

@@ -1195,7 +1195,7 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
         // Durability order: the result file reaches disk before the WAL
         // records `done`, so a replayed `done` always finds it.
         Ok(json) => match &state.journal_dir {
-            Some(dir) => match crate::checkpoint::atomic_write(&result_path(dir, id), |out| {
+            Some(dir) => match crate::durable::atomic_write(&result_path(dir, id), |out| {
                 out.write_all(json.as_bytes())
             }) {
                 Ok(()) => (JobState::Done, None, None),

@@ -47,11 +47,11 @@
 //! histories through their optimizers without touching the evaluators.
 
 use crate::backend::BackendRegistry;
-use crate::checkpoint::{
-    from_checksummed_json, generation_path, rotate_generations, save_checksummed,
-    to_checksummed_json, Checkpoint, CheckpointStore,
-};
+use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::codesign::{judge_episode, CoDesignConfig, EpisodeRecord, OptimizerSpec};
+use crate::durable::{
+    from_checksummed_json, load_checksummed, to_checksummed_json, Generation, GenerationStore,
+};
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator};
 use crate::fault::{ShardFault, ShardFaultPlan};
 use crate::journal::{Journal, JournalEvent};
@@ -61,7 +61,6 @@ use crate::reward::{Objective, INVALID_REWARD};
 use crate::space::DesignSpace;
 use crate::surrogate::SurrogateEvaluator;
 use crate::{CoreError, Result};
-use lcda_base::json::FromJson;
 use lcda_llm::middleware::SimClock;
 use lcda_optim::island::{Elite, Island};
 use lcda_optim::Optimizer;
@@ -246,16 +245,18 @@ impl ShardManifest {
     /// checksum mismatch, [`CoreError::Shard`] for an unsupported
     /// version.
     pub fn from_json(json: &str) -> Result<Self> {
-        let value = from_checksummed_json(json)?;
-        let manifest = <ShardManifest as FromJson>::from_json(&value)
-            .map_err(|e| CoreError::Checkpoint(format!("parse: {e}")))?;
-        if manifest.version != SHARD_MANIFEST_VERSION {
+        from_checksummed_json(json).and_then(Self::supported)
+    }
+
+    /// Rejects a manifest of another format version.
+    fn supported(self) -> Result<Self> {
+        if self.version != SHARD_MANIFEST_VERSION {
             return Err(CoreError::Shard(format!(
                 "unsupported manifest version {} (expected {SHARD_MANIFEST_VERSION})",
-                manifest.version
+                self.version
             )));
         }
-        Ok(manifest)
+        Ok(self)
     }
 
     /// Reads a manifest from disk.
@@ -263,90 +264,23 @@ impl ShardManifest {
     /// # Errors
     ///
     /// Returns [`CoreError::Checkpoint`] when the file cannot be read or
-    /// parsed.
+    /// parsed, [`CoreError::Shard`] for an unsupported version.
     pub fn load(path: &Path) -> Result<Self> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| CoreError::Checkpoint(format!("read {}: {e}", path.display())))?;
-        ShardManifest::from_json(&json)
+        load_checksummed(path).and_then(Self::supported)
     }
 }
 
-/// Generation-rotating manifest persistence, mirroring
-/// [`CheckpointStore`]: generation 0 is the base path, generation *k*
-/// is `<path>.k`, and loads fall back to the newest generation that
-/// still verifies.
-#[derive(Debug, Clone)]
-pub struct ShardManifestStore {
-    path: PathBuf,
-    keep: u32,
-}
+impl Generation for ShardManifest {
+    const KIND: &'static str = "manifest";
 
-impl ShardManifestStore {
-    /// A store rotating up to `keep` generations at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for `keep == 0`.
-    pub fn new(path: impl Into<PathBuf>, keep: u32) -> Result<Self> {
-        if keep == 0 {
-            return Err(CoreError::InvalidConfig(
-                "manifest generations to keep must be at least 1".into(),
-            ));
-        }
-        Ok(ShardManifestStore {
-            path: path.into(),
-            keep,
-        })
-    }
-
-    /// The generation-0 path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Rotates existing generations up and writes `manifest` as
-    /// generation 0 (atomically and durably).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] on rotation or write failure.
-    pub fn save(&self, manifest: &ShardManifest) -> Result<()> {
-        rotate_generations(&self.path, self.keep)?;
-        save_checksummed(&self.path, manifest)
-    }
-
-    /// Loads the newest generation that parses and verifies. `Ok(None)`
-    /// when no generation file exists (a fresh fleet).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] when generation files exist but
-    /// none verifies.
-    pub fn load_latest(&self) -> Result<Option<(ShardManifest, u32)>> {
-        let mut newest_failure: Option<CoreError> = None;
-        for generation in 0..self.keep {
-            let path = generation_path(&self.path, generation);
-            if !path.exists() {
-                continue;
-            }
-            match ShardManifest::load(&path) {
-                Ok(manifest) => return Ok(Some((manifest, generation))),
-                Err(e) => {
-                    if newest_failure.is_none() {
-                        newest_failure = Some(e);
-                    }
-                }
-            }
-        }
-        match newest_failure {
-            None => Ok(None),
-            Some(e) => Err(CoreError::Checkpoint(format!(
-                "no valid manifest generation under {} (newest failure: {e})",
-                self.path.display()
-            ))),
-        }
+    fn load(path: &Path) -> Result<Self> {
+        ShardManifest::load(path)
     }
 }
+
+/// Generation-rotating manifest persistence: generation 0 is the base
+/// path, generation *k* is `<path>.k` (see [`GenerationStore`]).
+pub type ShardManifestStore = GenerationStore<ShardManifest>;
 
 /// One point of the merged fleet Pareto front.
 #[derive(Debug, Clone, PartialEq)]

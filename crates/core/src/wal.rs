@@ -9,14 +9,11 @@
 //! reconstruct exactly which jobs were terminal, queued, or running at
 //! the instant of the crash.
 //!
-//! # Line format
+//! # Durability
 //!
-//! Each line is a compact [`WalRecord`] with the same embedded-checksum
-//! discipline checkpoints use (see `checkpoint.rs`): a stable FNV digest
-//! of the canonical JSON, verified on replay. A torn final line — the
-//! signature of a crash mid-append — is salvaged by truncating the file
-//! back to its longest valid prefix; corruption *before* the tail is a
-//! typed error, since a mid-file gap would silently drop transitions.
+//! Each line is a compact [`WalRecord`] with an embedded checksum, and
+//! [`Wal::open`] salvages a torn tail but fails loudly on mid-file
+//! damage. `durable.rs` holds these rules for every artifact.
 //!
 //! # Replay semantics
 //!
@@ -29,11 +26,11 @@
 //! resume from their newest checkpoint generation.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::{from_checksummed_json, to_checksummed_compact_json};
+use crate::durable::{from_checksummed_json, open_jsonl, to_checksummed_compact_json};
 use crate::serve::{JobSpec, JobState};
 use crate::{lock, CoreError, Result};
 use lcda_base::json::{FromJson, ToJson, Value};
@@ -125,8 +122,7 @@ pub fn encode_line(record: &WalRecord) -> Result<String> {
 /// Returns [`CoreError::Checkpoint`] for malformed JSON or a checksum
 /// mismatch.
 pub fn decode_line(line: &str) -> Result<WalRecord> {
-    let value = from_checksummed_json(line)?;
-    WalRecord::from_json(&value).map_err(|e| CoreError::Checkpoint(format!("wal record: {e}")))
+    from_checksummed_json(line)
 }
 
 /// A job's replayed ledger view: the spec as admitted, the last state
@@ -200,56 +196,9 @@ impl Wal {
     /// silently lose transitions, so it is loud).
     pub fn open(path: &Path) -> Result<(Wal, Vec<WalRecord>)> {
         let mut records = Vec::new();
-        if path.exists() {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CoreError::Checkpoint(format!("read {}: {e}", path.display())))?;
-            let mut offset = 0usize;
-            let mut bad_line_start: Option<usize> = None;
-            for line in text.split_inclusive('\n') {
-                // A record missing its newline is the torn-tail case
-                // even when it decodes: the append was cut before the
-                // terminator, so the *next* append would corrupt it.
-                let complete = line.ends_with('\n');
-                match decode_line(line.trim_end_matches(['\n', '\r'])) {
-                    Ok(record) if complete => {
-                        records.push(record);
-                        offset += line.len();
-                    }
-                    _ => {
-                        bad_line_start = Some(offset);
-                        break;
-                    }
-                }
-            }
-            if let Some(start) = bad_line_start {
-                let bad_line_end = text[start..]
-                    .find('\n')
-                    .map_or(text.len(), |n| start + n + 1);
-                if bad_line_end < text.len() {
-                    // A bad line that is not the final line means
-                    // mid-file corruption: refuse to silently drop
-                    // acknowledged transitions.
-                    return Err(CoreError::Checkpoint(format!(
-                        "wal {}: corrupted record before the final line",
-                        path.display()
-                    )));
-                }
-                let file = OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .map_err(|e| CoreError::Checkpoint(format!("open {}: {e}", path.display())))?;
-                file.set_len(offset as u64).map_err(|e| {
-                    CoreError::Checkpoint(format!("truncate {}: {e}", path.display()))
-                })?;
-                file.sync_all()
-                    .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", path.display())))?;
-            }
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| CoreError::Checkpoint(format!("open {}: {e}", path.display())))?;
+        let file = open_jsonl(path, CoreError::Checkpoint, |line| {
+            decode_line(line).map(|record| records.push(record))
+        })?;
         let next_seq = records.last().map_or(0, |r| r.seq + 1);
         Ok((
             Wal {

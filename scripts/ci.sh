@@ -60,6 +60,18 @@ fi
     --journal "$journal_dir/chaos.jsonl" > "$journal_dir/chaos_resumed.json"
 cmp "$journal_dir/chaos_clean.json" "$journal_dir/chaos_resumed.json"
 ./target/release/lcda report "$journal_dir/chaos.jsonl" | grep -q "episodes"
+# Damage before the final line is not a torn tail: resume must refuse
+# it and leave the journal byte-identical instead of cutting it short.
+cp "$journal_dir/chaos.jsonl" "$journal_dir/damaged.jsonl"
+sed -i '2s/^{/#/' "$journal_dir/damaged.jsonl"
+cp "$journal_dir/damaged.jsonl" "$journal_dir/damaged.saved.jsonl"
+if ./target/release/lcda search --episodes 8 --seed 7 --no-cache \
+    --checkpoint "$journal_dir/chaos.json" --keep-checkpoints 2 --resume \
+    --journal "$journal_dir/damaged.jsonl" > /dev/null 2>&1; then
+    echo "ci: resume accepted a journal damaged before its final line" >&2
+    exit 1
+fi
+cmp "$journal_dir/damaged.jsonl" "$journal_dir/damaged.saved.jsonl"
 
 # Fault-injection smoke: a faulty backend must not change the outcome.
 ./target/release/lcda search --episodes 4 --seed 9 --json \

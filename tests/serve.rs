@@ -806,3 +806,64 @@ fn kill_points_recover_byte_identically_from_the_wal_and_checkpoints() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn mid_file_damage_in_an_interrupted_jobs_journal_fails_bind_loudly() {
+    use lcda::core::wal::{encode_line, WalEntry, WalRecord, WAL_FILE};
+
+    let dir = std::env::temp_dir().join(format!("lcda-serve-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    // A job killed while running: admitted + running in the WAL, and a
+    // 5-line journal whose second line is damaged.
+    let mut wal = String::new();
+    for (seq, entry) in [
+        WalEntry::Admitted {
+            job: 1,
+            spec: Box::default(),
+        },
+        WalEntry::Transition {
+            job: 1,
+            state: JobState::Running,
+            error: None,
+        },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        wal.push_str(
+            &encode_line(&WalRecord {
+                seq: seq as u64,
+                entry,
+            })
+            .expect("encode"),
+        );
+        wal.push('\n');
+    }
+    std::fs::write(dir.join(WAL_FILE), wal).expect("write wal");
+    let journal_path = dir.join("job-1.jsonl");
+    let journal = Journal::to_file(&journal_path).expect("journal");
+    for _ in 0..5 {
+        journal.record(JournalEvent::LlmCircuitClosed);
+    }
+    journal.finish().expect("flush journal");
+    let text = std::fs::read_to_string(&journal_path).expect("read journal");
+    let damaged = text.replacen("\n{", "\n#", 1);
+    std::fs::write(&journal_path, &damaged).expect("damage journal");
+
+    let Err(err) = JobServer::bind(ServeConfig {
+        workers: 1,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    }) else {
+        panic!("bind must refuse a journal damaged before its final line");
+    };
+    assert!(err.to_string().contains("line 2"), "{err}");
+    let after = std::fs::read(&journal_path).expect("read journal");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        after,
+        damaged.as_bytes(),
+        "the damaged journal must not be cut"
+    );
+}
