@@ -3,12 +3,12 @@
 //! A [`Checkpoint`] snapshots everything a killed `lcda search` run needs
 //! to continue: the run configuration, the optimizer's name and every
 //! episode record so far. An LLM optimizer's conversation transcript is
-//! not stored: each prompt re-lists the history, so the transcript grows
-//! quadratically with the episode count, and replay (below) rebuilds it
-//! exchange for exchange. The snapshot is written as JSON after every
-//! episode via an atomic temp-file + rename, so a kill at any instant
-//! leaves either the previous or the new checkpoint on disk — never a
-//! torn file.
+//! not stored: replay (below) rebuilds it exchange for exchange. Each
+//! exchange holds how its prompt was built, not the text, and
+//! `LlmOptimizer::prompt` renders it again from the replayed history.
+//! The snapshot is written as JSON after every episode via an atomic
+//! temp-file + rename, so a kill at any instant leaves either the
+//! previous or the new checkpoint on disk — never a torn file.
 //!
 //! Resume does **not** serialize RNG internals. Instead
 //! [`crate::CoDesign`] *replays* the recorded episodes through the

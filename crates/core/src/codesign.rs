@@ -941,6 +941,8 @@ pub(crate) fn judge_episode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn cfg(episodes: u32, seed: u64) -> CoDesignConfig {
         CoDesignConfig::builder(Objective::AccuracyEnergy)
@@ -951,6 +953,24 @@ mod tests {
 
     fn build(space: DesignSpace, config: CoDesignConfig, spec: OptimizerSpec) -> Result<CoDesign> {
         CoDesign::builder(space, config).optimizer(spec).build()
+    }
+
+    /// Logs every prompt it receives into a shared list, then answers
+    /// through `inner`.
+    struct Recorder {
+        inner: SimLlm,
+        sent: Rc<RefCell<Vec<String>>>,
+    }
+
+    impl lcda_llm::LanguageModel for Recorder {
+        fn complete(&mut self, prompt: &str) -> lcda_llm::Result<String> {
+            self.sent.borrow_mut().push(prompt.to_string());
+            self.inner.complete(prompt)
+        }
+
+        fn model_name(&self) -> &str {
+            self.inner.model_name()
+        }
     }
 
     #[test]
@@ -1132,14 +1152,28 @@ mod tests {
             "snapshots must carry the memo table"
         );
 
-        // "Kill" after episode 3 and resume from that snapshot.
-        let mut resumer = build(space, config, OptimizerSpec::ExpertLlm).unwrap();
+        // "Kill" after episode 3 and resume from that snapshot, with the
+        // spec's optimizer rebuilt around a model that logs every prompt
+        // it receives.
+        let sent = Rc::new(RefCell::new(Vec::new()));
+        let expert = |model| {
+            LlmOptimizer::new(
+                model,
+                space.choices.clone(),
+                config.objective.prompt_objective(),
+            )
+        };
+        let mut resumer = build(space.clone(), config, OptimizerSpec::ExpertLlm).unwrap();
+        resumer.optimizer = Box::new(expert(Recorder {
+            inner: SimLlm::new(Persona::Pretrained, config.seed),
+            sent: Rc::clone(&sent),
+        }));
         let resumed = resumer
             .run_resumable(Some(snapshots[2].clone()), |_| Ok(()))
             .unwrap();
         assert_eq!(resumed, full);
         // Checkpoints carry no transcript: replay rebuilds the resumed
-        // run's conversation exchange for exchange, prompts included.
+        // run's conversation exchange for exchange.
         let transcript = |run: &CoDesign| run.optimizer.transcript().cloned().unwrap();
         let (rebuilt, original) = (transcript(&resumer), transcript(&uninterrupted));
         assert_eq!(original.len(), 6);
@@ -1147,6 +1181,26 @@ mod tests {
             assert_eq!(a, b, "exchange of episode {} differs", b.episode);
         }
         assert_eq!(rebuilt, original);
+        // The rebuilt exchanges name how each prompt was built: an
+        // optimizer holding the run's history renders every one exactly
+        // as the resumed run's model received it, replayed ones included.
+        let mut shadow = expert(Recorder {
+            inner: SimLlm::new(Persona::Pretrained, config.seed),
+            sent: Rc::default(),
+        });
+        for rec in &resumed.history {
+            shadow.observe(&rec.design, rec.reward).unwrap();
+        }
+        let sent = sent.borrow();
+        assert_eq!(sent.len(), rebuilt.len());
+        for (ex, prompt) in rebuilt.exchanges().iter().zip(sent.iter()) {
+            assert_eq!(
+                shadow.prompt(ex),
+                *prompt,
+                "prompt of episode {}",
+                ex.episode
+            );
+        }
         // The rehydrated cache serves the resumed episodes' lookups.
         let stats = resumer.cache_stats();
         assert!(stats.hits + stats.misses > 0);

@@ -83,8 +83,10 @@ pub trait Optimizer {
     /// The conversation transcript, for optimizers that talk to a model.
     ///
     /// Defaults to `None`; [`llm_opt::LlmOptimizer`] overrides it. Lets
-    /// checkpointing code snapshot the transcript through a
-    /// `Box<dyn Optimizer>` without downcasting.
+    /// reports read the exchanges — how each prompt was built, the
+    /// responses and error notes — through a `Box<dyn Optimizer>` without
+    /// downcasting; [`llm_opt::LlmOptimizer::prompt`] renders a prompt's
+    /// text. Checkpoints do not store it: replay rebuilds it.
     fn transcript(&self) -> Option<&ChatTranscript> {
         None
     }

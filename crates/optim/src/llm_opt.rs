@@ -10,14 +10,24 @@
 //! as a corrective note instead of resending the prompt verbatim, and a
 //! configured fallback optimizer keeps the search alive when the model
 //! goes dark (open circuit / exhausted retries).
+//!
+//! The transcript holds how each prompt was built — the history prefix
+//! it was rendered from and the note a retry appended — rather than its
+//! text, because a prompt re-lists the whole history and keeping every
+//! one would grow a run's memory with the square of its episodes.
+//! [`LlmOptimizer::prompt`] renders an exchange's prompt again, byte for
+//! byte: the history is append-only, the prompt builder is fixed at
+//! construction, and the history selection is a pure function of the
+//! prefix.
 
 use crate::{OptimError, Optimizer, Result};
 use lcda_llm::design::{CandidateDesign, DesignChoices};
 use lcda_llm::obs::{LlmEvent, ObserverHandle};
 use lcda_llm::parse::parse_design;
 use lcda_llm::prompt::{HistoryEntry, PromptBuilder, PromptObjective};
-use lcda_llm::transcript::ChatTranscript;
+use lcda_llm::transcript::{ChatTranscript, Exchange};
 use lcda_llm::{LanguageModel, LlmError};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Drives a language model through the co-design loop.
@@ -69,6 +79,31 @@ fn corrective_note(error: &str) -> String {
         "NOTE: your previous response could not be used ({clean}). Respond with \
          ONLY the rollout list in the exact format requested above."
     )
+}
+
+/// The history entries rendered into a prompt: all of them, or — under
+/// a `cap` the history exceeds — the top half of the cap by performance
+/// plus the most recent ones, in history order.
+fn prompt_history(history: &[HistoryEntry], cap: Option<usize>) -> Cow<'_, [HistoryEntry]> {
+    let Some(cap) = cap.filter(|&cap| history.len() > cap) else {
+        return Cow::Borrowed(history);
+    };
+    let keep_best = cap / 2;
+    let keep_recent = cap - keep_best;
+    // Indices of the top performers…
+    let mut by_perf: Vec<usize> = (0..history.len()).collect();
+    by_perf.sort_by(|&a, &b| history[b].performance.total_cmp(&history[a].performance));
+    let mut keep: Vec<usize> = by_perf.into_iter().take(keep_best).collect();
+    // …plus the most recent entries.
+    keep.extend(history.len() - keep_recent..history.len());
+    keep.sort_unstable();
+    keep.dedup();
+    Cow::Owned(keep.into_iter().map(|i| history[i].clone()).collect())
+}
+
+/// A rendered prompt with a retry's corrective note appended.
+fn with_note(prompt: &str, note: &str) -> String {
+    format!("{prompt}\n\n{note}")
 }
 
 impl<M: LanguageModel> LlmOptimizer<M> {
@@ -138,34 +173,33 @@ impl<M: LanguageModel> LlmOptimizer<M> {
         self
     }
 
-    /// The history entries that will be rendered into the next prompt.
-    fn prompt_history(&self) -> Vec<HistoryEntry> {
-        let Some(cap) = self.max_history else {
-            return self.history.clone();
-        };
-        if self.history.len() <= cap {
-            return self.history.clone();
-        }
-        let keep_best = cap / 2;
-        let keep_recent = cap - keep_best;
-        // Indices of the top performers…
-        let mut by_perf: Vec<usize> = (0..self.history.len()).collect();
-        by_perf.sort_by(|&a, &b| {
-            self.history[b]
-                .performance
-                .total_cmp(&self.history[a].performance)
-        });
-        let mut keep: Vec<usize> = by_perf.into_iter().take(keep_best).collect();
-        // …plus the most recent entries.
-        keep.extend(self.history.len() - keep_recent..self.history.len());
-        keep.sort_unstable();
-        keep.dedup();
-        keep.into_iter().map(|i| self.history[i].clone()).collect()
+    /// Renders the prompt over the first `history_len` history entries.
+    fn render(&self, history_len: usize) -> String {
+        self.builder.render(&prompt_history(
+            &self.history[..history_len],
+            self.max_history,
+        ))
     }
 
-    /// The recorded conversation.
+    /// The recorded conversation. Its exchanges name how each prompt was
+    /// built; [`LlmOptimizer::prompt`] renders the text.
     pub fn transcript(&self) -> &ChatTranscript {
         &self.transcript
+    }
+
+    /// The exact prompt this optimizer sent in `exchange`, rendered again
+    /// from the history prefix it names plus its corrective note.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `exchange` names more history than this optimizer
+    /// holds, i.e. it was not recorded by this optimizer.
+    pub fn prompt(&self, exchange: &Exchange) -> String {
+        let prompt = self.render(exchange.history_len);
+        match &exchange.note {
+            Some(note) => with_note(&prompt, note),
+            None => prompt,
+        }
     }
 
     /// The exploration history (`l_des` / `l_perf`).
@@ -197,25 +231,35 @@ impl<M: LanguageModel> LlmOptimizer<M> {
 
 impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
     fn propose(&mut self) -> Result<CandidateDesign> {
-        let base_prompt = self.builder.render(&self.prompt_history());
+        let history_len = self.history.len();
+        let base_prompt = self.render(history_len);
         let mut feedback: Option<String> = None;
         let mut last_error = String::new();
         for attempt in 0..self.max_retries {
             // Retries carry the previous failure back to the model as a
             // corrective note instead of resending the prompt verbatim.
             let prompt = match &feedback {
-                Some(note) => format!("{base_prompt}\n\n{note}"),
-                None => base_prompt.clone(),
+                Some(note) => Cow::Owned(with_note(&base_prompt, note)),
+                None => Cow::Borrowed(base_prompt.as_str()),
             };
             self.observer.emit(LlmEvent::Prompt {
                 episode: self.episode,
                 attempt,
                 chars: prompt.len() as u64,
             });
+            let sent = Exchange {
+                episode: self.episode,
+                history_len,
+                note: feedback.clone(),
+                prompt_bytes: prompt.len() as u64,
+                response: String::new(),
+                rationale: None,
+                error: None,
+            };
             match self.model.complete(&prompt) {
                 Ok(response) => match parse_design(&response, &self.choices) {
                     Ok(design) => {
-                        self.transcript.record(self.episode, prompt, response, None);
+                        self.transcript.push(Exchange { response, ..sent });
                         self.episode += 1;
                         return Ok(design);
                     }
@@ -225,8 +269,11 @@ impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
                             episode: self.episode,
                             error: last_error.clone(),
                         });
-                        self.transcript
-                            .record_failed(self.episode, prompt, response, &last_error);
+                        self.transcript.push(Exchange {
+                            response,
+                            error: Some(last_error.clone()),
+                            ..sent
+                        });
                         feedback = Some(corrective_note(&last_error));
                     }
                 },
@@ -234,14 +281,18 @@ impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
                 // leaked through inner retry layers) consume an attempt.
                 Err(e) if e.is_transient() => {
                     last_error = e.to_string();
-                    self.transcript
-                        .record_failed(self.episode, prompt, "", &last_error);
+                    self.transcript.push(Exchange {
+                        error: Some(last_error.clone()),
+                        ..sent
+                    });
                 }
                 // The model is dark: degrade to the fallback if we have
                 // one, otherwise surface the circuit error.
                 Err(e @ LlmError::CircuitOpen { .. }) => {
-                    self.transcript
-                        .record_failed(self.episode, prompt, "", e.to_string());
+                    self.transcript.push(Exchange {
+                        error: Some(e.to_string()),
+                        ..sent
+                    });
                     if self.fallback.is_some() {
                         return self.degrade();
                     }
@@ -249,8 +300,10 @@ impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
                 }
                 // Anything else is a hard error: propagate immediately.
                 Err(e) => {
-                    self.transcript
-                        .record_failed(self.episode, prompt, "", e.to_string());
+                    self.transcript.push(Exchange {
+                        error: Some(e.to_string()),
+                        ..sent
+                    });
                     return Err(OptimError::Llm(e));
                 }
             }
@@ -327,7 +380,7 @@ mod tests {
         let d = opt.propose().unwrap();
         opt.observe(&d, 0.3).unwrap();
         let ex = &opt.transcript().exchanges()[0];
-        assert!(ex.prompt.contains("objective: accuracy-energy"));
+        assert!(opt.prompt(ex).contains("objective: accuracy-energy"));
         assert!(ex.response.contains("[["));
     }
 
@@ -400,7 +453,7 @@ mod tests {
             let reward = if ep == 3 { 5.0 } else { f64::from(ep) * 0.01 };
             opt.observe(&d, reward).unwrap();
         }
-        let rendered = opt.prompt_history();
+        let rendered = prompt_history(opt.history(), opt.max_history);
         assert!(rendered.len() <= 6);
         // The standout entry survives truncation…
         assert!(rendered.iter().any(|h| (h.performance - 5.0).abs() < 1e-9));
@@ -417,15 +470,17 @@ mod tests {
             let d = opt.propose().unwrap();
             opt.observe(&d, 0.1).unwrap();
         }
-        assert_eq!(opt.prompt_history().len(), 4);
+        let rendered = prompt_history(opt.history(), opt.max_history);
+        assert!(matches!(rendered, Cow::Borrowed(_)));
+        assert_eq!(rendered.len(), 4);
     }
 
-    /// Garbage on the first call of each episode, then delegates.
-    struct GarbageOnce {
-        inner: SimLlm,
+    /// Garbage on the first call, then delegates.
+    struct GarbageOnce<M> {
+        inner: M,
         failed: bool,
     }
-    impl LanguageModel for GarbageOnce {
+    impl<M: LanguageModel> LanguageModel for GarbageOnce<M> {
         fn complete(&mut self, prompt: &str) -> lcda_llm::Result<String> {
             if !self.failed {
                 self.failed = true;
@@ -473,17 +528,90 @@ mod tests {
         );
         opt.propose().unwrap();
         let exchanges = opt.transcript().exchanges();
-        assert!(!exchanges[0].prompt.contains("NOTE:"));
-        assert!(exchanges[1].prompt.contains("NOTE:"));
-        assert!(exchanges[1].prompt.contains("could not be used"));
+        let (first, retry) = (opt.prompt(&exchanges[0]), opt.prompt(&exchanges[1]));
+        assert!(!first.contains("NOTE:"));
+        assert!(retry.contains("NOTE:"));
+        assert!(retry.contains("could not be used"));
         // The note stays on one line so it cannot collide with the
         // prompt wire format.
-        let note_lines = exchanges[1]
-            .prompt
-            .lines()
-            .filter(|l| l.starts_with("NOTE:"))
-            .count();
+        let note_lines = retry.lines().filter(|l| l.starts_with("NOTE:")).count();
         assert_eq!(note_lines, 1);
+    }
+
+    /// Keeps every prompt it receives, then answers through `inner`.
+    struct Recorder<M> {
+        inner: M,
+        sent: Vec<String>,
+    }
+    impl<M: LanguageModel> LanguageModel for Recorder<M> {
+        fn complete(&mut self, prompt: &str) -> lcda_llm::Result<String> {
+            self.sent.push(prompt.to_string());
+            self.inner.complete(prompt)
+        }
+        fn model_name(&self) -> &str {
+            self.inner.model_name()
+        }
+    }
+
+    #[test]
+    fn rendered_prompts_equal_the_sent_prompts_byte_for_byte() {
+        use lcda_llm::middleware::{Fault, FaultPlan, FaultyModel, SimClock};
+        // Faulty-model calls 4–5 make one episode fail to parse, then hit
+        // a rate limit while the corrective note is still pending; call 9
+        // is a bare rate limit.
+        let plan = FaultPlan::scripted([
+            (4, Fault::Garbage),
+            (5, Fault::RateLimit { retry_after_ms: 5 }),
+            (9, Fault::RateLimit { retry_after_ms: 5 }),
+        ]);
+        let faulty = FaultyModel::new(SimLlm::new(Persona::Pretrained, 3), plan, SimClock::new());
+        let model = Recorder {
+            inner: GarbageOnce {
+                inner: faulty,
+                failed: false,
+            },
+            sent: Vec::new(),
+        };
+        let mut opt = LlmOptimizer::new(
+            model,
+            DesignChoices::nacim_default(),
+            PromptObjective::AccuracyEnergy,
+        )
+        .max_history(4);
+        for ep in 0..12u32 {
+            let d = opt.propose().unwrap();
+            // Non-monotone rewards so the capped selection keeps old
+            // top performers next to the recent entries.
+            opt.observe(&d, f64::from((ep * 7) % 5) * 0.1).unwrap();
+        }
+
+        let sent = &opt.model().sent;
+        let exchanges = opt.transcript().exchanges();
+        assert_eq!(exchanges.len(), sent.len());
+        for (i, (ex, prompt)) in exchanges.iter().zip(sent).enumerate() {
+            assert_eq!(
+                opt.prompt(ex),
+                *prompt,
+                "exchange {i} re-renders differently"
+            );
+            assert_eq!(ex.prompt_bytes, prompt.len() as u64);
+        }
+        let total_tokens: u64 = sent.iter().map(|p| p.len() as u64 / 4).sum();
+        assert_eq!(opt.transcript().approx_prompt_tokens(), total_tokens);
+        // The run covered every way a prompt is built: retries with and
+        // without a pending note, transient errors, and a capped history.
+        let failed_with = |text: &str| {
+            let has = |e: &&Exchange| e.error.as_deref().is_some_and(|m| m.contains(text));
+            opt.transcript().failures().filter(has).count()
+        };
+        assert_eq!(
+            (failed_with("cannot parse"), failed_with("rate limited")),
+            (2, 2)
+        );
+        assert!(exchanges
+            .iter()
+            .any(|e| e.note.is_some() && e.error.as_deref().is_some_and(|m| m.contains("rate"))));
+        assert!(exchanges.iter().any(|e| e.history_len > 4));
     }
 
     #[test]

@@ -304,24 +304,61 @@ mod tests {
 
     #[test]
     fn gemm_i8_exact_on_integers() {
-        // Codes small enough that quantization is exact: int8 GEMM must
-        // reproduce the f32 product exactly after dequantization.
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
+        // Quantization is exact only when every value is a whole number
+        // of steps: with max |x| = 127 the scale is 127 / 127 = 1, each
+        // integer maps to itself, and the dequantized int8 product must
+        // equal the f32 product exactly. (Small integers alone are not
+        // enough: max |a| = 6 gives scale 6/127, and 1.0 lands on code
+        // round(21.17) = 21.)
+        let a = [1.0, -2.0, 3.0, 4.0, -5.0, 127.0];
+        let b = [7.0, 8.0, -9.0, 10.0, 127.0, -12.0];
         let (qa, sa) = quantize_symmetric(&a);
         let (qb, sb) = quantize_symmetric(&b);
+        assert_eq!((sa, sb), (1.0, 1.0));
         let mut acc = [0i32; 4];
         gemm_i8(2, 3, 2, &qa, &qb, &mut acc);
         let mut exact = [0.0f32; 4];
         gemm_f32(2, 3, 2, &a, &b, &mut exact);
         for (i, &v) in acc.iter().enumerate() {
-            let deq = v as f32 * sa * sb;
-            assert!(
-                (deq - exact[i]).abs() < 1e-3,
-                "int8 dequant {deq} vs exact {}",
-                exact[i]
-            );
+            assert_eq!(v as f32 * sa * sb, exact[i], "element {i}");
         }
+    }
+
+    #[test]
+    fn gemm_i8_error_is_bounded_by_the_quantization_steps() {
+        // Rounding to the nearest code leaves |x - q·s| <= s/2 per
+        // element, so each dot product over k terms is off by at most
+        // Σ_k (|a|·sb/2 + |b|·sa/2 + sa·sb/4); the slack covers f32
+        // rounding of the scales and the reference sum.
+        let (m, k, n) = (2, 3, 2);
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
+        let (qa, sa) = quantize_symmetric(&a);
+        let (qb, sb) = quantize_symmetric(&b);
+        let mut acc = [0i32; 4];
+        gemm_i8(m, k, n, &qa, &qb, &mut acc);
+        let mut exact = [0.0f32; 4];
+        gemm_f32(m, k, n, &a, &b, &mut exact);
+        let mut inexact = 0;
+        for i in 0..m {
+            for j in 0..n {
+                let bound: f32 = (0..k)
+                    .map(|p| {
+                        a[i * k + p].abs() * sb / 2.0
+                            + b[p * n + j].abs() * sa / 2.0
+                            + sa * sb / 4.0
+                    })
+                    .sum();
+                let deq = acc[i * n + j] as f32 * sa * sb;
+                let err = (deq - exact[i * n + j]).abs();
+                assert!(
+                    err <= bound + 1e-4,
+                    "({i},{j}): error {err} > bound {bound}"
+                );
+                inexact += usize::from(err > 0.0);
+            }
+        }
+        assert!(inexact > 0, "scales 6/127 and 12/127 cannot be exact");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! human-readable, allowing users to request explanations by sending
 //! prompts to LLMs." This example drives the LLM optimizer manually so it
 //! can print, for every episode, the design delta *and the model's own
-//! rationale*, plus the full prompt/response transcript statistics.
+//! rationale*, plus the prompt/response transcript statistics and the
+//! last prompt, rendered again from the transcript.
 //!
 //! ```sh
 //! cargo run --release --example explainable_nas
@@ -58,6 +59,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.approx_prompt_tokens()
     );
     let last = t.exchanges().last().expect("episodes ran");
+    // The transcript records how each prompt was built; the optimizer
+    // renders the text again on demand.
+    let prompt = opt.prompt(last);
+    let listed: Vec<&str> = prompt.lines().filter(|l| l.contains("-> perf:")).collect();
+    println!(
+        "\nfinal prompt: {} bytes listing {} explored designs, the latest\n  {}",
+        prompt.len(),
+        listed.len(),
+        listed.last().copied().unwrap_or("(none)")
+    );
     println!(
         "\nfinal raw model response:\n  {}",
         last.response.replace('\n', "\n  ")

@@ -16,6 +16,13 @@ cargo test --workspace -q --offline --locked
 journal_dir="$(mktemp -d)"
 trap 'rm -rf "$journal_dir"' EXIT
 
+# Explainable-NAS smoke: the example is the LLM transcript's only
+# user-facing reader (token statistics, and the last prompt rendered
+# again from its exchange), so it must run, not just compile. grep reads
+# the whole output (no -q) so the example never writes into a closed pipe.
+cargo run --release --offline --locked --example explainable_nas \
+    | grep "prompt tokens" > /dev/null
+
 # GEMM equivalence smoke: the blocked microkernel must stay bit-identical
 # to the scalar reference (unit tests + seeded properties, all named gemm_*).
 cargo test -p lcda-tensor --release -q --offline --locked gemm_

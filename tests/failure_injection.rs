@@ -351,7 +351,7 @@ fn faulted_attempts_are_auditable_in_transcript() {
         .transcript()
         .exchanges()
         .iter()
-        .any(|e| e.error.is_none() && e.prompt.contains("NOTE:")));
+        .any(|e| e.error.is_none() && opt.prompt(e).contains("NOTE:")));
 }
 
 /// A model endpoint that is permanently rate limited.

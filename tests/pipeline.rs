@@ -52,26 +52,51 @@ fn cached_run_is_bit_identical_to_uncached() {
     });
 }
 
-/// Re-proposed designs are served from the cache: an RL search over a
-/// long budget revisits designs, and every revisit is a hit, never a
-/// re-evaluation.
+/// Re-proposed designs are served from the cache: every revisit is a
+/// hit, never a re-evaluation. The tiny space holds (2·2)² = 16 designs,
+/// so 40 random episodes must revisit at least 24 times.
 #[test]
 fn revisited_designs_hit_the_cache() {
-    let mut run = CoDesign::builder(
-        DesignSpace::nacim_cifar10(),
-        cfg(Objective::AccuracyEnergy, 120, 5),
-    )
-    .optimizer(OptimizerSpec::Rl)
-    .build()
-    .unwrap();
-    run.run().unwrap();
-    let stats = run.cache_stats();
+    let space = DesignSpace::tiny_test();
+    assert_eq!(space.choices.space_size(), 16);
+    let mut run = CoDesign::builder(space, cfg(Objective::AccuracyEnergy, 40, 5))
+        .optimizer(OptimizerSpec::Random)
+        .build()
+        .unwrap();
+    let outcome = run.run().unwrap();
+    // Each episode looks up its hardware cost, and its accuracy when the
+    // hardware is feasible; the first lookup of a design misses, every
+    // later one must hit.
+    let mut seen = std::collections::BTreeSet::new();
+    let (mut distinct, mut distinct_feasible) = (0u64, 0u64);
+    let (mut repeats, mut feasible_repeats) = (0u64, 0u64);
+    for rec in &outcome.history {
+        let feasible = u64::from(rec.hw.is_some());
+        if seen.insert(rec.design.to_response_text()) {
+            distinct += 1;
+            distinct_feasible += feasible;
+        } else {
+            repeats += 1;
+            feasible_repeats += feasible;
+        }
+    }
     assert!(
-        stats.hits > 0,
-        "120 RL episodes must revisit at least one design: {stats:?}"
+        repeats >= 24,
+        "40 episodes over 16 designs: {repeats} repeats"
+    );
+    assert!(feasible_repeats > 0, "the accuracy cache is exercised too");
+    let stats = run.cache_stats();
+    assert_eq!(
+        stats.hits,
+        repeats + feasible_repeats,
+        "every repeat is a hit: {stats:?}"
+    );
+    assert_eq!(
+        stats.misses,
+        distinct + distinct_feasible,
+        "no repeat is re-evaluated: {stats:?}"
     );
     assert_eq!(stats.inserts, stats.misses, "every finite miss is inserted");
-    assert!(stats.hit_rate() > 0.0);
 }
 
 /// Thread counts are invisible in the results: the trained evaluator's
