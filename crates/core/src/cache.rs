@@ -11,8 +11,8 @@
 //!
 //! - **concurrent** — a cheaply cloneable handle over a
 //!   `std::sync::Mutex`, locked poison-tolerantly so a panicking holder
-//!   cannot wedge it; every pipeline (and every shard of a supervised
-//!   fleet) can share one store;
+//!   cannot wedge it; every pipeline (and every shard of a sharded
+//!   search) can share one store;
 //! - **capacity-bounded with deterministic eviction** — a FIFO admission
 //!   queue; when the store exceeds its bound the *oldest admission* is
 //!   evicted. Two stores fed the same admission sequence evict the same

@@ -31,9 +31,9 @@ pub enum CoreError {
     /// typed error so a single poisoned design quarantines instead of
     /// aborting the whole run. Never retried.
     EvalPanic(String),
-    /// A sharded-search failure: an invalid shard plan, a manifest that
-    /// does not match the run, or a fleet whose surviving shards cannot
-    /// produce a result.
+    /// A sharded-search failure: a manifest or shard checkpoint that does
+    /// not match the run, or a shard replay that diverged from its
+    /// committed history.
     Shard(String),
     /// The run was cancelled cooperatively (e.g. a served job's cancel
     /// request observed at an episode boundary). Not a fault: the
@@ -161,7 +161,7 @@ mod tests {
         assert!(CoreError::EvalPanic("boom".into())
             .to_string()
             .contains("panicked"));
-        let s = CoreError::Shard("budget exhausted".into());
+        let s = CoreError::Shard("manifest mismatch".into());
         assert!(!s.is_transient());
         assert!(s.source().is_none());
         assert!(s.to_string().contains("shard"));

@@ -26,6 +26,12 @@
 //! twin. [`EvalFault::Panic`] is deliberately excluded from seeded
 //! plans: it is for scripted isolation tests (the design is quarantined,
 //! so outcomes *do* diverge from a clean run, by design).
+//!
+//! These are the only injected faults below the LLM layer. A sharded
+//! search has no fault vocabulary of its own: each island judges designs
+//! through the same pipeline, so evaluation faults are absorbed per
+//! design there, and any other error or panic aborts the fleet exactly
+//! as it aborts the serial loop.
 
 use lcda_llm::middleware::FaultSchedule;
 
@@ -103,70 +109,6 @@ pub fn seeded_plan(seed: u64, horizon: u64, rate: f64, max_burst: u32) -> EvalFa
     )
 }
 
-/// One injected shard-level fault (the supervision layer's vocabulary,
-/// one level up from [`EvalFault`]: these take out a whole island worker,
-/// not a single backend call).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardFault {
-    /// The shard worker panics mid-generation. The supervisor catches the
-    /// unwind, discards the generation's work, and restarts the shard
-    /// from its last barrier under the restart budget.
-    Crash,
-    /// The shard worker stops emitting heartbeats for `ticks` simulated
-    /// milliseconds. At or below the supervisor's stall threshold this
-    /// self-heals (the generation completes, merely late); above it the
-    /// shard is declared hung, killed, and restarted.
-    Stall {
-        /// Simulated heartbeat silence, milliseconds.
-        ticks: u64,
-    },
-}
-
-lcda_base::impl_json!(enum ShardFault {
-    Crash,
-    Stall { ticks },
-});
-
-impl ShardFault {
-    /// Short stable label used in journal events.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ShardFault::Crash => "crash",
-            ShardFault::Stall { .. } => "stall",
-        }
-    }
-}
-
-/// The shard-level fault schedule: [`FaultSchedule`] over [`ShardFault`].
-///
-/// Call indices are *fleet cells*: `generation * shards + shard`, so one
-/// plan deterministically targets specific shards at specific barriers.
-pub type ShardFaultPlan = FaultSchedule<ShardFault>;
-
-/// A seeded random shard fault plan over the first `horizon` fleet cells
-/// (`generation * shards + shard`).
-///
-/// Each cell independently faults with probability `rate` (clamped to
-/// `[0, 1]`); at most `max_burst` consecutive cells carry crashes
-/// (stalls reset the burst, mirroring [`seeded_plan`]'s treatment of
-/// recoverable faults). Stall lengths alternate deterministically
-/// between a short self-healing stall and a long one that trips any
-/// reasonable supervisor threshold.
-pub fn seeded_shard_plan(seed: u64, horizon: u64, rate: f64, max_burst: u32) -> ShardFaultPlan {
-    FaultSchedule::seeded_with(
-        seed,
-        horizon,
-        rate,
-        max_burst,
-        |rng| match rng.below(3) {
-            0 => ShardFault::Crash,
-            1 => ShardFault::Stall { ticks: 50 },
-            _ => ShardFault::Stall { ticks: 60_000 },
-        },
-        |fault| matches!(fault, ShardFault::Stall { .. }),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,29 +152,6 @@ mod tests {
         assert_eq!(EvalFault::Stall { delay_ms: 1 }.kind(), "stall");
         assert_eq!(EvalFault::NonFinite.kind(), "non_finite");
         assert_eq!(EvalFault::Panic.kind(), "panic");
-    }
-
-    #[test]
-    fn shard_plans_are_deterministic_and_burst_bounded() {
-        let a = seeded_shard_plan(5, 400, 0.5, 1);
-        let b = seeded_shard_plan(5, 400, 0.5, 1);
-        assert_eq!(a, b);
-        let mut burst = 0u32;
-        for cell in 0..400u64 {
-            match a.fault_at(cell) {
-                Some(ShardFault::Crash) => {
-                    burst += 1;
-                    assert!(burst <= 1, "crash burst exceeded bound at cell {cell}");
-                }
-                _ => burst = 0,
-            }
-        }
-    }
-
-    #[test]
-    fn shard_kind_labels_are_stable() {
-        assert_eq!(ShardFault::Crash.kind(), "crash");
-        assert_eq!(ShardFault::Stall { ticks: 9 }.kind(), "stall");
     }
 
     #[test]

@@ -220,9 +220,8 @@ pub enum JournalEvent {
         /// The evaluation error that forced the quarantine.
         reason: String,
     },
-    /// A shard worker reported progress for one generation (emitted by
-    /// the supervisor after joining the worker, in fixed shard order, so
-    /// journals stay byte-identical run-to-run).
+    /// A shard finished one generation (recorded in fixed shard order,
+    /// so journals stay byte-identical run-to-run).
     ShardHeartbeat {
         /// Shard index (0-based).
         shard: u32,
@@ -231,54 +230,10 @@ pub enum JournalEvent {
         /// Episodes completed by the shard so far.
         episodes: u32,
     },
-    /// A shard worker panicked mid-generation; the supervisor caught the
-    /// unwind and discarded the generation's work.
-    ShardCrashed {
-        /// Shard index.
-        shard: u32,
-        /// Generation that was lost.
-        generation: u32,
-        /// First line of the panic payload.
-        message: String,
-    },
-    /// A shard's heartbeat silence exceeded the supervisor's stall
-    /// threshold; the shard was declared hung and killed.
-    ShardStalled {
-        /// Shard index.
-        shard: u32,
-        /// Generation that was lost.
-        generation: u32,
-        /// Simulated milliseconds of heartbeat silence observed.
-        ticks: u64,
-    },
-    /// A killed shard was rebuilt from its last barrier state and
-    /// restarted under the bounded restart budget.
-    ShardRestarted {
-        /// Shard index.
-        shard: u32,
-        /// Generation being re-run.
-        generation: u32,
-        /// Cumulative restarts of this shard (1-based).
-        attempt: u32,
-    },
-    /// A shard exhausted its restart budget and was quarantined; its
-    /// completed barriers still contribute to the merge, but it runs no
-    /// further generations and the fleet result is flagged partial.
-    ShardQuarantined {
-        /// Shard index.
-        shard: u32,
-        /// Generation at which the budget ran out.
-        generation: u32,
-        /// Restarts consumed before quarantine.
-        restarts: u32,
-    },
-    /// All live shards reached a generation barrier and exchanged
-    /// elites.
+    /// Every shard reached a generation barrier and exchanged elites.
     ShardBarrier {
         /// Barrier generation (0-based).
         generation: u32,
-        /// Shards still live at the barrier.
-        live: u32,
         /// Elite designs migrated between islands at this barrier.
         migrants: u64,
     },
@@ -286,8 +241,6 @@ pub enum JournalEvent {
     ShardMerge {
         /// Total shards in the plan.
         shards: u32,
-        /// Shards quarantined before the run finished.
-        quarantined: u32,
         /// Points on the merged front.
         points: u64,
     },
@@ -407,12 +360,8 @@ lcda_base::impl_json!(#[tag = "event", snake_case] enum JournalEvent {
     EvalPanic { message },
     EvalQuarantined { reason },
     ShardHeartbeat { shard, generation, episodes },
-    ShardCrashed { shard, generation, message },
-    ShardStalled { shard, generation, ticks },
-    ShardRestarted { shard, generation, attempt },
-    ShardQuarantined { shard, generation, restarts },
-    ShardBarrier { generation, live, migrants },
-    ShardMerge { shards, quarantined, points },
+    ShardBarrier { generation, migrants },
+    ShardMerge { shards, points },
     JobAdmitted { job, optimizer, backend, episodes, seed },
     JobStarted { job },
     JobEnded { job, state },
@@ -451,10 +400,6 @@ impl JournalEvent {
             | JournalEvent::LlmCircuitClosed
             | JournalEvent::LlmDegraded { .. } => "llm",
             JournalEvent::ShardHeartbeat { .. }
-            | JournalEvent::ShardCrashed { .. }
-            | JournalEvent::ShardStalled { .. }
-            | JournalEvent::ShardRestarted { .. }
-            | JournalEvent::ShardQuarantined { .. }
             | JournalEvent::ShardBarrier { .. }
             | JournalEvent::ShardMerge { .. } => "shard",
             JournalEvent::JobAdmitted { .. }
@@ -837,21 +782,10 @@ pub struct RunReport {
     /// Journal lines dropped by the torn-tail salvage (the unparseable
     /// line and everything after it).
     pub dropped_lines: u64,
-    /// Shard heartbeats recorded by the supervisor.
+    /// Shard heartbeats: one per shard per generation it ran.
     pub shard_heartbeats: u64,
-    /// Shard workers that crashed mid-generation.
-    pub shard_crashes: u64,
-    /// Shard workers killed for exceeding the stall threshold.
-    pub shard_stalls: u64,
-    /// Shard restarts performed under the bounded budget.
-    pub shard_restarts: u64,
-    /// Shards quarantined after exhausting their restart budget.
-    pub shard_quarantined: u64,
     /// Generation barriers the fleet completed.
     pub shard_barriers: u64,
-    /// True when the merged result came from a partial fleet (at least
-    /// one shard was quarantined before the run finished).
-    pub partial_fleet: bool,
     /// Serve jobs admitted into the queue.
     pub jobs_admitted: u64,
     /// Serve jobs that reached a terminal state.
@@ -909,12 +843,7 @@ lcda_base::impl_json!(struct RunReport {
     #[default] truncated,
     #[default] dropped_lines,
     #[default] shard_heartbeats,
-    #[default] shard_crashes,
-    #[default] shard_stalls,
-    #[default] shard_restarts,
-    #[default] shard_quarantined,
     #[default] shard_barriers,
-    #[default] partial_fleet,
     #[default] jobs_admitted,
     #[default] jobs_ended,
     #[default] jobs_recovered,
@@ -995,19 +924,8 @@ impl RunReport {
                 JournalEvent::EvalPanic { .. } => report.eval_panics += 1,
                 JournalEvent::EvalQuarantined { .. } => report.eval_quarantined += 1,
                 JournalEvent::ShardHeartbeat { .. } => report.shard_heartbeats += 1,
-                JournalEvent::ShardCrashed { .. } => report.shard_crashes += 1,
-                JournalEvent::ShardStalled { .. } => report.shard_stalls += 1,
-                JournalEvent::ShardRestarted { .. } => report.shard_restarts += 1,
-                JournalEvent::ShardQuarantined { .. } => {
-                    report.shard_quarantined += 1;
-                    report.partial_fleet = true;
-                }
                 JournalEvent::ShardBarrier { .. } => report.shard_barriers += 1,
-                JournalEvent::ShardMerge { quarantined, .. } => {
-                    if *quarantined > 0 {
-                        report.partial_fleet = true;
-                    }
-                }
+                JournalEvent::ShardMerge { .. } => {}
                 JournalEvent::JobAdmitted { .. } => report.jobs_admitted += 1,
                 JournalEvent::JobStarted { .. } => {}
                 JournalEvent::JobEnded { .. } => report.jobs_ended += 1,
@@ -1119,23 +1037,12 @@ impl RunReport {
         if let Some(hw) = &self.hw_config {
             let _ = writeln!(out, "  hw config        {hw}");
         }
-        if self.shard_heartbeats > 0 || self.shard_barriers > 0 || self.partial_fleet {
+        if self.shard_heartbeats > 0 || self.shard_barriers > 0 {
             let _ = writeln!(
                 out,
-                "  shards           {} heartbeats / {} barriers / {} crashes / {} stalls / {} restarts / {} quarantined",
-                self.shard_heartbeats,
-                self.shard_barriers,
-                self.shard_crashes,
-                self.shard_stalls,
-                self.shard_restarts,
-                self.shard_quarantined
+                "  shards           {} heartbeats / {} barriers",
+                self.shard_heartbeats, self.shard_barriers
             );
-            if self.partial_fleet {
-                let _ = writeln!(
-                    out,
-                    "  partial fleet: true  (quarantined shards excluded from later barriers)"
-                );
-            }
         }
         if self.jobs_admitted > 0 || self.jobs_ended > 0 {
             let _ = writeln!(
@@ -1457,63 +1364,39 @@ mod tests {
     }
 
     #[test]
-    fn shard_events_are_counted_phased_and_flag_partial_fleets() {
+    fn shard_events_are_counted_phased_and_parse_parent_era_barriers() {
         let (j, buf) = Journal::in_memory();
         j.record(JournalEvent::ShardHeartbeat {
             shard: 0,
             generation: 0,
             episodes: 4,
         });
-        j.record(JournalEvent::ShardCrashed {
-            shard: 1,
-            generation: 0,
-            message: "boom".into(),
-        });
-        j.record(JournalEvent::ShardRestarted {
-            shard: 1,
-            generation: 0,
-            attempt: 1,
-        });
-        j.record(JournalEvent::ShardStalled {
-            shard: 2,
-            generation: 0,
-            ticks: 60_000,
-        });
-        j.record(JournalEvent::ShardRestarted {
-            shard: 2,
-            generation: 0,
-            attempt: 1,
-        });
-        j.record(JournalEvent::ShardQuarantined {
-            shard: 2,
-            generation: 0,
-            restarts: 1,
-        });
         j.record(JournalEvent::ShardBarrier {
             generation: 0,
-            live: 2,
             migrants: 2,
         });
         j.record(JournalEvent::ShardMerge {
-            shards: 3,
-            quarantined: 1,
+            shards: 2,
             points: 5,
         });
         j.finish().unwrap();
-        let report = RunReport::from_jsonl(&buf.contents()).unwrap();
+        // Older journals carry a `live` shard count on every barrier; the
+        // unknown key must be ignored, not fatal.
+        let parent_era =
+            "{\"step\":3,\"t_ms\":0,\"event\":\"shard_barrier\",\"generation\":1,\"live\":2,\"migrants\":2}";
+        let text = format!("{}{parent_era}\n", buf.contents());
+        let report = RunReport::from_jsonl(&text).unwrap();
+        assert!(!report.truncated, "a parent-era barrier line must parse");
         assert_eq!(report.shard_heartbeats, 1);
-        assert_eq!(report.shard_crashes, 1);
-        assert_eq!(report.shard_stalls, 1);
-        assert_eq!(report.shard_restarts, 2);
-        assert_eq!(report.shard_quarantined, 1);
-        assert_eq!(report.shard_barriers, 1);
-        assert!(report.partial_fleet);
-        assert_eq!(report.phases["shard"].events, 8);
+        assert_eq!(report.shard_barriers, 2);
+        assert_eq!(report.phases["shard"].events, 4);
         let table = report.render();
-        assert!(table.contains("shards"), "{table}");
-        assert!(table.contains("partial fleet: true"), "{table}");
+        assert!(
+            table.contains("shards           1 heartbeats / 2 barriers"),
+            "{table}"
+        );
         // The JSONL tags are snake_case and self-describing.
-        assert!(buf.contents().contains("\"event\":\"shard_quarantined\""));
+        assert!(buf.contents().contains("\"event\":\"shard_merge\""));
     }
 
     #[test]
@@ -1522,7 +1405,7 @@ mod tests {
         j.record(JournalEvent::LlmCircuitClosed);
         j.finish().unwrap();
         let report = RunReport::from_jsonl(&buf.contents()).unwrap();
-        assert!(!report.partial_fleet);
+        assert_eq!(report.shard_barriers, 0);
         assert!(!report.render().contains("shards"));
     }
 

@@ -91,7 +91,7 @@ pub use codesign::{
     Outcome,
 };
 pub use error::CoreError;
-pub use fault::{EvalFault, EvalFaultPlan, ShardFault, ShardFaultPlan};
+pub use fault::{EvalFault, EvalFaultPlan};
 pub use hwconfig::{
     ChipTier, CoreTier, CrossbarTier, Dataflow, DeviceTier, DigitalCosts, HwHierarchy, NocKind,
     NocSpec,

@@ -1,6 +1,5 @@
-//! Supervised sharded search: island-model episodes with heartbeat
-//! supervision, per-shard checkpoints, and crash-equivalent
-//! deterministic merge.
+//! Sharded search: island-model episodes with per-barrier checkpoints,
+//! manifest-driven resume, and a deterministic merge.
 //!
 //! A [`ShardPlan`] splits one search into N seed-per-island shards.
 //! Each shard wraps its own freshly seeded optimizer in an
@@ -8,43 +7,32 @@
 //! its own [`EvalPipeline`] — the exact [`judge_episode`] path the
 //! serial loop uses, so a one-shard fleet reproduces `lcda search`
 //! bit-for-bit. Shards synchronize at deterministic **generation
-//! barriers** (every `barrier_interval` episodes): the supervisor
-//! computes each live island's elite exports from its committed history
-//! and injects them into every other live island in fixed shard order,
-//! so migration traffic — and therefore the whole fleet — is a pure
-//! function of the seeds.
+//! barriers** (every `barrier_interval` episodes): the [`Supervisor`]
+//! computes each island's elite exports from its committed history and
+//! injects them into every other island in fixed shard order, so
+//! migration traffic — and therefore the whole fleet — is a pure
+//! function of the seeds. Shards run one after another on the calling
+//! thread, and every journal event is recorded in fixed shard order, so
+//! journals stay byte-identical run-to-run.
 //!
-//! # Supervision
+//! An error or panic inside any island aborts the fleet exactly as it
+//! aborts the serial loop: a fleet cell is a pure function of its seed
+//! and committed history, so running it again would fail the same way.
+//! Evaluator panics are still isolated per design by [`EvalPipeline`].
 //!
-//! The [`Supervisor`] owns the fleet. Shards emit simulated-clock
-//! heartbeats into the journal (one per completed generation, recorded
-//! by the supervisor in fixed shard order so journals stay
-//! byte-identical run-to-run). A [`ShardFaultPlan`] can inject
-//! shard-level faults keyed by fleet cell (`generation * shards +
-//! shard`): a [`ShardFault::Crash`] panics the worker (caught with
-//! `catch_unwind`, mirroring the PR 5 evaluator isolation); a
-//! [`ShardFault::Stall`] longer than the plan's `stall_ticks` gets the
-//! shard declared hung and killed. Either way the supervisor discards
-//! the generation's work, charges a restart against the shard's bounded
-//! budget (with exponential simulated backoff), rebuilds the shard from
-//! its own checkpoint generation, and re-runs the lost generation
-//! clean. A shard that exhausts its budget is **quarantined**: it runs
-//! no further generations, its committed barriers still contribute to
-//! the merge, and the fleet result is flagged partial.
+//! # Resume
 //!
-//! # Crash-equivalent determinism
-//!
-//! Injected faults fire only on the *first* live execution of a fleet
-//! cell in a process run; restarts re-run the cell clean. Because
-//! evaluators are pure and histories commit only at barrier boundaries,
-//! a faulted fleet converges to the byte-identical merged front of its
-//! fault-free twin, and a fleet killed at any instant and resumed from
-//! the [`ShardManifest`] converges to the byte-identical front of an
-//! uninterrupted run. On resume, cells below the manifest's barrier
-//! frontier are recovery re-runs (no fault consultation, no journal
-//! duplication); only the dead shards — those whose checkpoints lost
-//! generations — re-execute evaluations, while survivors replay their
-//! histories through their optimizers without touching the evaluators.
+//! With persistence on, every barrier checkpoints each shard's
+//! committed history and then writes the coordinator
+//! [`ShardManifest`]: fleet identity (including the backend identity
+//! and its hardware-hierarchy digest) plus the barrier frontier. A fleet
+//! killed at any instant and resumed from the manifest converges to the
+//! byte-identical front of an uninterrupted run. Shards whose
+//! checkpoints cover a generation replay it through their optimizers
+//! without touching the evaluators; only shards whose checkpoints lost
+//! generations re-execute them. Barriers below the frontier are not
+//! journaled or persisted again, except that a re-run shard re-saves its
+//! own checkpoint.
 
 use crate::backend::BackendRegistry;
 use crate::checkpoint::{Checkpoint, CheckpointStore};
@@ -53,7 +41,6 @@ use crate::durable::{
     from_checksummed_json, load_checksummed, to_checksummed_json, Generation, GenerationStore,
 };
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator};
-use crate::fault::{ShardFault, ShardFaultPlan};
 use crate::journal::{Journal, JournalEvent};
 use crate::pareto::TradeoffPoint;
 use crate::pipeline::EvalPipeline;
@@ -64,14 +51,12 @@ use crate::{CoreError, Result};
 use lcda_llm::middleware::SimClock;
 use lcda_optim::island::{Elite, Island};
 use lcda_optim::Optimizer;
-use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Format version stamped into every shard manifest file.
 pub const SHARD_MANIFEST_VERSION: u32 = 1;
 
-/// How a search is split into supervised island shards.
+/// How a search is split into island shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Number of island shards (≥ 1).
@@ -82,29 +67,16 @@ pub struct ShardPlan {
     /// Elite designs each island exports to every other island at a
     /// barrier.
     pub elite_k: usize,
-    /// Restarts a shard may consume across the whole run before it is
-    /// quarantined (0 = first fault quarantines).
-    pub restart_budget: u32,
-    /// Heartbeat silence (simulated ms) beyond which a shard is declared
-    /// hung and killed.
-    pub stall_ticks: u64,
-    /// Simulated backoff charged before restart attempt *n* is
-    /// `restart_backoff_ms << (n − 1)`.
-    pub restart_backoff_ms: u64,
 }
 
 impl ShardPlan {
-    /// A plan over `shards` islands with the standard supervision
-    /// parameters (barrier every 4 episodes, 2 elites, 3 restarts,
-    /// 10 s stall threshold, 100 ms base backoff).
+    /// A plan over `shards` islands with the standard barrier
+    /// parameters (barrier every 4 episodes, 2 elites).
     pub fn new(shards: u32) -> Self {
         ShardPlan {
             shards,
             barrier_interval: 4,
             elite_k: 2,
-            restart_budget: 3,
-            stall_ticks: 10_000,
-            restart_backoff_ms: 100,
         }
     }
 
@@ -173,24 +145,14 @@ pub struct ShardManifestEntry {
     pub seed: u64,
     /// Episodes the shard has committed (always a barrier boundary).
     pub episodes_done: u32,
-    /// Restarts consumed so far.
-    pub restarts_used: u32,
-    /// The generation at which the shard was quarantined, if it was.
-    pub quarantined_at: Option<u32>,
 }
 
-lcda_base::impl_json!(struct ShardManifestEntry {
-    shard,
-    seed,
-    episodes_done,
-    restarts_used,
-    #[skip_if = Option::is_none] quarantined_at,
-});
+lcda_base::impl_json!(struct ShardManifestEntry { shard, seed, episodes_done });
 
 /// The coordinator manifest: fleet identity plus per-shard checkpoint
 /// generations and barrier progress, written durably (checksummed,
 /// fsync'd, rotated) at every barrier so a killed fleet can resume by
-/// restarting only its dead shards.
+/// re-running only the generations its shards lost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {
     /// Format version ([`SHARD_MANIFEST_VERSION`]).
@@ -207,14 +169,15 @@ pub struct ShardManifest {
     pub barrier_interval: u32,
     /// Elites exported per island per barrier.
     pub elite_k: u64,
-    /// Restart budget per shard.
-    pub restart_budget: u32,
-    /// Stall threshold, simulated milliseconds.
-    pub stall_ticks: u64,
     /// Optimizer name driving every island.
     pub optimizer: String,
-    /// Hardware backend name.
+    /// Hardware backend identity: the spec without its `@config` source
+    /// ([`crate::backend::BackendSpec::identity`]).
     pub backend: String,
+    /// Digest of the hardware hierarchy the backend lowered from, when it
+    /// has one. A manifest without it (written before it was recorded)
+    /// is accepted on resume; a recorded one must match.
+    pub hw_digest: Option<String>,
     /// Generation barriers the fleet has fully committed.
     pub completed_generations: u32,
     /// Per-shard progress, in shard order.
@@ -222,8 +185,18 @@ pub struct ShardManifest {
 }
 
 lcda_base::impl_json!(struct ShardManifest {
-    version, objective, seed, episodes, shards, barrier_interval, elite_k, restart_budget,
-    stall_ticks, optimizer, backend, completed_generations, entries,
+    version,
+    objective,
+    seed,
+    episodes,
+    shards,
+    barrier_interval,
+    elite_k,
+    optimizer,
+    backend,
+    #[skip_if = Option::is_none] hw_digest,
+    completed_generations,
+    entries,
 });
 
 impl ShardManifest {
@@ -308,10 +281,6 @@ pub struct ShardSummary {
     pub seed: u64,
     /// Episodes the shard committed.
     pub episodes: u32,
-    /// Restarts the shard consumed.
-    pub restarts: u32,
-    /// The generation at which the shard was quarantined, if it was.
-    pub quarantined_at: Option<u32>,
     /// The shard's best committed reward.
     pub best_reward: Option<f64>,
 }
@@ -320,12 +289,10 @@ lcda_base::impl_json!(struct ShardSummary {
     shard,
     seed,
     episodes,
-    restarts,
-    #[skip_if = Option::is_none] quarantined_at,
     #[skip_if = Option::is_none] best_reward,
 });
 
-/// Result of a supervised sharded search.
+/// Result of a sharded search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardOutcome {
     /// The merged fleet Pareto front, cost-ascending. Deterministic:
@@ -333,15 +300,11 @@ pub struct ShardOutcome {
     pub front: Vec<FrontPoint>,
     /// Per-shard summaries, in shard order.
     pub shards: Vec<ShardSummary>,
-    /// True when at least one shard was quarantined — the front covers
-    /// only the surviving fleet's work plus quarantined shards'
-    /// committed barriers.
-    pub partial_fleet: bool,
     /// Every shard's committed episode history, in shard order.
     pub histories: Vec<Vec<EpisodeRecord>>,
 }
 
-lcda_base::impl_json!(struct ShardOutcome { front, shards, partial_fleet, histories });
+lcda_base::impl_json!(struct ShardOutcome { front, shards, histories });
 
 impl ShardOutcome {
     /// Serializes the outcome to pretty JSON (the `--json` face of a
@@ -358,14 +321,20 @@ impl ShardOutcome {
 /// One island shard's live machinery: the wrapped optimizer plus its
 /// own evaluation pipeline.
 struct ShardRunner {
-    seed: u64,
     island: Island<Box<dyn Optimizer>>,
     pipeline: EvalPipeline,
 }
 
-/// The supervised fleet: builds N island shards over one design space,
-/// drives them through generation barriers, restarts crashed or stalled
-/// shards under a bounded budget, and merges their fronts
+/// What a fleet stamps into its manifest and shard checkpoints, so a
+/// resume refuses files written by another optimizer, backend or chip.
+struct FleetStamp {
+    optimizer: String,
+    backend: String,
+    hw_digest: Option<String>,
+}
+
+/// The fleet: builds N island shards over one design space, drives them
+/// through generation barriers, and merges their fronts
 /// deterministically.
 pub struct Supervisor {
     space: DesignSpace,
@@ -378,7 +347,6 @@ pub struct Supervisor {
     store: Option<crate::cache::CacheStore>,
     threads: usize,
     journal: Journal,
-    faults: ShardFaultPlan,
     persist: Option<(PathBuf, u32)>,
 }
 
@@ -395,8 +363,7 @@ impl std::fmt::Debug for Supervisor {
 impl Supervisor {
     /// A supervisor over `plan.shards` islands, each searching `space`
     /// with the per-shard budget `config.episodes` (defaults: expert-LLM
-    /// optimizer, the `cim` backend, caching on, no fault injection, no
-    /// persistence).
+    /// optimizer, the `cim` backend, caching on, no persistence).
     pub fn new(space: DesignSpace, config: CoDesignConfig, plan: ShardPlan) -> Self {
         Supervisor {
             space,
@@ -409,7 +376,6 @@ impl Supervisor {
             store: None,
             threads: 1,
             journal: Journal::disabled(),
-            faults: ShardFaultPlan::none(),
             persist: None,
         }
     }
@@ -422,7 +388,8 @@ impl Supervisor {
         self
     }
 
-    /// Selects the hardware backend by registry name.
+    /// Selects the hardware backend by registry spec (decorators and an
+    /// `@config` hardware source included).
     #[must_use]
     pub fn backend(mut self, name: impl Into<String>) -> Self {
         self.backend = name.into();
@@ -474,14 +441,6 @@ impl Supervisor {
         self
     }
 
-    /// Injects a shard-level fault plan (cells keyed `generation *
-    /// shards + shard`).
-    #[must_use]
-    pub fn fault_plan(mut self, plan: ShardFaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
     /// Enables durable persistence under `base`: per-shard checkpoints
     /// at `<stem>.shard<k>.<ext>` and the coordinator manifest at
     /// `<stem>.manifest.<ext>`, each rotating `keep` generations.
@@ -495,8 +454,7 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors, structural evaluator failures, and
-    /// [`CoreError::Shard`] when every shard quarantines.
+    /// Returns configuration errors and evaluator or optimizer failures.
     pub fn run(&self) -> Result<ShardOutcome> {
         self.run_with(|_, _| Ok(()))
     }
@@ -518,14 +476,15 @@ impl Supervisor {
         self.launch(None, on_barrier)
     }
 
-    /// Resumes a killed fleet from its coordinator manifest, restarting
-    /// only the shards whose checkpoints lost generations. Falls back
-    /// to a fresh run when no manifest exists yet.
+    /// Resumes a killed fleet from its coordinator manifest, re-running
+    /// only the generations the shards' checkpoints lost. Falls back to
+    /// a fresh run when no manifest exists yet.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Shard`] when the manifest belongs to a
-    /// different fleet configuration, plus everything
+    /// Returns [`CoreError::Shard`] when the manifest or a shard
+    /// checkpoint belongs to a different fleet configuration (another
+    /// seed, optimizer, backend or hardware hierarchy), plus everything
     /// [`Supervisor::run`] can return.
     pub fn resume(&self) -> Result<ShardOutcome> {
         self.resume_with(|_, _| Ok(()))
@@ -547,11 +506,8 @@ impl Supervisor {
                 "resume requires a checkpoint base path".into(),
             ));
         };
-        let store = ShardManifestStore::new(manifest_path(base), *keep)?;
-        match store.load_latest()? {
-            None => self.launch(None, on_barrier),
-            Some((manifest, _)) => self.launch(Some(manifest), on_barrier),
-        }
+        let manifest = ShardManifestStore::new(manifest_path(base), *keep)?.load_latest()?;
+        self.launch(manifest.map(|(m, _)| m), on_barrier)
     }
 
     /// Episodes committed once generation `g` is barriered.
@@ -600,103 +556,31 @@ impl Supervisor {
         }
         pipeline.set_threads(self.threads);
         pipeline.set_clock(clock.clone());
-        Ok(ShardRunner {
-            seed,
-            island,
-            pipeline,
+        Ok(ShardRunner { island, pipeline })
+    }
+
+    /// The fleet's identity stamp. Like the serial checkpoint, it records
+    /// the config-less backend identity (`cim@a.json` and `cim@b.json`
+    /// are one backend) plus the hierarchy digest that tells actual
+    /// hardware apart.
+    fn stamp(&self, optimizer: &str) -> Result<FleetStamp> {
+        let spec = self.registry.parse(&self.backend)?;
+        let backend = self.registry.create_spec(&spec, &self.space)?;
+        Ok(FleetStamp {
+            optimizer: optimizer.to_string(),
+            backend: spec.identity().to_string(),
+            hw_digest: backend.hierarchy().map(|hw| hw.digest()),
         })
     }
 
-    /// Rebuilds a shard from its committed history — consulting its own
-    /// checkpoint generation first when persistence is on — replaying
-    /// every committed generation through the fresh optimizer and
-    /// re-injecting the migrations it received at each barrier.
-    fn rebuild_runner(
-        &self,
-        shard: u32,
-        histories: &[Vec<EpisodeRecord>],
-        quarantined: &[Option<u32>],
-        upto_gen: u32,
-        clock: &SimClock,
-    ) -> Result<ShardRunner> {
-        let mut runner = self.build_runner(shard, clock)?;
-        let committed = &histories[shard as usize];
-        // Restart from the shard's own CheckpointStore generation when
-        // one is configured and its coverage matches the committed
-        // in-memory history (it always does — checkpoints land at every
-        // barrier); fall back to the in-memory history otherwise.
-        let source: Vec<EpisodeRecord> = match &self.persist {
-            Some((base, keep)) => {
-                let store = CheckpointStore::new(shard_checkpoint_path(base, shard), *keep)?;
-                match store.load_latest() {
-                    Ok(Some((cp, _))) if cp.history.len() == committed.len() => cp.history,
-                    _ => committed.clone(),
-                }
-            }
-            None => committed.clone(),
-        };
-        self.replay_into(
-            &mut runner,
-            shard,
-            &source,
-            histories,
-            quarantined,
-            upto_gen,
-        )?;
-        Ok(runner)
-    }
-
-    /// Replays `source` (a shard's committed, barrier-aligned history)
-    /// into `runner`, interleaving the elite migrations the shard
-    /// received at each barrier. Verifies every re-proposed design
-    /// against the record, like serial checkpoint replay.
-    fn replay_into(
-        &self,
-        runner: &mut ShardRunner,
-        shard: u32,
-        source: &[EpisodeRecord],
-        histories: &[Vec<EpisodeRecord>],
-        quarantined: &[Option<u32>],
-        upto_gen: u32,
-    ) -> Result<()> {
-        let total = self.total_generations();
-        for g in 0..upto_gen {
-            let lo = self.gen_start(g);
-            let hi = self.commit_len(g);
-            for record in source.get(lo..hi).unwrap_or(&[]) {
-                let proposed = runner.island.propose()?;
-                if proposed != record.design {
-                    return Err(CoreError::Shard(format!(
-                        "shard {shard} replay diverged at episode {}: the optimizer \
-                         re-proposed a different design (checkpoint from another seed?)",
-                        record.episode
-                    )));
-                }
-                runner.island.observe(&proposed, record.reward)?;
-            }
-            if g + 1 < total {
-                for elite in self.migration_for(shard, g, histories, quarantined) {
-                    runner.island.inject(&elite)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The elites injected into `shard` at barrier `g`: every *other*
-    /// live island's top `elite_k` committed observations, donor-order,
+    /// island's top `elite_k` committed observations, donor-order,
     /// reward-descending with earlier-observed tie-break.
-    fn migration_for(
-        &self,
-        shard: u32,
-        g: u32,
-        histories: &[Vec<EpisodeRecord>],
-        quarantined: &[Option<u32>],
-    ) -> Vec<Elite> {
+    fn migration_for(&self, shard: u32, g: u32, histories: &[Vec<EpisodeRecord>]) -> Vec<Elite> {
         let prefix = self.commit_len(g);
         let mut elites = Vec::new();
         for donor in 0..self.plan.shards {
-            if donor == shard || !alive_at(quarantined, donor as usize, g) {
+            if donor == shard {
                 continue;
             }
             let history = &histories[donor as usize];
@@ -709,18 +593,14 @@ impl Supervisor {
     fn build_manifest(
         &self,
         completed: u32,
-        optimizer: &str,
+        stamp: &FleetStamp,
         histories: &[Vec<EpisodeRecord>],
-        restarts: &[u32],
-        quarantined: &[Option<u32>],
     ) -> ShardManifest {
         let entries = (0..self.plan.shards as usize)
             .map(|s| ShardManifestEntry {
                 shard: s as u32,
                 seed: shard_seed(self.config.seed, s as u32),
                 episodes_done: histories[s].len() as u32,
-                restarts_used: restarts[s],
-                quarantined_at: quarantined[s],
             })
             .collect();
         ShardManifest {
@@ -731,16 +611,15 @@ impl Supervisor {
             shards: self.plan.shards,
             barrier_interval: self.plan.barrier_interval,
             elite_k: self.plan.elite_k as u64,
-            restart_budget: self.plan.restart_budget,
-            stall_ticks: self.plan.stall_ticks,
-            optimizer: optimizer.to_string(),
-            backend: self.backend.clone(),
+            optimizer: stamp.optimizer.clone(),
+            backend: stamp.backend.clone(),
+            hw_digest: stamp.hw_digest.clone(),
             completed_generations: completed,
             entries,
         }
     }
 
-    fn verify_manifest(&self, manifest: &ShardManifest, optimizer: &str) -> Result<()> {
+    fn verify_manifest(&self, manifest: &ShardManifest, stamp: &FleetStamp) -> Result<()> {
         let mut mismatches = Vec::new();
         if manifest.objective != self.config.objective.name() {
             mismatches.push("objective");
@@ -760,14 +639,14 @@ impl Supervisor {
         if manifest.elite_k != self.plan.elite_k as u64 {
             mismatches.push("elite_k");
         }
-        if manifest.restart_budget != self.plan.restart_budget {
-            mismatches.push("restart_budget");
-        }
-        if manifest.optimizer != optimizer {
+        if manifest.optimizer != stamp.optimizer {
             mismatches.push("optimizer");
         }
-        if manifest.backend != self.backend {
+        if manifest.backend != stamp.backend {
             mismatches.push("backend");
+        }
+        if !digest_matches(manifest.hw_digest.as_deref(), stamp) {
+            mismatches.push("hw_digest");
         }
         if mismatches.is_empty() {
             Ok(())
@@ -779,21 +658,58 @@ impl Supervisor {
         }
     }
 
+    /// Shard `s`'s committed history from its newest checkpoint, cut to
+    /// a barrier boundary (empty when it has none).
+    fn load_shard_history(
+        &self,
+        base: &Path,
+        keep: u32,
+        s: u32,
+        stamp: &FleetStamp,
+    ) -> Result<Vec<EpisodeRecord>> {
+        let store = CheckpointStore::new(shard_checkpoint_path(base, s), keep)?;
+        let Some((cp, _)) = store.load_latest()? else {
+            return Ok(Vec::new());
+        };
+        if cp.config.seed != shard_seed(self.config.seed, s) || cp.backend != stamp.backend {
+            return Err(CoreError::Shard(format!(
+                "shard {s} checkpoint belongs to a different fleet (seed/backend mismatch)"
+            )));
+        }
+        if !digest_matches(cp.hw_digest.as_deref(), stamp) {
+            return Err(CoreError::Shard(format!(
+                "shard {s} checkpoint was produced under hardware hierarchy digest `{}` \
+                 but this fleet's backend lowered from `{}`",
+                cp.hw_digest.as_deref().unwrap_or("-"),
+                stamp.hw_digest.as_deref().unwrap_or("-")
+            )));
+        }
+        let mut history = cp.history;
+        // Defensive barrier alignment: a partial tail could only come
+        // from a tampered file.
+        let per = self.plan.barrier_interval as usize;
+        if history.len() as u32 != self.config.episodes {
+            history.truncate(history.len() - history.len() % per);
+        }
+        Ok(history)
+    }
+
     fn save_shard_checkpoint(
         &self,
         base: &Path,
         keep: u32,
         shard: u32,
-        runner: &ShardRunner,
+        stamp: &FleetStamp,
         history: &[EpisodeRecord],
     ) -> Result<()> {
         let store = CheckpointStore::new(shard_checkpoint_path(base, shard), keep)?;
         let shard_config = CoDesignConfig {
-            seed: runner.seed,
+            seed: shard_seed(self.config.seed, shard),
             ..self.config
         };
-        let cp = Checkpoint::new(shard_config, runner.island.name(), history.to_vec())
-            .with_backend(&self.backend);
+        let cp = Checkpoint::new(shard_config, stamp.optimizer.clone(), history.to_vec())
+            .with_backend(&stamp.backend)
+            .with_hw_digest(stamp.hw_digest.clone());
         store.save(&cp)
     }
 
@@ -810,63 +726,33 @@ impl Supervisor {
         let clock = SimClock::new();
         self.journal.set_clock(clock.clone());
 
+        let mut runners = (0..self.plan.shards)
+            .map(|s| self.build_runner(s, &clock))
+            .collect::<Result<Vec<_>>>()?;
+        let stamp = self.stamp(runners[0].island.name())?;
+
         let mut histories: Vec<Vec<EpisodeRecord>> = vec![Vec::new(); n];
-        let mut restarts: Vec<u32> = vec![0; n];
-        let mut quarantined: Vec<Option<u32>> = vec![None; n];
-        // The journal/fault frontier: barriers below it were committed
-        // by a previous process, so cells there are recovery re-runs.
+        // Barriers below the frontier were committed by a previous
+        // process: they are neither journaled nor persisted again.
         let mut frontier = 0u32;
         // On-disk episode coverage at launch, per shard — barriers below
         // the frontier re-save a shard's checkpoint only when the shard
         // actually re-ran (so survivors' stores are never churned).
         let mut disk_coverage: Vec<usize> = vec![0; n];
-
-        // A probe island pins the optimizer name for manifest identity
-        // checks before any shard work happens.
-        let probe = self.build_runner(0, &clock)?;
-        let optimizer_name = probe.island.name().to_string();
-        drop(probe);
-
         if let Some(m) = &manifest {
-            self.verify_manifest(m, &optimizer_name)?;
+            self.verify_manifest(m, &stamp)?;
             frontier = m.completed_generations.min(total);
-            for entry in &m.entries {
-                let s = entry.shard as usize;
-                if s >= n {
-                    continue;
-                }
-                restarts[s] = entry.restarts_used;
-                quarantined[s] = entry.quarantined_at;
-            }
             if let Some((base, keep)) = &self.persist {
                 for (s, history) in histories.iter_mut().enumerate() {
-                    let store = CheckpointStore::new(shard_checkpoint_path(base, s as u32), *keep)?;
-                    if let Some((cp, _)) = store.load_latest()? {
-                        if cp.config.seed != shard_seed(self.config.seed, s as u32)
-                            || cp.backend != self.backend
-                        {
-                            return Err(CoreError::Shard(format!(
-                                "shard {s} checkpoint belongs to a different fleet \
-                                 (seed/backend mismatch)"
-                            )));
-                        }
-                        let mut h = cp.history;
-                        // Defensive barrier alignment: a partial tail
-                        // could only come from a tampered file.
-                        let per = self.plan.barrier_interval as usize;
-                        if h.len() as u32 != self.config.episodes {
-                            h.truncate(h.len() - h.len() % per);
-                        }
-                        disk_coverage[s] = h.len();
-                        *history = h;
-                    }
+                    *history = self.load_shard_history(base, *keep, s as u32, &stamp)?;
+                    disk_coverage[s] = history.len();
                 }
             }
         }
 
         let resumed: u64 = histories.iter().map(|h| h.len() as u64).sum();
         self.journal.record(JournalEvent::RunStart {
-            optimizer: optimizer_name.clone(),
+            optimizer: stamp.optimizer.clone(),
             backend: self.backend.clone(),
             objective: self.config.objective.name().to_string(),
             episodes: self.config.episodes,
@@ -874,35 +760,14 @@ impl Supervisor {
             resumed,
         });
 
-        // Build runners for every non-quarantined shard.
-        let mut runners: Vec<Option<ShardRunner>> = Vec::with_capacity(n);
-        for (s, dead) in quarantined.iter().enumerate() {
-            if dead.is_some() {
-                runners.push(None);
-            } else {
-                runners.push(Some(self.build_runner(s as u32, &clock)?));
-            }
-        }
-
-        // Fleet cells whose first live execution already happened in
-        // this process (restart attempts run clean).
-        let mut attempted: HashSet<u64> = HashSet::new();
-
         for g in 0..total {
-            for s in 0..n {
-                if !alive_at(&quarantined, s, g) {
-                    continue;
-                }
-                let hi = self.commit_len(g);
+            let lo = self.gen_start(g);
+            let hi = self.commit_len(g);
+            for (s, runner) in runners.iter_mut().enumerate() {
                 if histories[s].len() >= hi {
                     // Committed by a previous process: replay through
                     // the optimizer without touching the evaluators.
-                    let lo = self.gen_start(g);
-                    let segment = histories[s][lo..hi].to_vec();
-                    let runner = runners[s].as_mut().ok_or_else(|| {
-                        CoreError::Shard(format!("shard {s} has history but no runner"))
-                    })?;
-                    for record in &segment {
+                    for record in &histories[s][lo..hi] {
                         let proposed = runner.island.propose()?;
                         if proposed != record.design {
                             return Err(CoreError::Shard(format!(
@@ -916,35 +781,33 @@ impl Supervisor {
                     }
                     continue;
                 }
-                // Live execution, with bounded-restart supervision.
-                self.run_cell(
-                    g,
-                    s,
-                    frontier,
-                    &clock,
-                    &mut runners,
-                    &mut histories,
-                    &mut restarts,
-                    &mut quarantined,
-                    &mut attempted,
-                )?;
+                for episode in lo..hi {
+                    let design = runner.island.propose()?;
+                    let record = judge_episode(
+                        &self.space,
+                        &mut runner.pipeline,
+                        self.config.objective,
+                        &Journal::disabled(),
+                        episode as u32,
+                        design,
+                    )?;
+                    runner.island.observe(&record.design, record.reward)?;
+                    histories[s].push(record);
+                }
+                if g >= frontier {
+                    self.journal.record(JournalEvent::ShardHeartbeat {
+                        shard: s as u32,
+                        generation: g,
+                        episodes: histories[s].len() as u32,
+                    });
+                }
             }
 
             // ---- barrier g ----
-            let live: Vec<usize> = (0..n).filter(|&s| alive_at(&quarantined, s, g)).collect();
-            if live.is_empty() {
-                return Err(CoreError::Shard(format!(
-                    "every shard quarantined by generation {g}; no survivors to merge"
-                )));
-            }
             let mut migrants = 0u64;
             if g + 1 < total {
-                for &s in &live {
-                    let migration = self.migration_for(s as u32, g, &histories, &quarantined);
-                    let runner = runners[s].as_mut().ok_or_else(|| {
-                        CoreError::Shard(format!("live shard {s} lost its runner"))
-                    })?;
-                    for elite in &migration {
+                for (s, runner) in runners.iter_mut().enumerate() {
+                    for elite in &self.migration_for(s as u32, g, &histories) {
                         runner.island.inject(elite)?;
                         migrants += 1;
                     }
@@ -953,32 +816,22 @@ impl Supervisor {
             if g >= frontier {
                 self.journal.record(JournalEvent::ShardBarrier {
                     generation: g,
-                    live: live.len() as u32,
                     migrants,
                 });
             }
             if let Some((base, keep)) = &self.persist {
-                for &s in &live {
+                for (s, history) in histories.iter().enumerate() {
                     // Below the frontier only re-run shards re-save
                     // (their stores lost generations); survivors' files
                     // already cover this barrier.
-                    if g < frontier && disk_coverage[s] >= self.commit_len(g) {
+                    if g < frontier && disk_coverage[s] >= hi {
                         continue;
                     }
-                    let runner = runners[s].as_ref().ok_or_else(|| {
-                        CoreError::Shard(format!("live shard {s} lost its runner"))
-                    })?;
-                    self.save_shard_checkpoint(base, *keep, s as u32, runner, &histories[s])?;
+                    self.save_shard_checkpoint(base, *keep, s as u32, &stamp, history)?;
                 }
             }
             if g >= frontier {
-                let m = self.build_manifest(
-                    g + 1,
-                    &optimizer_name,
-                    &histories,
-                    &restarts,
-                    &quarantined,
-                );
+                let m = self.build_manifest(g + 1, &stamp, &histories);
                 if let Some((base, keep)) = &self.persist {
                     ShardManifestStore::new(manifest_path(base), *keep)?.save(&m)?;
                 }
@@ -988,10 +841,8 @@ impl Supervisor {
 
         // ---- merge ----
         let front = merged_front(&histories, self.config.objective);
-        let quarantine_count = quarantined.iter().filter(|q| q.is_some()).count() as u32;
         self.journal.record(JournalEvent::ShardMerge {
             shards: self.plan.shards,
-            quarantined: quarantine_count,
             points: front.len() as u64,
         });
         let best = histories
@@ -1008,160 +859,28 @@ impl Supervisor {
                 shard: s as u32,
                 seed: shard_seed(self.config.seed, s as u32),
                 episodes: histories[s].len() as u32,
-                restarts: restarts[s],
-                quarantined_at: quarantined[s],
                 best_reward: histories[s].iter().map(|r| r.reward).reduce(f64::max),
             })
             .collect();
         Ok(ShardOutcome {
             front,
             shards,
-            partial_fleet: quarantine_count > 0,
             histories,
         })
     }
-
-    /// Executes one live fleet cell (shard `s`, generation `g`) under
-    /// supervision: fault injection on the cell's first attempt, crash
-    /// isolation, stall detection, bounded restart, quarantine.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cell(
-        &self,
-        g: u32,
-        s: usize,
-        frontier: u32,
-        clock: &SimClock,
-        runners: &mut [Option<ShardRunner>],
-        histories: &mut [Vec<EpisodeRecord>],
-        restarts: &mut [u32],
-        quarantined: &mut [Option<u32>],
-        attempted: &mut HashSet<u64>,
-    ) -> Result<()> {
-        let cell = u64::from(g) * u64::from(self.plan.shards) + s as u64;
-        let hi = self.commit_len(g) as u32;
-        loop {
-            // Faults fire only on the first live execution of a cell at
-            // or above the frontier; recovery re-runs and restart
-            // attempts are clean — this is what makes faulted, killed,
-            // and resumed fleets converge to identical bytes.
-            let fault = if g >= frontier && attempted.insert(cell) {
-                self.faults.fault_at(cell)
-            } else {
-                None
-            };
-            let mut killed_by_stall = None;
-            let mut crash = false;
-            match fault {
-                Some(ShardFault::Stall { ticks }) => {
-                    if *ticks > self.plan.stall_ticks {
-                        // Heartbeat silence past the threshold: the
-                        // supervisor waited `stall_ticks`, declared the
-                        // shard hung, and killed it.
-                        clock.advance_ms(self.plan.stall_ticks);
-                        killed_by_stall = Some(*ticks);
-                    } else {
-                        // A short stall self-heals: the generation
-                        // completes, merely late on the simulated clock.
-                        clock.advance_ms(*ticks);
-                    }
-                }
-                Some(ShardFault::Crash) => crash = true,
-                None => {}
-            }
-            if killed_by_stall.is_none() {
-                let lo = histories[s].len() as u32;
-                let runner = runners[s]
-                    .as_mut()
-                    .ok_or_else(|| CoreError::Shard(format!("live shard {s} lost its runner")))?;
-                let space = &self.space;
-                let objective = self.config.objective;
-                let worker =
-                    catch_unwind(AssertUnwindSafe(move || -> Result<Vec<EpisodeRecord>> {
-                        if crash {
-                            panic!("injected shard crash");
-                        }
-                        let mut fresh = Vec::with_capacity((hi - lo) as usize);
-                        for episode in lo..hi {
-                            let design = runner.island.propose()?;
-                            let record = judge_episode(
-                                space,
-                                &mut runner.pipeline,
-                                objective,
-                                &Journal::disabled(),
-                                episode,
-                                design,
-                            )?;
-                            runner.island.observe(&record.design, record.reward)?;
-                            fresh.push(record);
-                        }
-                        Ok(fresh)
-                    }));
-                match worker {
-                    Ok(Ok(fresh)) => {
-                        histories[s].extend(fresh);
-                        if g >= frontier {
-                            self.journal.record(JournalEvent::ShardHeartbeat {
-                                shard: s as u32,
-                                generation: g,
-                                episodes: histories[s].len() as u32,
-                            });
-                        }
-                        return Ok(());
-                    }
-                    // Structural evaluator/optimizer errors are not
-                    // shard faults: they would recur on restart, so
-                    // they abort the fleet like the serial loop.
-                    Ok(Err(e)) => return Err(e),
-                    Err(payload) => {
-                        self.journal.record(JournalEvent::ShardCrashed {
-                            shard: s as u32,
-                            generation: g,
-                            message: panic_message(&payload),
-                        });
-                    }
-                }
-            } else if let Some(ticks) = killed_by_stall {
-                self.journal.record(JournalEvent::ShardStalled {
-                    shard: s as u32,
-                    generation: g,
-                    ticks,
-                });
-            }
-            // The shard is down (crashed or stall-killed). Restart it
-            // under the budget, or quarantine it.
-            if restarts[s] >= self.plan.restart_budget {
-                quarantined[s] = Some(g);
-                runners[s] = None;
-                self.journal.record(JournalEvent::ShardQuarantined {
-                    shard: s as u32,
-                    generation: g,
-                    restarts: restarts[s],
-                });
-                return Ok(());
-            }
-            restarts[s] += 1;
-            let shift = (restarts[s] - 1).min(16);
-            clock.advance_ms(self.plan.restart_backoff_ms << shift);
-            self.journal.record(JournalEvent::ShardRestarted {
-                shard: s as u32,
-                generation: g,
-                attempt: restarts[s],
-            });
-            runners[s] = Some(self.rebuild_runner(s as u32, histories, quarantined, g, clock)?);
-        }
-    }
 }
 
-/// True when `shard` was live at barrier `g` (not yet quarantined, or
-/// quarantined at a later generation).
-fn alive_at(quarantined: &[Option<u32>], shard: usize, g: u32) -> bool {
-    quarantined[shard].is_none_or(|q| g < q)
+/// The serial resume rule for a recorded hierarchy digest: an absent one
+/// (written before digests were recorded) is accepted, a recorded one
+/// must match the fleet's.
+fn digest_matches(recorded: Option<&str>, stamp: &FleetStamp) -> bool {
+    recorded.is_none() || recorded == stamp.hw_digest.as_deref()
 }
 
 /// The `k` best records of a committed history, reward-descending with
 /// earlier-observed tie-break — the export half of the migration
-/// protocol, computed from histories so live runs, restarts, and
-/// resumes share one code path (it mirrors
+/// protocol, computed from histories so live runs and resumes share one
+/// code path (it mirrors
 /// [`Island::export_elites`](lcda_optim::island::Island::export_elites)
 /// exactly).
 fn elites_from(history: &[EpisodeRecord], k: usize) -> Vec<Elite> {
@@ -1225,18 +944,6 @@ fn merged_front(histories: &[Vec<EpisodeRecord>], objective: Objective) -> Vec<F
     front
 }
 
-/// First line of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    let text = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    };
-    text.lines().next().unwrap_or("").to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1262,9 +969,6 @@ mod tests {
             shards,
             barrier_interval: 2,
             elite_k: 2,
-            restart_budget: 2,
-            stall_ticks: 1_000,
-            restart_backoff_ms: 10,
         }
     }
 
@@ -1277,17 +981,14 @@ mod tests {
             shards: 2,
             barrier_interval: 2,
             elite_k: 2,
-            restart_budget: 3,
-            stall_ticks: 1_000,
             optimizer: "sim-llm".into(),
             backend: "cim".into(),
+            hw_digest: Some("0123456789abcdef".into()),
             completed_generations: 1,
             entries: vec![ShardManifestEntry {
                 shard: 0,
                 seed: 9,
                 episodes_done: 2,
-                restarts_used: 0,
-                quarantined_at: None,
             }],
         }
     }
@@ -1383,7 +1084,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(fleet.histories[0], serial.history);
-        assert!(!fleet.partial_fleet);
         assert_eq!(fleet.shards[0].seed, 42);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The sharded search runtime (`lcda-core::shard`) splits one search
 //! into N *islands*, each running its own seeded optimizer. At every
-//! generation barrier the supervisor asks each island for its best
+//! generation barrier the runtime asks each island for its best
 //! designs ([`Island::export_elites`]) and feeds them to every other
 //! island ([`Island::inject`]). An [`Island`] is the thin wrapper that
 //! makes any [`Optimizer`] participate in that protocol:

@@ -112,6 +112,34 @@ wait "$fleet_pid" 2> /dev/null || true
     > "$journal_dir/fleet_resumed.json"
 cmp "$journal_dir/fleet_clean.json" "$journal_dir/fleet_resumed.json"
 
+# Fleet report smoke: a journaled 4-shard run must be summarized by
+# `lcda report` with its heartbeat and barrier counts.
+./target/release/lcda search --episodes 8 --seed 11 --shards 4 \
+    --journal "$journal_dir/fleet.jsonl" > /dev/null
+./target/release/lcda report "$journal_dir/fleet.jsonl" \
+    | grep "shards           8 heartbeats / 2 barriers" > /dev/null
+
+# Fleet hardware drill: edit the hierarchy file under a checkpointed
+# fleet and lose one shard's checkpoint. The resume must be refused on
+# the hierarchy digest instead of re-running that shard on the new
+# hardware next to the other shard's old-hardware history.
+cp configs/hw/isaac.json "$journal_dir/fleet_hw.json"
+./target/release/lcda search --episodes 8 --seed 11 --shards 2 --json \
+    --hw-config "$journal_dir/fleet_hw.json" \
+    --checkpoint "$journal_dir/hwfleet.json" > /dev/null
+sed -i -e 's/"feature_nm": 32.0/"feature_nm": 22.0/' \
+    -e 's/"bus_gb_s": 12.8/"bus_gb_s": 6.4/' \
+    -e 's/"global_buffer_kb": 64/"global_buffer_kb": 16/' "$journal_dir/fleet_hw.json"
+rm "$journal_dir/hwfleet.shard1.json"
+if ./target/release/lcda search --episodes 8 --seed 11 --shards 2 --json \
+    --hw-config "$journal_dir/fleet_hw.json" \
+    --checkpoint "$journal_dir/hwfleet.json" --resume \
+    > /dev/null 2> "$journal_dir/hwfleet.err"; then
+    echo "ci: fleet resume mixed hardware hierarchies" >&2
+    exit 1
+fi
+grep digest "$journal_dir/hwfleet.err" > /dev/null
+
 # Salvage must be loud: a torn journal fails `lcda report` by default
 # and passes only with the explicit escape hatch.
 printf '%s' '{"event":"run_sta' > "$journal_dir/torn.jsonl"

@@ -69,14 +69,13 @@ SEARCH OPTIONS:
     --eval-fault-rate <p>   (+faulty backends) inject evaluation faults
                             with probability p per cost call  (default 0)
     --eval-fault-seed <n>   evaluation fault schedule seed    (default --seed)
-    --shards <n>            split the search into n supervised island
-                            shards exchanging elites at generation
-                            barriers; the merged Pareto front is
-                            bit-identical run-to-run for any n ≥ 1
-    --shard-restart-budget <n>  restarts per shard before quarantine
-                                                             (default 3)
-    --shard-stall-ticks <ms>    heartbeat silence before a shard is
-                                declared hung and killed  (default 10000)
+    --shards <n>            split the search into n island shards
+                            exchanging elites at generation barriers,
+                            run one after another on one thread; the
+                            merged Pareto front is bit-identical
+                            run-to-run for any n ≥ 1, and with
+                            --checkpoint a killed fleet resumes from its
+                            manifest to the same front
     --json                                                   emit JSON
 
 SERVE OPTIONS:
@@ -343,8 +342,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
             "--eval-fault-rate",
             "--eval-fault-seed",
             "--shards",
-            "--shard-restart-budget",
-            "--shard-stall-ticks",
         ],
         &["--json", "--resume", "--no-cache"],
     )?;
@@ -388,12 +385,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         // Shard workers construct their own evaluators from the spec; a
         // single injected evaluator instance cannot be split across them.
         return Err("--evaluator trained is not supported with --shards".into());
-    }
-    if shards.is_none()
-        && (args.get("--shard-restart-budget").is_some()
-            || args.get("--shard-stall-ticks").is_some())
-    {
-        return Err("--shard-restart-budget/--shard-stall-ticks require --shards <n>".into());
     }
 
     let checkpoint_path = args.get("--checkpoint").map(PathBuf::from);
@@ -454,10 +445,7 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     };
 
     if let Some(shards) = shards {
-        let mut plan = ShardPlan::new(shards);
-        plan.restart_budget = args.num_u32("--shard-restart-budget", plan.restart_budget)?;
-        plan.stall_ticks = args.num("--shard-stall-ticks", plan.stall_ticks)?;
-        let mut fleet = Supervisor::new(space, config, plan)
+        let mut fleet = Supervisor::new(space, config, ShardPlan::new(shards))
             .optimizer(spec)
             .backend(backend.to_string())
             .registry(registry)
@@ -484,24 +472,12 @@ fn cmd_search(args: &Args) -> Result<(), String> {
             objective.name()
         );
         for s in &outcome.shards {
-            let state = match s.quarantined_at {
-                Some(g) => format!("QUARANTINED at generation {g}"),
-                None => "ok".to_string(),
-            };
             println!(
-                "  shard {:>2}  seed {:>20}  episodes {:>4}  restarts {}  {state}",
-                s.shard, s.seed, s.episodes, s.restarts
+                "  shard {:>2}  seed {:>20}  episodes {:>4}",
+                s.shard, s.seed, s.episodes
             );
         }
-        println!(
-            "\nmerged Pareto front ({} points{}):",
-            outcome.front.len(),
-            if outcome.partial_fleet {
-                ", PARTIAL FLEET"
-            } else {
-                ""
-            }
-        );
+        println!("\nmerged Pareto front ({} points):", outcome.front.len());
         for p in &outcome.front {
             println!(
                 "  acc {:.3} @ {:.4e} {unit}   {}",

@@ -60,7 +60,7 @@ pub mod prelude {
         CoDesign, CoDesignBuilder, CoDesignConfig, EpisodeRecord, OptimizerSpec, Outcome,
     };
     pub use lcda_core::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
-    pub use lcda_core::fault::{EvalFault, EvalFaultPlan, ShardFault, ShardFaultPlan};
+    pub use lcda_core::fault::{EvalFault, EvalFaultPlan};
     pub use lcda_core::journal::{Journal, JournalEvent, JournalRecord, RunReport};
     pub use lcda_core::pipeline::{CacheStats, EvalCache, EvalPipeline, EvalRetryPolicy};
     pub use lcda_core::reward::Objective;

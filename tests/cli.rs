@@ -405,13 +405,14 @@ fn shard_flags_are_validated() {
     assert!(!ok);
     assert!(stderr.contains("--shards must be at least 1"), "{stderr}");
 
-    let (ok, _, stderr) = lcda(&["search", "--episodes", "2", "--shard-restart-budget", "3"]);
-    assert!(!ok);
-    assert!(stderr.contains("require --shards"), "{stderr}");
-
-    let (ok, _, stderr) = lcda(&["search", "--episodes", "2", "--shard-stall-ticks", "500"]);
-    assert!(!ok);
-    assert!(stderr.contains("require --shards"), "{stderr}");
+    // The removed restart-budget and stall-ticks knobs are rejected like
+    // any other unknown flag, not silently ignored.
+    for knob in ["restart-budget", "stall-ticks"] {
+        let flag = format!("--shard-{knob}");
+        let (ok, _, stderr) = lcda(&["search", "--episodes", "2", "--shards", "2", &flag, "3"]);
+        assert!(!ok, "{flag} must be rejected");
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
 }
 
 #[test]
@@ -433,7 +434,6 @@ fn sharded_search_reports_a_fleet_and_is_repeatable() {
     let v: lcda_base::json::Value = lcda_base::json::from_str(&a).expect("valid fleet JSON");
     assert_eq!(v["shards"].as_array().unwrap().len(), 2);
     assert!(!v["front"].as_array().unwrap().is_empty());
-    assert_eq!(v["partial_fleet"], lcda_base::json::Value::Bool(false));
     let (ok, b, _) = run();
     assert!(ok);
     assert_eq!(a, b, "sharded CLI runs must be byte-identical");

@@ -1,11 +1,10 @@
-//! Supervised sharded search: fleet determinism, crash-equivalence,
-//! quarantine degradation, and the kill-any-shard-at-any-barrier
-//! resume drill.
+//! Sharded search: fleet determinism, the kill-any-shard-at-any-barrier
+//! resume drill, and the fleet identity a resume must match.
 //!
-//! The contract mirrors the chaos suite's: whatever the supervisor had
-//! to absorb — an injected shard crash, a hung worker, a `kill -9`'d
-//! fleet resumed from the coordinator manifest — the merged Pareto
-//! front must come back **bit-identical** to the undisturbed fleet's.
+//! The contract mirrors the chaos suite's: a `kill -9`'d fleet resumed
+//! from the coordinator manifest must come back with a merged Pareto
+//! front **bit-identical** to the undisturbed fleet's, and a resume
+//! under different hardware must be refused, not mixed in.
 
 use lcda::core::shard::{manifest_path, shard_checkpoint_path};
 use lcda::core::CoreError;
@@ -32,9 +31,6 @@ fn plan(shards: u32) -> ShardPlan {
     let mut p = ShardPlan::new(shards);
     p.barrier_interval = 2;
     p.elite_k = 2;
-    p.restart_budget = 2;
-    p.stall_ticks = 1_000;
-    p.restart_backoff_ms = 10;
     p
 }
 
@@ -74,7 +70,6 @@ fn every_shard_count_yields_a_repeatable_merged_front() {
             "{shards}-shard front must be byte-identical run-to-run"
         );
         assert!(!a.front.is_empty());
-        assert!(!a.partial_fleet);
         assert_eq!(a.histories.len(), shards as usize);
         for h in &a.histories {
             assert_eq!(h.len(), 8, "every shard runs its full episode budget");
@@ -95,101 +90,6 @@ fn one_shard_fleet_reproduces_the_serial_expert_search() {
         sharded.histories[0], serial.history,
         "a one-shard fleet is the serial search"
     );
-}
-
-#[test]
-fn injected_crashes_and_stalls_are_invisible_in_the_merged_front() {
-    // 3 shards × 3 generations; cells are generation * shards + shard.
-    let faults = ShardFaultPlan::scripted([
-        (0, ShardFault::Stall { ticks: 60_000 }), // g0/s0: hung → kill + restart
-        (5, ShardFault::Crash),                   // g1/s2: panic → restart
-        (7, ShardFault::Stall { ticks: 50 }),     // g2/s1: late heartbeat, self-heals
-    ]);
-    let (journal, buffer) = Journal::in_memory();
-    let faulted = fleet(6, 5, 3)
-        .fault_plan(faults)
-        .journal(journal.clone())
-        .run()
-        .unwrap();
-    journal.finish().unwrap();
-    let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
-    assert_eq!(report.shard_crashes, 1);
-    assert_eq!(report.shard_stalls, 1, "only the hung stall is journaled");
-    assert_eq!(report.shard_restarts, 2);
-    assert_eq!(report.shard_quarantined, 0);
-    assert_eq!(report.shard_heartbeats, 9, "3 shards × 3 generations");
-    assert_eq!(report.shard_barriers, 3);
-    assert!(!report.partial_fleet);
-
-    // Invisible in the merged front and the committed work; only the
-    // per-shard restart counters record that supervision stepped in.
-    let clean = fleet(6, 5, 3).run().unwrap();
-    assert_eq!(
-        faulted.front, clean.front,
-        "supervision must be invisible in the front"
-    );
-    assert_eq!(faulted.histories, clean.histories);
-    assert_eq!(faulted.partial_fleet, clean.partial_fleet);
-    let work = |o: &ShardOutcome| {
-        o.shards
-            .iter()
-            .map(|s| (s.seed, s.episodes, s.best_reward))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(work(&faulted), work(&clean));
-    assert_eq!(faulted.shards[0].restarts, 1);
-    assert_eq!(faulted.shards[2].restarts, 1);
-}
-
-#[test]
-fn budget_exhaustion_quarantines_the_shard_but_the_fleet_completes() {
-    let mut p = plan(2);
-    p.restart_budget = 0;
-    let faults = ShardFaultPlan::scripted([(1, ShardFault::Crash)]); // g0/s1
-    let (journal, buffer) = Journal::in_memory();
-    let outcome = Supervisor::new(DesignSpace::nacim_cifar10(), cfg(6, 9), p)
-        .optimizer(OptimizerSpec::ExpertLlm)
-        .fault_plan(faults)
-        .journal(journal.clone())
-        .run()
-        .expect("a partial fleet still completes");
-    journal.finish().unwrap();
-
-    assert!(outcome.partial_fleet);
-    assert_eq!(outcome.shards[1].quarantined_at, Some(0));
-    assert_eq!(outcome.shards[1].episodes, 0);
-    assert_eq!(outcome.histories[1].len(), 0);
-    assert_eq!(outcome.histories[0].len(), 6, "the survivor finishes");
-    assert!(!outcome.front.is_empty());
-    assert!(
-        outcome.front.iter().all(|pt| pt.shard == 0),
-        "the merged front degrades to the survivor's work"
-    );
-
-    let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
-    assert_eq!(report.shard_quarantined, 1);
-    assert!(report.partial_fleet);
-    assert!(
-        buffer
-            .contents()
-            .contains("\"event\":\"shard_quarantined\""),
-        "quarantine must be journaled"
-    );
-    assert!(report.render().contains("partial fleet"));
-}
-
-#[test]
-fn a_fully_quarantined_fleet_is_a_typed_error() {
-    let mut p = plan(2);
-    p.restart_budget = 0;
-    let faults = ShardFaultPlan::scripted([(0, ShardFault::Crash), (1, ShardFault::Crash)]);
-    let err = Supervisor::new(DesignSpace::nacim_cifar10(), cfg(4, 3), p)
-        .optimizer(OptimizerSpec::ExpertLlm)
-        .fault_plan(faults)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, CoreError::Shard(_)), "{err}");
-    assert!(err.to_string().contains("no survivors"), "{err}");
 }
 
 #[test]
@@ -303,4 +203,57 @@ fn resume_with_a_mismatched_fleet_identity_is_rejected() {
     assert!(matches!(err, CoreError::Shard(_)), "{err}");
     assert!(err.to_string().contains("seed"), "{err}");
     remove_fleet_files(&base, 2, 2);
+}
+
+/// Writes the shipped ISAAC hierarchy to `path`, optionally shrunk to
+/// different hardware (smaller node, slower bus, smaller buffer).
+fn write_hierarchy(path: &Path, edited: bool) {
+    let isaac = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/hw/isaac.json"),
+    )
+    .unwrap();
+    let text = if edited {
+        let changed = isaac
+            .replace("\"feature_nm\": 32.0", "\"feature_nm\": 22.0")
+            .replace("\"bus_gb_s\": 12.8", "\"bus_gb_s\": 6.4")
+            .replace("\"global_buffer_kb\": 64", "\"global_buffer_kb\": 16");
+        assert_ne!(changed, isaac, "the edit targets must exist");
+        changed
+    } else {
+        isaac
+    };
+    std::fs::write(path, text).unwrap();
+}
+
+#[test]
+fn resume_under_a_changed_hierarchy_is_rejected_and_a_moved_one_is_not() {
+    let base = scratch("hw");
+    let hw = base.with_extension("hw.json");
+    write_hierarchy(&hw, false);
+    let on = |path: &Path| fleet(8, 11, 2).backend(format!("cim@{}", path.display()));
+    let clean = on(&hw).checkpoints(&base, 1).run().unwrap();
+
+    // Same path, different chip, one shard's checkpoint lost: resuming
+    // would re-run that shard on the new hardware next to the other
+    // shard's old-hardware history. The fleet must refuse instead.
+    write_hierarchy(&hw, true);
+    std::fs::remove_file(shard_checkpoint_path(&base, 1)).unwrap();
+    let err = on(&hw).checkpoints(&base, 1).resume().unwrap_err();
+    assert!(
+        matches!(err, CoreError::Shard(_) | CoreError::Checkpoint(_)),
+        "{err}"
+    );
+    assert!(err.to_string().contains("digest"), "{err}");
+
+    // The same chip under another path is the same fleet: the backend
+    // identity drops the config source, and the digest matches.
+    let moved = base.with_extension("moved.json");
+    write_hierarchy(&moved, false);
+    let resumed = on(&moved).checkpoints(&base, 1).resume().unwrap();
+    assert_eq!(resumed, clean);
+    assert_eq!(resumed.to_json().unwrap(), clean.to_json().unwrap());
+
+    remove_fleet_files(&base, 2, 1);
+    let _ = std::fs::remove_file(&hw);
+    let _ = std::fs::remove_file(&moved);
 }
