@@ -2,7 +2,7 @@
 //!
 //! Every stochastic component (weight init, dataset synthesis,
 //! Monte-Carlo variation sampling, RL exploration, the simulated LLM's
-//! tie-breaking, fault schedules) draws from an [`Rng`], so every
+//! tie-breaking) draws from an [`Rng`], so every
 //! experiment is exactly reproducible from a single `u64` seed.
 //!
 //! The generator is xoshiro256** seeded through SplitMix64. Integers are

@@ -18,13 +18,12 @@ use crate::checkpoint::Checkpoint;
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
 use crate::hwconfig::HwHierarchy;
 use crate::journal::{Journal, JournalEvent};
-use crate::pipeline::{CacheStats, EvalPipeline, EvalRetryPolicy};
+use crate::pipeline::{CacheStats, EvalPipeline};
 use crate::reward::{Objective, INVALID_REWARD};
 use crate::space::DesignSpace;
 use crate::surrogate::SurrogateEvaluator;
 use crate::{CoreError, Result};
 use lcda_llm::design::CandidateDesign;
-use lcda_llm::middleware::{resilient_observed, FaultPlan, SimClock};
 use lcda_llm::persona::Persona;
 use lcda_llm::sim::SimLlm;
 use lcda_optim::genetic::{GaConfig, GeneticOptimizer};
@@ -207,22 +206,41 @@ pub enum OptimizerSpec {
     Genetic,
     /// The random-search floor.
     Random,
-    /// The pretrained persona behind the full resilience middleware stack
-    /// (fault injection → timeout → retry → circuit breaker) with a
-    /// random-search fallback for degraded mode.
-    ///
-    /// With [`FaultPlan::none`] the stack is transparent and the run is
-    /// bit-identical to [`OptimizerSpec::ExpertLlm`]; under any fault
-    /// schedule within the retry/circuit budget it *stays* bit-identical,
-    /// because injected faults intercept calls without consuming the
-    /// simulated model's randomness.
-    ResilientLlm {
-        /// The deterministic fault schedule to inject.
-        plan: FaultPlan,
-    },
 }
 
 impl OptimizerSpec {
+    /// Every name `lcda search --optimizer` and serve job specs accept,
+    /// with the spec it selects — the one name table both share.
+    const BY_NAME: [(&'static str, OptimizerSpec); 7] = [
+        ("expert", OptimizerSpec::ExpertLlm),
+        ("finetuned", OptimizerSpec::FinetunedLlm),
+        ("adaptive", OptimizerSpec::AdaptiveLlm),
+        ("naive", OptimizerSpec::NaiveLlm),
+        ("rl", OptimizerSpec::Rl),
+        ("genetic", OptimizerSpec::Genetic),
+        ("random", OptimizerSpec::Random),
+    ];
+
+    /// Resolves an optimizer name (`expert`, `rl`, …).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] naming the unknown optimizer and the
+    /// accepted names.
+    pub fn from_name(name: &str) -> Result<Self> {
+        Self::BY_NAME
+            .iter()
+            .find(|(known, _)| *known == name)
+            .map(|(_, spec)| spec.clone())
+            .ok_or_else(|| {
+                let known: Vec<&str> = Self::BY_NAME.iter().map(|(known, _)| *known).collect();
+                CoreError::InvalidConfig(format!(
+                    "unknown optimizer `{name}` ({})",
+                    known.join("|")
+                ))
+            })
+    }
+
     /// Instantiates the optimizer for a design space and run config.
     ///
     /// # Errors
@@ -238,10 +256,8 @@ impl OptimizerSpec {
     }
 
     /// Instantiates the optimizer with a run journal attached: LLM-backed
-    /// variants stream their prompt/parse/fault/retry/breaker events into
-    /// `journal`, and [`OptimizerSpec::ResilientLlm`] additionally shares
-    /// its middleware [`SimClock`] with the journal so record timestamps
-    /// advance with simulated retry delays. Observation never changes
+    /// variants stream their prompt and parse-failure events into
+    /// `journal`. Observation never changes
     /// optimizer behaviour: a journaled run proposes the exact same
     /// designs as an unjournaled one.
     ///
@@ -313,28 +329,6 @@ impl OptimizerSpec {
             OptimizerSpec::Random => {
                 Box::new(RandomOptimizer::new(space.choices.clone(), config.seed))
             }
-            OptimizerSpec::ResilientLlm { plan } => {
-                let clock = SimClock::new();
-                journal.set_clock(clock.clone());
-                let llm = SimLlm::new(Persona::Pretrained, config.seed);
-                let model = resilient_observed(
-                    llm,
-                    plan.clone(),
-                    clock,
-                    config.seed,
-                    journal.llm_observer(),
-                );
-                let fallback = RandomOptimizer::new(space.choices.clone(), config.seed ^ 0x5EED);
-                Box::new(
-                    LlmOptimizer::new(
-                        model,
-                        space.choices.clone(),
-                        config.objective.prompt_objective(),
-                    )
-                    .with_fallback(Box::new(fallback))
-                    .with_observer(journal.llm_observer()),
-                )
-            }
         })
     }
 }
@@ -354,7 +348,6 @@ pub struct CoDesignBuilder {
     caching: bool,
     store: Option<crate::cache::CacheStore>,
     journal: Journal,
-    retry: EvalRetryPolicy,
 }
 
 impl std::fmt::Debug for CoDesignBuilder {
@@ -463,21 +456,11 @@ impl CoDesignBuilder {
 
     /// Attaches a run journal (default: disabled). Every phase of the
     /// wired run — episode loop, evaluation pipeline, cache, Monte-Carlo
-    /// batches, backend cost calls, LLM middleware — streams its events
+    /// batches, backend cost calls, LLM prompts — streams its events
     /// into it. Journaling never changes run results.
     #[must_use]
     pub fn journal(mut self, journal: Journal) -> Self {
         self.journal = journal;
-        self
-    }
-
-    /// Tunes the evaluation retry budget applied to transient faults and
-    /// non-finite results (default: [`EvalRetryPolicy::default`], three
-    /// attempts with 100 ms simulated backoff). Retries never change the
-    /// results of a fault-free run.
-    #[must_use]
-    pub fn eval_retry(mut self, policy: EvalRetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -489,12 +472,6 @@ impl CoDesignBuilder {
     /// propagates optimizer construction errors.
     pub fn build(self) -> Result<CoDesign> {
         self.config.validate()?;
-        // One simulated clock spans the run: retry backoff and backend
-        // stalls advance it, the journal stamps events with it. The
-        // ResilientLlm path installs its own middleware clock on the
-        // journal afterwards, which is why this one goes in first.
-        let run_clock = SimClock::new();
-        self.journal.set_clock(run_clock.clone());
         let optimizer = self
             .spec
             .instantiate_observed(&self.space, &self.config, &self.journal)?;
@@ -541,8 +518,6 @@ impl CoDesignBuilder {
         }
         pipeline.set_threads(self.threads);
         pipeline.set_journal(self.journal.clone());
-        pipeline.set_retry_policy(self.retry);
-        pipeline.set_clock(run_clock);
         Ok(CoDesign {
             space: self.space,
             config: self.config,
@@ -598,7 +573,6 @@ impl CoDesign {
             caching: true,
             store: None,
             journal: Journal::disabled(),
-            retry: EvalRetryPolicy::default(),
         }
     }
 
@@ -838,10 +812,9 @@ impl CoDesign {
     /// Evaluates one design exactly as an episode would (exposed so
     /// benches can score hand-picked designs).
     ///
-    /// Evaluator panics and exhausted transient-fault retries do **not**
-    /// error: the episode comes back quarantined (reward −1, no metrics)
-    /// and the failure is journaled, so a chaotic backend cannot take the
-    /// search down.
+    /// Evaluator panics do **not** error: the episode comes back
+    /// quarantined (reward −1, no metrics) and the failure is journaled,
+    /// so a panicking backend cannot take the search down.
     ///
     /// # Errors
     ///
@@ -864,7 +837,7 @@ impl CoDesign {
 }
 
 /// Scores one design as an episode: infeasible architectures and
-/// unrecoverable evaluation failures come back as quarantined/invalid
+/// evaluator panics come back as quarantined/invalid
 /// records instead of errors, exactly like [`CoDesign::evaluate_design`]
 /// (which delegates here). Shared with the sharded runtime so island
 /// episodes are judged byte-identically to serial ones.
@@ -891,11 +864,11 @@ pub(crate) fn judge_episode(
     }
     let (accuracy, hw) = match pipeline.evaluate(&design) {
         Ok(result) => result,
-        // A panicking or persistently faulty evaluator must not take
-        // the run down: the design is quarantined (reward −1, no
-        // metrics) and the loop moves on. Structural errors — bad
-        // config, a broken backend — still propagate.
-        Err(e @ (CoreError::EvalPanic(_) | CoreError::EvalFault(_))) => {
+        // A panicking evaluator must not take the run down: the design
+        // is quarantined (reward −1, no metrics) and the loop moves on.
+        // Structural errors — bad config, a broken backend — still
+        // propagate.
+        Err(e @ CoreError::EvalPanic(_)) => {
             journal.record(JournalEvent::EvalQuarantined {
                 reason: e.to_string(),
             });
@@ -1292,23 +1265,26 @@ mod tests {
     }
 
     #[test]
-    fn resilient_stack_is_transparent_without_faults() {
-        let space = DesignSpace::nacim_cifar10();
-        let plain = build(space.clone(), cfg(5, 13), OptimizerSpec::ExpertLlm)
-            .unwrap()
-            .run()
-            .unwrap();
-        let resilient = build(
-            space,
-            cfg(5, 13),
-            OptimizerSpec::ResilientLlm {
-                plan: FaultPlan::none(),
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(plain, resilient);
+    fn optimizer_names_resolve_through_one_table() {
+        for (name, spec) in [
+            ("expert", OptimizerSpec::ExpertLlm),
+            ("finetuned", OptimizerSpec::FinetunedLlm),
+            ("adaptive", OptimizerSpec::AdaptiveLlm),
+            ("naive", OptimizerSpec::NaiveLlm),
+            ("rl", OptimizerSpec::Rl),
+            ("genetic", OptimizerSpec::Genetic),
+            ("random", OptimizerSpec::Random),
+        ] {
+            assert_eq!(OptimizerSpec::from_name(name).unwrap(), spec, "{name}");
+        }
+        let err = OptimizerSpec::from_name("resilient").unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("`resilient`"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("expert|finetuned|adaptive|naive|rl|genetic|random"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1456,45 +1432,32 @@ mod tests {
     }
 
     #[test]
-    fn faulty_backend_run_is_bit_identical_to_the_clean_run() {
-        use crate::fault::EvalFault;
-        let space = DesignSpace::nacim_cifar10();
-        let plan = crate::fault::EvalFaultPlan::scripted([
-            (0, EvalFault::Transient),
-            (2, EvalFault::NonFinite),
-            (3, EvalFault::Stall { delay_ms: 250 }),
-        ]);
-        let mut faulty = CoDesign::builder(space.clone(), cfg(5, 23))
-            .optimizer(OptimizerSpec::ExpertLlm)
-            .backend("cim+faulty")
-            .registry(BackendRegistry::standard().with_fault_plan(plan))
-            .no_cache()
-            .build()
-            .unwrap();
-        let mut clean = CoDesign::builder(space, cfg(5, 23))
-            .optimizer(OptimizerSpec::ExpertLlm)
-            .no_cache()
-            .build()
-            .unwrap();
-        let a = faulty.run().unwrap();
-        let b = clean.run().unwrap();
-        assert_eq!(a.history.len(), b.history.len());
-        for (fa, cl) in a.history.iter().zip(&b.history) {
-            assert_eq!(fa.design, cl.design);
-            assert_eq!(fa.reward, cl.reward, "episode {}", fa.episode);
-            assert_eq!(fa.hw, cl.hw);
-        }
-    }
-
-    #[test]
     fn panicking_backend_quarantines_the_episode_and_the_run_survives() {
-        use crate::fault::EvalFault;
-        let plan = crate::fault::EvalFaultPlan::scripted([(1, EvalFault::Panic)]);
+        /// The CiM backend, except that its second cost call panics.
+        struct PanicsOnSecondCall {
+            inner: crate::backend::CimBackend,
+            calls: u32,
+        }
+        impl HardwareCostEvaluator for PanicsOnSecondCall {
+            fn cost(&mut self, design: &CandidateDesign) -> Result<Option<HwMetrics>> {
+                self.calls += 1;
+                if self.calls == 2 {
+                    panic!("mapper overflow");
+                }
+                self.inner.cost(design)
+            }
+            fn name(&self) -> &'static str {
+                "panics-on-second-call"
+            }
+        }
+        let space = DesignSpace::nacim_cifar10();
         let (journal, buffer) = Journal::in_memory();
-        let mut run = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(4, 29))
+        let mut run = CoDesign::builder(space.clone(), cfg(4, 29))
             .optimizer(OptimizerSpec::Random)
-            .backend("cim+faulty")
-            .registry(BackendRegistry::standard().with_fault_plan(plan))
+            .hardware_evaluator(Box::new(PanicsOnSecondCall {
+                inner: crate::backend::CimBackend::new(space),
+                calls: 0,
+            }))
             .no_cache()
             .journal(journal.clone())
             .build()
@@ -1508,30 +1471,6 @@ mod tests {
         let text = buffer.contents();
         assert!(text.contains("\"event\":\"eval_panic\""), "{text}");
         assert!(text.contains("\"event\":\"eval_quarantined\""), "{text}");
-    }
-
-    #[test]
-    fn exhausted_transient_retries_quarantine_instead_of_erroring() {
-        use crate::fault::EvalFault;
-        // Four consecutive transients exceed the default 3-attempt budget
-        // for episode 0's cost call; the run must still complete.
-        let plan = crate::fault::EvalFaultPlan::scripted([
-            (0, EvalFault::Transient),
-            (1, EvalFault::Transient),
-            (2, EvalFault::Transient),
-            (3, EvalFault::Transient),
-        ]);
-        let mut run = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(3, 37))
-            .optimizer(OptimizerSpec::Random)
-            .backend("cim+faulty")
-            .registry(BackendRegistry::standard().with_fault_plan(plan))
-            .no_cache()
-            .build()
-            .unwrap();
-        let outcome = run.run().unwrap();
-        assert_eq!(outcome.history.len(), 3);
-        assert!(outcome.history[0].quarantined);
-        assert!(!outcome.history[1].quarantined);
     }
 
     #[test]

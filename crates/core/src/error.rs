@@ -22,14 +22,10 @@ pub enum CoreError {
     Checkpoint(String),
     /// A run journal could not be written, read, or parsed.
     Journal(String),
-    /// A transient evaluation-substrate fault (injected or real). The
-    /// call may succeed on retry; [`EvalPipeline`](crate::EvalPipeline)
-    /// retries these up to its policy budget before surfacing them.
-    EvalFault(String),
     /// An evaluator panicked. The panic was caught at the pipeline
     /// boundary ([`std::panic::catch_unwind`]) and converted into this
     /// typed error so a single poisoned design quarantines instead of
-    /// aborting the whole run. Never retried.
+    /// aborting the whole run.
     EvalPanic(String),
     /// A sharded-search failure: a manifest or shard checkpoint that does
     /// not match the run, or a shard replay that diverged from its
@@ -48,15 +44,6 @@ pub enum CoreError {
     DeadlineExceeded(String),
 }
 
-impl CoreError {
-    /// True for faults that may clear on retry (currently only
-    /// [`CoreError::EvalFault`]). Panics and structural errors are not
-    /// transient: retrying them would just repeat the failure.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, CoreError::EvalFault(_))
-    }
-}
-
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -68,7 +55,6 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig(msg) => write!(f, "invalid co-design config: {msg}"),
             CoreError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
             CoreError::Journal(msg) => write!(f, "journal: {msg}"),
-            CoreError::EvalFault(msg) => write!(f, "transient evaluation fault: {msg}"),
             CoreError::EvalPanic(msg) => write!(f, "evaluator panicked: {msg}"),
             CoreError::Shard(msg) => write!(f, "shard: {msg}"),
             CoreError::Cancelled(msg) => write!(f, "cancelled: {msg}"),
@@ -89,7 +75,6 @@ impl std::error::Error for CoreError {
             CoreError::InvalidConfig(_)
             | CoreError::Checkpoint(_)
             | CoreError::Journal(_)
-            | CoreError::EvalFault(_)
             | CoreError::EvalPanic(_)
             | CoreError::Shard(_)
             | CoreError::Cancelled(_)
@@ -154,27 +139,20 @@ mod tests {
     }
 
     #[test]
-    fn transient_classification() {
-        assert!(CoreError::EvalFault("injected".into()).is_transient());
-        assert!(!CoreError::EvalPanic("boom".into()).is_transient());
-        assert!(!CoreError::Checkpoint("stale".into()).is_transient());
+    fn messages_name_their_kind() {
         assert!(CoreError::EvalPanic("boom".into())
             .to_string()
             .contains("panicked"));
         let s = CoreError::Shard("manifest mismatch".into());
-        assert!(!s.is_transient());
         assert!(s.source().is_none());
         assert!(s.to_string().contains("shard"));
         let c = CoreError::Cancelled("job-3".into());
-        assert!(!c.is_transient());
         assert!(c.source().is_none());
         assert!(c.to_string().contains("cancelled"));
         let o = CoreError::Overloaded("queue full".into());
-        assert!(!o.is_transient());
         assert!(o.source().is_none());
         assert!(o.to_string().contains("overloaded"));
         let d = CoreError::DeadlineExceeded("job-3 after 5s".into());
-        assert!(!d.is_transient());
         assert!(d.source().is_none());
         assert!(d.to_string().contains("deadline_exceeded"));
     }

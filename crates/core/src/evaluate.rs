@@ -107,9 +107,8 @@ pub trait HardwareCostEvaluator {
     }
 
     /// Attaches a run journal so the evaluator can report its internal
-    /// events (e.g. injected faults in
-    /// [`crate::backend::FaultyBackend`]). Journaling must never change
-    /// results. Default: no-op for evaluators with nothing to report.
+    /// events. Journaling must never change results. Default: no-op for
+    /// evaluators with nothing to report.
     fn set_journal(&mut self, _journal: crate::journal::Journal) {}
 }
 

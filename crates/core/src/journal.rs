@@ -5,7 +5,7 @@
 //! designs with fewer evaluations — so the runtime must be able to show
 //! where a run spends its budget: cache hits vs. recomputation,
 //! Monte-Carlo trials, backend cost-model calls, LLM re-prompts and
-//! middleware recoveries. This module provides that substrate:
+//! quarantined evaluations. This module provides that substrate:
 //!
 //! - [`JournalEvent`] — the typed event taxonomy (run/episode lifecycle,
 //!   evaluation requests, cache traffic, Monte-Carlo batches, backend
@@ -13,25 +13,25 @@
 //! - [`Journal`] — a cheaply cloneable sink handle threaded through
 //!   [`crate::EvalPipeline`], [`crate::CoDesign`] and the optimizer
 //!   stack, writing each event as one JSON line (JSONL);
-//! - [`RunReport`] — per-phase time and counter aggregation parsed back
-//!   from a journal, rendered by `lcda report`.
+//! - [`RunReport`] — per-phase event counts and counter aggregation
+//!   parsed back from a journal, rendered by `lcda report`.
 //!
 //! # Determinism
 //!
-//! Journals carry **no wall-clock timestamps**. Every record is stamped
-//! with a monotonic `step` index and the simulated-clock time (`t_ms`)
-//! of the run's [`SimClock`] — the same clock the LLM resilience
-//! middleware charges its backoff and cooldowns to. Identical seeded
-//! runs therefore produce **byte-identical** journals, which makes them
-//! diffable artifacts: a behaviour change between two builds shows up as
-//! a journal diff, not a hunch. `BTreeMap`-backed aggregation and the
-//! JSON writer's deterministic float formatting keep [`RunReport`]
-//! equally reproducible.
+//! Journals carry **no timestamps**. Every record is stamped with a
+//! monotonic `step` index only, so identical seeded runs produce
+//! **byte-identical** journals, which makes them diffable artifacts: a
+//! behaviour change between two builds shows up as a journal diff, not a
+//! hunch. `BTreeMap`-backed aggregation and the JSON writer's
+//! deterministic float formatting keep [`RunReport`] equally
+//! reproducible. Older journals also stamped each record with a
+//! simulated-clock timestamp that stayed zero unless faults were
+//! injected; the reader ignores unknown keys, so those journals still
+//! parse (`tests/fixtures/parent_era/run.jsonl`).
 
 use crate::pipeline::CacheStats;
 use crate::{CoreError, Result};
 use lcda_base::json::{FromJson, ToJson, Value};
-use lcda_llm::middleware::SimClock;
 use lcda_llm::obs::{LlmEvent, LlmObserver, ObserverHandle};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -166,56 +166,13 @@ pub enum JournalEvent {
         /// The parse error, single line.
         error: String,
     },
-    /// The fault-injection layer fired a scheduled fault.
-    LlmFault {
-        /// Model-call index the fault was scheduled at.
-        call: u64,
-        /// Stable fault-kind label.
-        kind: String,
-    },
-    /// The retry middleware re-issued a failed model call.
-    LlmRetry {
-        /// Retry attempt number (0-based).
-        attempt: u32,
-        /// Backoff charged to the simulated clock, milliseconds.
-        delay_ms: u64,
-    },
-    /// The circuit breaker opened.
-    LlmCircuitOpened {
-        /// Consecutive failures that tripped it.
-        failures: u32,
-    },
-    /// The circuit breaker closed after a successful probe.
-    LlmCircuitClosed,
-    /// A proposal was served by the fallback optimizer (degraded mode).
-    LlmDegraded {
-        /// Name of the fallback optimizer.
-        fallback: String,
-    },
-    /// The evaluation fault layer fired a scheduled fault
-    /// ([`crate::backend::FaultyBackend`]).
-    EvalFault {
-        /// Backend-call index the fault was scheduled at.
-        call: u64,
-        /// Stable fault-kind label (`transient` / `stall` / `non_finite`
-        /// / `panic`).
-        kind: String,
-    },
-    /// The pipeline re-issued a failed or non-finite evaluation.
-    EvalRetry {
-        /// Retry attempt number (0-based).
-        attempt: u32,
-        /// Why the previous attempt was discarded.
-        reason: String,
-    },
     /// An evaluator panicked; the panic was caught at the pipeline
     /// boundary and converted into a typed error.
     EvalPanic {
         /// First line of the panic payload.
         message: String,
     },
-    /// A design was quarantined because its evaluation failed
-    /// unrecoverably (panic, or retries exhausted).
+    /// A design was quarantined because its evaluator panicked.
     EvalQuarantined {
         /// The evaluation error that forced the quarantine.
         reason: String,
@@ -350,13 +307,6 @@ lcda_base::impl_json!(#[tag = "event", snake_case] enum JournalEvent {
     CheckpointSaved { episodes_done },
     LlmPrompt { episode, attempt, chars },
     LlmParseFailure { episode, error },
-    LlmFault { call, kind },
-    LlmRetry { attempt, delay_ms },
-    LlmCircuitOpened { failures },
-    LlmCircuitClosed,
-    LlmDegraded { fallback },
-    EvalFault { call, kind },
-    EvalRetry { attempt, reason },
     EvalPanic { message },
     EvalQuarantined { reason },
     ShardHeartbeat { shard, generation, episodes },
@@ -383,8 +333,6 @@ impl JournalEvent {
             | JournalEvent::CheckpointSaved { .. } => "run",
             JournalEvent::Episode { .. } => "episode",
             JournalEvent::EvalRequest { .. }
-            | JournalEvent::EvalFault { .. }
-            | JournalEvent::EvalRetry { .. }
             | JournalEvent::EvalPanic { .. }
             | JournalEvent::EvalQuarantined { .. } => "eval",
             JournalEvent::CacheHit { .. }
@@ -392,13 +340,7 @@ impl JournalEvent {
             | JournalEvent::CacheInsert { .. } => "cache",
             JournalEvent::McBatch { .. } => "mc",
             JournalEvent::BackendCost { .. } => "backend",
-            JournalEvent::LlmPrompt { .. }
-            | JournalEvent::LlmParseFailure { .. }
-            | JournalEvent::LlmFault { .. }
-            | JournalEvent::LlmRetry { .. }
-            | JournalEvent::LlmCircuitOpened { .. }
-            | JournalEvent::LlmCircuitClosed
-            | JournalEvent::LlmDegraded { .. } => "llm",
+            JournalEvent::LlmPrompt { .. } | JournalEvent::LlmParseFailure { .. } => "llm",
             JournalEvent::ShardHeartbeat { .. }
             | JournalEvent::ShardBarrier { .. }
             | JournalEvent::ShardMerge { .. } => "shard",
@@ -415,26 +357,20 @@ impl JournalEvent {
     }
 }
 
-/// One journal line: a monotonic step index, the simulated-clock
-/// timestamp, and the event payload (flattened alongside them).
+/// One journal line: a monotonic step index and the event payload
+/// (flattened alongside it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
     /// Monotonic record index within the journal (0-based).
     pub step: u64,
-    /// Simulated-clock time of the run's [`SimClock`], milliseconds.
-    pub t_ms: u64,
     /// The event payload.
     pub event: JournalEvent,
 }
 
-// `step` and `t_ms` followed by the event's own tagged object, on one
-// level.
+// `step` followed by the event's own tagged object, on one level.
 impl ToJson for JournalRecord {
     fn to_json(&self) -> Value {
-        let mut entries = vec![
-            ("step".to_string(), self.step.to_json()),
-            ("t_ms".to_string(), self.t_ms.to_json()),
-        ];
+        let mut entries = vec![("step".to_string(), self.step.to_json())];
         if let Value::Object(fields) = self.event.to_json() {
             entries.extend(fields);
         }
@@ -446,7 +382,6 @@ impl FromJson for JournalRecord {
     fn from_json(value: &Value) -> lcda_base::json::Result<Self> {
         Ok(JournalRecord {
             step: value.field("step")?,
-            t_ms: value.field("t_ms")?,
             event: JournalEvent::from_json(value)?,
         })
     }
@@ -454,7 +389,6 @@ impl FromJson for JournalRecord {
 
 struct JournalInner {
     sink: Box<dyn Write + Send>,
-    clock: SimClock,
     step: u64,
     error: Option<String>,
 }
@@ -463,7 +397,7 @@ struct JournalInner {
 ///
 /// The default handle is disabled: every [`Journal::record`] through it
 /// is a no-op, so instrumented code costs nothing in un-journaled runs.
-/// All clones share one sink, one step counter, and one [`SimClock`];
+/// All clones share one sink and one step counter;
 /// write or serialization failures are latched and surfaced by
 /// [`Journal::finish`] instead of panicking mid-search.
 #[derive(Clone, Default)]
@@ -524,7 +458,6 @@ impl Journal {
         Journal {
             inner: Some(Arc::new(Mutex::new(JournalInner {
                 sink,
-                clock: SimClock::new(),
                 step: 0,
                 error: None,
             }))),
@@ -557,11 +490,7 @@ impl Journal {
     /// bad line with any line after it fails the resume and leaves the
     /// file untouched, as the serve WAL does. Blank lines are skipped.
     ///
-    /// The step counter continues from the last salvaged record and the
-    /// clock resumes at its timestamp. A later [`Journal::set_clock`]
-    /// (e.g. from the resilient-LLM stack) replaces the resumed clock, so
-    /// `t_ms` may restart while `step` stays monotonic — step is the
-    /// ordering contract, `t_ms` is advisory.
+    /// The step counter continues from the last salvaged record.
     ///
     /// # Errors
     ///
@@ -575,13 +504,10 @@ impl Journal {
             }
             lcda_base::json::from_str::<JournalRecord>(line).map(|record| last = Some(record))
         })?;
-        let (step, t_ms) = last.map_or((0, 0), |r| (r.step + 1, r.t_ms));
-        let clock = SimClock::new();
-        clock.advance_ms(t_ms);
+        let step = last.map_or(0, |r| r.step + 1);
         Ok(Journal {
             inner: Some(Arc::new(Mutex::new(JournalInner {
                 sink: Box::new(std::io::BufWriter::new(file)),
-                clock,
                 step,
                 error: None,
             }))),
@@ -591,16 +517,6 @@ impl Journal {
     /// True when a sink is attached.
     pub fn is_active(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Shares the run's simulated clock with the journal so records carry
-    /// its timestamps (a disabled journal ignores this).
-    pub fn set_clock(&self, clock: SimClock) {
-        if let Some(inner) = &self.inner {
-            if let Ok(mut guard) = inner.lock() {
-                guard.clock = clock;
-            }
-        }
     }
 
     /// Appends one event as a JSON line (no-op when disabled). Failures
@@ -617,7 +533,6 @@ impl Journal {
         }
         let record = JournalRecord {
             step: guard.step,
-            t_ms: guard.clock.now_ms(),
             event,
         };
         guard.step += 1;
@@ -655,7 +570,7 @@ impl Journal {
     }
 
     /// An [`ObserverHandle`] that bridges [`LlmEvent`]s from the
-    /// optimizer/middleware stack into this journal. Empty (no-op) when
+    /// LLM optimizer into this journal. Empty (no-op) when
     /// the journal is disabled, so un-journaled runs skip the adapter
     /// entirely.
     pub fn llm_observer(&self) -> ObserverHandle {
@@ -690,46 +605,16 @@ impl LlmObserver for LlmBridge {
                 episode: *episode,
                 error: error.clone(),
             },
-            LlmEvent::Fault { call, kind } => JournalEvent::LlmFault {
-                call: *call,
-                kind: (*kind).to_string(),
-            },
-            LlmEvent::Retry { attempt, delay_ms } => JournalEvent::LlmRetry {
-                attempt: *attempt,
-                delay_ms: *delay_ms,
-            },
-            LlmEvent::CircuitOpened { failures } => JournalEvent::LlmCircuitOpened {
-                failures: *failures,
-            },
-            LlmEvent::CircuitClosed => JournalEvent::LlmCircuitClosed,
-            LlmEvent::Degraded { fallback } => JournalEvent::LlmDegraded {
-                fallback: fallback.clone(),
-            },
         };
         self.journal.record(mapped);
     }
 }
 
-/// Event count and simulated time accounted to one phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Events in the phase.
-    pub events: u64,
-    /// Simulated milliseconds attributed to the phase: each record's
-    /// clock delta since the previous record is charged to the phase of
-    /// the record that observed it.
-    pub sim_ms: u64,
-}
-
-lcda_base::impl_json!(struct PhaseStats { events, sim_ms });
-
-/// Counter and per-phase time aggregation over a journal.
+/// Counter and per-phase event-count aggregation over a journal.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Total journal records.
     pub records: u64,
-    /// Simulated time span of the journal, milliseconds.
-    pub sim_ms: u64,
     /// Completed episodes.
     pub episodes: u64,
     /// Episodes quarantined for non-finite metrics.
@@ -754,26 +639,11 @@ pub struct RunReport {
     pub reprompts: u64,
     /// Model responses that failed to parse.
     pub parse_failures: u64,
-    /// Injected faults that fired.
-    pub faults: u64,
-    /// Middleware retries performed.
-    pub retries: u64,
-    /// Circuit-breaker open transitions.
-    pub circuit_trips: u64,
-    /// Proposals served by the fallback optimizer.
-    pub degraded: u64,
     /// Checkpoint snapshots taken.
     pub checkpoints: u64,
-    /// Injected evaluation faults that fired ([`FaultyBackend`]
-    /// events; distinct from LLM-side `faults`).
-    ///
-    /// [`FaultyBackend`]: crate::backend::FaultyBackend
-    pub eval_faults: u64,
-    /// Evaluation attempts re-issued by the pipeline's retry policy.
-    pub eval_retries: u64,
     /// Evaluator panics caught at the pipeline boundary.
     pub eval_panics: u64,
-    /// Designs quarantined for unrecoverable evaluation failures.
+    /// Designs quarantined for evaluator panics.
     pub eval_quarantined: u64,
     /// True when the journal tail was torn (a trailing line could not be
     /// parsed — typically a run killed mid-write) and the report covers
@@ -813,13 +683,12 @@ pub struct RunReport {
     pub hw_config: Option<String>,
     /// Best episode reward, when the run recorded its end.
     pub best_reward: Option<f64>,
-    /// Per-phase event counts and simulated time.
-    pub phases: BTreeMap<String, PhaseStats>,
+    /// Events per phase ([`JournalEvent::phase`]).
+    pub phases: BTreeMap<String, u64>,
 }
 
 lcda_base::impl_json!(struct RunReport {
     records,
-    sim_ms,
     episodes,
     quarantined,
     evals,
@@ -831,13 +700,7 @@ lcda_base::impl_json!(struct RunReport {
     prompts,
     reprompts,
     parse_failures,
-    faults,
-    retries,
-    circuit_trips,
-    degraded,
     checkpoints,
-    #[default] eval_faults,
-    #[default] eval_retries,
     #[default] eval_panics,
     #[default] eval_quarantined,
     #[default] truncated,
@@ -862,20 +725,12 @@ impl RunReport {
     /// Aggregates a report from parsed records (in journal order).
     pub fn from_records(records: impl IntoIterator<Item = JournalRecord>) -> Self {
         let mut report = RunReport::default();
-        let mut prev_t: Option<u64> = None;
         for record in records {
             report.records += 1;
-            let phase = report
+            *report
                 .phases
                 .entry(record.event.phase().to_string())
-                .or_default();
-            phase.events += 1;
-            if let Some(prev) = prev_t {
-                let delta = record.t_ms.saturating_sub(prev);
-                phase.sim_ms += delta;
-                report.sim_ms += delta;
-            }
-            prev_t = Some(record.t_ms);
+                .or_default() += 1;
             match &record.event {
                 JournalEvent::RunStart { .. } => {}
                 JournalEvent::HwConfig {
@@ -914,13 +769,6 @@ impl RunReport {
                     }
                 }
                 JournalEvent::LlmParseFailure { .. } => report.parse_failures += 1,
-                JournalEvent::LlmFault { .. } => report.faults += 1,
-                JournalEvent::LlmRetry { .. } => report.retries += 1,
-                JournalEvent::LlmCircuitOpened { .. } => report.circuit_trips += 1,
-                JournalEvent::LlmCircuitClosed => {}
-                JournalEvent::LlmDegraded { .. } => report.degraded += 1,
-                JournalEvent::EvalFault { .. } => report.eval_faults += 1,
-                JournalEvent::EvalRetry { .. } => report.eval_retries += 1,
                 JournalEvent::EvalPanic { .. } => report.eval_panics += 1,
                 JournalEvent::EvalQuarantined { .. } => report.eval_quarantined += 1,
                 JournalEvent::ShardHeartbeat { .. } => report.shard_heartbeats += 1,
@@ -993,7 +841,6 @@ impl RunReport {
         let mut out = String::new();
         let _ = writeln!(out, "run journal report");
         let _ = writeln!(out, "  records          {}", self.records);
-        let _ = writeln!(out, "  sim time         {} ms", self.sim_ms);
         let _ = writeln!(
             out,
             "  episodes         {} ({} quarantined)",
@@ -1025,13 +872,8 @@ impl RunReport {
         );
         let _ = writeln!(
             out,
-            "  llm resilience   {} faults / {} retries / {} circuit trips / {} degraded",
-            self.faults, self.retries, self.circuit_trips, self.degraded
-        );
-        let _ = writeln!(
-            out,
-            "  eval resilience  {} faults / {} retries / {} panics / {} quarantined",
-            self.eval_faults, self.eval_retries, self.eval_panics, self.eval_quarantined
+            "  eval failures    {} panics / {} quarantined",
+            self.eval_panics, self.eval_quarantined
         );
         let _ = writeln!(out, "  checkpoints      {}", self.checkpoints);
         if let Some(hw) = &self.hw_config {
@@ -1085,13 +927,9 @@ impl RunReport {
             let _ = writeln!(out, "  best reward      {best:.6}");
         }
         if !self.phases.is_empty() {
-            let _ = writeln!(out, "phase breakdown (events / simulated ms)");
-            for (name, stats) in &self.phases {
-                let _ = writeln!(
-                    out,
-                    "  {name:<8} {:>6} events  {:>8} ms",
-                    stats.events, stats.sim_ms
-                );
+            let _ = writeln!(out, "phase breakdown (events)");
+            for (name, events) in &self.phases {
+                let _ = writeln!(out, "  {name:<8} {events:>6} events");
             }
         }
         out
@@ -1102,11 +940,16 @@ impl RunReport {
 mod tests {
     use super::*;
 
+    /// A payload-light event for tests that only count records.
+    fn tick() -> JournalEvent {
+        JournalEvent::CheckpointSaved { episodes_done: 1 }
+    }
+
     #[test]
     fn disabled_journal_is_a_noop() {
         let j = Journal::disabled();
         assert!(!j.is_active());
-        j.record(JournalEvent::LlmCircuitClosed);
+        j.record(tick());
         j.finish().unwrap();
         assert!(!j.llm_observer().is_active());
     }
@@ -1115,7 +958,6 @@ mod tests {
     fn record_lines_are_flat_and_round_trip() {
         let record = JournalRecord {
             step: 4,
-            t_ms: 250,
             event: JournalEvent::SharedCache {
                 job: "job-2".into(),
                 hits: 3,
@@ -1129,36 +971,21 @@ mod tests {
         let line = lcda_base::json::to_string(&record);
         assert_eq!(
             line,
-            r#"{"step":4,"t_ms":250,"event":"shared_cache","job":"job-2","hits":3,"misses":1,"inserts":1,"cross_run_hits":2,"store_entries":9,"store_evictions":0}"#
+            r#"{"step":4,"event":"shared_cache","job":"job-2","hits":3,"misses":1,"inserts":1,"cross_run_hits":2,"store_entries":9,"store_evictions":0}"#
         );
         let back: JournalRecord = lcda_base::json::from_str(&line).unwrap();
         assert_eq!(back, record);
-        let unit = JournalRecord {
-            step: 0,
-            t_ms: 0,
-            event: JournalEvent::LlmCircuitClosed,
-        };
-        let line = lcda_base::json::to_string(&unit);
-        assert_eq!(line, r#"{"step":0,"t_ms":0,"event":"llm_circuit_closed"}"#);
-        assert_eq!(
-            lcda_base::json::from_str::<JournalRecord>(&line).unwrap(),
-            unit
-        );
         let err =
-            lcda_base::json::from_str::<JournalRecord>(r#"{"step":0,"t_ms":0,"event":"nope"}"#)
-                .unwrap_err();
+            lcda_base::json::from_str::<JournalRecord>(r#"{"step":0,"event":"nope"}"#).unwrap_err();
         assert!(err.to_string().contains("unknown variant `nope`"), "{err}");
     }
 
     #[test]
     fn records_are_stamped_and_jsonl_parses_back() {
         let (j, buf) = Journal::in_memory();
-        let clock = SimClock::new();
-        j.set_clock(clock.clone());
         j.record(JournalEvent::EvalRequest {
             design: "d0".into(),
         });
-        clock.advance_ms(250);
         j.record(JournalEvent::CacheHit {
             kind: CacheKind::Accuracy,
         });
@@ -1170,8 +997,7 @@ mod tests {
         assert!(lines[0].contains("\"event\":\"eval_request\""));
         let r0: JournalRecord = lcda_base::json::from_str(lines[0]).unwrap();
         let r1: JournalRecord = lcda_base::json::from_str(lines[1]).unwrap();
-        assert_eq!((r0.step, r0.t_ms), (0, 0));
-        assert_eq!((r1.step, r1.t_ms), (1, 250));
+        assert_eq!((r0.step, r1.step), (0, 1));
         assert_eq!(
             r1.event,
             JournalEvent::CacheHit {
@@ -1185,8 +1011,8 @@ mod tests {
     fn clones_share_step_counter_and_sink() {
         let (j, buf) = Journal::in_memory();
         let j2 = j.clone();
-        j.record(JournalEvent::LlmCircuitClosed);
-        j2.record(JournalEvent::LlmCircuitClosed);
+        j.record(tick());
+        j2.record(tick());
         j.finish().unwrap();
         let report = RunReport::from_jsonl(&buf.contents()).unwrap();
         assert_eq!(report.records, 2);
@@ -1204,24 +1030,23 @@ mod tests {
             attempt: 1,
             chars: 900,
         });
-        observer.emit(LlmEvent::Fault {
-            call: 5,
-            kind: "garbage",
+        observer.emit(LlmEvent::ParseFailure {
+            episode: 2,
+            error: "no brackets".into(),
         });
         j.finish().unwrap();
         let report = RunReport::from_jsonl(&buf.contents()).unwrap();
         assert_eq!(report.prompts, 1);
         assert_eq!(report.reprompts, 1);
-        assert_eq!(report.faults, 1);
-        assert_eq!(report.phases["llm"].events, 2);
+        assert_eq!(report.parse_failures, 1);
+        assert_eq!(report.phases["llm"], 2);
     }
 
     #[test]
-    fn report_aggregates_counters_and_phase_time() {
+    fn report_aggregates_counters_and_phase_counts() {
         let records = vec![
             JournalRecord {
                 step: 0,
-                t_ms: 0,
                 event: JournalEvent::RunStart {
                     optimizer: "o".into(),
                     backend: "cim".into(),
@@ -1233,22 +1058,20 @@ mod tests {
             },
             JournalRecord {
                 step: 1,
-                t_ms: 0,
                 event: JournalEvent::CacheMiss {
                     kind: CacheKind::Hardware,
                 },
             },
             JournalRecord {
                 step: 2,
-                t_ms: 100,
-                event: JournalEvent::LlmRetry {
+                event: JournalEvent::LlmPrompt {
+                    episode: 0,
                     attempt: 0,
-                    delay_ms: 100,
+                    chars: 100,
                 },
             },
             JournalRecord {
                 step: 3,
-                t_ms: 100,
                 event: JournalEvent::Episode {
                     episode: 0,
                     reward: 0.5,
@@ -1258,7 +1081,6 @@ mod tests {
             },
             JournalRecord {
                 step: 4,
-                t_ms: 100,
                 event: JournalEvent::RunEnd {
                     episodes: 1,
                     best_reward: 0.5,
@@ -1267,14 +1089,13 @@ mod tests {
         ];
         let report = RunReport::from_records(records);
         assert_eq!(report.records, 5);
-        assert_eq!(report.sim_ms, 100);
         assert_eq!(report.episodes, 1);
         assert_eq!(report.cache.misses, 1);
-        assert_eq!(report.retries, 1);
+        assert_eq!(report.prompts, 1);
         assert_eq!(report.best_reward, Some(0.5));
-        // The 100 ms delta landed on the retry record → the llm phase.
-        assert_eq!(report.phases["llm"].sim_ms, 100);
-        assert_eq!(report.phases["cache"].sim_ms, 0);
+        assert_eq!(report.phases["run"], 2);
+        assert_eq!(report.phases["llm"], 1);
+        assert_eq!(report.phases["cache"], 1);
         let table = report.render();
         assert!(table.contains("best reward"));
         assert!(table.contains("hit-rate 0.0%"));
@@ -1305,8 +1126,10 @@ mod tests {
 
     #[test]
     fn malformed_jsonl_salvages_the_valid_prefix() {
-        let report = RunReport::from_jsonl("{\"step\":0,\"t_ms\":0,\"event\":\"run_end\",\"episodes\":1,\"best_reward\":0.1}\nnot json")
-            .unwrap();
+        let report = RunReport::from_jsonl(
+            "{\"step\":0,\"event\":\"run_end\",\"episodes\":1,\"best_reward\":0.1}\nnot json",
+        )
+        .unwrap();
         assert_eq!(report.records, 1, "the parseable prefix must survive");
         assert_eq!(report.best_reward, Some(0.1));
         assert!(report.truncated);
@@ -1317,8 +1140,8 @@ mod tests {
 
     #[test]
     fn torn_tail_drops_suffix_after_first_bad_line() {
-        let good = "{\"step\":0,\"t_ms\":0,\"event\":\"llm_circuit_closed\"}";
-        let text = format!("{good}\n{{\"step\":1,\"t_ms\":0,\"ev\n{good}\n{good}\n");
+        let good = "{\"step\":0,\"event\":\"checkpoint_saved\",\"episodes_done\":1}";
+        let text = format!("{good}\n{{\"step\":1,\"ev\n{good}\n{good}\n");
         let report = RunReport::from_jsonl(&text).unwrap();
         assert_eq!(report.records, 1);
         assert!(report.truncated);
@@ -1328,7 +1151,7 @@ mod tests {
     #[test]
     fn intact_jsonl_is_not_flagged_truncated() {
         let (j, buf) = Journal::in_memory();
-        j.record(JournalEvent::LlmCircuitClosed);
+        j.record(tick());
         j.finish().unwrap();
         let report = RunReport::from_jsonl(&buf.contents()).unwrap();
         assert!(!report.truncated);
@@ -1339,14 +1162,6 @@ mod tests {
     #[test]
     fn eval_events_are_counted_and_phased() {
         let (j, buf) = Journal::in_memory();
-        j.record(JournalEvent::EvalFault {
-            call: 3,
-            kind: "transient".into(),
-        });
-        j.record(JournalEvent::EvalRetry {
-            attempt: 0,
-            reason: "transient evaluation fault".into(),
-        });
         j.record(JournalEvent::EvalPanic {
             message: "mapper overflow".into(),
         });
@@ -1355,12 +1170,12 @@ mod tests {
         });
         j.finish().unwrap();
         let report = RunReport::from_jsonl(&buf.contents()).unwrap();
-        assert_eq!(report.eval_faults, 1);
-        assert_eq!(report.eval_retries, 1);
         assert_eq!(report.eval_panics, 1);
         assert_eq!(report.eval_quarantined, 1);
-        assert_eq!(report.phases["eval"].events, 4);
-        assert!(report.render().contains("eval resilience"));
+        assert_eq!(report.phases["eval"], 2);
+        assert!(report
+            .render()
+            .contains("eval failures    1 panics / 1 quarantined"));
     }
 
     #[test]
@@ -1383,13 +1198,13 @@ mod tests {
         // Older journals carry a `live` shard count on every barrier; the
         // unknown key must be ignored, not fatal.
         let parent_era =
-            "{\"step\":3,\"t_ms\":0,\"event\":\"shard_barrier\",\"generation\":1,\"live\":2,\"migrants\":2}";
+            "{\"step\":3,\"event\":\"shard_barrier\",\"generation\":1,\"live\":2,\"migrants\":2}";
         let text = format!("{}{parent_era}\n", buf.contents());
         let report = RunReport::from_jsonl(&text).unwrap();
         assert!(!report.truncated, "a parent-era barrier line must parse");
         assert_eq!(report.shard_heartbeats, 1);
         assert_eq!(report.shard_barriers, 2);
-        assert_eq!(report.phases["shard"].events, 4);
+        assert_eq!(report.phases["shard"], 4);
         let table = report.render();
         assert!(
             table.contains("shards           1 heartbeats / 2 barriers"),
@@ -1402,7 +1217,7 @@ mod tests {
     #[test]
     fn unsharded_reports_render_no_shard_lines() {
         let (j, buf) = Journal::in_memory();
-        j.record(JournalEvent::LlmCircuitClosed);
+        j.record(tick());
         j.finish().unwrap();
         let report = RunReport::from_jsonl(&buf.contents()).unwrap();
         assert_eq!(report.shard_barriers, 0);
@@ -1416,11 +1231,8 @@ mod tests {
             std::process::id()
         ));
         let j = Journal::to_file(&path).unwrap();
-        let clock = SimClock::new();
-        j.set_clock(clock.clone());
-        j.record(JournalEvent::LlmCircuitClosed);
-        clock.advance_ms(40);
-        j.record(JournalEvent::LlmCircuitClosed);
+        j.record(tick());
+        j.record(tick());
         j.finish().unwrap();
         // Tear the tail: append a partial line as a kill-mid-write would.
         {
@@ -1429,7 +1241,7 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .unwrap();
-            f.write_all(b"{\"step\":2,\"t_ms\":40,\"eve").unwrap();
+            f.write_all(b"{\"step\":2,\"eve").unwrap();
         }
         let resumed = Journal::resume_file(&path).unwrap();
         resumed.record(JournalEvent::RunEnd {
@@ -1444,7 +1256,6 @@ mod tests {
         assert_eq!(report.records, 3);
         let last: JournalRecord = lcda_base::json::from_str(text.lines().last().unwrap()).unwrap();
         assert_eq!(last.step, 2, "step must continue past the salvage point");
-        assert_eq!(last.t_ms, 40, "clock must resume at the last timestamp");
     }
 
     #[test]
@@ -1455,7 +1266,7 @@ mod tests {
         ));
         let j = Journal::to_file(&path).unwrap();
         for _ in 0..5 {
-            j.record(JournalEvent::LlmCircuitClosed);
+            j.record(tick());
         }
         j.finish().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -1487,7 +1298,7 @@ mod tests {
             }
         }
         let j = Journal::to_writer(Box::new(Broken));
-        j.record(JournalEvent::LlmCircuitClosed);
+        j.record(tick());
         match j.finish() {
             Err(CoreError::Journal(msg)) => assert!(msg.contains("disk full")),
             other => panic!("expected journal error, got {other:?}"),

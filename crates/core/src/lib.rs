@@ -66,7 +66,6 @@ pub mod checkpoint;
 pub mod codesign;
 pub mod durable;
 pub mod evaluate;
-pub mod fault;
 pub mod hwconfig;
 pub mod journal;
 pub mod mo;
@@ -81,8 +80,8 @@ pub mod trained;
 pub mod wal;
 
 pub use backend::{
-    BackendDecorator, BackendRegistry, BackendSpec, BackendSpecError, CimBackend, FaultyBackend,
-    HardwareBackend, SystolicBackend, DEFAULT_BACKEND, FAULTY_DECORATOR,
+    BackendRegistry, BackendSpec, BackendSpecError, CimBackend, HardwareBackend, SystolicBackend,
+    DEFAULT_BACKEND,
 };
 pub use cache::{CacheSession, CacheStore, SessionStats, StoreStats};
 pub use checkpoint::{Checkpoint, CheckpointStore};
@@ -91,13 +90,12 @@ pub use codesign::{
     Outcome,
 };
 pub use error::CoreError;
-pub use fault::{EvalFault, EvalFaultPlan};
 pub use hwconfig::{
     ChipTier, CoreTier, CrossbarTier, Dataflow, DeviceTier, DigitalCosts, HwHierarchy, NocKind,
     NocSpec,
 };
 pub use journal::{Journal, JournalEvent, JournalRecord, RunReport};
-pub use pipeline::{CacheStats, EvalCache, EvalPipeline, EvalRetryPolicy};
+pub use pipeline::{CacheStats, EvalCache, EvalPipeline};
 pub use reward::Objective;
 pub use serve::{JobId, JobServer, JobSpec, JobState, JobStatus, ServeConfig, ServerStats};
 pub use shard::{FrontPoint, ShardManifest, ShardOutcome, ShardPlan, ShardSummary, Supervisor};

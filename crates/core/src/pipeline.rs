@@ -53,7 +53,6 @@ use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
 use crate::journal::{CacheKind, Journal, JournalEvent};
 use crate::{CoreError, Result};
 use lcda_llm::design::CandidateDesign;
-use lcda_llm::middleware::SimClock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub use crate::cache::{CacheStats, EvalCache};
@@ -113,34 +112,6 @@ impl std::fmt::Write for Fnv {
     }
 }
 
-/// Bounded retry policy for failed evaluations.
-///
-/// Transient faults ([`CoreError::is_transient`]) and non-finite results
-/// are retried up to the budget, charging simulated backoff to the
-/// pipeline's clock between attempts; evaluator panics and structural
-/// errors are never retried. Because every in-tree evaluator is a pure
-/// function of the design, a retried call that clears returns the exact
-/// clean value — retries can heal injected/transient faults without
-/// perturbing determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalRetryPolicy {
-    /// Total attempts per evaluation, first call included (min 1). Keep
-    /// this above a fault plan's `max_burst` to guarantee recovery.
-    pub max_attempts: u32,
-    /// Simulated backoff before the first retry, milliseconds; doubles
-    /// each further retry.
-    pub backoff_ms: u64,
-}
-
-impl Default for EvalRetryPolicy {
-    fn default() -> Self {
-        EvalRetryPolicy {
-            max_attempts: 3,
-            backoff_ms: 100,
-        }
-    }
-}
-
 /// The evaluation facade: both evaluators plus the memo table, consumed by
 /// [`crate::CoDesign`] and usable standalone (it implements
 /// [`AccuracyEvaluator`] and [`HardwareCostEvaluator`] itself, so anything
@@ -149,8 +120,7 @@ impl Default for EvalRetryPolicy {
 /// Every inner-evaluator call runs under [`std::panic::catch_unwind`]: a
 /// panicking evaluator surfaces as a typed [`CoreError::EvalPanic`]
 /// (journaled as an `eval_panic` event) instead of unwinding through the
-/// search loop, and transient faults are absorbed by the
-/// [`EvalRetryPolicy`].
+/// search loop.
 pub struct EvalPipeline {
     accuracy: Box<dyn AccuracyEvaluator>,
     hardware: Box<dyn HardwareCostEvaluator>,
@@ -160,8 +130,6 @@ pub struct EvalPipeline {
     cache: Option<CacheSession>,
     context: String,
     journal: Journal,
-    retry: EvalRetryPolicy,
-    clock: SimClock,
 }
 
 impl std::fmt::Debug for EvalPipeline {
@@ -195,8 +163,6 @@ impl EvalPipeline {
             hardware,
             context,
             journal: Journal::disabled(),
-            retry: EvalRetryPolicy::default(),
-            clock: SimClock::new(),
         }
     }
 
@@ -280,28 +246,11 @@ impl EvalPipeline {
 
     /// Attaches a run journal: every cache lookup/admission and backend
     /// cost call is emitted as an event. Forwarded to both evaluators so
-    /// they can report internal phases (Monte-Carlo batches, injected
-    /// faults) too.
+    /// they can report internal phases (Monte-Carlo batches) too.
     pub fn set_journal(&mut self, journal: Journal) {
         self.accuracy.set_journal(journal.clone());
         self.hardware.set_journal(journal.clone());
         self.journal = journal;
-    }
-
-    /// Replaces the retry policy for failed evaluations.
-    pub fn set_retry_policy(&mut self, policy: EvalRetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The current retry policy.
-    pub fn retry_policy(&self) -> EvalRetryPolicy {
-        self.retry
-    }
-
-    /// Shares a simulated clock with the pipeline so retry backoff is
-    /// charged to the run's timeline (journal timestamps).
-    pub fn set_clock(&mut self, clock: SimClock) {
-        self.clock = clock;
     }
 
     /// Rehydrates the memo table from a checkpoint snapshot by absorbing
@@ -356,78 +305,16 @@ impl EvalPipeline {
         Ok((accuracy, hw))
     }
 
-    /// Simulated backoff before retry `attempt` (1-based), doubling per
-    /// retry and saturating instead of overflowing.
-    fn backoff_for(&self, attempt: u32) -> u64 {
-        let doublings = attempt.saturating_sub(1).min(16);
-        self.retry.backoff_ms.saturating_mul(1u64 << doublings)
-    }
-
-    /// The hardware cost call under panic isolation and bounded retry.
+    /// The hardware cost call under panic isolation.
     fn guarded_cost(&mut self, design: &CandidateDesign) -> Result<Option<HwMetrics>> {
-        let attempts = self.retry.max_attempts.max(1);
-        let mut last: Option<Result<Option<HwMetrics>>> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.clock.advance_ms(self.backoff_for(attempt));
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.hardware.cost(design)));
-            match outcome {
-                Err(payload) => return Err(self.journal_panic(payload)),
-                Ok(Ok(value)) => {
-                    if value.as_ref().is_none_or(HwMetrics::is_finite) {
-                        return Ok(value);
-                    }
-                    self.journal_retry(attempt, attempts, "non-finite hardware metrics");
-                    last = Some(Ok(value));
-                }
-                Ok(Err(e)) if e.is_transient() => {
-                    self.journal_retry(attempt, attempts, &e.to_string());
-                    last = Some(Err(e));
-                }
-                Ok(Err(e)) => return Err(e),
-            }
-        }
-        last.unwrap_or_else(|| Err(CoreError::EvalFault("empty retry budget".into())))
+        catch_unwind(AssertUnwindSafe(|| self.hardware.cost(design)))
+            .unwrap_or_else(|payload| Err(self.journal_panic(payload)))
     }
 
-    /// The accuracy call under panic isolation and bounded retry.
+    /// The accuracy call under panic isolation.
     fn guarded_accuracy(&mut self, design: &CandidateDesign) -> Result<f64> {
-        let attempts = self.retry.max_attempts.max(1);
-        let mut last: Option<Result<f64>> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.clock.advance_ms(self.backoff_for(attempt));
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.accuracy.accuracy(design)));
-            match outcome {
-                Err(payload) => return Err(self.journal_panic(payload)),
-                Ok(Ok(value)) => {
-                    if value.is_finite() {
-                        return Ok(value);
-                    }
-                    self.journal_retry(attempt, attempts, "non-finite accuracy");
-                    last = Some(Ok(value));
-                }
-                Ok(Err(e)) if e.is_transient() => {
-                    self.journal_retry(attempt, attempts, &e.to_string());
-                    last = Some(Err(e));
-                }
-                Ok(Err(e)) => return Err(e),
-            }
-        }
-        last.unwrap_or_else(|| Err(CoreError::EvalFault("empty retry budget".into())))
-    }
-
-    /// Journals a retry unless the budget is already spent (the final
-    /// failure is reported as the evaluation's outcome, not a retry).
-    fn journal_retry(&self, attempt: u32, attempts: u32, reason: &str) {
-        if attempt + 1 < attempts {
-            self.journal.record(JournalEvent::EvalRetry {
-                attempt,
-                reason: reason.to_string(),
-            });
-        }
+        catch_unwind(AssertUnwindSafe(|| self.accuracy.accuracy(design)))
+            .unwrap_or_else(|payload| Err(self.journal_panic(payload)))
     }
 
     /// Converts a caught panic payload into the typed, journaled error.
@@ -808,73 +695,6 @@ mod tests {
         assert!(EvalCache::from_json(&json).is_ok());
     }
 
-    fn faulty_pipeline(plan: crate::fault::EvalFaultPlan) -> EvalPipeline {
-        use crate::backend::FaultyBackend;
-        let space = DesignSpace::nacim_cifar10();
-        let inner = Box::new(CimBackend::new(space.clone()));
-        EvalPipeline::new(
-            Box::new(SurrogateEvaluator::new(space, 0)),
-            Box::new(FaultyBackend::new(inner, plan, SimClock::new())),
-        )
-    }
-
-    #[test]
-    fn transient_faults_are_retried_to_the_clean_value() {
-        use crate::fault::EvalFault;
-        use crate::journal::RunReport;
-        let d = DesignSpace::nacim_cifar10().reference_design();
-        let mut clean = pipeline(0);
-        let expected = clean.evaluate(&d).unwrap();
-
-        let (journal, buffer) = Journal::in_memory();
-        let mut p = faulty_pipeline(crate::fault::EvalFaultPlan::scripted([
-            (0, EvalFault::Transient),
-            (1, EvalFault::NonFinite),
-        ]));
-        p.set_journal(journal.clone());
-        // Call 0 faults transient, call 1 returns NaN metrics, call 2 is
-        // clean — three attempts fit the default budget exactly.
-        let healed = p.evaluate(&d).unwrap();
-        assert_eq!(
-            healed.1, expected.1,
-            "post-retry value must be the clean one"
-        );
-        journal.finish().unwrap();
-        let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
-        assert_eq!(report.eval_faults, 2);
-        assert_eq!(report.eval_retries, 2);
-        assert_eq!(report.eval_panics, 0);
-    }
-
-    #[test]
-    fn exhausted_transient_retries_surface_the_error() {
-        use crate::fault::EvalFault;
-        let d = DesignSpace::nacim_cifar10().reference_design();
-        let mut p = faulty_pipeline(crate::fault::EvalFaultPlan::scripted([
-            (0, EvalFault::Transient),
-            (1, EvalFault::Transient),
-            (2, EvalFault::Transient),
-        ]));
-        let err = p.evaluate(&d).unwrap_err();
-        assert!(err.is_transient(), "{err}");
-        // Nothing poisoned: the next evaluation (call 3, clean) succeeds.
-        assert!(p.evaluate(&d).unwrap().1.is_some());
-    }
-
-    #[test]
-    fn retry_backoff_advances_the_shared_clock() {
-        use crate::fault::EvalFault;
-        let d = DesignSpace::nacim_cifar10().reference_design();
-        let clock = SimClock::new();
-        let mut p = faulty_pipeline(crate::fault::EvalFaultPlan::scripted([(
-            0,
-            EvalFault::Transient,
-        )]));
-        p.set_clock(clock.clone());
-        p.evaluate(&d).unwrap();
-        assert_eq!(clock.now_ms(), 100, "one retry charges one base backoff");
-    }
-
     /// An accuracy evaluator that panics: the pipeline must convert the
     /// unwind into a typed error instead of poisoning the run.
     struct PanickyAccuracy;
@@ -900,10 +720,8 @@ mod tests {
             CoreError::EvalPanic(msg) => assert!(msg.contains("surrogate exploded"), "{msg}"),
             other => panic!("expected EvalPanic, got {other:?}"),
         }
-        assert!(!err.is_transient(), "panics must not be retried");
         journal.finish().unwrap();
         let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
         assert_eq!(report.eval_panics, 1);
-        assert_eq!(report.eval_retries, 0);
     }
 }

@@ -50,6 +50,22 @@ impl Objective {
         }
     }
 
+    /// Resolves an objective's short name (`energy` / `latency`) — the
+    /// one name table the CLI and serve job admission share.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::CoreError::InvalidConfig`] naming the unknown objective.
+    pub fn from_name(name: &str) -> crate::Result<Self> {
+        match name {
+            "energy" => Ok(Objective::AccuracyEnergy),
+            "latency" => Ok(Objective::AccuracyLatency),
+            other => Err(crate::CoreError::InvalidConfig(format!(
+                "unknown objective `{other}` (energy|latency)"
+            ))),
+        }
+    }
+
     /// Short name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -70,6 +86,20 @@ mod tests {
             area_mm2: 1.0,
             leakage_uw: 0.0,
         }
+    }
+
+    #[test]
+    fn objective_names_resolve() {
+        assert_eq!(
+            Objective::from_name("energy").unwrap(),
+            Objective::AccuracyEnergy
+        );
+        assert_eq!(
+            Objective::from_name("latency").unwrap(),
+            Objective::AccuracyLatency
+        );
+        let err = Objective::from_name("area").unwrap_err().to_string();
+        assert!(err.contains("unknown objective `area`"), "{err}");
     }
 
     #[test]

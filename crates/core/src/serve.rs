@@ -58,8 +58,8 @@
 //! ([`JobSpec::deadline_secs`], defaulted by
 //! [`ServeConfig::job_deadline_secs`]), enforced cooperatively at
 //! episode boundaries: expiry lands the job in `failed` with a
-//! `deadline_exceeded` error. A panicking or transiently failing job is
-//! retried in place up to [`ServeConfig::job_retries`] times (resuming
+//! `deadline_exceeded` error. A panicking job is retried in place up to
+//! [`ServeConfig::job_retries`] times (resuming
 //! from its latest checkpoint); the worker thread survives every panic.
 //!
 //! # Determinism
@@ -286,12 +286,11 @@ fn default_cache() -> bool {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Optimizer name, as in `lcda search --optimizer` (default
-    /// `expert`). The resilient optimizer runs fault-free here; fault
-    /// injection stays a CLI/testing concern.
+    /// `expert`).
     pub optimizer: String,
     /// Objective name: `energy` or `latency` (default `energy`).
     pub objective: String,
-    /// Hardware backend spec, e.g. `cim` or `systolic+faulty`
+    /// Hardware backend spec, e.g. `cim` or `systolic@chip.json`
     /// (default `cim`). Validated against [`BackendRegistry::standard`]
     /// at admission, before the job is queued.
     pub backend: String,
@@ -347,45 +346,6 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Resolves the objective name.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for anything but `energy`/`latency`.
-    pub fn parse_objective(&self) -> Result<Objective> {
-        match self.objective.as_str() {
-            "energy" => Ok(Objective::AccuracyEnergy),
-            "latency" => Ok(Objective::AccuracyLatency),
-            other => Err(CoreError::InvalidConfig(format!(
-                "unknown objective `{other}` (energy|latency)"
-            ))),
-        }
-    }
-
-    /// Resolves the optimizer name to an [`OptimizerSpec`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for unknown names.
-    pub fn parse_optimizer(&self) -> Result<OptimizerSpec> {
-        use lcda_llm::middleware::FaultPlan;
-        match self.optimizer.as_str() {
-            "expert" => Ok(OptimizerSpec::ExpertLlm),
-            "finetuned" => Ok(OptimizerSpec::FinetunedLlm),
-            "adaptive" => Ok(OptimizerSpec::AdaptiveLlm),
-            "naive" => Ok(OptimizerSpec::NaiveLlm),
-            "rl" => Ok(OptimizerSpec::Rl),
-            "genetic" => Ok(OptimizerSpec::Genetic),
-            "random" => Ok(OptimizerSpec::Random),
-            "resilient" => Ok(OptimizerSpec::ResilientLlm {
-                plan: FaultPlan::none(),
-            }),
-            other => Err(CoreError::InvalidConfig(format!(
-                "unknown optimizer `{other}`"
-            ))),
-        }
-    }
-
     /// Parses and validates the backend spec against the standard
     /// registry — the admission gate for `POST /jobs`.
     ///
@@ -414,8 +374,8 @@ impl JobSpec {
             }
             hw.validate()?;
         }
-        self.parse_optimizer()?;
-        self.parse_objective()?;
+        OptimizerSpec::from_name(&self.optimizer)?;
+        Objective::from_name(&self.objective)?;
         if self.episodes == 0 {
             return Err(CoreError::InvalidConfig(
                 "episodes must be at least 1".into(),
@@ -461,9 +421,9 @@ pub struct ServeConfig {
     /// Default wall-clock deadline for jobs that do not set
     /// [`JobSpec::deadline_secs`] (default: none).
     pub job_deadline_secs: Option<u64>,
-    /// Retry budget per job for panics and transient faults (default 1
-    /// — one retry after the first attempt). Deadline expiry and
-    /// cancellation are never retried.
+    /// Retry budget per job for panics (default 1 — one retry after the
+    /// first attempt). Errors, including deadline expiry and
+    /// cancellation, are never retried.
     pub job_retries: u32,
     /// Seconds between periodic flushes of the shared store to
     /// `cache_path` (default 30; `0` disables periodic flushing). Each
@@ -510,7 +470,7 @@ pub struct JobStatus {
     /// server restart.
     pub recovered: bool,
     /// Execution attempts consumed so far (absent before the first
-    /// attempt; > 1 only after panic/transient-fault retries).
+    /// attempt; > 1 only after panic retries).
     pub attempts: Option<u32>,
 }
 
@@ -1243,9 +1203,9 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
 }
 
 /// Drives one job's attempt loop: a panic is caught (the worker
-/// survives) and — like a transient evaluation fault — consumes one
-/// unit of the retry budget; cancellation, deadline expiry, and
-/// structural errors are terminal immediately. Returns the attempts
+/// survives) and consumes one unit of the retry budget; every error —
+/// cancellation, deadline expiry, a structural failure — is terminal
+/// immediately. Returns the attempts
 /// consumed and the final outcome (a panic that exhausts the budget
 /// surfaces as [`CoreError::EvalPanic`]).
 fn attempt_with_retries<T>(
@@ -1270,9 +1230,7 @@ fn attempt_with_retries<T>(
                     ))),
                 );
             }
-            Ok(Ok(value)) => return (attempt, Ok(value)),
-            Ok(Err(e)) if e.is_transient() && attempt <= retries => continue,
-            Ok(Err(e)) => return (attempt, Err(e)),
+            Ok(outcome) => return (attempt, outcome),
         }
     }
 }
@@ -1290,7 +1248,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs the search itself — one attempt. Resumes from the job's newest
 /// checkpoint generation when one exists (the first attempt after a
-/// crash, or a retry after a panic/fault — both continue instead of
+/// crash, or a retry after a panic — both continue instead of
 /// starting over), checkpoints at the configured episode cadence, and
 /// honours cancellation and the wall-clock deadline at episode
 /// boundaries. Returns the result JSON (pretty + trailing newline,
@@ -1308,7 +1266,7 @@ fn execute(
     started: Instant,
     ckpt_store: Option<&CheckpointStore>,
 ) -> (Result<String>, Option<SessionStats>) {
-    let objective = match spec.parse_objective() {
+    let objective = match Objective::from_name(&spec.objective) {
         Ok(objective) => objective,
         Err(e) => return (Err(e), None),
     };
@@ -1317,7 +1275,7 @@ fn execute(
         .seed(spec.seed)
         .build();
     let built = (|| -> Result<CoDesign> {
-        let optimizer = spec.parse_optimizer()?;
+        let optimizer = OptimizerSpec::from_name(&spec.optimizer)?;
         let mut builder = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
             .optimizer(optimizer)
             .backend(&spec.backend)
@@ -1818,7 +1776,10 @@ mod tests {
             ..JobSpec::default()
         };
         let err = bad.validate().unwrap_err().to_string();
-        assert!(err.contains("unknown backend decorator"), "{err}");
+        assert!(
+            err.contains("unknown hardware backend `cim+bogus`"),
+            "{err}"
+        );
 
         let bad = JobSpec {
             optimizer: "bayesian".into(),
@@ -1968,25 +1929,9 @@ mod tests {
     }
 
     #[test]
-    fn retry_loop_retries_transient_errors_but_not_terminal_ones() {
-        // Transient error, then success.
-        let mut calls = 0u32;
-        let (attempts, outcome) = attempt_with_retries(
-            3,
-            |_| {
-                calls += 1;
-                if calls == 1 {
-                    Err(CoreError::EvalFault("injected".into()))
-                } else {
-                    Ok("done")
-                }
-            },
-            |_, _| panic!("no panics in this scenario"),
-        );
-        assert_eq!(attempts, 2);
-        assert_eq!(outcome.unwrap(), "done");
-
-        // Cancellation and deadline expiry are never retried.
+    fn retry_loop_never_retries_errors() {
+        // Only panics are retried: cancellation, deadline expiry and
+        // structural errors end the job at once.
         for terminal in [
             CoreError::Cancelled("stop".into()),
             CoreError::DeadlineExceeded("late".into()),

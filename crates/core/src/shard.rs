@@ -48,7 +48,6 @@ use crate::reward::{Objective, INVALID_REWARD};
 use crate::space::DesignSpace;
 use crate::surrogate::SurrogateEvaluator;
 use crate::{CoreError, Result};
-use lcda_llm::middleware::SimClock;
 use lcda_optim::island::{Elite, Island};
 use lcda_optim::Optimizer;
 use std::path::{Path, PathBuf};
@@ -388,8 +387,8 @@ impl Supervisor {
         self
     }
 
-    /// Selects the hardware backend by registry spec (decorators and an
-    /// `@config` hardware source included).
+    /// Selects the hardware backend by registry spec (an `@config`
+    /// hardware source included).
     #[must_use]
     pub fn backend(mut self, name: impl Into<String>) -> Self {
         self.backend = name.into();
@@ -530,7 +529,7 @@ impl Supervisor {
         self.config.episodes.div_ceil(self.plan.barrier_interval)
     }
 
-    fn build_runner(&self, shard: u32, clock: &SimClock) -> Result<ShardRunner> {
+    fn build_runner(&self, shard: u32) -> Result<ShardRunner> {
         let seed = shard_seed(self.config.seed, shard);
         let shard_config = CoDesignConfig {
             seed,
@@ -555,7 +554,6 @@ impl Supervisor {
             pipeline.attach_store(store);
         }
         pipeline.set_threads(self.threads);
-        pipeline.set_clock(clock.clone());
         Ok(ShardRunner { island, pipeline })
     }
 
@@ -723,11 +721,9 @@ impl Supervisor {
     ) -> Result<ShardOutcome> {
         let n = self.plan.shards as usize;
         let total = self.total_generations();
-        let clock = SimClock::new();
-        self.journal.set_clock(clock.clone());
 
         let mut runners = (0..self.plan.shards)
-            .map(|s| self.build_runner(s, &clock))
+            .map(|s| self.build_runner(s))
             .collect::<Result<Vec<_>>>()?;
         let stamp = self.stamp(runners[0].island.name())?;
 

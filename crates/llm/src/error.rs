@@ -16,42 +16,6 @@ pub enum LlmError {
     OutOfSpace(String),
     /// The prompt handed to the model was missing required sections.
     UnintelligiblePrompt(String),
-    /// The model endpoint rejected the request for quota reasons.
-    ///
-    /// Transient: callers should back off and retry (honouring
-    /// `retry_after_ms` as a lower bound when non-zero).
-    RateLimited {
-        /// Endpoint-suggested wait before retrying, in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// The model call exceeded its latency budget.
-    ///
-    /// Transient: a retry may land on a faster replica.
-    Timeout {
-        /// How long the call ran before being abandoned, in milliseconds.
-        elapsed_ms: u64,
-    },
-    /// A circuit breaker is open: the model has failed repeatedly and
-    /// callers should degrade to a fallback instead of hammering it.
-    ///
-    /// Not transient — the breaker itself decides when to probe again.
-    CircuitOpen {
-        /// Consecutive failures observed when the circuit opened.
-        failures: u32,
-    },
-}
-
-impl LlmError {
-    /// Whether a retry of the same request may legitimately succeed.
-    ///
-    /// Rate limits and timeouts are transient; parse errors, bad prompts
-    /// and an open circuit are not.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            LlmError::RateLimited { .. } | LlmError::Timeout { .. }
-        )
-    }
 }
 
 impl fmt::Display for LlmError {
@@ -63,21 +27,6 @@ impl fmt::Display for LlmError {
             LlmError::InvalidChoices(msg) => write!(f, "invalid design choices: {msg}"),
             LlmError::OutOfSpace(msg) => write!(f, "design outside search space: {msg}"),
             LlmError::UnintelligiblePrompt(msg) => write!(f, "unintelligible prompt: {msg}"),
-            LlmError::RateLimited { retry_after_ms } => {
-                write!(
-                    f,
-                    "rate limited by model endpoint (retry after {retry_after_ms} ms)"
-                )
-            }
-            LlmError::Timeout { elapsed_ms } => {
-                write!(f, "model call timed out after {elapsed_ms} ms")
-            }
-            LlmError::CircuitOpen { failures } => {
-                write!(
-                    f,
-                    "circuit open after {failures} consecutive model failures"
-                )
-            }
         }
     }
 }
@@ -98,28 +47,6 @@ mod tests {
         assert!(LlmError::OutOfSpace("k=9".into())
             .to_string()
             .contains("outside"));
-        assert!(LlmError::RateLimited { retry_after_ms: 50 }
-            .to_string()
-            .contains("50 ms"));
-        assert!(LlmError::Timeout { elapsed_ms: 900 }
-            .to_string()
-            .contains("900 ms"));
-        assert!(LlmError::CircuitOpen { failures: 5 }
-            .to_string()
-            .contains("5 consecutive"));
-    }
-
-    #[test]
-    fn transience_classification() {
-        assert!(LlmError::RateLimited { retry_after_ms: 0 }.is_transient());
-        assert!(LlmError::Timeout { elapsed_ms: 1 }.is_transient());
-        assert!(!LlmError::CircuitOpen { failures: 3 }.is_transient());
-        assert!(!LlmError::InvalidChoices("x".into()).is_transient());
-        assert!(!LlmError::ParseResponse {
-            reason: "r".into(),
-            snippet: "s".into()
-        }
-        .is_transient());
     }
 
     #[test]

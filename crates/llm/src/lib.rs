@@ -24,11 +24,6 @@
 //! fine-tuned corner (the paper's future-work fix), and a naive corner
 //! (the Fig.-5 ablation that strips the co-design framing).
 //!
-//! The [`middleware`] module layers resilience around any
-//! [`LanguageModel`]: deterministic fault injection, timeouts, seeded
-//! retry with backoff, and a circuit breaker — all on a simulated clock
-//! so fault-tolerance tests stay instant and bit-reproducible.
-//!
 //! # Example
 //!
 //! ```
@@ -57,7 +52,6 @@ mod error;
 
 pub mod adaptive;
 pub mod design;
-pub mod middleware;
 pub mod obs;
 pub mod parse;
 pub mod persona;

@@ -1,17 +1,16 @@
 //! Observation hooks for the LLM stack.
 //!
 //! The co-design runtime wants to *see* what the model layer is doing —
-//! every prompt, parse failure, injected fault, retry, and circuit-breaker
-//! transition — without the LLM crates knowing anything about journals or
-//! report formats. This module provides the narrow waist: a typed
-//! [`LlmEvent`] stream and a cheaply cloneable [`ObserverHandle`] that the
-//! optimizer and the [`crate::middleware`] stack emit into. Higher layers
+//! every prompt and parse failure — without the LLM crates knowing
+//! anything about journals or report formats. This module provides the
+//! narrow waist: a typed [`LlmEvent`] stream and a cheaply cloneable
+//! [`ObserverHandle`] that the optimizer emits into. Higher layers
 //! (the `lcda-core` run journal) install an observer; when none is
 //! installed every emit is a no-op, so instrumented code costs nothing in
 //! un-observed runs.
 //!
-//! Events carry only deterministic payloads (call indices, attempt
-//! numbers, simulated-clock delays) so an observer that logs them can be
+//! Events carry only deterministic payloads (episodes, attempt numbers,
+//! prompt lengths, parse errors) so an observer that logs them can be
 //! byte-reproducible across identical seeded runs.
 
 use std::fmt;
@@ -37,34 +36,6 @@ pub enum LlmEvent {
         /// The parse error, single line.
         error: String,
     },
-    /// The fault-injection layer fired a scheduled fault.
-    Fault {
-        /// The model-call index the fault was scheduled at.
-        call: u64,
-        /// Stable fault-kind label (`rate_limit`, `timeout`, `garbage`,
-        /// `truncated`, `latency_spike`).
-        kind: &'static str,
-    },
-    /// The retry layer is about to re-issue a failed call.
-    Retry {
-        /// Retry attempt number (0-based: the first retry is 0).
-        attempt: u32,
-        /// Backoff delay charged to the simulated clock, milliseconds.
-        delay_ms: u64,
-    },
-    /// The circuit breaker opened (or re-opened after a failed probe).
-    CircuitOpened {
-        /// Consecutive failures that tripped it.
-        failures: u32,
-    },
-    /// The circuit breaker closed after a successful probe.
-    CircuitClosed,
-    /// The optimizer served a proposal from its fallback instead of the
-    /// model (degraded mode).
-    Degraded {
-        /// Name of the fallback optimizer that produced the proposal.
-        fallback: String,
-    },
 }
 
 /// A sink for [`LlmEvent`]s, installed behind an [`ObserverHandle`].
@@ -77,8 +48,8 @@ pub trait LlmObserver: Send {
 ///
 /// All clones feed the same underlying observer; the default handle is
 /// empty and every [`ObserverHandle::emit`] through it is a no-op. This is
-/// the type the middleware structs and [`LanguageModel`] optimizers store,
-/// so instrumentation never changes their construction signatures.
+/// the type [`LanguageModel`] optimizers store, so instrumentation never
+/// changes their construction signatures.
 ///
 /// [`LanguageModel`]: crate::LanguageModel
 #[derive(Clone, Default)]
@@ -139,7 +110,11 @@ mod tests {
     fn empty_handle_is_a_noop() {
         let h = ObserverHandle::none();
         assert!(!h.is_active());
-        h.emit(LlmEvent::CircuitClosed); // must not panic
+        h.emit(LlmEvent::Prompt {
+            episode: 0,
+            attempt: 0,
+            chars: 1,
+        }); // must not panic
     }
 
     #[test]
@@ -153,13 +128,16 @@ mod tests {
             attempt: 0,
             chars: 12,
         });
-        h2.emit(LlmEvent::Retry {
-            attempt: 0,
-            delay_ms: 100,
+        h2.emit(LlmEvent::ParseFailure {
+            episode: 0,
+            error: "no brackets".into(),
         });
         let events = log.lock().unwrap();
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0], LlmEvent::Prompt { chars: 12, .. }));
-        assert!(matches!(events[1], LlmEvent::Retry { delay_ms: 100, .. }));
+        assert!(matches!(
+            events[1],
+            LlmEvent::ParseFailure { episode: 0, .. }
+        ));
     }
 }

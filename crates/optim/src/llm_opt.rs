@@ -7,9 +7,7 @@
 //! failed ones, with their error note — is recorded in a
 //! [`ChatTranscript`] so runs are auditable (the paper's "explainable
 //! NAS" direction). On a retry the parse error is fed back to the model
-//! as a corrective note instead of resending the prompt verbatim, and a
-//! configured fallback optimizer keeps the search alive when the model
-//! goes dark (open circuit / exhausted retries).
+//! as a corrective note instead of resending the prompt verbatim.
 //!
 //! The transcript holds how each prompt was built — the history prefix
 //! it was rendered from and the note a retry appended — rather than its
@@ -26,7 +24,7 @@ use lcda_llm::obs::{LlmEvent, ObserverHandle};
 use lcda_llm::parse::parse_design;
 use lcda_llm::prompt::{HistoryEntry, PromptBuilder, PromptObjective};
 use lcda_llm::transcript::{ChatTranscript, Exchange};
-use lcda_llm::{LanguageModel, LlmError};
+use lcda_llm::LanguageModel;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -43,8 +41,6 @@ pub struct LlmOptimizer<M> {
     max_history: Option<usize>,
     episode: u32,
     name: String,
-    fallback: Option<Box<dyn Optimizer>>,
-    degraded: u64,
     observer: ObserverHandle,
 }
 
@@ -55,16 +51,11 @@ impl<M: fmt::Debug> fmt::Debug for LlmOptimizer<M> {
             .field("episode", &self.episode)
             .field("history_len", &self.history.len())
             .field("max_retries", &self.max_retries)
-            .field(
-                "fallback",
-                &self.fallback.as_ref().map(|fb| fb.name().to_string()),
-            )
-            .field("degraded", &self.degraded)
             .finish_non_exhaustive()
     }
 }
 
-/// Turns a parse/model error into a single-line corrective note appended
+/// Turns a parse error into a single-line corrective note appended
 /// to the retried prompt.
 ///
 /// The note must stay a single line and avoid the wire-format prefixes
@@ -123,39 +114,14 @@ impl<M: LanguageModel> LlmOptimizer<M> {
             max_history: None,
             episode: 0,
             name,
-            fallback: None,
-            degraded: 0,
             observer: ObserverHandle::none(),
         }
     }
 
-    /// Installs an observer notified of every prompt, parse failure, and
-    /// degraded (fallback-served) proposal.
+    /// Installs an observer notified of every prompt and parse failure.
     pub fn with_observer(mut self, observer: ObserverHandle) -> Self {
         self.observer = observer;
         self
-    }
-
-    /// Configures a degraded-mode fallback optimizer.
-    ///
-    /// When the model goes dark — an open circuit breaker, or a whole
-    /// episode's retry budget exhausted — `propose` delegates to the
-    /// fallback (e.g. a random or genetic baseline) instead of aborting
-    /// the run. Every observed reward is forwarded to the fallback so its
-    /// state stays warm whether or not it is ever consulted.
-    pub fn with_fallback(mut self, fallback: Box<dyn Optimizer>) -> Self {
-        self.fallback = Some(fallback);
-        self
-    }
-
-    /// How many proposals were served by the fallback optimizer.
-    pub fn degraded_count(&self) -> u64 {
-        self.degraded
-    }
-
-    /// The fallback optimizer's name, when one is configured.
-    pub fn fallback_name(&self) -> Option<&str> {
-        self.fallback.as_deref().map(|fb| fb.name())
     }
 
     /// Overrides the per-episode parse retry budget.
@@ -211,22 +177,6 @@ impl<M: LanguageModel> LlmOptimizer<M> {
     pub fn model(&self) -> &M {
         &self.model
     }
-
-    /// Serves one proposal from the fallback optimizer (degraded mode).
-    fn degrade(&mut self) -> Result<CandidateDesign> {
-        let Some(fb) = self.fallback.as_mut() else {
-            return Err(OptimError::InvalidConfig(
-                "degraded mode requires a configured fallback optimizer".into(),
-            ));
-        };
-        self.observer.emit(LlmEvent::Degraded {
-            fallback: fb.name().to_string(),
-        });
-        let design = fb.propose()?;
-        self.degraded += 1;
-        self.episode += 1;
-        Ok(design)
-    }
 }
 
 impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
@@ -277,28 +227,7 @@ impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
                         feedback = Some(corrective_note(&last_error));
                     }
                 },
-                // Transient model failures (rate limits, timeouts that
-                // leaked through inner retry layers) consume an attempt.
-                Err(e) if e.is_transient() => {
-                    last_error = e.to_string();
-                    self.transcript.push(Exchange {
-                        error: Some(last_error.clone()),
-                        ..sent
-                    });
-                }
-                // The model is dark: degrade to the fallback if we have
-                // one, otherwise surface the circuit error.
-                Err(e @ LlmError::CircuitOpen { .. }) => {
-                    self.transcript.push(Exchange {
-                        error: Some(e.to_string()),
-                        ..sent
-                    });
-                    if self.fallback.is_some() {
-                        return self.degrade();
-                    }
-                    return Err(OptimError::Llm(e));
-                }
-                // Anything else is a hard error: propagate immediately.
+                // A model error is a hard error: propagate immediately.
                 Err(e) => {
                     self.transcript.push(Exchange {
                         error: Some(e.to_string()),
@@ -307,9 +236,6 @@ impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
                     return Err(OptimError::Llm(e));
                 }
             }
-        }
-        if self.fallback.is_some() {
-            return self.degrade();
         }
         Err(OptimError::LlmRetriesExhausted {
             attempts: self.max_retries,
@@ -324,11 +250,6 @@ impl<M: LanguageModel> Optimizer for LlmOptimizer<M> {
             });
         }
         self.choices.contains(design)?;
-        // Keep the fallback's state warm so a mid-run degrade continues
-        // from a live search, not a cold start.
-        if let Some(fb) = self.fallback.as_mut() {
-            fb.observe(design, reward)?;
-        }
         self.history.push(HistoryEntry {
             design: design.clone(),
             performance: reward,
@@ -475,31 +396,40 @@ mod tests {
         assert_eq!(rendered.len(), 4);
     }
 
-    /// Garbage on the first call, then delegates.
-    struct GarbageOnce<M> {
+    /// Answers garbage on the scripted call indices and delegates every
+    /// other call to `inner`.
+    struct Scripted<M> {
         inner: M,
-        failed: bool,
+        garbage_at: &'static [u64],
+        calls: u64,
     }
-    impl<M: LanguageModel> LanguageModel for GarbageOnce<M> {
+    impl<M> Scripted<M> {
+        fn new(inner: M, garbage_at: &'static [u64]) -> Self {
+            Scripted {
+                inner,
+                garbage_at,
+                calls: 0,
+            }
+        }
+    }
+    impl<M: LanguageModel> LanguageModel for Scripted<M> {
         fn complete(&mut self, prompt: &str) -> lcda_llm::Result<String> {
-            if !self.failed {
-                self.failed = true;
+            let call = self.calls;
+            self.calls += 1;
+            if self.garbage_at.contains(&call) {
                 return Ok("I am sorry, I cannot help with that.".to_string());
             }
             self.inner.complete(prompt)
         }
         fn model_name(&self) -> &str {
-            "garbage-once"
+            "scripted"
         }
     }
 
     #[test]
     fn failed_attempts_are_recorded_with_error_notes() {
         let mut opt = LlmOptimizer::new(
-            GarbageOnce {
-                inner: SimLlm::new(Persona::Pretrained, 1),
-                failed: false,
-            },
+            Scripted::new(SimLlm::new(Persona::Pretrained, 1), &[0]),
             DesignChoices::nacim_default(),
             PromptObjective::AccuracyEnergy,
         );
@@ -519,10 +449,7 @@ mod tests {
     #[test]
     fn retry_prompt_carries_corrective_feedback() {
         let mut opt = LlmOptimizer::new(
-            GarbageOnce {
-                inner: SimLlm::new(Persona::Pretrained, 1),
-                failed: false,
-            },
+            Scripted::new(SimLlm::new(Persona::Pretrained, 1), &[0]),
             DesignChoices::nacim_default(),
             PromptObjective::AccuracyEnergy,
         );
@@ -555,21 +482,10 @@ mod tests {
 
     #[test]
     fn rendered_prompts_equal_the_sent_prompts_byte_for_byte() {
-        use lcda_llm::middleware::{Fault, FaultPlan, FaultyModel, SimClock};
-        // Faulty-model calls 4–5 make one episode fail to parse, then hit
-        // a rate limit while the corrective note is still pending; call 9
-        // is a bare rate limit.
-        let plan = FaultPlan::scripted([
-            (4, Fault::Garbage),
-            (5, Fault::RateLimit { retry_after_ms: 5 }),
-            (9, Fault::RateLimit { retry_after_ms: 5 }),
-        ]);
-        let faulty = FaultyModel::new(SimLlm::new(Persona::Pretrained, 3), plan, SimClock::new());
+        // Call 0 fails to parse once; calls 4–5 fail twice in a row, so
+        // the second retry is sent with the first retry's note pending.
         let model = Recorder {
-            inner: GarbageOnce {
-                inner: faulty,
-                failed: false,
-            },
+            inner: Scripted::new(SimLlm::new(Persona::Pretrained, 3), &[0, 4, 5]),
             sent: Vec::new(),
         };
         let mut opt = LlmOptimizer::new(
@@ -598,19 +514,16 @@ mod tests {
         }
         let total_tokens: u64 = sent.iter().map(|p| p.len() as u64 / 4).sum();
         assert_eq!(opt.transcript().approx_prompt_tokens(), total_tokens);
-        // The run covered every way a prompt is built: retries with and
-        // without a pending note, transient errors, and a capped history.
-        let failed_with = |text: &str| {
-            let has = |e: &&Exchange| e.error.as_deref().is_some_and(|m| m.contains(text));
-            opt.transcript().failures().filter(has).count()
-        };
-        assert_eq!(
-            (failed_with("cannot parse"), failed_with("rate limited")),
-            (2, 2)
-        );
+        // The run covered every way a prompt is built: first attempts,
+        // retries whose own answer failed again, and a capped history.
+        let failures: Vec<_> = opt.transcript().failures().collect();
+        assert_eq!(failures.len(), 3);
+        assert!(failures
+            .iter()
+            .all(|e| e.error.as_deref().unwrap().contains("cannot parse")));
         assert!(exchanges
             .iter()
-            .any(|e| e.note.is_some() && e.error.as_deref().is_some_and(|m| m.contains("rate"))));
+            .any(|e| e.note.is_some() && e.error.is_some()));
         assert!(exchanges.iter().any(|e| e.history_len > 4));
     }
 
@@ -635,95 +548,6 @@ mod tests {
         assert!(opt.history().is_empty());
         opt.observe(&d, 0.25).unwrap();
         assert_eq!(opt.history().len(), 1);
-    }
-
-    /// A model whose circuit is permanently open.
-    struct DarkModel;
-    impl LanguageModel for DarkModel {
-        fn complete(&mut self, _prompt: &str) -> lcda_llm::Result<String> {
-            Err(LlmError::CircuitOpen { failures: 5 })
-        }
-        fn model_name(&self) -> &str {
-            "dark"
-        }
-    }
-
-    #[test]
-    fn open_circuit_degrades_to_fallback() {
-        use crate::random::RandomOptimizer;
-        let choices = DesignChoices::nacim_default();
-        let mut opt =
-            LlmOptimizer::new(DarkModel, choices.clone(), PromptObjective::AccuracyEnergy)
-                .with_fallback(Box::new(RandomOptimizer::new(choices, 7)));
-        let d = opt.propose().unwrap();
-        assert_eq!(d.conv.len(), 6);
-        assert_eq!(opt.degraded_count(), 1);
-        assert_eq!(opt.fallback_name(), Some("random"));
-        // The dark call is still auditable.
-        let fails: Vec<_> = opt.transcript().failures().collect();
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].error.as_deref().unwrap().contains("circuit open"));
-        // Rewards flow so the search continues.
-        opt.observe(&d, 0.1).unwrap();
-        assert_eq!(opt.history().len(), 1);
-    }
-
-    #[test]
-    fn open_circuit_without_fallback_surfaces_typed_error() {
-        let mut opt = LlmOptimizer::new(
-            DarkModel,
-            DesignChoices::nacim_default(),
-            PromptObjective::AccuracyEnergy,
-        );
-        assert!(matches!(
-            opt.propose(),
-            Err(OptimError::Llm(LlmError::CircuitOpen { .. }))
-        ));
-    }
-
-    #[test]
-    fn exhausted_retries_degrade_to_fallback() {
-        use crate::random::RandomOptimizer;
-        let choices = DesignChoices::nacim_default();
-        let mut opt = LlmOptimizer::new(
-            BrokenModel,
-            choices.clone(),
-            PromptObjective::AccuracyEnergy,
-        )
-        .with_fallback(Box::new(RandomOptimizer::new(choices, 3)));
-        let d = opt.propose().unwrap();
-        assert_eq!(d.conv.len(), 6);
-        assert_eq!(opt.degraded_count(), 1);
-        // All three garbage attempts are on the record.
-        assert_eq!(opt.transcript().failures().count(), 3);
-    }
-
-    #[test]
-    fn transient_model_errors_consume_attempts_and_are_recorded() {
-        struct RateLimiting;
-        impl LanguageModel for RateLimiting {
-            fn complete(&mut self, _prompt: &str) -> lcda_llm::Result<String> {
-                Err(LlmError::RateLimited { retry_after_ms: 10 })
-            }
-            fn model_name(&self) -> &str {
-                "ratelimiting"
-            }
-        }
-        let mut opt = LlmOptimizer::new(
-            RateLimiting,
-            DesignChoices::nacim_default(),
-            PromptObjective::AccuracyEnergy,
-        );
-        match opt.propose() {
-            Err(OptimError::LlmRetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),
-            other => panic!("expected retries exhausted, got {other:?}"),
-        }
-        assert_eq!(opt.transcript().failures().count(), 3);
-        assert!(opt.transcript().failures().all(|e| e
-            .error
-            .as_deref()
-            .unwrap()
-            .contains("rate limited")));
     }
 
     #[test]

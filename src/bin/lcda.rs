@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! lcda search --optimizer expert --objective energy --episodes 20 --seed 42
-//! lcda search --optimizer resilient --fault-rate 0.2 --checkpoint run.json --resume
+//! lcda search --optimizer rl --checkpoint run.json --resume
 //! lcda serve --workers 2 --journal-dir runs --cache store.json
 //! lcda evaluate --design "[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]] | hw: [128,8,2,rram]"
 //! lcda front --episodes 240 --seed 1
@@ -31,12 +31,10 @@ COMMANDS:
     help        show this message
 
 SEARCH OPTIONS:
-    --optimizer <expert|finetuned|adaptive|naive|rl|genetic|random|resilient>
+    --optimizer <expert|finetuned|adaptive|naive|rl|genetic|random>
                                                              (default expert)
     --objective <energy|latency>                             (default energy)
     --backend <spec>        hardware cost model: cim or systolic, with an
-                            optional +faulty decorator injecting the
-                            --eval-fault plan (e.g. cim+faulty) and an
                             optional @<path> hardware hierarchy config
                             (e.g. cim@configs/hw/isaac.json)
                                                              (default cim)
@@ -64,11 +62,6 @@ SEARCH OPTIONS:
     --no-cache              disable evaluation memoization
     --journal <path>        stream a JSONL event journal of the run
                             (deterministic: same seed, same bytes)
-    --fault-rate <p>        (resilient only) inject LLM faults with probability p
-    --fault-seed <n>        (resilient only) fault schedule seed (default --seed)
-    --eval-fault-rate <p>   (+faulty backends) inject evaluation faults
-                            with probability p per cost call  (default 0)
-    --eval-fault-seed <n>   evaluation fault schedule seed    (default --seed)
     --shards <n>            split the search into n island shards
                             exchanging elites at generation barriers,
                             run one after another on one thread; the
@@ -100,9 +93,8 @@ SERVE OPTIONS:
     --job-deadline <secs>   default wall-clock deadline per job, enforced at
                             episode boundaries; expiry fails the job with a
                             typed deadline_exceeded error (default none)
-    --job-retries <n>       retry budget per job for panics and transient
-                            evaluation faults; retries resume from the job's
-                            latest checkpoint                 (default 1)
+    --job-retries <n>       retry budget per job for panics; retries resume
+                            from the job's latest checkpoint  (default 1)
     --checkpoint-every <n>  per-job checkpoint cadence, episodes (default 1)
     endpoints: POST /jobs · GET /jobs/<id> · GET /jobs/<id>/result
                POST /jobs/<id>/cancel · GET /jobs/<id>/journal
@@ -192,47 +184,16 @@ impl Args {
             .map_err(|_| format!("{key} exceeds the supported range"))
     }
 
-    /// A float value flag: NaN and infinities are a parse-time error
-    /// (`0.3` parses; `NaN` must not sail through range checks, which
-    /// it would — every comparison against NaN is false).
-    fn fnum(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => {
-                let parsed: f64 = v
-                    .parse()
-                    .map_err(|_| format!("{key} expects a number, got `{v}`"))?;
-                if !parsed.is_finite() {
-                    return Err(format!("{key} expects a finite number, got `{v}`"));
-                }
-                Ok(parsed)
-            }
-        }
-    }
-
-    /// A probability value flag: finite and inside `[0, 1]`.
-    fn probability(&self, key: &str, default: f64) -> Result<f64, String> {
-        let p = self.fnum(key, default)?;
-        if !(0.0..=1.0).contains(&p) {
-            return Err(format!("{key} must be in [0, 1], got {p}"));
-        }
-        Ok(p)
-    }
-
     fn objective(&self) -> Result<Objective, String> {
-        match self.get("--objective").unwrap_or("energy") {
-            "energy" => Ok(Objective::AccuracyEnergy),
-            "latency" => Ok(Objective::AccuracyLatency),
-            other => Err(format!("unknown objective `{other}` (energy|latency)")),
-        }
+        Objective::from_name(self.get("--objective").unwrap_or("energy")).map_err(|e| e.to_string())
     }
 
-    /// The hardware backend spec (decorators and `@config` included),
-    /// parsed through the registry's typed grammar so a typo fails
-    /// before any work starts — and fails pointing at the exact bad
-    /// segment. The registry's errors already distinguish an unknown
-    /// backend name from a missing or invalid hardware config file, so
-    /// they pass through unprefixed.
+    /// The hardware backend spec (`@config` included), parsed through
+    /// the registry's typed grammar so a typo fails before any work
+    /// starts — and fails pointing at the exact bad segment. The
+    /// registry's errors already distinguish an unknown backend name
+    /// from a missing or invalid hardware config file, so they pass
+    /// through unprefixed.
     fn backend(&self) -> Result<BackendSpec, String> {
         let name = self.get("--backend").unwrap_or(DEFAULT_BACKEND);
         let spec = BackendRegistry::standard()
@@ -337,10 +298,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
             "--evaluator",
             "--precision",
             "--journal",
-            "--fault-rate",
-            "--fault-seed",
-            "--eval-fault-rate",
-            "--eval-fault-seed",
             "--shards",
         ],
         &["--json", "--resume", "--no-cache"],
@@ -350,24 +307,11 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     let episodes = args.num_u32("--episodes", 20)?;
     let seed = args.num("--seed", 0)?;
     let threads = args.num_usize("--threads", 1)?;
-    let optimizer = args.get("--optimizer").unwrap_or("expert");
-    let fault_rate = args.probability("--fault-rate", 0.0)?;
-    let fault_seed = args.num("--fault-seed", seed)?;
-    if optimizer != "resilient"
-        && (args.get("--fault-rate").is_some() || args.get("--fault-seed").is_some())
-    {
-        return Err("--fault-rate/--fault-seed require --optimizer resilient".into());
+    if threads == 0 {
+        return Err("threads must be at least 1".into());
     }
-    let eval_fault_rate = args.probability("--eval-fault-rate", 0.0)?;
-    let eval_fault_seed = args.num("--eval-fault-seed", seed)?;
-    if !backend.is_faulty()
-        && (args.get("--eval-fault-rate").is_some() || args.get("--eval-fault-seed").is_some())
-    {
-        return Err(format!(
-            "--eval-fault-rate/--eval-fault-seed require a +{FAULTY_DECORATOR} backend \
-             (e.g. --backend cim+{FAULTY_DECORATOR})"
-        ));
-    }
+    let spec = OptimizerSpec::from_name(args.get("--optimizer").unwrap_or("expert"))
+        .map_err(|e| e.to_string())?;
 
     let evaluator = parse_evaluator(args, seed)?;
 
@@ -402,26 +346,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         .episodes(episodes)
         .seed(seed)
         .build();
-    let spec = match optimizer {
-        "expert" => OptimizerSpec::ExpertLlm,
-        "finetuned" => OptimizerSpec::FinetunedLlm,
-        "adaptive" => OptimizerSpec::AdaptiveLlm,
-        "naive" => OptimizerSpec::NaiveLlm,
-        "rl" => OptimizerSpec::Rl,
-        "genetic" => OptimizerSpec::Genetic,
-        "random" => OptimizerSpec::Random,
-        "resilient" => {
-            // Budget ~8 model calls per episode: enough horizon to cover
-            // every retry the middleware may issue.
-            let plan = if fault_rate > 0.0 {
-                FaultPlan::seeded(fault_seed, u64::from(episodes) * 8, fault_rate, 2)
-            } else {
-                FaultPlan::none()
-            };
-            OptimizerSpec::ResilientLlm { plan }
-        }
-        other => return Err(format!("unknown optimizer `{other}`")),
-    };
     let journal = match args.get("--journal") {
         // Resuming over an existing journal repairs a torn trailing line
         // (a mid-write kill) and appends; anything else starts fresh.
@@ -431,24 +355,10 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         Some(path) => Journal::to_file(std::path::Path::new(path)).map_err(|e| e.to_string())?,
         None => Journal::disabled(),
     };
-    let registry = if eval_fault_rate > 0.0 {
-        // Budget ~4 cost calls per episode: retries re-enter the plan, so
-        // the horizon must outlast the nominal one-call-per-episode pace.
-        BackendRegistry::standard().with_fault_plan(lcda::core::fault::seeded_plan(
-            eval_fault_seed,
-            u64::from(episodes) * 4,
-            eval_fault_rate,
-            2,
-        ))
-    } else {
-        BackendRegistry::standard()
-    };
-
     if let Some(shards) = shards {
         let mut fleet = Supervisor::new(space, config, ShardPlan::new(shards))
             .optimizer(spec)
             .backend(backend.to_string())
-            .registry(registry)
             .threads(threads)
             .caching(!args.flag("--no-cache"))
             .journal(journal.clone());
@@ -494,7 +404,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     let mut builder = CoDesign::builder(space, config)
         .optimizer(spec)
         .backend(backend.to_string())
-        .registry(registry)
         .threads(threads)
         .caching(!args.flag("--no-cache"))
         .journal(journal.clone());

@@ -51,8 +51,8 @@ pub mod prelude {
     //! use lcda::prelude::*;
     //! ```
     pub use lcda_core::backend::{
-        BackendRegistry, BackendSpec, BackendSpecError, CimBackend, FaultyBackend, HardwareBackend,
-        SystolicBackend, DEFAULT_BACKEND, FAULTY_DECORATOR,
+        BackendRegistry, BackendSpec, BackendSpecError, CimBackend, HardwareBackend,
+        SystolicBackend, DEFAULT_BACKEND,
     };
     pub use lcda_core::cache::{CacheSession, CacheStore, SessionStats, StoreStats};
     pub use lcda_core::checkpoint::{Checkpoint, CheckpointStore};
@@ -60,9 +60,8 @@ pub mod prelude {
         CoDesign, CoDesignBuilder, CoDesignConfig, EpisodeRecord, OptimizerSpec, Outcome,
     };
     pub use lcda_core::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
-    pub use lcda_core::fault::{EvalFault, EvalFaultPlan};
     pub use lcda_core::journal::{Journal, JournalEvent, JournalRecord, RunReport};
-    pub use lcda_core::pipeline::{CacheStats, EvalCache, EvalPipeline, EvalRetryPolicy};
+    pub use lcda_core::pipeline::{CacheStats, EvalCache, EvalPipeline};
     pub use lcda_core::reward::Objective;
     pub use lcda_core::serve::{JobId, JobServer, JobSpec, JobState, ServeConfig};
     pub use lcda_core::shard::{
@@ -74,5 +73,4 @@ pub mod prelude {
     pub use lcda_core::trained::{TrainedEvalConfig, TrainedEvaluator};
     pub use lcda_dnn::mc_eval::{McEvalConfig, McStrategy, Precision};
     pub use lcda_llm::design::CandidateDesign;
-    pub use lcda_llm::middleware::{FaultPlan, SimClock};
 }

@@ -137,83 +137,6 @@ fn pre_backend_checkpoint_resumes_under_default_cim() {
 }
 
 #[test]
-fn systolic_faulty_composition_namespaces_the_cache_fingerprint() {
-    let space = DesignSpace::nacim_cifar10();
-    let d = space.reference_design();
-    let plan = lcda::core::fault::seeded_plan(21, 64, 0.3, 2);
-    let registry = BackendRegistry::standard().with_fault_plan(plan);
-    let faulty_hw: Box<dyn HardwareCostEvaluator> = registry
-        .create("systolic+faulty", &space)
-        .expect("decorator grammar must compose with systolic");
-    let clean_hw: Box<dyn HardwareCostEvaluator> = registry
-        .create("systolic", &space)
-        .expect("clean systolic resolves");
-    assert!(
-        faulty_hw.fingerprint().starts_with("faulty/"),
-        "decorated fingerprint must live in the faulty namespace"
-    );
-    assert_ne!(
-        faulty_hw.fingerprint(),
-        clean_hw.fingerprint(),
-        "systolic+faulty must never share cache entries with systolic"
-    );
-
-    // And the pipeline enforces it: a faulty-systolic memo table is
-    // refused wholesale by a clean systolic pipeline.
-    let mut faulty = EvalPipeline::new(
-        Box::new(SurrogateEvaluator::new(space.clone(), 7)),
-        faulty_hw,
-    );
-    faulty.evaluate(&d).expect("faulted evaluation recovers");
-    let snapshot = faulty.cache().expect("caching on").clone();
-    assert!(!snapshot.is_empty());
-    let mut clean = pipeline_for("systolic", 7);
-    assert!(
-        !clean.restore_cache(snapshot),
-        "a systolic+faulty memo table must be refused by clean systolic"
-    );
-    assert!(clean.cache().unwrap().is_empty());
-}
-
-#[test]
-fn faulty_systolic_search_is_bit_identical_to_its_clean_twin() {
-    let cfg = || {
-        CoDesignConfig::builder(Objective::AccuracyLatency)
-            .episodes(8)
-            .seed(11)
-            .build()
-    };
-    let plan = lcda::core::fault::seeded_plan(99, 8 * 4, 0.35, 2);
-    assert!(!plan.is_empty(), "the seeded plan must schedule faults");
-    let (journal, buffer) = Journal::in_memory();
-    let faulty = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg())
-        .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("systolic+faulty")
-        .registry(BackendRegistry::standard().with_fault_plan(plan))
-        .journal(journal.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    journal.finish().unwrap();
-    let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
-    assert!(report.eval_faults > 0, "no faults fired — plan too sparse");
-    assert_eq!(
-        report.eval_quarantined, 0,
-        "seeded bursts must be survivable"
-    );
-
-    let clean = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg())
-        .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("systolic")
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(faulty, clean, "fault recovery must be invisible in results");
-}
-
-#[test]
 fn preset_hierarchies_are_golden_equivalent_to_the_builtins() {
     // The shipped JSON presets are the builtin hierarchies as data:
     // loading them must reproduce the default backends' metrics AND

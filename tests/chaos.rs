@@ -1,13 +1,14 @@
 //! Chaos suite: the ISSUE-mandated crash/corruption drills.
 //!
-//! Every test here follows the same contract — whatever the chaos
-//! (injected evaluation faults, a kill at a random step, a corrupted
-//! checkpoint generation, a torn journal tail), the search must come
-//! back **bit-identical** to the undisturbed run. Recovery that merely
-//! "works" is not enough; it must be invisible in the results.
+//! Every test here follows the same contract — whatever the chaos (a
+//! kill at a random step, a corrupted checkpoint generation, a torn
+//! journal tail), the search must come back **bit-identical** to the
+//! undisturbed run. Recovery that merely "works" is not enough; it must
+//! be invisible in the results. A panicking evaluator is the one chaos
+//! that does change results: it quarantines exactly its episode.
 
-use lcda::core::fault::seeded_plan;
 use lcda::core::CoreError;
+use lcda::llm::design::CandidateDesign;
 use lcda::prelude::*;
 use lcda_base::rng::{check, Rng};
 use std::path::PathBuf;
@@ -44,35 +45,6 @@ fn remove_generations(path: &PathBuf, keep: u32) {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let _ = std::fs::remove_file(path.with_file_name(format!("{name}.{g}")));
     }
-}
-
-#[test]
-fn faulty_backend_search_is_bit_identical_to_its_fault_free_twin() {
-    // A dense seeded plan: at 35% per call over a 4-calls-per-episode
-    // horizon, faults are statistically certain; the journal counters
-    // prove they actually fired.
-    let plan = seeded_plan(99, 8 * 4, 0.35, 2);
-    assert!(!plan.is_empty(), "the seeded plan must schedule faults");
-    let (journal, buffer) = Journal::in_memory();
-    let faulty = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(8, 11))
-        .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("cim+faulty")
-        .registry(BackendRegistry::standard().with_fault_plan(plan))
-        .journal(journal.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    journal.finish().unwrap();
-    let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
-    assert!(report.eval_faults > 0, "no faults fired — plan too sparse");
-    assert_eq!(
-        report.eval_quarantined, 0,
-        "seeded bursts must be survivable"
-    );
-
-    let clean = clean_run(8, 11);
-    assert_eq!(faulty, clean, "fault recovery must be invisible in results");
 }
 
 #[test]
@@ -173,13 +145,34 @@ fn torn_journal_tail_is_repaired_and_the_resumed_run_reports_cleanly() {
     remove_generations(&ckpt_path, 1);
 }
 
+/// The CiM backend, except that its third cost call panics.
+struct PanicsOnThirdCall {
+    inner: CimBackend,
+    calls: u32,
+}
+
+impl HardwareCostEvaluator for PanicsOnThirdCall {
+    fn cost(&mut self, design: &CandidateDesign) -> lcda::core::Result<Option<HwMetrics>> {
+        self.calls += 1;
+        if self.calls == 3 {
+            panic!("scripted evaluator panic");
+        }
+        self.inner.cost(design)
+    }
+    fn name(&self) -> &'static str {
+        "panics-on-third-call"
+    }
+}
+
 #[test]
 fn scripted_panic_mid_search_is_quarantined_not_fatal() {
-    let plan = EvalFaultPlan::scripted([(2, EvalFault::Panic)]);
-    let outcome = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(5, 19))
+    let space = DesignSpace::nacim_cifar10();
+    let outcome = CoDesign::builder(space.clone(), cfg(5, 19))
         .optimizer(OptimizerSpec::Random)
-        .backend("cim+faulty")
-        .registry(BackendRegistry::standard().with_fault_plan(plan))
+        .hardware_evaluator(Box::new(PanicsOnThirdCall {
+            inner: CimBackend::new(space),
+            calls: 0,
+        }))
         .no_cache()
         .build()
         .unwrap()

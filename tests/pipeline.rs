@@ -237,9 +237,7 @@ fn journal_is_byte_identical_across_identical_runs() {
     let journaled = |seed: u64| {
         let (journal, buffer) = Journal::in_memory();
         let mut run = CoDesign::builder(space.clone(), cfg(Objective::AccuracyEnergy, 6, seed))
-            .optimizer(OptimizerSpec::ResilientLlm {
-                plan: FaultPlan::seeded(seed, 64, 0.3, 2),
-            })
+            .optimizer(OptimizerSpec::ExpertLlm)
             .journal(journal.clone())
             .build()
             .unwrap();
@@ -256,9 +254,7 @@ fn journal_is_byte_identical_across_identical_runs() {
     // Observation is transparent: an un-journaled run proposes and scores
     // the exact same episodes.
     let mut plain = CoDesign::builder(space, cfg(Objective::AccuracyEnergy, 6, 7))
-        .optimizer(OptimizerSpec::ResilientLlm {
-            plan: FaultPlan::seeded(7, 64, 0.3, 2),
-        })
+        .optimizer(OptimizerSpec::ExpertLlm)
         .build()
         .unwrap();
     assert_eq!(

@@ -225,7 +225,10 @@ fn admission_is_validated_over_http() {
         r#"{"backend": "cim+bogus"}"#,
     );
     assert_eq!(status, 400);
-    assert!(body.contains("unknown backend decorator"), "{body}");
+    assert!(
+        body.contains("unknown hardware backend `cim+bogus`"),
+        "{body}"
+    );
 
     let (status, body) = http(server.addr(), "POST", "/jobs", r#"{"epsodes": 3}"#);
     assert_eq!(status, 400, "unknown fields must be rejected: {body}");
@@ -844,7 +847,7 @@ fn mid_file_damage_in_an_interrupted_jobs_journal_fails_bind_loudly() {
     let journal_path = dir.join("job-1.jsonl");
     let journal = Journal::to_file(&journal_path).expect("journal");
     for _ in 0..5 {
-        journal.record(JournalEvent::LlmCircuitClosed);
+        journal.record(JournalEvent::CheckpointSaved { episodes_done: 1 });
     }
     journal.finish().expect("flush journal");
     let text = std::fs::read_to_string(&journal_path).expect("read journal");
@@ -866,4 +869,58 @@ fn mid_file_damage_in_an_interrupted_jobs_journal_fails_bind_loudly() {
         damaged.as_bytes(),
         "the damaged journal must not be cut"
     );
+}
+
+/// A ledger from a build that still accepted the `resilient` optimizer
+/// and `+`-decorated backends (`tests/fixtures/parent_era/`) holds
+/// three queued jobs: one of each retired name and one clean job. The
+/// server must still bind on it, fail exactly the two retired jobs with
+/// errors naming what they asked for, run the clean job to `done`, and
+/// refuse the retired names at admission.
+#[test]
+fn queued_jobs_naming_retired_optimizers_or_backends_fail_by_name() {
+    let dir = std::env::temp_dir().join(format!("lcda-serve-retired-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/parent_era")
+        .join(lcda::core::wal::WAL_FILE);
+    std::fs::copy(&fixture, dir.join(lcda::core::wal::WAL_FILE)).expect("copy ledger");
+
+    let server = JobServer::bind(ServeConfig {
+        workers: 1,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind on a ledger naming retired specs");
+    let [optimizer, backend, clean] =
+        ["job-1", "job-2", "job-3"].map(|id| wait_terminal(&server, id.parse().unwrap()));
+
+    assert_eq!(optimizer.spec.optimizer, "resilient");
+    assert_eq!(optimizer.state, JobState::Failed);
+    let error = optimizer.error.as_deref().unwrap_or_default();
+    assert!(error.contains("unknown optimizer `resilient`"), "{error}");
+
+    assert_ne!(backend.spec.backend, DEFAULT_BACKEND);
+    assert_eq!(backend.state, JobState::Failed);
+    let error = backend.error.as_deref().unwrap_or_default();
+    let named = format!("unknown hardware backend `{}`", backend.spec.backend);
+    assert!(error.contains(&named), "{error}");
+
+    assert_eq!(clean.state, JobState::Done, "{:?}", clean.error);
+
+    // The retired names are refused at admission, naming them.
+    for status in [&optimizer, &backend] {
+        let body = lcda_base::json::to_string(&status.spec);
+        let (code, reply) = http(server.addr(), "POST", "/jobs", &body);
+        assert_eq!(code, 400, "{body}: {reply}");
+        let name = if status.spec.optimizer == "resilient" {
+            "`resilient`".to_string()
+        } else {
+            format!("`{}`", status.spec.backend)
+        };
+        assert!(reply.contains(&name), "{reply}");
+    }
+    server.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
