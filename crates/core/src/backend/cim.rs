@@ -13,7 +13,7 @@
 //! Since the hardware-as-data refactor the platform is a declarative
 //! [`HwHierarchy`] (the default is [`HwHierarchy::isaac`], identical to
 //! the shipped `configs/hw/isaac.json` preset). The lowering rules, also
-//! documented in DESIGN.md §14:
+//! documented in DESIGN.md §13:
 //!
 //! - `chip.global_buffer_kb`, `crossbar.dac_bits`, `crossbar.adc_share`,
 //!   `device.feature_nm` become the fixed [`ChipConfig`] platform

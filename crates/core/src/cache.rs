@@ -11,14 +11,14 @@
 //!
 //! - **concurrent** — a cheaply cloneable handle over a
 //!   `std::sync::Mutex`, locked poison-tolerantly so a panicking holder
-//!   cannot wedge it; every pipeline (and every shard of a sharded
-//!   search) can share one store;
+//!   cannot wedge it; every pipeline can share one store (`lcda serve`
+//!   shares one across its jobs);
 //! - **capacity-bounded with deterministic eviction** — a FIFO admission
 //!   queue; when the store exceeds its bound the *oldest admission* is
 //!   evicted. Two stores fed the same admission sequence evict the same
 //!   entries in the same order, so a bounded store stays reproducible;
 //! - **persistable** — checksummed JSON saved through [`crate::durable`] like
-//!   checkpoints, so a server restart rehydrates its fleet-wide table;
+//!   checkpoints, so a server restart rehydrates its server-wide table;
 //! - **keyed exactly as before** — entries live under the evaluator-pair
 //!   context fingerprint (which embeds the `{backend-id}/{digest}`
 //!   namespace), so entries can never cross backends or evaluator

@@ -28,12 +28,12 @@
 
 use crate::codesign::{CoDesignConfig, EpisodeRecord};
 use crate::durable::{
-    from_checksummed_json, load_checksummed, save_checksummed, to_checksummed_json, Generation,
-    GenerationStore,
+    from_checksummed_json, generation_path, load_checksummed, rotate_generations, save_checksummed,
+    to_checksummed_json,
 };
 use crate::pipeline::EvalCache;
 use crate::{CoreError, Result};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Format version stamped into every checkpoint file.
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -186,18 +186,88 @@ impl Checkpoint {
     }
 }
 
-impl Generation for Checkpoint {
-    const KIND: &'static str = "checkpoint";
-
-    fn load(path: &Path) -> Result<Self> {
-        Checkpoint::load(path)
-    }
-}
-
 /// Generation-rotating checkpoint persistence (`--keep-checkpoints N`):
 /// `run.json` is the newest generation, `run.json.1` the previous one,
-/// and so on (see [`GenerationStore`]).
-pub type CheckpointStore = GenerationStore<Checkpoint>;
+/// and so on. Only the newest `keep` generations stay on disk.
+#[derive(Debug, Clone)]
+pub struct CheckpointStore {
+    path: PathBuf,
+    keep: u32,
+}
+
+impl CheckpointStore {
+    /// A store rotating up to `keep` generations at `path` (min 1 —
+    /// `keep == 1` is plain non-rotating persistence).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for `keep == 0`.
+    pub fn new(path: impl Into<PathBuf>, keep: u32) -> Result<Self> {
+        if keep == 0 {
+            return Err(CoreError::InvalidConfig(
+                "checkpoint generations to keep must be at least 1".into(),
+            ));
+        }
+        Ok(CheckpointStore {
+            path: path.into(),
+            keep,
+        })
+    }
+
+    /// The generation-0 path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// How many generations are kept.
+    pub fn keep(&self) -> u32 {
+        self.keep
+    }
+
+    /// The on-disk path of a generation (0 = newest = the base path).
+    pub fn generation_path(&self, generation: u32) -> PathBuf {
+        generation_path(&self.path, generation)
+    }
+
+    /// Rotates existing generations up and writes `checkpoint` as
+    /// generation 0 (atomically and durably, via [`Checkpoint::save`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Checkpoint`] on rotation or write failure.
+    pub fn save(&self, checkpoint: &Checkpoint) -> Result<()> {
+        rotate_generations(&self.path, self.keep)?;
+        checkpoint.save(&self.path)
+    }
+
+    /// Loads the newest generation that parses and verifies, returning
+    /// it with its generation index. `Ok(None)` when no generation file
+    /// exists (a fresh run).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Checkpoint`] when generation files exist but
+    /// none verifies, naming the newest failure and its generation.
+    pub fn load_latest(&self) -> Result<Option<(Checkpoint, u32)>> {
+        let mut newest_failure: Option<(u32, CoreError)> = None;
+        for generation in 0..self.keep {
+            let path = self.generation_path(generation);
+            if path.exists() {
+                match Checkpoint::load(&path) {
+                    Ok(checkpoint) => return Ok(Some((checkpoint, generation))),
+                    Err(e) => _ = newest_failure.get_or_insert((generation, e)),
+                }
+            }
+        }
+        match newest_failure {
+            None => Ok(None),
+            Some((generation, e)) => Err(CoreError::Checkpoint(format!(
+                "no valid checkpoint generation under {} (newest failure: generation {generation}: {e})",
+                self.path.display()
+            ))),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -234,7 +304,6 @@ mod tests {
     fn saves_stream_exactly_what_to_json_renders() {
         use crate::codesign::{CoDesign, OptimizerSpec};
         use crate::pipeline::stable_fingerprint;
-        use crate::shard::{manifest_path, ShardPlan, Supervisor};
         use crate::space::DesignSpace;
 
         let dir = std::env::temp_dir().join(format!("lcda-ckpt-stream-{}", std::process::id()));
@@ -263,20 +332,6 @@ mod tests {
         assert!(cp.eval_cache.as_ref().is_some_and(|c| !c.is_empty()));
         cp.save(&dir.join("run.json")).unwrap();
         saved_as(&dir.join("run.json"), cp.to_json().unwrap());
-
-        // The last manifest a fleet saved.
-        let base = dir.join("fleet.json");
-        let mut manifest = None;
-        let mut plan = ShardPlan::new(2);
-        plan.barrier_interval = 2;
-        Supervisor::new(DesignSpace::tiny_test(), cfg(), plan)
-            .checkpoints(&base, 1)
-            .run_with(|_, m| {
-                manifest = Some(m.clone());
-                Ok(())
-            })
-            .unwrap();
-        saved_as(&manifest_path(&base), manifest.unwrap().to_json().unwrap());
 
         // A cache store, with a key that needs escaping.
         let store = crate::cache::CacheStore::new();

@@ -825,53 +825,49 @@ impl CoDesign {
         episode: u32,
         design: CandidateDesign,
     ) -> Result<EpisodeRecord> {
-        judge_episode(
-            &self.space,
-            &mut self.pipeline,
-            self.config.objective,
-            &self.journal,
-            episode,
-            design,
-        )
-    }
-}
-
-/// Scores one design as an episode: infeasible architectures and
-/// evaluator panics come back as quarantined/invalid
-/// records instead of errors, exactly like [`CoDesign::evaluate_design`]
-/// (which delegates here). Shared with the sharded runtime so island
-/// episodes are judged byte-identically to serial ones.
-pub(crate) fn judge_episode(
-    space: &DesignSpace,
-    pipeline: &mut EvalPipeline,
-    objective: Objective,
-    journal: &Journal,
-    episode: u32,
-    design: CandidateDesign,
-) -> Result<EpisodeRecord> {
-    // A proposal whose architecture is structurally impossible (e.g.
-    // kernel larger than the shrunken plane) scores −1 like an
-    // area-infeasible one.
-    if space.architecture(&design).is_err() {
-        return Ok(EpisodeRecord {
-            episode,
-            design,
-            accuracy: 0.0,
-            hw: None,
-            reward: INVALID_REWARD,
-            quarantined: false,
-        });
-    }
-    let (accuracy, hw) = match pipeline.evaluate(&design) {
-        Ok(result) => result,
-        // A panicking evaluator must not take the run down: the design
-        // is quarantined (reward −1, no metrics) and the loop moves on.
-        // Structural errors — bad config, a broken backend — still
-        // propagate.
-        Err(e @ CoreError::EvalPanic(_)) => {
-            journal.record(JournalEvent::EvalQuarantined {
-                reason: e.to_string(),
+        // A proposal whose architecture is structurally impossible (e.g.
+        // kernel larger than the shrunken plane) scores −1 like an
+        // area-infeasible one.
+        if self.space.architecture(&design).is_err() {
+            return Ok(EpisodeRecord {
+                episode,
+                design,
+                accuracy: 0.0,
+                hw: None,
+                reward: INVALID_REWARD,
+                quarantined: false,
             });
+        }
+        let (accuracy, hw) = match self.pipeline.evaluate(&design) {
+            Ok(result) => result,
+            // A panicking evaluator must not take the run down: the design
+            // is quarantined (reward −1, no metrics) and the loop moves on.
+            // Structural errors — bad config, a broken backend — still
+            // propagate.
+            Err(e @ CoreError::EvalPanic(_)) => {
+                self.journal.record(JournalEvent::EvalQuarantined {
+                    reason: e.to_string(),
+                });
+                return Ok(EpisodeRecord {
+                    episode,
+                    design,
+                    accuracy: 0.0,
+                    hw: None,
+                    reward: INVALID_REWARD,
+                    quarantined: true,
+                });
+            }
+            Err(e) => return Err(e),
+        };
+        let reward = match &hw {
+            Some(metrics) => self.config.objective.reward(accuracy, metrics),
+            None => INVALID_REWARD,
+        };
+        // Quarantine: a NaN/inf from an evaluator must never reach the
+        // optimizer history or `best_so_far` — replace the episode's
+        // metrics with the invalid sentinel and flag it.
+        let hw_finite = hw.as_ref().is_none_or(HwMetrics::is_finite);
+        if !accuracy.is_finite() || !reward.is_finite() || !hw_finite {
             return Ok(EpisodeRecord {
                 episode,
                 design,
@@ -881,34 +877,15 @@ pub(crate) fn judge_episode(
                 quarantined: true,
             });
         }
-        Err(e) => return Err(e),
-    };
-    let reward = match &hw {
-        Some(metrics) => objective.reward(accuracy, metrics),
-        None => INVALID_REWARD,
-    };
-    // Quarantine: a NaN/inf from an evaluator must never reach the
-    // optimizer history or `best_so_far` — replace the episode's
-    // metrics with the invalid sentinel and flag it.
-    let hw_finite = hw.as_ref().is_none_or(HwMetrics::is_finite);
-    if !accuracy.is_finite() || !reward.is_finite() || !hw_finite {
-        return Ok(EpisodeRecord {
+        Ok(EpisodeRecord {
             episode,
             design,
-            accuracy: 0.0,
-            hw: None,
-            reward: INVALID_REWARD,
-            quarantined: true,
-        });
+            accuracy,
+            hw,
+            reward,
+            quarantined: false,
+        })
     }
-    Ok(EpisodeRecord {
-        episode,
-        design,
-        accuracy,
-        hw,
-        reward,
-        quarantined: false,
-    })
 }
 
 #[cfg(test)]

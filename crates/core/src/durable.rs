@@ -1,10 +1,11 @@
 //! The on-disk durability rules, in one place (DESIGN §11): atomic
 //! writes ([`atomic_write`]), embedded content checksums
-//! ([`save_checksummed`], [`load_checksummed`]), rotated generations
-//! with newest-valid fallback ([`GenerationStore`]), and torn-tail
-//! salvage of append-only JSONL files ([`open_jsonl`]). Checkpoints, the
-//! shard manifest, the cache store, the serve WAL and run journals all
-//! go through this module.
+//! ([`save_checksummed`], [`load_checksummed`]), rotated generation
+//! paths ([`generation_path`], [`rotate_generations`], which
+//! [`crate::CheckpointStore`] builds its newest-valid fallback on), and
+//! torn-tail salvage of append-only JSONL files ([`open_jsonl`]).
+//! Checkpoints, the cache store, the serve WAL and run journals all go
+//! through this module.
 
 use crate::pipeline::Fnv;
 use crate::{CoreError, Result};
@@ -12,7 +13,6 @@ use lcda_base::json::{FromJson, ToJson, Value};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// The JSON key carrying the content checksum. Not a struct field:
@@ -167,7 +167,7 @@ pub(crate) fn atomic_write(
 
 /// The on-disk path of a rotated generation (0 = newest = `base`;
 /// generation *k* is `<base>.k`).
-fn generation_path(base: &Path, generation: u32) -> PathBuf {
+pub(crate) fn generation_path(base: &Path, generation: u32) -> PathBuf {
     if generation == 0 {
         base.to_path_buf()
     } else {
@@ -185,7 +185,7 @@ fn generation_path(base: &Path, generation: u32) -> PathBuf {
 /// # Errors
 ///
 /// Returns [`CoreError::Checkpoint`] on a failed rename.
-fn rotate_generations(base: &Path, keep: u32) -> Result<()> {
+pub(crate) fn rotate_generations(base: &Path, keep: u32) -> Result<()> {
     for generation in (0..keep.saturating_sub(1)).rev() {
         let from = generation_path(base, generation);
         if from.exists() {
@@ -200,104 +200,6 @@ fn rotate_generations(base: &Path, keep: u32) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// A checksummed artifact a [`GenerationStore`] keeps in rotated
-/// generations.
-pub trait Generation: ToJson + Sized {
-    /// The artifact's name in errors (`checkpoint`, `manifest`).
-    const KIND: &'static str;
-
-    /// Reads one generation file, verifying its checksum and version.
-    fn load(path: &Path) -> Result<Self>;
-}
-
-/// Generation-rotating persistence of one artifact
-/// ([`crate::CheckpointStore`], [`crate::shard::ShardManifestStore`]).
-/// Generation 0 is `path` itself; generation *k* is `<path>.k`, and
-/// only the newest `keep` generations stay on disk.
-#[derive(Debug, Clone)]
-pub struct GenerationStore<T> {
-    path: PathBuf,
-    keep: u32,
-    artifact: PhantomData<fn() -> T>,
-}
-
-impl<T: Generation> GenerationStore<T> {
-    /// A store rotating up to `keep` generations at `path` (min 1 —
-    /// `keep == 1` is plain non-rotating persistence).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for `keep == 0`.
-    pub fn new(path: impl Into<PathBuf>, keep: u32) -> Result<Self> {
-        if keep == 0 {
-            return Err(CoreError::InvalidConfig(format!(
-                "{} generations to keep must be at least 1",
-                T::KIND
-            )));
-        }
-        Ok(GenerationStore {
-            path: path.into(),
-            keep,
-            artifact: PhantomData,
-        })
-    }
-
-    /// The generation-0 path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// How many generations are kept.
-    pub fn keep(&self) -> u32 {
-        self.keep
-    }
-
-    /// The on-disk path of a generation (0 = newest = the base path).
-    pub fn generation_path(&self, generation: u32) -> PathBuf {
-        generation_path(&self.path, generation)
-    }
-
-    /// Rotates existing generations up and writes `artifact` as
-    /// generation 0 (atomically and durably, via [`save_checksummed`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] on rotation or write failure.
-    pub fn save(&self, artifact: &T) -> Result<()> {
-        rotate_generations(&self.path, self.keep)?;
-        save_checksummed(&self.path, artifact)
-    }
-
-    /// Loads the newest generation that parses and verifies, returning
-    /// it with its generation index. `Ok(None)` when no generation file
-    /// exists (a fresh run).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] when generation files exist but
-    /// none verifies, naming the newest failure and its generation.
-    pub fn load_latest(&self) -> Result<Option<(T, u32)>> {
-        let mut newest_failure: Option<(u32, CoreError)> = None;
-        for generation in 0..self.keep {
-            let path = self.generation_path(generation);
-            if path.exists() {
-                match T::load(&path) {
-                    Ok(artifact) => return Ok(Some((artifact, generation))),
-                    Err(e) => _ = newest_failure.get_or_insert((generation, e)),
-                }
-            }
-        }
-        match newest_failure {
-            None => Ok(None),
-            Some((generation, e)) => Err(CoreError::Checkpoint(format!(
-                "no valid {} generation under {} (newest failure: generation {generation}: {e})",
-                T::KIND,
-                self.path.display()
-            ))),
-        }
-    }
 }
 
 /// Opens the append-only JSONL file at `path` for appending (creating it

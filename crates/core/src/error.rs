@@ -27,10 +27,6 @@ pub enum CoreError {
     /// typed error so a single poisoned design quarantines instead of
     /// aborting the whole run.
     EvalPanic(String),
-    /// A sharded-search failure: a manifest or shard checkpoint that does
-    /// not match the run, or a shard replay that diverged from its
-    /// committed history.
-    Shard(String),
     /// The run was cancelled cooperatively (e.g. a served job's cancel
     /// request observed at an episode boundary). Not a fault: the
     /// partial work up to the cancellation point is valid.
@@ -56,7 +52,6 @@ impl fmt::Display for CoreError {
             CoreError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
             CoreError::Journal(msg) => write!(f, "journal: {msg}"),
             CoreError::EvalPanic(msg) => write!(f, "evaluator panicked: {msg}"),
-            CoreError::Shard(msg) => write!(f, "shard: {msg}"),
             CoreError::Cancelled(msg) => write!(f, "cancelled: {msg}"),
             CoreError::Overloaded(msg) => write!(f, "server overloaded: {msg}"),
             CoreError::DeadlineExceeded(msg) => write!(f, "deadline_exceeded: {msg}"),
@@ -76,7 +71,6 @@ impl std::error::Error for CoreError {
             | CoreError::Checkpoint(_)
             | CoreError::Journal(_)
             | CoreError::EvalPanic(_)
-            | CoreError::Shard(_)
             | CoreError::Cancelled(_)
             | CoreError::Overloaded(_)
             | CoreError::DeadlineExceeded(_) => None,
@@ -143,9 +137,6 @@ mod tests {
         assert!(CoreError::EvalPanic("boom".into())
             .to_string()
             .contains("panicked"));
-        let s = CoreError::Shard("manifest mismatch".into());
-        assert!(s.source().is_none());
-        assert!(s.to_string().contains("shard"));
         let c = CoreError::Cancelled("job-3".into());
         assert!(c.source().is_none());
         assert!(c.to_string().contains("cancelled"));

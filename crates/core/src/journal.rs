@@ -177,30 +177,6 @@ pub enum JournalEvent {
         /// The evaluation error that forced the quarantine.
         reason: String,
     },
-    /// A shard finished one generation (recorded in fixed shard order,
-    /// so journals stay byte-identical run-to-run).
-    ShardHeartbeat {
-        /// Shard index (0-based).
-        shard: u32,
-        /// Barrier generation the heartbeat covers.
-        generation: u32,
-        /// Episodes completed by the shard so far.
-        episodes: u32,
-    },
-    /// Every shard reached a generation barrier and exchanged elites.
-    ShardBarrier {
-        /// Barrier generation (0-based).
-        generation: u32,
-        /// Elite designs migrated between islands at this barrier.
-        migrants: u64,
-    },
-    /// The per-shard histories were merged into the fleet Pareto front.
-    ShardMerge {
-        /// Total shards in the plan.
-        shards: u32,
-        /// Points on the merged front.
-        points: u64,
-    },
     /// A serve job passed admission validation and was queued. First
     /// record of every per-job journal file.
     JobAdmitted {
@@ -309,9 +285,6 @@ lcda_base::impl_json!(#[tag = "event", snake_case] enum JournalEvent {
     LlmParseFailure { episode, error },
     EvalPanic { message },
     EvalQuarantined { reason },
-    ShardHeartbeat { shard, generation, episodes },
-    ShardBarrier { generation, migrants },
-    ShardMerge { shards, points },
     JobAdmitted { job, optimizer, backend, episodes, seed },
     JobStarted { job },
     JobEnded { job, state },
@@ -341,9 +314,6 @@ impl JournalEvent {
             JournalEvent::McBatch { .. } => "mc",
             JournalEvent::BackendCost { .. } => "backend",
             JournalEvent::LlmPrompt { .. } | JournalEvent::LlmParseFailure { .. } => "llm",
-            JournalEvent::ShardHeartbeat { .. }
-            | JournalEvent::ShardBarrier { .. }
-            | JournalEvent::ShardMerge { .. } => "shard",
             JournalEvent::JobAdmitted { .. }
             | JournalEvent::JobStarted { .. }
             | JournalEvent::JobEnded { .. }
@@ -652,10 +622,10 @@ pub struct RunReport {
     /// Journal lines dropped by the torn-tail salvage (the unparseable
     /// line and everything after it).
     pub dropped_lines: u64,
-    /// Shard heartbeats: one per shard per generation it ran.
-    pub shard_heartbeats: u64,
-    /// Generation barriers the fleet completed.
-    pub shard_barriers: u64,
+    /// Complete records of events this build does not know — events an
+    /// earlier build wrote and a later one retired, such as the sharded
+    /// search's `shard_heartbeat` — skipped rather than aggregated.
+    pub retired_events: u64,
     /// Serve jobs admitted into the queue.
     pub jobs_admitted: u64,
     /// Serve jobs that reached a terminal state.
@@ -705,8 +675,7 @@ lcda_base::impl_json!(struct RunReport {
     #[default] eval_quarantined,
     #[default] truncated,
     #[default] dropped_lines,
-    #[default] shard_heartbeats,
-    #[default] shard_barriers,
+    #[default] retired_events,
     #[default] jobs_admitted,
     #[default] jobs_ended,
     #[default] jobs_recovered,
@@ -771,9 +740,6 @@ impl RunReport {
                 JournalEvent::LlmParseFailure { .. } => report.parse_failures += 1,
                 JournalEvent::EvalPanic { .. } => report.eval_panics += 1,
                 JournalEvent::EvalQuarantined { .. } => report.eval_quarantined += 1,
-                JournalEvent::ShardHeartbeat { .. } => report.shard_heartbeats += 1,
-                JournalEvent::ShardBarrier { .. } => report.shard_barriers += 1,
-                JournalEvent::ShardMerge { .. } => {}
                 JournalEvent::JobAdmitted { .. } => report.jobs_admitted += 1,
                 JournalEvent::JobStarted { .. } => {}
                 JournalEvent::JobEnded { .. } => report.jobs_ended += 1,
@@ -805,12 +771,17 @@ impl RunReport {
     /// everything after it are dropped — corruption mid-file invalidates
     /// the suffix, since step indices would no longer be trustworthy).
     ///
+    /// A complete record of an event this build does not know (see
+    /// [`RunReport::retired_events`]) is not damage: it is skipped and
+    /// counted, and the lines after it are aggregated.
+    ///
     /// # Errors
     ///
     /// Currently infallible; the `Result` is kept so future structural
     /// validation can fail without an API break.
     pub fn from_jsonl(text: &str) -> Result<Self> {
         let mut records = Vec::new();
+        let mut retired = 0u64;
         let mut truncated = false;
         let mut dropped = 0u64;
         let mut lines = text.lines();
@@ -820,6 +791,7 @@ impl RunReport {
             }
             match lcda_base::json::from_str::<JournalRecord>(line) {
                 Ok(record) => records.push(record),
+                Err(_) if names_an_unknown_event(line) => retired += 1,
                 Err(_) => {
                     truncated = true;
                     dropped = 1;
@@ -831,6 +803,7 @@ impl RunReport {
             dropped += lines.filter(|l| !l.trim().is_empty()).count() as u64;
         }
         let mut report = RunReport::from_records(records);
+        report.retired_events = retired;
         report.truncated = truncated;
         report.dropped_lines = dropped;
         Ok(report)
@@ -879,13 +852,6 @@ impl RunReport {
         if let Some(hw) = &self.hw_config {
             let _ = writeln!(out, "  hw config        {hw}");
         }
-        if self.shard_heartbeats > 0 || self.shard_barriers > 0 {
-            let _ = writeln!(
-                out,
-                "  shards           {} heartbeats / {} barriers",
-                self.shard_heartbeats, self.shard_barriers
-            );
-        }
         if self.jobs_admitted > 0 || self.jobs_ended > 0 {
             let _ = writeln!(
                 out,
@@ -916,6 +882,13 @@ impl RunReport {
                 self.cross_run_hits, self.store_evictions
             );
         }
+        if self.retired_events > 0 {
+            let _ = writeln!(
+                out,
+                "  retired events   {} (skipped; unknown to this build)",
+                self.retired_events
+            );
+        }
         if self.truncated {
             let _ = writeln!(
                 out,
@@ -934,6 +907,18 @@ impl RunReport {
         }
         out
     }
+}
+
+/// Whether an undecodable journal line is a complete record of an event
+/// this build does not know: a JSON object with an integer `step` whose
+/// `event` names no [`JournalEvent`] variant. A known event with a
+/// damaged payload is not one.
+fn names_an_unknown_event(line: &str) -> bool {
+    Value::parse(line).is_ok_and(|value| {
+        value.get("step").is_some_and(Value::is_u64)
+            && JournalEvent::from_json(&value)
+                .is_err_and(|e| e.to_string().starts_with("unknown variant"))
+    })
 }
 
 #[cfg(test)]
@@ -1099,6 +1084,7 @@ mod tests {
         let table = report.render();
         assert!(table.contains("best reward"));
         assert!(table.contains("hit-rate 0.0%"));
+        assert!(!table.contains("retired"), "{table}");
     }
 
     #[test]
@@ -1179,49 +1165,39 @@ mod tests {
     }
 
     #[test]
-    fn shard_events_are_counted_phased_and_parse_parent_era_barriers() {
-        let (j, buf) = Journal::in_memory();
-        j.record(JournalEvent::ShardHeartbeat {
-            shard: 0,
-            generation: 0,
-            episodes: 4,
-        });
-        j.record(JournalEvent::ShardBarrier {
-            generation: 0,
-            migrants: 2,
-        });
-        j.record(JournalEvent::ShardMerge {
-            shards: 2,
-            points: 5,
-        });
-        j.finish().unwrap();
-        // Older journals carry a `live` shard count on every barrier; the
-        // unknown key must be ignored, not fatal.
-        let parent_era =
-            "{\"step\":3,\"event\":\"shard_barrier\",\"generation\":1,\"live\":2,\"migrants\":2}";
-        let text = format!("{}{parent_era}\n", buf.contents());
-        let report = RunReport::from_jsonl(&text).unwrap();
-        assert!(!report.truncated, "a parent-era barrier line must parse");
-        assert_eq!(report.shard_heartbeats, 1);
-        assert_eq!(report.shard_barriers, 2);
-        assert_eq!(report.phases["shard"], 4);
-        let table = report.render();
-        assert!(
-            table.contains("shards           1 heartbeats / 2 barriers"),
-            "{table}"
-        );
-        // The JSONL tags are snake_case and self-describing.
-        assert!(buf.contents().contains("\"event\":\"shard_merge\""));
-    }
-
-    #[test]
-    fn unsharded_reports_render_no_shard_lines() {
+    fn an_unknown_event_between_known_ones_is_retired_not_a_torn_tail() {
         let (j, buf) = Journal::in_memory();
         j.record(tick());
         j.finish().unwrap();
-        let report = RunReport::from_jsonl(&buf.contents()).unwrap();
-        assert_eq!(report.shard_barriers, 0);
-        assert!(!report.render().contains("shards"));
+        let retired = "{\"step\":1,\"event\":\"shard_heartbeat\",\"shard\":0,\"generation\":0,\"episodes\":4}";
+        let after = "{\"step\":2,\"event\":\"run_end\",\"episodes\":4,\"best_reward\":0.5}";
+        let text = format!("{}{retired}\n{after}\n", buf.contents());
+        let report = RunReport::from_jsonl(&text).unwrap();
+        assert!(!report.truncated, "{report:?}");
+        assert_eq!(report.dropped_lines, 0);
+        assert_eq!(report.retired_events, 1);
+        assert_eq!(report.records, 2);
+        assert_eq!(report.checkpoints, 1);
+        assert_eq!(report.best_reward, Some(0.5));
+        let table = report.render();
+        assert!(
+            table.contains("retired events   1 (skipped; unknown to this build)"),
+            "{table}"
+        );
+    }
+
+    #[test]
+    fn malformed_records_stay_torn_tails_not_retired_events() {
+        for line in [
+            "{\"step\":1,\"event\":\"run_end\",\"episodes\":\"four\"}",
+            "{\"step\":\"one\",\"event\":\"shard_heartbeat\"}",
+            "{\"step\":1,\"event\":7}",
+            "{\"step\":1,\"event\":\"shard_heart",
+        ] {
+            let report = RunReport::from_jsonl(&format!("{line}\n")).unwrap();
+            assert!(report.truncated, "{line}");
+            assert_eq!(report.retired_events, 0, "{line}");
+        }
     }
 
     #[test]

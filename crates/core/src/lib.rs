@@ -73,7 +73,6 @@ pub mod pareto;
 pub mod pipeline;
 pub mod reward;
 pub mod serve;
-pub mod shard;
 pub mod space;
 pub mod surrogate;
 pub mod trained;
@@ -98,7 +97,6 @@ pub use journal::{Journal, JournalEvent, JournalRecord, RunReport};
 pub use pipeline::{CacheStats, EvalCache, EvalPipeline};
 pub use reward::Objective;
 pub use serve::{JobId, JobServer, JobSpec, JobState, JobStatus, ServeConfig, ServerStats};
-pub use shard::{FrontPoint, ShardManifest, ShardOutcome, ShardPlan, ShardSummary, Supervisor};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

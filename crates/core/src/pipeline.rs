@@ -18,7 +18,7 @@
 //! facade (it implements both evaluator traits itself) and adds a
 //! content-addressed memo table — a per-run [`CacheSession`] view onto a
 //! [`crate::cache::CacheStore`] (private to the pipeline by default,
-//! shared fleet-wide when one is attached via
+//! shared server-wide when one is attached via
 //! [`EvalPipeline::attach_store`]):
 //!
 //! - **keys** are the candidate's canonical rollout text (its full

@@ -36,15 +36,14 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
-// Same contract as lcda-core: an optimizer panic kills the whole search
-// shard, so production code surfaces typed `OptimError`s instead of
+// Same contract as lcda-core: an optimizer panic kills the whole search,
+// so production code surfaces typed `OptimError`s instead of
 // unwrapping. Tests are exempt (an unwrap there *is* the assertion).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 
 pub mod genetic;
-pub mod island;
 pub mod llm_opt;
 pub mod nsga;
 pub mod random;
@@ -89,26 +88,5 @@ pub trait Optimizer {
     /// text. Checkpoints do not store it: replay rebuilds it.
     fn transcript(&self) -> Option<&ChatTranscript> {
         None
-    }
-}
-
-// Boxed optimizers are optimizers: lets generic wrappers like
-// `island::Island<O>` hold the `Box<dyn Optimizer>` that
-// `OptimizerSpec::instantiate` hands out.
-impl<O: Optimizer + ?Sized> Optimizer for Box<O> {
-    fn propose(&mut self) -> Result<CandidateDesign> {
-        (**self).propose()
-    }
-
-    fn observe(&mut self, design: &CandidateDesign, reward: f64) -> Result<()> {
-        (**self).observe(design, reward)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn transcript(&self) -> Option<&ChatTranscript> {
-        (**self).transcript()
     }
 }

@@ -268,7 +268,7 @@ impl Tensor {
     /// `lcda_variation::montecarlo::McStats`, which estimates accuracy
     /// spread from a finite number of Monte-Carlo trials. This method
     /// previously used the population divisor `n`, which silently
-    /// disagreed with the Monte-Carlo statistics (see DESIGN.md §15).
+    /// disagreed with the Monte-Carlo statistics (see DESIGN.md §14).
     pub fn std(&self) -> f32 {
         if self.data.len() < 2 {
             return 0.0;

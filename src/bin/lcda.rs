@@ -62,13 +62,6 @@ SEARCH OPTIONS:
     --no-cache              disable evaluation memoization
     --journal <path>        stream a JSONL event journal of the run
                             (deterministic: same seed, same bytes)
-    --shards <n>            split the search into n island shards
-                            exchanging elites at generation barriers,
-                            run one after another on one thread; the
-                            merged Pareto front is bit-identical
-                            run-to-run for any n ≥ 1, and with
-                            --checkpoint a killed fleet resumes from its
-                            manifest to the same front
     --json                                                   emit JSON
 
 SERVE OPTIONS:
@@ -203,7 +196,7 @@ impl Args {
             None => Ok(spec),
             // --hw-config is sugar for the spec's `@config` suffix: fold
             // it in and re-parse, so the hierarchy is validated here and
-            // every downstream path (single run, shards, serve handoff)
+            // every downstream path (search, evaluate, reference)
             // sees one canonical spec.
             Some(source) => {
                 if spec.config().is_some() {
@@ -298,7 +291,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
             "--evaluator",
             "--precision",
             "--journal",
-            "--shards",
         ],
         &["--json", "--resume", "--no-cache"],
     )?;
@@ -314,22 +306,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
 
     let evaluator = parse_evaluator(args, seed)?;
-
-    let shards = match args.get("--shards") {
-        None => None,
-        Some(_) => {
-            let n = args.num_u32("--shards", 1)?;
-            if n == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            Some(n)
-        }
-    };
-    if shards.is_some() && evaluator.is_some() {
-        // Shard workers construct their own evaluators from the spec; a
-        // single injected evaluator instance cannot be split across them.
-        return Err("--evaluator trained is not supported with --shards".into());
-    }
 
     let checkpoint_path = args.get("--checkpoint").map(PathBuf::from);
     let keep_checkpoints = args.num_u32("--keep-checkpoints", 1)?;
@@ -355,48 +331,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         Some(path) => Journal::to_file(std::path::Path::new(path)).map_err(|e| e.to_string())?,
         None => Journal::disabled(),
     };
-    if let Some(shards) = shards {
-        let mut fleet = Supervisor::new(space, config, ShardPlan::new(shards))
-            .optimizer(spec)
-            .backend(backend.to_string())
-            .threads(threads)
-            .caching(!args.flag("--no-cache"))
-            .journal(journal.clone());
-        if let Some(path) = &checkpoint_path {
-            fleet = fleet.checkpoints(path, keep_checkpoints);
-        }
-        let outcome =
-            if resume { fleet.resume() } else { fleet.run() }.map_err(|e| e.to_string())?;
-        journal.finish().map_err(|e| e.to_string())?;
-        if args.flag("--json") {
-            println!("{}", outcome.to_json().map_err(|e| e.to_string())?);
-            return Ok(());
-        }
-        let unit = match objective {
-            Objective::AccuracyEnergy => "pJ",
-            Objective::AccuracyLatency => "ns",
-        };
-        println!(
-            "supervised fleet · {shards} shards · {} · backend {backend} · \
-             {episodes} episodes/shard · seed {seed}\n",
-            objective.name()
-        );
-        for s in &outcome.shards {
-            println!(
-                "  shard {:>2}  seed {:>20}  episodes {:>4}",
-                s.shard, s.seed, s.episodes
-            );
-        }
-        println!("\nmerged Pareto front ({} points):", outcome.front.len());
-        for p in &outcome.front {
-            println!(
-                "  acc {:.3} @ {:.4e} {unit}   {}",
-                p.accuracy, p.cost, p.design
-            );
-        }
-        return Ok(());
-    }
-
     let store = checkpoint_path
         .as_ref()
         .map(|path| CheckpointStore::new(path, keep_checkpoints).map_err(|e| e.to_string()))

@@ -64,10 +64,6 @@ pub mod prelude {
     pub use lcda_core::pipeline::{CacheStats, EvalCache, EvalPipeline};
     pub use lcda_core::reward::Objective;
     pub use lcda_core::serve::{JobId, JobServer, JobSpec, JobState, ServeConfig};
-    pub use lcda_core::shard::{
-        FrontPoint, ShardManifest, ShardManifestStore, ShardOutcome, ShardPlan, ShardSummary,
-        Supervisor,
-    };
     pub use lcda_core::space::DesignSpace;
     pub use lcda_core::surrogate::SurrogateEvaluator;
     pub use lcda_core::trained::{TrainedEvalConfig, TrainedEvaluator};

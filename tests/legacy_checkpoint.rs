@@ -4,16 +4,11 @@
 //! The fixtures in `tests/fixtures/transcript_era/` were written by the
 //! code of that format:
 //!
-//! - `expert_episode3.json`: an expert search (seed 11, 6 episodes)
-//!   killed after episode 3;
-//! - `fleet.*.json`: a two-shard expert fleet (seed 29, 6 episodes per
-//!   shard, barriers every 2) killed after its first barrier.
-//!
-//! Each must verify, load through its store and resume to the outcome of
-//! an uninterrupted run. The transcript entry is ignored on load; replay
+//! `expert_episode3.json` is an expert search (seed 11, 6 episodes)
+//! killed after episode 3. It must verify, load through its store and
+//! resume to the outcome of an uninterrupted run. The transcript entry is ignored on load; replay
 //! rebuilds the transcript.
 
-use lcda::core::shard::{manifest_path, shard_checkpoint_path};
 use lcda::core::CoreError;
 use lcda::prelude::*;
 use lcda_base::json::Value;
@@ -80,37 +75,4 @@ fn transcript_era_checkpoint_resumes_to_the_uninterrupted_outcome() {
     let full = run().run().unwrap();
     let resumed = run().run_resumable(Some(cp), |_| Ok(())).unwrap();
     assert_eq!(resumed, full);
-}
-
-#[test]
-fn transcript_era_fleet_checkpoints_resume_to_the_uninterrupted_front() {
-    // Resume writes new generations, so it runs on a copy.
-    let dir = std::env::temp_dir().join(format!("lcda-transcript-era-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("fleet.json");
-    let mut files = vec![manifest_path(&base)];
-    for shard in 0..2 {
-        files.push(shard_checkpoint_path(&base, shard));
-    }
-    for file in &files {
-        let name = file.file_name().unwrap().to_str().unwrap();
-        std::fs::copy(fixture(name), file).unwrap();
-    }
-    for shard in 0..2 {
-        let cp = verify_and_load(&shard_checkpoint_path(&base, shard));
-        assert_eq!(cp.episodes_done(), 2);
-    }
-
-    let fleet = || {
-        let mut plan = ShardPlan::new(2);
-        plan.barrier_interval = 2;
-        plan.elite_k = 2;
-        Supervisor::new(DesignSpace::nacim_cifar10(), cfg(29), plan)
-            .optimizer(OptimizerSpec::ExpertLlm)
-    };
-    let clean = fleet().run().unwrap();
-    let resumed = fleet().checkpoints(&base, 1).resume().unwrap();
-    assert_eq!(resumed, clean);
-    assert_eq!(resumed.to_json().unwrap(), clean.to_json().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
 }

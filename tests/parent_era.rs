@@ -1,7 +1,7 @@
-//! Files from the build before the simulated fault layer was removed.
+//! Files written by earlier builds.
 //!
-//! The fixtures in `tests/fixtures/parent_era/` were written by that
-//! build:
+//! The fixtures in `tests/fixtures/parent_era/` come from two builds.
+//! The build before the simulated fault layer was removed wrote:
 //!
 //! - `run.jsonl`: the journal of `lcda search --episodes 3 --seed 7
 //!   --journal`, whose records still carry a simulated-clock timestamp;
@@ -10,9 +10,14 @@
 //! - `jobs.wal.jsonl`: a serve ledger with queued jobs naming retired
 //!   specs, exercised in `tests/serve.rs`.
 //!
+//! The build before the sharded search was removed wrote `fleet.jsonl`,
+//! the journal of a two-shard fleet search (8 episodes per shard, seed
+//! 11): nine records, seven of them fleet events.
+//!
 //! An old journal must read to the same report as the same run today; a
 //! checkpoint naming a retired backend must be refused by name, never
-//! resumed on another backend.
+//! resumed on another backend; a journal of retired events must still
+//! report, with its run's best reward.
 
 use lcda::core::CoreError;
 use lcda::prelude::*;
@@ -109,4 +114,30 @@ fn parent_era_checkpoint_on_a_retired_backend_is_refused_by_name() {
         unchanged,
         "a refused resume must not rewrite the checkpoint"
     );
+}
+
+#[test]
+fn parent_era_fleet_journal_reports_its_best_reward() {
+    let text = std::fs::read_to_string(fixture("fleet.jsonl")).unwrap();
+    let report = RunReport::from_jsonl(&text).unwrap();
+    assert!(!report.truncated, "{report:?}");
+    assert_eq!(report.dropped_lines, 0);
+    assert_eq!(report.retired_events, 7);
+    assert_eq!(report.records, 2, "run_start and run_end");
+    assert_eq!(report.best_reward, Some(0.5752013403530011));
+
+    let out = Command::new(env!("CARGO_BIN_EXE_lcda"))
+        .arg("report")
+        .arg(fixture("fleet.jsonl"))
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!stdout.contains("truncated"), "{stdout}");
+    assert!(stdout.contains("best reward      0.575201"), "{stdout}");
+    assert!(stdout.contains("retired events   7"), "{stdout}");
 }
