@@ -133,10 +133,10 @@ pub struct EvalCache {
     /// Fingerprint of the evaluator pair that produced the entries.
     context: String,
     /// design text → accuracy in `[0, 1]`.
-    accuracy: BTreeMap<String, f64>,
+    pub(crate) accuracy: BTreeMap<String, f64>,
     /// design text → metrics (`None` = constraint violation, a valid and
     /// deterministic outcome worth memoizing).
-    hardware: BTreeMap<String, Option<HwMetrics>>,
+    pub(crate) hardware: BTreeMap<String, Option<HwMetrics>>,
 }
 
 lcda_base::impl_json!(struct EvalCache { context, accuracy, hardware });
@@ -238,6 +238,19 @@ struct StoreInner {
     /// eviction. A periodic flusher compares revisions to skip writing
     /// an unchanged store ([`CacheStore::revision`]).
     revision: u64,
+    /// Admissions ever queued: `admissions` holds the last
+    /// `admitted - stats.evictions` of them ([`AdmissionCursor`]).
+    admitted: u64,
+}
+
+/// A position in a store's admission order. [`CacheSession::catch_up`]
+/// uses it to keep a snapshot of one context current by merging only
+/// the entries admitted since, instead of snapshotting the whole table
+/// again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct AdmissionCursor {
+    admitted: u64,
+    evictions: u64,
 }
 
 /// The persisted wire format: contexts plus the admission order (the
@@ -310,6 +323,7 @@ impl CacheStore {
                 stats: StoreStats::default(),
                 next_session: 0,
                 revision: 0,
+                admitted: 0,
             })),
         }
     }
@@ -367,7 +381,10 @@ impl CacheStore {
     /// Snapshots one context's entries as a checkpoint-compatible
     /// [`EvalCache`] (empty when the context is unknown).
     pub fn snapshot(&self, context: &str) -> EvalCache {
-        let g = lock(&self.inner);
+        Self::snapshot_of(&lock(&self.inner), context)
+    }
+
+    fn snapshot_of(g: &StoreInner, context: &str) -> EvalCache {
         let mut cache = EvalCache::new(context);
         if let Some(table) = g.contexts.get(context) {
             for (k, e) in &table.accuracy {
@@ -476,6 +493,7 @@ impl CacheStore {
                     }
                 }
             }
+            g.admitted = seen.len() as u64;
             g.admissions = seen;
             Self::evict_to_capacity(&mut g);
         }
@@ -539,6 +557,7 @@ impl CacheStore {
             kind: EntryKind::Accuracy,
             key,
         });
+        g.admitted += 1;
         g.revision += 1;
         Self::evict_to_capacity(g);
         true
@@ -563,6 +582,7 @@ impl CacheStore {
             kind: EntryKind::Hardware,
             key,
         });
+        g.admitted += 1;
         g.revision += 1;
         Self::evict_to_capacity(g);
         true
@@ -715,6 +735,44 @@ impl CacheSession {
         self.store.snapshot(&self.context)
     }
 
+    /// Brings `cache`, this session's snapshot as of `cursor`, up to the
+    /// store's current state and advances the cursor. Only this
+    /// context's entries admitted since `cursor` are merged, so the cost
+    /// follows the new admissions, not the table size. A snapshot of
+    /// another context, or one that an eviction since `cursor` made
+    /// stale, is taken again whole. A default cursor and an empty
+    /// snapshot catch up to the whole table.
+    pub(crate) fn catch_up(&self, cache: &mut EvalCache, cursor: &mut AdmissionCursor) {
+        let g = lock(&self.store.inner);
+        if cache.context != self.context || cursor.evictions != g.stats.evictions {
+            *cache = CacheStore::snapshot_of(&g, &self.context);
+        } else if let Some(table) = g.contexts.get(&self.context) {
+            let fresh = g.admitted.saturating_sub(cursor.admitted) as usize;
+            let skip = g.admissions.len().saturating_sub(fresh);
+            for adm in g.admissions.iter().skip(skip) {
+                if adm.context != self.context {
+                    continue;
+                }
+                match adm.kind {
+                    EntryKind::Accuracy => {
+                        if let Some(e) = table.accuracy.get(&adm.key) {
+                            cache.accuracy.insert(adm.key.clone(), e.value);
+                        }
+                    }
+                    EntryKind::Hardware => {
+                        if let Some(e) = table.hardware.get(&adm.key) {
+                            cache.hardware.insert(adm.key.clone(), e.value);
+                        }
+                    }
+                }
+            }
+        }
+        *cursor = AdmissionCursor {
+            admitted: g.admitted,
+            evictions: g.stats.evictions,
+        };
+    }
+
     /// Absorbs a checkpoint snapshot into the store under this session's
     /// ownership (a resumed run's rehydrated entries serve *own* hits,
     /// not cross-run hits). Returns false — and absorbs nothing — when
@@ -782,6 +840,42 @@ mod tests {
         b.insert_hardware("d".into(), None);
         assert_eq!(store.contexts(), 2);
         assert_eq!(store.len(), 2);
+    }
+
+    /// A snapshot kept current through `catch_up` always equals a fresh
+    /// one, across other contexts' admissions, re-admissions, absorbed
+    /// snapshots, evictions and a reload.
+    #[test]
+    fn catch_up_keeps_a_snapshot_equal_to_a_fresh_one() {
+        for capacity in [None, Some(5)] {
+            let store = capacity.map_or_else(CacheStore::new, CacheStore::with_capacity);
+            let mut mine = store.session("ctx");
+            let mut other = store.session("ctx");
+            let mut foreign = store.session("other-ctx");
+            let mut cache = EvalCache::new("ctx");
+            let mut cursor = AdmissionCursor::default();
+            for i in 0..12 {
+                mine.insert_accuracy(format!("d{i}"), 0.5);
+                foreign.insert_hardware(format!("d{i}"), None);
+                if i % 3 == 0 {
+                    other.insert_hardware(format!("d{}", i / 3), hw(1.0));
+                    mine.insert_accuracy("d0".into(), 0.5);
+                }
+                if i == 7 {
+                    let mut absorbed = EvalCache::new("ctx");
+                    absorbed.accuracy.insert("restored".into(), 0.25);
+                    mine.absorb(&absorbed);
+                }
+                mine.catch_up(&mut cache, &mut cursor);
+                assert_eq!(cache, mine.snapshot(), "capacity {capacity:?}, step {i}");
+            }
+            // A store reloaded from disk catches up from a default cursor.
+            let reloaded = CacheStore::from_json(&store.to_json().unwrap()).unwrap();
+            let session = reloaded.session("ctx");
+            let mut cache = EvalCache::new("ctx");
+            session.catch_up(&mut cache, &mut AdmissionCursor::default());
+            assert_eq!(cache, session.snapshot());
+        }
     }
 
     #[test]

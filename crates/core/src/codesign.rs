@@ -14,6 +14,7 @@
 //! what makes the episode-count comparison of Fig. 3 fair.
 
 use crate::backend::{BackendRegistry, DEFAULT_BACKEND};
+use crate::cache::AdmissionCursor;
 use crate::checkpoint::Checkpoint;
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
 use crate::hwconfig::HwHierarchy;
@@ -663,9 +664,15 @@ impl CoDesign {
     /// through the freshly seeded optimizer (re-running `propose` and
     /// `observe` but skipping the evaluators), which restores optimizer
     /// state, RNG streams and transcript bit-exactly without serializing
-    /// RNG internals. `on_checkpoint` is invoked with a fresh snapshot
-    /// after every completed episode — pass a closure that calls
-    /// [`Checkpoint::save`] to persist, or a no-op to run unpersisted.
+    /// RNG internals. `on_checkpoint` is invoked after every completed
+    /// episode with the run's checkpoint, the history so far plus the memo
+    /// table — pass a closure that calls [`crate::CheckpointStore::save`]
+    /// to persist, or a no-op to run unpersisted.
+    ///
+    /// The checkpoint is the loop's own state, updated in place: each
+    /// episode pushes its record and merges only the memo entries the
+    /// store admitted since the previous episode. At the end its history
+    /// moves into the [`Outcome`].
     ///
     /// # Errors
     ///
@@ -677,7 +684,9 @@ impl CoDesign {
         resume: Option<Checkpoint>,
         mut on_checkpoint: impl FnMut(&Checkpoint) -> Result<()>,
     ) -> Result<Outcome> {
-        let mut history: Vec<EpisodeRecord> = Vec::with_capacity(self.config.episodes as usize);
+        let mut state = Checkpoint::new(self.config, self.optimizer.name(), Vec::new())
+            .with_backend(&self.backend)
+            .with_hw_digest(self.hw_digest.clone());
         if let Some(cp) = resume {
             self.replay(&cp)?;
             // Rehydrate the evaluation memo table so designs evaluated
@@ -688,15 +697,20 @@ impl CoDesign {
             if let Some(cache) = cp.eval_cache {
                 self.pipeline.restore_cache(cache);
             }
-            history = cp.history;
+            state.history = cp.history;
         }
+        let resumed = state.history.len();
+        state
+            .history
+            .reserve((self.config.episodes as usize).saturating_sub(resumed));
+        let mut cursor = AdmissionCursor::default();
         self.journal.record(JournalEvent::RunStart {
             optimizer: self.optimizer.name().to_string(),
             backend: self.backend.clone(),
             objective: self.config.objective.name().to_string(),
             episodes: self.config.episodes,
             seed: self.config.seed,
-            resumed: history.len() as u64,
+            resumed: resumed as u64,
         });
         if let (Some(digest), Some(summary)) = (&self.hw_digest, &self.hw_summary) {
             self.journal.record(JournalEvent::HwConfig {
@@ -705,7 +719,7 @@ impl CoDesign {
                 summary: summary.clone(),
             });
         }
-        for episode in history.len() as u32..self.config.episodes {
+        for episode in resumed as u32..self.config.episodes {
             let design = self.optimizer.propose()?;
             let record = self.evaluate_design(episode, design)?;
             self.optimizer.observe(&record.design, record.reward)?;
@@ -715,13 +729,15 @@ impl CoDesign {
                 accuracy: record.accuracy,
                 quarantined: record.quarantined,
             });
-            history.push(record);
-            let snapshot = self.snapshot(&history);
-            on_checkpoint(&snapshot)?;
+            state.history.push(record);
+            self.pipeline
+                .catch_up_cache(&mut state.eval_cache, &mut cursor);
+            on_checkpoint(&state)?;
             self.journal.record(JournalEvent::CheckpointSaved {
-                episodes_done: snapshot.episodes_done(),
+                episodes_done: state.episodes_done(),
             });
         }
+        let history = state.history;
         let best = history
             .iter()
             .max_by(|a, b| a.reward.total_cmp(&b.reward))
@@ -736,17 +752,6 @@ impl CoDesign {
             best,
             optimizer: self.optimizer.name().to_string(),
         })
-    }
-
-    /// Snapshots the run after the episodes in `history`.
-    fn snapshot(&self, history: &[EpisodeRecord]) -> Checkpoint {
-        let mut cp = Checkpoint::new(self.config, self.optimizer.name(), history.to_vec())
-            .with_backend(&self.backend)
-            .with_hw_digest(self.hw_digest.clone());
-        if let Some(cache) = self.pipeline.cache() {
-            cp = cp.with_eval_cache(cache);
-        }
-        cp
     }
 
     /// Replays a checkpoint's episodes through the optimizer, verifying
@@ -1154,6 +1159,132 @@ mod tests {
         // The rehydrated cache serves the resumed episodes' lookups.
         let stats = resumer.cache_stats();
         assert!(stats.hits + stats.misses > 0);
+    }
+
+    /// Runs `run` from `resume` on the shared `store` and checks that at
+    /// every episode the checkpoint the callback sees, kept in place by
+    /// the loop, equals one built from scratch: the history copied, the
+    /// memo table snapshotted from the store (as `pipeline.cache()`
+    /// does). `between` runs after each check. Returns the outcome and
+    /// the last checkpoint.
+    fn run_checking_checkpoints(
+        mut run: CoDesign,
+        resume: Option<Checkpoint>,
+        store: &crate::cache::CacheStore,
+        mut between: impl FnMut(),
+    ) -> (Outcome, Checkpoint) {
+        let context = run.pipeline().cache().unwrap().context().to_string();
+        let blank = Checkpoint::new(run.config, run.optimizer.name(), Vec::new())
+            .with_backend(run.backend())
+            .with_hw_digest(run.hw_digest().map(str::to_string));
+        let mut seen = Vec::new();
+        let outcome = run
+            .run_resumable(resume, |cp| {
+                let expected = blank.clone().with_eval_cache(store.snapshot(&context));
+                seen.push((cp.clone(), expected));
+                between();
+                Ok(())
+            })
+            .unwrap();
+        for (cp, expected) in &mut seen {
+            expected.history = outcome.history[..cp.history.len()].to_vec();
+            assert_eq!(cp, expected, "episode {}", cp.episodes_done());
+        }
+        let (last, _) = seen.pop().unwrap();
+        (outcome, last)
+    }
+
+    fn build_on(
+        store: &crate::cache::CacheStore,
+        config: CoDesignConfig,
+        spec: OptimizerSpec,
+    ) -> CoDesign {
+        CoDesign::builder(DesignSpace::nacim_cifar10(), config)
+            .optimizer(spec)
+            .cache_store(store)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn in_place_checkpoint_equals_a_fresh_snapshot_every_episode() {
+        // A fresh run.
+        let store = crate::cache::CacheStore::new();
+        let run = build_on(&store, cfg(6, 5), OptimizerSpec::ExpertLlm);
+        let (_, last) = run_checking_checkpoints(run, None, &store, || ());
+
+        // Resumed with a larger budget, on a fresh store: the rehydrated
+        // memo table is the starting snapshot.
+        let store = crate::cache::CacheStore::new();
+        let run = build_on(&store, cfg(10, 5), OptimizerSpec::ExpertLlm);
+        let (longer, _) = run_checking_checkpoints(run, Some(last), &store, || ());
+        assert_eq!(longer.history.len(), 10);
+    }
+
+    /// Two sessions on one shared store, taking strict turns episode by
+    /// episode: each one's checkpoint must also hold the same-context
+    /// entries the other admitted in between.
+    #[test]
+    fn in_place_checkpoint_follows_a_shared_store_across_interleaved_sessions() {
+        use std::sync::{Condvar, Mutex};
+        // (whose turn, which sessions are done)
+        let turns = (Mutex::new((0usize, [false; 2])), Condvar::new());
+        let wait = |me: usize| {
+            let mut g = crate::lock(&turns.0);
+            while g.0 != me && !g.1[1 - me] {
+                g = turns.1.wait(g).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        let pass = |me: usize, done: bool| {
+            let mut g = crate::lock(&turns.0);
+            g.0 = 1 - me;
+            g.1[me] |= done;
+            turns.1.notify_all();
+        };
+        // Marks a session done however it ends, so a failed assertion in
+        // one fails the test instead of leaving the other waiting.
+        struct Done<'a, F: Fn(usize, bool)>(&'a F, usize);
+        impl<F: Fn(usize, bool)> Drop for Done<'_, F> {
+            fn drop(&mut self) {
+                (self.0)(self.1, true);
+            }
+        }
+        let store = crate::cache::CacheStore::new();
+        // One seed, so one evaluator context; different optimizers, so
+        // different designs.
+        let specs = [OptimizerSpec::ExpertLlm, OptimizerSpec::Random];
+        let outcomes = std::thread::scope(|scope| {
+            let sessions = specs.clone().map(|spec| {
+                let (store, wait, pass) = (&store, &wait, &pass);
+                let me = usize::from(spec == OptimizerSpec::Random);
+                scope.spawn(move || {
+                    let _done = Done(pass, me);
+                    wait(me);
+                    let run = build_on(store, cfg(5, 9), spec);
+                    let (outcome, last) = run_checking_checkpoints(run, None, store, || {
+                        pass(me, false);
+                        wait(me);
+                    });
+                    // The other session's designs are in this one's table.
+                    let own: std::collections::BTreeSet<String> = outcome
+                        .history
+                        .iter()
+                        .map(|r| r.design.to_response_text())
+                        .collect();
+                    let cache = last.eval_cache.unwrap();
+                    assert!(cache.hardware.keys().any(|key| !own.contains(key)));
+                    outcome
+                })
+            });
+            sessions.map(|session| session.join().unwrap())
+        });
+        for (outcome, spec) in outcomes.iter().zip(specs) {
+            let alone = build(DesignSpace::nacim_cifar10(), cfg(5, 9), spec)
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(*outcome, alone);
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! ([`save_checksummed`], [`load_checksummed`]), rotated generation
 //! paths ([`generation_path`], [`rotate_generations`], which
 //! [`crate::CheckpointStore`] builds its newest-valid fallback on), and
-//! torn-tail salvage of append-only JSONL files ([`open_jsonl`]).
-//! Checkpoints, the cache store, the serve WAL and run journals all go
-//! through this module.
+//! fsynced appends to append-only JSONL files ([`append_line`]) with
+//! torn-tail salvage on reopen ([`open_jsonl`], [`valid_jsonl_prefix`]).
+//! Checkpoint logs, the cache store, the serve WAL and run journals all
+//! go through this module.
 
 use crate::pipeline::Fnv;
 use crate::{CoreError, Result};
@@ -205,14 +206,10 @@ pub(crate) fn rotate_generations(base: &Path, keep: u32) -> Result<()> {
 /// Opens the append-only JSONL file at `path` for appending (creating it
 /// when missing), salvaging a torn tail first.
 ///
-/// `decode` sees each complete line of the file in order, without its
-/// line terminator, until it rejects one; the callers keep what they
-/// decode. The longest prefix of complete lines that decode is kept. A
-/// bad or unterminated final line is the signature of a kill
+/// `decode` sees each complete line of the file as [`valid_jsonl_prefix`]
+/// describes. A bad or unterminated final line is the signature of a kill
 /// mid-append: the file is truncated back to the prefix and the
-/// truncation is fsynced. A bad line with any line after it is mid-file
-/// damage — truncating there would silently drop the records after it —
-/// so the file is left untouched and `error` builds the typed error.
+/// truncation is fsynced.
 ///
 /// # Errors
 ///
@@ -220,7 +217,7 @@ pub(crate) fn rotate_generations(base: &Path, keep: u32) -> Result<()> {
 pub(crate) fn open_jsonl<E: std::fmt::Display>(
     path: &Path,
     error: fn(String) -> CoreError,
-    mut decode: impl FnMut(&str) -> std::result::Result<(), E>,
+    decode: impl FnMut(&str) -> std::result::Result<(), E>,
 ) -> Result<File> {
     let io = |op: &str, e: std::io::Error| error(format!("{op} {}: {e}", path.display()));
     let bytes = match std::fs::read(path) {
@@ -228,6 +225,39 @@ pub(crate) fn open_jsonl<E: std::fmt::Display>(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(io("read", e)),
     };
+    let valid_len = valid_jsonl_prefix(path, &bytes, error, decode)?;
+    let file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| io("open", e))?;
+    if valid_len < bytes.len() {
+        file.set_len(valid_len as u64)
+            .map_err(|e| io("truncate torn tail of", e))?;
+        file.sync_all().map_err(|e| io("fsync", e))?;
+    }
+    Ok(file)
+}
+
+/// The length of the longest prefix of `bytes`, the content of the JSONL
+/// file at `path`, whose lines are complete and decode.
+///
+/// `decode` sees each complete line in order, without its line
+/// terminator, until it rejects one; the callers keep what they decode.
+/// A bad or unterminated final line is a torn tail and ends the prefix.
+/// A bad line with any line after it is mid-file damage — dropping it
+/// would silently drop the records after it — so `error` builds the
+/// typed error instead.
+///
+/// # Errors
+///
+/// Returns `error(..)` for mid-file damage.
+pub(crate) fn valid_jsonl_prefix<E: std::fmt::Display>(
+    path: &Path,
+    bytes: &[u8],
+    error: fn(String) -> CoreError,
+    mut decode: impl FnMut(&str) -> std::result::Result<(), E>,
+) -> Result<usize> {
     let mut valid_len = 0usize;
     for (index, chunk) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
         // A line missing its newline is torn even when it decodes: the
@@ -252,17 +282,29 @@ pub(crate) fn open_jsonl<E: std::fmt::Display>(
         }
         valid_len += chunk.len();
     }
-    let file = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| io("open", e))?;
-    if valid_len < bytes.len() {
-        file.set_len(valid_len as u64)
-            .map_err(|e| io("truncate torn tail of", e))?;
-        file.sync_all().map_err(|e| io("fsync", e))?;
-    }
-    Ok(file)
+    Ok(valid_len)
+}
+
+/// Appends `line` and its terminator to an append-only JSONL file in one
+/// write, then fsyncs the data: once this returns, the line survives
+/// `kill -9`. A failed append may leave a torn tail, which the next
+/// [`open_jsonl`] salvages.
+///
+/// # Errors
+///
+/// Returns `error(..)` on I/O failure.
+pub(crate) fn append_line(
+    file: &mut File,
+    path: &Path,
+    line: &str,
+    error: fn(String) -> CoreError,
+) -> Result<()> {
+    let io = |op: &str, e: std::io::Error| error(format!("{op} {}: {e}", path.display()));
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    file.write_all(&bytes).map_err(|e| io("append", e))?;
+    file.sync_data().map_err(|e| io("fsync", e))
 }
 
 #[cfg(test)]

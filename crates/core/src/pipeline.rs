@@ -48,7 +48,7 @@
 //! event at exactly the points the counters tick, so a journal's
 //! aggregated cache stats always equal [`EvalPipeline::stats`].
 
-use crate::cache::{CacheSession, CacheStore, SessionStats};
+use crate::cache::{AdmissionCursor, CacheSession, CacheStore, SessionStats};
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
 use crate::journal::{CacheKind, Journal, JournalEvent};
 use crate::{CoreError, Result};
@@ -101,7 +101,12 @@ impl Fnv {
 
     /// The digest as fixed-width hex.
     pub(crate) fn hex(&self) -> String {
-        format!("{:016x}", self.0)
+        format!("{:016x}", self.value())
+    }
+
+    /// The digest.
+    pub(crate) fn value(&self) -> u64 {
+        self.0
     }
 }
 
@@ -216,6 +221,24 @@ impl EvalPipeline {
     /// the store), for checkpointing. `None` when caching is off.
     pub fn cache(&self) -> Option<EvalCache> {
         self.cache.as_ref().map(CacheSession::snapshot)
+    }
+
+    /// Keeps `cache`, a [`EvalPipeline::cache`] snapshot as of `cursor`,
+    /// equal to a fresh one by merging only what the store admitted
+    /// since ([`CacheSession::catch_up`]). Sets it to `None` when caching
+    /// is off.
+    pub(crate) fn catch_up_cache(
+        &self,
+        cache: &mut Option<EvalCache>,
+        cursor: &mut AdmissionCursor,
+    ) {
+        match &self.cache {
+            Some(session) => session.catch_up(
+                cache.get_or_insert_with(|| EvalCache::new(session.context())),
+                cursor,
+            ),
+            None => *cache = None,
+        }
     }
 
     /// Hit/miss/insert counters (zeroes when caching is disabled).

@@ -27,10 +27,9 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::durable::{from_checksummed_json, open_jsonl, to_checksummed_compact_json};
+use crate::durable::{append_line, from_checksummed_json, open_jsonl, to_checksummed_compact_json};
 use crate::serve::{JobSpec, JobState};
 use crate::{lock, CoreError, Result};
 use lcda_base::json::{FromJson, ToJson, Value};
@@ -228,14 +227,7 @@ impl Wal {
             entry,
         };
         let line = encode_line(&record)?;
-        inner
-            .file
-            .write_all(format!("{line}\n").as_bytes())
-            .map_err(|e| CoreError::Checkpoint(format!("append {}: {e}", self.path.display())))?;
-        inner
-            .file
-            .sync_data()
-            .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", self.path.display())))?;
+        append_line(&mut inner.file, &self.path, &line, CoreError::Checkpoint)?;
         inner.next_seq = record.seq + 1;
         Ok(record.seq)
     }

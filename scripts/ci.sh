@@ -55,13 +55,13 @@ if grep -q truncated "$journal_dir/fleet_report.txt"; then
     exit 1
 fi
 
-# Chaos smoke: kill -9 a checkpointed search mid-run, tear the journal
-# tail like an interrupted write, and require both the resume and the
-# report to come back clean, and the resumed `--json` to be
-# byte-identical to an uninterrupted run's. Checkpoints carry no LLM
-# transcript, so this also gates that replay rebuilds it. The kill is
-# racy by design — a fast run may finish first, which is also a pass
-# (the resume then just replays).
+# Chaos smoke: kill -9 a checkpointed search mid-run, tear the tails of
+# the journal and the checkpoint log like interrupted writes, and require
+# both the resume and the report to come back clean, and the resumed
+# `--json` to be byte-identical to an uninterrupted run's. Checkpoints
+# carry no LLM transcript, so this also gates that replay rebuilds it.
+# The kill is racy by design — a fast run may finish first, which is
+# also a pass (the resume then just replays).
 ./target/release/lcda search --episodes 8 --seed 7 --no-cache --json \
     > "$journal_dir/chaos_clean.json"
 ./target/release/lcda search --episodes 8 --seed 7 --no-cache \
@@ -71,11 +71,13 @@ chaos_pid=$!
 sleep 0.2
 kill -9 "$chaos_pid" 2> /dev/null || true
 wait "$chaos_pid" 2> /dev/null || true
-if [ -s "$journal_dir/chaos.jsonl" ]; then
-    # Drop the last 5 bytes so the final record is torn mid-line.
-    size=$(wc -c < "$journal_dir/chaos.jsonl")
-    truncate -s $((size > 5 ? size - 5 : 0)) "$journal_dir/chaos.jsonl"
-fi
+for torn in "$journal_dir/chaos.jsonl" "$journal_dir/chaos.json"; do
+    if [ -s "$torn" ]; then
+        # Drop the last 5 bytes so the final record is torn mid-line.
+        size=$(wc -c < "$torn")
+        truncate -s $((size > 5 ? size - 5 : 0)) "$torn"
+    fi
+done
 ./target/release/lcda search --episodes 8 --seed 7 --no-cache --json \
     --checkpoint "$journal_dir/chaos.json" --keep-checkpoints 2 --resume \
     --journal "$journal_dir/chaos.jsonl" > "$journal_dir/chaos_resumed.json"
@@ -93,6 +95,33 @@ if ./target/release/lcda search --episodes 8 --seed 7 --no-cache \
     exit 1
 fi
 cmp "$journal_dir/damaged.jsonl" "$journal_dir/damaged.saved.jsonl"
+# The same for the checkpoint log: a line damaged before the final one
+# is never resumed from. With an older log on disk (a shorter run's,
+# rotated to generation 1) resume falls back to it and replays to the
+# identical bytes; with none it fails with a typed error.
+./target/release/lcda search --episodes 5 --seed 7 --no-cache \
+    --checkpoint "$journal_dir/mid.json" --keep-checkpoints 2 > /dev/null
+./target/release/lcda search --episodes 8 --seed 7 --no-cache \
+    --checkpoint "$journal_dir/mid.json" --keep-checkpoints 2 > /dev/null
+[ -s "$journal_dir/mid.json.1" ] \
+    || { echo "ci: a new run's log did not rotate the older one" >&2; exit 1; }
+sed -i '3s/"history"/"hIstory"/' "$journal_dir/mid.json"
+cp "$journal_dir/mid.json" "$journal_dir/mid.saved.json"
+./target/release/lcda search --episodes 8 --seed 7 --no-cache --json \
+    --checkpoint "$journal_dir/mid.json" --keep-checkpoints 2 --resume \
+    > "$journal_dir/mid_resumed.json" 2> "$journal_dir/mid.err"
+grep -q "resuming from generation 1" "$journal_dir/mid.err"
+cmp "$journal_dir/chaos_clean.json" "$journal_dir/mid_resumed.json"
+cp "$journal_dir/mid.saved.json" "$journal_dir/mid.json"
+rm "$journal_dir/mid.json.1"
+if ./target/release/lcda search --episodes 8 --seed 7 --no-cache \
+    --checkpoint "$journal_dir/mid.json" --keep-checkpoints 2 --resume \
+    > /dev/null 2> "$journal_dir/mid.err"; then
+    echo "ci: resume accepted a checkpoint log damaged before its final line" >&2
+    exit 1
+fi
+grep -q "corrupted record before the final line" "$journal_dir/mid.err"
+cmp "$journal_dir/mid.json" "$journal_dir/mid.saved.json"
 
 # The default-backend run the hardware-preset smoke below compares against.
 ./target/release/lcda search --episodes 4 --seed 9 --json \

@@ -43,10 +43,14 @@ SEARCH OPTIONS:
                             --backend @<path> suffix (see configs/hw/)
     --episodes <n>                                           (default 20)
     --seed <n>                                               (default 0)
-    --checkpoint <path>     write a JSON checkpoint after every episode
-    --keep-checkpoints <n>  rotated checkpoint generations kept on disk;
-                            resume falls back to the newest *valid* one
-                                                             (default 1)
+    --checkpoint <path>     keep a checkpoint log: after every episode,
+                            append one checksummed JSON line holding that
+                            episode and its new memo entries, fsynced
+    --keep-checkpoints <n>  checkpoint logs kept on disk; a run of another
+                            config starts a new log and rotates the older
+                            ones to <path>.1, <path>.2, ...; resume salvages
+                            a torn last line and falls back to the newest
+                            *valid* log; requires --checkpoint (default 1)
     --resume                resume from --checkpoint if it exists; with
                             --journal, repair and extend the journal too
     --threads <n>           evaluator worker threads; results are
@@ -315,6 +319,9 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     let resume = args.flag("--resume");
     if resume && checkpoint_path.is_none() {
         return Err("--resume requires --checkpoint <path>".into());
+    }
+    if args.get("--keep-checkpoints").is_some() && checkpoint_path.is_none() {
+        return Err("--keep-checkpoints requires --checkpoint <path>".into());
     }
 
     let space = DesignSpace::nacim_cifar10();

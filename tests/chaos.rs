@@ -230,42 +230,58 @@ fn corrupt(path: &std::path::Path, how: &Corruption) {
     std::fs::write(path, bytes).unwrap();
 }
 
-/// Satellite (d): whatever happens to the newest checkpoint
-/// generation, resume falls back to the previous valid one and
-/// replays to the exact same outcome.
+/// Whatever happens to the newest checkpoint log — a torn write, a bit
+/// flip anywhere, a tampered version — resume either replays to the
+/// exact same outcome or fails with a typed error; it never continues
+/// from bytes it has not verified. A torn final line is salvaged; a bad
+/// header or damage before the final line falls back to the previous
+/// log, which every other case keeps: then the resume must succeed.
 #[test]
 fn corrupted_newest_generation_falls_back_and_replays_identically() {
     check(10, |rng| {
         let how = random_corruption(rng);
         let seed = rng.below(1000);
+        let older_log = rng.below(2) == 1;
         let episodes = 3;
         let path = scratch("rot");
         let store = CheckpointStore::new(&path, 3).unwrap();
-        let reference = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(episodes, seed))
-            .optimizer(OptimizerSpec::Random)
-            .build()
-            .unwrap()
+        let run = |budget: u32| {
+            CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(budget, seed))
+                .optimizer(OptimizerSpec::Random)
+                .build()
+                .unwrap()
+        };
+        if older_log {
+            // A shorter budget is another header: the run below starts
+            // a new log and rotates this one to generation 1.
+            run(episodes - 1)
+                .run_resumable(None, |cp| store.save(cp))
+                .unwrap();
+        }
+        let reference = run(episodes)
             .run_resumable(None, |cp| store.save(cp))
             .unwrap();
-        assert!(path.exists());
+        assert_eq!(store.generation_path(1).exists(), older_log);
 
         corrupt(&path, &how);
-        let (cp, generation) = store
-            .load_latest()
-            .unwrap()
-            .expect("older generations survive");
-        assert!(generation > 0, "corrupt gen 0 must be rejected ({how:?})");
-        assert_eq!(cp.episodes_done(), u64::from(episodes) - 1);
-
-        // Replaying the salvaged generation under the full budget lands on
-        // the identical outcome.
-        let replayed = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(episodes, seed))
-            .optimizer(OptimizerSpec::Random)
-            .build()
-            .unwrap()
-            .run_resumable(Some(cp), |_| Ok(()))
-            .unwrap();
-        assert_eq!(replayed, reference);
+        match store.load_latest() {
+            Ok(Some((cp, generation))) => {
+                assert!(cp.episodes_done() <= u64::from(episodes), "{how:?}");
+                assert!(generation == 0 || older_log, "{how:?}");
+                // The salvaged or older log replays under the full
+                // budget to the identical outcome, saving as it goes.
+                let replayed = run(episodes)
+                    .run_resumable(Some(cp), |cp| store.save(cp))
+                    .unwrap();
+                assert_eq!(replayed, reference, "{how:?}");
+                let (reloaded, _) = store.load_latest().unwrap().unwrap();
+                assert_eq!(reloaded.history, reference.history, "{how:?}");
+            }
+            Err(CoreError::Checkpoint(_)) => {
+                assert!(!older_log, "the older log must be resumed ({how:?})");
+            }
+            other => panic!("expected a resume or a typed error, got {other:?} ({how:?})"),
+        }
         remove_generations(&path, 3);
     });
 }

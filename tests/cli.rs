@@ -278,6 +278,16 @@ fn resume_requires_checkpoint_flag() {
 }
 
 #[test]
+fn keep_checkpoints_requires_checkpoint_flag() {
+    let (ok, stdout, stderr) = lcda(&["search", "--episodes", "2", "--keep-checkpoints", "3"]);
+    assert!(!ok, "{stdout}");
+    assert!(
+        stderr.contains("--keep-checkpoints requires --checkpoint"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn checkpointed_search_resumes_to_identical_outcome() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("lcda-cli-ckpt-{}.json", std::process::id()));

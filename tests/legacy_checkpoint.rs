@@ -7,7 +7,8 @@
 //! `expert_episode3.json` is an expert search (seed 11, 6 episodes)
 //! killed after episode 3. It must verify, load through its store and
 //! resume to the outcome of an uninterrupted run. The transcript entry is ignored on load; replay
-//! rebuilds the transcript.
+//! rebuilds the transcript. Resumed through the store, its first save
+//! starts a checkpoint log.
 
 use lcda::core::CoreError;
 use lcda::prelude::*;
@@ -75,4 +76,51 @@ fn transcript_era_checkpoint_resumes_to_the_uninterrupted_outcome() {
     let full = run().run().unwrap();
     let resumed = run().run_resumable(Some(cp), |_| Ok(())).unwrap();
     assert_eq!(resumed, full);
+}
+
+/// Resumed through a store, the first save after the whole-file
+/// checkpoint starts a checkpoint log and rotates the file a generation
+/// up, unchanged; the run still lands on the uninterrupted outcome.
+#[test]
+fn transcript_era_checkpoint_resumes_through_the_store_into_a_log() {
+    let dir = std::env::temp_dir().join(format!("lcda-legacy-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.json");
+    let fixture_bytes = std::fs::read(fixture("expert_episode3.json")).unwrap();
+    std::fs::write(&path, &fixture_bytes).unwrap();
+
+    let store = CheckpointStore::new(&path, 2).unwrap();
+    let (cp, generation) = store.load_latest().unwrap().unwrap();
+    assert_eq!((cp.episodes_done(), generation), (3, 0));
+    let run = || {
+        CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(11))
+            .optimizer(OptimizerSpec::ExpertLlm)
+            .build()
+            .unwrap()
+    };
+    let mut first_save = true;
+    let mut last = None;
+    let resumed = run()
+        .run_resumable(Some(cp), |cp| {
+            store.save(cp)?;
+            if std::mem::take(&mut first_save) {
+                let log = std::fs::read_to_string(&path).unwrap();
+                assert!(!log.starts_with("{\n"), "the first save starts a log");
+                assert_eq!(log.lines().count(), 2, "a header and the whole checkpoint");
+                assert_eq!(
+                    std::fs::read(store.generation_path(1)).unwrap(),
+                    fixture_bytes
+                );
+            }
+            last = Some(cp.clone());
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(resumed, run().run().unwrap());
+    // The later saves appended to that log.
+    assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 4);
+    let (loaded, generation) = store.load_latest().unwrap().unwrap();
+    assert_eq!((Some(loaded), generation), (last, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
