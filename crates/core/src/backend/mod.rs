@@ -1,60 +1,58 @@
-//! The pluggable hardware-backend layer.
+//! The hardware-backend layer.
 //!
-//! The paper treats the hardware cost model as an interchangeable oracle
-//! (§III-C): the co-design loop only ever asks "what does this candidate
-//! cost?". This module makes that interchangeability real. A
+//! The paper treats the hardware cost model as an oracle (§III-C): the
+//! co-design loop only ever asks "what does this candidate cost?". A
 //! [`HardwareBackend`] is a [`HardwareCostEvaluator`] that additionally
 //!
-//! 1. carries a stable **backend id** (`cim`, `systolic`, …) used as the
-//!    registry key *and* as the namespace prefix of its cache
+//! 1. carries a stable **backend id** (`cim`) used as the name a spec
+//!    resolves by *and* as the namespace prefix of its cache
 //!    fingerprint, and
 //! 2. exposes its full configuration as an **opaque JSON
 //!    snapshot** ([`HardwareBackend::config_json`]), so run reports and
 //!    fingerprints can capture every constant that shaped a result
 //!    without the core crate knowing the backend's concrete types.
 //!
-//! Two backends ship in-tree, registered in [`BackendRegistry::standard`]:
-//!
-//! - [`cim::CimBackend`] — the NeuroSim-style compute-in-memory macro
-//!   model the paper uses (the adapter is the **only** module in
-//!   `lcda-core` allowed to name `lcda_neurosim` chip/mapper types);
-//! - [`systolic::SystolicBackend`] — a from-scratch Eyeriss/TPU-style
-//!   analytic digital accelerator model, the cross-architecture baseline.
+//! One backend ships in-tree, resolved by [`BackendRegistry`]:
+//! [`cim::CimBackend`], the NeuroSim-style compute-in-memory macro model
+//! the paper uses (the adapter is the **only** module in `lcda-core`
+//! allowed to name `lcda_neurosim` chip/mapper types). Any other cost
+//! model plugs in as an evaluator through
+//! [`crate::CoDesignBuilder::hardware_evaluator`] or
+//! [`crate::EvalPipeline::new`].
 //!
 //! # Cache-fingerprint namespacing
 //!
 //! [`crate::pipeline::EvalCache`] keys its context on the evaluator
 //! pair's fingerprints. Every backend fingerprint is
-//! `"{id}/{digest-of-config}"`, so two backends can never collide even if
-//! their config JSON happened to hash identically: a memoized result
-//! produced under `cim` is structurally unservable to a `systolic` run.
+//! `"{id}/{digest-of-config}"` ([`backend_fingerprint`]), so two models
+//! can never collide even if their config JSON happened to hash
+//! identically: a memoized result produced under `cim` is structurally
+//! unservable to a model with another id.
 
 use crate::evaluate::HardwareCostEvaluator;
 use crate::hwconfig::HwHierarchy;
 use crate::space::DesignSpace;
 use crate::{CoreError, Result};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
 pub mod cim;
-pub mod systolic;
 
 pub use cim::CimBackend;
-pub use systolic::SystolicBackend;
 
-/// The registry key of the backend used when none is requested — the
-/// paper's compute-in-memory model.
+/// The name of the backend used when none is requested — the paper's
+/// compute-in-memory model, and the only one [`BackendRegistry`]
+/// resolves.
 pub const DEFAULT_BACKEND: &str = "cim";
 
-/// A hardware cost model that can be swapped under the co-design loop.
+/// A hardware cost model under the co-design loop.
 ///
 /// Everything the optimizer stack touches is the [`HardwareCostEvaluator`]
 /// supertrait; the extra methods exist for the registry, checkpoints and
 /// cache namespacing. `Box<dyn HardwareBackend>` upcasts directly to
 /// `Box<dyn HardwareCostEvaluator>`.
 pub trait HardwareBackend: HardwareCostEvaluator {
-    /// Stable registry key (`cim`, `systolic`). Doubles as the namespace
+    /// Stable backend name (`cim`). Doubles as the namespace
     /// prefix of [`HardwareCostEvaluator::fingerprint`] and as the value
     /// stamped into [`crate::Checkpoint::backend`].
     fn id(&self) -> &'static str;
@@ -69,8 +67,7 @@ pub trait HardwareBackend: HardwareCostEvaluator {
     fn config_json(&self) -> Result<String>;
 
     /// The declarative hardware hierarchy this backend was built on, when
-    /// it has one. Backends registered by downstream crates may return
-    /// `None`. The hierarchy's [`HwHierarchy::digest`] is what joins the
+    /// it has one. Other implementations may return `None`. The hierarchy's [`HwHierarchy::digest`] is what joins the
     /// checkpoint stamp and the journal `hw_config` event.
     fn hierarchy(&self) -> Option<&HwHierarchy> {
         None
@@ -85,18 +82,13 @@ pub fn backend_fingerprint(id: &str, parts: &[&str]) -> String {
     format!("{id}/{}", crate::pipeline::stable_fingerprint(parts))
 }
 
-/// Constructor signature stored in the registry: backends are built from
-/// the design space plus an optional hardware hierarchy — `None` means
-/// the backend's built-in default platform.
-pub type BackendCtor = fn(&DesignSpace, Option<&HwHierarchy>) -> Result<Box<dyn HardwareBackend>>;
-
 /// A grammar-level failure parsing a backend spec string.
 ///
 /// These are the *typed* errors behind `BackendSpec::from_str`; callers
 /// that want a [`CoreError`] get one via `From`. Registry membership of
 /// the base name is a separate, registry-level check
-/// ([`BackendRegistry::parse`]) — the grammar cannot know which backends
-/// are registered.
+/// ([`BackendRegistry::parse`]) — the grammar does not know which
+/// backends exist.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendSpecError {
     /// The spec was empty or started with `@` (no base backend name).
@@ -143,7 +135,7 @@ impl From<BackendSpecError> for CoreError {
 /// — into a typed value, and everything downstream consumes the type.
 /// Parsing validates the *grammar* (typed [`BackendSpecError`]s);
 /// [`BackendRegistry::parse`] additionally validates that the base name
-/// is registered and that any `@config` hardware hierarchy loads and
+/// is known and that any `@config` hardware hierarchy loads and
 /// validates.
 ///
 /// The optional `@config` suffix names the hardware hierarchy the
@@ -175,7 +167,7 @@ impl BackendSpec {
         }
     }
 
-    /// The base backend's registry name (`cim`, `systolic`, …).
+    /// The base backend's name (`cim`).
     pub fn base(&self) -> &str {
         &self.base
     }
@@ -250,95 +242,51 @@ impl FromStr for BackendSpec {
     }
 }
 
-/// A small name → constructor table for hardware backends.
+/// Resolves backend spec strings to hardware backends.
 ///
-/// The CLI's `--backend` flag and [`crate::CoDesignBuilder::backend`]
-/// resolve through one of these; downstream crates can
-/// [`register`](BackendRegistry::register) their own models without
-/// touching `lcda-core`.
-#[derive(Debug, Clone, Default)]
-pub struct BackendRegistry {
-    ctors: BTreeMap<String, BackendCtor>,
-}
+/// The CLI's `--backend` flag, serve's job specs and
+/// [`crate::CoDesignBuilder::backend`] resolve through this. The one
+/// in-tree backend is `cim`; any other cost model plugs in as an
+/// evaluator through [`crate::CoDesignBuilder::hardware_evaluator`] or
+/// [`crate::EvalPipeline::new`] instead of by name.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BackendRegistry;
 
 impl BackendRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        BackendRegistry::default()
-    }
-
-    /// The in-tree backends: `cim` (NeuroSim-style CiM, the default) and
-    /// `systolic` (digital systolic-array baseline). Each constructor
-    /// accepts an optional [`HwHierarchy`]; `None` selects the built-in
-    /// preset platform ([`HwHierarchy::isaac`] /
-    /// [`HwHierarchy::systolic_256`]).
+    /// The in-tree registry: `cim` (NeuroSim-style CiM), built on an
+    /// optional [`HwHierarchy`]; `None` selects [`HwHierarchy::isaac`].
     pub fn standard() -> Self {
-        let mut r = BackendRegistry::empty();
-        r.register("cim", |space, hw| {
-            Ok(match hw {
-                Some(hw) => Box::new(CimBackend::from_hierarchy(space.clone(), hw.clone())?),
-                None => Box::new(CimBackend::new(space.clone())),
-            })
-        });
-        r.register("systolic", |space, hw| {
-            Ok(match hw {
-                Some(hw) => Box::new(SystolicBackend::from_hierarchy(space.clone(), hw.clone())?),
-                None => Box::new(SystolicBackend::new(space.clone())),
-            })
-        });
-        r
-    }
-
-    /// Registers (or replaces) a backend constructor under a name.
-    pub fn register(&mut self, name: impl Into<String>, ctor: BackendCtor) {
-        self.ctors.insert(name.into(), ctor);
-    }
-
-    /// Whether a backend name is registered (exact base names only; use
-    /// [`BackendRegistry::resolves`] for full specs).
-    pub fn contains(&self, name: &str) -> bool {
-        self.ctors.contains_key(name)
-    }
-
-    /// The registered backend names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.ctors.keys().map(String::as_str).collect()
+        BackendRegistry
     }
 
     /// Parses and fully validates a backend spec string: the grammar
-    /// (via [`BackendSpec::from_str`]), registry membership of the base
-    /// name, and — when the spec carries an `@config` suffix — that the
-    /// hardware hierarchy loads and validates. This is the
-    /// admission-time check the CLI and the serve job intake share — a
-    /// spec that parses here is guaranteed to
-    /// [`create`](BackendRegistry::create_spec) later (modulo backend
-    /// construction failures and the config source changing underneath).
+    /// (via [`BackendSpec::from_str`]), that the base name is known, and
+    /// — when the spec carries an `@config` suffix — that the hardware
+    /// hierarchy loads and validates. This is the admission-time check
+    /// the CLI and the serve job intake share — a spec that parses here
+    /// is guaranteed to [`create`](BackendRegistry::create_spec_with)
+    /// later (modulo backend construction failures and the config source
+    /// changing underneath).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`], distinguishing the failure
     /// classes: the typed [`BackendSpecError`] message for grammar
-    /// faults, the known-name listing for an unregistered base, and the
+    /// faults, the known-name listing for an unknown base, and the
     /// [`HwHierarchy`] load error (file-not-readable vs.
     /// unparseable/invalid content, naming the offending field path) for
     /// a bad `@config`.
     pub fn parse(&self, name: &str) -> Result<BackendSpec> {
         let spec: BackendSpec = name.parse()?;
-        if !self.contains(spec.base()) {
-            return Err(CoreError::InvalidConfig(format!(
-                "unknown hardware backend `{}` (known: {})",
-                spec.base(),
-                self.names().join(", ")
-            )));
-        }
+        known(&spec)?;
         // Validate the hardware config at admission time so a bad file
         // or blob is reported here — not as a queued-then-failed job.
         spec.hardware()?;
         Ok(spec)
     }
 
-    /// Whether `name` resolves through this registry: its base is
-    /// registered and any `@config` hierarchy loads and validates.
+    /// Whether `name` resolves: its base is known and any `@config`
+    /// hierarchy loads and validates.
     pub fn resolves(&self, name: &str) -> bool {
         self.parse(name).is_ok()
     }
@@ -351,35 +299,20 @@ impl BackendRegistry {
     /// propagates backend construction errors.
     pub fn create(&self, name: &str, space: &DesignSpace) -> Result<Box<dyn HardwareBackend>> {
         let spec = self.parse(name)?;
-        self.create_spec(&spec, space)
+        self.create_spec_with(&spec, space, None)
     }
 
     /// Instantiates an already-parsed [`BackendSpec`] over a design
-    /// space, resolving its `@config` hierarchy (if any).
+    /// space, on an explicitly supplied hardware hierarchy (the channel
+    /// `lcda serve` job specs and the CLI `--hw-config` flag use) or
+    /// else the spec's own `@config` hierarchy, if any. A spec that
+    /// carries an `@config` suffix *and* an explicit hierarchy is
+    /// rejected — two competing hardware sources would make the
+    /// resolved chip ambiguous.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when the spec's base is not
-    /// registered or its hardware config does not resolve, and
-    /// propagates backend construction errors.
-    pub fn create_spec(
-        &self,
-        spec: &BackendSpec,
-        space: &DesignSpace,
-    ) -> Result<Box<dyn HardwareBackend>> {
-        self.create_spec_with(spec, space, None)
-    }
-
-    /// Instantiates an already-parsed [`BackendSpec`] over a design
-    /// space on an explicitly supplied hardware hierarchy (the channel
-    /// `lcda serve` job specs and the CLI `--hw-config` flag use). A
-    /// spec that *also* carries an `@config` suffix is rejected — two
-    /// competing hardware sources would make the resolved chip
-    /// ambiguous.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for an unregistered base, an
+    /// Returns [`CoreError::InvalidConfig`] for an unknown base, an
     /// ambiguous double hardware config, or an invalid hierarchy, and
     /// propagates backend construction errors.
     pub fn create_spec_with(
@@ -394,16 +327,24 @@ impl BackendRegistry {
                  it cannot be combined with a separate hw config"
             )));
         }
-        let ctor = self.ctors.get(spec.base()).ok_or_else(|| {
-            CoreError::InvalidConfig(format!(
-                "unknown hardware backend `{}` (known: {})",
-                spec.base(),
-                self.names().join(", ")
-            ))
-        })?;
+        known(spec)?;
         let spec_hw = spec.hardware()?;
-        ctor(space, hw.or(spec_hw.as_ref()))
+        Ok(Box::new(match hw.or(spec_hw.as_ref()) {
+            Some(hw) => CimBackend::from_hierarchy(space.clone(), hw.clone())?,
+            None => CimBackend::new(space.clone()),
+        }))
     }
+}
+
+/// Refuses a spec whose base is not [`DEFAULT_BACKEND`], naming it.
+fn known(spec: &BackendSpec) -> Result<()> {
+    if spec.base() == DEFAULT_BACKEND {
+        return Ok(());
+    }
+    Err(CoreError::InvalidConfig(format!(
+        "unknown hardware backend `{}` (known: {DEFAULT_BACKEND})",
+        spec.base()
+    )))
 }
 
 #[cfg(test)]
@@ -411,22 +352,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn standard_registry_lists_both_backends() {
-        let r = BackendRegistry::standard();
-        assert_eq!(r.names(), vec!["cim", "systolic"]);
-        assert!(r.contains(DEFAULT_BACKEND));
-    }
-
-    #[test]
     fn create_builds_the_named_backend() {
         let r = BackendRegistry::standard();
-        let space = DesignSpace::nacim_cifar10();
-        let cim = r.create("cim", &space).unwrap();
-        let sys = r.create("systolic", &space).unwrap();
+        let cim = r
+            .create(DEFAULT_BACKEND, &DesignSpace::nacim_cifar10())
+            .unwrap();
         assert_eq!(cim.id(), "cim");
-        assert_eq!(sys.id(), "systolic");
         assert!(cim.fingerprint().starts_with("cim/"));
-        assert!(sys.fingerprint().starts_with("systolic/"));
+        assert_eq!(cim.hierarchy(), Some(&HwHierarchy::isaac()));
     }
 
     #[test]
@@ -437,8 +370,7 @@ mod tests {
         };
         match err {
             CoreError::InvalidConfig(msg) => {
-                assert!(msg.contains("fpga"));
-                assert!(msg.contains("cim, systolic"));
+                assert_eq!(msg, "unknown hardware backend `fpga` (known: cim)");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
@@ -448,20 +380,9 @@ mod tests {
     fn fingerprints_are_namespaced_by_id() {
         // Same digest input, different ids → different fingerprints.
         let a = backend_fingerprint("cim", &["x"]);
-        let b = backend_fingerprint("systolic", &["x"]);
+        let b = backend_fingerprint("stub", &["x"]);
         assert_ne!(a, b);
         assert_eq!(a.split('/').next(), Some("cim"));
-    }
-
-    #[test]
-    fn custom_backend_registration() {
-        let mut r = BackendRegistry::empty();
-        assert!(r.names().is_empty());
-        r.register("cim", |space, _hw| {
-            Ok(Box::new(CimBackend::new(space.clone())))
-        });
-        assert!(r.contains("cim"));
-        assert!(!r.contains("systolic"));
     }
 
     #[test]
@@ -542,7 +463,7 @@ mod tests {
         let mut hw = crate::hwconfig::HwHierarchy::isaac();
         hw.chip.global_buffer_kb = 128;
         let spec = r.parse(&format!("cim@{}", hw.canonical_json())).unwrap();
-        let configured = r.create_spec(&spec, &space).unwrap();
+        let configured = r.create_spec_with(&spec, &space, None).unwrap();
         let default = r.create("cim", &space).unwrap();
         assert_eq!(configured.hierarchy(), Some(&hw));
         assert_ne!(configured.fingerprint(), default.fingerprint());
@@ -582,20 +503,24 @@ mod tests {
         assert_eq!(r.parse("cim").unwrap(), BackendSpec::bare("cim"));
         let err = r.parse("fpga").unwrap_err();
         assert!(err.to_string().contains("fpga"));
-        assert!(err.to_string().contains("cim, systolic"));
-        // create_spec builds a parsed spec directly.
-        let space = DesignSpace::nacim_cifar10();
-        let spec = r.parse("systolic").unwrap();
-        let backend = r.create_spec(&spec, &space).unwrap();
-        assert_eq!(backend.id(), "systolic");
+        assert!(err.to_string().contains("known: cim"));
+        // create_spec_with refuses an unknown base it is handed directly.
+        let Err(err) = r.create_spec_with(
+            &BackendSpec::bare("fpga"),
+            &DesignSpace::nacim_cifar10(),
+            None,
+        ) else {
+            panic!("an unknown base must not build");
+        };
+        assert!(err.to_string().contains("unknown hardware backend `fpga`"));
     }
 
     #[test]
     fn plus_suffixed_names_are_unknown_backends() {
-        // `+` has no meaning in the grammar: it is part of an unregistered
+        // `+` has no meaning in the grammar: it is part of an unknown
         // name, and the error names that name in full.
         let r = BackendRegistry::standard();
-        for name in ["cim+bogus", "systolic+x@chip.json"] {
+        for name in ["cim+bogus", "fpga+x@chip.json"] {
             let err = r.parse(name).unwrap_err().to_string();
             let base = name.split('@').next().unwrap();
             assert!(

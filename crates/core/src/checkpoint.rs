@@ -744,9 +744,9 @@ mod tests {
 
     #[test]
     fn backend_stamp_roundtrips_and_legacy_json_defaults_to_cim() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new()).with_backend("systolic");
+        let cp = Checkpoint::new(cfg(), "random", Vec::new()).with_backend("stub");
         let back = Checkpoint::from_json(&cp.to_json().unwrap()).unwrap();
-        assert_eq!(back.backend, "systolic");
+        assert_eq!(back.backend, "stub");
 
         // A pre-backend checkpoint has no `backend` key at all (and, being
         // that old, no checksum either); it must load under the default

@@ -344,7 +344,6 @@ pub struct CoDesignBuilder {
     hardware: Option<Box<dyn HardwareCostEvaluator>>,
     backend: String,
     hw: Option<HwHierarchy>,
-    registry: BackendRegistry,
     threads: usize,
     caching: bool,
     store: Option<crate::cache::CacheStore>,
@@ -380,18 +379,20 @@ impl CoDesignBuilder {
     }
 
     /// Replaces the hardware cost evaluator with an arbitrary
-    /// implementation, bypassing the backend registry. The run's recorded
-    /// backend name becomes the evaluator's [`HardwareCostEvaluator::name`].
+    /// implementation, bypassing the backend registry — the way any cost
+    /// model other than `cim` plugs in. The run's recorded backend name
+    /// becomes the evaluator's [`HardwareCostEvaluator::name`].
     #[must_use]
     pub fn hardware_evaluator(mut self, eval: Box<dyn HardwareCostEvaluator>) -> Self {
         self.hardware = Some(eval);
         self
     }
 
-    /// Selects the hardware backend by registry name (default:
-    /// [`DEFAULT_BACKEND`], the paper's CiM model). Resolution happens in
-    /// [`CoDesignBuilder::build`]; an unknown name errors there, listing
-    /// the registered options. Ignored when
+    /// Selects the hardware backend by spec (default: [`DEFAULT_BACKEND`],
+    /// the paper's CiM model, optionally with an `@config` hierarchy).
+    /// Resolution happens in [`CoDesignBuilder::build`] through
+    /// [`BackendRegistry::standard`]; an unknown name errors there,
+    /// listing the known one. Ignored when
     /// [`CoDesignBuilder::hardware_evaluator`] supplies an evaluator
     /// directly.
     #[must_use]
@@ -408,15 +409,6 @@ impl CoDesignBuilder {
     #[must_use]
     pub fn hw_config(mut self, hw: HwHierarchy) -> Self {
         self.hw = Some(hw);
-        self
-    }
-
-    /// Replaces the backend registry the `backend` name resolves through
-    /// (default: [`BackendRegistry::standard`]). Lets downstream crates
-    /// plug in their own hardware models by name.
-    #[must_use]
-    pub fn registry(mut self, registry: BackendRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -495,10 +487,9 @@ impl CoDesignBuilder {
                 (eval, name, None)
             }
             None => {
-                let spec = self.registry.parse(&self.backend)?;
-                let backend =
-                    self.registry
-                        .create_spec_with(&spec, &self.space, self.hw.as_ref())?;
+                let registry = BackendRegistry::standard();
+                let spec = registry.parse(&self.backend)?;
+                let backend = registry.create_spec_with(&spec, &self.space, self.hw.as_ref())?;
                 // The checkpoint/journal stamp is the config-less spec:
                 // `cim@isaac.json` and plain `cim` are the same backend;
                 // the hierarchy *digest* below is what tells actual
@@ -569,7 +560,6 @@ impl CoDesign {
             hardware: None,
             backend: DEFAULT_BACKEND.to_string(),
             hw: None,
-            registry: BackendRegistry::standard(),
             threads: 1,
             caching: true,
             store: None,
@@ -610,8 +600,8 @@ impl CoDesign {
         self
     }
 
-    /// The hardware backend name this run was wired with (`cim`,
-    /// `systolic`, or a custom evaluator's name).
+    /// The hardware backend name this run was wired with (`cim`, or a
+    /// custom evaluator's name).
     pub fn backend(&self) -> &str {
         &self.backend
     }
@@ -1396,29 +1386,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_selection_changes_the_cost_surface() {
-        let space = DesignSpace::nacim_cifar10();
-        let mut cim = build(space.clone(), cfg(4, 9), OptimizerSpec::ExpertLlm).unwrap();
-        let mut sys = CoDesign::builder(space, cfg(4, 9))
-            .optimizer(OptimizerSpec::ExpertLlm)
-            .backend("systolic")
-            .build()
-            .unwrap();
-        assert_eq!(cim.backend(), "cim");
-        assert_eq!(sys.backend(), "systolic");
-        let a = cim.run().unwrap();
-        let b = sys.run().unwrap();
-        // Same optimizer stream proposes the same designs; the hardware
-        // verdicts (and rewards) come from different models.
-        assert_eq!(a.history.len(), b.history.len());
-        let (ra, rb) = (&a.history[0], &b.history[0]);
-        assert_eq!(ra.design, rb.design);
-        if let (Some(ha), Some(hb)) = (&ra.hw, &rb.hw) {
-            assert_ne!(ha.energy_pj, hb.energy_pj);
-        }
-    }
-
-    #[test]
     fn unknown_backend_rejected_at_build() {
         let err = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(2, 1))
             .backend("fpga")
@@ -1441,17 +1408,19 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let cp = snaps.pop().unwrap();
+        let mut cp = snaps.pop().unwrap();
         assert_eq!(cp.backend, "cim");
-        let err = CoDesign::builder(space, cfg(3, 31))
-            .optimizer(OptimizerSpec::ExpertLlm)
-            .backend("systolic")
-            .build()
+        // The same history stamped with another backend is refused by name.
+        cp.backend = "fpga".into();
+        let err = build(space, cfg(3, 31), OptimizerSpec::ExpertLlm)
             .unwrap()
             .run_resumable(Some(cp), |_| Ok(()))
             .unwrap_err();
         match err {
-            CoreError::Checkpoint(msg) => assert!(msg.contains("backend")),
+            CoreError::Checkpoint(msg) => assert!(
+                msg.contains("produced under hardware backend `fpga`"),
+                "{msg}"
+            ),
             other => panic!("expected checkpoint error, got {other:?}"),
         }
     }

@@ -9,19 +9,14 @@
 //! `deny_unknown_fields`, passes [`HwHierarchy::validate`], and then
 //! *configures* a backend instead of the backend compiling its chip in.
 //!
-//! Both in-tree backends consume the same structure:
+//! [`crate::backend::CimBackend`] lowers the chip/crossbar/device tiers
+//! into its NeuroSim [`ChipConfig`] platform constants (buffers, DAC
+//! bits, ADC sharing, feature size, `MaxRC`, NoC latency factor).
 //!
-//! - [`crate::backend::CimBackend`] lowers the chip/crossbar/device tiers
-//!   into its NeuroSim [`ChipConfig`] platform constants (buffers, DAC
-//!   bits, ADC sharing, feature size, `MaxRC`, NoC latency factor);
-//! - [`crate::backend::SystolicBackend`] reads its PE-array geometry and
-//!   buffer capacity from the same tiers and its energy/area/leakage
-//!   constants from the optional [`DigitalCosts`] section.
-//!
-//! The shipped presets `configs/hw/isaac.json` and
-//! `configs/hw/systolic_256.json` reproduce the previously hard-coded
-//! defaults bit-for-bit — guarded by golden-equivalence tests — and the
-//! hierarchy's [`digest`](HwHierarchy::digest) joins every backend cache
+//! The shipped preset `configs/hw/isaac.json` reproduces the previously
+//! hard-coded defaults bit-for-bit — guarded by a golden-equivalence
+//! test — and the hierarchy's [`digest`](HwHierarchy::digest) joins every
+//! backend cache
 //! fingerprint, checkpoint stamp, and journal `hw_config` event, so two
 //! different chips can never share memoized results or resume each
 //! other's checkpoints.
@@ -208,9 +203,8 @@ lcda_base::impl_json!(#[deny_unknown_fields] struct CrossbarTier {
 /// Device tier: the memory cell (CIM-MLC `Type` / `Precision`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceTier {
-    /// Device technology name (`rram`, `sram`, `fefet`, …). Interpreted
-    /// by the backend: the CiM backend resolves it against its device
-    /// library, the digital backend records it.
+    /// Device technology name (`rram`, `sram`, `fefet`, …), resolved
+    /// against the CiM backend's device library.
     pub tech: String,
     /// Cell storage precision, bits.
     pub cell_bits: u8,
@@ -220,65 +214,11 @@ pub struct DeviceTier {
 
 lcda_base::impl_json!(#[deny_unknown_fields] struct DeviceTier { tech, cell_bits, feature_nm });
 
-/// Digital cost constants for array-of-MACs backends (the systolic
-/// baseline). CiM hierarchies omit this section; the systolic backend
-/// requires it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DigitalCosts {
-    /// Clock frequency, GHz.
-    pub clock_ghz: f64,
-    /// Energy per int8 MAC, pJ.
-    pub mac_energy_pj: f64,
-    /// Energy per byte of global-buffer traffic, pJ.
-    pub sram_energy_pj_per_byte: f64,
-    /// Energy per byte of DRAM traffic, pJ.
-    pub dram_energy_pj_per_byte: f64,
-    /// Area per PE, µm².
-    pub pe_area_um2: f64,
-    /// Global-buffer area per KB, µm².
-    pub glb_area_um2_per_kb: f64,
-    /// Fixed overhead (NoC, controller, I/O), mm².
-    pub overhead_mm2: f64,
-    /// Leakage per PE, µW.
-    pub pe_leakage_uw: f64,
-    /// Leakage per KB of global buffer, µW.
-    pub glb_leakage_uw_per_kb: f64,
-    /// Which tensor stays resident in the PE array.
-    pub dataflow: Dataflow,
-}
-
-lcda_base::impl_json!(#[deny_unknown_fields] struct DigitalCosts {
-    clock_ghz, mac_energy_pj, sram_energy_pj_per_byte, dram_energy_pj_per_byte, pe_area_um2,
-    glb_area_um2_per_kb, overhead_mm2, pe_leakage_uw, glb_leakage_uw_per_kb, dataflow,
-});
-
-/// Which tensor stays resident in a digital PE array between cycles.
-///
-/// Lives here (rather than in the systolic backend) because it is part
-/// of the declarative hardware description; the backend re-exports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dataflow {
-    /// Weights are pinned per tile (TPU-style); inputs re-stream once per
-    /// column tile and partial sums spill once per row tile.
-    WeightStationary,
-    /// Outputs accumulate in place (ShiDianNao-style); each PE owns one
-    /// output element for `K` cycles, weights and inputs re-stream.
-    OutputStationary,
-}
-
-lcda_base::impl_json!(
-    #[snake_case]
-    enum Dataflow {
-        WeightStationary,
-        OutputStationary,
-    }
-);
-
 /// The full four-tier hardware description. See the [module docs](self)
-/// for how each backend lowers it.
+/// for how the `cim` backend lowers it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HwHierarchy {
-    /// Human-readable hierarchy name (`isaac`, `systolic_256`, …).
+    /// Human-readable hierarchy name (`isaac`, …).
     pub name: String,
     /// Chip tier.
     pub chip: ChipTier,
@@ -288,18 +228,10 @@ pub struct HwHierarchy {
     pub crossbar: CrossbarTier,
     /// Device tier.
     pub device: DeviceTier,
-    /// Digital cost constants; required by the systolic backend, absent
-    /// from CiM hierarchies.
-    pub digital: Option<DigitalCosts>,
 }
 
 lcda_base::impl_json!(#[deny_unknown_fields] struct HwHierarchy {
-    name,
-    chip,
-    core,
-    crossbar,
-    device,
-    #[skip_if = Option::is_none] digital,
+    name, chip, core, crossbar, device,
 });
 
 /// Checks a strictly positive, finite f64 parameter; `path` names the
@@ -308,16 +240,6 @@ fn check_positive(path: &str, v: f64) -> Result<()> {
     if !v.is_finite() || v <= 0.0 {
         return Err(CoreError::InvalidConfig(format!(
             "{path} must be finite and positive, got {v}"
-        )));
-    }
-    Ok(())
-}
-
-/// Checks a finite, non-negative f64 parameter.
-fn check_non_negative(path: &str, v: f64) -> Result<()> {
-    if !v.is_finite() || v < 0.0 {
-        return Err(CoreError::InvalidConfig(format!(
-            "{path} must be finite and non-negative, got {v}"
         )));
     }
     Ok(())
@@ -358,56 +280,6 @@ impl HwHierarchy {
                 cell_bits: 2,
                 feature_nm: 32.0,
             },
-            digital: None,
-        }
-    }
-
-    /// The built-in systolic-array hierarchy — a 32×32 weight-stationary
-    /// PE array with a 256 KB global buffer. Equal to the shipped
-    /// `configs/hw/systolic_256.json` preset and to the constants
-    /// [`crate::backend::SystolicBackend`] used to hard-code.
-    pub fn systolic_256() -> Self {
-        HwHierarchy {
-            name: "systolic_256".to_string(),
-            chip: ChipTier {
-                cores: [1, 1],
-                noc: NocSpec::single(NocKind::Mesh),
-                global_buffer_kb: 256,
-                bus_gb_s: 16.0,
-                alu_gops: 1.0,
-            },
-            core: CoreTier {
-                crossbars: [1, 1],
-                noc: NocSpec::single(NocKind::Mesh),
-                local_buffer_kb: 4,
-                bus_gb_s: 8.0,
-                alu_gops: 1.0,
-            },
-            crossbar: CrossbarTier {
-                rows: 32,
-                cols: 32,
-                dac_bits: 8,
-                adc_bits: 8,
-                adc_share: 1,
-                max_rc: None,
-            },
-            device: DeviceTier {
-                tech: "sram".to_string(),
-                cell_bits: 8,
-                feature_nm: 32.0,
-            },
-            digital: Some(DigitalCosts {
-                clock_ghz: 1.0,
-                mac_energy_pj: 0.3,
-                sram_energy_pj_per_byte: 1.0,
-                dram_energy_pj_per_byte: 20.0,
-                pe_area_um2: 2500.0,
-                glb_area_um2_per_kb: 1500.0,
-                overhead_mm2: 0.5,
-                pe_leakage_uw: 0.05,
-                glb_leakage_uw_per_kb: 0.5,
-                dataflow: Dataflow::WeightStationary,
-            }),
         }
     }
 
@@ -504,20 +376,7 @@ impl HwHierarchy {
                 "device.cell_bits must be positive".to_string(),
             ));
         }
-        check_positive("device.feature_nm", self.device.feature_nm)?;
-
-        if let Some(d) = &self.digital {
-            check_positive("digital.clock_ghz", d.clock_ghz)?;
-            check_non_negative("digital.mac_energy_pj", d.mac_energy_pj)?;
-            check_non_negative("digital.sram_energy_pj_per_byte", d.sram_energy_pj_per_byte)?;
-            check_non_negative("digital.dram_energy_pj_per_byte", d.dram_energy_pj_per_byte)?;
-            check_non_negative("digital.pe_area_um2", d.pe_area_um2)?;
-            check_non_negative("digital.glb_area_um2_per_kb", d.glb_area_um2_per_kb)?;
-            check_non_negative("digital.overhead_mm2", d.overhead_mm2)?;
-            check_non_negative("digital.pe_leakage_uw", d.pe_leakage_uw)?;
-            check_non_negative("digital.glb_leakage_uw_per_kb", d.glb_leakage_uw_per_kb)?;
-        }
-        Ok(())
+        check_positive("device.feature_nm", self.device.feature_nm)
     }
 
     /// Parses and validates a hierarchy from JSON text. A `"epsodes"`
@@ -585,13 +444,8 @@ impl HwHierarchy {
 
     /// One-line tier summary for journals and reports.
     pub fn summary(&self) -> String {
-        let digital = if self.digital.is_some() {
-            " · digital"
-        } else {
-            ""
-        };
         format!(
-            "{}: {}x{} cores ({}) · {}x{} xbars ({}) · {}x{} cells · {} {}b @ {}nm{}",
+            "{}: {}x{} cores ({}) · {}x{} xbars ({}) · {}x{} cells · {} {}b @ {}nm",
             self.name,
             self.chip.cores[0],
             self.chip.cores[1],
@@ -604,7 +458,6 @@ impl HwHierarchy {
             self.device.tech,
             self.device.cell_bits,
             self.device.feature_nm,
-            digital
         )
     }
 
@@ -625,7 +478,6 @@ mod tests {
     #[test]
     fn builtin_hierarchies_validate() {
         HwHierarchy::isaac().validate().unwrap();
-        HwHierarchy::systolic_256().validate().unwrap();
     }
 
     #[test]
@@ -634,7 +486,6 @@ mod tests {
         let back = HwHierarchy::from_json(&hw.canonical_json()).unwrap();
         assert_eq!(back, hw);
         assert_eq!(back.digest(), hw.digest());
-        assert_ne!(hw.digest(), HwHierarchy::systolic_256().digest());
     }
 
     #[test]
@@ -690,23 +541,28 @@ mod tests {
         hw.device.feature_nm = f64::NAN;
         let err = hw.validate().unwrap_err().to_string();
         assert!(err.contains("device.feature_nm"), "{err}");
-        let mut hw = HwHierarchy::systolic_256();
-        if let Some(d) = &mut hw.digital {
-            d.mac_energy_pj = f64::INFINITY;
-        }
-        let err = hw.validate().unwrap_err().to_string();
-        assert!(err.contains("digital.mac_energy_pj"), "{err}");
     }
 
     #[test]
     fn unknown_field_is_rejected_at_parse_time() {
-        let mut doc: lcda_base::json::Value =
-            lcda_base::json::from_str(&HwHierarchy::isaac().canonical_json()).unwrap();
-        doc["crossbar"]["rws"] = lcda_base::json!(64);
-        let err = HwHierarchy::from_json(&doc.to_string())
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("rws"), "{err}");
+        let isaac = || -> lcda_base::json::Value {
+            lcda_base::json::from_str(&HwHierarchy::isaac().canonical_json()).unwrap()
+        };
+        let mut typo = isaac();
+        typo["crossbar"]["rws"] = lcda_base::json!(64);
+        // The `digital` cost section older presets carried is an unknown
+        // field: refused, never ignored while it moves the digest.
+        let mut digital = isaac();
+        digital["digital"] = lcda_base::json!({
+            "clock_ghz": 1.0,
+            "mac_energy_pj": 0.3
+        });
+        for (doc, field) in [(typo, "rws"), (digital, "digital")] {
+            let err = HwHierarchy::from_source(&doc.to_string())
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("unknown field `{field}`")), "{err}");
+        }
     }
 
     #[test]
@@ -753,7 +609,6 @@ mod tests {
     #[test]
     fn trivial_topologies_have_unit_noc_factor() {
         assert_eq!(HwHierarchy::isaac().noc_latency_factor(), 1.0);
-        assert_eq!(HwHierarchy::systolic_256().noc_latency_factor(), 1.0);
         let mut hw = HwHierarchy::isaac();
         hw.chip.cores = [2, 1];
         hw.chip.noc.cost = vec![vec![0.0, 0.5], vec![0.5, 0.0]];
@@ -767,7 +622,5 @@ mod tests {
         assert!(s.contains("isaac"), "{s}");
         assert!(s.contains("128x128"), "{s}");
         assert!(s.contains("rram"), "{s}");
-        let d = HwHierarchy::systolic_256().summary();
-        assert!(d.contains("digital"), "{d}");
     }
 }

@@ -15,11 +15,11 @@
 //!    implementations: the fast calibrated [`surrogate::SurrogateEvaluator`]
 //!    and the real [`trained::TrainedEvaluator`] (noise-injection training
 //!    plus Monte-Carlo evaluation, §III-C),
-//! 4. **hardware cost evaluator** — a pluggable
-//!    [`backend::HardwareBackend`]: the NeuroSim-style
-//!    [`backend::CimBackend`] macro model of §III-D (the default) or the
-//!    digital [`backend::SystolicBackend`] baseline, resolved by name
-//!    through [`backend::BackendRegistry`].
+//! 4. **hardware cost evaluator** — a [`backend::HardwareBackend`]: the
+//!    NeuroSim-style [`backend::CimBackend`] macro model of §III-D,
+//!    resolved by name through [`backend::BackendRegistry`] (any other
+//!    [`evaluate::HardwareCostEvaluator`] plugs in through
+//!    [`codesign::CoDesignBuilder::hardware_evaluator`]).
 //!
 //! [`codesign::CoDesign`] wires them into the Algorithm-2 episode loop;
 //! [`reward`] provides Eq. 1 and Eq. 2; [`pareto`] and [`analysis`]
@@ -79,8 +79,7 @@ pub mod trained;
 pub mod wal;
 
 pub use backend::{
-    BackendRegistry, BackendSpec, BackendSpecError, CimBackend, HardwareBackend, SystolicBackend,
-    DEFAULT_BACKEND,
+    BackendRegistry, BackendSpec, BackendSpecError, CimBackend, HardwareBackend, DEFAULT_BACKEND,
 };
 pub use cache::{CacheSession, CacheStore, SessionStats, StoreStats};
 pub use checkpoint::{Checkpoint, CheckpointStore};
@@ -89,10 +88,7 @@ pub use codesign::{
     Outcome,
 };
 pub use error::CoreError;
-pub use hwconfig::{
-    ChipTier, CoreTier, CrossbarTier, Dataflow, DeviceTier, DigitalCosts, HwHierarchy, NocKind,
-    NocSpec,
-};
+pub use hwconfig::{ChipTier, CoreTier, CrossbarTier, DeviceTier, HwHierarchy, NocKind, NocSpec};
 pub use journal::{Journal, JournalEvent, JournalRecord, RunReport};
 pub use pipeline::{CacheStats, EvalCache, EvalPipeline};
 pub use reward::Objective;

@@ -444,7 +444,7 @@ impl HardwareCostEvaluator for EvalPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CimBackend, SystolicBackend};
+    use crate::backend::{backend_fingerprint, CimBackend};
     use crate::space::DesignSpace;
     use crate::surrogate::SurrogateEvaluator;
 
@@ -456,11 +456,30 @@ mod tests {
         )
     }
 
-    fn systolic_pipeline(seed: u64) -> EvalPipeline {
+    /// The `cim` model under another backend id: same costs, same
+    /// fingerprint parts, only the id prefix differs.
+    struct StubBackend(CimBackend, DesignSpace);
+
+    impl HardwareCostEvaluator for StubBackend {
+        fn cost(&mut self, design: &CandidateDesign) -> Result<Option<HwMetrics>> {
+            self.0.cost(design)
+        }
+
+        fn name(&self) -> &'static str {
+            "stub"
+        }
+
+        fn fingerprint(&self) -> String {
+            let space = lcda_base::json::to_string(&self.1);
+            backend_fingerprint("stub", &[&space, &self.0.hw().canonical_json()])
+        }
+    }
+
+    fn stub_pipeline(seed: u64) -> EvalPipeline {
         let space = DesignSpace::nacim_cifar10();
         EvalPipeline::new(
             Box::new(SurrogateEvaluator::new(space.clone(), seed)),
-            Box::new(SystolicBackend::new(space)),
+            Box::new(StubBackend(CimBackend::new(space.clone()), space)),
         )
     }
 
@@ -543,20 +562,28 @@ mod tests {
     #[test]
     fn cache_never_crosses_backends() {
         // A memo table filled under the cim backend must be refused by a
-        // systolic pipeline over the *same* space and seed: the backend id
-        // namespaces the context fingerprint.
-        let d = DesignSpace::nacim_cifar10().reference_design();
+        // pipeline over the *same* space and seed whose backend hashes the
+        // same parts under another id: the id namespaces the context
+        // fingerprint.
+        let space = DesignSpace::nacim_cifar10();
+        let d = space.reference_design();
+        let cim = CimBackend::new(space.clone());
+        let stub = StubBackend(CimBackend::new(space.clone()), space);
+        let digest = |fp: String| fp.split_once('/').map(|(_, d)| d.to_string());
+        assert_eq!(digest(stub.fingerprint()), digest(cim.fingerprint()));
+        assert_ne!(stub.fingerprint(), cim.fingerprint());
+
         let mut cim = pipeline(1);
         cim.evaluate(&d).unwrap();
         let snapshot = cim.cache().unwrap();
 
-        let mut sys = systolic_pipeline(1);
-        assert!(!sys.restore_cache(snapshot));
-        assert!(sys.cache().unwrap().is_empty());
-        // The systolic evaluation is a miss, not a stale cim hit.
-        let (_, hw) = sys.evaluate(&d).unwrap();
+        let mut other = stub_pipeline(1);
+        assert!(!other.restore_cache(snapshot));
+        assert!(other.cache().unwrap().is_empty());
+        // The stub evaluation is a miss, not a stale cim hit.
+        let (_, hw) = other.evaluate(&d).unwrap();
         assert!(hw.is_some());
-        assert_eq!(sys.stats().hits, 0);
+        assert_eq!(other.stats().hits, 0);
     }
 
     #[test]

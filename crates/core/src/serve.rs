@@ -290,7 +290,7 @@ pub struct JobSpec {
     pub optimizer: String,
     /// Objective name: `energy` or `latency` (default `energy`).
     pub objective: String,
-    /// Hardware backend spec, e.g. `cim` or `systolic@chip.json`
+    /// Hardware backend spec, e.g. `cim` or `cim@chip.json`
     /// (default `cim`). Validated against [`BackendRegistry::standard`]
     /// at admission, before the job is queued.
     pub backend: String,
@@ -734,7 +734,8 @@ impl ServerState {
     /// `running` at the crash) are reset to `queued` — the one
     /// sanctioned transition outside [`JobState::can_advance`], since
     /// the claiming worker no longer exists — and returned in original
-    /// admission order for re-admission.
+    /// admission order for re-admission. An interrupted job whose spec
+    /// no longer decodes is failed instead, with the decode error.
     fn recover(&self, ledger: &BTreeMap<u64, LedgerJob>) -> Result<Vec<u64>> {
         let Some(dir) = self.journal_dir.clone() else {
             return Ok(Vec::new());
@@ -745,11 +746,18 @@ impl ServerState {
             let id = JobId(index);
             let journal_path = dir.join(format!("{id}.jsonl"));
             let mut state = entry.state;
+            let mut error = entry.error.clone();
             // The `done` transition is journaled only after the result
             // file is durably in place, so a missing file means outside
             // tampering; re-running is deterministic and rebuilds it.
             if state == JobState::Done && !result_path(&dir, id).exists() {
                 state = JobState::Queued;
+            }
+            // A spec this build cannot decode cannot run: fail the job,
+            // saying why.
+            if let Some(why) = entry.unreadable.as_ref().filter(|_| !state.is_terminal()) {
+                state = JobState::Failed;
+                error = Some(why.clone());
             }
             if state.is_terminal() {
                 jobs.insert(
@@ -757,7 +765,7 @@ impl ServerState {
                     JobRecord {
                         spec: entry.spec.clone(),
                         state,
-                        error: entry.error.clone(),
+                        error,
                         result: None,
                         stats: None,
                         cancel: Arc::new(AtomicBool::new(false)),

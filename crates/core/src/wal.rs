@@ -23,7 +23,10 @@
 //! the job's state. Jobs that replay to a terminal state keep their
 //! on-disk artifacts (result file, journal); jobs that replay to
 //! `queued` or `running` are re-admitted in original admission order and
-//! resume from their newest checkpoint generation.
+//! resume from their newest checkpoint generation. An `admitted` record
+//! whose spec this build no longer decodes still creates its job, which
+//! the server fails rather than runs if it replays to `queued` or
+//! `running`.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -48,6 +51,17 @@ pub enum WalEntry {
         /// The spec as admitted — everything needed to re-run the job.
         spec: Box<JobSpec>,
     },
+    /// An admission whose spec this build no longer decodes, such as
+    /// one naming a hardware field since retired. Replay keeps the job
+    /// on the ledger, but it can never run again.
+    Unreadable {
+        /// Numeric job index.
+        job: u64,
+        /// The spec as admitted, undecoded.
+        spec: Value,
+        /// Why the spec does not decode.
+        error: String,
+    },
     /// A job's lifecycle state changed.
     Transition {
         /// Numeric job index.
@@ -61,6 +75,7 @@ pub enum WalEntry {
 
 lcda_base::impl_json!(#[tag = "entry", snake_case] enum WalEntry {
     Admitted { job, spec },
+    Unreadable { job, spec, error },
     Transition { job, state, #[skip_if = Option::is_none] error },
 });
 
@@ -68,7 +83,9 @@ impl WalEntry {
     /// The numeric job index this entry concerns.
     pub fn job(&self) -> u64 {
         match self {
-            WalEntry::Admitted { job, .. } | WalEntry::Transition { job, .. } => *job,
+            WalEntry::Admitted { job, .. }
+            | WalEntry::Unreadable { job, .. }
+            | WalEntry::Transition { job, .. } => *job,
         }
     }
 }
@@ -93,11 +110,24 @@ impl ToJson for WalRecord {
     }
 }
 
+// An `admitted` line whose spec no longer decodes reads as
+// `Unreadable`: its checksum holds, so it is no corruption, and the
+// ledger must keep the job rather than lose it.
 impl FromJson for WalRecord {
     fn from_json(value: &Value) -> lcda_base::json::Result<Self> {
+        let entry = WalEntry::from_json(value).or_else(|e| {
+            if value.get("entry").and_then(Value::as_str) != Some("admitted") {
+                return Err(e);
+            }
+            Ok(WalEntry::Unreadable {
+                job: value.field("job")?,
+                spec: value.field("spec")?,
+                error: e.to_string(),
+            })
+        })?;
         Ok(WalRecord {
             seq: value.field("seq")?,
-            entry: WalEntry::from_json(value)?,
+            entry,
         })
     }
 }
@@ -129,12 +159,16 @@ pub fn decode_line(line: &str) -> Result<WalRecord> {
 /// one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerJob {
-    /// The spec as admitted.
+    /// The spec as admitted; for an [unreadable](WalEntry::Unreadable)
+    /// spec, only the fields that still decode one by one.
     pub spec: JobSpec,
     /// The last state the ledger recorded for this job.
     pub state: JobState,
     /// Error message from the last `failed` transition, if any.
     pub error: Option<String>,
+    /// Why the admitted spec no longer decodes, if it does not: such a
+    /// job can never run again.
+    pub unreadable: Option<String>,
 }
 
 /// Folds replayed WAL records into the final per-job ledger, keyed by
@@ -154,6 +188,15 @@ pub fn replay_ledger(records: &[WalRecord]) -> BTreeMap<u64, LedgerJob> {
                     spec: (**spec).clone(),
                     state: JobState::Queued,
                     error: None,
+                    unreadable: None,
+                });
+            }
+            WalEntry::Unreadable { job, spec, error } => {
+                ledger.entry(*job).or_insert_with(|| LedgerJob {
+                    spec: salvage_spec(spec),
+                    state: JobState::Queued,
+                    error: None,
+                    unreadable: Some(format!("job spec no longer decodes: {error}")),
                 });
             }
             WalEntry::Transition { job, state, error } => {
@@ -165,6 +208,19 @@ pub fn replay_ledger(records: &[WalRecord]) -> BTreeMap<u64, LedgerJob> {
         }
     }
     ledger
+}
+
+/// The fields of an undecodable spec that decode one by one, the rest
+/// at their defaults: what status can still show of the job.
+fn salvage_spec(spec: &Value) -> JobSpec {
+    let Value::Object(fields) = spec else {
+        return JobSpec::default();
+    };
+    let decodes = |field: &&(String, Value)| {
+        JobSpec::from_json(&Value::Object(vec![(*field).clone()])).is_ok()
+    };
+    let kept = fields.iter().filter(decodes).cloned().collect();
+    JobSpec::from_json(&Value::Object(kept)).unwrap_or_default()
 }
 
 /// The append handle: serializes appends behind a mutex and fsyncs
@@ -366,6 +422,30 @@ mod tests {
         std::fs::write(&path, rotted).unwrap();
         let (_, records) = Wal::open(&path).unwrap();
         assert!(records.is_empty(), "rotted final line must not replay");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn undecodable_spec_replays_as_unreadable_not_torn() {
+        let d = dir("unreadable");
+        let path = d.join(WAL_FILE);
+        // A checksummed final line whose spec names a field this build
+        // does not know: it must replay, not be truncated as torn.
+        let spec = lcda_base::json!({ "backend": "cim", "seed": 4, "retired": 1 });
+        let line = lcda_base::json!({ "seq": 0, "entry": "admitted", "job": 1, "spec": spec });
+        let text = format!("{}\n", to_checksummed_compact_json(&line).unwrap());
+        std::fs::write(&path, &text).unwrap();
+
+        let (_, records) = Wal::open(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let WalEntry::Unreadable { job: 1, error, .. } = &records[0].entry else {
+            panic!("{:?}", records[0].entry);
+        };
+        assert!(error.contains("unknown field `retired`"), "{error}");
+        let job = &replay_ledger(&records)[&1];
+        assert_eq!(job.state, JobState::Queued);
+        assert_eq!(job.spec.seed, 4, "fields that decode are kept");
+        assert!(job.unreadable.as_deref().unwrap().contains("`retired`"));
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -16,12 +16,16 @@ cargo test --workspace -q --offline --locked
 journal_dir="$(mktemp -d)"
 trap 'rm -rf "$journal_dir"' EXIT
 
-# Explainable-NAS smoke: the example is the LLM transcript's only
-# user-facing reader (token statistics, and the last prompt rendered
-# again from its exchange), so it must run, not just compile. grep reads
-# the whole output (no -q) so the example never writes into a closed pipe.
-cargo run --release --offline --locked --example explainable_nas \
-    | grep "prompt tokens" > /dev/null
+# Example smoke: every example under examples/ must run to exit 0, not
+# just compile. explainable_nas is the LLM transcript's only user-facing
+# reader (token statistics, and the last prompt rendered again from its
+# exchange), so its output is checked too.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run --release --offline --locked --example "$name" \
+        > "$journal_dir/example_$name.txt"
+done
+grep -q "prompt tokens" "$journal_dir/example_explainable_nas.txt"
 
 # GEMM equivalence smoke: the blocked microkernel must stay bit-identical
 # to the scalar reference (unit tests + seeded properties, all named gemm_*).

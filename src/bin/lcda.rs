@@ -34,8 +34,8 @@ SEARCH OPTIONS:
     --optimizer <expert|finetuned|adaptive|naive|rl|genetic|random>
                                                              (default expert)
     --objective <energy|latency>                             (default energy)
-    --backend <spec>        hardware cost model: cim or systolic, with an
-                            optional @<path> hardware hierarchy config
+    --backend <spec>        hardware cost model: cim, with an optional
+                            @<path> hardware hierarchy config
                             (e.g. cim@configs/hw/isaac.json)
                                                              (default cim)
     --hw-config <path>      declarative hardware hierarchy JSON for the
@@ -100,7 +100,7 @@ SERVE OPTIONS:
 EVALUATE OPTIONS:
     --design <rollout text>     e.g. \"[[32,3],...,[128,3]] | hw: [128,8,2,rram]\"
     --objective <energy|latency>
-    --backend <cim|systolic>    with optional @<path> hierarchy config
+    --backend <cim>             with optional @<path> hierarchy config
     --hw-config <path>      declarative hardware hierarchy JSON
     --evaluator <surrogate|trained>      accuracy evaluator (default surrogate)
     --precision <f32|int8>  trained-evaluator inference precision (default f32)

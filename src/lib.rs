@@ -52,7 +52,7 @@ pub mod prelude {
     //! ```
     pub use lcda_core::backend::{
         BackendRegistry, BackendSpec, BackendSpecError, CimBackend, HardwareBackend,
-        SystolicBackend, DEFAULT_BACKEND,
+        DEFAULT_BACKEND,
     };
     pub use lcda_core::cache::{CacheSession, CacheStore, SessionStats, StoreStats};
     pub use lcda_core::checkpoint::{Checkpoint, CheckpointStore};

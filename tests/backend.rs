@@ -1,41 +1,81 @@
-//! Integration tests for the pluggable hardware-backend layer: both
-//! backends end-to-end through the evaluation pipeline, cache isolation
-//! across backends, and forward compatibility with pre-backend
-//! checkpoints.
+//! Integration tests for the hardware-backend layer: the registry's
+//! `cim` backend and a model plugged in as an evaluator, end to end
+//! through the evaluation pipeline; cache isolation across backend ids;
+//! and forward compatibility with pre-backend checkpoints.
 
+use lcda::core::backend::backend_fingerprint;
 use lcda::core::codesign::OptimizerSpec;
 use lcda::prelude::*;
 
+/// A cost model plugged in through `EvalPipeline::new` /
+/// `CoDesignBuilder::hardware_evaluator` rather than by name: the `cim`
+/// model's costs under the id `stub`, fingerprinted from the same parts
+/// as `cim`, so only the id prefix tells the two apart.
+struct StubBackend(CimBackend, DesignSpace);
+
+impl StubBackend {
+    fn new(space: DesignSpace) -> Self {
+        StubBackend(CimBackend::new(space.clone()), space)
+    }
+}
+
+impl HardwareCostEvaluator for StubBackend {
+    fn cost(&mut self, design: &CandidateDesign) -> lcda::core::Result<Option<HwMetrics>> {
+        self.0.cost(design)
+    }
+
+    fn name(&self) -> &'static str {
+        "stub"
+    }
+
+    fn fingerprint(&self) -> String {
+        let space = lcda_base::json::to_string(&self.1);
+        backend_fingerprint("stub", &[&space, &self.0.hw().canonical_json()])
+    }
+}
+
+fn pipeline_on(hw: Box<dyn HardwareCostEvaluator>, seed: u64) -> EvalPipeline {
+    let space = DesignSpace::nacim_cifar10();
+    EvalPipeline::new(Box::new(SurrogateEvaluator::new(space, seed)), hw)
+}
+
 fn pipeline_for(backend: &str, seed: u64) -> EvalPipeline {
     let space = DesignSpace::nacim_cifar10();
-    let hw: Box<dyn HardwareCostEvaluator> = BackendRegistry::standard()
+    let hw = BackendRegistry::standard()
         .create(backend, &space)
-        .expect("registered backend");
-    EvalPipeline::new(Box::new(SurrogateEvaluator::new(space, seed)), hw)
+        .expect("known backend");
+    pipeline_on(hw, seed)
 }
 
 #[test]
 fn both_backends_evaluate_end_to_end_through_the_pipeline() {
-    let d = DesignSpace::nacim_cifar10().reference_design();
-    let registry = BackendRegistry::standard();
-    let mut results = Vec::new();
-    for name in registry.names() {
-        let mut p = pipeline_for(name, 0);
+    // The registry's `cim` and a plugged-in evaluator.
+    let space = DesignSpace::nacim_cifar10();
+    let d = space.reference_design();
+    for (name, mut p) in [
+        ("cim", pipeline_for(DEFAULT_BACKEND, 0)),
+        ("stub", pipeline_on(Box::new(StubBackend::new(space)), 0)),
+    ] {
         let (acc, hw) = p.evaluate(&d).expect("reference design evaluates");
         let hw = hw.unwrap_or_else(|| panic!("{name}: reference design within budget"));
         assert!((0.0..=1.0).contains(&acc), "{name}: accuracy {acc}");
         assert!(hw.is_finite(), "{name}: non-finite metrics");
         assert!(hw.energy_pj > 0.0 && hw.latency_ns > 0.0 && hw.area_mm2 > 0.0);
-        results.push((name, hw));
     }
-    assert_eq!(results.len(), 2, "standard registry exposes cim + systolic");
-    // The two models must produce genuinely different cost surfaces.
-    assert_ne!(results[0].1.energy_pj, results[1].1.energy_pj);
 }
 
 #[test]
-fn cim_cache_entries_are_never_served_under_systolic() {
-    let d = DesignSpace::nacim_cifar10().reference_design();
+fn cim_cache_entries_are_never_served_under_another_backend_id() {
+    let space = DesignSpace::nacim_cifar10();
+    let d = space.reference_design();
+    let stub = StubBackend::new(space.clone());
+    let cim = CimBackend::new(space.clone());
+    let digest = |fp: String| fp.split_once('/').map(|(_, d)| d.to_string());
+    assert_eq!(
+        digest(stub.fingerprint()),
+        digest(cim.fingerprint()),
+        "the stub hashes the same parts as cim"
+    );
 
     // Fill a memo table under the cim backend…
     let mut cim = pipeline_for("cim", 7);
@@ -43,17 +83,17 @@ fn cim_cache_entries_are_never_served_under_systolic() {
     let snapshot = cim.cache().expect("caching on").clone();
     assert!(!snapshot.is_empty());
 
-    // …and offer it to a systolic pipeline over the same space and seed.
-    let mut sys = pipeline_for("systolic", 7);
+    // …and offer it to a stub pipeline over the same space and seed.
+    let mut other = pipeline_on(Box::new(stub), 7);
     assert!(
-        !sys.restore_cache(snapshot),
-        "a cim memo table must be refused by a systolic pipeline"
+        !other.restore_cache(snapshot),
+        "a cim memo table must be refused under another backend id"
     );
-    assert!(sys.cache().unwrap().is_empty());
-    let (_, hw) = sys.evaluate(&d).unwrap();
+    assert!(other.cache().unwrap().is_empty());
+    let (_, hw) = other.evaluate(&d).unwrap();
     assert!(hw.is_some());
-    assert_eq!(sys.stats().hits, 0, "systolic evaluation must be a miss");
-    assert_eq!(sys.stats().misses, 2);
+    assert_eq!(other.stats().hits, 0, "the stub evaluation must be a miss");
+    assert_eq!(other.stats().misses, 2);
 }
 
 #[test]
@@ -77,15 +117,17 @@ fn cross_backend_checkpoint_is_rejected_at_resume() {
     let cp = snaps.pop().unwrap();
     assert_eq!(cp.backend, "cim");
 
-    let err = CoDesign::builder(space, config)
+    // Resumed under a plugged-in evaluator: the run's backend is `stub`.
+    let err = CoDesign::builder(space.clone(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("systolic")
+        .hardware_evaluator(Box::new(StubBackend::new(space)))
         .build()
         .unwrap()
         .run_resumable(Some(cp), |_| Ok(()))
         .unwrap_err();
     assert!(
-        err.to_string().contains("backend"),
+        err.to_string()
+            .contains("produced under hardware backend `cim` but this run uses `stub`"),
         "error must name the backend mismatch: {err}"
     );
 }
@@ -138,32 +180,29 @@ fn pre_backend_checkpoint_resumes_under_default_cim() {
 
 #[test]
 fn preset_hierarchies_are_golden_equivalent_to_the_builtins() {
-    // The shipped JSON presets are the builtin hierarchies as data:
-    // loading them must reproduce the default backends' metrics AND
-    // cache fingerprints bit-for-bit.
+    // The shipped JSON preset is the builtin hierarchy as data: loading
+    // it must reproduce the default backend's metrics AND cache
+    // fingerprint bit-for-bit.
     let space = DesignSpace::nacim_cifar10();
     let d = space.reference_design();
     let registry = BackendRegistry::standard();
-    for (name, preset) in [("cim", "isaac.json"), ("systolic", "systolic_256.json")] {
-        let path = format!("{}/configs/hw/{preset}", env!("CARGO_MANIFEST_DIR"));
-        let mut configured: Box<dyn HardwareCostEvaluator> = registry
-            .create(&format!("{name}@{path}"), &space)
-            .unwrap_or_else(|e| panic!("{preset} loads: {e}"));
-        let mut default: Box<dyn HardwareCostEvaluator> =
-            registry.create(name, &space).expect("builtin");
-        assert_eq!(
-            configured.fingerprint(),
-            default.fingerprint(),
-            "{preset}: preset and builtin must share one cache namespace"
-        );
-        let lowered = configured.cost(&d).unwrap().expect("within budget");
-        let builtin = default.cost(&d).unwrap().expect("within budget");
-        assert_eq!(
-            (lowered.energy_pj, lowered.latency_ns, lowered.area_mm2),
-            (builtin.energy_pj, builtin.latency_ns, builtin.area_mm2),
-            "{preset}: metrics must be bit-identical to the builtin"
-        );
-    }
+    let path = format!("{}/configs/hw/isaac.json", env!("CARGO_MANIFEST_DIR"));
+    let mut configured = registry
+        .create(&format!("cim@{path}"), &space)
+        .unwrap_or_else(|e| panic!("isaac.json loads: {e}"));
+    let mut default = registry.create("cim", &space).expect("builtin");
+    assert_eq!(
+        configured.fingerprint(),
+        default.fingerprint(),
+        "preset and builtin must share one cache namespace"
+    );
+    let lowered = configured.cost(&d).unwrap().expect("within budget");
+    let builtin = default.cost(&d).unwrap().expect("within budget");
+    assert_eq!(
+        (lowered.energy_pj, lowered.latency_ns, lowered.area_mm2),
+        (builtin.energy_pj, builtin.latency_ns, builtin.area_mm2),
+        "metrics must be bit-identical to the builtin"
+    );
 }
 
 #[test]
@@ -210,27 +249,4 @@ fn distinct_hierarchy_files_namespace_disjoint_fingerprints() {
         "hierarchy A's memo table must be refused under hierarchy B"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn full_search_runs_under_the_systolic_backend() {
-    let space = DesignSpace::nacim_cifar10();
-    let config = CoDesignConfig::builder(Objective::AccuracyLatency)
-        .episodes(5)
-        .seed(3)
-        .build();
-    let mut run = CoDesign::builder(space, config)
-        .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("systolic")
-        .build()
-        .unwrap();
-    assert_eq!(run.backend(), "systolic");
-    let outcome = run.run().unwrap();
-    assert_eq!(outcome.history.len(), 5);
-    assert!(outcome.history.iter().any(|r| r.is_valid()));
-    for r in outcome.history.iter().filter(|r| r.is_valid()) {
-        let hw = r.hw.as_ref().unwrap();
-        assert!(hw.is_finite());
-        assert!(r.reward.is_finite());
-    }
 }

@@ -112,43 +112,24 @@ fn search_accepts_backend_flag() {
         "--optimizer",
         "random",
         "--backend",
-        "systolic",
+        "cim@configs/hw/isaac.json",
     ]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("backend systolic"), "{stdout}");
+    assert!(stdout.contains("backend cim"), "{stdout}");
     assert!(stdout.contains("best:"));
 }
 
 #[test]
-fn evaluate_backends_disagree_on_cost() {
-    let design = "[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]] | hw: [128,8,2,rram]";
-    let (ok, cim, _) = lcda(&["evaluate", "--design", design, "--json"]);
-    assert!(ok, "{cim}");
-    let (ok, sys, stderr) = lcda(&[
-        "evaluate",
-        "--design",
-        design,
-        "--backend",
-        "systolic",
-        "--json",
-    ]);
-    assert!(ok, "{stderr}");
-    let cim: lcda_base::json::Value = lcda_base::json::from_str(&cim).unwrap();
-    let sys: lcda_base::json::Value = lcda_base::json::from_str(&sys).unwrap();
-    assert!(cim["hw"]["energy_pj"].as_f64().is_some());
-    assert!(sys["hw"]["energy_pj"].as_f64().is_some());
-    assert_ne!(
-        cim["hw"]["energy_pj"], sys["hw"]["energy_pj"],
-        "the two cost models must produce different energies"
-    );
-}
-
-#[test]
 fn unknown_backend_is_rejected_with_known_names() {
-    let (ok, _, stderr) = lcda(&["reference", "--backend", "fpga"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown hardware backend"), "{stderr}");
-    assert!(stderr.contains("cim, systolic"), "{stderr}");
+    // `systolic` is a retired backend: refused by name like any other.
+    for name in ["fpga", "systolic"] {
+        let (ok, _, stderr) = lcda(&["reference", "--backend", name]);
+        assert!(!ok);
+        assert!(
+            stderr.contains(&format!("unknown hardware backend `{name}` (known: cim)")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]

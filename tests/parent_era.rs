@@ -8,7 +8,10 @@
 //! - `faulty.ckpt.json`: the checkpoint of a two-episode search (seed 5)
 //!   on the retired fault-injecting decoration of the `cim` backend;
 //! - `jobs.wal.jsonl`: a serve ledger with queued jobs naming retired
-//!   specs, exercised in `tests/serve.rs`.
+//!   specs, exercised in `tests/serve.rs`. Its lines 1-2 come from this
+//!   build; lines 3-5 from the build before the `systolic` backend was
+//!   removed: a `systolic` job and a `cim` job whose inline `hw` carries
+//!   the retired `digital` section, then a plain `cim` job.
 //!
 //! The build before the sharded search was removed wrote `fleet.jsonl`,
 //! the journal of a two-shard fleet search (8 episodes per shard, seed

@@ -893,8 +893,9 @@ fn queued_jobs_naming_retired_optimizers_or_backends_fail_by_name() {
         ..ServeConfig::default()
     })
     .expect("bind on a ledger naming retired specs");
-    let [optimizer, backend, clean] =
-        ["job-1", "job-2", "job-3"].map(|id| wait_terminal(&server, id.parse().unwrap()));
+    let [optimizer, backend, systolic, digital, clean] =
+        ["job-1", "job-2", "job-3", "job-4", "job-5"]
+            .map(|id| wait_terminal(&server, id.parse().unwrap()));
 
     assert_eq!(optimizer.spec.optimizer, "resilient");
     assert_eq!(optimizer.state, JobState::Failed);
@@ -907,10 +908,21 @@ fn queued_jobs_naming_retired_optimizers_or_backends_fail_by_name() {
     let named = format!("unknown hardware backend `{}`", backend.spec.backend);
     assert!(error.contains(&named), "{error}");
 
+    // Specs carrying the retired digital hierarchy section no longer
+    // decode: the jobs fail naming the field, whatever their backend,
+    // and the jobs admitted after them still run.
+    assert_eq!(systolic.spec.backend, "systolic");
+    assert_eq!(digital.spec.backend, DEFAULT_BACKEND);
+    for status in [&systolic, &digital] {
+        assert_eq!(status.state, JobState::Failed);
+        let error = status.error.as_deref().unwrap_or_default();
+        assert!(error.contains("unknown field `digital`"), "{error}");
+    }
+
     assert_eq!(clean.state, JobState::Done, "{:?}", clean.error);
 
     // The retired names are refused at admission, naming them.
-    for status in [&optimizer, &backend] {
+    for status in [&optimizer, &backend, &systolic] {
         let body = lcda_base::json::to_string(&status.spec);
         let (code, reply) = http(server.addr(), "POST", "/jobs", &body);
         assert_eq!(code, 400, "{body}: {reply}");
