@@ -4,7 +4,7 @@
 //!
 //! - [`rng`]: the one seedable random number generator, so every
 //!   experiment is reproducible from a single `u64` seed;
-//! - [`json`]: the one JSON value tree, parser and writer, with the
+//! - [`json`](mod@json): the one JSON value tree, parser and writer, with the
 //!   [`impl_json!`] macro that implements it for the workspace's types.
 //!
 //! The crate depends on `std` alone, so the workspace builds offline.

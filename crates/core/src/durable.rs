@@ -1,10 +1,11 @@
 //! The on-disk durability rules, in one place (DESIGN §11): atomic
-//! writes ([`atomic_write`]), embedded content checksums
-//! ([`save_checksummed`], [`load_checksummed`]), rotated generation
-//! paths ([`generation_path`], [`rotate_generations`], which
+//! writes (`atomic_write`), embedded content checksums
+//! (`save_checksummed`, `load_checksummed`), rotated generation
+//! paths (`generation_path`, `rotate_generations`, which
 //! [`crate::CheckpointStore`] builds its newest-valid fallback on), and
-//! fsynced appends to append-only JSONL files ([`append_line`]) with
-//! torn-tail salvage on reopen ([`open_jsonl`], [`valid_jsonl_prefix`]).
+//! fsynced appends to append-only JSONL files (`append_line`) with
+//! torn-tail salvage on reopen (`open_jsonl`, `valid_jsonl_prefix`).
+//! The helpers are crate-private.
 //! Checkpoint logs, the cache store, the serve WAL and run journals all
 //! go through this module.
 

@@ -89,10 +89,6 @@ impl DesignSpace {
             hidden: self.hidden,
             classes: self.classes,
             pool_every: self.pool_every,
-            // The NACIM space searches topology only; regularization
-            // options stay at the paper's plain-backbone defaults.
-            batch_norm: false,
-            dropout_percent: 0,
         };
         arch.validate()?;
         Ok(arch)

@@ -49,14 +49,10 @@ pub struct Architecture {
     pub classes: u32,
     /// Insert a pooling layer after every `pool_every` convolutions.
     pub pool_every: u32,
-    /// Insert batch normalization between each convolution and its ReLU.
-    pub batch_norm: bool,
-    /// Dropout percentage (0 = off) applied before the classifier head.
-    pub dropout_percent: u8,
 }
 
 lcda_base::impl_json!(struct Architecture {
-    in_channels, in_size, convs, hidden, classes, pool_every, batch_norm, dropout_percent,
+    in_channels, in_size, convs, hidden, classes, pool_every,
 });
 
 impl Architecture {
@@ -74,8 +70,6 @@ impl Architecture {
             hidden: 1024,
             classes: 10,
             pool_every: 2,
-            batch_norm: false,
-            dropout_percent: 0,
         };
         arch.validate()?;
         Ok(arch)
@@ -104,22 +98,7 @@ impl Architecture {
             hidden: 16,
             classes: 4,
             pool_every: 2,
-            batch_norm: false,
-            dropout_percent: 0,
         }
-    }
-
-    /// Enables batch normalization after every convolution.
-    pub fn with_batch_norm(mut self) -> Self {
-        self.batch_norm = true;
-        self
-    }
-
-    /// Enables dropout (as a percentage in 0..100) before the classifier
-    /// head.
-    pub fn with_dropout(mut self, percent: u8) -> Self {
-        self.dropout_percent = percent;
-        self
     }
 
     /// Validates dimensions.
@@ -144,12 +123,6 @@ impl Architecture {
             return Err(DnnError::InvalidArchitecture(
                 "dimensions must be positive".to_string(),
             ));
-        }
-        if self.dropout_percent >= 100 {
-            return Err(DnnError::InvalidArchitecture(format!(
-                "dropout percentage must be < 100, got {}",
-                self.dropout_percent
-            )));
         }
         let mut size = self.in_size;
         for (i, c) in self.convs.iter().enumerate() {
@@ -251,23 +224,12 @@ impl Architecture {
                 spec.channels as usize,
                 &mut rng,
             )?));
-            if self.batch_norm {
-                layers.push(Layer::BatchNorm2d(
-                    crate::extra_layers::BatchNorm2dLayer::new(spec.channels as usize),
-                ));
-            }
             layers.push(Layer::relu());
             if (i as u32 + 1).is_multiple_of(self.pool_every) {
                 layers.push(Layer::maxpool2());
             }
         }
         layers.push(Layer::flatten());
-        if self.dropout_percent > 0 {
-            layers.push(Layer::Dropout(crate::extra_layers::DropoutLayer::new(
-                f32::from(self.dropout_percent) / 100.0,
-                rng.next_u64(),
-            )?));
-        }
         layers.push(Layer::Linear(LinearLayer::new(
             self.flat_features() as usize,
             self.hidden as usize,
@@ -363,49 +325,5 @@ mod tests {
         let json = lcda_base::json::to_string(&a);
         let b: Architecture = lcda_base::json::from_str(&json).unwrap();
         assert_eq!(a, b);
-    }
-}
-
-#[cfg(test)]
-mod regularized_tests {
-    use super::*;
-    use crate::dataset::SynthCifar;
-    use crate::trainer::{TrainConfig, Trainer};
-
-    #[test]
-    fn batchnorm_dropout_network_trains() {
-        let arch = Architecture::tiny_test().with_batch_norm().with_dropout(20);
-        let net = arch.build(9).unwrap();
-        // Two extra BN params per conv + same conv/fc params as before.
-        let plain = Architecture::tiny_test().build(9).unwrap();
-        assert!(net.param_count() > plain.param_count());
-        let data = SynthCifar::generate_classes(64, 8, 4, 31).unwrap();
-        let mut cfg = TrainConfig::fast_test();
-        cfg.epochs = 8;
-        let mut t = Trainer::new(net, cfg);
-        let report = t.fit(&data).unwrap();
-        assert!(
-            report.final_train_accuracy > 0.35,
-            "accuracy {}",
-            report.final_train_accuracy
-        );
-    }
-
-    #[test]
-    fn eval_mode_is_deterministic_with_dropout() {
-        let arch = Architecture::tiny_test().with_dropout(50);
-        let net = arch.build(10).unwrap();
-        let data = SynthCifar::generate_classes(8, 8, 4, 32).unwrap();
-        // predict() runs in eval mode → dropout off → deterministic.
-        let a = net.predict(data.images()).unwrap();
-        let b = net.predict(data.images()).unwrap();
-        assert_eq!(a, b);
-        assert!(net.is_training(), "mode restored after predict");
-    }
-
-    #[test]
-    fn excessive_dropout_rejected() {
-        let arch = Architecture::tiny_test().with_dropout(100);
-        assert!(arch.build(0).is_err());
     }
 }

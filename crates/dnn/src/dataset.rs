@@ -91,11 +91,6 @@ impl SynthCifar {
         self.classes
     }
 
-    /// Image side length.
-    pub fn image_size(&self) -> usize {
-        self.size
-    }
-
     /// All images as one NCHW tensor.
     pub fn images(&self) -> &Tensor {
         &self.images
@@ -305,142 +300,5 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&x| (-2.0..=2.0).contains(&x)));
-    }
-}
-
-/// Label-preserving training augmentations: horizontal flips and small
-/// translations (the standard CIFAR recipe, scaled to the synthetic
-/// dataset). Augmentation happens on batches, leaving the base dataset
-/// untouched, so evaluation data stays fixed.
-#[derive(Debug, Clone, Copy)]
-pub struct Augmentation {
-    /// Probability of mirroring an image horizontally.
-    pub flip_prob: f64,
-    /// Maximum |shift| in pixels for random translation (zero padding).
-    pub max_shift: usize,
-}
-
-impl Augmentation {
-    /// The standard CIFAR-style recipe: 50% flips, ±2 px shifts.
-    pub fn standard() -> Self {
-        Augmentation {
-            flip_prob: 0.5,
-            max_shift: 2,
-        }
-    }
-
-    /// Applies the augmentation in place to one NCHW batch.
-    pub fn apply(&self, batch: &mut Tensor, rng: &mut Rng) -> crate::Result<()> {
-        if batch.shape().rank() != 4 {
-            return Err(DnnError::InvalidDataset(
-                "augmentation expects an NCHW batch".into(),
-            ));
-        }
-        let d = batch.shape().dims().to_vec();
-        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-        let plane = h * w;
-        for s in 0..n {
-            let flip = rng.chance(self.flip_prob);
-            let (dy, dx) = if self.max_shift == 0 {
-                (0isize, 0isize)
-            } else {
-                let m = self.max_shift as isize;
-                (
-                    rng.index(2 * self.max_shift + 1) as isize - m,
-                    rng.index(2 * self.max_shift + 1) as isize - m,
-                )
-            };
-            if !flip && dy == 0 && dx == 0 {
-                continue;
-            }
-            for ch in 0..c {
-                let base = (s * c + ch) * plane;
-                let src: Vec<f32> = batch.as_slice()[base..base + plane].to_vec();
-                let dst = &mut batch.as_mut_slice()[base..base + plane];
-                for y in 0..h {
-                    for x in 0..w {
-                        let sy = y as isize - dy;
-                        let sx_pre = x as isize - dx;
-                        let sx = if flip {
-                            w as isize - 1 - sx_pre
-                        } else {
-                            sx_pre
-                        };
-                        dst[y * w + x] = if sy >= 0 && sy < h as isize && sx >= 0 && sx < w as isize
-                        {
-                            src[sy as usize * w + sx as usize]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod augmentation_tests {
-    use super::*;
-
-    #[test]
-    fn identity_augmentation_is_noop() {
-        let d = SynthCifar::generate_classes(4, 8, 4, 1).unwrap();
-        let (mut batch, _) = d.batch(0, 4).unwrap();
-        let before = batch.clone();
-        let aug = Augmentation {
-            flip_prob: 0.0,
-            max_shift: 0,
-        };
-        aug.apply(&mut batch, &mut Rng::new(0)).unwrap();
-        assert_eq!(batch, before);
-    }
-
-    #[test]
-    fn pure_flip_is_an_involution() {
-        let d = SynthCifar::generate_classes(2, 8, 4, 2).unwrap();
-        let (mut batch, _) = d.batch(0, 2).unwrap();
-        let before = batch.clone();
-        let aug = Augmentation {
-            flip_prob: 1.0,
-            max_shift: 0,
-        };
-        aug.apply(&mut batch, &mut Rng::new(0)).unwrap();
-        assert_ne!(batch, before, "flip changes the image");
-        aug.apply(&mut batch, &mut Rng::new(0)).unwrap();
-        assert_eq!(batch, before, "double flip restores it");
-    }
-
-    #[test]
-    fn shift_pads_with_zeros_and_preserves_energy_bound() {
-        let d = SynthCifar::generate_classes(8, 8, 4, 3).unwrap();
-        let (mut batch, _) = d.batch(0, 8).unwrap();
-        let before_norm = batch.norm_l2();
-        let aug = Augmentation {
-            flip_prob: 0.0,
-            max_shift: 3,
-        };
-        aug.apply(&mut batch, &mut Rng::new(7)).unwrap();
-        // Translation with zero padding can only lose mass.
-        assert!(batch.norm_l2() <= before_norm + 1e-4);
-    }
-
-    #[test]
-    fn augmentation_rejects_non_nchw() {
-        let mut t = Tensor::zeros(Shape::d2(4, 4));
-        let aug = Augmentation::standard();
-        assert!(aug.apply(&mut t, &mut Rng::new(0)).is_err());
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let d = SynthCifar::generate_classes(4, 8, 4, 4).unwrap();
-        let (mut a, _) = d.batch(0, 4).unwrap();
-        let (mut b, _) = d.batch(0, 4).unwrap();
-        let aug = Augmentation::standard();
-        aug.apply(&mut a, &mut Rng::new(9)).unwrap();
-        aug.apply(&mut b, &mut Rng::new(9)).unwrap();
-        assert_eq!(a, b);
     }
 }

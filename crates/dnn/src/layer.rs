@@ -1,13 +1,12 @@
 //! Concrete network layers with cached forward state and explicit
 //! backward passes.
 
-use crate::extra_layers::{BatchNorm2dLayer, DropoutLayer};
 use crate::{DnnError, Result};
 use lcda_base::rng::Rng;
 use lcda_tensor::init::Init;
 use lcda_tensor::ops::{
-    avgpool_global_backward, avgpool_global_forward, conv2d_backward, conv2d_forward, conv2d_infer,
-    maxpool2_backward, maxpool2_forward, relu_backward, relu_forward, Conv2dParams, ConvGeometry,
+    conv2d_backward, conv2d_forward, conv2d_infer, maxpool2_backward, maxpool2_forward,
+    relu_backward, relu_forward, Conv2dParams, ConvGeometry,
 };
 use lcda_tensor::{Shape, Tensor};
 
@@ -103,10 +102,6 @@ pub enum Layer {
     Conv2d(Conv2dLayer),
     /// Fully connected.
     Linear(LinearLayer),
-    /// Per-channel batch normalization.
-    BatchNorm2d(BatchNorm2dLayer),
-    /// Inverted dropout (train-mode only).
-    Dropout(DropoutLayer),
     /// ReLU activation (caches its input).
     Relu {
         /// Input cached by the forward pass.
@@ -116,11 +111,6 @@ pub enum Layer {
     MaxPool2 {
         /// Argmax indices and input shape from the forward pass.
         cache: Option<(Vec<usize>, Shape)>,
-    },
-    /// Global average pooling `(n,c,h,w) -> (n,c)`.
-    GlobalAvgPool {
-        /// Input shape cached by the forward pass.
-        cache: Option<Shape>,
     },
     /// Flatten `(n,c,h,w) -> (n, c·h·w)`.
     Flatten {
@@ -140,27 +130,18 @@ impl Layer {
         Layer::MaxPool2 { cache: None }
     }
 
-    /// A fresh global-average-pool layer.
-    pub fn global_avgpool() -> Self {
-        Layer::GlobalAvgPool { cache: None }
-    }
-
     /// A fresh flatten layer.
     pub fn flatten() -> Self {
         Layer::Flatten { cache: None }
     }
 
     /// Forward pass; caches whatever the backward pass will need.
-    /// `training` selects batch vs running statistics for normalization
-    /// layers and enables dropout masking.
     ///
     /// # Errors
     ///
     /// Propagates tensor shape errors.
-    pub fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor> {
+    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         match self {
-            Layer::BatchNorm2d(l) => l.forward(input, training),
-            Layer::Dropout(l) => Ok(l.forward(input, training)),
             Layer::Conv2d(l) => {
                 let (out, cache) =
                     conv2d_forward(input, &l.weight.value, &l.bias.value, &l.params)?;
@@ -181,10 +162,6 @@ impl Layer {
                 *cache = Some((arg, input.shape().clone()));
                 Ok(out)
             }
-            Layer::GlobalAvgPool { cache } => {
-                *cache = Some(input.shape().clone());
-                Ok(avgpool_global_forward(input)?)
-            }
             Layer::Flatten { cache } => {
                 *cache = Some(input.shape().clone());
                 let d = input.shape().dims();
@@ -196,19 +173,15 @@ impl Layer {
     }
 
     /// Inference-only forward pass: identical math to
-    /// [`Layer::forward`] in evaluation mode (`training = false`), but
-    /// immutable — it writes no caches, so evaluation hot paths (MC
-    /// trials, `Network::predict`) skip every cache clone and can share
-    /// one network across threads.
+    /// [`Layer::forward`], but immutable — it writes no caches, so
+    /// evaluation hot paths (MC trials, `Network::predict`) skip every
+    /// cache clone and can share one network across threads.
     ///
     /// # Errors
     ///
     /// Propagates tensor shape errors.
     pub fn infer(&self, input: &Tensor) -> Result<Tensor> {
         match self {
-            Layer::BatchNorm2d(l) => l.infer(input),
-            // Eval-mode dropout is the identity.
-            Layer::Dropout(_) => Ok(input.clone()),
             Layer::Conv2d(l) => Ok(conv2d_infer(
                 input,
                 &l.weight.value,
@@ -218,7 +191,6 @@ impl Layer {
             Layer::Linear(l) => linear_apply(input, &l.weight.value, &l.bias.value),
             Layer::Relu { .. } => Ok(relu_forward(input)),
             Layer::MaxPool2 { .. } => Ok(maxpool2_forward(input)?.0),
-            Layer::GlobalAvgPool { .. } => Ok(avgpool_global_forward(input)?),
             Layer::Flatten { .. } => {
                 let d = input.shape().dims();
                 let n = d[0];
@@ -236,8 +208,6 @@ impl Layer {
     /// Returns an error when called before `forward` or on shape mismatch.
     pub fn backward(&mut self, d_out: &Tensor) -> Result<Tensor> {
         match self {
-            Layer::BatchNorm2d(l) => l.backward(d_out),
-            Layer::Dropout(l) => l.backward(d_out),
             Layer::Conv2d(l) => {
                 let cols = l.cols_cache.as_ref().ok_or_else(|| {
                     DnnError::InvalidTraining("conv backward before forward".to_string())
@@ -276,12 +246,6 @@ impl Layer {
                 })?;
                 Ok(maxpool2_backward(d_out, arg, shape)?)
             }
-            Layer::GlobalAvgPool { cache } => {
-                let shape = cache.as_ref().ok_or_else(|| {
-                    DnnError::InvalidTraining("avgpool backward before forward".to_string())
-                })?;
-                Ok(avgpool_global_backward(d_out, shape)?)
-            }
             Layer::Flatten { cache } => {
                 let shape = cache.as_ref().ok_or_else(|| {
                     DnnError::InvalidTraining("flatten backward before forward".to_string())
@@ -302,10 +266,6 @@ impl Layer {
                 f(&mut l.weight);
                 f(&mut l.bias);
             }
-            Layer::BatchNorm2d(l) => {
-                f(&mut l.gamma);
-                f(&mut l.beta);
-            }
             _ => {}
         }
     }
@@ -315,7 +275,6 @@ impl Layer {
         match self {
             Layer::Conv2d(l) => l.weight.value.len() + l.bias.value.len(),
             Layer::Linear(l) => l.weight.value.len() + l.bias.value.len(),
-            Layer::BatchNorm2d(l) => l.gamma.value.len() + l.beta.value.len(),
             _ => 0,
         }
     }
@@ -341,7 +300,7 @@ mod tests {
         let geom = ConvGeometry::new(3, 8, 8, 3, 1, 1).unwrap();
         let mut layer = Layer::Conv2d(Conv2dLayer::new(geom, 4, &mut r).unwrap());
         let x = Tensor::ones(Shape::d4(2, 3, 8, 8));
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&x).unwrap();
         assert_eq!(y.shape().dims(), &[2, 4, 8, 8]);
         let d = layer.backward(&Tensor::ones(y.shape().clone())).unwrap();
         assert_eq!(d.shape(), x.shape());
@@ -355,7 +314,7 @@ mod tests {
         l.bias.value = Tensor::from_slice(&[10., 20.]);
         let mut layer = Layer::Linear(l);
         let x = Tensor::from_vec(Shape::d2(1, 2), vec![1., 1.]).unwrap();
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[14., 26.]);
     }
 
@@ -366,7 +325,7 @@ mod tests {
         l.weight.value = Tensor::from_vec(Shape::d2(2, 1), vec![2., 3.]).unwrap();
         let mut layer = Layer::Linear(l);
         let x = Tensor::from_vec(Shape::d2(1, 2), vec![5., 7.]).unwrap();
-        let _ = layer.forward(&x, true).unwrap();
+        let _ = layer.forward(&x).unwrap();
         let d_in = layer
             .backward(&Tensor::from_vec(Shape::d2(1, 1), vec![1.0]).unwrap())
             .unwrap();
@@ -383,7 +342,7 @@ mod tests {
     fn flatten_roundtrip() {
         let mut layer = Layer::flatten();
         let x = Tensor::ones(Shape::d4(2, 3, 4, 4));
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&x).unwrap();
         assert_eq!(y.shape().dims(), &[2, 48]);
         let d = layer.backward(&y).unwrap();
         assert_eq!(d.shape(), x.shape());
@@ -398,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_eval_forward() {
+    fn infer_matches_forward() {
         let mut r = rng();
         let geom = ConvGeometry::new(3, 8, 8, 3, 1, 1).unwrap();
         let mut layers = vec![
@@ -411,7 +370,7 @@ mod tests {
         let mut x_mut = Tensor::ones(Shape::d4(2, 3, 8, 8));
         let mut x_ref = x_mut.clone();
         for layer in &mut layers {
-            x_mut = layer.forward(&x_mut, false).unwrap();
+            x_mut = layer.forward(&x_mut).unwrap();
         }
         for layer in &layers {
             x_ref = layer.infer(&x_ref).unwrap();

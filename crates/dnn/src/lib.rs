@@ -30,7 +30,6 @@ mod error;
 
 pub mod arch;
 pub mod dataset;
-pub mod extra_layers;
 mod fused;
 pub mod layer;
 pub mod mc_eval;

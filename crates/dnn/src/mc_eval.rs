@@ -33,8 +33,8 @@ pub enum McStrategy {
     /// against.
     PerTrial,
     /// Batch all trial-perturbed weight matrices of a layer into one GEMM
-    /// (see [`crate::fused`]). Bit-identical to [`McStrategy::PerTrial`]
-    /// in f32, just faster.
+    /// (the private `fused` module). Bit-identical to
+    /// [`McStrategy::PerTrial`] in f32, just faster.
     Fused,
 }
 
@@ -77,24 +77,10 @@ impl Default for McEvalConfig {
 }
 
 impl McEvalConfig {
-    /// Sets the worker-thread count (builder style).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Sets the trial execution strategy (builder style).
     #[must_use]
     pub fn with_strategy(mut self, strategy: McStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Sets the inference precision (builder style).
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 }
@@ -114,8 +100,8 @@ pub fn clean_accuracy(network: &mut Network, data: &SynthCifar) -> Result<f32> {
 /// the clean weights.
 ///
 /// With [`McStrategy::Fused`] (the default) or [`Precision::Int8`], trials
-/// run on the fused engine ([`crate::fused`]), which batches every trial's
-/// perturbed weights into one GEMM per layer; its f32 results are
+/// run on the fused engine (the private `fused` module), which batches
+/// every trial's perturbed weights into one GEMM per layer; its f32 results are
 /// bit-identical to the per-trial path below. With
 /// [`McStrategy::PerTrial`] in f32, trials fan out across `config.threads`
 /// workers via [`lcda_variation::montecarlo::try_run_parallel`], each on
@@ -249,7 +235,11 @@ mod tests {
         };
         let seq = mc_accuracy(&mut net, &data, &base).unwrap();
         for threads in [2, 3, 8, 64] {
-            let par = mc_accuracy(&mut net, &data, &base.clone().with_threads(threads)).unwrap();
+            let threaded = McEvalConfig {
+                threads,
+                ..base.clone()
+            };
+            let par = mc_accuracy(&mut net, &data, &threaded).unwrap();
             assert_eq!(seq, par, "threads={threads}");
         }
     }
@@ -262,7 +252,11 @@ mod tests {
             ..McEvalConfig::default()
         };
         let one = mc_accuracy(&mut net, &data, &cfg).unwrap();
-        let zero = mc_accuracy(&mut net, &data, &cfg.clone().with_threads(0)).unwrap();
+        let zero_threads = McEvalConfig {
+            threads: 0,
+            ..cfg.clone()
+        };
+        let zero = mc_accuracy(&mut net, &data, &zero_threads).unwrap();
         assert_eq!(one, zero);
     }
 
@@ -296,10 +290,10 @@ mod tests {
             let fused = mc_accuracy(
                 &mut net,
                 &data,
-                &base
-                    .clone()
-                    .with_strategy(McStrategy::Fused)
-                    .with_threads(threads),
+                &McEvalConfig {
+                    threads,
+                    ..base.clone().with_strategy(McStrategy::Fused)
+                },
             )
             .unwrap();
             assert_eq!(reference, fused, "fused threads={threads}");
@@ -321,10 +315,10 @@ mod tests {
             let per_trial = mc_accuracy(
                 &mut net,
                 &data,
-                &base
-                    .clone()
-                    .with_strategy(McStrategy::PerTrial)
-                    .with_threads(threads),
+                &McEvalConfig {
+                    threads,
+                    ..base.clone().with_strategy(McStrategy::PerTrial)
+                },
             )
             .unwrap();
             assert_eq!(fused, per_trial, "per-trial threads={threads}");
@@ -344,7 +338,11 @@ mod tests {
         let b = mc_accuracy(&mut net, &data, &cfg).unwrap();
         assert_eq!(a, b);
         for threads in [2, 4] {
-            let par = mc_accuracy(&mut net, &data, &cfg.clone().with_threads(threads)).unwrap();
+            let threaded = McEvalConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let par = mc_accuracy(&mut net, &data, &threaded).unwrap();
             assert_eq!(a, par, "int8 threads={threads}");
         }
         // Int8 routes to the fused engine regardless of the strategy knob.

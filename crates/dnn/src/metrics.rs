@@ -23,66 +23,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> Result<f32> {
     Ok(correct as f32 / labels.len() as f32)
 }
 
-/// A confusion matrix: `matrix[true][predicted]` counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u32>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from predictions and labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::InvalidDataset`] for mismatched inputs or
-    /// out-of-range classes.
-    pub fn new(predictions: &[usize], labels: &[usize], classes: usize) -> Result<Self> {
-        if predictions.len() != labels.len() {
-            return Err(DnnError::InvalidDataset(
-                "predictions and labels must be equal-length".into(),
-            ));
-        }
-        let mut counts = vec![0u32; classes * classes];
-        for (&p, &l) in predictions.iter().zip(labels) {
-            if p >= classes || l >= classes {
-                return Err(DnnError::InvalidDataset(format!(
-                    "class {} out of range 0..{classes}",
-                    p.max(l)
-                )));
-            }
-            counts[l * classes + p] += 1;
-        }
-        Ok(ConfusionMatrix { classes, counts })
-    }
-
-    /// Count of samples with true class `t` predicted as `p`.
-    pub fn count(&self, t: usize, p: usize) -> u32 {
-        self.counts[t * self.classes + p]
-    }
-
-    /// Per-class recall (diagonal over row sum); `None` when the class has
-    /// no samples.
-    pub fn recall(&self, class: usize) -> Option<f32> {
-        let row: u32 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / row as f32)
-        }
-    }
-
-    /// Overall accuracy from the matrix.
-    pub fn accuracy(&self) -> f32 {
-        let total: u32 = self.counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u32 = (0..self.classes).map(|c| self.count(c, c)).sum();
-        diag as f32 / total as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,29 +33,5 @@ mod tests {
         assert_eq!(accuracy(&[0, 0, 0], &[0, 1, 2]).unwrap(), 1.0 / 3.0);
         assert!(accuracy(&[], &[]).is_err());
         assert!(accuracy(&[0], &[0, 1]).is_err());
-    }
-
-    #[test]
-    fn confusion_counts() {
-        let m = ConfusionMatrix::new(&[0, 1, 1, 0], &[0, 1, 0, 0], 2).unwrap();
-        assert_eq!(m.count(0, 0), 2);
-        assert_eq!(m.count(0, 1), 1);
-        assert_eq!(m.count(1, 1), 1);
-        assert_eq!(m.count(1, 0), 0);
-        assert!((m.accuracy() - 0.75).abs() < 1e-6);
-        assert!((m.recall(0).unwrap() - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(m.recall(1), Some(1.0));
-    }
-
-    #[test]
-    fn confusion_rejects_bad_classes() {
-        assert!(ConfusionMatrix::new(&[5], &[0], 2).is_err());
-        assert!(ConfusionMatrix::new(&[0], &[0, 1], 2).is_err());
-    }
-
-    #[test]
-    fn empty_class_recall_is_none() {
-        let m = ConfusionMatrix::new(&[0], &[0], 3).unwrap();
-        assert_eq!(m.recall(2), None);
     }
 }

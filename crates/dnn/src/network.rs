@@ -4,34 +4,19 @@
 use crate::layer::Layer;
 use crate::Result;
 use lcda_tensor::ops::cross_entropy_loss;
-use lcda_tensor::optim::ParamOptimizer;
+use lcda_tensor::optim::Sgd;
 use lcda_tensor::Tensor;
 
 /// A trainable feed-forward network.
 #[derive(Debug, Clone)]
 pub struct Network {
     layers: Vec<Layer>,
-    training: bool,
 }
 
 impl Network {
-    /// Creates a network from an ordered layer stack (in training mode).
+    /// Creates a network from an ordered layer stack.
     pub fn new(layers: Vec<Layer>) -> Self {
-        Network {
-            layers,
-            training: true,
-        }
-    }
-
-    /// Switches between training mode (batch statistics, dropout active)
-    /// and eval mode.
-    pub fn set_training(&mut self, training: bool) {
-        self.training = training;
-    }
-
-    /// Whether the network is in training mode.
-    pub fn is_training(&self) -> bool {
-        self.training
+        Network { layers }
     }
 
     /// The layers (read-only).
@@ -51,9 +36,8 @@ impl Network {
     /// Propagates layer shape errors.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let mut x = input.clone();
-        let training = self.training;
         for layer in &mut self.layers {
-            x = layer.forward(&x, training)?;
+            x = layer.forward(&x)?;
         }
         Ok(x)
     }
@@ -89,12 +73,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates shape/label errors.
-    pub fn train_step<O: ParamOptimizer>(
-        &mut self,
-        input: &Tensor,
-        labels: &[usize],
-        opt: &mut O,
-    ) -> Result<f32> {
+    pub fn train_step(&mut self, input: &Tensor, labels: &[usize], opt: &mut Sgd) -> Result<f32> {
         self.zero_grad();
         let logits = self.forward(input)?;
         let (loss, d_logits) = cross_entropy_loss(&logits, labels)?;
@@ -105,7 +84,7 @@ impl Network {
 
     /// Registers every parameter with the optimizer (slot order equals
     /// visit order, which is stable).
-    pub fn register_params<O: ParamOptimizer>(&mut self, opt: &mut O) {
+    pub fn register_params(&mut self, opt: &mut Sgd) {
         for layer in &mut self.layers {
             layer.visit_params(|p| {
                 opt.register(&p.value);
@@ -118,7 +97,7 @@ impl Network {
     /// # Errors
     ///
     /// Propagates optimizer slot errors.
-    pub fn apply_grads<O: ParamOptimizer>(&mut self, opt: &mut O) -> Result<()> {
+    pub fn apply_grads(&mut self, opt: &mut Sgd) -> Result<()> {
         let mut slot = 0usize;
         let mut result = Ok(());
         for layer in &mut self.layers {
@@ -132,7 +111,7 @@ impl Network {
         result
     }
 
-    /// Cache-free inference forward pass: bit-identical to an eval-mode
+    /// Cache-free inference forward pass: bit-identical to
     /// [`Network::forward`] but immutable, so one network can serve many
     /// concurrent evaluation threads without cloning its layer caches.
     ///
@@ -172,7 +151,7 @@ impl Network {
 
     /// Snapshots all trainable parameters (flat copies, in
     /// [`Layer::visit_params`] order, so [`Network::restore_weights`]
-    /// realigns exactly — including BatchNorm's γ/β).
+    /// realigns exactly).
     pub fn snapshot_weights(&self) -> Vec<Vec<f32>> {
         let mut out = Vec::new();
         // visit_params needs &mut; mirror its order on an immutable path.
@@ -185,10 +164,6 @@ impl Network {
                 Layer::Linear(l) => {
                     out.push(l.weight.value.as_slice().to_vec());
                     out.push(l.bias.value.as_slice().to_vec());
-                }
-                Layer::BatchNorm2d(l) => {
-                    out.push(l.gamma.value.as_slice().to_vec());
-                    out.push(l.beta.value.as_slice().to_vec());
                 }
                 _ => {}
             }
@@ -337,6 +312,22 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_restore_aligns_with_visit_order() {
+        // Restore walks `visit_params` while the snapshot walks the layers
+        // directly; the two orders must agree for every parameter,
+        // biases included.
+        let mut net = tiny_net();
+        let snap = net.snapshot_weights();
+        net.restore_weights(&snap); // must not panic
+        for layer in &mut net.layers {
+            layer.visit_params(|p| p.value.map_inplace(|x| x + 0.5));
+        }
+        assert_ne!(net.snapshot_weights(), snap);
+        net.restore_weights(&snap);
+        assert_eq!(net.snapshot_weights(), snap);
+    }
+
+    #[test]
     fn perturbation_skips_biases() {
         let mut net = tiny_net();
         let before = net.snapshot_weights();
@@ -372,11 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_eval_forward_bitwise() {
+    fn infer_matches_forward_bitwise() {
         let mut net = tiny_net();
         let mut rng = Rng::new(9);
         let (x, _) = random_batch(3, &mut rng);
-        net.set_training(false);
         let via_forward = net.forward(&x).unwrap();
         let via_infer = net.infer(&x).unwrap();
         assert_eq!(via_forward.as_slice(), via_infer.as_slice());
@@ -384,10 +374,7 @@ mod tests {
 
     #[test]
     fn weight_matrices_match_perturbation_order() {
-        let mut net = Architecture::tiny_test()
-            .with_batch_norm()
-            .build(5)
-            .unwrap();
+        let mut net = Architecture::tiny_test().build(5).unwrap();
         let via_accessor: Vec<Vec<f32>> = net
             .weight_matrices()
             .iter()
@@ -416,30 +403,5 @@ mod tests {
             });
         }
         assert!(all_zero);
-    }
-}
-
-#[cfg(test)]
-mod batchnorm_snapshot_tests {
-    use crate::arch::Architecture;
-
-    #[test]
-    fn snapshot_restore_aligns_with_batchnorm() {
-        // Regression test: snapshot/restore must mirror visit_params order
-        // exactly, including BatchNorm γ/β (found via the reliability
-        // example panicking in noise-injection training).
-        let mut net = Architecture::tiny_test()
-            .with_batch_norm()
-            .build(1)
-            .unwrap();
-        let snap = net.snapshot_weights();
-        net.restore_weights(&snap); // must not panic
-        net.perturb_weight_matrices(|w| {
-            for x in w.iter_mut() {
-                *x += 0.5;
-            }
-        });
-        net.restore_weights(&snap);
-        assert_eq!(net.snapshot_weights(), snap);
     }
 }

@@ -8,12 +8,12 @@
 //! applies them to the clean weights — producing models whose loss
 //! landscape is flat around the programmed weights.
 
-use crate::dataset::{Augmentation, SynthCifar};
+use crate::dataset::SynthCifar;
 use crate::metrics::accuracy;
 use crate::network::Network;
 use crate::{DnnError, Result};
 use lcda_tensor::ops::cross_entropy_loss;
-use lcda_tensor::optim::{ParamOptimizer, Sgd};
+use lcda_tensor::optim::Sgd;
 use lcda_variation::weights::WeightPerturber;
 use lcda_variation::VariationConfig;
 
@@ -30,8 +30,6 @@ pub struct TrainConfig {
     pub momentum: f32,
     /// When set, noise-injection training with this variation corner.
     pub noise_injection: Option<VariationConfig>,
-    /// When set, label-preserving batch augmentation (flips/shifts).
-    pub augmentation: Option<Augmentation>,
     /// RNG seed for batch ordering and injected noise.
     pub seed: u64,
 }
@@ -45,7 +43,6 @@ impl TrainConfig {
             learning_rate: 0.02,
             momentum: 0.9,
             noise_injection: None,
-            augmentation: None,
             seed: 0,
         }
     }
@@ -58,7 +55,6 @@ impl TrainConfig {
             learning_rate: 0.05,
             momentum: 0.9,
             noise_injection: None,
-            augmentation: None,
             seed: 0,
         }
     }
@@ -66,12 +62,6 @@ impl TrainConfig {
     /// Enables noise-injection training with the given corner.
     pub fn with_noise_injection(mut self, config: VariationConfig) -> Self {
         self.noise_injection = Some(config);
-        self
-    }
-
-    /// Enables batch augmentation.
-    pub fn with_augmentation(mut self, augmentation: Augmentation) -> Self {
-        self.augmentation = Some(augmentation);
         self
     }
 
@@ -129,16 +119,6 @@ impl Trainer {
         Trainer { network, config }
     }
 
-    /// Read access to the network.
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// Mutable access to the network (for evaluation).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
     /// Consumes the trainer, returning the trained network.
     pub fn into_network(self) -> Network {
         self.network
@@ -161,7 +141,6 @@ impl Trainer {
         let bs = self.config.batch_size.min(n);
         let mut epoch_losses = Vec::with_capacity(self.config.epochs as usize);
         let mut noise_seed = self.config.seed.wrapping_mul(0x5851_F42D_4C95_7F2D);
-        let mut aug_rng = lcda_base::rng::Rng::new(self.config.seed.wrapping_add(0xA06));
 
         for epoch in 0..self.config.epochs {
             let mut total = 0.0f32;
@@ -172,10 +151,7 @@ impl Trainer {
             opt.set_learning_rate(self.config.learning_rate * decay);
             while start < n {
                 let len = bs.min(n - start);
-                let (mut x, y) = data.batch(start, len)?;
-                if let Some(aug) = &self.config.augmentation {
-                    aug.apply(&mut x, &mut aug_rng)?;
-                }
+                let (x, y) = data.batch(start, len)?;
                 let loss = match self.config.noise_injection.clone() {
                     None => self.network.train_step(&x, &y, &mut opt)?,
                     Some(corner) => {
@@ -199,11 +175,11 @@ impl Trainer {
 
     /// One noise-injection step: perturb → forward/backward → restore →
     /// update.
-    fn noisy_step<O: ParamOptimizer>(
+    fn noisy_step(
         &mut self,
         x: &lcda_tensor::Tensor,
         y: &[usize],
-        opt: &mut O,
+        opt: &mut Sgd,
         corner: &VariationConfig,
         seed: u64,
     ) -> Result<f32> {
@@ -310,38 +286,5 @@ mod tests {
         let mut t = Trainer::new(net, cfg);
         let report = t.fit(&data()).unwrap();
         assert_eq!(report.epoch_losses.len(), 3);
-    }
-}
-
-#[cfg(test)]
-mod augmentation_training_tests {
-    use super::*;
-    use crate::arch::Architecture;
-    use crate::dataset::Augmentation;
-
-    #[test]
-    fn augmented_training_still_learns() {
-        let data = SynthCifar::generate_classes(64, 8, 4, 51).unwrap();
-        let net = Architecture::tiny_test().build(51).unwrap();
-        let mut cfg = TrainConfig::fast_test().with_augmentation(Augmentation::standard());
-        cfg.epochs = 10;
-        let mut t = Trainer::new(net, cfg);
-        let report = t.fit(&data).unwrap();
-        assert!(
-            report.final_train_accuracy > 0.35,
-            "accuracy {}",
-            report.final_train_accuracy
-        );
-    }
-
-    #[test]
-    fn augmented_training_is_deterministic() {
-        let run = || {
-            let data = SynthCifar::generate_classes(32, 8, 4, 52).unwrap();
-            let net = Architecture::tiny_test().build(52).unwrap();
-            let cfg = TrainConfig::fast_test().with_augmentation(Augmentation::standard());
-            Trainer::new(net, cfg).fit(&data).unwrap()
-        };
-        assert_eq!(run(), run());
     }
 }

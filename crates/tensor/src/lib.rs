@@ -10,7 +10,7 @@
 //! - [`ops`]: forward *and* backward kernels for convolution (via im2col),
 //!   pooling, activations and the softmax cross-entropy loss,
 //! - [`init`]: standard weight initializers (Xavier/Glorot, He, uniform),
-//! - [`optim`]: SGD / momentum / Adam parameter optimizers.
+//! - [`optim`]: the SGD-with-momentum parameter optimizer.
 //!
 //! Randomness (weight init, dataset synthesis) comes from the workspace's
 //! one generator, `lcda_base::rng::Rng`.

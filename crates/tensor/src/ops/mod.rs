@@ -18,6 +18,4 @@ pub use conv::{
 pub use gemm::{gemm_f32, gemm_i8, gemm_ref, quantize_symmetric};
 pub use im2col::{col2im, col2im_batch, im2col, im2col_batch, ConvGeometry};
 pub use loss::{cross_entropy_loss, one_hot};
-pub use pool::{
-    avgpool_global_backward, avgpool_global_forward, maxpool2_backward, maxpool2_forward,
-};
+pub use pool::{maxpool2_backward, maxpool2_forward};

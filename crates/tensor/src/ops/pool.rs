@@ -1,4 +1,4 @@
-//! Pooling layers: 2×2 stride-2 max pooling and global average pooling.
+//! Pooling: 2×2 stride-2 max pooling.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -89,57 +89,6 @@ pub fn maxpool2_backward(d_out: &Tensor, argmax: &[usize], input_shape: &Shape) 
     Ok(d_input)
 }
 
-/// Global average pooling: `(n, c, h, w) -> (n, c)`.
-///
-/// # Errors
-///
-/// Returns a rank error for non-NCHW input.
-pub fn avgpool_global_forward(input: &Tensor) -> Result<Tensor> {
-    let [n, c, h, w] = check_rank4(input, "avgpool_global_forward")?;
-    let plane = h * w;
-    let src = input.as_slice();
-    let mut out = vec![0.0f32; n * c];
-    for (i, o) in out.iter_mut().enumerate() {
-        let base = i * plane;
-        *o = src[base..base + plane].iter().sum::<f32>() / plane as f32;
-    }
-    Tensor::from_vec(Shape::d2(n, c), out)
-}
-
-/// Backward pass of global average pooling: spreads each gradient evenly
-/// over its spatial plane.
-///
-/// # Errors
-///
-/// Returns shape errors when operands disagree.
-pub fn avgpool_global_backward(d_out: &Tensor, input_shape: &Shape) -> Result<Tensor> {
-    if input_shape.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: input_shape.rank(),
-            op: "avgpool_global_backward",
-        });
-    }
-    let d = input_shape.dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    if d_out.shape() != &Shape::d2(n, c) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: d_out.shape().to_string(),
-            rhs: Shape::d2(n, c).to_string(),
-            op: "avgpool_global_backward",
-        });
-    }
-    let plane = h * w;
-    let mut out = vec![0.0f32; n * c * plane];
-    for (i, &g) in d_out.as_slice().iter().enumerate() {
-        let v = g / plane as f32;
-        for o in &mut out[i * plane..(i + 1) * plane] {
-            *o = v;
-        }
-    }
-    Tensor::from_vec(input_shape.clone(), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,39 +131,5 @@ mod tests {
     fn maxpool_rejects_tiny_plane() {
         let input = Tensor::zeros(Shape::d4(1, 1, 1, 4));
         assert!(maxpool2_forward(&input).is_err());
-    }
-
-    #[test]
-    fn avgpool_mean() {
-        let input = Tensor::from_vec(
-            Shape::d4(1, 2, 2, 2),
-            vec![1., 2., 3., 4., 10., 20., 30., 40.],
-        )
-        .unwrap();
-        let out = avgpool_global_forward(&input).unwrap();
-        assert_eq!(out.as_slice(), &[2.5, 25.0]);
-    }
-
-    #[test]
-    fn avgpool_backward_spreads() {
-        let shape = Shape::d4(1, 1, 2, 2);
-        let d_out = Tensor::from_vec(Shape::d2(1, 1), vec![8.0]).unwrap();
-        let d_in = avgpool_global_backward(&d_out, &shape).unwrap();
-        assert_eq!(d_in.as_slice(), &[2., 2., 2., 2.]);
-    }
-
-    #[test]
-    fn avgpool_grad_is_adjoint() {
-        // <avg(x), y> == <x, avg^T(y)>
-        let x = Tensor::from_vec(Shape::d4(1, 1, 2, 2), vec![1., 2., 3., 4.]).unwrap();
-        let y = Tensor::from_vec(Shape::d2(1, 1), vec![3.0]).unwrap();
-        let lhs = avgpool_global_forward(&x).unwrap().as_slice()[0] * 3.0;
-        let rhs: f32 = x
-            .as_slice()
-            .iter()
-            .zip(avgpool_global_backward(&y, x.shape()).unwrap().as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
-        assert!((lhs - rhs).abs() < 1e-6);
     }
 }

@@ -1,50 +1,23 @@
-//! Parameter optimizers for gradient-based training.
-//!
-//! The trained evaluator uses [`Sgd`] with momentum by default; [`Adam`] is
-//! provided for the faster-converging noise-injection fine-tuning phase.
+//! The parameter optimizer for gradient-based training: [`Sgd`] with
+//! momentum, which the trained evaluator's noise-injection training uses.
 
 use crate::{Result, Tensor, TensorError};
 
-/// A gradient-descent parameter updater.
+/// Stochastic gradient descent with optional momentum.
 ///
-/// Implementations hold per-parameter state keyed by a slot index assigned
-/// with [`ParamOptimizer::register`].
-pub trait ParamOptimizer {
-    /// Registers a parameter tensor and returns its slot id.
-    fn register(&mut self, param: &Tensor) -> usize;
-
-    /// Applies one update step: `param -= f(grad)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `slot` is unknown or shapes mismatch.
-    fn step(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) -> Result<()>;
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by LR schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Holds one velocity tensor per parameter, keyed by the slot index
+/// [`Sgd::register`] assigns.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Tensor>,
 }
 
 impl Sgd {
     /// Plain SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
+        Sgd::with_momentum(lr, 0.0)
     }
 
     /// SGD with momentum.
@@ -52,25 +25,22 @@ impl Sgd {
         Sgd {
             lr,
             momentum,
-            weight_decay: 0.0,
             velocity: Vec::new(),
         }
     }
 
-    /// Adds L2 weight decay.
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl ParamOptimizer for Sgd {
-    fn register(&mut self, param: &Tensor) -> usize {
+    /// Registers a parameter tensor and returns its slot id.
+    pub fn register(&mut self, param: &Tensor) -> usize {
         self.velocity.push(Tensor::zeros(param.shape().clone()));
         self.velocity.len() - 1
     }
 
-    fn step(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) -> Result<()> {
+    /// Applies one update step: `v = momentum·v + grad; param -= lr·v`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `slot` is unknown or shapes mismatch.
+    pub fn step(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) -> Result<()> {
         let v = self
             .velocity
             .get_mut(slot)
@@ -78,165 +48,18 @@ impl ParamOptimizer for Sgd {
                 index: slot,
                 bound: 0,
             })?;
-        if self.weight_decay > 0.0 {
-            // grad' = grad + wd * param, folded into the velocity update.
-            let mut g = grad.clone();
-            g.axpy(self.weight_decay, param)?;
-            *v = v.scale(self.momentum);
-            v.axpy(1.0, &g)?;
-        } else {
-            *v = v.scale(self.momentum);
-            v.axpy(1.0, grad)?;
-        }
+        *v = v.scale(self.momentum);
+        v.axpy(1.0, grad)?;
         param.axpy(-self.lr, v)
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// The current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam optimizer (Kingma & Ba 2015) with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with the standard `(0.9, 0.999, 1e-8)` hyper-parameters.
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl ParamOptimizer for Adam {
-    fn register(&mut self, param: &Tensor) -> usize {
-        self.m.push(Tensor::zeros(param.shape().clone()));
-        self.v.push(Tensor::zeros(param.shape().clone()));
-        self.m.len() - 1
-    }
-
-    fn step(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) -> Result<()> {
-        if slot >= self.m.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: slot,
-                bound: self.m.len(),
-            });
-        }
-        // Per-step time increments once per slot-0 update so bias correction
-        // tracks epochs of full-parameter updates; simpler and adequate here:
-        if slot == 0 {
-            self.t += 1;
-        }
-        let t = self.t.max(1) as i32;
-        let (b1, b2) = (self.beta1, self.beta2);
-        let m = &mut self.m[slot];
-        let v = &mut self.v[slot];
-        for ((m_i, v_i), &g) in m
-            .as_mut_slice()
-            .iter_mut()
-            .zip(v.as_mut_slice())
-            .zip(grad.as_slice())
-        {
-            *m_i = b1 * *m_i + (1.0 - b1) * g;
-            *v_i = b2 * *v_i + (1.0 - b2) * g * g;
-        }
-        let bc1 = 1.0 - b1.powi(t);
-        let bc2 = 1.0 - b2.powi(t);
-        for ((p, &m_i), &v_i) in param
-            .as_mut_slice()
-            .iter_mut()
-            .zip(m.as_slice())
-            .zip(v.as_slice())
-        {
-            let m_hat = m_i / bc1;
-            let v_hat = v_i / bc2;
-            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// RMSProp (Tieleman & Hinton): per-parameter learning rates from an EMA
-/// of squared gradients — a robust default for noise-injection training,
-/// where gradient magnitudes fluctuate with the injected perturbation.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f32,
-    decay: f32,
-    eps: f32,
-    cache: Vec<Tensor>,
-}
-
-impl RmsProp {
-    /// RMSProp with the standard decay 0.9 and eps 1e-8.
-    pub fn new(lr: f32) -> Self {
-        RmsProp {
-            lr,
-            decay: 0.9,
-            eps: 1e-8,
-            cache: Vec::new(),
-        }
-    }
-}
-
-impl ParamOptimizer for RmsProp {
-    fn register(&mut self, param: &Tensor) -> usize {
-        self.cache.push(Tensor::zeros(param.shape().clone()));
-        self.cache.len() - 1
-    }
-
-    fn step(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) -> Result<()> {
-        let cache = self
-            .cache
-            .get_mut(slot)
-            .ok_or(TensorError::IndexOutOfBounds {
-                index: slot,
-                bound: 0,
-            })?;
-        for ((c, p), &g) in cache
-            .as_mut_slice()
-            .iter_mut()
-            .zip(param.as_mut_slice())
-            .zip(grad.as_slice())
-        {
-            *c = self.decay * *c + (1.0 - self.decay) * g * g;
-            *p -= self.lr * g / (c.sqrt() + self.eps);
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (used by LR schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -244,10 +67,9 @@ impl ParamOptimizer for RmsProp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Shape;
 
     /// Minimizes f(x) = x^2 from x=4 and checks convergence.
-    fn converges<O: ParamOptimizer>(mut opt: O, steps: usize) -> f32 {
+    fn converges(mut opt: Sgd, steps: usize) -> f32 {
         let mut x = Tensor::from_slice(&[4.0]);
         let slot = opt.register(&x);
         for _ in 0..steps {
@@ -268,39 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_quadratic() {
-        assert!(converges(Adam::new(0.2), 300) < 1e-2);
-    }
-
-    #[test]
-    fn rmsprop_converges_quadratic() {
-        // RMSProp takes ~lr-sized steps regardless of gradient magnitude,
-        // so it reaches an lr-sized neighbourhood of the optimum and
-        // dithers there.
-        assert!(converges(RmsProp::new(0.01), 800) < 0.05);
-    }
-
-    #[test]
-    fn rmsprop_unknown_slot_rejected() {
-        let mut opt = RmsProp::new(0.1);
-        let mut x = Tensor::from_slice(&[1.0]);
-        let g = Tensor::from_slice(&[1.0]);
-        assert!(opt.step(0, &mut x, &g).is_err());
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut opt = Sgd::new(0.1).weight_decay(0.5);
-        let mut x = Tensor::from_slice(&[2.0]);
-        let slot = opt.register(&x);
-        let zero_grad = Tensor::zeros(Shape::d1(1));
-        for _ in 0..50 {
-            opt.step(slot, &mut x, &zero_grad).unwrap();
-        }
-        assert!(x.as_slice()[0].abs() < 0.2);
-    }
-
-    #[test]
     fn unknown_slot_rejected() {
         let mut opt = Sgd::new(0.1);
         let mut x = Tensor::from_slice(&[1.0]);
@@ -310,7 +99,7 @@ mod tests {
 
     #[test]
     fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
+        let mut opt = Sgd::new(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
         opt.set_learning_rate(0.001);
         assert_eq!(opt.learning_rate(), 0.001);

@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 # production code must surface typed errors, not panic.
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 cargo build --workspace --release --offline --locked
+# Docs gate: every intra-doc link must resolve to a public item, so a
+# deleted or private item still named in a doc comment fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 cargo test --workspace -q --offline --locked
 journal_dir="$(mktemp -d)"
 trap 'rm -rf "$journal_dir"' EXIT
