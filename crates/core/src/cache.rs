@@ -255,15 +255,17 @@ pub(crate) struct AdmissionCursor {
 
 /// The persisted wire format: contexts plus the admission order (the
 /// order must survive a round-trip or a bounded store would evict
-/// differently after a restart).
+/// differently after a restart). The capacity bound is not part of it:
+/// the loader supplies the bound, so a configured bound is never
+/// overridden by the one a file was saved under. Files that still carry
+/// a `capacity` key load, and the key is ignored.
 struct StoreSnapshot {
     version: u32,
-    capacity: Option<usize>,
     contexts: BTreeMap<String, ContextSnapshot>,
     admissions: Vec<Admission>,
 }
 
-lcda_base::impl_json!(struct StoreSnapshot { version, capacity, contexts, admissions });
+lcda_base::impl_json!(struct StoreSnapshot { version, contexts, admissions });
 
 #[derive(Default)]
 struct ContextSnapshot {
@@ -311,13 +313,14 @@ impl CacheStore {
     /// When full, the oldest admission is evicted first — deterministic
     /// under identical admission order.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::build(Some(capacity.max(1)))
+        Self::build(Some(capacity))
     }
 
+    /// An empty store under `capacity` (clamped to ≥ 1), or unbounded.
     fn build(capacity: Option<usize>) -> Self {
         CacheStore {
             inner: Arc::new(Mutex::new(StoreInner {
-                capacity,
+                capacity: capacity.map(|cap| cap.max(1)),
                 contexts: BTreeMap::new(),
                 admissions: VecDeque::new(),
                 stats: StoreStats::default(),
@@ -423,26 +426,27 @@ impl CacheStore {
         }
         StoreSnapshot {
             version: STORE_VERSION,
-            capacity: g.capacity,
             contexts,
             admissions: g.admissions.iter().cloned().collect(),
         }
     }
 
-    /// Rebuilds a store from [`CacheStore::to_json`] output. Entries are
-    /// owned by the reserved pseudo-session 0, so every live session that
-    /// hits them counts a cross-run hit.
+    /// Rebuilds a store from [`CacheStore::to_json`] output under
+    /// `capacity` (clamped to ≥ 1; `None` is unbounded). A store larger
+    /// than the bound is evicted down to it, oldest admission first, as a
+    /// live overflow is. Entries are owned by the reserved pseudo-session
+    /// 0, so every live session that hits them counts a cross-run hit.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Checkpoint`] for malformed or corrupt JSON.
-    pub fn from_json(json: &str) -> Result<Self> {
-        crate::durable::from_checksummed_json(json).map(Self::restore)
+    pub fn from_json(json: &str, capacity: Option<usize>) -> Result<Self> {
+        crate::durable::from_checksummed_json(json).map(|snap| Self::restore(snap, capacity))
     }
 
-    /// Rebuilds a store from its persisted form.
-    fn restore(snapshot: StoreSnapshot) -> Self {
-        let store = Self::build(snapshot.capacity);
+    /// Rebuilds a store from its persisted form under `capacity`.
+    fn restore(snapshot: StoreSnapshot, capacity: Option<usize>) -> Self {
+        let store = Self::build(capacity);
         {
             let mut g = lock(&store.inner);
             for (ctx, snap) in snapshot.contexts {
@@ -510,14 +514,15 @@ impl CacheStore {
         crate::durable::save_checksummed(path, &self.persisted())
     }
 
-    /// Loads a store persisted by [`CacheStore::save`].
+    /// Loads a store persisted by [`CacheStore::save`] under `capacity`,
+    /// as [`CacheStore::from_json`] does.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Checkpoint`] when the file is unreadable or
     /// corrupt.
-    pub fn load(path: &Path) -> Result<Self> {
-        crate::durable::load_checksummed(path).map(Self::restore)
+    pub fn load(path: &Path, capacity: Option<usize>) -> Result<Self> {
+        crate::durable::load_checksummed(path).map(|snap| Self::restore(snap, capacity))
     }
 
     /// Merges a snapshot's entries into the store under `owner`'s id.
@@ -870,7 +875,7 @@ mod tests {
                 assert_eq!(cache, mine.snapshot(), "capacity {capacity:?}, step {i}");
             }
             // A store reloaded from disk catches up from a default cursor.
-            let reloaded = CacheStore::from_json(&store.to_json().unwrap()).unwrap();
+            let reloaded = CacheStore::from_json(&store.to_json().unwrap(), capacity).unwrap();
             let session = reloaded.session("ctx");
             let mut cache = EvalCache::new("ctx");
             session.catch_up(&mut cache, &mut AdmissionCursor::default());
@@ -926,7 +931,11 @@ mod tests {
         assert_eq!(store.stats().evictions, 1, "d0-accuracy evicted");
 
         let json = store.to_json().unwrap();
-        let back = CacheStore::from_json(&json).unwrap();
+        assert!(
+            !json.contains("capacity"),
+            "the loader owns the bound: {json}"
+        );
+        let back = CacheStore::from_json(&json, Some(4)).unwrap();
         assert_eq!(back.len(), store.len());
         assert_eq!(back.capacity(), Some(4));
         assert_eq!(
@@ -956,10 +965,10 @@ mod tests {
         let json = store.to_json().unwrap();
         let tampered = json.replace("0.5", "0.7");
         assert!(
-            CacheStore::from_json(&tampered).is_err(),
+            CacheStore::from_json(&tampered, None).is_err(),
             "checksum must catch tampering"
         );
-        assert!(CacheStore::from_json("not json").is_err());
+        assert!(CacheStore::from_json("not json", None).is_err());
     }
 
     #[test]
@@ -973,12 +982,14 @@ mod tests {
         s.insert_accuracy("d".into(), 0.25);
         s.insert_hardware("d".into(), hw(3.0));
         store.save(&path).unwrap();
-        let back = CacheStore::load(&path).unwrap();
+        let back = CacheStore::load(&path, None).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(back.snapshot("ctx"), store.snapshot("ctx"));
-        assert!(
-            CacheStore::load(&std::env::temp_dir().join("lcda-cache-store-missing.json")).is_err()
-        );
+        assert!(CacheStore::load(
+            &std::env::temp_dir().join("lcda-cache-store-missing.json"),
+            None
+        )
+        .is_err());
     }
 
     #[test]

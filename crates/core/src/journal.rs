@@ -242,13 +242,11 @@ pub enum JournalEvent {
         /// The deadline that expired, seconds.
         deadline_secs: u64,
     },
-    /// A job execution attempt panicked; the panic was caught at the
-    /// worker boundary and the worker survived.
+    /// A job's search panicked; the panic was caught at the worker
+    /// boundary, the job failed and the worker survived.
     JobPanic {
         /// Job id (`job-N`).
         job: String,
-        /// Attempt number that panicked (1-based).
-        attempt: u32,
         /// The panic payload, best effort.
         message: String,
     },
@@ -291,7 +289,7 @@ lcda_base::impl_json!(#[tag = "event", snake_case] enum JournalEvent {
     SharedCache { job, hits, misses, inserts, cross_run_hits, store_entries, store_evictions },
     JobRecovered { job, state, episodes_done },
     JobDeadline { job, deadline_secs },
-    JobPanic { job, attempt, message },
+    JobPanic { job, message },
     QueueRejected { depth, capacity },
     StreamDropped { job },
 });
@@ -634,7 +632,7 @@ pub struct RunReport {
     pub jobs_recovered: u64,
     /// Serve jobs that hit their wall-clock deadline.
     pub jobs_deadline: u64,
-    /// Serve job attempts that panicked (worker survived each).
+    /// Serve jobs that panicked (worker survived each).
     pub job_panics: u64,
     /// Admissions rejected with 429 because the bounded queue was full.
     pub queue_rejected: u64,
@@ -1184,6 +1182,13 @@ mod tests {
             table.contains("retired events   1 (skipped; unknown to this build)"),
             "{table}"
         );
+        // A known event carrying a field this build no longer writes
+        // (the retry count of an older `job_panic`) is still a record.
+        let older = "{\"step\":0,\"event\":\"job_panic\",\"job\":\"job-1\",\"attempt\":2,\"message\":\"boom\"}\n";
+        let report = RunReport::from_jsonl(older).unwrap();
+        assert_eq!(report.job_panics, 1, "{report:?}");
+        assert!(!report.truncated, "{report:?}");
+        assert_eq!(report.retired_events, 0);
     }
 
     #[test]

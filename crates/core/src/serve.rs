@@ -58,9 +58,10 @@
 //! ([`JobSpec::deadline_secs`], defaulted by
 //! [`ServeConfig::job_deadline_secs`]), enforced cooperatively at
 //! episode boundaries: expiry lands the job in `failed` with a
-//! `deadline_exceeded` error. A panicking job is retried in place up to
-//! [`ServeConfig::job_retries`] times (resuming
-//! from its latest checkpoint); the worker thread survives every panic.
+//! `deadline_exceeded` error. A panicking job is caught once, journaled
+//! as `job_panic` and failed with the panic's text; it is not retried,
+//! since every evaluator is deterministic and a re-run would panic
+//! again. The worker thread survives and takes the next job.
 //!
 //! # Determinism
 //!
@@ -400,8 +401,8 @@ pub struct ServeConfig {
     /// one worker, jobs run strictly in admission order.
     pub workers: usize,
     /// Entry bound for the shared [`CacheStore`] (default unbounded).
-    /// Ignored when `cache_path` loads a persisted store, which carries
-    /// its own capacity.
+    /// The bound's only source: a store loaded from `cache_path` is
+    /// evicted down to it, oldest admission first.
     pub cache_capacity: Option<usize>,
     /// Persist the shared store here: loaded at bind when the file
     /// exists, saved at shutdown and every
@@ -421,10 +422,6 @@ pub struct ServeConfig {
     /// Default wall-clock deadline for jobs that do not set
     /// [`JobSpec::deadline_secs`] (default: none).
     pub job_deadline_secs: Option<u64>,
-    /// Retry budget per job for panics (default 1 — one retry after the
-    /// first attempt). Errors, including deadline expiry and
-    /// cancellation, are never retried.
-    pub job_retries: u32,
     /// Seconds between periodic flushes of the shared store to
     /// `cache_path` (default 30; `0` disables periodic flushing). Each
     /// flush is atomic (tmp + fsync + rename) and skipped when the
@@ -445,7 +442,6 @@ impl Default for ServeConfig {
             journal_dir: None,
             queue_capacity: 1024,
             job_deadline_secs: None,
-            job_retries: 1,
             cache_flush_secs: 30,
             checkpoint_every: 1,
         }
@@ -469,9 +465,6 @@ pub struct JobStatus {
     /// True when this job was re-admitted from the durable WAL after a
     /// server restart.
     pub recovered: bool,
-    /// Execution attempts consumed so far (absent before the first
-    /// attempt; > 1 only after panic retries).
-    pub attempts: Option<u32>,
 }
 
 lcda_base::impl_json!(struct JobStatus {
@@ -481,7 +474,6 @@ lcda_base::impl_json!(struct JobStatus {
     #[skip_if = Option::is_none] error,
     #[skip_if = Option::is_none] cache,
     #[skip_if = std::ops::Not::not] recovered,
-    #[skip_if = Option::is_none] attempts,
 });
 
 /// Server-wide counters, as returned by `GET /stats`.
@@ -514,7 +506,6 @@ struct JobRecord {
     journal: Journal,
     journal_path: Option<PathBuf>,
     recovered: bool,
-    attempts: u32,
 }
 
 /// State shared by the acceptor, the workers, and the [`JobServer`]
@@ -535,7 +526,6 @@ struct ServerState {
     server_journal: Journal,
     queue_capacity: usize,
     job_deadline_secs: Option<u64>,
-    job_retries: u32,
     checkpoint_every: u32,
     worker_count: usize,
     started: Instant,
@@ -598,7 +588,6 @@ impl ServerState {
             journal,
             journal_path,
             recovered: false,
-            attempts: 0,
         };
         jobs.insert(id.index(), record);
         self.enqueue(id.index())?;
@@ -623,7 +612,6 @@ impl ServerState {
             error: rec.error.clone(),
             cache: rec.stats,
             recovered: rec.recovered,
-            attempts: (rec.attempts > 0).then_some(rec.attempts),
         })
     }
 
@@ -772,7 +760,6 @@ impl ServerState {
                         journal: Journal::disabled(),
                         journal_path: journal_path.exists().then_some(journal_path),
                         recovered: true,
-                        attempts: 0,
                     },
                 );
                 continue;
@@ -806,7 +793,6 @@ impl ServerState {
                     journal,
                     journal_path: Some(journal_path),
                     recovered: true,
-                    attempts: 0,
                 },
             );
             requeue.push(index);
@@ -863,11 +849,10 @@ impl JobServer {
     /// fails to load, or the journal directory cannot be created.
     pub fn bind(config: ServeConfig) -> Result<JobServer> {
         let store = match &config.cache_path {
-            Some(path) if path.exists() => CacheStore::load(path)?,
-            _ => match config.cache_capacity {
-                Some(cap) => CacheStore::with_capacity(cap),
-                None => CacheStore::new(),
-            },
+            Some(path) if path.exists() => CacheStore::load(path, config.cache_capacity)?,
+            _ => config
+                .cache_capacity
+                .map_or_else(CacheStore::new, CacheStore::with_capacity),
         };
         if let Some(dir) = &config.journal_dir {
             std::fs::create_dir_all(dir)
@@ -912,7 +897,6 @@ impl JobServer {
             server_journal,
             queue_capacity,
             job_deadline_secs: config.job_deadline_secs,
-            job_retries: config.job_retries,
             checkpoint_every: config.checkpoint_every.max(1),
             worker_count: config.workers.max(1),
             started: Instant::now(),
@@ -1093,9 +1077,9 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Mutex<Receiver<u64>>) {
 }
 
 /// Executes one job end to end: claim (queued → running, WAL'd),
-/// search with the bounded retry budget (panics caught — the worker
-/// always survives), persist the result durably, and land in a
-/// terminal state (WAL'd after the result file is on disk).
+/// search under one panic catch (the worker always survives), persist
+/// the result durably, and land in a terminal state (WAL'd after the
+/// result file is on disk).
 fn run_job(state: &Arc<ServerState>, id: JobId) {
     let (spec, cancel, journal) = {
         let mut jobs = lock(&state.jobs);
@@ -1133,32 +1117,20 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
         .as_ref()
         .and_then(|dir| CheckpointStore::new(checkpoint_path(dir, id), CHECKPOINT_KEEP).ok());
     let mut stats: Option<SessionStats> = None;
-    let (attempts, outcome) = attempt_with_retries(
-        state.job_retries,
-        |_| {
-            let (result, attempt_stats) = execute(
-                state,
-                id,
-                &spec,
-                &cancel,
-                &journal,
-                deadline_secs,
-                started,
-                ckpt_store.as_ref(),
-            );
-            if attempt_stats.is_some() {
-                stats = attempt_stats;
-            }
-            result
-        },
-        |attempt, message| {
-            journal.record(JournalEvent::JobPanic {
-                job: id.to_string(),
-                attempt,
-                message: message.to_string(),
-            });
-        },
-    );
+    let outcome = catch_job_panic(&journal, id, || {
+        let (result, run_stats) = execute(
+            state,
+            id,
+            &spec,
+            &cancel,
+            &journal,
+            deadline_secs,
+            started,
+            ckpt_store.as_ref(),
+        );
+        stats = run_stats;
+        result
+    });
     let (next, result, error) = match outcome {
         // Durability order: the result file reaches disk before the WAL
         // records `done`, so a replayed `done` always finds it.
@@ -1203,44 +1175,26 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
         rec.result = result;
         rec.stats = stats;
         rec.error = error.or(journal_error);
-        rec.attempts = attempts;
         // The last other handle is this function's clone, dropped on
         // return, which closes the job's journal file.
         rec.journal = Journal::disabled();
     }
 }
 
-/// Drives one job's attempt loop: a panic is caught (the worker
-/// survives) and consumes one unit of the retry budget; every error —
-/// cancellation, deadline expiry, a structural failure — is terminal
-/// immediately. Returns the attempts
-/// consumed and the final outcome (a panic that exhausts the budget
-/// surfaces as [`CoreError::EvalPanic`]).
-fn attempt_with_retries<T>(
-    retries: u32,
-    mut run_once: impl FnMut(u32) -> Result<T>,
-    mut on_panic: impl FnMut(u32, &str),
-) -> (u32, Result<T>) {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match catch_unwind(AssertUnwindSafe(|| run_once(attempt))) {
-            Err(payload) => {
-                let message = panic_text(payload.as_ref());
-                on_panic(attempt, &message);
-                if attempt <= retries {
-                    continue;
-                }
-                return (
-                    attempt,
-                    Err(CoreError::EvalPanic(format!(
-                        "attempt {attempt}: {message}"
-                    ))),
-                );
-            }
-            Ok(outcome) => return (attempt, outcome),
-        }
-    }
+/// Runs one job's search under a single `catch_unwind`: a panic is
+/// caught (the worker survives), journaled once as `job_panic` and
+/// returned as [`CoreError::EvalPanic`] carrying the payload text.
+/// Nothing is retried: every evaluator is a pure function of the design,
+/// so a re-run of the same seeded search would reach the same panic.
+fn catch_job_panic<T>(journal: &Journal, id: JobId, run: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = panic_text(payload.as_ref());
+        journal.record(JournalEvent::JobPanic {
+            job: id.to_string(),
+            message: message.clone(),
+        });
+        Err(CoreError::EvalPanic(message))
+    })
 }
 
 /// Best-effort text of a caught panic payload.
@@ -1254,15 +1208,14 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs the search itself — one attempt. Resumes from the job's newest
-/// checkpoint generation when one exists (the first attempt after a
-/// crash, or a retry after a panic — both continue instead of
-/// starting over), checkpoints at the configured episode cadence, and
-/// honours cancellation and the wall-clock deadline at episode
-/// boundaries. Returns the result JSON (pretty + trailing newline,
-/// byte-identical to `lcda search --json`) or the typed error, plus
-/// the attempt's session stats when the run got far enough to have
-/// them.
+/// Runs the search itself. Resumes from the job's newest checkpoint
+/// generation when one exists (a job re-admitted after a crash
+/// continues instead of starting over), checkpoints at the configured
+/// episode cadence, and honours cancellation and the wall-clock
+/// deadline at episode boundaries. Returns the result JSON (pretty +
+/// trailing newline, byte-identical to `lcda search --json`) or the
+/// typed error, plus the run's session stats when it got far enough to
+/// have them.
 #[allow(clippy::too_many_arguments)]
 fn execute(
     state: &Arc<ServerState>,
@@ -1900,66 +1853,34 @@ mod tests {
     }
 
     #[test]
-    fn retry_loop_survives_panics_within_budget() {
-        let mut panics = Vec::new();
-        let mut calls = 0u32;
-        let (attempts, outcome) = attempt_with_retries(
-            2,
-            |_| {
-                calls += 1;
-                if calls < 3 {
-                    panic!("boom {calls}");
-                }
-                Ok(42)
-            },
-            |attempt, message| panics.push((attempt, message.to_string())),
-        );
-        assert_eq!(attempts, 3);
-        assert_eq!(outcome.unwrap(), 42);
-        assert_eq!(
-            panics,
-            vec![(1, "boom 1".to_string()), (2, "boom 2".to_string())]
-        );
-    }
-
-    #[test]
-    fn retry_loop_exhausts_its_budget_into_a_typed_panic_error() {
-        let (attempts, outcome) =
-            attempt_with_retries(1, |_| -> Result<()> { panic!("always") }, |_, _| {});
-        assert_eq!(attempts, 2, "one retry after the first attempt");
+    fn a_panicking_job_runs_once_and_fails_with_its_payload() {
+        let (journal, buf) = Journal::in_memory();
+        let id = JobId(3);
+        let calls = std::cell::Cell::new(0u32);
+        let outcome = catch_job_panic(&journal, id, || -> Result<()> {
+            calls.set(calls.get() + 1);
+            panic!("mapper overflow at layer 4")
+        });
+        assert_eq!(calls.get(), 1, "a panicked job is never re-run");
         match outcome.unwrap_err() {
-            CoreError::EvalPanic(msg) => {
-                assert!(msg.contains("attempt 2"), "{msg}");
-                assert!(msg.contains("always"), "{msg}");
-            }
+            CoreError::EvalPanic(msg) => assert_eq!(msg, "mapper overflow at layer 4"),
             other => panic!("expected EvalPanic, got {other}"),
         }
-    }
-
-    #[test]
-    fn retry_loop_never_retries_errors() {
-        // Only panics are retried: cancellation, deadline expiry and
-        // structural errors end the job at once.
-        for terminal in [
-            CoreError::Cancelled("stop".into()),
-            CoreError::DeadlineExceeded("late".into()),
-            CoreError::InvalidConfig("bad".into()),
-        ] {
-            let name = terminal.to_string();
-            let mut calls = 0u32;
-            let moved = std::cell::Cell::new(Some(terminal));
-            let (attempts, outcome) = attempt_with_retries(
-                5,
-                |_| -> Result<()> {
-                    calls += 1;
-                    Err(moved.take().expect("called once"))
-                },
-                |_, _| {},
-            );
-            assert_eq!(attempts, 1, "{name} must not be retried");
-            assert_eq!(calls, 1);
-            assert_eq!(outcome.unwrap_err().to_string(), name);
-        }
+        // An error is the job's outcome as it stands: no panic record.
+        let err = catch_job_panic(&journal, id, || -> Result<()> {
+            Err(CoreError::DeadlineExceeded("late".into()))
+        });
+        assert!(matches!(err, Err(CoreError::DeadlineExceeded(_))));
+        journal.finish().unwrap();
+        let text = buf.contents();
+        let panics: Vec<&str> = text
+            .lines()
+            .filter(|line| line.contains("\"event\":\"job_panic\""))
+            .collect();
+        assert_eq!(panics.len(), 1, "{text}");
+        assert!(panics[0].contains("\"job\":\"job-3\""), "{}", panics[0]);
+        assert!(!panics[0].contains("attempt"), "{}", panics[0]);
+        assert_eq!(text.lines().count(), 1, "{text}");
     }
 
     #[test]

@@ -169,8 +169,7 @@ impl AccuracyEvaluator for TrainedEvaluator {
     fn fingerprint(&self) -> String {
         // threads is deliberately excluded: results are bit-identical for
         // every thread count, so a cache written at 1 thread must serve a
-        // run at 8. The execution strategy is excluded for the same
-        // reason (fused == per-trial, bit for bit). Precision is NOT:
+        // run at 8. Precision is NOT:
         // int8 produces different numbers, so it appends a token — and
         // only appends, so every pre-existing f32 fingerprint is
         // byte-stable across this change.

@@ -1,7 +1,8 @@
 //! Fused Monte-Carlo forward engine: one GEMM per layer for *all* trials.
 //!
-//! The per-trial path in [`crate::mc_eval`] clones the network once per
-//! chip instance and runs a full forward pass per trial. This engine
+//! The per-trial reference (in [`crate::mc_eval`]'s tests) clones the
+//! network once per chip instance and runs a full forward pass per
+//! trial. This engine
 //! instead precomputes every trial's perturbed weight matrices (same
 //! per-`(trial, matrix)` [`stream_seed`] discipline), then exploits a
 //! structural fact: activations are **shared across trials until the
@@ -50,7 +51,8 @@ enum Acts {
 }
 
 /// Entry point: fused Monte-Carlo accuracy with the same statistics,
-/// seeding and error discipline as the per-trial `mc_accuracy` path.
+/// seeding and error discipline as the per-trial reference in
+/// `mc_eval`'s tests.
 pub(crate) fn mc_accuracy_fused(
     network: &Network,
     data: &SynthCifar,

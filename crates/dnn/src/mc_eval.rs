@@ -9,8 +9,7 @@ use crate::dataset::SynthCifar;
 use crate::metrics::accuracy;
 use crate::network::Network;
 use crate::Result;
-use lcda_variation::montecarlo::{stream_seed, try_run_parallel, McStats, TryRunError};
-use lcda_variation::weights::WeightPerturber;
+use lcda_variation::montecarlo::McStats;
 use lcda_variation::VariationConfig;
 
 /// Numeric precision of the Monte-Carlo inference forward pass.
@@ -23,19 +22,6 @@ pub enum Precision {
     /// readout of a CiM crossbar. Deterministic, but numerically distinct
     /// from f32, so eval-cache fingerprints must (and do) distinguish it.
     Int8,
-}
-
-/// How Monte-Carlo trials are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum McStrategy {
-    /// Clone the network once per trial and run a full forward pass per
-    /// chip instance. Simple, and the reference the fused path is pinned
-    /// against.
-    PerTrial,
-    /// Batch all trial-perturbed weight matrices of a layer into one GEMM
-    /// (the private `fused` module). Bit-identical to
-    /// [`McStrategy::PerTrial`] in f32, just faster.
-    Fused,
 }
 
 /// Configuration of a Monte-Carlo accuracy evaluation.
@@ -55,9 +41,6 @@ pub struct McEvalConfig {
     /// derives its own seed and runs on its own copy of the network; the
     /// knob only trades wall-clock for cores.
     pub threads: usize,
-    /// Trial execution strategy (fused batching by default; ignored for
-    /// int8, which always runs on the fused engine).
-    pub strategy: McStrategy,
     /// Inference precision (f32 by default; int8 is opt-in).
     pub precision: Precision,
 }
@@ -70,18 +53,8 @@ impl Default for McEvalConfig {
             seed: 0,
             elapsed_seconds: 0.0,
             threads: 1,
-            strategy: McStrategy::Fused,
             precision: Precision::F32,
         }
-    }
-}
-
-impl McEvalConfig {
-    /// Sets the trial execution strategy (builder style).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: McStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 }
 
@@ -99,52 +72,24 @@ pub fn clean_accuracy(network: &mut Network, data: &SynthCifar) -> Result<f32> {
 /// matrices the way crossbar programming would, measure accuracy, restore
 /// the clean weights.
 ///
-/// With [`McStrategy::Fused`] (the default) or [`Precision::Int8`], trials
-/// run on the fused engine (the private `fused` module), which batches
-/// every trial's perturbed weights into one GEMM per layer; its f32 results are
-/// bit-identical to the per-trial path below. With
-/// [`McStrategy::PerTrial`] in f32, trials fan out across `config.threads`
-/// workers via [`lcda_variation::montecarlo::try_run_parallel`], each on
-/// its own clone of the network, so any thread count is bit-identical to
-/// the sequential path. Each weight matrix within a trial draws from its
-/// own random stream ([`stream_seed`]), so no `(trial, matrix)` pair ever
-/// aliases another.
+/// Trials run on the fused engine (the private `fused` module), which
+/// batches every trial's perturbed weights into one GEMM per layer. In
+/// f32 its results are bit-identical to running each trial on its own
+/// clone of the network (the per-trial reference in this module's
+/// tests), at any thread count. Each weight matrix within a trial draws
+/// from its own random stream
+/// ([`lcda_variation::montecarlo::stream_seed`]), so no
+/// `(trial, matrix)` pair ever aliases another.
 ///
 /// # Errors
 ///
-/// Propagates dataset/tensor errors; zero trials yield an error from the
-/// statistics layer.
+/// Propagates dataset/tensor errors; zero trials are an error.
 pub fn mc_accuracy(
     network: &mut Network,
     data: &SynthCifar,
     config: &McEvalConfig,
 ) -> Result<McStats> {
-    if config.strategy == McStrategy::Fused || config.precision == Precision::Int8 {
-        return crate::fused::mc_accuracy_fused(network, data, config);
-    }
-    let w_max = network.max_abs_weight().max(1e-3);
-    let perturber = WeightPerturber::new(config.variation.clone(), w_max);
-    let template: &Network = network;
-    let trial = |_t: u32, seed: u64| -> Result<f32> {
-        // Every trial programs its own chip instance: clone the clean
-        // network, perturb the clone, and measure it. The borrowed
-        // template is never mutated, which is what makes the fan-out safe
-        // and order-independent.
-        let mut chip = template.clone();
-        let mut matrix_index = 0u64;
-        chip.perturb_weight_matrices(|w| {
-            perturber.perturb_after(w, stream_seed(seed, matrix_index), config.elapsed_seconds);
-            matrix_index += 1;
-        });
-        let preds = chip.predict(data.images())?;
-        accuracy(&preds, data.labels())
-    };
-    try_run_parallel(config.trials, config.seed, config.threads, trial).map_err(|e| match e {
-        TryRunError::ZeroTrials => {
-            crate::DnnError::InvalidTraining("monte-carlo evaluation needs trials > 0".into())
-        }
-        TryRunError::Metric(err) => err,
-    })
+    crate::fused::mc_accuracy_fused(network, data, config)
 }
 
 #[cfg(test)]
@@ -152,6 +97,37 @@ mod tests {
     use super::*;
     use crate::arch::Architecture;
     use crate::trainer::{TrainConfig, Trainer};
+    use lcda_variation::montecarlo::{stream_seed, try_run_parallel, TryRunError};
+    use lcda_variation::weights::WeightPerturber;
+
+    /// The per-trial reference the fused engine is pinned against, in
+    /// f32: every trial programs its own chip instance (a clone of the
+    /// clean network), perturbs it and measures it, fanned out across
+    /// `config.threads` workers by [`try_run_parallel`].
+    fn mc_accuracy_per_trial(
+        network: &Network,
+        data: &SynthCifar,
+        config: &McEvalConfig,
+    ) -> Result<McStats> {
+        let w_max = network.max_abs_weight().max(1e-3);
+        let perturber = WeightPerturber::new(config.variation.clone(), w_max);
+        let trial = |_t: u32, seed: u64| -> Result<f32> {
+            let mut chip = network.clone();
+            let mut matrix_index = 0u64;
+            chip.perturb_weight_matrices(|w| {
+                perturber.perturb_after(w, stream_seed(seed, matrix_index), config.elapsed_seconds);
+                matrix_index += 1;
+            });
+            let preds = chip.predict(data.images())?;
+            accuracy(&preds, data.labels())
+        };
+        try_run_parallel(config.trials, config.seed, config.threads, trial).map_err(|e| match e {
+            TryRunError::ZeroTrials => {
+                crate::DnnError::InvalidTraining("monte-carlo evaluation needs trials > 0".into())
+            }
+            TryRunError::Metric(err) => err,
+        })
+    }
 
     fn trained_network_and_data() -> (Network, SynthCifar) {
         let data = SynthCifar::generate_classes(48, 8, 4, 21).unwrap();
@@ -268,8 +244,7 @@ mod tests {
             ..McEvalConfig::default()
         };
         assert!(mc_accuracy(&mut net, &data, &cfg).is_err());
-        let per_trial = cfg.with_strategy(McStrategy::PerTrial);
-        assert!(mc_accuracy(&mut net, &data, &per_trial).is_err());
+        assert!(mc_accuracy_per_trial(&net, &data, &cfg).is_err());
     }
 
     #[test]
@@ -280,19 +255,14 @@ mod tests {
             seed: 13,
             ..McEvalConfig::default()
         };
-        let reference = mc_accuracy(
-            &mut net,
-            &data,
-            &base.clone().with_strategy(McStrategy::PerTrial),
-        )
-        .unwrap();
+        let reference = mc_accuracy_per_trial(&net, &data, &base).unwrap();
         for threads in [1, 2, 4] {
             let fused = mc_accuracy(
                 &mut net,
                 &data,
                 &McEvalConfig {
                     threads,
-                    ..base.clone().with_strategy(McStrategy::Fused)
+                    ..base.clone()
                 },
             )
             .unwrap();
@@ -312,12 +282,12 @@ mod tests {
         };
         let fused = mc_accuracy(&mut net, &data, &base).unwrap();
         for threads in [1, 2, 4] {
-            let per_trial = mc_accuracy(
-                &mut net,
+            let per_trial = mc_accuracy_per_trial(
+                &net,
                 &data,
                 &McEvalConfig {
                     threads,
-                    ..base.clone().with_strategy(McStrategy::PerTrial)
+                    ..base.clone()
                 },
             )
             .unwrap();
@@ -345,14 +315,6 @@ mod tests {
             let par = mc_accuracy(&mut net, &data, &threaded).unwrap();
             assert_eq!(a, par, "int8 threads={threads}");
         }
-        // Int8 routes to the fused engine regardless of the strategy knob.
-        let forced = mc_accuracy(
-            &mut net,
-            &data,
-            &cfg.clone().with_strategy(McStrategy::PerTrial),
-        )
-        .unwrap();
-        assert_eq!(a, forced);
     }
 
     #[test]

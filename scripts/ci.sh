@@ -30,6 +30,17 @@ for example in examples/*.rs; do
 done
 grep -q "prompt tokens" "$journal_dir/example_explainable_nas.txt"
 
+# Figure gate: every lcda-bench binary, run at its recorded default
+# seed, must print exactly its committed artifact. A change that moves
+# seeded paper output fails here; regenerating artifacts/ is then a
+# deliberate, reviewed step (re-check EXPERIMENTS.md against it).
+for bin in crates/bench/src/bin/*.rs; do
+    id="$(basename "$bin" .rs)"
+    ./target/release/"$id" > "$journal_dir/figure_$id.txt"
+    cmp "$journal_dir/figure_$id.txt" "artifacts/$id.txt" \
+        || { echo "ci: $id output differs from artifacts/$id.txt" >&2; exit 1; }
+done
+
 # GEMM equivalence smoke: the blocked microkernel must stay bit-identical
 # to the scalar reference (unit tests + seeded properties, all named gemm_*).
 cargo test -p lcda-tensor --release -q --offline --locked gemm_

@@ -74,7 +74,8 @@ SERVE OPTIONS:
     --workers <n>           concurrent search workers; with 1, jobs run
                             strictly in admission order      (default 2)
     --cache-capacity <n>    entry bound for the shared cross-run cache,
-                            evicting oldest admissions first (default unbounded)
+                            evicting oldest admissions first; also bounds
+                            a store loaded from --cache     (default unbounded)
     --cache <path>          persist the shared cache across restarts
     --cache-flush-secs <n>  also flush the shared cache to --cache every n
                             seconds (atomic; skipped when unchanged; 0
@@ -90,9 +91,9 @@ SERVE OPTIONS:
     --job-deadline <secs>   default wall-clock deadline per job, enforced at
                             episode boundaries; expiry fails the job with a
                             typed deadline_exceeded error (default none)
-    --job-retries <n>       retry budget per job for panics; retries resume
-                            from the job's latest checkpoint  (default 1)
     --checkpoint-every <n>  per-job checkpoint cadence, episodes (default 1)
+    a job whose search panics fails with the panic's message (not retried:
+    the search is deterministic); its worker takes the next job
     endpoints: POST /jobs · GET /jobs/<id> · GET /jobs/<id>/result
                POST /jobs/<id>/cancel · GET /jobs/<id>/journal
                GET /stats · GET /healthz · GET /readyz · POST /shutdown
@@ -126,14 +127,28 @@ struct Args {
 
 impl Args {
     /// Rejects anything that is not a listed value flag (with its value)
-    /// or a listed boolean flag.
+    /// or a listed boolean flag, a flag given twice (`get` would keep
+    /// the first and drop the rest), and a value that is itself a listed
+    /// flag (`--journal --json` must not write a file named `--json`).
     fn validate(&self, value_flags: &[&str], bool_flags: &[&str]) -> Result<(), String> {
+        let is_flag = |a: &str| value_flags.contains(&a) || bool_flags.contains(&a);
+        let mut seen: Vec<&str> = Vec::new();
         let mut i = 0;
         while i < self.items.len() {
             let item = self.items[i].as_str();
+            if is_flag(item) {
+                if seen.contains(&item) {
+                    return Err(format!("{item} is given more than once"));
+                }
+                seen.push(item);
+            }
             if value_flags.contains(&item) {
-                if i + 1 >= self.items.len() {
-                    return Err(format!("{item} expects a value"));
+                match self.items.get(i + 1).map(String::as_str) {
+                    None => return Err(format!("{item} expects a value")),
+                    Some(value) if is_flag(value) => {
+                        return Err(format!("{item} expects a value, got the flag `{value}`"))
+                    }
+                    Some(_) => {}
                 }
                 i += 2;
             } else if bool_flags.contains(&item) {
@@ -423,7 +438,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             "--journal-dir",
             "--queue-capacity",
             "--job-deadline",
-            "--job-retries",
             "--checkpoint-every",
         ],
         &[],
@@ -456,7 +470,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if args.get("--job-deadline").is_some() {
         config.job_deadline_secs = Some(args.num("--job-deadline", 0)?);
     }
-    config.job_retries = args.num_u32("--job-retries", config.job_retries)?;
     config.checkpoint_every = args.num_u32("--checkpoint-every", config.checkpoint_every)?;
     if config.checkpoint_every == 0 {
         return Err("--checkpoint-every must be at least 1".into());

@@ -54,7 +54,7 @@ fn persisted_store_serves_cross_run_hits_after_reload() {
         std::process::id()
     ));
     store.save(&path).expect("save");
-    let reloaded = CacheStore::load(&path).expect("load");
+    let reloaded = CacheStore::load(&path, None).expect("load");
     std::fs::remove_file(&path).ok();
 
     assert_eq!(reloaded.len(), store.len());
@@ -122,4 +122,59 @@ fn capacity_eviction_is_deterministic() {
             b.to_json().expect("serialize b")
         );
     });
+}
+
+/// The configured bound is a loaded store's only bound. `store.json` was
+/// saved by `lcda serve --cache <path> --cache-capacity 6` after one job
+/// (`{"episodes": 2, "seed": 3}`) in the build that still wrote
+/// `"capacity": 6` into the file: it holds four entries.
+#[test]
+fn configured_capacity_bounds_a_loaded_store() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/parent_era/store.json");
+    let newest = "[[24,3],[32,3],[48,3],[64,3],[96,3],[128,3]] | hw: [128,4,2,rram]";
+
+    // The file's recorded capacity is ignored, in both directions.
+    let unbounded = CacheStore::load(&fixture, None).expect("a file with `capacity` loads");
+    assert_eq!(unbounded.len(), 4);
+    assert_eq!(unbounded.capacity(), None);
+
+    // Over the bound: evicted down to it, oldest admission first, as a
+    // live overflow is.
+    let bounded = CacheStore::load(&fixture, Some(1)).expect("load");
+    assert_eq!(bounded.len(), 1);
+    assert_eq!(bounded.capacity(), Some(1));
+    assert_eq!(bounded.stats().evictions, 3);
+    let mut probe = bounded.session("787bdcc0042989ee");
+    assert!(
+        probe.lookup_accuracy(newest).is_some(),
+        "the newest admission survives"
+    );
+    assert!(probe.lookup_hardware(newest).is_none());
+
+    // The same through `lcda serve --cache --cache-capacity 1`.
+    let path = std::env::temp_dir().join(format!(
+        "lcda-cache-store-bound-{}.json",
+        std::process::id()
+    ));
+    std::fs::copy(&fixture, &path).expect("copy fixture");
+    let server = JobServer::bind(ServeConfig {
+        workers: 1,
+        cache_capacity: Some(1),
+        cache_path: Some(path.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let stats = server.stats();
+    assert_eq!(stats.store_entries, 1);
+    assert_eq!(stats.store_capacity, Some(1));
+    server.shutdown().expect("shutdown");
+    // The store saved at shutdown carries no bound of its own.
+    let saved = std::fs::read_to_string(&path).expect("read saved store");
+    std::fs::remove_file(&path).ok();
+    assert!(!saved.contains("capacity"), "{saved}");
+    assert_eq!(
+        CacheStore::from_json(&saved, None).expect("reload").len(),
+        1
+    );
 }

@@ -246,6 +246,29 @@ fn unknown_flags_are_rejected_not_ignored() {
     let (ok, _, stderr) = lcda(&["search", "--episodes"]);
     assert!(!ok);
     assert!(stderr.contains("expects a value"), "{stderr}");
+
+    // A repeated flag is refused, not settled by whichever comes first.
+    let (ok, _, stderr) = lcda(&["search", "--episodes", "2", "--episodes", "3"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--episodes is given more than once"),
+        "{stderr}"
+    );
+
+    // A value that is itself a listed flag is refused: `--journal --json`
+    // must not write a journal file named `--json`.
+    let (ok, _, stderr) = lcda(&["search", "--journal", "--json"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--journal expects a value, got the flag `--json`"),
+        "{stderr}"
+    );
+    assert!(!std::path::Path::new("--json").exists());
+
+    // The retired serve retry budget is an unknown flag.
+    let (ok, _, stderr) = lcda(&["serve", "--job-retries", "1"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag `--job-retries`"), "{stderr}");
 }
 
 #[test]

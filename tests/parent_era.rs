@@ -1,6 +1,6 @@
 //! Files written by earlier builds.
 //!
-//! The fixtures in `tests/fixtures/parent_era/` come from two builds.
+//! The fixtures in `tests/fixtures/parent_era/` come from three builds.
 //! The build before the simulated fault layer was removed wrote:
 //!
 //! - `run.jsonl`: the journal of `lcda search --episodes 3 --seed 7
@@ -16,6 +16,9 @@
 //! The build before the sharded search was removed wrote `fleet.jsonl`,
 //! the journal of a two-shard fleet search (8 episodes per shard, seed
 //! 11): nine records, seven of them fleet events.
+//!
+//! The build before the cache store stopped recording its own capacity
+//! wrote `store.json`, loaded in `tests/cache_store.rs`.
 //!
 //! An old journal must read to the same report as the same run today; a
 //! checkpoint naming a retired backend must be refused by name, never

@@ -707,8 +707,11 @@ fn deadline_expiry_fails_the_job_with_a_typed_error_over_http() {
         "deadline expiry must be a typed failure: {:?}",
         done.error
     );
-    // Deadline expiry is terminal — never retried.
-    assert_eq!(done.attempts, Some(1), "{:?}", done.attempts);
+    // Deadline expiry is terminal, and the status carries no retry count.
+    let (status, body) = http(server.addr(), "GET", "/jobs/job-1", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"state\":\"failed\""), "{body}");
+    assert!(!body.contains("attempts"), "{body}");
     server.shutdown().expect("shutdown");
 }
 
