@@ -22,21 +22,25 @@
 //! 2. stacking trial weights as extra GEMM rows (conv) or columns
 //!    (linear) changes *which* output elements a kernel call produces,
 //!    never any element's ascending-`k` summation chain (see
-//!    `lcda_tensor::ops::gemm`), and
+//!    `lcda_tensor::ops::gemm`),
 //! 3. thread fan-out splits trials into the same contiguous chunks as
 //!    [`lcda_variation::montecarlo::try_run_parallel`], and per-trial
-//!    results are independent of chunk grouping.
+//!    results are independent of chunk grouping, and
+//! 4. samples are split into chunks the same way: every layer is
+//!    per-sample, and a GEMM over fewer columns (conv) or rows (linear)
+//!    sums each element it produces in the same ascending-`k` order.
 //!
 //! The int8 path quantizes each trial's weight block with its **own**
 //! per-tensor scale (and the shared activations once per layer), so int8
 //! results are also invariant to fusion and threading — integer
-//! accumulation is exact.
+//! accumulation is exact. The activation scale is taken over the batch,
+//! so int8 runs the whole dataset as one batch instead of chunks.
 
 use crate::dataset::SynthCifar;
 use crate::layer::{linear_apply, Layer};
 use crate::mc_eval::{McEvalConfig, Precision};
 use crate::metrics::accuracy;
-use crate::network::Network;
+use crate::network::{argmax_rows, Network, INFER_BATCH};
 use crate::{DnnError, Result};
 use lcda_tensor::ops::{gemm_f32, gemm_i8, im2col_batch, quantize_symmetric, Conv2dParams};
 use lcda_tensor::{Shape, Tensor};
@@ -100,6 +104,12 @@ pub(crate) fn mc_accuracy_fused(
 
 /// Runs trials `[t_lo, t_hi)` through the fused forward and returns their
 /// accuracies in ascending trial order.
+///
+/// Each trial's weights are perturbed once; the forward then runs over
+/// consecutive sample chunks (`INFER_BATCH` in f32), so activations scale
+/// with the chunk, not the dataset. Each trial's accuracy is computed
+/// once over all its predictions, so it is the same count over the same
+/// `n` as a whole-set pass.
 fn fused_trial_accuracies(
     network: &Network,
     data: &SynthCifar,
@@ -130,35 +140,53 @@ fn fused_trial_accuracies(
         );
     }
 
-    let mut acts = Acts::Shared(data.images().clone());
-    let mut m = 0usize;
-    for layer in network.layers() {
-        if layer.has_weights() {
-            acts = apply_weighted(layer, acts, &trial_weights[m], span, config.precision)?;
-            m += 1;
-        } else {
-            acts = match acts {
-                Acts::Shared(x) => Acts::Shared(layer.infer(&x)?),
-                Acts::PerTrial(xs) => Acts::PerTrial(
-                    xs.iter()
-                        .map(|x| layer.infer(x))
-                        .collect::<Result<Vec<Tensor>>>()?,
-                ),
-            };
+    // Int8 quantizes each layer's activations with one scale taken over
+    // the whole batch, so only whole-set batches keep its numbers; f32
+    // results are independent of how the samples are chunked.
+    let n = data.len();
+    let chunk = match config.precision {
+        Precision::F32 => INFER_BATCH,
+        Precision::Int8 => n,
+    };
+    let mut preds: Vec<Vec<usize>> = (0..span).map(|_| Vec::with_capacity(n)).collect();
+    let mut start = 0;
+    while start < n {
+        let len = chunk.min(n - start);
+        let (images, _) = data.batch(start, len)?;
+        let mut acts = Acts::Shared(images);
+        let mut m = 0usize;
+        for layer in network.layers() {
+            if layer.has_weights() {
+                acts = apply_weighted(layer, acts, &trial_weights[m], span, config.precision)?;
+                m += 1;
+            } else {
+                acts = match acts {
+                    Acts::Shared(x) => Acts::Shared(layer.infer(&x)?),
+                    Acts::PerTrial(xs) => Acts::PerTrial(
+                        xs.iter()
+                            .map(|x| layer.infer(x))
+                            .collect::<Result<Vec<Tensor>>>()?,
+                    ),
+                };
+            }
         }
-    }
-
-    match acts {
-        // No weighted layers at all: every chip instance is the clean one.
-        Acts::Shared(logits) => {
-            let acc = accuracy(&argmax_rows(&logits), data.labels())?;
-            Ok(vec![acc; span])
+        match acts {
+            // No weighted layers at all: every chip instance is the clean one.
+            Acts::Shared(logits) => {
+                let chunk_preds = argmax_rows(&logits);
+                for p in &mut preds {
+                    p.extend_from_slice(&chunk_preds);
+                }
+            }
+            Acts::PerTrial(all_logits) => {
+                for (p, logits) in preds.iter_mut().zip(&all_logits) {
+                    p.extend(argmax_rows(logits));
+                }
+            }
         }
-        Acts::PerTrial(all_logits) => all_logits
-            .iter()
-            .map(|logits| accuracy(&argmax_rows(logits), data.labels()))
-            .collect(),
+        start += len;
     }
+    preds.iter().map(|p| accuracy(p, data.labels())).collect()
 }
 
 /// Applies a weighted layer (conv or linear) to the activations, fusing
@@ -205,24 +233,6 @@ fn apply_weighted(
             "apply_weighted called on a weightless layer".into(),
         )),
     }
-}
-
-/// Argmax per logits row, first occurrence on ties — the same rule as
-/// `Network::predict`.
-fn argmax_rows(logits: &Tensor) -> Vec<usize> {
-    let (n, c) = (logits.shape().dims()[0], logits.shape().dims()[1]);
-    let mut out = Vec::with_capacity(n);
-    for r in 0..n {
-        let row = &logits.as_slice()[r * c..(r + 1) * c];
-        let mut best = 0usize;
-        for (i, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = i;
-            }
-        }
-        out.push(best);
-    }
-    out
 }
 
 /// Convolution over shared activations with all trial weights stacked as

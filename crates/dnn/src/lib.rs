@@ -11,6 +11,7 @@
 //! ```
 //! use lcda_dnn::arch::Architecture;
 //! use lcda_dnn::dataset::SynthCifar;
+//! use lcda_dnn::mc_eval::clean_accuracy;
 //! use lcda_dnn::trainer::{Trainer, TrainConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,7 +19,9 @@
 //! let data = SynthCifar::generate_classes(64, 8, 4, 9)?;
 //! let mut trainer = Trainer::new(arch.build(7)?, TrainConfig::fast_test());
 //! let report = trainer.fit(&data)?;
-//! assert!(report.final_train_accuracy >= 0.0);
+//! assert_eq!(report.epoch_losses.len(), 2);
+//! let accuracy = clean_accuracy(&mut trainer.into_network(), &data)?;
+//! assert!((0.0..=1.0).contains(&accuracy));
 //! # Ok(())
 //! # }
 //! ```

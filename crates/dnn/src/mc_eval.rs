@@ -96,6 +96,7 @@ pub fn mc_accuracy(
 mod tests {
     use super::*;
     use crate::arch::Architecture;
+    use crate::network::argmax_rows;
     use crate::trainer::{TrainConfig, Trainer};
     use lcda_variation::montecarlo::{stream_seed, try_run_parallel, TryRunError};
     use lcda_variation::weights::WeightPerturber;
@@ -118,8 +119,9 @@ mod tests {
                 perturber.perturb_after(w, stream_seed(seed, matrix_index), config.elapsed_seconds);
                 matrix_index += 1;
             });
-            let preds = chip.predict(data.images())?;
-            accuracy(&preds, data.labels())
+            // Whole-batch `infer`, not `predict`, so the reference does
+            // not share the engine's sample chunking.
+            accuracy(&argmax_rows(&chip.infer(data.images())?), data.labels())
         };
         try_run_parallel(config.trials, config.seed, config.threads, trial).map_err(|e| match e {
             TryRunError::ZeroTrials => {
@@ -247,6 +249,12 @@ mod tests {
         assert!(mc_accuracy_per_trial(&net, &data, &cfg).is_err());
     }
 
+    /// 37 samples: two full chunks of `INFER_BATCH` and a ragged one (the
+    /// 48 training samples make three full chunks).
+    fn ragged_data() -> SynthCifar {
+        SynthCifar::generate_classes(37, 8, 4, 23).unwrap()
+    }
+
     #[test]
     fn fused_is_bit_identical_to_per_trial_sequential() {
         let (mut net, data) = trained_network_and_data();
@@ -255,18 +263,20 @@ mod tests {
             seed: 13,
             ..McEvalConfig::default()
         };
-        let reference = mc_accuracy_per_trial(&net, &data, &base).unwrap();
-        for threads in [1, 2, 4] {
-            let fused = mc_accuracy(
-                &mut net,
-                &data,
-                &McEvalConfig {
-                    threads,
-                    ..base.clone()
-                },
-            )
-            .unwrap();
-            assert_eq!(reference, fused, "fused threads={threads}");
+        for data in [data, ragged_data()] {
+            let reference = mc_accuracy_per_trial(&net, &data, &base).unwrap();
+            for threads in [1, 2, 4] {
+                let fused = mc_accuracy(
+                    &mut net,
+                    &data,
+                    &McEvalConfig {
+                        threads,
+                        ..base.clone()
+                    },
+                )
+                .unwrap();
+                assert_eq!(reference, fused, "fused threads={threads} n={}", data.len());
+            }
         }
     }
 
@@ -280,18 +290,25 @@ mod tests {
             seed: 2,
             ..McEvalConfig::default()
         };
-        let fused = mc_accuracy(&mut net, &data, &base).unwrap();
-        for threads in [1, 2, 4] {
-            let per_trial = mc_accuracy_per_trial(
-                &net,
-                &data,
-                &McEvalConfig {
-                    threads,
-                    ..base.clone()
-                },
-            )
-            .unwrap();
-            assert_eq!(fused, per_trial, "per-trial threads={threads}");
+        for data in [data, ragged_data()] {
+            let fused = mc_accuracy(&mut net, &data, &base).unwrap();
+            for threads in [1, 2, 4] {
+                let per_trial = mc_accuracy_per_trial(
+                    &net,
+                    &data,
+                    &McEvalConfig {
+                        threads,
+                        ..base.clone()
+                    },
+                )
+                .unwrap();
+                assert_eq!(
+                    fused,
+                    per_trial,
+                    "per-trial threads={threads} n={}",
+                    data.len()
+                );
+            }
         }
     }
 

@@ -5,7 +5,29 @@ use crate::layer::Layer;
 use crate::Result;
 use lcda_tensor::ops::cross_entropy_loss;
 use lcda_tensor::optim::Sgd;
-use lcda_tensor::Tensor;
+use lcda_tensor::{Shape, Tensor};
+
+/// Samples per inference chunk in [`Network::predict`] and the fused
+/// Monte-Carlo engine: `TrainConfig::standard().batch_size`, so inference
+/// never holds more activations than a training step already does.
+pub(crate) const INFER_BATCH: usize = 16;
+
+/// Argmax per logits row, first occurrence on ties.
+pub(crate) fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+    let (n, c) = (logits.shape().dims()[0], logits.shape().dims()[1]);
+    let mut out = Vec::with_capacity(n);
+    for r in 0..n {
+        let row = &logits.as_slice()[r * c..(r + 1) * c];
+        let mut best = 0usize;
+        for (i, &v) in row.iter().enumerate() {
+            if v > row[best] {
+                best = i;
+            }
+        }
+        out.push(best);
+    }
+    out
+}
 
 /// A trainable feed-forward network.
 #[derive(Debug, Clone)]
@@ -129,22 +151,31 @@ impl Network {
     /// Class predictions for a batch (argmax of [`Network::infer`] logits,
     /// first occurrence on ties).
     ///
+    /// Runs `infer` over consecutive chunks of at most `INFER_BATCH`
+    /// samples, so the working set stays one training batch whatever the
+    /// input's size. Every layer is per-sample and every GEMM output
+    /// element sums in ascending `k` whatever the column count, so the
+    /// result is bit-identical to one whole-batch `infer`.
+    ///
     /// # Errors
     ///
     /// Propagates shape errors.
     pub fn predict(&self, input: &Tensor) -> Result<Vec<usize>> {
-        let logits = self.infer(input)?;
-        let (n, c) = (logits.shape().dims()[0], logits.shape().dims()[1]);
+        let dims = input.shape().dims();
+        let n = dims.first().copied().unwrap_or(0);
+        let sample: usize = dims.iter().skip(1).product();
         let mut out = Vec::with_capacity(n);
-        for r in 0..n {
-            let row = &logits.as_slice()[r * c..(r + 1) * c];
-            let mut best = 0usize;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            out.push(best);
+        let mut start = 0;
+        while start < n {
+            let len = INFER_BATCH.min(n - start);
+            let mut chunk_dims = dims.to_vec();
+            chunk_dims[0] = len;
+            let chunk = Tensor::from_vec(
+                Shape::new(&chunk_dims),
+                input.as_slice()[start * sample..(start + len) * sample].to_vec(),
+            )?;
+            out.extend(argmax_rows(&self.infer(&chunk)?));
+            start += len;
         }
         Ok(out)
     }
@@ -242,7 +273,6 @@ mod tests {
     use crate::arch::Architecture;
     use lcda_base::rng::Rng;
     use lcda_tensor::optim::Sgd;
-    use lcda_tensor::Shape;
 
     fn tiny_net() -> Network {
         Architecture::tiny_test().build(1).unwrap()
@@ -370,6 +400,17 @@ mod tests {
         let via_forward = net.forward(&x).unwrap();
         let via_infer = net.infer(&x).unwrap();
         assert_eq!(via_forward.as_slice(), via_infer.as_slice());
+    }
+
+    #[test]
+    fn predict_equals_whole_batch_argmax_across_chunk_boundaries() {
+        let net = tiny_net();
+        let mut rng = Rng::new(12);
+        for n in [1, INFER_BATCH, INFER_BATCH + 1, 2 * INFER_BATCH + 1] {
+            let (x, _) = random_batch(n, &mut rng);
+            let whole = argmax_rows(&net.infer(&x).unwrap());
+            assert_eq!(net.predict(&x).unwrap(), whole, "n={n}");
+        }
     }
 
     #[test]

@@ -41,6 +41,17 @@ for bin in crates/bench/src/bin/*.rs; do
         || { echo "ci: $id output differs from artifacts/$id.txt" >&2; exit 1; }
 done
 
+# Trained-evaluator gate at CLI scale: noise-injection training and
+# Monte-Carlo accuracy on the full CIFAR-10-sized space must print
+# exactly the recorded result, in f32 and in int8 (each about 10 s).
+trained_design="[[16,1],[16,1],[16,1],[16,1],[16,1],[16,1]] | hw: [64,4,2,rram]"
+for precision in f32 int8; do
+    ./target/release/lcda evaluate --evaluator trained --precision "$precision" --json \
+        --design "$trained_design" > "$journal_dir/trained_$precision.json"
+    cmp "$journal_dir/trained_$precision.json" "tests/fixtures/trained_eval/$precision.json" \
+        || { echo "ci: trained $precision evaluation differs from its fixture" >&2; exit 1; }
+done
+
 # GEMM equivalence smoke: the blocked microkernel must stay bit-identical
 # to the scalar reference (unit tests + seeded properties, all named gemm_*).
 cargo test -p lcda-tensor --release -q --offline --locked gemm_

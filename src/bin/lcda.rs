@@ -131,8 +131,18 @@ impl Args {
     /// the first and drop the rest), and a value that is itself a listed
     /// flag (`--journal --json` must not write a file named `--json`).
     fn validate(&self, value_flags: &[&str], bool_flags: &[&str]) -> Result<(), String> {
+        match self.positionals(value_flags, bool_flags)?.first() {
+            Some(item) => Err(format!("unexpected argument `{item}` (see `lcda help`)")),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Args::validate`]'s flag rules, returning the positional
+    /// arguments instead of refusing them.
+    fn positionals(&self, value_flags: &[&str], bool_flags: &[&str]) -> Result<Vec<&str>, String> {
         let is_flag = |a: &str| value_flags.contains(&a) || bool_flags.contains(&a);
         let mut seen: Vec<&str> = Vec::new();
+        let mut positionals = Vec::new();
         let mut i = 0;
         while i < self.items.len() {
             let item = self.items[i].as_str();
@@ -156,10 +166,11 @@ impl Args {
             } else if item.starts_with('-') {
                 return Err(format!("unknown flag `{item}` (see `lcda help`)"));
             } else {
-                return Err(format!("unexpected argument `{item}` (see `lcda help`)"));
+                positionals.push(item);
+                i += 1;
             }
         }
-        Ok(())
+        Ok(positionals)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -609,16 +620,8 @@ fn cmd_reference(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
+    let positional = args.positionals(&[], &["--allow-truncated"])?;
     let allow_truncated = args.flag("--allow-truncated");
-    let positional: Vec<&str> = args
-        .items
-        .iter()
-        .map(String::as_str)
-        .filter(|a| *a != "--allow-truncated")
-        .collect();
-    if let Some(flag) = positional.iter().find(|a| a.starts_with('-')) {
-        return Err(format!("unknown flag `{flag}` (see `lcda help`)"));
-    }
     let [path] = positional.as_slice() else {
         return Err("report expects exactly one argument: <journal.jsonl>".into());
     };

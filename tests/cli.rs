@@ -265,6 +265,18 @@ fn unknown_flags_are_rejected_not_ignored() {
     );
     assert!(!std::path::Path::new("--json").exists());
 
+    // `report` takes one positional but the same flag rules.
+    let journal = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/parent_era/run.jsonl"
+    );
+    let (ok, _, stderr) = lcda(&["report", journal, "--allow-truncated", "--allow-truncated"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--allow-truncated is given more than once"),
+        "{stderr}"
+    );
+
     // The retired serve retry budget is an unknown flag.
     let (ok, _, stderr) = lcda(&["serve", "--job-retries", "1"]);
     assert!(!ok);
