@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Any JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -780,6 +781,18 @@ impl FromJson for String {
     }
 }
 
+/// A shared string reads and writes exactly like a `String`, so a
+/// structure may hold one allocation in several places and still print
+/// the bytes it printed with owned copies.
+impl FromJson for Arc<str> {
+    fn from_json(value: &Value) -> Result<Self> {
+        value
+            .as_str()
+            .map(Arc::from)
+            .ok_or_else(|| value.invalid("a string"))
+    }
+}
+
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Value {
         (**self).to_json()
@@ -787,6 +800,12 @@ impl<T: ToJson + ?Sized> ToJson for &T {
 }
 
 impl<T: ToJson + ?Sized> ToJson for Box<T> {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for Arc<T> {
     fn to_json(&self) -> Value {
         (**self).to_json()
     }
@@ -869,6 +888,16 @@ impl JsonKey for String {
 
     fn from_key(key: &str) -> Option<Self> {
         Some(key.to_owned())
+    }
+}
+
+impl JsonKey for Arc<str> {
+    fn to_key(&self) -> String {
+        self.to_string()
+    }
+
+    fn from_key(key: &str) -> Option<Self> {
+        Some(Arc::from(key))
     }
 }
 

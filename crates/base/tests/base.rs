@@ -312,3 +312,27 @@ fn generic_and_unit_structs() {
     assert_eq!(Unit::from_json(&Value::Null), Ok(Unit));
     assert_eq!(Unit.to_json(), Value::Null);
 }
+
+#[test]
+fn shared_strings_print_and_parse_like_owned_ones() {
+    use std::sync::Arc;
+    let owned: BTreeMap<String, Vec<String>> = [
+        ("b | \"q\"".to_string(), vec!["x".to_string()]),
+        ("a".to_string(), vec![]),
+    ]
+    .into_iter()
+    .collect();
+    let shared: BTreeMap<Arc<str>, Vec<Arc<str>>> = owned
+        .iter()
+        .map(|(k, v)| {
+            (
+                Arc::from(k.as_str()),
+                v.iter().map(|s| s.as_str().into()).collect(),
+            )
+        })
+        .collect();
+    let text = lcda_base::json::to_string(&owned);
+    assert_eq!(lcda_base::json::to_string(&shared), text);
+    let back: BTreeMap<Arc<str>, Vec<Arc<str>>> = lcda_base::json::from_str(&text).unwrap();
+    assert_eq!(back, shared);
+}

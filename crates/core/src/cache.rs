@@ -23,6 +23,12 @@
 //!   context fingerprint (which embeds the `{backend-id}/{digest}`
 //!   namespace), so entries can never cross backends or evaluator
 //!   configurations;
+//! - **one shared key per design** — a [`Key`] is an `Arc<str>`: the
+//!   accuracy and hardware entries, both admission records and every
+//!   checkpoint snapshot of a design hold clones of the one key its
+//!   evaluation allocated, and each context's fingerprint is held once
+//!   per store. Keys order and serialize like `String`s, so the persisted
+//!   bytes are those of owned copies;
 //! - **per-session stat views** — a [`CacheSession`] is one run's window
 //!   onto the store. Lookups and admissions go to the shared table, but
 //!   hit/miss/insert counters are session-local, and a hit on an entry
@@ -42,9 +48,16 @@
 
 use crate::evaluate::HwMetrics;
 use crate::{lock, CoreError, Result};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+/// A memo key (a design's canonical text) or a context fingerprint: an
+/// immutable string shared by reference count. One evaluation allocates
+/// its design's key once; the store's table, its admission queue and
+/// every checkpoint snapshot hold clones of that one allocation. It
+/// orders, compares and prints exactly like the `String` it replaces.
+pub type Key = Arc<str>;
 
 /// Hit/miss/insert counters of one cache view (see also [`SessionStats`],
 /// which adds the cross-run split).
@@ -127,23 +140,24 @@ lcda_base::impl_json!(struct StoreStats { hits, misses, inserts, cross_run_hits,
 /// `eval_cache`): a resumed run re-absorbs it into its store via
 /// [`crate::pipeline::EvalPipeline::restore_cache`]. Counters are
 /// deliberately absent — they are session state, owned by
-/// [`CacheSession`], and were never serialized.
+/// [`CacheSession`], and were never serialized. Its keys are clones of
+/// the store's [`Key`]s, not copies of their text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalCache {
     /// Fingerprint of the evaluator pair that produced the entries.
-    context: String,
+    context: Key,
     /// design text → accuracy in `[0, 1]`.
-    pub(crate) accuracy: BTreeMap<String, f64>,
+    pub(crate) accuracy: BTreeMap<Key, f64>,
     /// design text → metrics (`None` = constraint violation, a valid and
     /// deterministic outcome worth memoizing).
-    pub(crate) hardware: BTreeMap<String, Option<HwMetrics>>,
+    pub(crate) hardware: BTreeMap<Key, Option<HwMetrics>>,
 }
 
 lcda_base::impl_json!(struct EvalCache { context, accuracy, hardware });
 
 impl EvalCache {
     /// An empty snapshot bound to an evaluator-context fingerprint.
-    pub fn new(context: impl Into<String>) -> Self {
+    pub fn new(context: impl Into<Key>) -> Self {
         EvalCache {
             context: context.into(),
             accuracy: BTreeMap::new(),
@@ -187,7 +201,7 @@ impl EvalCache {
 }
 
 /// Which half of the memo table an entry lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum EntryKind {
     Accuracy,
     Hardware,
@@ -201,12 +215,13 @@ lcda_base::impl_json!(
     }
 );
 
-/// One admission, in FIFO order — the eviction unit.
-#[derive(Debug, Clone, PartialEq)]
+/// One admission, in FIFO order — the eviction unit. Both strings are
+/// clones of the keys the store's tables hold.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Admission {
-    context: String,
+    context: Key,
     kind: EntryKind,
-    key: String,
+    key: Key,
 }
 
 lcda_base::impl_json!(struct Admission { context, kind, key });
@@ -223,14 +238,24 @@ struct Entry<V> {
 
 #[derive(Debug, Default)]
 struct ContextTable {
-    accuracy: BTreeMap<String, Entry<f64>>,
-    hardware: BTreeMap<String, Entry<Option<HwMetrics>>>,
+    accuracy: BTreeMap<Key, Entry<f64>>,
+    hardware: BTreeMap<Key, Entry<Option<HwMetrics>>>,
+}
+
+impl ContextTable {
+    /// The table's own key for `key` in the `kind` half, when held.
+    fn key(&self, kind: EntryKind, key: &str) -> Option<&Key> {
+        match kind {
+            EntryKind::Accuracy => self.accuracy.get_key_value(key).map(|(k, _)| k),
+            EntryKind::Hardware => self.hardware.get_key_value(key).map(|(k, _)| k),
+        }
+    }
 }
 
 #[derive(Debug)]
 struct StoreInner {
     capacity: Option<usize>,
-    contexts: BTreeMap<String, ContextTable>,
+    contexts: BTreeMap<Key, ContextTable>,
     admissions: VecDeque<Admission>,
     stats: StoreStats,
     next_session: u64,
@@ -241,6 +266,17 @@ struct StoreInner {
     /// Admissions ever queued: `admissions` holds the last
     /// `admitted - stats.evictions` of them ([`AdmissionCursor`]).
     admitted: u64,
+}
+
+impl StoreInner {
+    /// The store's own key for `context` — so each context's text is held
+    /// once however many sessions and admissions name it — or `context`
+    /// itself when the store holds no entry under it.
+    fn intern(&self, context: &Key) -> Key {
+        self.contexts
+            .get_key_value(&**context)
+            .map_or_else(|| context.clone(), |(k, _)| k.clone())
+    }
 }
 
 /// A position in a store's admission order. [`CacheSession::catch_up`]
@@ -261,7 +297,7 @@ pub(crate) struct AdmissionCursor {
 /// a `capacity` key load, and the key is ignored.
 struct StoreSnapshot {
     version: u32,
-    contexts: BTreeMap<String, ContextSnapshot>,
+    contexts: BTreeMap<Key, ContextSnapshot>,
     admissions: Vec<Admission>,
 }
 
@@ -269,8 +305,8 @@ lcda_base::impl_json!(struct StoreSnapshot { version, contexts, admissions });
 
 #[derive(Default)]
 struct ContextSnapshot {
-    accuracy: BTreeMap<String, f64>,
-    hardware: BTreeMap<String, Option<HwMetrics>>,
+    accuracy: BTreeMap<Key, f64>,
+    hardware: BTreeMap<Key, Option<HwMetrics>>,
 }
 
 lcda_base::impl_json!(struct ContextSnapshot { accuracy, hardware });
@@ -335,15 +371,16 @@ impl CacheStore {
     /// fingerprint. Each session gets a unique id; entries it admits are
     /// owned by it, and its counters are independent of every other
     /// session's.
-    pub fn session(&self, context: impl Into<String>) -> CacheSession {
-        let id = {
+    pub fn session(&self, context: impl Into<Key>) -> CacheSession {
+        let context = context.into();
+        let (id, context) = {
             let mut g = lock(&self.inner);
             g.next_session += 1;
-            g.next_session
+            (g.next_session, g.intern(&context))
         };
         CacheSession {
             store: self.clone(),
-            context: context.into(),
+            context,
             id,
             stats: SessionStats::default(),
         }
@@ -384,20 +421,22 @@ impl CacheStore {
     /// Snapshots one context's entries as a checkpoint-compatible
     /// [`EvalCache`] (empty when the context is unknown).
     pub fn snapshot(&self, context: &str) -> EvalCache {
-        Self::snapshot_of(&lock(&self.inner), context)
+        let g = lock(&self.inner);
+        Self::snapshot_of(&g, &g.intern(&Key::from(context)))
     }
 
-    fn snapshot_of(g: &StoreInner, context: &str) -> EvalCache {
-        let mut cache = EvalCache::new(context);
+    fn snapshot_of(g: &StoreInner, context: &Key) -> EvalCache {
+        let mut cache = EvalCache::new(context.clone());
         if let Some(table) = g.contexts.get(context) {
-            for (k, e) in &table.accuracy {
-                cache.accuracy.insert(k.clone(), e.value);
-            }
-            for (k, e) in &table.hardware {
-                cache.hardware.insert(k.clone(), e.value);
-            }
+            cache.accuracy = Self::values(&table.accuracy);
+            cache.hardware = Self::values(&table.hardware);
         }
         cache
+    }
+
+    /// A table's entries without their owners, sharing its keys.
+    fn values<V: Copy>(table: &BTreeMap<Key, Entry<V>>) -> BTreeMap<Key, V> {
+        table.iter().map(|(k, e)| (k.clone(), e.value)).collect()
     }
 
     /// Serializes the whole store (entries + admission order) to
@@ -413,17 +452,17 @@ impl CacheStore {
     /// The persisted form of the whole store: entries + admission order.
     fn persisted(&self) -> StoreSnapshot {
         let g = lock(&self.inner);
-        let mut contexts = BTreeMap::new();
-        for (ctx, table) in &g.contexts {
-            let mut snap = ContextSnapshot::default();
-            for (k, e) in &table.accuracy {
-                snap.accuracy.insert(k.clone(), e.value);
-            }
-            for (k, e) in &table.hardware {
-                snap.hardware.insert(k.clone(), e.value);
-            }
-            contexts.insert(ctx.clone(), snap);
-        }
+        let contexts = g
+            .contexts
+            .iter()
+            .map(|(ctx, table)| {
+                let snap = ContextSnapshot {
+                    accuracy: Self::values(&table.accuracy),
+                    hardware: Self::values(&table.hardware),
+                };
+                (ctx.clone(), snap)
+            })
+            .collect();
         StoreSnapshot {
             version: STORE_VERSION,
             contexts,
@@ -444,7 +483,8 @@ impl CacheStore {
         crate::durable::from_checksummed_json(json).map(|snap| Self::restore(snap, capacity))
     }
 
-    /// Rebuilds a store from its persisted form under `capacity`.
+    /// Rebuilds a store from its persisted form under `capacity`, in time
+    /// linear in the entries and admission records.
     fn restore(snapshot: StoreSnapshot, capacity: Option<usize>) -> Self {
         let store = Self::build(capacity);
         {
@@ -458,47 +498,46 @@ impl CacheStore {
                     table.hardware.insert(k, Entry { value: v, owner: 0 });
                 }
             }
-            // Admission order drives eviction; keep only records that
-            // describe a live entry, then append any entry the admission
-            // list missed (deterministically, in map order) so the
-            // FIFO-length == entry-count invariant holds.
-            let mut seen: VecDeque<Admission> = VecDeque::new();
+            // Admission order drives eviction; keep the first record of
+            // each live entry (rebuilt on the table's own keys), then
+            // append any entry the admission list missed
+            // (deterministically, in map order) so the FIFO-length ==
+            // entry-count invariant holds.
+            let mut queued: HashSet<Admission> = HashSet::new();
+            let mut order: VecDeque<Admission> = VecDeque::new();
+            let mut push = |adm: Admission| {
+                if queued.insert(adm.clone()) {
+                    order.push_back(adm);
+                }
+            };
             for adm in snapshot.admissions {
-                let live = g
+                let held = g
                     .contexts
-                    .get(&adm.context)
-                    .is_some_and(|t| match adm.kind {
-                        EntryKind::Accuracy => t.accuracy.contains_key(&adm.key),
-                        EntryKind::Hardware => t.hardware.contains_key(&adm.key),
+                    .get_key_value(&*adm.context)
+                    .and_then(|(ctx, t)| {
+                        t.key(adm.kind, &adm.key).map(|key| Admission {
+                            context: ctx.clone(),
+                            kind: adm.kind,
+                            key: key.clone(),
+                        })
                     });
-                if live && !seen.contains(&adm) {
-                    seen.push_back(adm);
+                if let Some(held) = held {
+                    push(held);
                 }
             }
             for (ctx, table) in &g.contexts {
-                for k in table.accuracy.keys() {
-                    let adm = Admission {
+                let accuracy = table.accuracy.keys().map(|k| (EntryKind::Accuracy, k));
+                let hardware = table.hardware.keys().map(|k| (EntryKind::Hardware, k));
+                for (kind, key) in accuracy.chain(hardware) {
+                    push(Admission {
                         context: ctx.clone(),
-                        kind: EntryKind::Accuracy,
-                        key: k.clone(),
-                    };
-                    if !seen.contains(&adm) {
-                        seen.push_back(adm);
-                    }
-                }
-                for k in table.hardware.keys() {
-                    let adm = Admission {
-                        context: ctx.clone(),
-                        kind: EntryKind::Hardware,
-                        key: k.clone(),
-                    };
-                    if !seen.contains(&adm) {
-                        seen.push_back(adm);
-                    }
+                        kind,
+                        key: key.clone(),
+                    });
                 }
             }
-            g.admitted = seen.len() as u64;
-            g.admissions = seen;
+            g.admitted = order.len() as u64;
+            g.admissions = order;
             Self::evict_to_capacity(&mut g);
         }
         store
@@ -533,12 +572,12 @@ impl CacheStore {
         let mut g = lock(&self.inner);
         for (k, v) in &snapshot.accuracy {
             if v.is_finite() {
-                Self::admit_accuracy(&mut g, &snapshot.context, k.clone(), *v, owner);
+                Self::admit_accuracy(&mut g, &snapshot.context, k, *v, owner);
             }
         }
         for (k, v) in &snapshot.hardware {
             if v.as_ref().is_none_or(HwMetrics::is_finite) {
-                Self::admit_hardware(&mut g, &snapshot.context, k.clone(), *v, owner);
+                Self::admit_hardware(&mut g, &snapshot.context, k, *v, owner);
             }
         }
     }
@@ -547,24 +586,18 @@ impl CacheStore {
     /// newly admitted (false when an identical entry already existed).
     fn admit_accuracy(
         g: &mut StoreInner,
-        context: &str,
-        key: String,
+        context: &Key,
+        key: &Key,
         value: f64,
         owner: u64,
     ) -> bool {
-        let table = g.contexts.entry(context.to_string()).or_default();
-        if table.accuracy.contains_key(&key) {
+        let context = g.intern(context);
+        let table = g.contexts.entry(context.clone()).or_default();
+        if table.accuracy.contains_key(key) {
             return false;
         }
         table.accuracy.insert(key.clone(), Entry { value, owner });
-        g.admissions.push_back(Admission {
-            context: context.to_string(),
-            kind: EntryKind::Accuracy,
-            key,
-        });
-        g.admitted += 1;
-        g.revision += 1;
-        Self::evict_to_capacity(g);
+        Self::queue(g, context, EntryKind::Accuracy, key);
         true
     }
 
@@ -572,25 +605,32 @@ impl CacheStore {
     /// admitted.
     fn admit_hardware(
         g: &mut StoreInner,
-        context: &str,
-        key: String,
+        context: &Key,
+        key: &Key,
         value: Option<HwMetrics>,
         owner: u64,
     ) -> bool {
-        let table = g.contexts.entry(context.to_string()).or_default();
-        if table.hardware.contains_key(&key) {
+        let context = g.intern(context);
+        let table = g.contexts.entry(context.clone()).or_default();
+        if table.hardware.contains_key(key) {
             return false;
         }
         table.hardware.insert(key.clone(), Entry { value, owner });
+        Self::queue(g, context, EntryKind::Hardware, key);
+        true
+    }
+
+    /// Queues a new entry's admission under clones of the keys its table
+    /// holds, then evicts down to the bound.
+    fn queue(g: &mut StoreInner, context: Key, kind: EntryKind, key: &Key) {
         g.admissions.push_back(Admission {
-            context: context.to_string(),
-            kind: EntryKind::Hardware,
-            key,
+            context,
+            kind,
+            key: key.clone(),
         });
         g.admitted += 1;
         g.revision += 1;
         Self::evict_to_capacity(g);
-        true
     }
 
     /// Drops oldest admissions until the capacity bound holds.
@@ -628,7 +668,7 @@ impl CacheStore {
 #[derive(Debug)]
 pub struct CacheSession {
     store: CacheStore,
-    context: String,
+    context: Key,
     id: u64,
     stats: SessionStats,
 }
@@ -661,60 +701,56 @@ impl CacheSession {
 
     /// Looks up a memoized accuracy, counting a hit or miss.
     pub fn lookup_accuracy(&mut self, key: &str) -> Option<f64> {
-        let g = lock(&self.store.inner);
-        let found = g
-            .contexts
-            .get(&self.context)
-            .and_then(|t| t.accuracy.get(key))
-            .map(|e| (e.value, e.owner));
-        drop(g);
-        self.count(found.map(|(_, owner)| owner));
-        found.map(|(v, _)| v)
+        self.lookup(key, |t| &t.accuracy)
     }
 
     /// Looks up memoized hardware metrics, counting a hit or miss.
     pub fn lookup_hardware(&mut self, key: &str) -> Option<Option<HwMetrics>> {
-        let g = lock(&self.store.inner);
+        self.lookup(key, |t| &t.hardware)
+    }
+
+    /// Looks `key` up in one half of this context's table and ticks the
+    /// hit/miss (and cross-run) counters of the session and the store,
+    /// all under one lock.
+    fn lookup<V: Copy>(
+        &mut self,
+        key: &str,
+        half: fn(&ContextTable) -> &BTreeMap<Key, Entry<V>>,
+    ) -> Option<V> {
+        let mut g = lock(&self.store.inner);
         let found = g
             .contexts
             .get(&self.context)
-            .and_then(|t| t.hardware.get(key))
+            .and_then(|t| half(t).get(key))
             .map(|e| (e.value, e.owner));
-        drop(g);
-        self.count(found.as_ref().map(|(_, owner)| *owner));
-        found.map(|(v, _)| v)
-    }
-
-    /// Ticks hit/miss (and cross-run) counters on both the session and
-    /// the store.
-    fn count(&mut self, hit_owner: Option<u64>) {
-        let mut g = lock(&self.store.inner);
-        match hit_owner {
-            Some(owner) => {
-                self.stats.hits += 1;
-                g.stats.hits += 1;
+        let (session, store) = (&mut self.stats, &mut g.stats);
+        match found {
+            Some((_, owner)) => {
+                session.hits += 1;
+                store.hits += 1;
                 if owner != self.id {
-                    self.stats.cross_run_hits += 1;
-                    g.stats.cross_run_hits += 1;
+                    session.cross_run_hits += 1;
+                    store.cross_run_hits += 1;
                 }
             }
             None => {
-                self.stats.misses += 1;
-                g.stats.misses += 1;
+                session.misses += 1;
+                store.misses += 1;
             }
         }
+        found.map(|(v, _)| v)
     }
 
     /// Admits an accuracy result; returns true when the value was
     /// admitted (finite). Non-finite results are refused — admitting them
     /// would break the JSON round-trip (JSON cannot represent NaN)
     /// and re-serve poison.
-    pub fn insert_accuracy(&mut self, key: String, value: f64) -> bool {
+    pub fn insert_accuracy(&mut self, key: impl Into<Key>, value: f64) -> bool {
         if !value.is_finite() {
             return false;
         }
         let mut g = lock(&self.store.inner);
-        CacheStore::admit_accuracy(&mut g, &self.context, key, value, self.id);
+        CacheStore::admit_accuracy(&mut g, &self.context, &key.into(), value, self.id);
         g.stats.inserts += 1;
         drop(g);
         self.stats.inserts += 1;
@@ -723,12 +759,12 @@ impl CacheSession {
 
     /// Admits a hardware result; returns true when the value was admitted
     /// (finite, or `None` = a deterministic constraint violation).
-    pub fn insert_hardware(&mut self, key: String, value: Option<HwMetrics>) -> bool {
+    pub fn insert_hardware(&mut self, key: impl Into<Key>, value: Option<HwMetrics>) -> bool {
         if !value.as_ref().is_none_or(HwMetrics::is_finite) {
             return false;
         }
         let mut g = lock(&self.store.inner);
-        CacheStore::admit_hardware(&mut g, &self.context, key, value, self.id);
+        CacheStore::admit_hardware(&mut g, &self.context, &key.into(), value, self.id);
         g.stats.inserts += 1;
         drop(g);
         self.stats.inserts += 1;
@@ -737,40 +773,45 @@ impl CacheSession {
 
     /// Snapshots this session's context for checkpointing.
     pub fn snapshot(&self) -> EvalCache {
-        self.store.snapshot(&self.context)
+        CacheStore::snapshot_of(&lock(&self.store.inner), &self.context)
     }
 
     /// Brings `cache`, this session's snapshot as of `cursor`, up to the
     /// store's current state and advances the cursor. Only this
     /// context's entries admitted since `cursor` are merged, so the cost
-    /// follows the new admissions, not the table size. A snapshot of
-    /// another context, or one that an eviction since `cursor` made
-    /// stale, is taken again whole. A default cursor and an empty
-    /// snapshot catch up to the whole table.
-    pub(crate) fn catch_up(&self, cache: &mut EvalCache, cursor: &mut AdmissionCursor) {
+    /// follows the new admissions, not the table size, and the merged
+    /// keys are clones of the store's. No snapshot yet, one of another
+    /// context, or one that an eviction since `cursor` made stale, is
+    /// taken again whole.
+    pub(crate) fn catch_up(&self, cache: &mut Option<EvalCache>, cursor: &mut AdmissionCursor) {
         let g = lock(&self.store.inner);
-        if cache.context != self.context || cursor.evictions != g.stats.evictions {
-            *cache = CacheStore::snapshot_of(&g, &self.context);
-        } else if let Some(table) = g.contexts.get(&self.context) {
-            let fresh = g.admitted.saturating_sub(cursor.admitted) as usize;
-            let skip = g.admissions.len().saturating_sub(fresh);
-            for adm in g.admissions.iter().skip(skip) {
-                if adm.context != self.context {
-                    continue;
-                }
-                match adm.kind {
-                    EntryKind::Accuracy => {
-                        if let Some(e) = table.accuracy.get(&adm.key) {
-                            cache.accuracy.insert(adm.key.clone(), e.value);
+        match cache {
+            Some(cache)
+                if cache.context == self.context && cursor.evictions == g.stats.evictions =>
+            {
+                if let Some(table) = g.contexts.get(&self.context) {
+                    let fresh = g.admitted.saturating_sub(cursor.admitted) as usize;
+                    let skip = g.admissions.len().saturating_sub(fresh);
+                    for adm in g.admissions.iter().skip(skip) {
+                        if adm.context != self.context {
+                            continue;
                         }
-                    }
-                    EntryKind::Hardware => {
-                        if let Some(e) = table.hardware.get(&adm.key) {
-                            cache.hardware.insert(adm.key.clone(), e.value);
+                        match adm.kind {
+                            EntryKind::Accuracy => {
+                                if let Some(e) = table.accuracy.get(&adm.key) {
+                                    cache.accuracy.insert(adm.key.clone(), e.value);
+                                }
+                            }
+                            EntryKind::Hardware => {
+                                if let Some(e) = table.hardware.get(&adm.key) {
+                                    cache.hardware.insert(adm.key.clone(), e.value);
+                                }
+                            }
                         }
                     }
                 }
             }
+            _ => *cache = Some(CacheStore::snapshot_of(&g, &self.context)),
         }
         *cursor = AdmissionCursor {
             admitted: g.admitted,
@@ -809,9 +850,9 @@ mod tests {
         let store = CacheStore::new();
         let mut s = store.session("ctx");
         assert_eq!(s.lookup_accuracy("d1"), None);
-        assert!(s.insert_accuracy("d1".into(), 0.9));
+        assert!(s.insert_accuracy("d1", 0.9));
         assert_eq!(s.lookup_accuracy("d1"), Some(0.9));
-        assert!(!s.insert_accuracy("nan".into(), f64::NAN));
+        assert!(!s.insert_accuracy("nan", f64::NAN));
         let st = s.stats();
         assert_eq!(
             (st.hits, st.misses, st.inserts, st.cross_run_hits),
@@ -825,7 +866,7 @@ mod tests {
         let store = CacheStore::new();
         let mut a = store.session("ctx");
         let mut b = store.session("ctx");
-        a.insert_accuracy("d".into(), 0.5);
+        a.insert_accuracy("d", 0.5);
         assert_eq!(a.lookup_accuracy("d"), Some(0.5));
         assert_eq!(a.stats().cross_run_hits, 0, "own hits are not cross-run");
         assert_eq!(b.lookup_accuracy("d"), Some(0.5));
@@ -839,10 +880,10 @@ mod tests {
         let store = CacheStore::new();
         let mut a = store.session("ctx-a");
         let mut b = store.session("ctx-b");
-        a.insert_hardware("d".into(), hw(1.0));
+        a.insert_hardware("d", hw(1.0));
         assert_eq!(b.lookup_hardware("d"), None);
         assert_eq!(store.contexts(), 1);
-        b.insert_hardware("d".into(), None);
+        b.insert_hardware("d", None);
         assert_eq!(store.contexts(), 2);
         assert_eq!(store.len(), 2);
     }
@@ -857,14 +898,14 @@ mod tests {
             let mut mine = store.session("ctx");
             let mut other = store.session("ctx");
             let mut foreign = store.session("other-ctx");
-            let mut cache = EvalCache::new("ctx");
+            let mut cache = None;
             let mut cursor = AdmissionCursor::default();
             for i in 0..12 {
                 mine.insert_accuracy(format!("d{i}"), 0.5);
                 foreign.insert_hardware(format!("d{i}"), None);
                 if i % 3 == 0 {
                     other.insert_hardware(format!("d{}", i / 3), hw(1.0));
-                    mine.insert_accuracy("d0".into(), 0.5);
+                    mine.insert_accuracy("d0", 0.5);
                 }
                 if i == 7 {
                     let mut absorbed = EvalCache::new("ctx");
@@ -872,15 +913,128 @@ mod tests {
                     mine.absorb(&absorbed);
                 }
                 mine.catch_up(&mut cache, &mut cursor);
-                assert_eq!(cache, mine.snapshot(), "capacity {capacity:?}, step {i}");
+                assert_eq!(
+                    cache.as_ref(),
+                    Some(&mine.snapshot()),
+                    "capacity {capacity:?}, step {i}"
+                );
             }
             // A store reloaded from disk catches up from a default cursor.
             let reloaded = CacheStore::from_json(&store.to_json().unwrap(), capacity).unwrap();
             let session = reloaded.session("ctx");
-            let mut cache = EvalCache::new("ctx");
+            let mut cache = Some(EvalCache::new("ctx"));
             session.catch_up(&mut cache, &mut AdmissionCursor::default());
-            assert_eq!(cache, session.snapshot());
+            assert_eq!(cache, Some(session.snapshot()));
         }
+    }
+
+    /// One evaluation allocates its design's key once: the accuracy and
+    /// hardware entries, both admissions and a caught-up checkpoint
+    /// snapshot hold that one allocation, and every holder of the
+    /// context shares the store's.
+    #[test]
+    fn every_holder_shares_one_key_per_design() {
+        use crate::backend::CimBackend;
+        use crate::pipeline::EvalPipeline;
+        use crate::space::DesignSpace;
+        use crate::surrogate::SurrogateEvaluator;
+        let space = DesignSpace::nacim_cifar10();
+        let design = space.reference_design();
+        let mut pipeline = EvalPipeline::new(
+            Box::new(SurrogateEvaluator::new(space.clone(), 1)),
+            Box::new(CimBackend::new(space)),
+        );
+        pipeline.evaluate(&design).unwrap();
+        let mut snapshot = None;
+        pipeline.catch_up_cache(&mut snapshot, &mut AdmissionCursor::default());
+        let snapshot = snapshot.unwrap();
+
+        let text = design.to_response_text();
+        let g = lock(&pipeline.cache_store().inner);
+        let (context, table) = g.contexts.iter().next().unwrap();
+        let (key, _) = table.accuracy.get_key_value(text.as_str()).unwrap();
+        let holders = [
+            table.hardware.get_key_value(text.as_str()).unwrap().0,
+            &g.admissions[0].key,
+            &g.admissions[1].key,
+            snapshot.accuracy.get_key_value(text.as_str()).unwrap().0,
+            snapshot.hardware.get_key_value(text.as_str()).unwrap().0,
+        ];
+        for holder in holders {
+            assert!(Arc::ptr_eq(key, holder));
+        }
+        assert_eq!(Arc::strong_count(key), 6, "no other holder");
+        assert!(g
+            .admissions
+            .iter()
+            .all(|a| Arc::ptr_eq(&a.context, context)));
+        assert!(Arc::ptr_eq(&snapshot.context, context));
+    }
+
+    /// A loaded store keeps the first record of each live entry in file
+    /// order, drops duplicates and records of absent entries, then
+    /// queues the entries the file did not record, in map order. Every
+    /// queued record holds the table's own keys.
+    #[test]
+    fn restore_orders_duplicate_and_missing_admissions_fifo() {
+        use EntryKind::{Accuracy, Hardware};
+        let adm = |context: &str, kind, key: &str| Admission {
+            context: context.into(),
+            kind,
+            key: key.into(),
+        };
+        let table = ContextSnapshot {
+            accuracy: ["a", "b", "c"].map(|k| (Key::from(k), 0.5)).into(),
+            hardware: ["a", "c"].map(|k| (Key::from(k), None)).into(),
+        };
+        let file = StoreSnapshot {
+            version: STORE_VERSION,
+            contexts: [(Key::from("ctx"), table)].into(),
+            admissions: vec![
+                adm("ctx", Hardware, "c"),
+                adm("ctx", Accuracy, "b"),
+                adm("ctx", Hardware, "c"),
+                adm("ctx", Accuracy, "gone"),
+                adm("other", Accuracy, "a"),
+                adm("ctx", Accuracy, "a"),
+                adm("ctx", Accuracy, "b"),
+            ],
+        };
+        let json = crate::durable::to_checksummed_json(&file).unwrap();
+
+        let store = CacheStore::from_json(&json, None).unwrap();
+        let g = lock(&store.inner);
+        let order: Vec<(EntryKind, &str)> =
+            g.admissions.iter().map(|a| (a.kind, &*a.key)).collect();
+        let expected = [
+            (Hardware, "c"),
+            (Accuracy, "b"),
+            (Accuracy, "a"),
+            (Accuracy, "c"),
+            (Hardware, "a"),
+        ];
+        assert_eq!(order, expected);
+        assert_eq!(g.admitted, 5);
+        for a in &g.admissions {
+            let (context, table) = g.contexts.get_key_value(&a.context).unwrap();
+            assert!(Arc::ptr_eq(&a.context, context));
+            assert!(Arc::ptr_eq(&a.key, table.key(a.kind, &a.key).unwrap()));
+        }
+        drop(g);
+
+        // The order survives a save, and eviction follows it.
+        let again = CacheStore::from_json(&store.to_json().unwrap(), None).unwrap();
+        let order: Vec<(EntryKind, String)> = lock(&again.inner)
+            .admissions
+            .iter()
+            .map(|a| (a.kind, a.key.to_string()))
+            .collect();
+        assert_eq!(order, expected.map(|(kind, k)| (kind, k.to_string())));
+        let bounded = CacheStore::from_json(&json, Some(2)).unwrap();
+        let mut probe = bounded.session("ctx");
+        assert_eq!(probe.lookup_accuracy("c"), Some(0.5));
+        assert_eq!(probe.lookup_hardware("a"), Some(None));
+        assert_eq!(probe.lookup_accuracy("a"), None);
     }
 
     #[test]
@@ -916,7 +1070,7 @@ mod tests {
     fn capacity_zero_is_clamped_to_one() {
         let store = CacheStore::with_capacity(0);
         let mut s = store.session("ctx");
-        s.insert_accuracy("d".into(), 0.1);
+        s.insert_accuracy("d", 0.1);
         assert_eq!(store.len(), 1);
     }
 
@@ -927,7 +1081,7 @@ mod tests {
         for i in 0..4 {
             s.insert_accuracy(format!("d{i}"), i as f64 / 10.0);
         }
-        s.insert_hardware("d0".into(), hw(2.0));
+        s.insert_hardware("d0", hw(2.0));
         assert_eq!(store.stats().evictions, 1, "d0-accuracy evicted");
 
         let json = store.to_json().unwrap();
@@ -948,8 +1102,8 @@ mod tests {
         // admission on both stores drops the same oldest entry.
         let mut s1 = store.session("ctx");
         let mut s2 = back.session("ctx");
-        s1.insert_hardware("dX".into(), None);
-        s2.insert_hardware("dX".into(), None);
+        s1.insert_hardware("dX", None);
+        s2.insert_hardware("dX", None);
         assert_eq!(store.snapshot("ctx"), back.snapshot("ctx"));
 
         // Rehydrated entries are owned by pseudo-session 0 → cross-run.
@@ -961,7 +1115,7 @@ mod tests {
     #[test]
     fn corrupt_json_is_refused() {
         let store = CacheStore::new();
-        store.session("ctx").insert_accuracy("d".into(), 0.5);
+        store.session("ctx").insert_accuracy("d", 0.5);
         let json = store.to_json().unwrap();
         let tampered = json.replace("0.5", "0.7");
         assert!(
@@ -979,8 +1133,8 @@ mod tests {
         ));
         let store = CacheStore::new();
         let mut s = store.session("ctx");
-        s.insert_accuracy("d".into(), 0.25);
-        s.insert_hardware("d".into(), hw(3.0));
+        s.insert_accuracy("d", 0.25);
+        s.insert_hardware("d", hw(3.0));
         store.save(&path).unwrap();
         let back = CacheStore::load(&path, None).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -996,7 +1150,7 @@ mod tests {
     fn absorb_respects_context_and_ownership() {
         let store = CacheStore::new();
         let mut donor = store.session("ctx");
-        donor.insert_accuracy("d".into(), 0.5);
+        donor.insert_accuracy("d", 0.5);
         let snapshot = donor.snapshot();
 
         let other = CacheStore::new();
@@ -1018,8 +1172,8 @@ mod tests {
         let store = CacheStore::new();
         let mut a = store.session("ctx");
         let mut b = store.session("ctx");
-        a.insert_accuracy("d".into(), 0.5);
-        b.insert_accuracy("d".into(), 0.5);
+        a.insert_accuracy("d", 0.5);
+        b.insert_accuracy("d", 0.5);
         assert_eq!(store.len(), 1, "no duplicate entries");
         assert_eq!(a.lookup_accuracy("d"), Some(0.5));
         assert_eq!(a.stats().cross_run_hits, 0, "first admitter still owns");

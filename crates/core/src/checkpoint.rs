@@ -33,6 +33,7 @@
 //! file written before the log) still loads. `durable.rs` holds these
 //! rules for every artifact.
 
+use crate::cache::Key;
 use crate::codesign::{CoDesignConfig, EpisodeRecord};
 use crate::durable::{
     append_line, atomic_write, from_checksummed_json, generation_path, open_jsonl,
@@ -256,12 +257,12 @@ impl LogHeader {
 }
 
 /// Every line after the header: the episodes and memo entries one save
-/// added.
+/// added. Its keys are clones of the checkpoint's, not copies.
 #[derive(Default)]
 struct LogDelta {
     history: Vec<EpisodeRecord>,
-    accuracy: BTreeMap<String, f64>,
-    hardware: BTreeMap<String, Option<HwMetrics>>,
+    accuracy: BTreeMap<Key, f64>,
+    hardware: BTreeMap<Key, Option<HwMetrics>>,
 }
 
 lcda_base::impl_json!(struct LogDelta { history, accuracy, hardware });
@@ -636,8 +637,8 @@ mod tests {
         // A cache store, with a key that needs escaping.
         let store = crate::cache::CacheStore::new();
         let mut session = store.session("deadbeefdeadbeef");
-        session.insert_accuracy("[[32,3]] | \"quoted\"".into(), 0.875);
-        session.insert_hardware("[[64,5]]".into(), None);
+        session.insert_accuracy("[[32,3]] | \"quoted\"", 0.875);
+        session.insert_hardware("[[64,5]]", None);
         store.save(&dir.join("store.json")).unwrap();
         saved_as(&dir.join("store.json"), store.to_json().unwrap());
         let _ = std::fs::remove_dir_all(&dir);

@@ -1262,7 +1262,7 @@ mod tests {
                         .map(|r| r.design.to_response_text())
                         .collect();
                     let cache = last.eval_cache.unwrap();
-                    assert!(cache.hardware.keys().any(|key| !own.contains(key)));
+                    assert!(cache.hardware.keys().any(|key| !own.contains(&**key)));
                     outcome
                 })
             });

@@ -23,7 +23,10 @@
 //!
 //! - **keys** are the candidate's canonical rollout text (its full
 //!   content, e.g. `[[32,3],…]| hw: [128,8,2,rram]`) — content-addressed,
-//!   collision-free by construction;
+//!   collision-free by construction. [`EvalPipeline::evaluate`] renders
+//!   it once into a shared [`Key`] that both lookups use; the store,
+//!   its admission queue and checkpoint snapshots keep clones of that
+//!   one key, never copies of the text;
 //! - **the context fingerprint** pins the cache to a specific evaluator
 //!   configuration ([`AccuracyEvaluator::fingerprint`] ×
 //!   [`HardwareCostEvaluator::fingerprint`]): a snapshot produced under a
@@ -48,7 +51,7 @@
 //! event at exactly the points the counters tick, so a journal's
 //! aggregated cache stats always equal [`EvalPipeline::stats`].
 
-use crate::cache::{AdmissionCursor, CacheSession, CacheStore, SessionStats};
+use crate::cache::{AdmissionCursor, CacheSession, CacheStore, Key, SessionStats};
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
 use crate::journal::{CacheKind, Journal, JournalEvent};
 use crate::{CoreError, Result};
@@ -133,7 +136,7 @@ pub struct EvalPipeline {
     /// until a shared one is attached ([`EvalPipeline::attach_store`]).
     store: CacheStore,
     cache: Option<CacheSession>,
-    context: String,
+    context: Key,
     journal: Journal,
 }
 
@@ -171,8 +174,8 @@ impl EvalPipeline {
         }
     }
 
-    fn context_of(acc: &dyn AccuracyEvaluator, hw: &dyn HardwareCostEvaluator) -> String {
-        stable_fingerprint(&[&acc.fingerprint(), &hw.fingerprint()])
+    fn context_of(acc: &dyn AccuracyEvaluator, hw: &dyn HardwareCostEvaluator) -> Key {
+        stable_fingerprint(&[&acc.fingerprint(), &hw.fingerprint()]).into()
     }
 
     /// Disables memoization (builder style). Every evaluation recomputes.
@@ -233,10 +236,7 @@ impl EvalPipeline {
         cursor: &mut AdmissionCursor,
     ) {
         match &self.cache {
-            Some(session) => session.catch_up(
-                cache.get_or_insert_with(|| EvalCache::new(session.context())),
-                cursor,
-            ),
+            Some(session) => session.catch_up(cache, cursor),
             None => *cache = None,
         }
     }
@@ -317,15 +317,73 @@ impl EvalPipeline {
     ///
     /// Propagates evaluator failures on malformed designs.
     pub fn evaluate(&mut self, design: &CandidateDesign) -> Result<(f64, Option<HwMetrics>)> {
-        self.journal.record(JournalEvent::EvalRequest {
-            design: design.to_response_text(),
-        });
-        let hw = self.cost(design)?;
+        let key = Key::from(design.to_response_text());
+        if self.journal.is_active() {
+            self.journal.record(JournalEvent::EvalRequest {
+                design: key.to_string(),
+            });
+        }
+        let hw = self.cost_keyed(design, &key)?;
         let accuracy = match &hw {
-            Some(_) => self.accuracy(design)?,
+            Some(_) => self.accuracy_keyed(design, &key)?,
             None => 0.0,
         };
         Ok((accuracy, hw))
+    }
+
+    /// [`AccuracyEvaluator::accuracy`] under `key`, the design's text:
+    /// a miss admits a clone of `key`, not a copy of its text.
+    fn accuracy_keyed(&mut self, design: &CandidateDesign, key: &Key) -> Result<f64> {
+        if let Some(cache) = &mut self.cache {
+            if let Some(hit) = cache.lookup_accuracy(key) {
+                self.journal.record(JournalEvent::CacheHit {
+                    kind: CacheKind::Accuracy,
+                });
+                return Ok(hit);
+            }
+            self.journal.record(JournalEvent::CacheMiss {
+                kind: CacheKind::Accuracy,
+            });
+        }
+        let value = self.guarded_accuracy(design)?;
+        if let Some(cache) = &mut self.cache {
+            if cache.insert_accuracy(key.clone(), value) {
+                self.journal.record(JournalEvent::CacheInsert {
+                    kind: CacheKind::Accuracy,
+                });
+            }
+        }
+        Ok(value)
+    }
+
+    /// [`HardwareCostEvaluator::cost`] under `key`, the design's text.
+    fn cost_keyed(&mut self, design: &CandidateDesign, key: &Key) -> Result<Option<HwMetrics>> {
+        if let Some(cache) = &mut self.cache {
+            if let Some(hit) = cache.lookup_hardware(key) {
+                self.journal.record(JournalEvent::CacheHit {
+                    kind: CacheKind::Hardware,
+                });
+                return Ok(hit);
+            }
+            self.journal.record(JournalEvent::CacheMiss {
+                kind: CacheKind::Hardware,
+            });
+        }
+        let value = self.guarded_cost(design)?;
+        if self.journal.is_active() {
+            self.journal.record(JournalEvent::BackendCost {
+                backend: self.hardware.name().to_string(),
+                feasible: value.is_some(),
+            });
+        }
+        if let Some(cache) = &mut self.cache {
+            if cache.insert_hardware(key.clone(), value) {
+                self.journal.record(JournalEvent::CacheInsert {
+                    kind: CacheKind::Hardware,
+                });
+            }
+        }
+        Ok(value)
     }
 
     /// The hardware cost call under panic isolation.
@@ -359,27 +417,7 @@ impl EvalPipeline {
 
 impl AccuracyEvaluator for EvalPipeline {
     fn accuracy(&mut self, design: &CandidateDesign) -> Result<f64> {
-        let key = design.to_response_text();
-        if let Some(cache) = &mut self.cache {
-            if let Some(hit) = cache.lookup_accuracy(&key) {
-                self.journal.record(JournalEvent::CacheHit {
-                    kind: CacheKind::Accuracy,
-                });
-                return Ok(hit);
-            }
-            self.journal.record(JournalEvent::CacheMiss {
-                kind: CacheKind::Accuracy,
-            });
-        }
-        let value = self.guarded_accuracy(design)?;
-        if let Some(cache) = &mut self.cache {
-            if cache.insert_accuracy(key, value) {
-                self.journal.record(JournalEvent::CacheInsert {
-                    kind: CacheKind::Accuracy,
-                });
-            }
-        }
-        Ok(value)
+        self.accuracy_keyed(design, &design.to_response_text().into())
     }
 
     fn name(&self) -> &'static str {
@@ -387,7 +425,7 @@ impl AccuracyEvaluator for EvalPipeline {
     }
 
     fn fingerprint(&self) -> String {
-        self.context.clone()
+        self.context.to_string()
     }
 
     fn set_threads(&mut self, threads: usize) {
@@ -401,31 +439,7 @@ impl AccuracyEvaluator for EvalPipeline {
 
 impl HardwareCostEvaluator for EvalPipeline {
     fn cost(&mut self, design: &CandidateDesign) -> Result<Option<HwMetrics>> {
-        let key = design.to_response_text();
-        if let Some(cache) = &mut self.cache {
-            if let Some(hit) = cache.lookup_hardware(&key) {
-                self.journal.record(JournalEvent::CacheHit {
-                    kind: CacheKind::Hardware,
-                });
-                return Ok(hit);
-            }
-            self.journal.record(JournalEvent::CacheMiss {
-                kind: CacheKind::Hardware,
-            });
-        }
-        let value = self.guarded_cost(design)?;
-        self.journal.record(JournalEvent::BackendCost {
-            backend: self.hardware.name().to_string(),
-            feasible: value.is_some(),
-        });
-        if let Some(cache) = &mut self.cache {
-            if cache.insert_hardware(key, value) {
-                self.journal.record(JournalEvent::CacheInsert {
-                    kind: CacheKind::Hardware,
-                });
-            }
-        }
-        Ok(value)
+        self.cost_keyed(design, &design.to_response_text().into())
     }
 
     fn name(&self) -> &'static str {
@@ -433,7 +447,7 @@ impl HardwareCostEvaluator for EvalPipeline {
     }
 
     fn fingerprint(&self) -> String {
-        self.context.clone()
+        self.context.to_string()
     }
 
     fn set_journal(&mut self, journal: Journal) {

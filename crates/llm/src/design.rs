@@ -297,25 +297,35 @@ impl CandidateDesign {
     /// Renders the design in the paper's response format:
     /// `[[32,3],[32,3],…] | hw: [128,8,2,rram]`.
     pub fn to_response_text(&self) -> String {
-        let pairs: Vec<String> = self
-            .conv
-            .iter()
-            .map(|c| format!("[{},{}]", c.channels, c.kernel))
-            .collect();
-        format!(
-            "[{}] | hw: [{},{},{},{}]",
-            pairs.join(","),
-            self.hw.xbar_size,
-            self.hw.adc_bits,
-            self.hw.cell_bits,
-            self.hw.tech
+        // "[ccc,k]," per stage plus the hardware tail, so the text is
+        // written into one allocation.
+        let mut text = String::with_capacity(8 * self.conv.len() + 32);
+        // Writing into a `String` cannot fail.
+        let _ = self.write_response_text(&mut text);
+        text
+    }
+
+    /// Writes [`CandidateDesign::to_response_text`] into `out`.
+    fn write_response_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_char('[')?;
+        for (i, c) in self.conv.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            write!(out, "[{},{}]", c.channels, c.kernel)?;
+        }
+        let hw = &self.hw;
+        write!(
+            out,
+            "] | hw: [{},{},{},{}]",
+            hw.xbar_size, hw.adc_bits, hw.cell_bits, hw.tech
         )
     }
 }
 
 impl fmt::Display for CandidateDesign {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_response_text())
+        self.write_response_text(f)
     }
 }
 
@@ -374,9 +384,20 @@ mod tests {
     fn response_text_format() {
         let d = CandidateDesign::reference();
         let s = d.to_response_text();
-        assert!(s.starts_with("[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]]"));
-        assert!(s.contains("hw: [128,8,2,rram]"));
+        assert_eq!(
+            s,
+            "[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]] | hw: [128,8,2,rram]"
+        );
         assert_eq!(format!("{d}"), s);
+        assert!(
+            s.capacity() <= 8 * d.conv.len() + 32,
+            "one allocation, never grown"
+        );
+        let empty = CandidateDesign {
+            conv: Vec::new(),
+            ..d
+        };
+        assert_eq!(empty.to_response_text(), "[] | hw: [128,8,2,rram]");
     }
 
     #[test]

@@ -191,6 +191,44 @@ if ./target/release/lcda report "$journal_dir/torn.jsonl" > /dev/null 2>&1; then
 fi
 ./target/release/lcda report "$journal_dir/torn.jsonl" --allow-truncated > /dev/null
 
+# Persisted-bytes gate: the memo store shares one key per design in
+# memory, and none of that may reach the disk. The checkpoint logs of an
+# expert and an RL search, and the cache store a server saves after two
+# jobs, must equal the files recorded under tests/fixtures/memo/.
+./target/release/lcda search --episodes 30 --seed 5 \
+    --checkpoint "$journal_dir/memo_expert.jsonl" > /dev/null
+./target/release/lcda search --optimizer rl --episodes 40 --seed 5 \
+    --checkpoint "$journal_dir/memo_rl.jsonl" > /dev/null
+./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
+    --cache "$journal_dir/memo_store.json" > "$journal_dir/memo_serve.log" &
+memo_pid=$!
+addr=""
+for _ in $(seq 1 100); do
+    addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/memo_serve.log")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+[ -n "$addr" ] || { echo "ci: memo-gate serve never printed its address" >&2; exit 1; }
+curl -sf -X POST -d '{"episodes": 3, "seed": 21}' "http://$addr/jobs" > /dev/null
+curl -sf -X POST -d '{"episodes": 4, "seed": 22}' "http://$addr/jobs" > /dev/null
+for job in job-1 job-2; do
+    state=""
+    for _ in $(seq 1 600); do
+        state=$(curl -sf "http://$addr/jobs/$job" \
+            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+        [ "$state" = "done" ] && break
+        sleep 0.1
+    done
+    [ "$state" = "done" ] || { echo "ci: memo-gate $job ended '$state', not done" >&2; exit 1; }
+done
+curl -sf -X POST "http://$addr/shutdown" > /dev/null
+wait "$memo_pid"
+for pair in memo_expert.jsonl:expert.ckpt.jsonl memo_rl.jsonl:rl.ckpt.jsonl \
+    memo_store.json:serve_store.json; do
+    cmp "$journal_dir/${pair%%:*}" "tests/fixtures/memo/${pair##*:}" \
+        || { echo "ci: ${pair%%:*} differs from tests/fixtures/memo/${pair##*:}" >&2; exit 1; }
+done
+
 # Serve smoke: start the job server with one worker (jobs run strictly
 # in admission order), submit two identical-seed jobs, and require
 #   (a) the second job to report nonzero cross-run hits from the shared
