@@ -741,34 +741,42 @@ impl CacheSession {
         found.map(|(v, _)| v)
     }
 
-    /// Admits an accuracy result; returns true when the value was
-    /// admitted (finite). Non-finite results are refused — admitting them
-    /// would break the JSON round-trip (JSON cannot represent NaN)
-    /// and re-serve poison.
+    /// Admits an accuracy result; returns true, and counts an insert,
+    /// only when the key was newly admitted. A key the store already
+    /// holds (another session admitted it first) keeps its first value.
+    /// Non-finite results are refused — admitting them would break the
+    /// JSON round-trip (JSON cannot represent NaN) and re-serve poison.
     pub fn insert_accuracy(&mut self, key: impl Into<Key>, value: f64) -> bool {
         if !value.is_finite() {
             return false;
         }
         let mut g = lock(&self.store.inner);
-        CacheStore::admit_accuracy(&mut g, &self.context, &key.into(), value, self.id);
-        g.stats.inserts += 1;
-        drop(g);
-        self.stats.inserts += 1;
-        true
+        let admitted =
+            CacheStore::admit_accuracy(&mut g, &self.context, &key.into(), value, self.id);
+        if admitted {
+            g.stats.inserts += 1;
+            drop(g);
+            self.stats.inserts += 1;
+        }
+        admitted
     }
 
-    /// Admits a hardware result; returns true when the value was admitted
-    /// (finite, or `None` = a deterministic constraint violation).
+    /// Admits a hardware result (finite, or `None` = a deterministic
+    /// constraint violation); returns true, and counts an insert, only
+    /// when the key was newly admitted.
     pub fn insert_hardware(&mut self, key: impl Into<Key>, value: Option<HwMetrics>) -> bool {
         if !value.as_ref().is_none_or(HwMetrics::is_finite) {
             return false;
         }
         let mut g = lock(&self.store.inner);
-        CacheStore::admit_hardware(&mut g, &self.context, &key.into(), value, self.id);
-        g.stats.inserts += 1;
-        drop(g);
-        self.stats.inserts += 1;
-        true
+        let admitted =
+            CacheStore::admit_hardware(&mut g, &self.context, &key.into(), value, self.id);
+        if admitted {
+            g.stats.inserts += 1;
+            drop(g);
+            self.stats.inserts += 1;
+        }
+        admitted
     }
 
     /// Snapshots this session's context for checkpointing.
@@ -843,6 +851,30 @@ mod tests {
             area_mm2: 2.0,
             leakage_uw: 3.0,
         })
+    }
+
+    /// A key one session already admitted is not admitted, or counted,
+    /// again when another session of the store inserts it: the
+    /// `inserts` counters equal the entries admitted.
+    #[test]
+    fn a_held_key_is_neither_admitted_nor_counted_twice() {
+        let store = CacheStore::new();
+        let mut first = store.session("ctx");
+        let mut second = store.session("ctx");
+        assert!(first.insert_accuracy("d", 0.5));
+        assert!(!second.insert_accuracy("d", 0.5));
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.stats().inserts, 1);
+        assert_eq!(first.stats().inserts, 1);
+        assert_eq!(second.stats().inserts, 0);
+
+        assert!(first.insert_hardware("d", hw(4.0)));
+        assert!(!second.insert_hardware("d", hw(4.0)));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.stats().inserts, 2);
+        assert_eq!(second.stats().inserts, 0);
+        // The first value stays.
+        assert_eq!(second.lookup_accuracy("d"), Some(0.5));
     }
 
     #[test]

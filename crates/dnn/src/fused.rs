@@ -381,7 +381,7 @@ fn linear_stacked(
 }
 
 /// Single-trial convolution after divergence: the f32 form is exactly
-/// `conv2d_infer`; the int8 form quantizes this trial's activations and
+/// `conv2d_forward`; the int8 form quantizes this trial's activations and
 /// weight with per-tensor scales.
 fn conv_single(
     x: &Tensor,
@@ -391,7 +391,7 @@ fn conv_single(
     precision: Precision,
 ) -> Result<Tensor> {
     match precision {
-        Precision::F32 => Ok(lcda_tensor::ops::conv2d_infer(x, weight, bias, params)?),
+        Precision::F32 => Ok(lcda_tensor::ops::conv2d_forward(x, weight, bias, params)?),
         Precision::Int8 => {
             Ok(
                 conv_stacked(x, std::slice::from_ref(weight), bias, params, precision)?

@@ -5,8 +5,8 @@ use crate::{DnnError, Result};
 use lcda_base::rng::Rng;
 use lcda_tensor::init::Init;
 use lcda_tensor::ops::{
-    conv2d_backward, conv2d_forward, conv2d_infer, maxpool2_backward, maxpool2_forward,
-    relu_backward, relu_forward, Conv2dParams, ConvGeometry,
+    conv2d_backward, conv2d_forward, maxpool2_backward, maxpool2_forward, relu_backward,
+    relu_forward, Conv2dParams, ConvGeometry,
 };
 use lcda_tensor::{Shape, Tensor};
 
@@ -36,7 +36,7 @@ pub struct Conv2dLayer {
     pub weight: Param,
     /// Per-output-channel bias.
     pub bias: Param,
-    cols_cache: Option<Tensor>,
+    input_cache: Option<Tensor>,
 }
 
 impl Conv2dLayer {
@@ -54,7 +54,7 @@ impl Conv2dLayer {
             params,
             weight: Param::new(weight),
             bias: Param::new(bias),
-            cols_cache: None,
+            input_cache: None,
         })
     }
 }
@@ -143,9 +143,8 @@ impl Layer {
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         match self {
             Layer::Conv2d(l) => {
-                let (out, cache) =
-                    conv2d_forward(input, &l.weight.value, &l.bias.value, &l.params)?;
-                l.cols_cache = Some(cache);
+                let out = conv2d_forward(input, &l.weight.value, &l.bias.value, &l.params)?;
+                l.input_cache = Some(input.clone());
                 Ok(out)
             }
             Layer::Linear(l) => {
@@ -182,7 +181,7 @@ impl Layer {
     /// Propagates tensor shape errors.
     pub fn infer(&self, input: &Tensor) -> Result<Tensor> {
         match self {
-            Layer::Conv2d(l) => Ok(conv2d_infer(
+            Layer::Conv2d(l) => Ok(conv2d_forward(
                 input,
                 &l.weight.value,
                 &l.bias.value,
@@ -209,10 +208,10 @@ impl Layer {
     pub fn backward(&mut self, d_out: &Tensor) -> Result<Tensor> {
         match self {
             Layer::Conv2d(l) => {
-                let cols = l.cols_cache.as_ref().ok_or_else(|| {
+                let input = l.input_cache.as_ref().ok_or_else(|| {
                     DnnError::InvalidTraining("conv backward before forward".to_string())
                 })?;
-                let (d_in, d_w, d_b) = conv2d_backward(d_out, &l.weight.value, cols, &l.params)?;
+                let (d_in, d_w, d_b) = conv2d_backward(d_out, input, &l.weight.value, &l.params)?;
                 l.weight.grad.axpy(1.0, &d_w)?;
                 l.bias.grad.axpy(1.0, &d_b)?;
                 Ok(d_in)

@@ -1,12 +1,20 @@
 //! 2-D convolution forward and backward passes.
 //!
-//! The forward pass lowers the whole batch with
-//! [`im2col_batch`](super::im2col::im2col_batch) and runs **one** GEMM per
-//! layer; per-output-element summation chains are identical to the old
-//! per-sample formulation, so results are bit-identical while the GEMM
-//! gets hardware-friendly shapes.
+//! Both passes lower **one sample at a time** into a single reused patch
+//! buffer and run one GEMM per sample, so memory beyond the operands is
+//! one sample's `(c_in*k*k, oh*ow)` patch matrix, whatever the batch
+//! size. The backward pass rebuilds each sample's patches from the
+//! layer input instead of keeping a batch-wide patch matrix alive
+//! between the passes.
+//!
+//! Per-sample GEMMs leave every output element's summation chain as
+//! the whole-batch formulation (one `(c_out, n*oh*ow)` GEMM) had it: the
+//! forward's chains never cross samples, and the weight gradient
+//! accumulates sample after sample into one buffer, which is the same
+//! ascending-`k` chain (see [`gemm_f32`]). The two are bit-identical.
 
-use super::im2col::{col2im_batch, im2col_batch, ConvGeometry};
+use super::gemm::gemm_f32;
+use super::im2col::{col2im_into, im2col_into, ConvGeometry};
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// A convolution layer's hyper-parameters plus its geometry.
@@ -98,39 +106,12 @@ fn check_operands(
     Ok(n)
 }
 
-/// Shared forward body: lowers the batch once, runs one GEMM, scatters
-/// bias-added output planes. Returns `(output, batched patch matrix)`.
-fn conv2d_forward_impl(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    params: &Conv2dParams,
-    n: usize,
-) -> Result<(Tensor, Tensor)> {
-    let geom = &params.geom;
-    let pc = geom.patch_cols();
-    let out_plane = params.out_channels * pc;
-    let cols = im2col_batch(input, geom)?; // (c_in*k*k, n*pc)
-    let prod = weight.matmul(&cols)?; // (c_out, n*pc)
-    let mut out = vec![0.0f32; n * out_plane];
-    for s in 0..n {
-        let dst = &mut out[s * out_plane..(s + 1) * out_plane];
-        for c in 0..params.out_channels {
-            let b = bias.as_slice()[c];
-            let src = &prod.as_slice()[c * n * pc + s * pc..c * n * pc + (s + 1) * pc];
-            for (d, &v) in dst[c * pc..(c + 1) * pc].iter_mut().zip(src) {
-                *d = v + b;
-            }
-        }
-    }
-    Ok((Tensor::from_vec(params.output_shape(n), out)?, cols))
-}
-
-/// Convolution forward pass via batched im2col + a single GEMM.
+/// Convolution forward pass, lowered one sample at a time.
 ///
 /// `input` is `(n, c_in, h, w)`, `weight` is `(c_out, c_in*k*k)`, `bias` is
-/// `(c_out)`. Returns `(n, c_out, out_h, out_w)` and caches the batched
-/// patch matrix `(c_in*k*k, n * oh*ow)` for the backward pass.
+/// `(c_out)`. Returns `(n, c_out, out_h, out_w)`. Each sample's GEMM
+/// writes straight into that sample's output planes, which NCHW already
+/// stores as a `(c_out, out_h*out_w)` matrix; the bias is added after.
 ///
 /// # Errors
 ///
@@ -140,97 +121,101 @@ pub fn conv2d_forward(
     weight: &Tensor,
     bias: &Tensor,
     params: &Conv2dParams,
-) -> Result<(Tensor, Tensor)> {
-    let n = check_operands(input, weight, bias, params, "conv2d_forward")?;
-    conv2d_forward_impl(input, weight, bias, params, n)
-}
-
-/// Inference-only convolution forward: identical math to
-/// [`conv2d_forward`] but does not return the patch-matrix cache, so
-/// evaluation paths (Monte-Carlo trials, `Network::predict`) skip the
-/// cache allocation entirely.
-///
-/// # Errors
-///
-/// Returns shape errors when any operand disagrees with `params`.
-pub fn conv2d_infer(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    params: &Conv2dParams,
 ) -> Result<Tensor> {
-    let n = check_operands(input, weight, bias, params, "conv2d_infer")?;
-    conv2d_forward_impl(input, weight, bias, params, n).map(|(out, _)| out)
-}
-
-/// Convolution backward pass.
-///
-/// Given `d_out` `(n, c_out, oh, ow)` and the batched patch matrix cached
-/// by [`conv2d_forward`], returns `(d_input, d_weight, d_bias)`. The
-/// weight gradient is one fused GEMM over the whole batch (this changes
-/// float association versus a per-sample accumulation — gradients are
-/// tolerance-checked, not bit-pinned).
-///
-/// # Errors
-///
-/// Returns shape errors when operands disagree with `params` or the cache
-/// does not match the batch.
-pub fn conv2d_backward(
-    d_out: &Tensor,
-    weight: &Tensor,
-    cols_cache: &Tensor,
-    params: &Conv2dParams,
-) -> Result<(Tensor, Tensor, Tensor)> {
-    if d_out.shape().rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: d_out.shape().rank(),
-            op: "conv2d_backward",
-        });
-    }
-    let n = d_out.shape().dims()[0];
-    if d_out.shape() != &params.output_shape(n) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: d_out.shape().to_string(),
-            rhs: params.output_shape(n).to_string(),
-            op: "conv2d_backward",
-        });
-    }
+    let n = check_operands(input, weight, bias, params, "conv2d_forward")?;
     let geom = &params.geom;
-    let pc = geom.patch_cols();
-    if cols_cache.shape() != &Shape::d2(geom.patch_rows(), n * pc) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: cols_cache.shape().to_string(),
-            rhs: Shape::d2(geom.patch_rows(), n * pc).to_string(),
-            op: "conv2d_backward",
-        });
-    }
-    let out_plane = params.out_channels * pc;
-
-    // Gather d_out (n, c_out, oh, ow) into column-batched layout
-    // (c_out, n*pc) matching the cached patch matrix.
-    let mut d_mat = vec![0.0f32; params.out_channels * n * pc];
-    for s in 0..n {
-        let src = &d_out.as_slice()[s * out_plane..(s + 1) * out_plane];
-        for c in 0..params.out_channels {
-            d_mat[c * n * pc + s * pc..c * n * pc + (s + 1) * pc]
-                .copy_from_slice(&src[c * pc..(c + 1) * pc]);
+    let (ckk, pc, c_out) = (geom.patch_rows(), geom.patch_cols(), params.out_channels);
+    let plane = geom.in_channels * geom.in_h * geom.in_w;
+    let mut patches = vec![0.0f32; ckk * pc];
+    let mut out = vec![0.0f32; n * c_out * pc];
+    for (x_s, y_s) in input
+        .as_slice()
+        .chunks_exact(plane)
+        .zip(out.chunks_exact_mut(c_out * pc))
+    {
+        im2col_into(x_s, geom, &mut patches);
+        gemm_f32(c_out, ckk, pc, weight.as_slice(), &patches, y_s);
+        for (channel, &b) in y_s.chunks_exact_mut(pc).zip(bias.as_slice()) {
+            for y in channel {
+                *y += b;
+            }
         }
     }
-    let d_mat = Tensor::from_vec(Shape::d2(params.out_channels, n * pc), d_mat)?;
+    Tensor::from_vec(params.output_shape(n), out)
+}
 
-    // dW = dOut_mat * cols^T in one GEMM over the batch.
-    let d_weight = d_mat.matmul(&cols_cache.transpose()?)?;
-    // db = row sums of dOut_mat.
-    let mut d_bias = Tensor::zeros(Shape::d1(params.out_channels));
-    for c in 0..params.out_channels {
-        let sum: f32 = d_mat.as_slice()[c * n * pc..(c + 1) * n * pc].iter().sum();
-        d_bias.as_mut_slice()[c] = sum;
+/// Convolution backward pass from the layer's `input`, lowered one
+/// sample at a time.
+///
+/// Given `d_out` `(n, c_out, oh, ow)` and the forward's `input`, returns
+/// `(d_input, d_weight, d_bias)`. Per sample `s` it rebuilds the patches
+/// `P_s`, accumulates `d_weight += dY_s · P_sᵀ` and scatters
+/// `Wᵀ · dY_s` into `d_input[s]`; `d_bias` sums each channel over
+/// samples, then pixels.
+///
+/// # Errors
+///
+/// Returns shape errors when any operand disagrees with `params` or
+/// `d_out` does not match the batch.
+pub fn conv2d_backward(
+    d_out: &Tensor,
+    input: &Tensor,
+    weight: &Tensor,
+    params: &Conv2dParams,
+) -> Result<(Tensor, Tensor, Tensor)> {
+    let n = check_input(input, params, "conv2d_backward")?;
+    for (got, want) in [
+        (d_out.shape(), &params.output_shape(n)),
+        (weight.shape(), &params.weight_shape()),
+    ] {
+        if got != want {
+            return Err(TensorError::ShapeMismatch {
+                lhs: got.to_string(),
+                rhs: want.to_string(),
+                op: "conv2d_backward",
+            });
+        }
     }
-    // dInput = col2im_batch(W^T * dOut_mat).
-    let d_cols = weight.transpose()?.matmul(&d_mat)?;
-    let d_input = col2im_batch(&d_cols, n, geom)?;
-    Ok((d_input, d_weight, d_bias))
+    let geom = &params.geom;
+    let (ckk, pc, c_out) = (geom.patch_rows(), geom.patch_cols(), params.out_channels);
+    let plane = geom.in_channels * geom.in_h * geom.in_w;
+    let w_t = weight.transpose()?; // (ckk, c_out)
+    let mut patches = vec![0.0f32; ckk * pc];
+    let mut patches_t = vec![0.0f32; pc * ckk];
+    let mut d_cols = vec![0.0f32; ckk * pc];
+    let mut d_weight = vec![0.0f32; c_out * ckk];
+    let mut d_input = vec![0.0f32; input.len()];
+    let samples = input
+        .as_slice()
+        .chunks_exact(plane)
+        .zip(d_out.as_slice().chunks_exact(c_out * pc))
+        .zip(d_input.chunks_exact_mut(plane));
+    for ((x_s, dy_s), dx_s) in samples {
+        im2col_into(x_s, geom, &mut patches);
+        for (r, row) in patches.chunks_exact(pc).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                patches_t[j * ckk + r] = v;
+            }
+        }
+        gemm_f32(c_out, pc, ckk, dy_s, &patches_t, &mut d_weight);
+        d_cols.fill(0.0);
+        gemm_f32(ckk, c_out, pc, w_t.as_slice(), dy_s, &mut d_cols);
+        col2im_into(&d_cols, geom, dx_s);
+    }
+    let d_bias = (0..c_out)
+        .map(|c| {
+            d_out
+                .as_slice()
+                .chunks_exact(c_out * pc)
+                .flat_map(|dy_s| &dy_s[c * pc..(c + 1) * pc])
+                .sum()
+        })
+        .collect();
+    Ok((
+        Tensor::from_vec(input.shape().clone(), d_input)?,
+        Tensor::from_vec(params.weight_shape(), d_weight)?,
+        Tensor::from_vec(Shape::d1(c_out), d_bias)?,
+    ))
 }
 
 /// Reference direct (nested-loop) convolution used to validate the im2col
@@ -304,7 +289,7 @@ mod tests {
             let input = rand_tensor(Shape::d4(2, 3, 8, 8), &mut rng);
             let weight = rand_tensor(params.weight_shape(), &mut rng);
             let bias = rand_tensor(Shape::d1(4), &mut rng);
-            let (fast, _) = conv2d_forward(&input, &weight, &bias, &params).unwrap();
+            let fast = conv2d_forward(&input, &weight, &bias, &params).unwrap();
             let slow = conv2d_forward_direct(&input, &weight, &bias, &params).unwrap();
             let max_err = fast
                 .as_slice()
@@ -327,11 +312,11 @@ mod tests {
 
         // Loss = sum of outputs, so dOut = ones.
         let loss = |w: &Tensor, b: &Tensor, x: &Tensor| -> f32 {
-            conv2d_forward(x, w, b, &params).unwrap().0.sum()
+            conv2d_forward(x, w, b, &params).unwrap().sum()
         };
-        let (out, cache) = conv2d_forward(&input, &weight, &bias, &params).unwrap();
+        let out = conv2d_forward(&input, &weight, &bias, &params).unwrap();
         let d_out = Tensor::ones(out.shape().clone());
-        let (d_in, d_w, d_b) = conv2d_backward(&d_out, &weight, &cache, &params).unwrap();
+        let (d_in, d_w, d_b) = conv2d_backward(&d_out, &input, &weight, &params).unwrap();
 
         let eps = 1e-2f32;
         // Check a sample of weight gradients.
@@ -376,19 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward_bitwise() {
-        let mut rng = Rng::new(11);
-        let geom = ConvGeometry::new(3, 8, 8, 3, 1, 1).unwrap();
-        let params = Conv2dParams::new(geom, 4).unwrap();
-        let input = rand_tensor(Shape::d4(2, 3, 8, 8), &mut rng);
-        let weight = rand_tensor(params.weight_shape(), &mut rng);
-        let bias = rand_tensor(Shape::d1(4), &mut rng);
-        let (full, _) = conv2d_forward(&input, &weight, &bias, &params).unwrap();
-        let lean = conv2d_infer(&input, &weight, &bias, &params).unwrap();
-        assert_eq!(full.as_slice(), lean.as_slice());
-    }
-
-    #[test]
     fn macs_counts() {
         let geom = ConvGeometry::new(3, 32, 32, 3, 1, 1).unwrap();
         let params = Conv2dParams::new(geom, 16).unwrap();
@@ -408,6 +380,13 @@ mod tests {
         let input = Tensor::zeros(Shape::d4(1, 3, 8, 8));
         let bad_w = Tensor::zeros(Shape::d2(4, 10));
         assert!(conv2d_forward(&input, &bad_w, &bias, &params).is_err());
+
+        // Backward checks its operands too, before any GEMM would panic.
+        let d_out = Tensor::zeros(params.output_shape(1));
+        assert!(conv2d_backward(&d_out, &input, &bad_w, &params).is_err());
+        let bad_d_out = Tensor::zeros(params.output_shape(2));
+        assert!(conv2d_backward(&bad_d_out, &input, &weight, &params).is_err());
+        assert!(conv2d_backward(&d_out, &input, &weight, &params).is_ok());
     }
 
     #[test]

@@ -3,8 +3,16 @@
 //! The same lowering is used by the NeuroSim-style crossbar mapper (a conv
 //! layer occupies `k*k*c_in` crossbar rows), so this module is the single
 //! source of truth for convolution geometry in the workspace.
+//!
+//! Convolution lowers one sample at a time into a reused buffer (the
+//! crate-private `im2col_into` / `col2im_into`), so no patch matrix wider
+//! than one sample exists on the f32 training or inference path.
+//! [`im2col_batch`] lowers a whole batch for the int8 Monte-Carlo path,
+//! whose activation scale spans the batch, and for the fused engine's
+//! stacked first weighted layer.
 
 use crate::{Result, Shape, Tensor, TensorError};
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution: input plane, kernel, stride and padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +98,91 @@ impl ConvGeometry {
     }
 }
 
+/// The output positions `o` along one axis whose input coordinate
+/// `o * stride + offset - padding` falls inside `[0, len)`.
+fn valid_outputs(offset: usize, len: usize, out_len: usize, geom: &ConvGeometry) -> Range<usize> {
+    let lo = geom.padding.saturating_sub(offset).div_ceil(geom.stride);
+    let hi = (len + geom.padding)
+        .checked_sub(offset + 1)
+        .map_or(0, |last| last / geom.stride + 1)
+        .min(out_len);
+    lo..hi.max(lo)
+}
+
+/// Visits, in `(channel, ki, kj, oy)` order, every run of a patch row
+/// that reads the input rather than the padding: `f(row, oy, xs, first)`
+/// for patch row `row`, output row `oy` and the output columns `xs`
+/// whose input lies inside the plane. `first` indexes the input element
+/// column `xs.start` reads; the next columns step by the stride.
+fn for_each_run(geom: &ConvGeometry, mut f: impl FnMut(usize, usize, Range<usize>, usize)) {
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let k = geom.kernel;
+    for c in 0..geom.in_channels {
+        for ki in 0..k {
+            let ys = valid_outputs(ki, geom.in_h, oh, geom);
+            for kj in 0..k {
+                let row = (c * k + ki) * k + kj;
+                let xs = valid_outputs(kj, geom.in_w, ow, geom);
+                if xs.is_empty() {
+                    continue;
+                }
+                let ix = xs.start * geom.stride + kj - geom.padding;
+                for oy in ys.clone() {
+                    let iy = oy * geom.stride + ki - geom.padding;
+                    f(row, oy, xs.clone(), (c * geom.in_h + iy) * geom.in_w + ix);
+                }
+            }
+        }
+    }
+}
+
+/// Writes one sample's patches into a patch matrix whose rows are
+/// `row_stride` wide: patch row `r`, output pixel `j` lands at
+/// `out[r * row_stride + col_base + j]`. Padding positions are never
+/// written, so a zeroed (or reused) buffer keeps them zero.
+fn lower_sample(
+    src: &[f32],
+    geom: &ConvGeometry,
+    out: &mut [f32],
+    row_stride: usize,
+    col_base: usize,
+) {
+    let ow = geom.out_w();
+    for_each_run(geom, |row, oy, xs, first| {
+        let base = row * row_stride + col_base + oy * ow;
+        let dst = &mut out[base + xs.start..base + xs.end];
+        if geom.stride == 1 {
+            dst.copy_from_slice(&src[first..first + dst.len()]);
+        } else {
+            for (d, &v) in dst.iter_mut().zip(src[first..].iter().step_by(geom.stride)) {
+                *d = v;
+            }
+        }
+    });
+}
+
+/// Lowers one sample's `(c, h, w)` planes into `out`, its
+/// `(c*k*k, out_h*out_w)` patch matrix. `out` must start zeroed or hold
+/// a previous sample's patches of the same geometry: only non-padding
+/// positions are written, and they are the same for every sample.
+pub(crate) fn im2col_into(sample: &[f32], geom: &ConvGeometry, out: &mut [f32]) {
+    lower_sample(sample, geom, out, geom.patch_cols(), 0);
+}
+
+/// Adjoint of [`im2col_into`]: adds a `(c*k*k, out_h*out_w)` gradient
+/// matrix into one sample's `(c, h, w)` gradient planes, accumulating
+/// overlaps.
+pub(crate) fn col2im_into(cols: &[f32], geom: &ConvGeometry, dst: &mut [f32]) {
+    let (pc, ow) = (geom.patch_cols(), geom.out_w());
+    for_each_run(geom, |row, oy, xs, first| {
+        let base = row * pc + oy * ow;
+        let src = &cols[base + xs.start..base + xs.end];
+        for (d, &v) in dst[first..].iter_mut().step_by(geom.stride).zip(src) {
+            *d += v;
+        }
+    });
+}
+
 /// Lowers one NCHW sample `(c, h, w)` into a `(c*k*k, out_h*out_w)` matrix.
 ///
 /// Column `j` of the result is the flattened receptive field of output
@@ -108,33 +201,9 @@ pub fn im2col(input: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
             op: "im2col",
         });
     }
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let rows = geom.patch_rows();
-    let cols = oh * ow;
+    let (rows, cols) = (geom.patch_rows(), geom.patch_cols());
     let mut out = vec![0.0f32; rows * cols];
-    let src = input.as_slice();
-    let k = geom.kernel;
-    for c in 0..geom.in_channels {
-        for ki in 0..k {
-            for kj in 0..k {
-                let row = (c * k + ki) * k + kj;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ki) as isize - geom.padding as isize;
-                    if iy < 0 || iy >= geom.in_h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kj) as isize - geom.padding as isize;
-                        if ix < 0 || ix >= geom.in_w as isize {
-                            continue;
-                        }
-                        let src_idx = (c * geom.in_h + iy as usize) * geom.in_w + ix as usize;
-                        out[row * cols + oy * ow + ox] = src[src_idx];
-                    }
-                }
-            }
-        }
-    }
+    im2col_into(input.as_slice(), geom, &mut out);
     Tensor::from_vec(Shape::d2(rows, cols), out)
 }
 
@@ -153,32 +222,8 @@ pub fn col2im(cols: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
             op: "col2im",
         });
     }
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let n_cols = oh * ow;
     let mut out = vec![0.0f32; geom.in_channels * geom.in_h * geom.in_w];
-    let src = cols.as_slice();
-    let k = geom.kernel;
-    for c in 0..geom.in_channels {
-        for ki in 0..k {
-            for kj in 0..k {
-                let row = (c * k + ki) * k + kj;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ki) as isize - geom.padding as isize;
-                    if iy < 0 || iy >= geom.in_h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kj) as isize - geom.padding as isize;
-                        if ix < 0 || ix >= geom.in_w as isize {
-                            continue;
-                        }
-                        let dst_idx = (c * geom.in_h + iy as usize) * geom.in_w + ix as usize;
-                        out[dst_idx] += src[row * n_cols + oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
+    col2im_into(cols.as_slice(), geom, &mut out);
     Tensor::from_vec(Shape::d3(geom.in_channels, geom.in_h, geom.in_w), out)
 }
 
@@ -187,11 +232,10 @@ pub fn col2im(cols: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
 ///
 /// Sample `s`'s patch matrix occupies the contiguous column block
 /// `[s * patch_cols, (s+1) * patch_cols)`, so each column block is exactly
-/// what [`im2col`] produces for that sample. Lowering the batch once lets
-/// convolution run as a single GEMM per layer instead of one GEMM per
-/// sample — and, crucially, the per-output-element summation chains are
-/// unchanged, so the batched forward stays bit-identical to the
-/// per-sample path.
+/// what [`im2col`] produces for that sample. Convolution lowers one sample
+/// at a time instead; the batch form serves the int8 Monte-Carlo path,
+/// which takes its activation scale over the whole batch, and the fused
+/// f32 engine's stacked first weighted layer.
 ///
 /// # Errors
 ///
@@ -211,94 +255,15 @@ pub fn im2col_batch(input: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         });
     }
     let batch = dims[0];
-    let (oh, ow) = (geom.out_h(), geom.out_w());
     let rows = geom.patch_rows();
-    let pc = oh * ow;
+    let pc = geom.patch_cols();
     let cols = batch * pc;
     let plane = geom.in_channels * geom.in_h * geom.in_w;
     let mut out = vec![0.0f32; rows * cols];
-    let k = geom.kernel;
-    for s in 0..batch {
-        let src = &input.as_slice()[s * plane..(s + 1) * plane];
-        let col_base = s * pc;
-        for c in 0..geom.in_channels {
-            for ki in 0..k {
-                for kj in 0..k {
-                    let row = (c * k + ki) * k + kj;
-                    for oy in 0..oh {
-                        let iy = (oy * geom.stride + ki) as isize - geom.padding as isize;
-                        if iy < 0 || iy >= geom.in_h as isize {
-                            continue;
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * geom.stride + kj) as isize - geom.padding as isize;
-                            if ix < 0 || ix >= geom.in_w as isize {
-                                continue;
-                            }
-                            let src_idx = (c * geom.in_h + iy as usize) * geom.in_w + ix as usize;
-                            out[row * cols + col_base + oy * ow + ox] = src[src_idx];
-                        }
-                    }
-                }
-            }
-        }
+    for (s, src) in input.as_slice().chunks_exact(plane).enumerate() {
+        lower_sample(src, geom, &mut out, cols, s * pc);
     }
     Tensor::from_vec(Shape::d2(rows, cols), out)
-}
-
-/// Adjoint of [`im2col_batch`]: scatters a `(c*k*k, n * out_h*out_w)`
-/// gradient matrix back into an `(n, c, h, w)` input gradient,
-/// accumulating overlaps.
-///
-/// # Errors
-///
-/// Returns a shape error when `cols` does not match the geometry for a
-/// batch of `batch` samples.
-pub fn col2im_batch(cols: &Tensor, batch: usize, geom: &ConvGeometry) -> Result<Tensor> {
-    let pc = geom.patch_cols();
-    let want = Shape::d2(geom.patch_rows(), batch * pc);
-    if cols.shape() != &want {
-        return Err(TensorError::ShapeMismatch {
-            lhs: cols.shape().to_string(),
-            rhs: want.to_string(),
-            op: "col2im_batch",
-        });
-    }
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let n_cols = batch * pc;
-    let plane = geom.in_channels * geom.in_h * geom.in_w;
-    let mut out = vec![0.0f32; batch * plane];
-    let src = cols.as_slice();
-    let k = geom.kernel;
-    for s in 0..batch {
-        let dst = &mut out[s * plane..(s + 1) * plane];
-        let col_base = s * pc;
-        for c in 0..geom.in_channels {
-            for ki in 0..k {
-                for kj in 0..k {
-                    let row = (c * k + ki) * k + kj;
-                    for oy in 0..oh {
-                        let iy = (oy * geom.stride + ki) as isize - geom.padding as isize;
-                        if iy < 0 || iy >= geom.in_h as isize {
-                            continue;
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * geom.stride + kj) as isize - geom.padding as isize;
-                            if ix < 0 || ix >= geom.in_w as isize {
-                                continue;
-                            }
-                            let dst_idx = (c * geom.in_h + iy as usize) * geom.in_w + ix as usize;
-                            dst[dst_idx] += src[row * n_cols + col_base + oy * ow + ox];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(
-        Shape::d4(batch, geom.in_channels, geom.in_h, geom.in_w),
-        out,
-    )
 }
 
 #[cfg(test)]
@@ -401,7 +366,63 @@ mod tests {
         assert!(col2im(&wrong_cols, &g).is_err());
         let wrong_batch = Tensor::zeros(Shape::d4(2, 2, 3, 3));
         assert!(im2col_batch(&wrong_batch, &g).is_err());
-        assert!(col2im_batch(&wrong_cols, 1, &g).is_err());
+    }
+
+    /// The run-based lowering equals the per-element index formula,
+    /// padding and strides included, and `col2im` adds in the same
+    /// `(channel, ki, kj, oy, ox)` order as that formula's scatter.
+    #[test]
+    fn lowering_matches_the_index_formula() {
+        let mut rng = lcda_base::rng::Rng::new(5);
+        // (size, kernel, stride, padding)
+        for (size, k, stride, pad) in [
+            (5, 1, 1, 0),
+            (5, 3, 1, 1),
+            (6, 3, 2, 1),
+            (7, 5, 3, 2),
+            (4, 7, 1, 3),
+            (6, 5, 1, 0),
+            (3, 3, 1, 2),
+        ] {
+            let g = ConvGeometry::new(2, size, size, k, stride, pad).unwrap();
+            let plane = 2 * size * size;
+            let x: Vec<f32> = (0..plane).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let (rows, pc, ow) = (g.patch_rows(), g.patch_cols(), g.out_w());
+            let y: Vec<f32> = (0..rows * pc).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let mut want_cols = vec![0.0f32; rows * pc];
+            let mut want_grad = vec![0.0f32; plane];
+            for c in 0..2 {
+                for ki in 0..k {
+                    for kj in 0..k {
+                        let row = (c * k + ki) * k + kj;
+                        for oy in 0..g.out_h() {
+                            for ox in 0..ow {
+                                let iy = (oy * stride + ki) as isize - pad as isize;
+                                let ix = (ox * stride + kj) as isize - pad as isize;
+                                if iy < 0 || ix < 0 || iy >= size as isize || ix >= size as isize {
+                                    continue;
+                                }
+                                let src = (c * size + iy as usize) * size + ix as usize;
+                                want_cols[row * pc + oy * ow + ox] = x[src];
+                                want_grad[src] += y[row * pc + oy * ow + ox];
+                            }
+                        }
+                    }
+                }
+            }
+            let x = Tensor::from_vec(Shape::d3(2, size, size), x).unwrap();
+            let y = Tensor::from_vec(Shape::d2(rows, pc), y).unwrap();
+            let case = format!("size={size} k={k} stride={stride} pad={pad}");
+            assert_eq!(im2col(&x, &g).unwrap().as_slice(), &want_cols[..], "{case}");
+            let grad: Vec<u32> = col2im(&y, &g)
+                .unwrap()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u32> = want_grad.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(grad, want, "{case}");
+        }
     }
 
     #[test]
@@ -431,36 +452,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn col2im_batch_matches_per_sample() {
-        let g = ConvGeometry::new(2, 4, 4, 3, 1, 1).unwrap();
-        let mut rng = lcda_base::rng::Rng::new(13);
-        let batch = 2;
-        let (rows, pc) = (g.patch_rows(), g.patch_cols());
-        let data: Vec<f32> = (0..rows * batch * pc)
-            .map(|_| rng.uniform(-1.0, 1.0))
-            .collect();
-        let cols = Tensor::from_vec(Shape::d2(rows, batch * pc), data.clone()).unwrap();
-        let grad = col2im_batch(&cols, batch, &g).unwrap();
-        let plane = 2 * 4 * 4;
-        for s in 0..batch {
-            // Extract sample s's column block and run the single-sample adjoint.
-            let mut block = vec![0.0f32; rows * pc];
-            for row in 0..rows {
-                block[row * pc..(row + 1) * pc].copy_from_slice(
-                    &data[row * batch * pc + s * pc..row * batch * pc + (s + 1) * pc],
-                );
-            }
-            let single =
-                col2im(&Tensor::from_vec(Shape::d2(rows, pc), block).unwrap(), &g).unwrap();
-            assert_eq!(
-                &grad.as_slice()[s * plane..(s + 1) * plane],
-                single.as_slice(),
-                "sample {s} gradient mismatch"
-            );
         }
     }
 }

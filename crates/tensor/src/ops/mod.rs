@@ -12,10 +12,8 @@ mod loss;
 mod pool;
 
 pub use activation::{relu_backward, relu_forward, softmax_rows};
-pub use conv::{
-    conv2d_backward, conv2d_forward, conv2d_forward_direct, conv2d_infer, Conv2dParams,
-};
+pub use conv::{conv2d_backward, conv2d_forward, conv2d_forward_direct, Conv2dParams};
 pub use gemm::{gemm_f32, gemm_i8, gemm_ref, quantize_symmetric};
-pub use im2col::{col2im, col2im_batch, im2col, im2col_batch, ConvGeometry};
+pub use im2col::{col2im, im2col, im2col_batch, ConvGeometry};
 pub use loss::{cross_entropy_loss, one_hot};
 pub use pool::{maxpool2_backward, maxpool2_forward};

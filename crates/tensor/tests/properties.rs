@@ -97,7 +97,7 @@ fn conv_paths_agree() {
             (0..c_out).map(|_| rng.uniform(-1.0, 1.0)).collect(),
         )
         .unwrap();
-        let (fast, _) = conv2d_forward(&input, &weight, &bias, &params).unwrap();
+        let fast = conv2d_forward(&input, &weight, &bias, &params).unwrap();
         let slow = conv2d_forward_direct(&input, &weight, &bias, &params).unwrap();
         for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");

@@ -51,6 +51,14 @@ for precision in f32 int8; do
     cmp "$journal_dir/trained_$precision.json" "tests/fixtures/trained_eval/$precision.json" \
         || { echo "ci: trained $precision evaluation differs from its fixture" >&2; exit 1; }
 done
+# The design above is all 1x1, so no two patches overlap. This one's
+# 3x3 and 5x5 kernels check the padded, overlapping im2col/col2im of
+# training and inference against recorded bytes (f32, about 30 s).
+kernels_design="[[16,3],[16,5],[16,3],[16,1],[16,1],[16,1]] | hw: [64,4,2,rram]"
+./target/release/lcda evaluate --evaluator trained --json \
+    --design "$kernels_design" > "$journal_dir/trained_f32_kernels.json"
+cmp "$journal_dir/trained_f32_kernels.json" tests/fixtures/trained_eval/f32_kernels.json \
+    || { echo "ci: trained 3x3/5x5 evaluation differs from its fixture" >&2; exit 1; }
 
 # GEMM equivalence smoke: the blocked microkernel must stay bit-identical
 # to the scalar reference (unit tests + seeded properties, all named gemm_*).

@@ -81,10 +81,12 @@ fn session_mirrors_a_plain_map() {
             let key = format!("k{}", rng.below(24));
             let value = rng.uniform_f64(0.0, 1.0);
             if rng.chance(0.5) {
-                // Finite values are always accepted; on a duplicate key
-                // the first admission wins, so the model only inserts
-                // when the key is absent.
-                assert!(session.insert_accuracy(key.clone(), value));
+                // A finite value is admitted only when the key is
+                // absent; on a duplicate key the first admission wins.
+                assert_eq!(
+                    session.insert_accuracy(key.clone(), value),
+                    !model.contains_key(&key)
+                );
                 model.entry(key.clone()).or_insert(value);
             } else {
                 lookups += 1;
@@ -94,6 +96,7 @@ fn session_mirrors_a_plain_map() {
         let stats = session.stats();
         assert_eq!(stats.hits + stats.misses, lookups);
         assert_eq!(stats.cross_run_hits, 0u64);
+        assert_eq!(stats.inserts, model.len() as u64);
         assert_eq!(store.len(), model.len());
     });
 }
