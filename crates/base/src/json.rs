@@ -1,11 +1,14 @@
-//! JSON for the workspace: one value tree, one parser and one writer.
+//! JSON for the workspace: one writer, one parser and one value tree.
 //!
-//! [`ToJson`] turns a value into a [`Value`] tree and [`FromJson`] reads
-//! it back; [`impl_json!`](crate::impl_json) implements both for a struct
-//! or enum from a list of its field or variant names. Every JSON text the
+//! [`ToJson`] writes a value as JSON text through [`JsonOut`], and can
+//! also build it as a [`Value`] tree; [`FromJson`] reads a tree back.
+//! [`impl_json!`](crate::impl_json) implements all three for a struct or
+//! enum from a list of its field or variant names. Every JSON text the
 //! workspace prints (checkpoints and their checksums, WAL lines, cache
-//! fingerprints, serve bodies, `--json` output) comes from
-//! [`Value`]'s one writer, so the same value always prints the same bytes:
+//! fingerprints, serve bodies, `--json` output) streams from
+//! [`ToJson::write_json`] through [`JsonOut`], with no tree in between;
+//! [`Value`]'s `Display` writes through the same [`JsonOut`]. So the same
+//! value always prints the same bytes:
 //!
 //! - object entries keep insertion order, so struct fields print in
 //!   declaration order;
@@ -65,6 +68,17 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub trait ToJson {
     /// This value's JSON tree.
     fn to_json(&self) -> Value;
+
+    /// Writes this value's JSON text to `out`: the text [`to_json`]'s
+    /// tree prints, without building the tree.
+    ///
+    /// [`to_json`]: ToJson::to_json
+    ///
+    /// # Errors
+    ///
+    /// Fails when the sink does, or when [`JsonOut::flatten`] is handed
+    /// a payload that does not write an object.
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result;
 }
 
 /// A value that can be read back from JSON.
@@ -88,13 +102,37 @@ pub trait FromJson: Sized {
 }
 
 /// Compact JSON of `value`.
+///
+/// # Panics
+///
+/// Panics when `value`'s [`ToJson::write_json`] fails, which only a
+/// [`JsonOut::flatten`] over a payload that is not an object does.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string()
+    render(value, false)
 }
 
 /// Pretty JSON of `value`, indented by two spaces.
+///
+/// # Panics
+///
+/// As [`to_string`].
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
-    format!("{:#}", value.to_json())
+    render(value, true)
+}
+
+fn render<T: ToJson + ?Sized>(value: &T, pretty: bool) -> String {
+    let mut text = String::new();
+    // A `String` sink never fails, so an error is a malformed `flatten`.
+    if value
+        .write_json(&mut JsonOut::new(&mut text, pretty))
+        .is_err()
+    {
+        panic!(
+            "JSON of {}: a flattened payload is not an object",
+            std::any::type_name::<T>()
+        );
+    }
+    text
 }
 
 /// Parses JSON text into a `T`.
@@ -118,18 +156,27 @@ pub fn from_slice<T: FromJson>(bytes: &[u8]) -> Result<T> {
 
 /// `name` in snake case: `RunStart` becomes `run_start`.
 pub fn snake_case(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    for (i, ch) in name.chars().enumerate() {
-        if ch.is_ascii_uppercase() {
-            if i > 0 {
-                out.push('_');
+    SnakeCase(name).to_string()
+}
+
+/// Displays a name in snake case, as [`snake_case`] returns it, without
+/// allocating.
+pub struct SnakeCase<'a>(pub &'a str);
+
+impl fmt::Display for SnakeCase<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, ch) in self.0.chars().enumerate() {
+            if ch.is_ascii_uppercase() {
+                if i > 0 {
+                    f.write_char('_')?;
+                }
+                f.write_char(ch.to_ascii_lowercase())?;
+            } else {
+                f.write_char(ch)?;
             }
-            out.push(ch.to_ascii_lowercase());
-        } else {
-            out.push(ch);
         }
+        Ok(())
     }
-    out
 }
 
 static NULL: Value = Value::Null;
@@ -309,56 +356,13 @@ impl Value {
             other => Err(other.invalid("an enum variant")),
         }
     }
-
-    fn write(&self, out: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
-        let inner = indent.map(|d| d + 1);
-        match self {
-            Value::Null => out.write_str("null"),
-            Value::Bool(b) => write!(out, "{b}"),
-            Value::Int(i) => write!(out, "{i}"),
-            Value::F32(x) if x.is_finite() => write!(out, "{x:?}"),
-            Value::F64(x) if x.is_finite() => write!(out, "{x:?}"),
-            Value::F32(_) | Value::F64(_) => out.write_str("null"),
-            Value::String(s) => write_str(s, out),
-            Value::Array(items) => {
-                out.write_char('[')?;
-                for (k, item) in items.iter().enumerate() {
-                    if k > 0 {
-                        out.write_char(',')?;
-                    }
-                    newline(out, inner)?;
-                    item.write(out, inner)?;
-                }
-                if !items.is_empty() {
-                    newline(out, indent)?;
-                }
-                out.write_char(']')
-            }
-            Value::Object(entries) => {
-                out.write_char('{')?;
-                for (k, (key, value)) in entries.iter().enumerate() {
-                    if k > 0 {
-                        out.write_char(',')?;
-                    }
-                    newline(out, inner)?;
-                    write_str(key, out)?;
-                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
-                    value.write(out, inner)?;
-                }
-                if !entries.is_empty() {
-                    newline(out, indent)?;
-                }
-                out.write_char('}')
-            }
-        }
-    }
 }
 
 impl fmt::Display for Value {
     /// Compact JSON; `{:#}` is pretty.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let indent = f.alternate().then_some(0);
-        self.write(f, indent)
+        let pretty = f.alternate();
+        self.write_json(&mut JsonOut::new(f, pretty))
     }
 }
 
@@ -404,41 +408,266 @@ macro_rules! value_eq {
 
 value_eq!(bool, i32, i64, u32, u64, usize, &str, String);
 
-fn write_str(s: &str, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-    out.write_char('"')?;
-    let mut run = 0;
-    for (i, ch) in s.char_indices() {
-        let escape = match ch {
-            '"' => "\\\"",
-            '\\' => "\\\\",
-            '\n' => "\\n",
-            '\r' => "\\r",
-            '\t' => "\\t",
-            '\u{8}' => "\\b",
-            '\u{c}' => "\\f",
-            c if (c as u32) < 0x20 => "",
-            _ => continue,
-        };
-        out.write_str(&s[run..i])?;
-        if escape.is_empty() {
-            write!(out, "\\u{:04x}", ch as u32)?;
-        } else {
-            out.write_str(escape)?;
-        }
-        run = i + ch.len_utf8();
-    }
-    out.write_str(&s[run..])?;
-    out.write_char('"')
+/// Writes JSON text into a `fmt::Write` sink, compact or pretty (one
+/// entry per line, indented by two spaces): the one writer behind
+/// [`ToJson::write_json`], [`to_string`], [`to_string_pretty`] and
+/// [`Value`]'s `Display`.
+///
+/// A value is written by its own method (`null`, `bool`, `int`, ...).
+/// An array is `begin_array`, then `element` before each item, then
+/// `end_array`; an object is `begin_object`, then `key` (or `field`)
+/// before each entry, then `end_object`. The writer supplies commas,
+/// line breaks and indentation.
+///
+/// ```
+/// use lcda_base::json::JsonOut;
+/// let mut text = String::new();
+/// let mut out = JsonOut::new(&mut text, false);
+/// out.begin_object().unwrap();
+/// out.field("ids", &[1, 2]).unwrap();
+/// out.key("name").unwrap();
+/// out.string("a\"b").unwrap();
+/// out.end_object().unwrap();
+/// assert_eq!(text, r#"{"ids":[1,2],"name":"a\"b"}"#);
+/// ```
+pub struct JsonOut<'a> {
+    sink: &'a mut dyn fmt::Write,
+    pretty: bool,
+    /// Arrays and objects open around the next value.
+    depth: usize,
+    /// The innermost open array or object has no entry yet.
+    empty: bool,
+    /// The next object continues the one already open (see
+    /// [`JsonOut::flatten`]).
+    merge: bool,
 }
 
-fn newline(out: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
-    if let Some(level) = indent {
-        out.write_char('\n')?;
-        for _ in 0..level {
-            out.write_str("  ")?;
+impl<'a> JsonOut<'a> {
+    /// A writer into `sink`: pretty when `pretty` holds, else compact.
+    pub fn new(sink: &'a mut dyn fmt::Write, pretty: bool) -> Self {
+        JsonOut {
+            sink,
+            pretty,
+            depth: 0,
+            empty: true,
+            merge: false,
         }
     }
-    Ok(())
+
+    /// Fails when a value other than an object is written where
+    /// [`JsonOut::flatten`] expects its payload's object.
+    fn not_flattening(&self) -> fmt::Result {
+        if self.merge {
+            Err(fmt::Error)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> fmt::Result {
+        self.not_flattening()?;
+        self.sink.write_str("null")
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> fmt::Result {
+        self.not_flattening()?;
+        self.sink.write_str(if b { "true" } else { "false" })
+    }
+
+    /// An integer in decimal.
+    pub fn int(&mut self, i: i128) -> fmt::Result {
+        self.not_flattening()?;
+        write!(self.sink, "{i}")
+    }
+
+    /// An `f32` in its shortest `f32` form; NaN and infinities as `null`.
+    pub fn f32(&mut self, x: f32) -> fmt::Result {
+        self.not_flattening()?;
+        if x.is_finite() {
+            write!(self.sink, "{x:?}")
+        } else {
+            self.sink.write_str("null")
+        }
+    }
+
+    /// An `f64` in its shortest form; NaN and infinities as `null`.
+    pub fn f64(&mut self, x: f64) -> fmt::Result {
+        self.not_flattening()?;
+        if x.is_finite() {
+            write!(self.sink, "{x:?}")
+        } else {
+            self.sink.write_str("null")
+        }
+    }
+
+    /// A string, quoted and escaped.
+    pub fn string(&mut self, s: &str) -> fmt::Result {
+        self.not_flattening()?;
+        self.sink.write_char('"')?;
+        Escaped(&mut *self.sink).write_str(s)?;
+        self.sink.write_char('"')
+    }
+
+    /// `s`'s display form as a string, escaped as it streams, so it is
+    /// never held as a `String`.
+    pub fn string_display(&mut self, s: &dyn fmt::Display) -> fmt::Result {
+        self.not_flattening()?;
+        self.sink.write_char('"')?;
+        write!(Escaped(&mut *self.sink), "{s}")?;
+        self.sink.write_char('"')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> fmt::Result {
+        self.not_flattening()?;
+        self.open('[')
+    }
+
+    /// Starts the next array element.
+    pub fn element(&mut self) -> fmt::Result {
+        self.separate()
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> fmt::Result {
+        self.close(']')
+    }
+
+    /// Opens an object, or continues the one a [`JsonOut::flatten`]
+    /// left open.
+    pub fn begin_object(&mut self) -> fmt::Result {
+        if self.merge {
+            self.merge = false;
+            return Ok(());
+        }
+        self.open('{')
+    }
+
+    /// Starts the next object entry: its key and the colon. The value
+    /// written next is the entry's value.
+    pub fn key(&mut self, key: &str) -> fmt::Result {
+        self.separate()?;
+        self.sink.write_char('"')?;
+        Escaped(&mut *self.sink).write_str(key)?;
+        self.colon()
+    }
+
+    /// [`JsonOut::key`] with `key`'s display form, streamed unallocated.
+    pub fn key_display(&mut self, key: &dyn fmt::Display) -> fmt::Result {
+        self.separate()?;
+        self.sink.write_char('"')?;
+        write!(Escaped(&mut *self.sink), "{key}")?;
+        self.colon()
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> fmt::Result {
+        self.close('}')
+    }
+
+    /// One object entry: `key`, then `value`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) -> fmt::Result {
+        self.key(key)?;
+        value.write_json(self)
+    }
+
+    /// Writes `rest`, which must write one object, with the entry
+    /// `key: value` before its own entries, on one level:
+    /// `{"seq":3,"entry":"transition",..}` from `seq` and an entry whose
+    /// object is tagged `entry`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `rest` writes anything other than an object, or when
+    /// the sink does.
+    pub fn flatten<V, R>(&mut self, key: &str, value: &V, rest: &R) -> fmt::Result
+    where
+        V: ToJson + ?Sized,
+        R: ToJson + ?Sized,
+    {
+        self.begin_object()?;
+        self.field(key, value)?;
+        self.merge = true;
+        rest.write_json(self)?;
+        self.not_flattening()
+    }
+
+    fn open(&mut self, bracket: char) -> fmt::Result {
+        self.depth += 1;
+        self.empty = true;
+        self.sink.write_char(bracket)
+    }
+
+    fn close(&mut self, bracket: char) -> fmt::Result {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline()?;
+        }
+        self.empty = false;
+        self.sink.write_char(bracket)
+    }
+
+    /// The comma before every entry but the first, then the entry's line.
+    fn separate(&mut self) -> fmt::Result {
+        if !self.empty {
+            self.sink.write_char(',')?;
+        }
+        self.empty = false;
+        self.newline()
+    }
+
+    fn colon(&mut self) -> fmt::Result {
+        self.sink
+            .write_str(if self.pretty { "\": " } else { "\":" })
+    }
+
+    /// In pretty output, a line break and the current indentation, in
+    /// one write up to 16 levels deep.
+    fn newline(&mut self) -> fmt::Result {
+        const PAD: &str = "\n                                ";
+        if !self.pretty {
+            return Ok(());
+        }
+        match PAD.get(..=2 * self.depth) {
+            Some(line) => self.sink.write_str(line),
+            None => {
+                self.sink.write_char('\n')?;
+                (0..self.depth).try_for_each(|_| self.sink.write_str("  "))
+            }
+        }
+    }
+}
+
+/// A sink adapter that escapes what it is given as JSON string content.
+struct Escaped<'a>(&'a mut dyn fmt::Write);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut run = 0;
+        for (i, ch) in s.char_indices() {
+            let escape = match ch {
+                '"' => "\\\"",
+                '\\' => "\\\\",
+                '\n' => "\\n",
+                '\r' => "\\r",
+                '\t' => "\\t",
+                '\u{8}' => "\\b",
+                '\u{c}' => "\\f",
+                c if (c as u32) < 0x20 => "",
+                _ => continue,
+            };
+            self.0.write_str(&s[run..i])?;
+            if escape.is_empty() {
+                write!(self.0, "\\u{:04x}", ch as u32)?;
+            } else {
+                self.0.write_str(escape)?;
+            }
+            run = i + ch.len_utf8();
+        }
+        self.0.write_str(&s[run..])
+    }
 }
 
 const MAX_DEPTH: usize = 128;
@@ -687,6 +916,25 @@ impl ToJson for Value {
     fn to_json(&self) -> Value {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Int(i) => out.int(*i),
+            Value::F32(x) => out.f32(*x),
+            Value::F64(x) => out.f64(*x),
+            Value::String(s) => out.string(s),
+            Value::Array(items) => items.write_json(out),
+            Value::Object(entries) => {
+                out.begin_object()?;
+                for (key, value) in entries {
+                    out.field(key, value)?;
+                }
+                out.end_object()
+            }
+        }
+    }
 }
 
 impl FromJson for Value {
@@ -698,6 +946,10 @@ impl FromJson for Value {
 impl ToJson for bool {
     fn to_json(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.bool(*self)
     }
 }
 
@@ -715,6 +967,10 @@ macro_rules! int_json {
         impl ToJson for $t {
             fn to_json(&self) -> Value {
                 Value::Int(*self as i128)
+            }
+
+            fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+                out.int(*self as i128)
             }
         }
 
@@ -737,6 +993,10 @@ impl ToJson for f32 {
     fn to_json(&self) -> Value {
         Value::F32(*self)
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.f32(*self)
+    }
 }
 
 impl FromJson for f32 {
@@ -752,6 +1012,10 @@ impl ToJson for f64 {
     fn to_json(&self) -> Value {
         Value::F64(*self)
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.f64(*self)
+    }
 }
 
 impl FromJson for f64 {
@@ -764,11 +1028,19 @@ impl ToJson for str {
     fn to_json(&self) -> Value {
         Value::String(self.to_owned())
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.string(self)
+    }
 }
 
 impl ToJson for String {
     fn to_json(&self) -> Value {
         Value::String(self.clone())
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.string(self)
     }
 }
 
@@ -797,17 +1069,29 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Value {
         (**self).to_json()
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        (**self).write_json(out)
+    }
 }
 
 impl<T: ToJson + ?Sized> ToJson for Box<T> {
     fn to_json(&self) -> Value {
         (**self).to_json()
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        (**self).write_json(out)
+    }
 }
 
 impl<T: ToJson + ?Sized> ToJson for Arc<T> {
     fn to_json(&self) -> Value {
         (**self).to_json()
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        (**self).write_json(out)
     }
 }
 
@@ -820,6 +1104,13 @@ impl<T: FromJson> FromJson for Box<T> {
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Value {
         self.as_ref().map_or(Value::Null, ToJson::to_json)
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.null(),
+        }
     }
 }
 
@@ -840,17 +1131,34 @@ impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.begin_array()?;
+        for item in self {
+            out.element()?;
+            item.write_json(out)?;
+        }
+        out.end_array()
+    }
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> Value {
         self.as_slice().to_json()
     }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        self.as_slice().write_json(out)
+    }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Value {
         self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        self.as_slice().write_json(out)
     }
 }
 
@@ -873,57 +1181,47 @@ impl<T: FromJson, const N: usize> FromJson for [T; N] {
     }
 }
 
-/// A map key: written as a JSON object key, read back from one.
-pub trait JsonKey: Sized {
-    /// The key's object-key text.
-    fn to_key(&self) -> String;
+/// A map key: written as a JSON object key (its display form), read
+/// back from one.
+pub trait JsonKey: fmt::Display + Sized {
     /// Parses the key back; `None` when the text is not one.
     fn from_key(key: &str) -> Option<Self>;
 }
 
 impl JsonKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
-    }
-
     fn from_key(key: &str) -> Option<Self> {
         Some(key.to_owned())
     }
 }
 
 impl JsonKey for Arc<str> {
-    fn to_key(&self) -> String {
-        self.to_string()
-    }
-
     fn from_key(key: &str) -> Option<Self> {
         Some(Arc::from(key))
     }
 }
 
-macro_rules! int_key {
-    ($($t:ty)*) => {$(
-        impl JsonKey for $t {
-            fn to_key(&self) -> String {
-                self.to_string()
-            }
-
-            fn from_key(key: &str) -> Option<Self> {
-                key.parse().ok()
-            }
-        }
-    )*};
+impl JsonKey for u64 {
+    fn from_key(key: &str) -> Option<Self> {
+        key.parse().ok()
+    }
 }
-
-int_key!(u64);
 
 impl<K: JsonKey, V: ToJson> ToJson for BTreeMap<K, V> {
     fn to_json(&self) -> Value {
         Value::Object(
             self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_json()))
+                .map(|(k, v)| (k.to_string(), v.to_json()))
                 .collect(),
         )
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.begin_object()?;
+        for (key, value) in self {
+            out.key_display(key)?;
+            value.write_json(out)?;
+        }
+        out.end_object()
     }
 }
 
@@ -946,6 +1244,15 @@ macro_rules! tuple_json {
         impl<$($name: ToJson),+> ToJson for ($($name,)+) {
             fn to_json(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_json()),+])
+            }
+
+            fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+                out.begin_array()?;
+                $(
+                    out.element()?;
+                    self.$idx.write_json(out)?;
+                )+
+                out.end_array()
             }
         }
 
@@ -1020,8 +1327,9 @@ macro_rules! json {
     };
 }
 
-/// Implements [`ToJson`] and [`FromJson`] for a struct or enum from the
-/// names of its fields or variants.
+/// Implements [`ToJson`] (both the tree and the streamed text) and
+/// [`FromJson`] for a struct or enum from the names of its fields or
+/// variants.
 ///
 /// A struct becomes an object whose entries follow the order the fields
 /// are listed in. A field may carry one option:
@@ -1068,6 +1376,13 @@ macro_rules! impl_json {
                 $( $crate::impl_json!(@put out, $field $(, $opt $($arg)?)?); )*
                 $crate::json::Value::Object(out)
             }
+
+            fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) -> ::std::fmt::Result {
+                let $name { $($field),* } = self;
+                out.begin_object()?;
+                $( $crate::impl_json!(@write out, $field $(, $opt $($arg)?)?); )*
+                out.end_object()
+            }
         }
 
         impl $(<$($gen: $crate::json::FromJson),+>)? $crate::json::FromJson for $name $(<$($gen),+>)? {
@@ -1084,6 +1399,10 @@ macro_rules! impl_json {
         impl $crate::json::ToJson for $name {
             fn to_json(&self) -> $crate::json::Value {
                 $crate::json::Value::Null
+            }
+
+            fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) -> ::std::fmt::Result {
+                out.null()
             }
         }
 
@@ -1115,6 +1434,17 @@ macro_rules! impl_json {
                         let fields = $crate::json::Value::Object(out);
                         let unit = $crate::impl_json!(@unit $({ $($field)* })?);
                         $crate::impl_json!(@wrap $layout $var, unit, fields)
+                    } )*
+                }
+            }
+
+            fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) -> ::std::fmt::Result {
+                match self {
+                    $( $name::$var $({ $($field),* })? => {
+                        let unit = $crate::impl_json!(@unit $({ $($field)* })?);
+                        $crate::impl_json!(@open $layout $var, unit, out);
+                        $($( $crate::impl_json!(@write out, $field $(, $opt $($arg)?)?); )*)?
+                        $crate::impl_json!(@close $layout, unit, out)
                     } )*
                 }
             }
@@ -1154,6 +1484,18 @@ macro_rules! impl_json {
         $crate::impl_json!(@case $($case)? $var)
     };
     (@case snake_case $var:ident) => { $crate::json::snake_case(stringify!($var)) };
+    // The same names as `@case`, written by a `JsonOut` as a string
+    // (`@string`) or an object key (`@key`) without allocating.
+    (@string snake_case $var:ident, $out:ident) => {
+        $out.string_display(&$crate::json::SnakeCase(stringify!($var)))?
+    };
+    (@string external $var:ident, $out:ident) => { $crate::impl_json!(@string $var, $out) };
+    (@string $var:ident, $out:ident) => { $out.string(stringify!($var))? };
+    (@key snake_case $var:ident, $out:ident) => {
+        $out.key_display(&$crate::json::SnakeCase(stringify!($var)))?
+    };
+    (@key external $var:ident, $out:ident) => { $crate::impl_json!(@key $var, $out) };
+    (@key $var:ident, $out:ident) => { $out.key(stringify!($var))? };
     (@case external $var:ident) => { $crate::impl_json!(@case $var) };
     (@case $var:ident) => { ::std::string::String::from(stringify!($var)) };
     (@unit) => { true };
@@ -1176,6 +1518,32 @@ macro_rules! impl_json {
         }
     }};
 
+    (@open [tag = $tag:literal $(, $case:ident)?] $var:ident, $unit:ident, $out:ident) => {
+        $out.begin_object()?;
+        $out.key($tag)?;
+        $crate::impl_json!(@string $($case)? $var, $out);
+    };
+    (@open [$layout:ident] $var:ident, $unit:ident, $out:ident) => {
+        if $unit {
+            $crate::impl_json!(@string $layout $var, $out);
+        } else {
+            $out.begin_object()?;
+            $crate::impl_json!(@key $layout $var, $out);
+            $out.begin_object()?;
+        }
+    };
+    (@close [tag = $tag:literal $(, $case:ident)?], $unit:ident, $out:ident) => {
+        $out.end_object()
+    };
+    (@close [$layout:ident], $unit:ident, $out:ident) => {
+        if $unit {
+            ::std::result::Result::Ok(())
+        } else {
+            $out.end_object()?;
+            $out.end_object()
+        }
+    };
+
     (@unwrap [tag = $tag:literal $(, $case:ident)?] $value:ident) => {
         ($value.field::<::std::string::String>($tag)?, $value)
     };
@@ -1193,6 +1561,18 @@ macro_rules! impl_json {
     (@put $out:ident, $v:ident, skip_if $skip:path) => {
         if !$skip($v) {
             $crate::impl_json!(@put $out, $v);
+        }
+    };
+
+    (@write $out:ident, $v:ident) => {
+        $out.field(stringify!($v), $v)?;
+    };
+    (@write $out:ident, $v:ident, default $($f:path)?) => {
+        $crate::impl_json!(@write $out, $v);
+    };
+    (@write $out:ident, $v:ident, skip_if $skip:path) => {
+        if !$skip($v) {
+            $crate::impl_json!(@write $out, $v);
         }
     };
 

@@ -336,3 +336,183 @@ fn shared_strings_print_and_parse_like_owned_ones() {
     let back: BTreeMap<Arc<str>, Vec<Arc<str>>> = lcda_base::json::from_str(&text).unwrap();
     assert_eq!(back, shared);
 }
+
+/// Compact and pretty text streamed by `write_json` equal the text its
+/// `Value` tree prints.
+fn assert_one_writer<T: ToJson + ?Sized>(value: &T) {
+    let tree = value.to_json();
+    assert_eq!(json::to_string(value), tree.to_string());
+    assert_eq!(json::to_string_pretty(value), format!("{tree:#}"));
+}
+
+#[derive(Debug)]
+struct Skipped {
+    note: Option<String>,
+    flag: bool,
+}
+
+impl_json!(struct Skipped {
+    #[skip_if = Option::is_none] note,
+    #[skip_if = std::ops::Not::not] flag,
+});
+
+#[derive(Debug)]
+enum Tagged {
+    Bare,
+    Full { size: usize, note: Option<String> },
+    Empty { note: Option<String> },
+}
+
+impl_json!(#[tag = "kind", snake_case] enum Tagged {
+    Bare,
+    Full { size, note },
+    Empty { #[skip_if = Option::is_none] note },
+});
+
+#[derive(Debug)]
+enum PlainTagged {
+    OnlyUnit,
+}
+
+impl_json!(
+    #[tag = "t"]
+    enum PlainTagged {
+        OnlyUnit,
+    }
+);
+
+#[test]
+fn streamed_text_equals_the_tree_text_on_edge_cases() {
+    for s in [
+        "",
+        "plain",
+        "quote \" and backslash \\ and slash /",
+        "controls \n \r \t \u{8} \u{c} \u{0} \u{1f} \u{7f}",
+        "non-ASCII é ß 中文 🦀 \u{2028}",
+    ] {
+        assert_one_writer(s);
+        assert_one_writer(&s.to_string());
+        // The same escaping applies to keys.
+        assert_one_writer(&BTreeMap::from([(s.to_string(), 1u8)]));
+    }
+    for x in [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        1e-300,
+        0.1,
+    ] {
+        assert_one_writer(&x);
+        assert_one_writer(&(x as f32));
+    }
+    assert_eq!(json::to_string(&[f32::NAN, f32::INFINITY]), "[null,null]");
+    assert_eq!(json::to_string(&f64::NEG_INFINITY), "null");
+    for i in [i64::MIN, -1, 0, 9, 10, i64::MAX] {
+        assert_one_writer(&i);
+    }
+    assert_one_writer(&u64::MAX);
+    assert_one_writer(&usize::MAX);
+    assert_one_writer(&Value::Int(i128::MIN));
+
+    // Empty containers, alone and nested.
+    let empty: Vec<u8> = Vec::new();
+    assert_one_writer(&empty);
+    assert_one_writer(&vec![empty.clone(), vec![1], empty]);
+    assert_one_writer(&BTreeMap::<u64, u8>::new());
+    assert_one_writer(&Value::Object(Vec::new()));
+    assert_one_writer(&json!({ "a": [], "b": {}, "c": [{}, []] }));
+    assert_eq!(
+        json::to_string_pretty(&json!({ "a": [] })),
+        "{\n  \"a\": []\n}"
+    );
+
+    // An object whose every field is skipped, alone and as an entry.
+    let bare = Skipped {
+        note: None,
+        flag: false,
+    };
+    assert_eq!(json::to_string(&bare), "{}");
+    assert_one_writer(&bare);
+    assert_one_writer(&vec![bare]);
+    assert_one_writer(&Skipped {
+        note: Some("n".into()),
+        flag: true,
+    });
+
+    // Unit, external and tagged variants.
+    assert_one_writer(&Plain::First);
+    assert_one_writer(&vec![Kind::Unit, Kind::Named { size: 3 }]);
+    let tagged = vec![
+        Tagged::Bare,
+        Tagged::Full {
+            size: 2,
+            note: None,
+        },
+        Tagged::Empty { note: None },
+        Tagged::Empty {
+            note: Some("x".into()),
+        },
+    ];
+    assert_eq!(
+        json::to_string(&tagged[..3]),
+        r#"[{"kind":"bare"},{"kind":"full","size":2,"note":null},{"kind":"empty"}]"#
+    );
+    assert_one_writer(&tagged);
+    assert_one_writer(&PlainTagged::OnlyUnit);
+    assert_one_writer(&Unit);
+
+    // `Option` nested in `Option`: both `None`s write `null`.
+    for v in [None, Some(None), Some(Some(4u8))] {
+        assert_one_writer(&v);
+    }
+    assert_one_writer(&vec![Some(Some(1u8)), Some(None), None]);
+
+    // Tuples, arrays, shared and boxed values.
+    assert_one_writer(&(1u8, "two", [3.5f32, f32::NAN]));
+    assert_one_writer(&Box::new((Some(1u8), false, Unit)));
+    assert_one_writer(&std::sync::Arc::<str>::from("arc"));
+}
+
+#[test]
+fn flatten_writes_one_object_and_refuses_a_payload_that_is_not_one() {
+    use lcda_base::json::JsonOut;
+    let mut text = String::new();
+    JsonOut::new(&mut text, true)
+        .flatten("seq", &3u8, &Tagged::Bare)
+        .unwrap();
+    assert_eq!(text, "{\n  \"seq\": 3,\n  \"kind\": \"bare\"\n}");
+    let mut text = String::new();
+    JsonOut::new(&mut text, false)
+        .flatten(
+            "seq",
+            &3u8,
+            &Skipped {
+                note: None,
+                flag: false,
+            },
+        )
+        .unwrap();
+    assert_eq!(text, r#"{"seq":3}"#);
+    for not_an_object in [json!(1), json!([]), json!(null), json!("s")] {
+        let mut text = String::new();
+        assert!(JsonOut::new(&mut text, false)
+            .flatten("seq", &3u8, &not_an_object)
+            .is_err());
+    }
+}
+
+#[test]
+fn pretty_output_indents_past_sixteen_levels() {
+    let mut deep = json!(1);
+    for _ in 0..20 {
+        deep = Value::Array(vec![deep]);
+    }
+    let text = json::to_string_pretty(&deep);
+    assert!(
+        text.contains(&format!("\n{}1\n", "  ".repeat(20))),
+        "{text}"
+    );
+    assert_eq!(Value::parse(&text).unwrap(), deep);
+    assert_one_writer(&deep);
+}

@@ -844,6 +844,16 @@ impl CacheSession {
 mod tests {
     use super::*;
 
+    #[test]
+    fn a_store_snapshot_streams_its_tree_text() {
+        let store = CacheStore::new();
+        crate::durable::tests::searched_checkpoint(&store);
+        let snapshot = store.persisted();
+        assert!(!snapshot.admissions.is_empty());
+        crate::durable::tests::assert_one_writer(&snapshot);
+        crate::durable::tests::assert_one_writer(&CacheStore::new().persisted());
+    }
+
     fn hw(latency: f64) -> Option<HwMetrics> {
         Some(HwMetrics {
             energy_pj: 1.0,

@@ -585,6 +585,19 @@ mod tests {
     }
 
     #[test]
+    fn a_log_delta_streams_its_tree_text() {
+        let cp = crate::durable::tests::searched_checkpoint(&crate::CacheStore::new());
+        let cache = cp.eval_cache.clone().unwrap();
+        let delta = LogDelta {
+            history: cp.history[8..].to_vec(),
+            accuracy: cache.accuracy,
+            hardware: cache.hardware,
+        };
+        crate::durable::tests::assert_one_writer(&delta);
+        crate::durable::tests::assert_one_writer(&LogDelta::default());
+    }
+
+    #[test]
     fn checksum_is_stable_across_write_parse_write() {
         let cp = Checkpoint::new(cfg(), "random", Vec::new())
             .with_hw_digest(Some("0123456789abcdef".into()))

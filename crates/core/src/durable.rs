@@ -11,8 +11,8 @@
 
 use crate::pipeline::Fnv;
 use crate::{CoreError, Result};
-use lcda_base::json::{FromJson, ToJson, Value};
-use std::fmt::Write as _;
+use lcda_base::json::{FromJson, JsonOut, ToJson, Value};
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -23,32 +23,37 @@ use std::path::{Path, PathBuf};
 /// value-based.
 pub(crate) const CHECKSUM_KEY: &str = "checksum";
 
-/// The content checksum of an artifact JSON value (without its
-/// checksum field): a stable FNV digest of the compact serialization,
-/// equal to `stable_fingerprint(&[&value.to_string()])`. The compact text
-/// is streamed into the hasher, never held as a string. Objects keep
-/// their entry order through a parse, so the digest is the same before a
-/// write and after the read.
-fn checksum_of(value: &Value) -> String {
+/// The content checksum of an artifact (without its checksum field): a
+/// stable FNV digest of its compact JSON, equal to
+/// `stable_fingerprint(&[&lcda_base::json::to_string(artifact)])`. The
+/// compact text streams into the hasher, never held as a string. Objects
+/// keep their entry order through a parse, so the digest of the parsed
+/// [`Value`] equals the digest of the artifact that was written.
+fn checksum_of<T: ToJson + ?Sized>(artifact: &T) -> String {
     let mut h = Fnv::default();
-    // Writing into the hasher cannot fail.
-    let _ = write!(h, "{value}");
+    // The hasher never fails, and a streamed artifact fails only where
+    // its second, checksummed write below fails too.
+    let _ = artifact.write_json(&mut JsonOut::new(&mut h, false));
     h.end_part();
     h.hex()
 }
 
-/// `artifact`'s JSON object with its content checksum as the first
-/// entry, so the checksum leads the file.
-fn with_checksum<T: ToJson>(artifact: &T) -> Result<Value> {
-    let mut value = artifact.to_json();
-    let digest = checksum_of(&value);
-    let Value::Object(entries) = &mut value else {
-        return Err(CoreError::Checkpoint(
-            "serialize: artifact did not form a JSON object".into(),
-        ));
-    };
-    entries.insert(0, (CHECKSUM_KEY.to_string(), Value::String(digest)));
-    Ok(value)
+/// `artifact` as JSON with its content checksum as the first entry, so
+/// the checksum leads the file: `{:#}` is the pretty form, `{}` the
+/// compact one. Both stream from the artifact; no tree is built.
+struct Checksummed<'a, T: ?Sized>(&'a T);
+
+impl<T: ToJson + ?Sized> fmt::Display for Checksummed<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pretty = f.alternate();
+        JsonOut::new(f, pretty).flatten(CHECKSUM_KEY, &checksum_of(self.0), self.0)
+    }
+}
+
+/// The error for an artifact whose JSON is not an object, which no
+/// checksum entry can lead.
+fn not_an_object() -> CoreError {
+    CoreError::Checkpoint("serialize: artifact did not form a JSON object".into())
 }
 
 /// Serializes any durable artifact to pretty JSON with an embedded
@@ -58,22 +63,24 @@ fn with_checksum<T: ToJson>(artifact: &T) -> Result<Value> {
 ///
 /// Returns [`CoreError::Checkpoint`] when the value does not form a JSON
 /// object.
-pub(crate) fn to_checksummed_json<T: ToJson>(artifact: &T) -> Result<String> {
-    Ok(format!("{:#}", with_checksum(artifact)?))
+pub(crate) fn to_checksummed_json<T: ToJson + ?Sized>(artifact: &T) -> Result<String> {
+    let mut text = String::new();
+    write!(text, "{:#}", Checksummed(artifact)).map_err(|_| not_an_object())?;
+    Ok(text)
 }
 
 /// Saves a durable artifact to `path` as [`to_checksummed_json`] renders
 /// it, atomically and durably ([`atomic_write`]). The pretty body streams
-/// from the JSON tree into the file, so neither the compact text (for
+/// from the artifact into the file, so neither the compact text (for
 /// the checksum) nor the pretty text is ever held in memory.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Checkpoint`] when the value does not form a JSON
-/// object, or on I/O failure.
-pub(crate) fn save_checksummed<T: ToJson>(path: &Path, artifact: &T) -> Result<()> {
-    let value = with_checksum(artifact)?;
-    atomic_write(path, |out| write!(out, "{value:#}"))
+/// Returns [`CoreError::Checkpoint`] on I/O failure, or when the value
+/// does not form a JSON object (the write fails and `path` is left as
+/// it was).
+pub(crate) fn save_checksummed<T: ToJson + ?Sized>(path: &Path, artifact: &T) -> Result<()> {
+    atomic_write(path, |out| write!(out, "{:#}", Checksummed(artifact)))
 }
 
 /// Serializes a durable artifact to **compact** single-line JSON with an
@@ -84,8 +91,10 @@ pub(crate) fn save_checksummed<T: ToJson>(path: &Path, artifact: &T) -> Result<(
 /// # Errors
 ///
 /// As [`to_checksummed_json`].
-pub(crate) fn to_checksummed_compact_json<T: ToJson>(artifact: &T) -> Result<String> {
-    Ok(with_checksum(artifact)?.to_string())
+pub(crate) fn to_checksummed_compact_json<T: ToJson + ?Sized>(artifact: &T) -> Result<String> {
+    let mut text = String::new();
+    write!(text, "{}", Checksummed(artifact)).map_err(|_| not_an_object())?;
+    Ok(text)
 }
 
 /// Parses a checksummed JSON artifact, verifying and stripping the
@@ -309,8 +318,97 @@ pub(crate) fn append_line(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::codesign::{CoDesign, CoDesignConfig, OptimizerSpec};
+    use crate::pipeline::stable_fingerprint;
+    use crate::reward::Objective;
+    use crate::space::DesignSpace;
+    use crate::Checkpoint;
+
+    /// Compact and pretty text streamed by `write_json` equal the text
+    /// the value's tree prints.
+    pub(crate) fn assert_one_writer<T: ToJson + ?Sized>(value: &T) {
+        let tree = value.to_json();
+        assert_eq!(lcda_base::json::to_string(value), tree.to_string());
+        assert_eq!(
+            lcda_base::json::to_string_pretty(value),
+            format!("{tree:#}")
+        );
+    }
+
+    /// The checkpoint after the last episode of a seeded 12-episode RL
+    /// search, memo table included; the search's store is filled too.
+    pub(crate) fn searched_checkpoint(store: &crate::CacheStore) -> Checkpoint {
+        let config = CoDesignConfig::builder(Objective::AccuracyEnergy)
+            .episodes(12)
+            .seed(5)
+            .build();
+        let mut run = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
+            .optimizer(OptimizerSpec::Rl)
+            .cache_store(store)
+            .build()
+            .unwrap();
+        let mut last = None;
+        run.run_resumable(None, |cp| {
+            last = Some(cp.clone());
+            Ok(())
+        })
+        .unwrap();
+        last.unwrap()
+    }
+
+    /// The checksummed text as it was built before the writer streamed:
+    /// the artifact's tree, with the digest of its compact text inserted
+    /// as the first entry.
+    fn tree_checksummed<T: ToJson>(artifact: &T, pretty: bool) -> String {
+        let mut value = artifact.to_json();
+        let digest = stable_fingerprint(&[&value.to_string()]);
+        let Value::Object(entries) = &mut value else {
+            panic!("not an object");
+        };
+        entries.insert(0, (CHECKSUM_KEY.to_string(), Value::String(digest)));
+        if pretty {
+            format!("{value:#}")
+        } else {
+            value.to_string()
+        }
+    }
+
+    #[test]
+    fn checksummed_writes_stream_the_tree_bytes() {
+        let store = crate::CacheStore::new();
+        let cp = searched_checkpoint(&store);
+        assert!(cp
+            .eval_cache
+            .as_ref()
+            .is_some_and(|c| !c.accuracy.is_empty()));
+        assert_one_writer(&cp);
+        let pretty = to_checksummed_json(&cp).unwrap();
+        assert_eq!(pretty, tree_checksummed(&cp, true));
+        assert_eq!(
+            to_checksummed_compact_json(&cp).unwrap(),
+            tree_checksummed(&cp, false)
+        );
+        let path =
+            std::env::temp_dir().join(format!("lcda-durable-stream-{}.json", std::process::id()));
+        save_checksummed(&path, &cp).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), pretty);
+        assert_eq!(load_checksummed::<Checkpoint>(&path).unwrap(), cp);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_artifact_that_is_not_an_object_is_refused() {
+        for not_an_object in [Value::Null, Value::Array(Vec::new())] {
+            assert!(to_checksummed_json(&not_an_object).is_err());
+            assert!(to_checksummed_compact_json(&not_an_object).is_err());
+        }
+        assert_eq!(
+            to_checksummed_compact_json(&Value::Object(Vec::new())).unwrap(),
+            tree_checksummed(&Value::Object(Vec::new()), false)
+        );
+    }
 
     /// A kill can cut a line inside a multi-byte character (the JSON
     /// writer emits non-ASCII text raw): that is a torn tail, not a

@@ -31,7 +31,7 @@
 
 use crate::pipeline::CacheStats;
 use crate::{CoreError, Result};
-use lcda_base::json::{FromJson, ToJson, Value};
+use lcda_base::json::{FromJson, JsonOut, ToJson, Value};
 use lcda_llm::obs::{LlmEvent, LlmObserver, ObserverHandle};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -343,6 +343,10 @@ impl ToJson for JournalRecord {
             entries.extend(fields);
         }
         Value::Object(entries)
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.flatten("step", &self.step, &self.event)
     }
 }
 

@@ -105,7 +105,7 @@ use crate::reward::Objective;
 use crate::space::DesignSpace;
 use crate::wal::{LedgerJob, Wal, WalEntry, WAL_FILE};
 use crate::{lock, CoreError, Result};
-use lcda_base::json::{FromJson, ToJson, Value};
+use lcda_base::json::{FromJson, JsonOut, ToJson, Value};
 
 /// How often idle loops (workers, the store flusher, [`JobServer::wait`],
 /// journal streams) recheck their condition, and how long the acceptor
@@ -164,6 +164,10 @@ impl FromStr for JobId {
 impl ToJson for JobId {
     fn to_json(&self) -> Value {
         Value::String(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
+        out.string_display(self)
     }
 }
 
@@ -1819,7 +1823,8 @@ mod tests {
     #[test]
     fn cancelling_a_queued_job_is_immediate_and_terminal() {
         // Zero workers is clamped to one; instead, saturate the single
-        // worker with a long job so the second stays queued.
+        // worker with a job too long to finish before it is cancelled
+        // below, so the second stays queued.
         let server = JobServer::bind(ServeConfig {
             workers: 1,
             ..ServeConfig::default()
@@ -1827,7 +1832,7 @@ mod tests {
         .unwrap();
         let long = server
             .submit(JobSpec {
-                episodes: 40,
+                episodes: 100_000,
                 ..JobSpec::default()
             })
             .unwrap();
@@ -1842,7 +1847,7 @@ mod tests {
         assert_eq!(status.state, JobState::Cancelled);
         // Cancel is idempotent on terminal jobs.
         assert_eq!(server.cancel(queued).unwrap().state, JobState::Cancelled);
-        // Cancel the long job too so shutdown does not wait 40 episodes.
+        // Cancel the long job too so shutdown does not wait for it.
         let _ = server.cancel(long);
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
         while !server.status(long).unwrap().state.is_terminal() {

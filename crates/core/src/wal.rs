@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use crate::durable::{append_line, from_checksummed_json, open_jsonl, to_checksummed_compact_json};
 use crate::serve::{JobSpec, JobState};
 use crate::{lock, CoreError, Result};
-use lcda_base::json::{FromJson, ToJson, Value};
+use lcda_base::json::{FromJson, JsonOut, ToJson, Value};
 use std::sync::Mutex;
 
 /// File name of the job ledger inside the serve journal directory.
@@ -107,6 +107,10 @@ impl ToJson for WalRecord {
             entries.extend(fields);
         }
         Value::Object(entries)
+    }
+
+    fn write_json(&self, out: &mut JsonOut<'_>) -> std::fmt::Result {
+        out.flatten("seq", &self.seq, &self.entry)
     }
 }
 

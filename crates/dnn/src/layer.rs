@@ -5,8 +5,8 @@ use crate::{DnnError, Result};
 use lcda_base::rng::Rng;
 use lcda_tensor::init::Init;
 use lcda_tensor::ops::{
-    conv2d_backward, conv2d_forward, maxpool2_backward, maxpool2_forward, relu_backward,
-    relu_forward, Conv2dParams, ConvGeometry,
+    conv2d_backward, conv2d_forward, conv2d_param_grads, maxpool2_backward, maxpool2_forward,
+    relu_backward, relu_forward, Conv2dParams, ConvGeometry,
 };
 use lcda_tensor::{Shape, Tensor};
 
@@ -109,8 +109,8 @@ pub enum Layer {
     },
     /// 2×2 stride-2 max pooling.
     MaxPool2 {
-        /// Argmax indices and input shape from the forward pass.
-        cache: Option<(Vec<usize>, Shape)>,
+        /// Argmax plane offsets and input shape from the forward pass.
+        cache: Option<(Vec<u32>, Shape)>,
     },
     /// Flatten `(n,c,h,w) -> (n, c·h·w)`.
     Flatten {
@@ -251,6 +251,28 @@ impl Layer {
                 })?;
                 Ok(d_out.reshape(shape.dims())?)
             }
+        }
+    }
+
+    /// [`Layer::backward`] for a network's first layer: accumulates the
+    /// same parameter gradients, bit for bit, but computes no input
+    /// gradient, which no layer below would read.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    pub fn backward_params(&mut self, d_out: &Tensor) -> Result<()> {
+        match self {
+            Layer::Conv2d(l) => {
+                let input = l.input_cache.as_ref().ok_or_else(|| {
+                    DnnError::InvalidTraining("conv backward before forward".to_string())
+                })?;
+                let (d_w, d_b) = conv2d_param_grads(d_out, input, &l.params)?;
+                l.weight.grad.axpy(1.0, &d_w)?;
+                l.bias.grad.axpy(1.0, &d_b)?;
+                Ok(())
+            }
+            _ => self.backward(d_out).map(drop),
         }
     }
 

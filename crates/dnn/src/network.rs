@@ -64,17 +64,21 @@ impl Network {
         Ok(x)
     }
 
-    /// Backward pass; accumulates gradients into every parameter.
+    /// Backward pass; accumulates gradients into every parameter. The
+    /// first layer computes no input gradient ([`Layer::backward_params`]).
     ///
     /// # Errors
     ///
     /// Returns an error when called before `forward`.
     pub fn backward(&mut self, d_logits: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
         let mut g = d_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
-        Ok(())
+        first.backward_params(&g)
     }
 
     /// Zeroes all accumulated gradients.

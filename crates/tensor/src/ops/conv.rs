@@ -163,34 +163,69 @@ pub fn conv2d_backward(
     weight: &Tensor,
     params: &Conv2dParams,
 ) -> Result<(Tensor, Tensor, Tensor)> {
+    if weight.shape() != &params.weight_shape() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: weight.shape().to_string(),
+            rhs: params.weight_shape().to_string(),
+            op: "conv2d_backward",
+        });
+    }
+    let mut d_input = vec![0.0f32; input.len()];
+    let (d_weight, d_bias) = conv2d_grads(d_out, input, params, Some((weight, &mut d_input)))?;
+    Ok((
+        Tensor::from_vec(input.shape().clone(), d_input)?,
+        d_weight,
+        d_bias,
+    ))
+}
+
+/// The parameter half of [`conv2d_backward`]: its `(d_weight, d_bias)`,
+/// bit for bit, without the `Wᵀ · dY` GEMM and `col2im` that
+/// build `d_input`. A network's first layer needs no input gradient.
+///
+/// # Errors
+///
+/// As [`conv2d_backward`].
+pub fn conv2d_param_grads(
+    d_out: &Tensor,
+    input: &Tensor,
+    params: &Conv2dParams,
+) -> Result<(Tensor, Tensor)> {
+    conv2d_grads(d_out, input, params, None)
+}
+
+/// `(d_weight, d_bias)` of a convolution, plus `Wᵀ · dY` scattered into
+/// `d_input` when a weight and an input-gradient buffer are given.
+fn conv2d_grads(
+    d_out: &Tensor,
+    input: &Tensor,
+    params: &Conv2dParams,
+    mut d_input: Option<(&Tensor, &mut [f32])>,
+) -> Result<(Tensor, Tensor)> {
     let n = check_input(input, params, "conv2d_backward")?;
-    for (got, want) in [
-        (d_out.shape(), &params.output_shape(n)),
-        (weight.shape(), &params.weight_shape()),
-    ] {
-        if got != want {
-            return Err(TensorError::ShapeMismatch {
-                lhs: got.to_string(),
-                rhs: want.to_string(),
-                op: "conv2d_backward",
-            });
-        }
+    if d_out.shape() != &params.output_shape(n) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: d_out.shape().to_string(),
+            rhs: params.output_shape(n).to_string(),
+            op: "conv2d_backward",
+        });
     }
     let geom = &params.geom;
     let (ckk, pc, c_out) = (geom.patch_rows(), geom.patch_cols(), params.out_channels);
     let plane = geom.in_channels * geom.in_h * geom.in_w;
-    let w_t = weight.transpose()?; // (ckk, c_out)
     let mut patches = vec![0.0f32; ckk * pc];
     let mut patches_t = vec![0.0f32; pc * ckk];
-    let mut d_cols = vec![0.0f32; ckk * pc];
     let mut d_weight = vec![0.0f32; c_out * ckk];
-    let mut d_input = vec![0.0f32; input.len()];
+    // (ckk, c_out) and the per-sample column gradient, when d_input is wanted.
+    let mut input_grad = match &d_input {
+        Some((weight, _)) => Some((weight.transpose()?, vec![0.0f32; ckk * pc])),
+        None => None,
+    };
     let samples = input
         .as_slice()
         .chunks_exact(plane)
-        .zip(d_out.as_slice().chunks_exact(c_out * pc))
-        .zip(d_input.chunks_exact_mut(plane));
-    for ((x_s, dy_s), dx_s) in samples {
+        .zip(d_out.as_slice().chunks_exact(c_out * pc));
+    for (s, (x_s, dy_s)) in samples.enumerate() {
         im2col_into(x_s, geom, &mut patches);
         for (r, row) in patches.chunks_exact(pc).enumerate() {
             for (j, &v) in row.iter().enumerate() {
@@ -198,9 +233,11 @@ pub fn conv2d_backward(
             }
         }
         gemm_f32(c_out, pc, ckk, dy_s, &patches_t, &mut d_weight);
-        d_cols.fill(0.0);
-        gemm_f32(ckk, c_out, pc, w_t.as_slice(), dy_s, &mut d_cols);
-        col2im_into(&d_cols, geom, dx_s);
+        if let (Some((w_t, d_cols)), Some((_, dx))) = (&mut input_grad, &mut d_input) {
+            d_cols.fill(0.0);
+            gemm_f32(ckk, c_out, pc, w_t.as_slice(), dy_s, d_cols);
+            col2im_into(d_cols, geom, &mut dx[s * plane..(s + 1) * plane]);
+        }
     }
     let d_bias = (0..c_out)
         .map(|c| {
@@ -212,7 +249,6 @@ pub fn conv2d_backward(
         })
         .collect();
     Ok((
-        Tensor::from_vec(input.shape().clone(), d_input)?,
         Tensor::from_vec(params.weight_shape(), d_weight)?,
         Tensor::from_vec(Shape::d1(c_out), d_bias)?,
     ))
@@ -298,6 +334,23 @@ mod tests {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max);
             assert!(max_err < 1e-4, "k={k} s={s} p={p} err={max_err}");
+        }
+    }
+
+    #[test]
+    fn param_grads_equal_the_full_backward_bit_for_bit() {
+        let mut rng = Rng::new(11);
+        for &(k, s, p) in &[(1usize, 1usize, 0usize), (3, 1, 1), (3, 2, 1), (5, 1, 2)] {
+            let geom = ConvGeometry::new(3, 8, 8, k, s, p).unwrap();
+            let params = Conv2dParams::new(geom, 4).unwrap();
+            let input = rand_tensor(Shape::d4(3, 3, 8, 8), &mut rng);
+            let weight = rand_tensor(params.weight_shape(), &mut rng);
+            let d_out = rand_tensor(params.output_shape(3), &mut rng);
+            let (_, d_w, d_b) = conv2d_backward(&d_out, &input, &weight, &params).unwrap();
+            let (w_only, b_only) = conv2d_param_grads(&d_out, &input, &params).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w_only), bits(&d_w), "k={k} s={s} p={p}");
+            assert_eq!(bits(&b_only), bits(&d_b), "k={k} s={s} p={p}");
         }
     }
 

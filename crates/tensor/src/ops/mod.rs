@@ -12,7 +12,9 @@ mod loss;
 mod pool;
 
 pub use activation::{relu_backward, relu_forward, softmax_rows};
-pub use conv::{conv2d_backward, conv2d_forward, conv2d_forward_direct, Conv2dParams};
+pub use conv::{
+    conv2d_backward, conv2d_forward, conv2d_forward_direct, conv2d_param_grads, Conv2dParams,
+};
 pub use gemm::{gemm_f32, gemm_i8, gemm_ref, quantize_symmetric};
 pub use im2col::{col2im, im2col, im2col_batch, ConvGeometry};
 pub use loss::{cross_entropy_loss, one_hot};

@@ -16,46 +16,56 @@ fn check_rank4(t: &Tensor, op: &'static str) -> Result<[usize; 4]> {
 
 /// 2×2 stride-2 max pooling over an NCHW batch.
 ///
-/// Returns the pooled tensor and the flat argmax index of every output
-/// element (needed by [`maxpool2_backward`]). Odd trailing rows/columns are
-/// dropped, matching common framework behaviour.
+/// Returns the pooled tensor and, for every output element, the offset
+/// of the input that won its window within that element's own `(h, w)`
+/// plane (needed by [`maxpool2_backward`]). Output element `o` pools
+/// plane `o / (oh·ow)`, so the plane offset is all the backward pass
+/// needs, and a `u32` holds it at half the size of a flat `usize` index.
+/// Odd trailing rows/columns are dropped, matching common framework
+/// behaviour.
 ///
 /// # Errors
 ///
 /// Returns rank errors for non-NCHW input or
 /// [`TensorError::InvalidArgument`] when the spatial plane is smaller
-/// than 2×2.
-pub fn maxpool2_forward(input: &Tensor) -> Result<(Tensor, Vec<usize>)> {
+/// than 2×2 or has more elements than a `u32` offset can address.
+pub fn maxpool2_forward(input: &Tensor) -> Result<(Tensor, Vec<u32>)> {
     let [n, c, h, w] = check_rank4(input, "maxpool2_forward")?;
     if h < 2 || w < 2 {
         return Err(TensorError::InvalidArgument(format!(
             "maxpool2 needs spatial plane >= 2x2, got {h}x{w}"
         )));
     }
+    if u32::try_from(h * w).is_err() {
+        return Err(TensorError::InvalidArgument(format!(
+            "maxpool2 plane {h}x{w} exceeds u32 offsets"
+        )));
+    }
     let (oh, ow) = (h / 2, w / 2);
-    let src = input.as_slice();
     let mut out = vec![0.0f32; n * c * oh * ow];
-    let mut arg = vec![0usize; n * c * oh * ow];
-    for s in 0..n {
-        for ch in 0..c {
-            let base = (s * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best_idx = base + (2 * oy) * w + 2 * ox;
-                    let mut best = src[best_idx];
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let idx = base + (2 * oy + dy) * w + (2 * ox + dx);
-                            if src[idx] > best {
-                                best = src[idx];
-                                best_idx = idx;
-                            }
+    let mut arg = vec![0u32; n * c * oh * ow];
+    let planes = input
+        .as_slice()
+        .chunks_exact(h * w)
+        .zip(out.chunks_exact_mut(oh * ow))
+        .zip(arg.chunks_exact_mut(oh * ow));
+    for ((src, out), arg) in planes {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best_idx = (2 * oy) * w + 2 * ox;
+                let mut best = src[best_idx];
+                for dy in 0..2 {
+                    for dx in 0..2 {
+                        let idx = (2 * oy + dy) * w + (2 * ox + dx);
+                        if src[idx] > best {
+                            best = src[idx];
+                            best_idx = idx;
                         }
                     }
-                    let o = ((s * c + ch) * oh + oy) * ow + ox;
-                    out[o] = best;
-                    arg[o] = best_idx;
                 }
+                out[oy * ow + ox] = best;
+                // In range: checked against the plane size above.
+                arg[oy * ow + ox] = best_idx as u32;
             }
         }
     }
@@ -63,12 +73,14 @@ pub fn maxpool2_forward(input: &Tensor) -> Result<(Tensor, Vec<usize>)> {
 }
 
 /// Backward pass of 2×2 max pooling: routes each upstream gradient to the
-/// input position that won the max.
+/// input position that won the max (`argmax` holds plane offsets, as
+/// [`maxpool2_forward`] returns them).
 ///
 /// # Errors
 ///
-/// Returns shape errors when `d_out` and `argmax` disagree.
-pub fn maxpool2_backward(d_out: &Tensor, argmax: &[usize], input_shape: &Shape) -> Result<Tensor> {
+/// Returns shape errors when `d_out`, `argmax` and `input_shape`
+/// disagree.
+pub fn maxpool2_backward(d_out: &Tensor, argmax: &[u32], input_shape: &Shape) -> Result<Tensor> {
     if d_out.len() != argmax.len() {
         return Err(TensorError::ShapeDataMismatch {
             expected: d_out.len(),
@@ -76,15 +88,30 @@ pub fn maxpool2_backward(d_out: &Tensor, argmax: &[usize], input_shape: &Shape) 
         });
     }
     let mut d_input = Tensor::zeros(input_shape.clone());
-    let dst = d_input.as_mut_slice();
-    for (&g, &idx) in d_out.as_slice().iter().zip(argmax) {
-        if idx >= dst.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: idx,
-                bound: dst.len(),
-            });
+    let [n, c, h, w] = check_rank4(&d_input, "maxpool2_backward")?;
+    let pooled = (h / 2) * (w / 2);
+    if n * c * pooled != d_out.len() {
+        return Err(TensorError::ShapeDataMismatch {
+            expected: n * c * pooled,
+            actual: d_out.len(),
+        });
+    }
+    let planes = d_input
+        .as_mut_slice()
+        .chunks_exact_mut(h * w)
+        .zip(d_out.as_slice().chunks_exact(pooled))
+        .zip(argmax.chunks_exact(pooled));
+    for ((dst, grads), offsets) in planes {
+        for (&g, &offset) in grads.iter().zip(offsets) {
+            let idx = offset as usize;
+            if idx >= dst.len() {
+                return Err(TensorError::IndexOutOfBounds {
+                    index: idx,
+                    bound: dst.len(),
+                });
+            }
+            dst[idx] += g;
         }
-        dst[idx] += g;
     }
     Ok(d_input)
 }
@@ -125,6 +152,27 @@ mod tests {
         let d_out = Tensor::from_vec(Shape::d4(1, 1, 1, 1), vec![5.0]).unwrap();
         let d_in = maxpool2_backward(&d_out, &arg, input.shape()).unwrap();
         assert_eq!(d_in.as_slice(), &[0., 5., 0., 0.]);
+    }
+
+    #[test]
+    fn maxpool_backward_routes_each_plane_to_its_own_winner() {
+        // Two samples of two channels: each plane's offsets are local.
+        let input = Tensor::from_vec(
+            Shape::d4(2, 2, 2, 3),
+            (0..24).map(|i| ((i * 7) % 24) as f32).collect(),
+        )
+        .unwrap();
+        let (out, arg) = maxpool2_forward(&input).unwrap();
+        assert_eq!(out.shape().dims(), &[2, 2, 1, 1]);
+        assert!(arg.iter().all(|&offset| offset < 6));
+        let d_out = Tensor::from_vec(Shape::d4(2, 2, 1, 1), vec![1., 2., 3., 4.]).unwrap();
+        let d_in = maxpool2_backward(&d_out, &arg, input.shape()).unwrap();
+        for (plane, (&y, &g)) in out.as_slice().iter().zip(d_out.as_slice()).enumerate() {
+            let winner = plane * 6 + arg[plane] as usize;
+            assert_eq!(input.as_slice()[winner], y);
+            assert_eq!(d_in.as_slice()[winner], g);
+        }
+        assert_eq!(d_in.as_slice().iter().sum::<f32>(), 10.0);
     }
 
     #[test]

@@ -132,15 +132,17 @@ fn ce_gradient_rows_sum_zero() {
     });
 }
 
-/// Max pooling never invents values: every output equals some input.
+/// Max pooling never invents values: every output equals the input at
+/// its argmax, an offset into the output's own plane.
 #[test]
 fn maxpool_outputs_are_inputs() {
     check(256, |rng| {
-        let v = arb_vec(rng, 36, 9.0);
-        let input = Tensor::from_vec(Shape::d4(1, 1, 6, 6), v.clone()).unwrap();
+        let v = arb_vec(rng, 2 * 3 * 36, 9.0);
+        let input = Tensor::from_vec(Shape::d4(2, 3, 6, 6), v.clone()).unwrap();
         let (out, arg) = maxpool2_forward(&input).unwrap();
-        for (o, &i) in out.as_slice().iter().zip(&arg) {
-            assert_eq!(*o, v[i]);
+        for (o, (&y, &offset)) in out.as_slice().iter().zip(&arg).enumerate() {
+            assert!(offset < 36);
+            assert_eq!(y, v[(o / 9) * 36 + offset as usize]);
         }
     });
 }

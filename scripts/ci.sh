@@ -208,7 +208,8 @@ fi
 ./target/release/lcda search --optimizer rl --episodes 40 --seed 5 \
     --checkpoint "$journal_dir/memo_rl.jsonl" > /dev/null
 ./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
-    --cache "$journal_dir/memo_store.json" > "$journal_dir/memo_serve.log" &
+    --cache "$journal_dir/memo_store.json" --journal-dir "$journal_dir/memo_jobs" \
+    > "$journal_dir/memo_serve.log" &
 memo_pid=$!
 addr=""
 for _ in $(seq 1 100); do
@@ -235,6 +236,28 @@ for pair in memo_expert.jsonl:expert.ckpt.jsonl memo_rl.jsonl:rl.ckpt.jsonl \
     memo_store.json:serve_store.json; do
     cmp "$journal_dir/${pair%%:*}" "tests/fixtures/memo/${pair##*:}" \
         || { echo "ci: ${pair%%:*} differs from tests/fixtures/memo/${pair##*:}" >&2; exit 1; }
+done
+
+# JSON-writer gate: every text the JSON writer streams must keep the
+# bytes recorded under tests/fixtures/json_writer/: `--json` of an
+# expert and an RL search, the expert run's journal, an `evaluate
+# --json`, and the WAL, job journals, job checkpoint logs and result
+# files the memo-gate server above kept in its --journal-dir.
+./target/release/lcda search --episodes 20 --seed 5 --json \
+    --journal "$journal_dir/writer_expert.journal.jsonl" > "$journal_dir/writer_expert.json"
+./target/release/lcda search --optimizer rl --episodes 60 --seed 5 --json \
+    > "$journal_dir/writer_rl.json"
+./target/release/lcda evaluate --json \
+    --design "[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]] | hw: [128,8,2,rram]" \
+    > "$journal_dir/writer_evaluate.json"
+for name in expert.json rl.json expert.journal.jsonl evaluate.json; do
+    cmp "$journal_dir/writer_$name" "tests/fixtures/json_writer/$name" \
+        || { echo "ci: $name differs from tests/fixtures/json_writer/$name" >&2; exit 1; }
+done
+for name in jobs.wal.jsonl job-1.jsonl job-2.jsonl job-1.ckpt.json job-2.ckpt.json \
+    job-1.result.json job-2.result.json; do
+    cmp "$journal_dir/memo_jobs/$name" "tests/fixtures/json_writer/serve.$name" \
+        || { echo "ci: served $name differs from tests/fixtures/json_writer/serve.$name" >&2; exit 1; }
 done
 
 # Serve smoke: start the job server with one worker (jobs run strictly

@@ -393,8 +393,12 @@ fn cancel_over_http_and_result_conflict() {
         ..ServeConfig::default()
     })
     .expect("bind");
-    // Saturate the single worker, then cancel the queued second job.
-    let (s1, _) = http(server.addr(), "POST", "/jobs", r#"{"episodes": 40}"#);
+    // Saturate the single worker, then cancel the queued second job. The
+    // first job asks for more episodes than it could run before the test
+    // cancels it (its prompt grows with every episode), so the second
+    // job is still queued when its cancel arrives, and the first is
+    // still running when its own does.
+    let (s1, _) = http(server.addr(), "POST", "/jobs", r#"{"episodes": 100000}"#);
     let (s2, _) = http(
         server.addr(),
         "POST",
@@ -411,16 +415,15 @@ fn cancel_over_http_and_result_conflict() {
     assert_eq!(status, 409, "{body}");
     assert!(body.contains("cancelled"), "{body}");
 
-    // Cancel the running job too; it lands terminal at an episode
-    // boundary without blocking shutdown for 40 episodes.
+    // Cancel the running job too; it lands cancelled at an episode
+    // boundary without blocking shutdown for its 100,000 episodes.
     let (status, _) = http(server.addr(), "POST", "/jobs/job-1/cancel", "");
     assert_eq!(status, 200);
     let first = wait_terminal(&server, "job-1".parse().unwrap());
-    assert!(
-        first.state == lcda::core::serve::JobState::Cancelled
-            || first.state == lcda::core::serve::JobState::Done,
-        "cancel must land terminally, got {}",
-        first.state
+    assert_eq!(
+        first.state,
+        lcda::core::serve::JobState::Cancelled,
+        "cancel must land on the running job"
     );
     server.shutdown().expect("shutdown");
 }
