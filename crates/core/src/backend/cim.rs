@@ -1,9 +1,9 @@
 //! The compute-in-memory backend: the NeuroSim-style macro model of
-//! §III-D behind the [`HardwareBackend`] trait.
+//! §III-D behind the [`HardwareCostEvaluator`] trait.
 //!
 //! This module is the **only** place in `lcda-core` that names
 //! `lcda_neurosim` chip/mapper types — everything else speaks
-//! [`HardwareBackend`]/[`HardwareCostEvaluator`]. It owns the two pieces
+//! [`HardwareCostEvaluator`]. It owns the two pieces
 //! of lowering that used to live on [`DesignSpace`]: candidate →
 //! [`ChipConfig`] (the hardware half of the rollout) and candidate →
 //! [`LayerWorkload`] list (the crossbar view of the network).
@@ -34,7 +34,7 @@
 //!   silently erase the real differences between chips, which are
 //!   exactly what a hierarchy sweep is supposed to measure.
 
-use super::{backend_fingerprint, HardwareBackend};
+use super::{backend_fingerprint, DEFAULT_BACKEND};
 use crate::evaluate::{HardwareCostEvaluator, HwMetrics};
 use crate::hwconfig::HwHierarchy;
 use crate::space::DesignSpace;
@@ -103,7 +103,8 @@ impl CimBackend {
         })
     }
 
-    /// The hardware hierarchy in use.
+    /// The hardware hierarchy in use. Its [`HwHierarchy::digest`] joins
+    /// the checkpoint stamp and the journal `hw_config` event.
     pub fn hw(&self) -> &HwHierarchy {
         &self.hw
     }
@@ -196,7 +197,7 @@ impl HardwareCostEvaluator for CimBackend {
     }
 
     fn name(&self) -> &'static str {
-        "cim"
+        DEFAULT_BACKEND
     }
 
     fn fingerprint(&self) -> String {
@@ -205,21 +206,7 @@ impl HardwareCostEvaluator for CimBackend {
         // platform. Its canonical JSON joins the digest, so two different
         // chips can never share memo entries.
         let space = lcda_base::json::to_string(&self.space);
-        backend_fingerprint(self.id(), &[&space, &self.hw.canonical_json()])
-    }
-}
-
-impl HardwareBackend for CimBackend {
-    fn id(&self) -> &'static str {
-        "cim"
-    }
-
-    fn config_json(&self) -> Result<String> {
-        Ok(self.hw.canonical_json())
-    }
-
-    fn hierarchy(&self) -> Option<&HwHierarchy> {
-        Some(&self.hw)
+        backend_fingerprint(DEFAULT_BACKEND, &[&space, &self.hw.canonical_json()])
     }
 }
 
@@ -334,6 +321,7 @@ mod tests {
         let d = space.reference_design();
         assert_eq!(a.cost(&d).unwrap(), b.cost(&d).unwrap());
         assert_eq!(a.hw(), b.hw());
+        assert_eq!(a.hw(), &HwHierarchy::isaac());
     }
 
     #[test]
@@ -402,14 +390,5 @@ mod tests {
         let factor = hw.noc_latency_factor();
         assert!((mm.latency_ns - ms.latency_ns * factor).abs() < 1e-6);
         assert_eq!(mm.energy_pj, ms.energy_pj);
-    }
-
-    #[test]
-    fn config_json_is_the_hierarchy() {
-        let backend = CimBackend::new(DesignSpace::nacim_cifar10());
-        let json = backend.config_json().unwrap();
-        let back: HwHierarchy = lcda_base::json::from_str(&json).unwrap();
-        assert_eq!(back, HwHierarchy::isaac());
-        assert_eq!(backend.hierarchy(), Some(&HwHierarchy::isaac()));
     }
 }

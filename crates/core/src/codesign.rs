@@ -13,7 +13,7 @@
 //! The same loop drives every optimizer (LLM, RL, GA, random), which is
 //! what makes the episode-count comparison of Fig. 3 fair.
 
-use crate::backend::{BackendRegistry, DEFAULT_BACKEND};
+use crate::backend::{CimBackend, DEFAULT_BACKEND};
 use crate::cache::AdmissionCursor;
 use crate::checkpoint::Checkpoint;
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
@@ -342,7 +342,6 @@ pub struct CoDesignBuilder {
     spec: OptimizerSpec,
     accuracy: Option<Box<dyn AccuracyEvaluator>>,
     hardware: Option<Box<dyn HardwareCostEvaluator>>,
-    backend: String,
     hw: Option<HwHierarchy>,
     threads: usize,
     caching: bool,
@@ -355,7 +354,6 @@ impl std::fmt::Debug for CoDesignBuilder {
         f.debug_struct("CoDesignBuilder")
             .field("config", &self.config)
             .field("spec", &self.spec)
-            .field("backend", &self.backend)
             .field("threads", &self.threads)
             .field("caching", &self.caching)
             .finish_non_exhaustive()
@@ -379,33 +377,19 @@ impl CoDesignBuilder {
     }
 
     /// Replaces the hardware cost evaluator with an arbitrary
-    /// implementation, bypassing the backend registry — the way any cost
-    /// model other than `cim` plugs in. The run's recorded backend name
-    /// becomes the evaluator's [`HardwareCostEvaluator::name`].
+    /// implementation — the way any cost model other than `cim` plugs
+    /// in. The run's recorded backend name becomes the evaluator's
+    /// [`HardwareCostEvaluator::name`].
     #[must_use]
     pub fn hardware_evaluator(mut self, eval: Box<dyn HardwareCostEvaluator>) -> Self {
         self.hardware = Some(eval);
         self
     }
 
-    /// Selects the hardware backend by spec (default: [`DEFAULT_BACKEND`],
-    /// the paper's CiM model, optionally with an `@config` hierarchy).
-    /// Resolution happens in [`CoDesignBuilder::build`] through
-    /// [`BackendRegistry::standard`]; an unknown name errors there,
-    /// listing the known one. Ignored when
-    /// [`CoDesignBuilder::hardware_evaluator`] supplies an evaluator
-    /// directly.
-    #[must_use]
-    pub fn backend(mut self, name: impl Into<String>) -> Self {
-        self.backend = name.into();
-        self
-    }
-
-    /// Supplies a declarative hardware hierarchy for the registry backend
-    /// to lower from (default: the backend's builtin hierarchy). Resolved
-    /// and validated in [`CoDesignBuilder::build`]. Conflicts with a
-    /// backend spec that already carries an `@config` suffix, and with an
-    /// explicit [`CoDesignBuilder::hardware_evaluator`].
+    /// Supplies a declarative hardware hierarchy for [`CimBackend`] to
+    /// lower from (default: [`HwHierarchy::isaac`]). Validated in
+    /// [`CoDesignBuilder::build`]. Conflicts with an explicit
+    /// [`CoDesignBuilder::hardware_evaluator`].
     #[must_use]
     pub fn hw_config(mut self, hw: HwHierarchy) -> Self {
         self.hw = Some(hw);
@@ -474,35 +458,32 @@ impl CoDesignBuilder {
                 self.config.seed,
             ))
         });
-        let (hardware, backend, hw_stamp) = match self.hardware {
-            Some(eval) => {
-                if self.hw.is_some() {
-                    return Err(CoreError::InvalidConfig(
-                        "an explicit hardware evaluator cannot be combined with a \
-                         hardware hierarchy config (the evaluator bypasses lowering)"
-                            .into(),
-                    ));
+        let (hardware, backend, hw_digest, hw_summary): (Box<dyn HardwareCostEvaluator>, _, _, _) =
+            match self.hardware {
+                Some(eval) => {
+                    if self.hw.is_some() {
+                        return Err(CoreError::InvalidConfig(
+                            "an explicit hardware evaluator cannot be combined with a \
+                             hardware hierarchy config (the evaluator bypasses lowering)"
+                                .into(),
+                        ));
+                    }
+                    let name = eval.name().to_string();
+                    (eval, name, None, None)
                 }
-                let name = eval.name().to_string();
-                (eval, name, None)
-            }
-            None => {
-                let registry = BackendRegistry::standard();
-                let spec = registry.parse(&self.backend)?;
-                let backend = registry.create_spec_with(&spec, &self.space, self.hw.as_ref())?;
-                // The checkpoint/journal stamp is the config-less spec:
-                // `cim@isaac.json` and plain `cim` are the same backend;
-                // the hierarchy *digest* below is what tells actual
-                // hardware apart.
-                let stamp = backend.hierarchy().map(|hw| (hw.digest(), hw.summary()));
-                let b: Box<dyn HardwareCostEvaluator> = backend;
-                (b, spec.identity().to_string(), stamp)
-            }
-        };
-        let (hw_digest, hw_summary) = match hw_stamp {
-            Some((digest, summary)) => (Some(digest), Some(summary)),
-            None => (None, None),
-        };
+                None => {
+                    let backend = match self.hw {
+                        Some(hw) => CimBackend::from_hierarchy(self.space.clone(), hw)?,
+                        None => CimBackend::new(self.space.clone()),
+                    };
+                    // Every hierarchy runs as `cim`; its digest is what
+                    // tells one chip from another in checkpoints and the
+                    // journal.
+                    let (digest, summary) = (backend.hw().digest(), backend.hw().summary());
+                    let name = DEFAULT_BACKEND.to_string();
+                    (Box::new(backend), name, Some(digest), Some(summary))
+                }
+            };
         let mut pipeline = EvalPipeline::new(accuracy, hardware);
         pipeline.set_caching(self.caching);
         if let Some(store) = &self.store {
@@ -558,7 +539,6 @@ impl CoDesign {
             spec: OptimizerSpec::default(),
             accuracy: None,
             hardware: None,
-            backend: DEFAULT_BACKEND.to_string(),
             hw: None,
             threads: 1,
             caching: true,
@@ -689,10 +669,10 @@ impl CoDesign {
             }
             state.history = cp.history;
         }
+        // The history grows one record per episode: a budget-sized
+        // reservation up front would abort the process on a huge
+        // `episodes` before the first deadline or cancel check.
         let resumed = state.history.len();
-        state
-            .history
-            .reserve((self.config.episodes as usize).saturating_sub(resumed));
         let mut cursor = AdmissionCursor::default();
         self.journal.record(JournalEvent::RunStart {
             optimizer: self.optimizer.name().to_string(),
@@ -1386,15 +1366,24 @@ mod tests {
     }
 
     #[test]
-    fn unknown_backend_rejected_at_build() {
-        let err = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(2, 1))
-            .backend("fpga")
-            .build()
+    fn the_largest_budget_reserves_nothing_up_front() {
+        // A budget-sized history reservation would abort the process
+        // (hundreds of GB for `u32::MAX` records) before episode 0.
+        let mut run = build(
+            DesignSpace::nacim_cifar10(),
+            cfg(u32::MAX, 3),
+            OptimizerSpec::Random,
+        )
+        .unwrap();
+        let mut seen = 0;
+        let err = run
+            .run_resumable(None, |cp| {
+                seen = cp.history.len();
+                Err(CoreError::Cancelled("stop after one episode".into()))
+            })
             .unwrap_err();
-        match err {
-            CoreError::InvalidConfig(msg) => assert!(msg.contains("fpga")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
+        assert!(matches!(err, CoreError::Cancelled(_)), "{err:?}");
+        assert_eq!(seen, 1);
     }
 
     #[test]

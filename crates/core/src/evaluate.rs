@@ -83,8 +83,9 @@ pub trait AccuracyEvaluator {
 /// Evaluates a candidate's hardware cost (the paper's "hardware cost
 /// evaluator", §III-D).
 ///
-/// Swappable implementations carrying their own config live behind the
-/// [`crate::backend::HardwareBackend`] subtrait.
+/// The paper's model is [`crate::backend::CimBackend`]; any other
+/// implementation plugs in through
+/// [`crate::CoDesignBuilder::hardware_evaluator`].
 pub trait HardwareCostEvaluator {
     /// The four headline metrics, or `Ok(None)` when the design violates
     /// the platform constraint (→ reward −1).

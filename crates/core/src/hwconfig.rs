@@ -5,9 +5,9 @@
 //! set of parameters (core/crossbar grids, NoC kinds and cost matrices,
 //! buffer sizes, bus bandwidths, cell precision, `MaxRC` activation
 //! limits). [`HwHierarchy`] is that abstraction as a typed, JSON-loaded
-//! value: a JSON file (or inline blob) parses with
-//! `deny_unknown_fields`, passes [`HwHierarchy::validate`], and then
-//! *configures* a backend instead of the backend compiling its chip in.
+//! value: a JSON file (`--hw-config`) or serve's `hw` object parses
+//! with `deny_unknown_fields`, passes [`HwHierarchy::validate`], and then
+//! *configures* the backend instead of the backend compiling its chip in.
 //!
 //! [`crate::backend::CimBackend`] lowers the chip/crossbar/device tiers
 //! into its NeuroSim [`ChipConfig`] platform constants (buffers, DAC
@@ -413,21 +413,6 @@ impl HwHierarchy {
         })
     }
 
-    /// Resolves a backend-spec config source: an inline JSON blob when
-    /// it starts with `{`, a file path otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`HwHierarchy::from_json`] / [`HwHierarchy::load`]
-    /// errors.
-    pub fn from_source(source: &str) -> Result<Self> {
-        if source.trim_start().starts_with('{') {
-            Self::from_json(source)
-        } else {
-            Self::load(Path::new(source))
-        }
-    }
-
     /// The canonical JSON form the digest and fingerprints hash over.
     /// Field order is the struct's declaration order, so equal values
     /// always serialize identically.
@@ -558,7 +543,7 @@ mod tests {
             "mac_energy_pj": 0.3
         });
         for (doc, field) in [(typo, "rws"), (digital, "digital")] {
-            let err = HwHierarchy::from_source(&doc.to_string())
+            let err = HwHierarchy::from_json(&doc.to_string())
                 .unwrap_err()
                 .to_string();
             assert!(err.contains(&format!("unknown field `{field}`")), "{err}");
@@ -601,8 +586,8 @@ mod tests {
     }
 
     #[test]
-    fn inline_json_source_resolves() {
-        let hw = HwHierarchy::from_source(&HwHierarchy::isaac().canonical_json()).unwrap();
+    fn canonical_json_round_trips() {
+        let hw = HwHierarchy::from_json(&HwHierarchy::isaac().canonical_json()).unwrap();
         assert_eq!(hw, HwHierarchy::isaac());
     }
 

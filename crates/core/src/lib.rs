@@ -15,9 +15,9 @@
 //!    implementations: the fast calibrated [`surrogate::SurrogateEvaluator`]
 //!    and the real [`trained::TrainedEvaluator`] (noise-injection training
 //!    plus Monte-Carlo evaluation, §III-C),
-//! 4. **hardware cost evaluator** — a [`backend::HardwareBackend`]: the
-//!    NeuroSim-style [`backend::CimBackend`] macro model of §III-D,
-//!    resolved by name through [`backend::BackendRegistry`] (any other
+//! 4. **hardware cost evaluator** — the NeuroSim-style
+//!    [`backend::CimBackend`] macro model of §III-D, on an optional
+//!    [`hwconfig::HwHierarchy`] (any other
 //!    [`evaluate::HardwareCostEvaluator`] plugs in through
 //!    [`codesign::CoDesignBuilder::hardware_evaluator`]).
 //!
@@ -78,9 +78,7 @@ pub mod surrogate;
 pub mod trained;
 pub mod wal;
 
-pub use backend::{
-    BackendRegistry, BackendSpec, BackendSpecError, CimBackend, HardwareBackend, DEFAULT_BACKEND,
-};
+pub use backend::{BackendRegistry, CimBackend, DEFAULT_BACKEND};
 pub use cache::{CacheSession, CacheStore, SessionStats, StoreStats};
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use codesign::{

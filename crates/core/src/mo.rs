@@ -111,7 +111,7 @@ impl MultiObjectiveCoDesign {
     ///
     /// Propagates evaluator failures on malformed designs.
     pub fn run(&mut self) -> Result<MoOutcome> {
-        let mut history = Vec::with_capacity(self.episodes as usize);
+        let mut history = Vec::new();
         for _ in 0..self.episodes {
             let design = self.optimizer.propose()?;
             // Structurally impossible or over-budget designs get the worst

@@ -95,7 +95,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::backend::{BackendRegistry, BackendSpec, DEFAULT_BACKEND};
+use crate::backend::{check_backend, DEFAULT_BACKEND};
 use crate::cache::{CacheStore, SessionStats, StoreStats};
 use crate::checkpoint::CheckpointStore;
 use crate::codesign::{CoDesign, CoDesignConfig, OptimizerSpec};
@@ -295,9 +295,9 @@ pub struct JobSpec {
     pub optimizer: String,
     /// Objective name: `energy` or `latency` (default `energy`).
     pub objective: String,
-    /// Hardware backend spec, e.g. `cim` or `cim@chip.json`
-    /// (default `cim`). Validated against [`BackendRegistry::standard`]
-    /// at admission, before the job is queued.
+    /// Hardware backend name (default `cim`, the only one). Any other
+    /// name is refused at admission, before the job is queued; a
+    /// hierarchy goes in [`JobSpec::hw`].
     pub backend: String,
     /// Episode budget (default 20).
     pub episodes: u32,
@@ -313,7 +313,6 @@ pub struct JobSpec {
     /// Declarative hardware hierarchy for the backend to lower from
     /// (default: the backend's builtin). Validated at admission — a
     /// malformed hierarchy is a `400`, never a queued-then-failed job.
-    /// Conflicts with a `backend` spec that carries an `@config` suffix.
     pub hw: Option<HwHierarchy>,
     /// Wall-clock deadline for this job, seconds (default: the server's
     /// [`ServeConfig::job_deadline_secs`]). Enforced cooperatively at
@@ -351,32 +350,16 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Parses and validates the backend spec against the standard
-    /// registry — the admission gate for `POST /jobs`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for grammar errors or unknown bases.
-    pub fn parse_backend(&self) -> Result<BackendSpec> {
-        BackendRegistry::standard().parse(&self.backend)
-    }
-
-    /// Full admission validation: backend, optimizer, objective, and
-    /// the numeric bounds the episode loop requires.
+    /// Full admission validation: backend, hierarchy, optimizer,
+    /// objective, and the numeric bounds the episode loop requires.
     ///
     /// # Errors
     ///
     /// The first [`CoreError::InvalidConfig`] found, so a rejected
     /// submission points at one concrete problem.
-    pub fn validate(&self) -> Result<BackendSpec> {
-        let backend = self.parse_backend()?;
+    pub fn validate(&self) -> Result<()> {
+        self.validate_backend()?;
         if let Some(hw) = &self.hw {
-            if backend.config().is_some() {
-                return Err(CoreError::InvalidConfig(format!(
-                    "backend spec `{backend}` already names a hardware config; \
-                     it cannot be combined with the `hw` object"
-                )));
-            }
             hw.validate()?;
         }
         OptimizerSpec::from_name(&self.optimizer)?;
@@ -391,7 +374,20 @@ impl JobSpec {
                 "threads must be at least 1".into(),
             ));
         }
-        Ok(backend)
+        Ok(())
+    }
+
+    /// Refuses any backend but `cim` by name; a `cim@<config>` spec is
+    /// pointed at the `hw` object, the one way a job names a hierarchy.
+    fn validate_backend(&self) -> Result<()> {
+        if self.backend.contains('@') {
+            return Err(CoreError::InvalidConfig(format!(
+                "backend `{}` names a hardware config with `@`, which is not \
+                 accepted; send the hierarchy as the job's `hw` object",
+                self.backend
+            )));
+        }
+        check_backend(&self.backend)
     }
 }
 
@@ -543,7 +539,7 @@ impl ServerState {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(CoreError::Cancelled("server is shutting down".into()));
         }
-        let backend = spec.validate()?;
+        spec.validate()?;
         // The jobs lock serializes every admission, so the is-full
         // check and the send cannot race another submitter past the
         // bound; workers only ever drain the queue.
@@ -578,7 +574,7 @@ impl ServerState {
         journal.record(JournalEvent::JobAdmitted {
             job: id.to_string(),
             optimizer: spec.optimizer.clone(),
-            backend: backend.to_string(),
+            backend: spec.backend.clone(),
             episodes: spec.episodes,
             seed: spec.seed,
         });
@@ -1241,9 +1237,10 @@ fn execute(
         .build();
     let built = (|| -> Result<CoDesign> {
         let optimizer = OptimizerSpec::from_name(&spec.optimizer)?;
+        // A job queued by an older build may name a retired backend.
+        spec.validate_backend()?;
         let mut builder = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
             .optimizer(optimizer)
-            .backend(&spec.backend)
             .threads(spec.threads)
             .caching(spec.cache)
             .cache_store(&state.store)
@@ -1745,6 +1742,15 @@ mod tests {
             err.contains("unknown hardware backend `cim+bogus`"),
             "{err}"
         );
+
+        // The retired `@config` suffix is named and pointed at `hw`.
+        let bad = JobSpec {
+            backend: "cim@configs/hw/isaac.json".into(),
+            ..JobSpec::default()
+        };
+        let err = bad.validate().unwrap_err().to_string();
+        assert!(err.contains("`cim@configs/hw/isaac.json`"), "{err}");
+        assert!(err.contains("`hw` object"), "{err}");
 
         let bad = JobSpec {
             optimizer: "bayesian".into(),

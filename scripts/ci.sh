@@ -168,8 +168,21 @@ cmp "$journal_dir/mid.json" "$journal_dir/mid.saved.json"
 # hierarchy preset must be byte-identical to the default backend's run
 # (the preset is golden-equivalent to the builtin).
 ./target/release/lcda search --episodes 4 --seed 9 --json \
-    --backend cim@configs/hw/isaac.json > "$journal_dir/hw_preset.json"
+    --hw-config configs/hw/isaac.json > "$journal_dir/hw_preset.json"
 cmp "$journal_dir/hw_preset.json" "$journal_dir/clean.json"
+./target/release/lcda reference --hw-config configs/hw/isaac.json --json \
+    > "$journal_dir/hw_reference.json"
+./target/release/lcda reference --json > "$journal_dir/reference.json"
+cmp "$journal_dir/hw_reference.json" "$journal_dir/reference.json"
+
+# `--hw-config` is the one CLI spelling of a hierarchy: `--backend` is
+# refused by name, whatever it names, pointing at it.
+if ./target/release/lcda search --backend cim > /dev/null 2> "$journal_dir/backend.err"; then
+    echo "ci: search accepted the removed --backend flag" >&2
+    exit 1
+fi
+grep -q -- "--backend is not accepted" "$journal_dir/backend.err"
+grep -q -- "--hw-config" "$journal_dir/backend.err"
 
 # Hardware drill: edit the hierarchy file under a checkpointed search.
 # The resume must be refused on the hierarchy digest instead of

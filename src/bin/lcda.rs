@@ -10,6 +10,7 @@
 //! ```
 
 use lcda::core::mo::MultiObjectiveCoDesign;
+use lcda::core::HwHierarchy;
 use lcda::llm::parse::parse_design;
 use lcda::prelude::*;
 use std::path::PathBuf;
@@ -34,13 +35,9 @@ SEARCH OPTIONS:
     --optimizer <expert|finetuned|adaptive|naive|rl|genetic|random>
                                                              (default expert)
     --objective <energy|latency>                             (default energy)
-    --backend <spec>        hardware cost model: cim, with an optional
-                            @<path> hardware hierarchy config
-                            (e.g. cim@configs/hw/isaac.json)
-                                                             (default cim)
     --hw-config <path>      declarative hardware hierarchy JSON for the
-                            backend to lower from; sugar for the
-                            --backend @<path> suffix (see configs/hw/)
+                            cim cost model to lower from (see configs/hw/)
+                                                  (default: built-in ISAAC)
     --episodes <n>                                           (default 20)
     --seed <n>                                               (default 0)
     --checkpoint <path>     keep a checkpoint log: after every episode,
@@ -101,12 +98,14 @@ SERVE OPTIONS:
 EVALUATE OPTIONS:
     --design <rollout text>     e.g. \"[[32,3],...,[128,3]] | hw: [128,8,2,rram]\"
     --objective <energy|latency>
-    --backend <cim>             with optional @<path> hierarchy config
     --hw-config <path>      declarative hardware hierarchy JSON
     --evaluator <surrogate|trained>      accuracy evaluator (default surrogate)
     --precision <f32|int8>  trained-evaluator inference precision (default f32)
     --journal <path>        stream a JSONL event journal of the evaluation
     --json
+
+REFERENCE OPTIONS:
+    --hw-config <path>      declarative hardware hierarchy JSON    --json
 
 FRONT OPTIONS:
     --episodes <n>   (default 240)    --seed <n>    --objective <energy|latency>
@@ -163,6 +162,10 @@ impl Args {
                 i += 2;
             } else if bool_flags.contains(&item) {
                 i += 1;
+            } else if item == "--backend" {
+                return Err("--backend is not accepted: the hardware cost model is \
+                            always `cim`; name a hardware hierarchy with --hw-config <path>"
+                    .into());
             } else if item.starts_with('-') {
                 return Err(format!("unknown flag `{item}` (see `lcda help`)"));
             } else {
@@ -211,35 +214,13 @@ impl Args {
         Objective::from_name(self.get("--objective").unwrap_or("energy")).map_err(|e| e.to_string())
     }
 
-    /// The hardware backend spec (`@config` included), parsed through
-    /// the registry's typed grammar so a typo fails before any work
-    /// starts — and fails pointing at the exact bad segment. The
-    /// registry's errors already distinguish an unknown backend name
-    /// from a missing or invalid hardware config file, so they pass
-    /// through unprefixed.
-    fn backend(&self) -> Result<BackendSpec, String> {
-        let name = self.get("--backend").unwrap_or(DEFAULT_BACKEND);
-        let spec = BackendRegistry::standard()
-            .parse(name)
-            .map_err(|e| e.to_string())?;
-        match self.get("--hw-config") {
-            None => Ok(spec),
-            // --hw-config is sugar for the spec's `@config` suffix: fold
-            // it in and re-parse, so the hierarchy is validated here and
-            // every downstream path (search, evaluate, reference)
-            // sees one canonical spec.
-            Some(source) => {
-                if spec.config().is_some() {
-                    return Err(format!(
-                        "--backend `{spec}` already names a hardware config; \
-                         drop --hw-config or the `@` suffix"
-                    ));
-                }
-                BackendRegistry::standard()
-                    .parse(&format!("{spec}@{source}"))
-                    .map_err(|e| e.to_string())
-            }
-        }
+    /// The `--hw-config` hierarchy, loaded and validated once, so a bad
+    /// file fails before any work starts. Its errors tell an unreadable
+    /// file from invalid content and name the offending field.
+    fn hw_config(&self) -> Result<Option<HwHierarchy>, String> {
+        self.get("--hw-config")
+            .map(|path| HwHierarchy::load(std::path::Path::new(path)).map_err(|e| e.to_string()))
+            .transpose()
     }
 }
 
@@ -311,7 +292,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         &[
             "--optimizer",
             "--objective",
-            "--backend",
             "--hw-config",
             "--episodes",
             "--seed",
@@ -325,7 +305,7 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         &["--json", "--resume", "--no-cache"],
     )?;
     let objective = args.objective()?;
-    let backend = args.backend()?;
+    let hw = args.hw_config()?;
     let episodes = args.num_u32("--episodes", 20)?;
     let seed = args.num("--seed", 0)?;
     let threads = args.num_usize("--threads", 1)?;
@@ -370,12 +350,14 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         .transpose()?;
     let mut builder = CoDesign::builder(space, config)
         .optimizer(spec)
-        .backend(backend.to_string())
         .threads(threads)
         .caching(!args.flag("--no-cache"))
         .journal(journal.clone());
     if let Some(eval) = evaluator {
         builder = builder.accuracy_evaluator(eval);
+    }
+    if let Some(hw) = hw {
+        builder = builder.hw_config(hw);
     }
     let run = builder.build();
 
@@ -419,8 +401,12 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         println!("{}", lcda_base::json::to_string_pretty(&outcome));
         return Ok(());
     }
+    let hw = args
+        .get("--hw-config")
+        .map(|path| format!(" on {path}"))
+        .unwrap_or_default();
     println!(
-        "{} · {} · backend {backend} · {episodes} episodes · seed {seed}\n",
+        "{} · {} · backend {DEFAULT_BACKEND}{hw} · {episodes} episodes · seed {seed}\n",
         outcome.optimizer,
         objective.name()
     );
@@ -497,7 +483,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn evaluate_design_text(
     text: &str,
     objective: Objective,
-    backend: &str,
+    hw: Option<HwHierarchy>,
     json: bool,
     journal: &Journal,
     evaluator: Option<Box<dyn AccuracyEvaluator>>,
@@ -510,10 +496,12 @@ fn evaluate_design_text(
         .build();
     let mut builder = CoDesign::builder(space, config)
         .optimizer(OptimizerSpec::Random)
-        .backend(backend)
         .journal(journal.clone());
     if let Some(eval) = evaluator {
         builder = builder.accuracy_evaluator(eval);
+    }
+    if let Some(hw) = hw {
+        builder = builder.hw_config(hw);
     }
     let mut scorer = builder.build().map_err(|e| e.to_string())?;
     let record = scorer
@@ -551,7 +539,6 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
         &[
             "--design",
             "--objective",
-            "--backend",
             "--hw-config",
             "--evaluator",
             "--precision",
@@ -563,7 +550,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
         .get("--design")
         .ok_or("evaluate requires --design <rollout text>")?;
     let objective = args.objective()?;
-    let backend = args.backend()?.to_string();
+    let hw = args.hw_config()?;
     let evaluator = parse_evaluator(args, 0)?;
     let journal = match args.get("--journal") {
         Some(path) => Journal::to_file(std::path::Path::new(path)).map_err(|e| e.to_string())?,
@@ -572,7 +559,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
     evaluate_design_text(
         text,
         objective,
-        &backend,
+        hw,
         args.flag("--json"),
         &journal,
         evaluator,
@@ -582,7 +569,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
 fn cmd_front(args: &Args) -> Result<(), String> {
     args.validate(&["--episodes", "--seed", "--objective"], &[])?;
     let objective = args.objective()?;
-    let episodes = args.num("--episodes", 240)? as u32;
+    let episodes = args.num_u32("--episodes", 240)?;
     let seed = args.num("--seed", 0)?;
     let mut run =
         MultiObjectiveCoDesign::new(DesignSpace::nacim_cifar10(), objective, episodes, seed)
@@ -605,14 +592,13 @@ fn cmd_front(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_reference(args: &Args) -> Result<(), String> {
-    args.validate(&["--backend"], &["--json"])?;
+    args.validate(&["--hw-config"], &["--json"])?;
     let space = DesignSpace::nacim_cifar10();
     let text = space.reference_design().to_response_text();
-    let backend = args.backend()?.to_string();
     evaluate_design_text(
         &text,
         Objective::AccuracyEnergy,
-        &backend,
+        args.hw_config()?,
         args.flag("--json"),
         &Journal::disabled(),
         None,

@@ -50,10 +50,7 @@ pub mod prelude {
     //! ```
     //! use lcda::prelude::*;
     //! ```
-    pub use lcda_core::backend::{
-        BackendRegistry, BackendSpec, BackendSpecError, CimBackend, HardwareBackend,
-        DEFAULT_BACKEND,
-    };
+    pub use lcda_core::backend::{CimBackend, DEFAULT_BACKEND};
     pub use lcda_core::cache::{CacheSession, CacheStore, SessionStats, StoreStats};
     pub use lcda_core::checkpoint::{Checkpoint, CheckpointStore};
     pub use lcda_core::codesign::{

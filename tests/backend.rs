@@ -1,10 +1,12 @@
-//! Integration tests for the hardware-backend layer: the registry's
-//! `cim` backend and a model plugged in as an evaluator, end to end
-//! through the evaluation pipeline; cache isolation across backend ids;
-//! and forward compatibility with pre-backend checkpoints.
+//! Integration tests for the hardware cost model: `CimBackend` and a
+//! model plugged in as an evaluator, end to end through the evaluation
+//! pipeline; cache isolation across backend ids and hierarchies; forward
+//! compatibility with pre-backend checkpoints; and the call shape the
+//! benchmark package under `perf/` builds against.
 
 use lcda::core::backend::backend_fingerprint;
 use lcda::core::codesign::OptimizerSpec;
+use lcda::core::HwHierarchy;
 use lcda::prelude::*;
 
 /// A cost model plugged in through `EvalPipeline::new` /
@@ -39,21 +41,25 @@ fn pipeline_on(hw: Box<dyn HardwareCostEvaluator>, seed: u64) -> EvalPipeline {
     EvalPipeline::new(Box::new(SurrogateEvaluator::new(space, seed)), hw)
 }
 
-fn pipeline_for(backend: &str, seed: u64) -> EvalPipeline {
+fn cim_pipeline(seed: u64) -> EvalPipeline {
     let space = DesignSpace::nacim_cifar10();
-    let hw = BackendRegistry::standard()
-        .create(backend, &space)
-        .expect("known backend");
-    pipeline_on(hw, seed)
+    pipeline_on(Box::new(CimBackend::new(space)), seed)
+}
+
+/// Loads a hierarchy file and builds the backend on it, as `--hw-config`
+/// does.
+fn cim_on(path: &std::path::Path, space: &DesignSpace) -> CimBackend {
+    let hw = HwHierarchy::load(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    CimBackend::from_hierarchy(space.clone(), hw).expect("a loaded hierarchy is valid")
 }
 
 #[test]
 fn both_backends_evaluate_end_to_end_through_the_pipeline() {
-    // The registry's `cim` and a plugged-in evaluator.
+    // The built-in `cim` model and a plugged-in evaluator.
     let space = DesignSpace::nacim_cifar10();
     let d = space.reference_design();
     for (name, mut p) in [
-        ("cim", pipeline_for(DEFAULT_BACKEND, 0)),
+        ("cim", cim_pipeline(0)),
         ("stub", pipeline_on(Box::new(StubBackend::new(space)), 0)),
     ] {
         let (acc, hw) = p.evaluate(&d).expect("reference design evaluates");
@@ -78,7 +84,7 @@ fn cim_cache_entries_are_never_served_under_another_backend_id() {
     );
 
     // Fill a memo table under the cim backend…
-    let mut cim = pipeline_for("cim", 7);
+    let mut cim = cim_pipeline(7);
     cim.evaluate(&d).unwrap();
     let snapshot = cim.cache().expect("caching on").clone();
     assert!(!snapshot.is_empty());
@@ -185,12 +191,9 @@ fn preset_hierarchies_are_golden_equivalent_to_the_builtins() {
     // fingerprint bit-for-bit.
     let space = DesignSpace::nacim_cifar10();
     let d = space.reference_design();
-    let registry = BackendRegistry::standard();
-    let path = format!("{}/configs/hw/isaac.json", env!("CARGO_MANIFEST_DIR"));
-    let mut configured = registry
-        .create(&format!("cim@{path}"), &space)
-        .unwrap_or_else(|e| panic!("isaac.json loads: {e}"));
-    let mut default = registry.create("cim", &space).expect("builtin");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/hw/isaac.json");
+    let mut configured = cim_on(&path, &space);
+    let mut default = CimBackend::new(space.clone());
     assert_eq!(
         configured.fingerprint(),
         default.fingerprint(),
@@ -207,9 +210,7 @@ fn preset_hierarchies_are_golden_equivalent_to_the_builtins() {
 
 #[test]
 fn distinct_hierarchy_files_namespace_disjoint_fingerprints() {
-    use lcda::core::HwHierarchy;
     let space = DesignSpace::nacim_cifar10();
-    let registry = BackendRegistry::standard();
     let dir = std::env::temp_dir().join(format!("lcda-hw-files-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -220,12 +221,8 @@ fn distinct_hierarchy_files_namespace_disjoint_fingerprints() {
     let b = dir.join("b.json");
     std::fs::write(&b, bigger.canonical_json()).unwrap();
 
-    let from_a: Box<dyn HardwareCostEvaluator> = registry
-        .create(&format!("cim@{}", a.display()), &space)
-        .unwrap();
-    let from_b: Box<dyn HardwareCostEvaluator> = registry
-        .create(&format!("cim@{}", b.display()), &space)
-        .unwrap();
+    let from_a = Box::new(cim_on(&a, &space));
+    let from_b = Box::new(cim_on(&b, &space));
     assert_ne!(
         from_a.fingerprint(),
         from_b.fingerprint(),
@@ -249,4 +246,67 @@ fn distinct_hierarchy_files_namespace_disjoint_fingerprints() {
         "hierarchy A's memo table must be refused under hierarchy B"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The benchmark package under `perf/` builds against these calls,
+/// exactly as `perf/src/workloads.rs` and `perf/src/trace.rs` make them:
+/// a change that breaks them fails here rather than in a benchmark run.
+#[test]
+fn perf_call_shape_builds_the_cim_backend() -> Result<(), String> {
+    use lcda_core::{BackendRegistry, DEFAULT_BACKEND};
+    fn err(e: impl std::fmt::Display) -> String {
+        e.to_string()
+    }
+    let space = DesignSpace::nacim_cifar10();
+    let config = CoDesignConfig::builder(Objective::AccuracyEnergy)
+        .episodes(2)
+        .seed(3)
+        .build();
+
+    // workloads.rs: one run's hardware evaluator.
+    let registry = BackendRegistry::standard();
+    let backend = registry.parse(DEFAULT_BACKEND).map_err(err)?;
+    let hardware: Box<dyn HardwareCostEvaluator> = registry
+        .create_spec_with(&backend, &space, None)
+        .map_err(err)?;
+    let optimizer = OptimizerSpec::Random
+        .instantiate(&space, &config)
+        .map_err(err)?;
+    let accuracy = Box::new(SurrogateEvaluator::new(space.clone(), 3));
+    let mut run =
+        CoDesign::new(space.clone(), config, optimizer, accuracy, hardware).map_err(err)?;
+    assert_eq!(run.backend(), DEFAULT_BACKEND);
+    assert_eq!(run.run().map_err(err)?.history.len(), 2);
+
+    // trace.rs: a bare cost call, then a pipeline over a second backend.
+    let registry = BackendRegistry::standard();
+    let spec = registry.parse("cim").map_err(err)?;
+    let design = space.reference_design();
+    let mut cim = registry
+        .create_spec_with(&spec, &space, None)
+        .map_err(err)?;
+    let metrics = cim.cost(&design).map_err(err)?.expect("within budget");
+    assert_eq!(
+        Some(metrics),
+        CimBackend::new(space.clone()).cost(&design).map_err(err)?
+    );
+
+    let hardware = registry
+        .create_spec_with(&spec, &space, None)
+        .map_err(err)?;
+    let mut pipeline = EvalPipeline::new(
+        Box::new(SurrogateEvaluator::new(space.clone(), 3)),
+        hardware,
+    );
+    pipeline.evaluate(&design).map_err(err)?;
+    pipeline.evaluate(&design).map_err(err)?;
+    assert_eq!(pipeline.stats().hits, 2);
+
+    // Any other name is refused by name.
+    let refused = registry.parse("systolic").unwrap_err().to_string();
+    assert!(
+        refused.contains("unknown hardware backend `systolic`"),
+        "{refused}"
+    );
+    Ok(())
 }

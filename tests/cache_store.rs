@@ -11,9 +11,8 @@ fn run_once(store: Option<&CacheStore>, episodes: u32, seed: u64) -> (Outcome, S
         .episodes(episodes)
         .seed(seed)
         .build();
-    let mut builder = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
-        .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("cim");
+    let mut builder =
+        CoDesign::builder(DesignSpace::nacim_cifar10(), config).optimizer(OptimizerSpec::ExpertLlm);
     if let Some(store) = store {
         builder = builder.cache_store(store);
     }

@@ -102,7 +102,7 @@ fn evaluate_rejects_bad_objective() {
 }
 
 #[test]
-fn search_accepts_backend_flag() {
+fn search_accepts_hw_config_flag() {
     let (ok, stdout, stderr) = lcda(&[
         "search",
         "--episodes",
@@ -111,34 +111,40 @@ fn search_accepts_backend_flag() {
         "3",
         "--optimizer",
         "random",
-        "--backend",
-        "cim@configs/hw/isaac.json",
+        "--hw-config",
+        "configs/hw/isaac.json",
     ]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("backend cim"), "{stdout}");
+    assert!(
+        stdout.contains("backend cim on configs/hw/isaac.json"),
+        "{stdout}"
+    );
     assert!(stdout.contains("best:"));
 }
 
 #[test]
-fn unknown_backend_is_rejected_with_known_names() {
-    // `systolic` is a retired backend: refused by name like any other.
-    for name in ["fpga", "systolic"] {
-        let (ok, _, stderr) = lcda(&["reference", "--backend", name]);
-        assert!(!ok);
-        assert!(
-            stderr.contains(&format!("unknown hardware backend `{name}` (known: cim)")),
-            "{stderr}"
-        );
+fn backend_flag_is_refused_pointing_to_hw_config() {
+    // `cim` is the only hardware model, so there is no name to pick: the
+    // flag is refused whatever it names, retired backends and the old
+    // `cim@<path>` spelling included, before any work starts.
+    for command in ["search", "evaluate", "reference"] {
+        for name in ["cim", "fpga", "systolic", "cim@configs/hw/isaac.json"] {
+            let (ok, stdout, stderr) = lcda(&[command, "--backend", name]);
+            assert!(!ok, "{command} --backend {name}");
+            assert!(stdout.is_empty(), "{stdout}");
+            assert!(stderr.contains("--backend is not accepted"), "{stderr}");
+            assert!(stderr.contains("--hw-config <path>"), "{stderr}");
+        }
     }
 }
 
 #[test]
 fn hw_config_failure_classes_are_distinguished() {
-    // A missing config file is not an "unknown backend".
-    let (ok, _, stderr) = lcda(&["reference", "--backend", "cim@/nonexistent/hierarchy.json"]);
+    // A missing config file is reported as unreadable, naming it.
+    let (ok, _, stderr) = lcda(&["reference", "--hw-config", "/nonexistent/hierarchy.json"]);
     assert!(!ok);
     assert!(stderr.contains("not readable"), "{stderr}");
-    assert!(!stderr.contains("unknown hardware backend"), "{stderr}");
+    assert!(stderr.contains("/nonexistent/hierarchy.json"), "{stderr}");
 
     // A malformed hierarchy is rejected naming the offending path,
     // before any search work starts.
@@ -174,22 +180,6 @@ fn hw_config_failure_classes_are_distinguished() {
     ]);
     assert!(!ok);
     assert!(stderr.contains("rws"), "{stderr}");
-
-    // --hw-config and an @config suffix cannot both name a hierarchy.
-    let (ok, _, stderr) = lcda(&[
-        "search",
-        "--episodes",
-        "2",
-        "--backend",
-        "cim@configs/hw/isaac.json",
-        "--hw-config",
-        "configs/hw/isaac.json",
-    ]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("already names a hardware config"),
-        "{stderr}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -199,8 +189,8 @@ fn preset_hierarchy_reproduces_the_builtin_reference() {
     // through it must reproduce the ISAAC anchors bit-for-bit.
     let (ok, stdout, stderr) = lcda(&[
         "reference",
-        "--backend",
-        "cim@configs/hw/isaac.json",
+        "--hw-config",
+        "configs/hw/isaac.json",
         "--json",
     ]);
     assert!(ok, "{stderr}");
@@ -408,10 +398,15 @@ fn numeric_flags_are_validated_at_parse_time() {
     assert!(!ok);
     assert!(stderr.contains("threads must be at least 1"), "{stderr}");
 
-    // Overflowing u32 budgets fail loudly instead of truncating.
-    let (ok, _, stderr) = lcda(&["search", "--episodes", "99999999999"]);
-    assert!(!ok);
-    assert!(stderr.contains("exceeds the supported range"), "{stderr}");
+    // Overflowing u32 budgets fail loudly instead of truncating: 2^32 + 1
+    // must not run one evaluation, nor 2^32 read as zero.
+    for command in ["search", "front"] {
+        for episodes in ["99999999999", "4294967297", "4294967296"] {
+            let (ok, stdout, stderr) = lcda(&[command, "--episodes", episodes]);
+            assert!(!ok, "{command} --episodes {episodes}: {stdout}");
+            assert!(stderr.contains("exceeds the supported range"), "{stderr}");
+        }
+    }
 }
 
 #[test]

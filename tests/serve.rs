@@ -152,7 +152,6 @@ fn served_job_is_byte_identical_to_the_offline_search() {
         .build();
     let outcome = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("cim")
         .build()
         .unwrap()
         .run()
@@ -283,12 +282,18 @@ fn malformed_hw_configs_are_rejected_at_admission_over_http() {
     let (status, body) = http(server.addr(), "POST", "/jobs", &spec);
     assert_eq!(status, 400, "unknown hw fields must be rejected: {body}");
 
-    // A backend spec with its own `@config` cannot also carry `hw`.
+    // The retired `cim@<config>` spelling is refused by name, with or
+    // without `hw`, pointing at the `hw` object.
     let hw = lcda_base::json::ToJson::to_json(&lcda::core::HwHierarchy::isaac());
-    let spec = lcda_base::json!({ "backend": "cim@configs/hw/isaac.json", "hw": hw }).to_string();
-    let (status, body) = http(server.addr(), "POST", "/jobs", &spec);
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("cannot be combined"), "{body}");
+    for spec in [
+        lcda_base::json!({ "backend": "cim@configs/hw/isaac.json" }),
+        lcda_base::json!({ "backend": "cim@configs/hw/isaac.json", "hw": hw }),
+    ] {
+        let (status, body) = http(server.addr(), "POST", "/jobs", &spec.to_string());
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("`cim@configs/hw/isaac.json`"), "{body}");
+        assert!(body.contains("`hw` object"), "{body}");
+    }
 
     // None of the rejected specs was queued.
     assert!(server.stats().jobs.is_empty());
@@ -719,6 +724,32 @@ fn deadline_expiry_fails_the_job_with_a_typed_error_over_http() {
 }
 
 #[test]
+fn the_largest_episode_budget_fails_by_deadline_and_the_server_lives_on() {
+    // A job sized its history by the budget up front once: u32::MAX
+    // records is hundreds of GB, and a failed allocation aborts the
+    // whole process, which no job-panic guard can catch.
+    let server = JobServer::bind(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let (status, body) = http(
+        server.addr(),
+        "POST",
+        "/jobs",
+        r#"{"episodes":4294967295,"deadline_secs":0}"#,
+    );
+    assert_eq!(status, 202, "{body}");
+    let done = wait_terminal(&server, "job-1".parse().unwrap());
+    assert_eq!(done.state, JobState::Failed, "{:?}", done.error);
+    let error = done.error.as_deref().unwrap_or_default();
+    assert!(error.contains("deadline_exceeded"), "{error}");
+    let (status, body) = http(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
 fn kill_points_recover_byte_identically_from_the_wal_and_checkpoints() {
     use lcda::core::wal::{encode_line, WalEntry, WalRecord, WAL_FILE};
 
@@ -735,7 +766,6 @@ fn kill_points_recover_byte_identically_from_the_wal_and_checkpoints() {
         .build();
     let mut run = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
-        .backend("cim")
         .build()
         .unwrap();
     let mut checkpoints = Vec::new();
