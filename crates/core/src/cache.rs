@@ -259,10 +259,6 @@ struct StoreInner {
     admissions: VecDeque<Admission>,
     stats: StoreStats,
     next_session: u64,
-    /// Monotonic mutation counter: bumped on every true admission and
-    /// eviction. A periodic flusher compares revisions to skip writing
-    /// an unchanged store ([`CacheStore::revision`]).
-    revision: u64,
     /// Admissions ever queued: `admissions` holds the last
     /// `admitted - stats.evictions` of them ([`AdmissionCursor`]).
     admitted: u64,
@@ -361,7 +357,6 @@ impl CacheStore {
                 admissions: VecDeque::new(),
                 stats: StoreStats::default(),
                 next_session: 0,
-                revision: 0,
                 admitted: 0,
             })),
         }
@@ -409,13 +404,6 @@ impl CacheStore {
     /// Store-wide counters aggregated across all sessions.
     pub fn stats(&self) -> StoreStats {
         lock(&self.inner).stats
-    }
-
-    /// Monotonic mutation counter: changes exactly when the resident
-    /// entry set changes (admission or eviction). A periodic flusher
-    /// saves only when the revision moved since its last flush.
-    pub fn revision(&self) -> u64 {
-        lock(&self.inner).revision
     }
 
     /// Snapshots one context's entries as a checkpoint-compatible
@@ -629,7 +617,6 @@ impl CacheStore {
             key: key.clone(),
         });
         g.admitted += 1;
-        g.revision += 1;
         Self::evict_to_capacity(g);
     }
 
@@ -656,7 +643,6 @@ impl CacheStore {
                 g.contexts.remove(&adm.context);
             }
             g.stats.evictions += 1;
-            g.revision += 1;
         }
     }
 }

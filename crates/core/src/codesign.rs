@@ -573,13 +573,6 @@ impl CoDesign {
         })
     }
 
-    /// Replaces the accuracy evaluator (e.g. with the trained one). The
-    /// evaluation cache is rebound to the new evaluator pair.
-    pub fn with_accuracy_evaluator(mut self, eval: Box<dyn AccuracyEvaluator>) -> Self {
-        self.pipeline.replace_accuracy(eval);
-        self
-    }
-
     /// The hardware backend name this run was wired with (`cim`, or a
     /// custom evaluator's name).
     pub fn backend(&self) -> &str {
@@ -597,11 +590,6 @@ impl CoDesign {
     /// The evaluation pipeline (cache inspection, thread control).
     pub fn pipeline(&self) -> &EvalPipeline {
         &self.pipeline
-    }
-
-    /// Mutable access to the evaluation pipeline.
-    pub fn pipeline_mut(&mut self) -> &mut EvalPipeline {
-        &mut self.pipeline
     }
 
     /// The evaluation cache's hit/miss/insert counters (zeroes when

@@ -255,18 +255,6 @@ impl EvalPipeline {
             .unwrap_or_default()
     }
 
-    /// Replaces the accuracy evaluator. The cache session is rebound to
-    /// the new evaluator pair's context — old entries are unreachable
-    /// from it (they describe a different evaluator) but the caching
-    /// on/off choice is preserved.
-    pub fn replace_accuracy(&mut self, accuracy: Box<dyn AccuracyEvaluator>) {
-        self.accuracy = accuracy;
-        self.context = Self::context_of(self.accuracy.as_ref(), self.hardware.as_ref());
-        if self.cache.is_some() {
-            self.cache = Some(self.store.session(self.context.clone()));
-        }
-    }
-
     /// Attaches a run journal: every cache lookup/admission and backend
     /// cost call is emitted as an event. Forwarded to both evaluators so
     /// they can report internal phases (Monte-Carlo batches) too.
@@ -615,22 +603,6 @@ mod tests {
         // Caching disabled → also refused.
         let mut off = pipeline(1).without_cache();
         assert!(!off.restore_cache(snapshot));
-    }
-
-    #[test]
-    fn replace_accuracy_rebinds_the_cache() {
-        let space = DesignSpace::nacim_cifar10();
-        let d = space.reference_design();
-        let mut p = pipeline(1);
-        p.evaluate(&d).unwrap();
-        assert!(!p.cache().unwrap().is_empty());
-        let old_context = p.context.clone();
-        p.replace_accuracy(Box::new(SurrogateEvaluator::new(space, 99)));
-        assert_ne!(p.context, old_context);
-        assert!(
-            p.cache().unwrap().is_empty(),
-            "stale entries must be dropped"
-        );
     }
 
     #[test]

@@ -54,10 +54,9 @@
 //!
 //! The admission queue is bounded ([`ServeConfig::queue_capacity`]): a
 //! full queue rejects `POST /jobs` with `429` + `Retry-After` instead of
-//! growing without bound. Jobs may carry a wall-clock deadline
-//! ([`JobSpec::deadline_secs`], defaulted by
-//! [`ServeConfig::job_deadline_secs`]), enforced cooperatively at
-//! episode boundaries: expiry lands the job in `failed` with a
+//! growing without bound. A job may carry a wall-clock deadline
+//! ([`JobSpec::deadline_secs`]), enforced cooperatively at episode
+//! boundaries: expiry lands the job in `failed` with a
 //! `deadline_exceeded` error. A panicking job is caught once, journaled
 //! as `job_panic` and failed with the panic's text; it is not retried,
 //! since every evaluator is deterministic and a re-run would panic
@@ -107,9 +106,9 @@ use crate::wal::{LedgerJob, Wal, WalEntry, WAL_FILE};
 use crate::{lock, CoreError, Result};
 use lcda_base::json::{FromJson, JsonOut, ToJson, Value};
 
-/// How often idle loops (workers, the store flusher, [`JobServer::wait`],
-/// journal streams) recheck their condition, and how long the acceptor
-/// backs off after a failed `accept`.
+/// How often idle loops (workers, [`JobServer::wait`], journal streams)
+/// recheck their condition, and how long the acceptor backs off after a
+/// failed `accept`.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Socket read/write timeout for request handling and streaming: a
@@ -314,10 +313,10 @@ pub struct JobSpec {
     /// (default: the backend's builtin). Validated at admission — a
     /// malformed hierarchy is a `400`, never a queued-then-failed job.
     pub hw: Option<HwHierarchy>,
-    /// Wall-clock deadline for this job, seconds (default: the server's
-    /// [`ServeConfig::job_deadline_secs`]). Enforced cooperatively at
-    /// episode boundaries; expiry fails the job with a typed
-    /// `deadline_exceeded` error. `0` expires at the first boundary.
+    /// Wall-clock deadline for this job, seconds (default: none).
+    /// Enforced cooperatively at episode boundaries; expiry fails the
+    /// job with a typed `deadline_exceeded` error. `0` expires at the
+    /// first boundary.
     pub deadline_secs: Option<u64>,
 }
 
@@ -405,9 +404,9 @@ pub struct ServeConfig {
     /// evicted down to it, oldest admission first.
     pub cache_capacity: Option<usize>,
     /// Persist the shared store here: loaded at bind when the file
-    /// exists, saved at shutdown and every
-    /// [`ServeConfig::cache_flush_secs`]. Entries loaded from disk count
-    /// as cross-run hits for every session.
+    /// exists, saved when a job that admitted entries ends and at
+    /// shutdown. Entries loaded from disk count as cross-run hits for
+    /// every session.
     pub cache_path: Option<PathBuf>,
     /// Directory for per-job journals (`job-<n>.jsonl`) **and** the
     /// durability artifacts: the job-ledger WAL (`jobs.wal.jsonl`),
@@ -419,14 +418,6 @@ pub struct ServeConfig {
     /// Bound on queued admissions (default 1024, clamped to ≥ 1). A
     /// full queue rejects `POST /jobs` with `429` + `Retry-After`.
     pub queue_capacity: usize,
-    /// Default wall-clock deadline for jobs that do not set
-    /// [`JobSpec::deadline_secs`] (default: none).
-    pub job_deadline_secs: Option<u64>,
-    /// Seconds between periodic flushes of the shared store to
-    /// `cache_path` (default 30; `0` disables periodic flushing). Each
-    /// flush is atomic (tmp + fsync + rename) and skipped when the
-    /// store has not changed since the last one.
-    pub cache_flush_secs: u64,
     /// Per-job checkpoint cadence, episodes (default 1 — checkpoint
     /// every episode). Meaningful only with a journal directory.
     pub checkpoint_every: u32,
@@ -441,8 +432,6 @@ impl Default for ServeConfig {
             cache_path: None,
             journal_dir: None,
             queue_capacity: 1024,
-            job_deadline_secs: None,
-            cache_flush_secs: 30,
             checkpoint_every: 1,
         }
     }
@@ -525,7 +514,9 @@ struct ServerState {
     /// streams — events that belong to no single job.
     server_journal: Journal,
     queue_capacity: usize,
-    job_deadline_secs: Option<u64>,
+    /// Where the shared store is saved, behind the lock that serializes
+    /// saves: every save writes the same `<file>.tmp`.
+    cache_path: Mutex<Option<PathBuf>>,
     checkpoint_every: u32,
     worker_count: usize,
     started: Instant,
@@ -669,6 +660,16 @@ impl ServerState {
             }
         }
         self.status(id)
+    }
+
+    /// Saves the shared store to the configured `cache_path`, if any.
+    /// The path's lock serializes saves, so two workers ending jobs at
+    /// once never interleave their bytes in the shared tmp file.
+    fn save_store(&self) -> Result<()> {
+        match &*lock(&self.cache_path) {
+            Some(path) => self.store.save(path),
+            None => Ok(()),
+        }
     }
 
     fn stats(&self) -> ServerStats {
@@ -822,8 +823,6 @@ pub struct JobServer {
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    flusher: Option<JoinHandle<()>>,
-    cache_path: Option<PathBuf>,
 }
 
 impl fmt::Debug for JobServer {
@@ -896,7 +895,7 @@ impl JobServer {
             wal,
             server_journal,
             queue_capacity,
-            job_deadline_secs: config.job_deadline_secs,
+            cache_path: Mutex::new(config.cache_path),
             checkpoint_every: config.checkpoint_every.max(1),
             worker_count: config.workers.max(1),
             started: Instant::now(),
@@ -921,23 +920,11 @@ impl JobServer {
             let st = Arc::clone(&state);
             thread::spawn(move || acceptor_loop(&st, &listener))
         };
-        let flusher = match (&config.cache_path, config.cache_flush_secs) {
-            (Some(path), secs) if secs > 0 => {
-                let st = Arc::clone(&state);
-                let path = path.clone();
-                Some(thread::spawn(move || {
-                    cache_flush_loop(&st, &path, Duration::from_secs(secs));
-                }))
-            }
-            _ => None,
-        };
         Ok(JobServer {
             state,
             addr,
             acceptor: Some(acceptor),
             workers,
-            flusher,
-            cache_path: config.cache_path,
         })
     }
 
@@ -989,12 +976,6 @@ impl JobServer {
         self.state.stats()
     }
 
-    /// True once `POST /shutdown` (or [`JobServer::shutdown`]) was
-    /// requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Stops the server: no new admissions, workers drain their current
     /// job and exit, the acceptor closes, and — when configured — the
     /// shared store is persisted to `cache_path`.
@@ -1006,10 +987,7 @@ impl JobServer {
     pub fn shutdown(mut self) -> Result<()> {
         self.stop_threads();
         let _ = self.state.server_journal.finish();
-        if let Some(path) = self.cache_path.take() {
-            self.state.store.save(&path)?;
-        }
-        Ok(())
+        self.state.save_store()
     }
 
     /// Blocks until shutdown is requested (e.g. by `POST /shutdown`),
@@ -1044,9 +1022,6 @@ impl JobServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(handle) = self.flusher.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1079,7 +1054,8 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Mutex<Receiver<u64>>) {
 /// Executes one job end to end: claim (queued → running, WAL'd),
 /// search under one panic catch (the worker always survives), persist
 /// the result durably, and land in a terminal state (WAL'd after the
-/// result file is on disk).
+/// result file is on disk; the shared store is saved before the record
+/// shows it).
 fn run_job(state: &Arc<ServerState>, id: JobId) {
     let (spec, cancel, journal) = {
         let mut jobs = lock(&state.jobs);
@@ -1110,7 +1086,6 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
     journal.record(JournalEvent::JobStarted {
         job: id.to_string(),
     });
-    let deadline_secs = spec.deadline_secs.or(state.job_deadline_secs);
     let started = Instant::now();
     let ckpt_store = state
         .journal_dir
@@ -1124,7 +1099,6 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
             &spec,
             &cancel,
             &journal,
-            deadline_secs,
             started,
             ckpt_store.as_ref(),
         );
@@ -1149,7 +1123,7 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
         Err(e @ CoreError::DeadlineExceeded(_)) => {
             journal.record(JournalEvent::JobDeadline {
                 job: id.to_string(),
-                deadline_secs: deadline_secs.unwrap_or(0),
+                deadline_secs: spec.deadline_secs.unwrap_or(0),
             });
             (JobState::Failed, None, Some(e.to_string()))
         }
@@ -1167,6 +1141,13 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
         state: next.name().to_string(),
     });
     let journal_error = journal.finish().err().map(|e| format!("journal: {e}"));
+    // Persist what this job added to the shared store before its record
+    // turns terminal, so a client that sees the job end can rely on the
+    // store surviving `kill -9`. A failed save only costs a later run
+    // those hits; the shutdown save reports its error.
+    if stats.is_some_and(|s| s.inserts > 0) {
+        let _ = state.save_store();
+    }
     let mut jobs = lock(&state.jobs);
     if let Some(rec) = jobs.get_mut(&id.index()) {
         if rec.state.can_advance(next) {
@@ -1216,14 +1197,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// trailing newline, byte-identical to `lcda search --json`) or the
 /// typed error, plus the run's session stats when it got far enough to
 /// have them.
-#[allow(clippy::too_many_arguments)]
 fn execute(
     state: &Arc<ServerState>,
     id: JobId,
     spec: &JobSpec,
     cancel: &Arc<AtomicBool>,
     journal: &Journal,
-    deadline_secs: Option<u64>,
     started: Instant,
     ckpt_store: Option<&CheckpointStore>,
 ) -> (Result<String>, Option<SessionStats>) {
@@ -1265,12 +1244,12 @@ fn execute(
                 && cp.config.objective == config.objective
                 && cp.episodes_done() <= u64::from(spec.episodes)
         });
-    let checkpoint_every = u64::from(state.checkpoint_every.max(1));
+    let checkpoint_every = u64::from(state.checkpoint_every);
     let outcome = run.run_resumable(resume, |cp| {
         if cancel.load(Ordering::SeqCst) {
             return Err(CoreError::Cancelled(format!("{id} cancel requested")));
         }
-        if let Some(limit) = deadline_secs {
+        if let Some(limit) = spec.deadline_secs {
             if started.elapsed() >= Duration::from_secs(limit) {
                 return Err(CoreError::DeadlineExceeded(format!(
                     "{id} exceeded its {limit}s deadline"
@@ -1299,28 +1278,6 @@ fn execute(
     // keeping served results `cmp`-equal to the offline run.
     let result = outcome.map(|outcome| lcda_base::json::to_string_pretty(&outcome) + "\n");
     (result, Some(stats))
-}
-
-/// Periodically persists the shared store to `path`, skipping flushes
-/// when the store has not changed since the last one. Bounds the memo
-/// entries `kill -9` can lose to one flush interval.
-fn cache_flush_loop(state: &Arc<ServerState>, path: &std::path::Path, every: Duration) {
-    let mut last_revision = state.store.revision();
-    let mut since = Duration::ZERO;
-    while !state.shutdown.load(Ordering::SeqCst) {
-        thread::sleep(POLL);
-        since += POLL;
-        if since < every {
-            continue;
-        }
-        since = Duration::ZERO;
-        let revision = state.store.revision();
-        // A failed save is retried at the next interval; the final
-        // authoritative save happens at shutdown.
-        if revision != last_revision && state.store.save(path).is_ok() {
-            last_revision = revision;
-        }
-    }
 }
 
 /// Acceptor: block in `accept`, spawning one short-lived thread per

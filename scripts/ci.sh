@@ -183,6 +183,18 @@ if ./target/release/lcda search --backend cim > /dev/null 2> "$journal_dir/backe
 fi
 grep -q -- "--backend is not accepted" "$journal_dir/backend.err"
 grep -q -- "--hw-config" "$journal_dir/backend.err"
+# Retired serve flags are refused by name too. `timeout` keeps a build
+# that accepts one from serving forever; its empty stderr then fails
+# grep.
+for flag in --cache-flush-secs --job-deadline; do
+    if timeout 10 ./target/release/lcda serve "$flag" 5 \
+        > /dev/null 2> "$journal_dir/retired.err"; then
+        echo "ci: serve accepted the retired $flag" >&2
+        exit 1
+    fi
+    grep -q -- "$flag is not accepted" "$journal_dir/retired.err" \
+        || { echo "ci: serve $flag was not refused by name" >&2; exit 1; }
+done
 
 # Hardware drill: edit the hierarchy file under a checkpointed search.
 # The resume must be refused on the hierarchy digest instead of
@@ -416,3 +428,39 @@ for _ in $(seq 1 600); do
 done
 curl -sf -X POST "http://$addr/shutdown" > /dev/null
 wait "$crash_pid"
+
+# Store-survival smoke: the shared store is saved when a job ends, so a
+# server killed with kill -9 right after a job reports `done` (with no
+# shutdown save) must leave a store that the restarted server serves
+# the same spec from, as cross-run hits.
+store_spec='{"episodes": 3, "seed": 23}'
+for run in a b; do
+    ./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
+        --cache "$journal_dir/survive_store.json" --journal-dir "$journal_dir/survive_$run" \
+        > "$journal_dir/survive_$run.log" &
+    survive_pid=$!
+    addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/survive_$run.log")
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "ci: store-survival serve $run never printed its address" >&2; exit 1; }
+    curl -sf -X POST -d "$store_spec" "http://$addr/jobs" > /dev/null
+    state=""
+    for _ in $(seq 1 600); do
+        state=$(curl -sf "http://$addr/jobs/job-1" \
+            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+        [ "$state" = "done" ] && break
+        sleep 0.1
+    done
+    [ "$state" = "done" ] || { echo "ci: store-survival run $run ended '$state', not done" >&2; exit 1; }
+    if [ "$run" = b ]; then
+        cross=$(curl -sf "http://$addr/jobs/job-1" \
+            | sed -n 's/.*"cross_run_hits":\([0-9]*\).*/\1/p')
+    fi
+    kill -9 "$survive_pid" 2> /dev/null || true
+    wait "$survive_pid" 2> /dev/null || true
+done
+[ -n "$cross" ] && [ "$cross" -gt 0 ] \
+    || { echo "ci: the store did not survive kill -9 (cross_run_hits '$cross')" >&2; exit 1; }

@@ -73,10 +73,9 @@ SERVE OPTIONS:
     --cache-capacity <n>    entry bound for the shared cross-run cache,
                             evicting oldest admissions first; also bounds
                             a store loaded from --cache     (default unbounded)
-    --cache <path>          persist the shared cache across restarts
-    --cache-flush-secs <n>  also flush the shared cache to --cache every n
-                            seconds (atomic; skipped when unchanged; 0
-                            disables periodic flushing)       (default 30)
+    --cache <path>          persist the shared cache across restarts: loaded
+                            at startup, saved atomically when a job that
+                            added entries ends and at shutdown
     --journal-dir <dir>     write one JSONL journal per job (job-<n>.jsonl),
                             enable GET /jobs/<id>/journal streaming, and keep
                             a durable job ledger (jobs.wal.jsonl) plus per-job
@@ -85,10 +84,9 @@ SERVE OPTIONS:
                             acknowledged job byte-identically
     --queue-capacity <n>    bound on queued admissions; a full queue answers
                             POST /jobs with 429 + Retry-After (default 1024)
-    --job-deadline <secs>   default wall-clock deadline per job, enforced at
-                            episode boundaries; expiry fails the job with a
-                            typed deadline_exceeded error (default none)
     --checkpoint-every <n>  per-job checkpoint cadence, episodes (default 1)
+    a job spec may set \"deadline_secs\": a wall-clock deadline enforced at
+    episode boundaries; expiry fails the job with deadline_exceeded
     a job whose search panics fails with the panic's message (not retried:
     the search is deterministic); its worker takes the next job
     endpoints: POST /jobs · GET /jobs/<id> · GET /jobs/<id>/result
@@ -117,6 +115,25 @@ REPORT USAGE:
                 unless --allow-truncated is passed
 ";
 
+/// Flags an earlier build took, each refused by name with where its
+/// behaviour went instead of as an unknown flag.
+const RETIRED_FLAGS: &[(&str, &str)] = &[
+    (
+        "--backend",
+        "the hardware cost model is always `cim`; name a hardware hierarchy \
+         with --hw-config <path>",
+    ),
+    (
+        "--cache-flush-secs",
+        "serve saves the --cache store when a job that added entries ends \
+         and at shutdown",
+    ),
+    (
+        "--job-deadline",
+        "give each job its own wall-clock deadline with the spec's \"deadline_secs\"",
+    ),
+];
+
 /// Minimal flag parser: `--key value` pairs plus boolean flags, with
 /// strict validation — unknown flags are a usage error, not a silent
 /// no-op (a `--episode` typo must not run 20 episodes with defaults).
@@ -127,8 +144,8 @@ struct Args {
 impl Args {
     /// Rejects anything that is not a listed value flag (with its value)
     /// or a listed boolean flag, a flag given twice (`get` would keep
-    /// the first and drop the rest), and a value that is itself a listed
-    /// flag (`--journal --json` must not write a file named `--json`).
+    /// the first and drop the rest), and a value that looks like a flag
+    /// (`--journal --json` must not write a file named `--json`).
     fn validate(&self, value_flags: &[&str], bool_flags: &[&str]) -> Result<(), String> {
         match self.positionals(value_flags, bool_flags)?.first() {
             Some(item) => Err(format!("unexpected argument `{item}` (see `lcda help`)")),
@@ -154,7 +171,7 @@ impl Args {
             if value_flags.contains(&item) {
                 match self.items.get(i + 1).map(String::as_str) {
                     None => return Err(format!("{item} expects a value")),
-                    Some(value) if is_flag(value) => {
+                    Some(value) if value.starts_with("--") => {
                         return Err(format!("{item} expects a value, got the flag `{value}`"))
                     }
                     Some(_) => {}
@@ -162,10 +179,8 @@ impl Args {
                 i += 2;
             } else if bool_flags.contains(&item) {
                 i += 1;
-            } else if item == "--backend" {
-                return Err("--backend is not accepted: the hardware cost model is \
-                            always `cim`; name a hardware hierarchy with --hw-config <path>"
-                    .into());
+            } else if let Some((_, why)) = RETIRED_FLAGS.iter().find(|(flag, _)| *flag == item) {
+                return Err(format!("{item} is not accepted: {why}"));
             } else if item.starts_with('-') {
                 return Err(format!("unknown flag `{item}` (see `lcda help`)"));
             } else {
@@ -431,10 +446,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             "--workers",
             "--cache-capacity",
             "--cache",
-            "--cache-flush-secs",
             "--journal-dir",
             "--queue-capacity",
-            "--job-deadline",
             "--checkpoint-every",
         ],
         &[],
@@ -455,17 +468,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         config.cache_capacity = Some(capacity);
     }
     config.cache_path = args.get("--cache").map(PathBuf::from);
-    config.cache_flush_secs = args.num("--cache-flush-secs", config.cache_flush_secs)?;
-    if args.get("--cache-flush-secs").is_some() && config.cache_path.is_none() {
-        return Err("--cache-flush-secs requires --cache <path>".into());
-    }
     config.journal_dir = args.get("--journal-dir").map(PathBuf::from);
     config.queue_capacity = args.num_usize("--queue-capacity", config.queue_capacity)?;
     if config.queue_capacity == 0 {
         return Err("--queue-capacity must be at least 1".into());
-    }
-    if args.get("--job-deadline").is_some() {
-        config.job_deadline_secs = Some(args.num("--job-deadline", 0)?);
     }
     config.checkpoint_every = args.num_u32("--checkpoint-every", config.checkpoint_every)?;
     if config.checkpoint_every == 0 {

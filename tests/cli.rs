@@ -139,6 +139,30 @@ fn backend_flag_is_refused_pointing_to_hw_config() {
 }
 
 #[test]
+fn retired_serve_flags_are_refused_by_name() {
+    // The store is saved at job end and at shutdown; there is no timer
+    // left to set.
+    let (ok, stdout, stderr) = lcda(&["serve", "--cache-flush-secs", "5"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("--cache-flush-secs is not accepted"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("at shutdown"), "{stderr}");
+
+    // A deadline belongs to each job's spec, not to the server.
+    let (ok, stdout, stderr) = lcda(&["serve", "--job-deadline", "5"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("--job-deadline is not accepted"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("\"deadline_secs\""), "{stderr}");
+}
+
+#[test]
 fn hw_config_failure_classes_are_distinguished() {
     // A missing config file is reported as unreadable, naming it.
     let (ok, _, stderr) = lcda(&["reference", "--hw-config", "/nonexistent/hierarchy.json"]);
@@ -254,6 +278,27 @@ fn unknown_flags_are_rejected_not_ignored() {
         "{stderr}"
     );
     assert!(!std::path::Path::new("--json").exists());
+    // So is one that is a flag the command does not list.
+    let dir = std::env::temp_dir().join(format!("lcda-cli-flag-value-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for flag in ["--backend", "--shards"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lcda"))
+            .args(["search", "--episodes", "1", "--journal", flag])
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--journal {flag} ran");
+        assert!(
+            stderr.contains(&format!("--journal expects a value, got the flag `{flag}`")),
+            "{stderr}"
+        );
+        assert!(
+            !dir.join(flag).exists(),
+            "a journal named {flag} was written"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 
     // `report` takes one positional but the same flag rules.
     let journal = concat!(

@@ -972,3 +972,142 @@ fn queued_jobs_naming_retired_optimizers_or_backends_fail_by_name() {
     server.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A server that is never shut down (a `kill -9`, a Ctrl-C) must still
+/// leave its shared store on disk: the store is saved when a job that
+/// admitted entries ends, so a restart on the same `cache_path` serves
+/// the same spec from the loaded entries.
+#[test]
+fn the_store_survives_a_server_that_never_shuts_down() {
+    let dir = std::env::temp_dir().join(format!("lcda-serve-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("store.json");
+    let config = || ServeConfig {
+        workers: 1,
+        cache_path: Some(path.clone()),
+        ..ServeConfig::default()
+    };
+    let spec = r#"{"episodes": 3, "seed": 13}"#;
+
+    let server = JobServer::bind(config()).expect("bind");
+    let (code, body) = http(server.addr(), "POST", "/jobs", spec);
+    assert_eq!(code, 202, "{body}");
+    let first = wait_terminal(&server, "job-1".parse().unwrap());
+    assert_eq!(first.state, JobState::Done, "{:?}", first.error);
+    let inserts = first.cache.expect("terminal jobs publish stats").inserts;
+    assert!(inserts > 0, "the job must admit entries");
+    // Dropping the handle joins the threads but saves nothing itself.
+    drop(server);
+
+    let loaded = CacheStore::load(&path, None).expect("the job's end saved the store");
+    assert_eq!(loaded.len() as u64, inserts, "every entry the job admitted");
+
+    let server = JobServer::bind(config()).expect("rebind on the saved store");
+    let (code, body) = http(server.addr(), "POST", "/jobs", spec);
+    assert_eq!(code, 202, "{body}");
+    let second = wait_terminal(&server, "job-1".parse().unwrap());
+    assert_eq!(second.state, JobState::Done, "{:?}", second.error);
+    let stats = second.cache.expect("terminal jobs publish stats");
+    assert!(
+        stats.cross_run_hits > 0,
+        "the restarted server must serve the saved entries: {stats:?}"
+    );
+    assert_eq!(stats.misses, 0, "an identical rerun misses nothing");
+    server.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `checkpoint_every: 4` on a 10-episode job checkpoints after episodes
+/// 4 and 8 only, and a restart from that log (the WAL of a job killed
+/// while running) finishes the job to the offline run's exact bytes.
+#[test]
+fn a_sparse_checkpoint_cadence_resumes_byte_identically() {
+    use lcda::core::wal::{encode_line, WalEntry, WalRecord, WAL_FILE};
+
+    let root = std::env::temp_dir().join(format!("lcda-serve-cadence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = |dir: &std::path::Path| ServeConfig {
+        workers: 1,
+        journal_dir: Some(dir.to_path_buf()),
+        checkpoint_every: 4,
+        ..ServeConfig::default()
+    };
+    let spec = JobSpec {
+        episodes: 10,
+        seed: 17,
+        ..JobSpec::default()
+    };
+
+    let first_dir = root.join("first");
+    let server = JobServer::bind(config(&first_dir)).expect("bind");
+    let id = server.submit(spec.clone()).expect("admit");
+    let status = wait_terminal(&server, id);
+    assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+    server.shutdown().expect("shutdown");
+
+    // A header line plus one line per save: episodes 4 and 8, not 10.
+    let log = first_dir.join("job-1.ckpt.json");
+    let text = std::fs::read_to_string(&log).expect("read checkpoint log");
+    assert_eq!(text.lines().count(), 3, "{text}");
+    let (checkpoint, generation) = CheckpointStore::new(&log, 2)
+        .unwrap()
+        .load_latest()
+        .expect("load checkpoint log")
+        .expect("a checkpoint log exists");
+    assert_eq!((checkpoint.episodes_done(), generation), (8, 0));
+
+    // The state `kill -9` leaves after episode 8: admitted + running in
+    // the WAL, and that checkpoint log.
+    let crash_dir = root.join("crash");
+    std::fs::create_dir_all(&crash_dir).expect("crash dir");
+    std::fs::copy(&log, crash_dir.join("job-1.ckpt.json")).expect("copy log");
+    let mut wal = String::new();
+    let entries = [
+        WalEntry::Admitted {
+            job: 1,
+            spec: Box::new(spec),
+        },
+        WalEntry::Transition {
+            job: 1,
+            state: JobState::Running,
+            error: None,
+        },
+    ];
+    for (seq, entry) in entries.into_iter().enumerate() {
+        let record = WalRecord {
+            seq: seq as u64,
+            entry,
+        };
+        wal.push_str(&encode_line(&record).expect("encode"));
+        wal.push('\n');
+    }
+    std::fs::write(crash_dir.join(WAL_FILE), wal).expect("write wal");
+
+    let server = JobServer::bind(config(&crash_dir)).expect("bind on the crashed ledger");
+    let status = wait_terminal(&server, "job-1".parse().unwrap());
+    assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+    assert!(status.recovered);
+    let journal = std::fs::read_to_string(crash_dir.join("job-1.jsonl")).expect("job journal");
+    assert!(
+        journal
+            .lines()
+            .any(|l| l.contains("\"job_recovered\"") && l.contains("\"episodes_done\":8")),
+        "the restart must resume from episode 8:\n{journal}"
+    );
+    let (code, served) = http(server.addr(), "GET", "/jobs/job-1/result", "");
+    assert_eq!(code, 200);
+    server.shutdown().expect("shutdown");
+
+    let offline = std::process::Command::new(env!("CARGO_BIN_EXE_lcda"))
+        .args(["search", "--episodes", "10", "--seed", "17", "--json"])
+        .output()
+        .expect("run lcda search");
+    assert!(offline.status.success());
+    assert_eq!(
+        served.as_bytes(),
+        offline.stdout.as_slice(),
+        "the resumed job must equal `lcda search --json`"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
