@@ -120,6 +120,45 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     render(value, true)
 }
 
+/// Streams `value`'s pretty JSON, as [`to_string_pretty`] renders it,
+/// into `writer`, without holding the text.
+///
+/// # Errors
+///
+/// Fails when `writer` does, or with [`std::io::ErrorKind::InvalidData`]
+/// where [`to_string_pretty`] would panic.
+pub fn to_writer_pretty<T: ToJson + ?Sized>(
+    writer: &mut dyn std::io::Write,
+    value: &T,
+) -> std::io::Result<()> {
+    /// A `fmt` sink over an `io` writer that keeps the writer's error.
+    struct Io<'a> {
+        writer: &'a mut dyn std::io::Write,
+        error: Option<std::io::Error>,
+    }
+    impl fmt::Write for Io<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.writer.write_all(s.as_bytes()).map_err(|e| {
+                self.error = Some(e);
+                fmt::Error
+            })
+        }
+    }
+    let mut sink = Io {
+        writer,
+        error: None,
+    };
+    match value.write_json(&mut JsonOut::new(&mut sink, true)) {
+        Ok(()) => Ok(()),
+        Err(fmt::Error) => Err(sink.error.unwrap_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "a flattened payload is not an object",
+            )
+        })),
+    }
+}
+
 fn render<T: ToJson + ?Sized>(value: &T, pretty: bool) -> String {
     let mut text = String::new();
     // A `String` sink never fails, so an error is a malformed `flatten`.
@@ -476,10 +515,18 @@ impl<'a> JsonOut<'a> {
         self.sink.write_str(if b { "true" } else { "false" })
     }
 
-    /// An integer in decimal.
+    /// An integer in decimal. Values in the 64-bit range take a `u64`
+    /// digit loop; only the rest go through `i128` formatting, which is
+    /// several times slower. The digits are the same either way.
     pub fn int(&mut self, i: i128) -> fmt::Result {
         self.not_flattening()?;
-        write!(self.sink, "{i}")
+        if let Ok(n) = u64::try_from(i) {
+            return write_u64(self.sink, false, n);
+        }
+        match i64::try_from(i) {
+            Ok(n) => write_u64(self.sink, true, n.unsigned_abs()),
+            Err(_) => write!(self.sink, "{i}"),
+        }
     }
 
     /// An `f32` in its shortest `f32` form; NaN and infinities as `null`.
@@ -638,6 +685,28 @@ impl<'a> JsonOut<'a> {
             }
         }
     }
+}
+
+/// Writes `n` in decimal, after a minus sign when `negative` holds, in
+/// one `write_str`.
+fn write_u64(sink: &mut dyn fmt::Write, negative: bool, mut n: u64) -> fmt::Result {
+    // A sign and the 20 digits of `u64::MAX`.
+    let mut buf = [0u8; 21];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    // ASCII digits and a minus sign are always UTF-8.
+    sink.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
 }
 
 /// A sink adapter that escapes what it is given as JSON string content.

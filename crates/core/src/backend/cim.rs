@@ -30,9 +30,10 @@
 //!   knobs (`xbar_size`, `cell_bits`, `adc_bits`, `tech`) override them
 //!   per evaluation — those axes are what the search explores;
 //! - the `(energy, latency)` calibration stays a global constant pinned
-//!   to the default ISAAC anchors: a per-hierarchy calibration would
-//!   silently erase the real differences between chips, which are
-//!   exactly what a hierarchy sweep is supposed to measure.
+//!   to the default ISAAC anchors, computed once per process: a
+//!   per-hierarchy calibration would silently erase the real differences
+//!   between chips, which are exactly what a hierarchy sweep is supposed
+//!   to measure.
 
 use super::{backend_fingerprint, DEFAULT_BACKEND};
 use crate::evaluate::{HardwareCostEvaluator, HwMetrics};
@@ -46,16 +47,50 @@ use lcda_neurosim::device::DeviceTech;
 use lcda_neurosim::isaac;
 use lcda_neurosim::mapper::{LayerWorkload, Precision};
 use lcda_neurosim::NeurosimError;
+use std::sync::{Arc, OnceLock};
 
+/// The global `(energy, latency)` calibration factors: a NeuroSim
+/// evaluation of the reference network on [`ChipConfig::isaac_default`].
+/// Neither input can change, so a process computes them once, on the
+/// first backend it builds.
 // The ISAAC default config is a compile-time constant validated by the
 // neurosim crate's own tests; calibration over it cannot fail at runtime,
 // so this is the one sanctioned expect in the crate (see the
 // `clippy::expect_used` gate in lib.rs).
 #[allow(clippy::expect_used)]
 fn isaac_calibration() -> (f64, f64) {
-    isaac::calibrate(ChipConfig::isaac_default())
-        .expect("default ISAAC configuration is valid")
-        .calibration
+    static CALIBRATION: OnceLock<(f64, f64)> = OnceLock::new();
+    *CALIBRATION.get_or_init(|| {
+        isaac::calibrate(ChipConfig::isaac_default())
+            .expect("default ISAAC configuration is valid")
+            .calibration
+    })
+}
+
+/// A hierarchy's identity texts, rendered once when a backend is built:
+/// the canonical JSON its fingerprint hashes, its digest and its summary.
+#[derive(Debug)]
+struct HwIdentity {
+    json: String,
+    digest: String,
+    summary: String,
+}
+
+impl HwIdentity {
+    fn of(hw: &HwHierarchy) -> Self {
+        let json = hw.canonical_json();
+        HwIdentity {
+            digest: HwHierarchy::digest_of(&json),
+            summary: hw.summary(),
+            json,
+        }
+    }
+
+    /// The built-in [`HwHierarchy::isaac`]'s identity, a process constant.
+    fn isaac() -> Arc<Self> {
+        static ISAAC: OnceLock<Arc<HwIdentity>> = OnceLock::new();
+        Arc::clone(ISAAC.get_or_init(|| Arc::new(HwIdentity::of(&HwHierarchy::isaac()))))
+    }
 }
 
 /// The NeuroSim-style hardware cost backend: builds the candidate's
@@ -69,10 +104,13 @@ pub struct CimBackend {
     /// single-image latency, i.e. sequential). A modeling choice, not
     /// hardware — deliberately not part of the hierarchy.
     latency_mode: LatencyMode,
-    /// Global `(energy, latency)` calibration factors, computed **once**
-    /// from the default ISAAC configuration and applied to *every*
-    /// candidate chip (see the module docs for why).
+    /// Global `(energy, latency)` calibration factors, computed **once
+    /// per process** from the default ISAAC configuration and applied to
+    /// *every* candidate chip (see the module docs for why).
     calibration: (f64, f64),
+    /// `hw`'s identity texts. `hw` is private and never changes, so they
+    /// stay exact for the backend's whole life.
+    identity: Arc<HwIdentity>,
 }
 
 impl CimBackend {
@@ -84,6 +122,7 @@ impl CimBackend {
             hw: HwHierarchy::isaac(),
             latency_mode: LatencyMode::Sequential,
             calibration: isaac_calibration(),
+            identity: HwIdentity::isaac(),
         }
     }
 
@@ -97,16 +136,29 @@ impl CimBackend {
         hw.validate()?;
         Ok(CimBackend {
             space,
+            identity: Arc::new(HwIdentity::of(&hw)),
             hw,
             latency_mode: LatencyMode::Sequential,
             calibration: isaac_calibration(),
         })
     }
 
-    /// The hardware hierarchy in use. Its [`HwHierarchy::digest`] joins
-    /// the checkpoint stamp and the journal `hw_config` event.
+    /// The hardware hierarchy in use.
     pub fn hw(&self) -> &HwHierarchy {
         &self.hw
+    }
+
+    /// The hierarchy's [`HwHierarchy::digest`], rendered when the backend
+    /// was built. It joins the checkpoint stamp and the journal
+    /// `hw_config` event.
+    pub fn digest(&self) -> &str {
+        &self.identity.digest
+    }
+
+    /// The hierarchy's [`HwHierarchy::summary`], rendered when the
+    /// backend was built.
+    pub fn summary(&self) -> &str {
+        &self.identity.summary
     }
 
     /// The chip configuration a candidate's hardware choice describes,
@@ -205,8 +257,8 @@ impl HardwareCostEvaluator for CimBackend {
         // mapping, workloads, area budget); the hierarchy carries the
         // platform. Its canonical JSON joins the digest, so two different
         // chips can never share memo entries.
-        let space = lcda_base::json::to_string(&self.space);
-        backend_fingerprint(DEFAULT_BACKEND, &[&space, &self.hw.canonical_json()])
+        let space = crate::identity::space_json(&self.space);
+        backend_fingerprint(DEFAULT_BACKEND, &[&space, &self.identity.json])
     }
 }
 

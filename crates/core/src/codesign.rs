@@ -479,7 +479,8 @@ impl CoDesignBuilder {
                     // Every hierarchy runs as `cim`; its digest is what
                     // tells one chip from another in checkpoints and the
                     // journal.
-                    let (digest, summary) = (backend.hw().digest(), backend.hw().summary());
+                    let (digest, summary) =
+                        (backend.digest().to_string(), backend.summary().to_string());
                     let name = DEFAULT_BACKEND.to_string();
                     (Box::new(backend), name, Some(digest), Some(summary))
                 }

@@ -424,7 +424,13 @@ impl HwHierarchy {
     /// fingerprints, the checkpoint stamp, and the journal `hw_config`
     /// event: two different hierarchies can never share any of them.
     pub fn digest(&self) -> String {
-        stable_fingerprint(&[&self.canonical_json()])
+        Self::digest_of(&self.canonical_json())
+    }
+
+    /// [`HwHierarchy::digest`] from an already rendered
+    /// [`HwHierarchy::canonical_json`].
+    pub(crate) fn digest_of(canonical_json: &str) -> String {
+        stable_fingerprint(&[canonical_json])
     }
 
     /// One-line tier summary for journals and reports.

@@ -67,6 +67,7 @@ pub mod codesign;
 pub mod durable;
 pub mod evaluate;
 pub mod hwconfig;
+mod identity;
 pub mod journal;
 pub mod mo;
 pub mod pareto;

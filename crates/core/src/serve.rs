@@ -42,11 +42,12 @@
 //! freshly seeded optimizer — the same discipline `lcda search --resume`
 //! uses).
 //!
-//! The result file is also the only copy the server keeps: a `done`
-//! job's body is read from disk on each `GET /jobs/{id}/result`, and a
-//! restart only checks that the file exists. A job closes its journal
-//! file when it reaches a terminal state. So a finished job holds its
-//! spec and a few counters in memory, not its result or an open file.
+//! The result file is also the only copy the server keeps: the outcome
+//! streams into it, a `done` job's body is copied from it to the socket
+//! on each `GET /jobs/{id}/result`, and a restart only checks that the
+//! file exists. A job closes its journal file when it reaches a terminal
+//! state. So a finished job holds its spec and a few counters in memory,
+//! not its result or an open file.
 //! A server without a journal directory has nowhere durable to put a
 //! result and keeps it in memory instead.
 //!
@@ -81,23 +82,22 @@
 //! file carries the job's full lifecycle (`job_admitted` …
 //! `job_ended`) plus the run's own events.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::backend::{check_backend, DEFAULT_BACKEND};
 use crate::cache::{CacheStore, SessionStats, StoreStats};
 use crate::checkpoint::CheckpointStore;
-use crate::codesign::{CoDesign, CoDesignConfig, OptimizerSpec};
+use crate::codesign::{CoDesign, CoDesignConfig, OptimizerSpec, Outcome};
 use crate::hwconfig::HwHierarchy;
 use crate::journal::{Journal, JournalEvent};
 use crate::reward::Objective;
@@ -106,9 +106,9 @@ use crate::wal::{LedgerJob, Wal, WalEntry, WAL_FILE};
 use crate::{lock, CoreError, Result};
 use lcda_base::json::{FromJson, JsonOut, ToJson, Value};
 
-/// How often idle loops (workers, [`JobServer::wait`], journal streams)
-/// recheck their condition, and how long the acceptor backs off after a
-/// failed `accept`.
+/// How often a journal stream rechecks its file for new bytes, and how
+/// long the acceptor backs off after a failed `accept`. Workers and
+/// [`JobServer::wait`] never poll: they block on the [`JobQueue`].
 const POLL: Duration = Duration::from_millis(25);
 
 /// Socket read/write timeout for request handling and streaming: a
@@ -124,6 +124,9 @@ const MAX_HEADER_BYTES: u64 = 16 * 1024;
 
 /// Largest accepted request body, bytes. Larger bodies are `413`.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest journal chunk a stream reads and sends at once, bytes.
+const STREAM_CHUNK: u64 = 64 * 1024;
 
 /// Identifier of one submitted job, rendered as `job-<n>`.
 ///
@@ -497,14 +500,24 @@ struct JobRecord {
     recovered: bool,
 }
 
+/// The admission queue: ids of admitted jobs no worker has taken yet, in
+/// admission order. Its bound is [`ServerState::submit`]'s, which checks
+/// the depth under the jobs lock. Re-admission after a restart may go
+/// past it; admissions are then refused until the backlog drains.
+struct JobQueue {
+    ids: Mutex<VecDeque<u64>>,
+    /// Wakes one idle worker per pushed id, and every worker at shutdown.
+    ready: Condvar,
+    /// Wakes [`JobServer::wait`] at shutdown.
+    stopped: Condvar,
+}
+
 /// State shared by the acceptor, the workers, and the [`JobServer`]
 /// handle.
 struct ServerState {
     store: CacheStore,
     jobs: Mutex<BTreeMap<u64, JobRecord>>,
-    queue: SyncSender<u64>,
-    /// Job ids sent to the queue and not yet taken by a worker.
-    queued: AtomicUsize,
+    queue: JobQueue,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     journal_dir: Option<PathBuf>,
@@ -532,12 +545,13 @@ impl ServerState {
         }
         spec.validate()?;
         // The jobs lock serializes every admission, so the is-full
-        // check and the send cannot race another submitter past the
+        // check and the push cannot race another submitter past the
         // bound; workers only ever drain the queue.
         let mut jobs = lock(&self.jobs);
-        if self.queued.load(Ordering::SeqCst) >= self.queue_capacity {
+        let depth = self.queue_depth();
+        if depth >= self.queue_capacity {
             self.server_journal.record(JournalEvent::QueueRejected {
-                depth: self.queued.load(Ordering::SeqCst) as u64,
+                depth: depth as u64,
                 capacity: self.queue_capacity as u64,
             });
             return Err(CoreError::Overloaded(format!(
@@ -581,17 +595,49 @@ impl ServerState {
             recovered: false,
         };
         jobs.insert(id.index(), record);
-        self.enqueue(id.index())?;
+        self.enqueue(id.index());
         Ok(id)
     }
 
-    /// Sends a job id to the workers, blocking while the queue is full.
-    fn enqueue(&self, index: u64) -> Result<()> {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.queue.send(index).map_err(|_| {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            CoreError::Cancelled("server is shutting down".into())
-        })
+    /// Queues a job id and wakes one idle worker.
+    fn enqueue(&self, index: u64) {
+        lock(&self.queue.ids).push_back(index);
+        self.queue.ready.notify_one();
+    }
+
+    /// Job ids queued and not yet taken by a worker.
+    fn queue_depth(&self) -> usize {
+        lock(&self.queue.ids).len()
+    }
+
+    /// The next queued job id, blocking while the queue is empty; `None`
+    /// once shutdown is requested, even with ids still queued.
+    fn next_job(&self) -> Option<u64> {
+        let mut ids = lock(&self.queue.ids);
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(index) = ids.pop_front() {
+                return Some(index);
+            }
+            ids = self
+                .queue
+                .ready
+                .wait(ids)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Sets the shutdown flag and wakes every idle worker and
+    /// [`JobServer::wait`]. The flag is set before the queue lock is
+    /// taken, so a waiter either sees it or is already blocked and gets
+    /// the wake-up.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ids = lock(&self.queue.ids);
+        self.queue.ready.notify_all();
+        self.queue.stopped.notify_all();
     }
 
     fn status(&self, id: JobId) -> Option<JobStatus> {
@@ -610,6 +656,21 @@ impl ServerState {
     /// on a server without a journal directory, else from the job's
     /// result file.
     fn result(&self, id: JobId) -> Result<Option<String>> {
+        match self.result_body(id)? {
+            Some(ResultBody::File { mut file, path, .. }) => {
+                let mut text = String::new();
+                file.read_to_string(&mut text)
+                    .map_err(|e| read_error(&path, &e))?;
+                Ok(Some(text))
+            }
+            Some(ResultBody::Held(text)) => Ok(Some(text)),
+            None => Ok(None),
+        }
+    }
+
+    /// [`ServerState::result`] unread: the held text, or the open result
+    /// file and its length, for a response to copy from.
+    fn result_body(&self, id: JobId) -> Result<Option<ResultBody>> {
         let held = match lock(&self.jobs).get(&id.index()) {
             Some(rec) if rec.state == JobState::Done => rec.result.clone(),
             _ => return Ok(None),
@@ -617,11 +678,11 @@ impl ServerState {
         match (held, &self.journal_dir) {
             (None, Some(dir)) => {
                 let path = result_path(dir, id);
-                std::fs::read_to_string(&path)
-                    .map(Some)
-                    .map_err(|e| CoreError::Journal(format!("read {}: {e}", path.display())))
+                let file = std::fs::File::open(&path).map_err(|e| read_error(&path, &e))?;
+                let len = file.metadata().map_err(|e| read_error(&path, &e))?.len();
+                Ok(Some(ResultBody::File { file, len, path }))
             }
-            (held, _) => Ok(held),
+            (held, _) => Ok(held.map(ResultBody::Held)),
         }
     }
 
@@ -695,7 +756,7 @@ impl ServerState {
             "status": "ok",
             "uptime_secs": self.started.elapsed().as_secs(),
             "workers": self.worker_count,
-            "queue_depth": self.queued.load(Ordering::SeqCst),
+            "queue_depth": self.queue_depth(),
             "jobs_running": running,
         })
     }
@@ -703,7 +764,7 @@ impl ServerState {
     /// Readiness for `GET /readyz`: accepting admissions right now.
     fn ready(&self) -> (bool, lcda_base::json::Value) {
         let shutting_down = self.shutdown.load(Ordering::SeqCst);
-        let depth = self.queued.load(Ordering::SeqCst);
+        let depth = self.queue_depth();
         let full = depth >= self.queue_capacity;
         let ready = !shutting_down && !full;
         let payload = lcda_base::json!({
@@ -802,6 +863,22 @@ impl ServerState {
     }
 }
 
+/// A `done` job's result, as [`ServerState::result_body`] finds it.
+enum ResultBody {
+    /// Held by a server without a journal directory.
+    Held(String),
+    /// The job's result file, open, with its length.
+    File {
+        file: std::fs::File,
+        len: u64,
+        path: PathBuf,
+    },
+}
+
+fn read_error(path: &std::path::Path, e: &std::io::Error) -> CoreError {
+    CoreError::Journal(format!("read {}: {e}", path.display()))
+}
+
 /// Generations kept per job checkpoint (newest + one fallback).
 const CHECKPOINT_KEEP: u32 = 2;
 
@@ -863,7 +940,6 @@ impl JobServer {
             .local_addr()
             .map_err(|e| CoreError::InvalidConfig(format!("local addr: {e}")))?;
         let queue_capacity = config.queue_capacity.max(1);
-        let (tx, rx) = sync_channel::<u64>(queue_capacity);
         // Replay the durable ledger before anything can be admitted.
         let mut wal = None;
         let mut ledger = BTreeMap::new();
@@ -886,8 +962,11 @@ impl JobServer {
         let state = Arc::new(ServerState {
             store,
             jobs: Mutex::new(BTreeMap::new()),
-            queue: tx,
-            queued: AtomicUsize::new(0),
+            queue: JobQueue {
+                ids: Mutex::new(VecDeque::new()),
+                ready: Condvar::new(),
+                stopped: Condvar::new(),
+            },
             // Ids continue past every job the ledger has ever seen.
             next_id: AtomicU64::new(ledger.keys().next_back().copied().unwrap_or(0)),
             shutdown: AtomicBool::new(false),
@@ -900,22 +979,16 @@ impl JobServer {
             worker_count: config.workers.max(1),
             started: Instant::now(),
         });
-        let requeue = state.recover(&ledger)?;
-        // std's receiver has one owner; the workers take turns on it.
-        let rx = Arc::new(Mutex::new(rx));
+        // Re-admit interrupted jobs in original admission order.
+        for index in state.recover(&ledger)? {
+            state.enqueue(index);
+        }
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let st = Arc::clone(&state);
-                let rx = Arc::clone(&rx);
-                thread::spawn(move || worker_loop(&st, &rx))
+                thread::spawn(move || worker_loop(&st))
             })
             .collect();
-        // Re-admit interrupted jobs in original admission order. The
-        // workers are already running, so a backlog beyond the queue
-        // bound drains instead of deadlocking these blocking sends.
-        for index in requeue {
-            state.enqueue(index)?;
-        }
         let acceptor = {
             let st = Arc::clone(&state);
             thread::spawn(move || acceptor_loop(&st, &listener))
@@ -976,9 +1049,12 @@ impl JobServer {
         self.state.stats()
     }
 
-    /// Stops the server: no new admissions, workers drain their current
-    /// job and exit, the acceptor closes, and — when configured — the
-    /// shared store is persisted to `cache_path`.
+    /// Stops the server: no new admissions; each worker finishes the job
+    /// it is running, claims no other and exits at once when idle; the
+    /// acceptor closes; and — when configured — the shared store is
+    /// persisted to `cache_path`. Jobs still queued stay `queued`: with a
+    /// journal directory their WAL lines say only `admitted`, so the next
+    /// [`JobServer::bind`] on the directory re-admits and runs them.
     ///
     /// # Errors
     ///
@@ -998,16 +1074,25 @@ impl JobServer {
     ///
     /// Propagates [`JobServer::shutdown`] failures.
     pub fn wait(self) -> Result<()> {
-        while !self.state.shutdown.load(Ordering::SeqCst) {
-            thread::sleep(POLL);
+        {
+            let mut ids = lock(&self.state.queue.ids);
+            while !self.state.shutdown.load(Ordering::SeqCst) {
+                ids = self
+                    .state
+                    .queue
+                    .stopped
+                    .wait(ids)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
         self.shutdown()
     }
 
-    /// Sets the shutdown flag, wakes the acceptor out of its blocking
-    /// `accept` with a loopback connection, and joins every thread.
+    /// Sets the shutdown flag, wakes the idle workers, wakes the acceptor
+    /// out of its blocking `accept` with a loopback connection, and joins
+    /// every thread.
     fn stop_threads(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.request_shutdown();
         if let Some(handle) = self.acceptor.take() {
             let mut wake = self.addr;
             if wake.ip().is_unspecified() {
@@ -1031,23 +1116,11 @@ impl Drop for JobServer {
     }
 }
 
-/// Worker: pull job ids until shutdown, executing each to a terminal
+/// Worker: take job ids until shutdown, executing each to a terminal
 /// state.
-fn worker_loop(state: &Arc<ServerState>, rx: &Mutex<Receiver<u64>>) {
-    loop {
-        let next = lock(rx).recv_timeout(POLL);
-        match next {
-            Ok(index) => {
-                state.queued.fetch_sub(1, Ordering::SeqCst);
-                run_job(state, JobId(index));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+fn worker_loop(state: &Arc<ServerState>) {
+    while let Some(index) = state.next_job() {
+        run_job(state, JobId(index));
     }
 }
 
@@ -1063,8 +1136,10 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
             return;
         };
         // A queued job cancelled before any worker claimed it is
-        // already terminal; respect the state machine and walk away.
-        if !rec.state.can_advance(JobState::Running) {
+        // already terminal; respect the state machine and walk away. A
+        // worker claims nothing once shutdown is requested: the job stays
+        // `queued`, and the WAL re-admits it on the next bind.
+        if !rec.state.can_advance(JobState::Running) || state.shutdown.load(Ordering::SeqCst) {
             return;
         }
         rec.state = JobState::Running;
@@ -1107,17 +1182,23 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
     });
     let (next, result, error) = match outcome {
         // Durability order: the result file reaches disk before the WAL
-        // records `done`, so a replayed `done` always finds it.
-        Ok(json) => match &state.journal_dir {
+        // records `done`, so a replayed `done` always finds it. The
+        // trailing newline matches `lcda search --json`'s `println!`,
+        // keeping served results `cmp`-equal to the offline run.
+        Ok(outcome) => match &state.journal_dir {
             Some(dir) => match crate::durable::atomic_write(&result_path(dir, id), |out| {
-                out.write_all(json.as_bytes())
+                lcda_base::json::to_writer_pretty(out, &outcome)?;
+                out.write_all(b"\n")
             }) {
                 Ok(()) => (JobState::Done, None, None),
                 Err(e) => (JobState::Failed, None, Some(format!("persist result: {e}"))),
             },
             // Without a journal directory the record is the result's
             // only home.
-            None => (JobState::Done, Some(json), None),
+            None => {
+                let json = lcda_base::json::to_string_pretty(&outcome) + "\n";
+                (JobState::Done, Some(json), None)
+            }
         },
         Err(CoreError::Cancelled(_)) => (JobState::Cancelled, None, None),
         Err(e @ CoreError::DeadlineExceeded(_)) => {
@@ -1193,10 +1274,9 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// generation when one exists (a job re-admitted after a crash
 /// continues instead of starting over), checkpoints at the configured
 /// episode cadence, and honours cancellation and the wall-clock
-/// deadline at episode boundaries. Returns the result JSON (pretty +
-/// trailing newline, byte-identical to `lcda search --json`) or the
-/// typed error, plus the run's session stats when it got far enough to
-/// have them.
+/// deadline at episode boundaries. Returns the outcome or the typed
+/// error, plus the run's session stats when it got far enough to have
+/// them.
 fn execute(
     state: &Arc<ServerState>,
     id: JobId,
@@ -1205,7 +1285,7 @@ fn execute(
     journal: &Journal,
     started: Instant,
     ckpt_store: Option<&CheckpointStore>,
-) -> (Result<String>, Option<SessionStats>) {
+) -> (Result<Outcome>, Option<SessionStats>) {
     let objective = match Objective::from_name(&spec.objective) {
         Ok(objective) => objective,
         Err(e) => return (Err(e), None),
@@ -1274,10 +1354,7 @@ fn execute(
         store_entries: state.store.len() as u64,
         store_evictions: store_stats.evictions,
     });
-    // The trailing newline matches `lcda search --json`'s `println!`,
-    // keeping served results `cmp`-equal to the offline run.
-    let result = outcome.map(|outcome| lcda_base::json::to_string_pretty(&outcome) + "\n");
-    (result, Some(stats))
+    (outcome, Some(stats))
 }
 
 /// Acceptor: block in `accept`, spawning one short-lived thread per
@@ -1458,9 +1535,16 @@ fn route(
         },
         ("GET", ["jobs", raw, "result"]) => match raw.parse::<JobId>() {
             Err(e) => respond_error(stream, 400, &e.to_string()),
-            Ok(id) => match (state.status(id), state.result(id)) {
-                (Some(_), Ok(Some(result))) => {
-                    respond(stream, 200, "application/json", result.as_bytes())
+            Ok(id) => match (state.status(id), state.result_body(id)) {
+                (Some(_), Ok(Some(ResultBody::Held(text)))) => {
+                    respond(stream, 200, "application/json", text.as_bytes())
+                }
+                // The file goes to the socket as it is read, never held
+                // whole.
+                (Some(_), Ok(Some(ResultBody::File { file, len, .. }))) => {
+                    write_head(stream, 200, "application/json", &[], len)?;
+                    std::io::copy(&mut file.take(len), stream)?;
+                    stream.flush()
                 }
                 (Some(status), Ok(None)) => respond_error(
                     stream,
@@ -1489,8 +1573,11 @@ fn route(
             reply_value(stream, if ready { 200 } else { 503 }, &payload)
         }
         ("POST", ["shutdown"]) => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            reply_value(stream, 200, &lcda_base::json!({ "shutdown": true }))
+            // Reply first: `JobServer::wait` returns as soon as the flag
+            // is set, and `lcda serve` may exit before a later reply.
+            let replied = reply_value(stream, 200, &lcda_base::json!({ "shutdown": true }));
+            state.request_shutdown();
+            replied
         }
         _ => not_found(stream),
     }
@@ -1539,7 +1626,11 @@ fn stream_journal_follow(
         b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
           Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
     )?;
-    let mut offset = 0usize;
+    // The file stays open, so each read starts where the last one
+    // stopped: following a job costs its journal's length once, not once
+    // per poll.
+    let mut file = None;
+    let mut chunk = Vec::new();
     loop {
         // Terminal state is read *before* the file: the journal is
         // finished before the state flips, so terminal + no new bytes
@@ -1550,14 +1641,19 @@ fn stream_journal_follow(
                 .map(|rec| rec.state.is_terminal())
                 .unwrap_or(true)
         };
-        let bytes = std::fs::read(path).unwrap_or_default();
-        if bytes.len() > offset {
-            let chunk = &bytes[offset..];
+        if file.is_none() {
+            file = std::fs::File::open(path).ok();
+        }
+        chunk.clear();
+        if let Some(file) = &mut file {
+            // A failed read keeps what it read; the next poll retries.
+            let _ = file.take(STREAM_CHUNK).read_to_end(&mut chunk);
+        }
+        if !chunk.is_empty() {
             write!(stream, "{:x}\r\n", chunk.len())?;
-            stream.write_all(chunk)?;
+            stream.write_all(&chunk)?;
             stream.write_all(b"\r\n")?;
             stream.flush()?;
-            offset = bytes.len();
             continue;
         }
         if terminal || state.shutdown.load(Ordering::SeqCst) {
@@ -1605,6 +1701,20 @@ fn respond_with_headers(
     extra: &[(&str, &str)],
     body: &[u8],
 ) -> std::io::Result<()> {
+    write_head(stream, status, content_type, extra, body.len() as u64)?;
+    stream.write_all(body)?;
+    stream.flush()
+}
+
+/// The status line and headers of a `Connection: close` response whose
+/// body is `len` bytes, up to the blank line before the body.
+fn write_head(
+    stream: &mut TcpStream,
+    status: u16,
+    content_type: &str,
+    extra: &[(&str, &str)],
+    len: u64,
+) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
         202 => "Accepted",
@@ -1620,15 +1730,12 @@ fn respond_with_headers(
     write!(
         stream,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n",
-        body.len()
+         Content-Length: {len}\r\nConnection: close\r\n"
     )?;
     for (name, value) in extra {
         write!(stream, "{name}: {value}\r\n")?;
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
-    stream.flush()
+    stream.write_all(b"\r\n")
 }
 
 #[cfg(test)]

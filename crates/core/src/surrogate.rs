@@ -249,12 +249,12 @@ impl AccuracyEvaluator for SurrogateEvaluator {
         // Everything that shapes a result: the space (variation mapping,
         // architecture construction), calibration constants, jitter seed
         // and the noise-injection toggle.
-        let space = lcda_base::json::to_string(&self.space);
+        let space = crate::identity::space_json(&self.space);
         format!(
             "surrogate/{}",
             crate::pipeline::stable_fingerprint(&[
                 &space,
-                &format!("{:?}", self.params),
+                &crate::identity::params_debug(&self.params),
                 &self.seed.to_string(),
                 &self.noise_injection_training.to_string(),
             ])

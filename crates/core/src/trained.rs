@@ -173,19 +173,19 @@ impl AccuracyEvaluator for TrainedEvaluator {
         // int8 produces different numbers, so it appends a token — and
         // only appends, so every pre-existing f32 fingerprint is
         // byte-stable across this change.
-        let space = lcda_base::json::to_string(&self.space);
-        let mut parts = vec![
-            space,
+        let space = crate::identity::space_json(&self.space);
+        let counts = [
             self.config.train_samples.to_string(),
             self.config.test_samples.to_string(),
             self.config.epochs.to_string(),
             self.config.mc_trials.to_string(),
             self.config.seed.to_string(),
         ];
+        let mut refs: Vec<&str> = vec![&space];
+        refs.extend(counts.iter().map(String::as_str));
         if self.config.precision == Precision::Int8 {
-            parts.push("int8".to_string());
+            refs.push("int8");
         }
-        let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
         format!("trained/{}", crate::pipeline::stable_fingerprint(&refs))
     }
 

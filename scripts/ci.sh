@@ -464,3 +464,65 @@ for run in a b; do
 done
 [ -n "$cross" ] && [ "$cross" -gt 0 ] \
     || { echo "ci: the store did not survive kill -9 (cross_run_hits '$cross')" >&2; exit 1; }
+
+# Prompt-shutdown smoke: one worker runs a job its one-second deadline
+# ends while a second job waits in the queue. After POST /shutdown the
+# server must finish the running job, claim nothing else and exit within
+# five seconds; the queued job keeps only its `admitted` WAL line, and a
+# restart on the same --journal-dir runs it to a result `cmp`-equal to
+# the offline run.
+drain_dir="$journal_dir/serve-drain"
+for run in a b; do
+    ./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
+        --journal-dir "$drain_dir" > "$journal_dir/drain_$run.log" &
+    drain_pid=$!
+    addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/drain_$run.log")
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "ci: drain serve $run never printed its address" >&2; exit 1; }
+    if [ "$run" = a ]; then
+        curl -sf -X POST -d '{"optimizer": "rl", "episodes": 1000000, "deadline_secs": 1}' \
+            "http://$addr/jobs" > /dev/null
+        curl -sf -X POST -d '{"episodes": 3, "seed": 21}' "http://$addr/jobs" > /dev/null
+        state=""
+        for _ in $(seq 1 100); do
+            state=$(curl -sf "http://$addr/jobs/job-1" \
+                | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+            [ "$state" = "running" ] && break
+            sleep 0.05
+        done
+        [ "$state" = "running" ] || { echo "ci: drain job-1 is '$state', not running" >&2; exit 1; }
+        curl -sf -X POST "http://$addr/shutdown" > /dev/null
+        for _ in $(seq 1 50); do
+            kill -0 "$drain_pid" 2> /dev/null || break
+            sleep 0.1
+        done
+        if kill -0 "$drain_pid" 2> /dev/null; then
+            kill -9 "$drain_pid" 2> /dev/null || true
+            echo "ci: serve was still running 5 s after POST /shutdown" >&2
+            exit 1
+        fi
+        wait "$drain_pid"
+        if [ -e "$drain_dir/job-2.result.json" ] \
+            || grep -q '"job":2,"state":"running"' "$drain_dir/jobs.wal.jsonl"; then
+            echo "ci: serve claimed queued job-2 after POST /shutdown" >&2
+            exit 1
+        fi
+    else
+        state=""
+        for _ in $(seq 1 600); do
+            state=$(curl -sf "http://$addr/jobs/job-2" \
+                | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+            [ "$state" = "done" ] && break
+            sleep 0.1
+        done
+        [ "$state" = "done" ] || { echo "ci: re-admitted job-2 ended '$state', not done" >&2; exit 1; }
+        curl -sf "http://$addr/jobs/job-2/result" > "$journal_dir/drain_2.json"
+        cmp "$journal_dir/drain_2.json" "$journal_dir/serve_offline.json"
+        curl -sf -X POST "http://$addr/shutdown" > /dev/null
+        wait "$drain_pid"
+    fi
+done

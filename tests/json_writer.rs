@@ -283,3 +283,24 @@ fn every_wal_entry_and_job_status_streams_its_tree_text() {
     assert_one_writer("bare job status", &status);
     assert_one_writer("hierarchy", &HwHierarchy::isaac());
 }
+
+#[test]
+fn integers_print_their_i128_digits() {
+    let cases: [i128; 9] = [
+        0,
+        1,
+        -1,
+        i128::from(i64::MIN),
+        i128::from(i64::MAX),
+        i128::from(u64::MAX),
+        i128::from(u64::MAX) + 1,
+        i128::MIN,
+        i128::MAX,
+    ];
+    for i in cases {
+        let mut text = String::new();
+        json::JsonOut::new(&mut text, false).int(i).unwrap();
+        assert_eq!(text, i.to_string());
+        assert_eq!(json::Value::Int(i).to_string(), i.to_string());
+    }
+}

@@ -1111,3 +1111,119 @@ fn a_sparse_checkpoint_cadence_resumes_byte_identically() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The WAL states a journal directory's ledger recorded for `job`.
+fn wal_states(dir: &std::path::Path, job: u64) -> Vec<String> {
+    let text = std::fs::read_to_string(dir.join(lcda::core::wal::WAL_FILE)).expect("read WAL");
+    text.lines()
+        .map(|line| lcda_base::json::Value::parse(line).expect("WAL line"))
+        .filter(|record| record["job"].as_u64() == Some(job) && record["entry"] == "transition")
+        .map(|record| record["state"].as_str().unwrap_or_default().to_string())
+        .collect()
+}
+
+/// Waits until the job has been claimed by a worker.
+fn wait_running(server: &JobServer, id: JobId) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.status(id).expect("known job").state == JobState::Queued {
+        assert!(Instant::now() < deadline, "{id} was never claimed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn shutdown_leaves_queued_jobs_queued_for_the_next_bind() {
+    let dir = std::env::temp_dir().join(format!("lcda-serve-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServeConfig {
+        workers: 1,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let server = JobServer::bind(config()).expect("bind");
+    // A job that runs until its deadline, whatever the build: long
+    // enough to still be running when the queued jobs are admitted.
+    let long = server
+        .submit(JobSpec {
+            optimizer: "rl".into(),
+            episodes: 1_000_000,
+            deadline_secs: Some(2),
+            ..JobSpec::default()
+        })
+        .expect("admit the long job");
+    wait_running(&server, long);
+    let queued: Vec<(JobId, u32, u64)> = [(3, 31), (4, 32), (2, 33)]
+        .into_iter()
+        .map(|(episodes, seed)| {
+            let spec = JobSpec {
+                episodes,
+                seed,
+                ..JobSpec::default()
+            };
+            (server.submit(spec).expect("admit"), episodes, seed)
+        })
+        .collect();
+    server.shutdown().expect("shutdown");
+
+    // The running job finished; the queued ones were never claimed.
+    assert_eq!(wal_states(&dir, long.index()), ["running", "failed"]);
+    for (id, _, _) in &queued {
+        assert!(wal_states(&dir, id.index()).is_empty(), "{id} was claimed");
+    }
+
+    let server = JobServer::bind(config()).expect("rebind");
+    for (id, episodes, seed) in &queued {
+        let status = wait_terminal(&server, *id);
+        assert_eq!(status.state, JobState::Done, "{id}: {:?}", status.error);
+        let (code, served) = http(server.addr(), "GET", &format!("/jobs/{id}/result"), "");
+        assert_eq!(code, 200, "{served}");
+        let offline = std::process::Command::new(env!("CARGO_BIN_EXE_lcda"))
+            .args(["search", "--episodes", &episodes.to_string()])
+            .args(["--seed", &seed.to_string(), "--json"])
+            .output()
+            .expect("run lcda search");
+        assert!(offline.status.success());
+        assert_eq!(
+            served.as_bytes(),
+            offline.stdout.as_slice(),
+            "{id} must equal `lcda search --json`"
+        );
+    }
+    assert_eq!(server.status(long).unwrap().state, JobState::Failed);
+    server.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn following_a_running_jobs_journal_streams_the_finished_file() {
+    let dir = std::env::temp_dir().join(format!("lcda-serve-follow-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = JobServer::bind(ServeConfig {
+        workers: 1,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let id = server
+        .submit(JobSpec {
+            optimizer: "rl".into(),
+            episodes: 1_000_000,
+            deadline_secs: Some(1),
+            ..JobSpec::default()
+        })
+        .expect("admit");
+    wait_running(&server, id);
+    let (status, streamed) = http(server.addr(), "GET", &format!("/jobs/{id}/journal"), "");
+    assert_eq!(status, 200);
+    assert!(server.status(id).unwrap().state.is_terminal());
+    let file = std::fs::read_to_string(dir.join(format!("{id}.jsonl"))).expect("journal file");
+    assert!(file.ends_with('\n') && file.contains("\"job_ended\""));
+    // Larger than one 64 KiB read of the stream.
+    assert!(file.len() > 64 * 1024, "{} bytes", file.len());
+    assert_eq!(
+        streamed, file,
+        "the stream must be the finished file's bytes"
+    );
+    server.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
