@@ -32,10 +32,9 @@ pub struct TrainedEvalConfig {
     /// Worker threads for the Monte-Carlo trial fan-out; bit-identical
     /// for every value (see [`lcda_dnn::mc_eval::McEvalConfig::threads`]).
     pub threads: usize,
-    /// Inference precision for the Monte-Carlo forward pass. [`Precision::F32`]
-    /// (the default) reproduces the historical results bit-for-bit;
-    /// [`Precision::Int8`] models a quantized crossbar readout and gets its
-    /// own cache fingerprint token.
+    /// Inference precision for the Monte-Carlo forward pass; always
+    /// [`Precision::F32`], kept for the benchmark crate under `perf/`
+    /// (see [`Precision`]). It is not part of the fingerprint.
     pub precision: Precision,
 }
 
@@ -169,10 +168,7 @@ impl AccuracyEvaluator for TrainedEvaluator {
     fn fingerprint(&self) -> String {
         // threads is deliberately excluded: results are bit-identical for
         // every thread count, so a cache written at 1 thread must serve a
-        // run at 8. Precision is NOT:
-        // int8 produces different numbers, so it appends a token — and
-        // only appends, so every pre-existing f32 fingerprint is
-        // byte-stable across this change.
+        // run at 8.
         let space = crate::identity::space_json(&self.space);
         let counts = [
             self.config.train_samples.to_string(),
@@ -183,9 +179,6 @@ impl AccuracyEvaluator for TrainedEvaluator {
         ];
         let mut refs: Vec<&str> = vec![&space];
         refs.extend(counts.iter().map(String::as_str));
-        if self.config.precision == Precision::Int8 {
-            refs.push("int8");
-        }
         format!("trained/{}", crate::pipeline::stable_fingerprint(&refs))
     }
 
@@ -230,28 +223,5 @@ mod tests {
         assert_eq!(parallel.fingerprint(), serial_fp);
         let b = parallel.accuracy(&d).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn int8_gets_its_own_fingerprint() {
-        let space = DesignSpace::tiny_test();
-        let f32_eval =
-            TrainedEvaluator::new(space.clone(), TrainedEvalConfig::fast_test()).unwrap();
-        let mut int8_cfg = TrainedEvalConfig::fast_test();
-        int8_cfg.precision = Precision::Int8;
-        let int8_eval = TrainedEvaluator::new(space, int8_cfg).unwrap();
-        // An int8 cache entry must never satisfy an f32 lookup.
-        assert_ne!(f32_eval.fingerprint(), int8_eval.fingerprint());
-    }
-
-    #[test]
-    fn int8_evaluation_runs_and_stays_in_range() {
-        let space = DesignSpace::tiny_test();
-        let mut cfg = TrainedEvalConfig::fast_test();
-        cfg.precision = Precision::Int8;
-        let mut eval = TrainedEvaluator::new(space.clone(), cfg).unwrap();
-        let d = space.choices.decode(&[1, 1, 1, 1, 0, 0, 0, 0]).unwrap();
-        let acc = eval.accuracy(&d).unwrap();
-        assert!((0.0..=1.0).contains(&acc), "accuracy {acc}");
     }
 }

@@ -24,6 +24,14 @@ impl Param {
         let grad = Tensor::zeros(value.shape().clone());
         Param { value, grad }
     }
+
+    /// The value alone, with an empty gradient: for inference-only copies.
+    fn value_only(&self) -> Self {
+        Param {
+            value: self.value.clone(),
+            grad: Tensor::zeros(Shape::d1(0)),
+        }
+    }
 }
 
 /// A 2-D convolution layer (weights stored in `(c_out, c_in·k²)` matrix
@@ -82,9 +90,9 @@ impl LinearLayer {
     }
 }
 
-/// Dense forward body shared by training, inference and the fused
-/// Monte-Carlo engine: `x · W` then a per-element bias add.
-pub(crate) fn linear_apply(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
+/// Dense forward body shared by training and inference: `x · W` then a
+/// per-element bias add.
+fn linear_apply(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
     let mut out = input.matmul(weight)?;
     let (n, o) = (out.shape().dims()[0], out.shape().dims()[1]);
     for r in 0..n {
@@ -300,10 +308,25 @@ impl Layer {
         }
     }
 
-    /// Whether the layer carries weights mapped onto crossbars (and is
-    /// therefore subject to device variation).
-    pub fn has_weights(&self) -> bool {
-        matches!(self, Layer::Conv2d(_) | Layer::Linear(_))
+    /// A copy for inference only: parameter values without gradients, and
+    /// no forward caches ([`Layer::infer`] reads neither).
+    pub(crate) fn weights_only(&self) -> Layer {
+        match self {
+            Layer::Conv2d(l) => Layer::Conv2d(Conv2dLayer {
+                params: l.params,
+                weight: l.weight.value_only(),
+                bias: l.bias.value_only(),
+                input_cache: None,
+            }),
+            Layer::Linear(l) => Layer::Linear(LinearLayer {
+                weight: l.weight.value_only(),
+                bias: l.bias.value_only(),
+                input_cache: None,
+            }),
+            Layer::Relu { .. } => Layer::relu(),
+            Layer::MaxPool2 { .. } => Layer::maxpool2(),
+            Layer::Flatten { .. } => Layer::flatten(),
+        }
     }
 }
 
@@ -405,10 +428,8 @@ mod tests {
         let geom = ConvGeometry::new(3, 8, 8, 3, 1, 1).unwrap();
         let conv = Layer::Conv2d(Conv2dLayer::new(geom, 4, &mut r).unwrap());
         assert_eq!(conv.param_count(), 4 * 27 + 4);
-        assert!(conv.has_weights());
         let relu = Layer::relu();
         assert_eq!(relu.param_count(), 0);
-        assert!(!relu.has_weights());
     }
 
     #[test]

@@ -33,7 +33,6 @@ mod error;
 
 pub mod arch;
 pub mod dataset;
-mod fused;
 pub mod layer;
 pub mod mc_eval;
 pub mod metrics;

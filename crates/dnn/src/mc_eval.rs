@@ -8,20 +8,20 @@
 use crate::dataset::SynthCifar;
 use crate::metrics::accuracy;
 use crate::network::Network;
-use crate::Result;
-use lcda_variation::montecarlo::McStats;
+use crate::{DnnError, Result};
+use lcda_variation::montecarlo::{stream_seed, trial_seed, McStats};
+use lcda_variation::weights::WeightPerturber;
 use lcda_variation::VariationConfig;
 
 /// Numeric precision of the Monte-Carlo inference forward pass.
+///
+/// f32 is the only precision. The type and the `precision` fields that
+/// carry it remain so that the benchmark crate under `perf/` builds
+/// unchanged; they select nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full f32 inference (bit-identical to the training forward pass).
     F32,
-    /// Int8 inference: per-tensor symmetric quantization of weights and
-    /// activations with exact i32 accumulation — models the low-precision
-    /// readout of a CiM crossbar. Deterministic, but numerically distinct
-    /// from f32, so eval-cache fingerprints must (and do) distinguish it.
-    Int8,
 }
 
 /// Configuration of a Monte-Carlo accuracy evaluation.
@@ -38,10 +38,11 @@ pub struct McEvalConfig {
     pub elapsed_seconds: f64,
     /// Worker threads for the trial fan-out. Every thread count — `1`
     /// included — produces bit-identical statistics, because each trial
-    /// derives its own seed and runs on its own copy of the network; the
-    /// knob only trades wall-clock for cores.
+    /// derives its own seed and is scored on its own chip instance; the
+    /// knob only trades wall-clock (and one weights-only network copy per
+    /// extra worker) for cores.
     pub threads: usize,
-    /// Inference precision (f32 by default; int8 is opt-in).
+    /// Inference precision; always [`Precision::F32`] (see [`Precision`]).
     pub precision: Precision,
 }
 
@@ -69,17 +70,27 @@ pub fn clean_accuracy(network: &mut Network, data: &SynthCifar) -> Result<f32> {
 }
 
 /// Runs the Monte-Carlo evaluation: for each trial, perturb the weight
-/// matrices the way crossbar programming would, measure accuracy, restore
-/// the clean weights.
+/// matrices the way crossbar programming would, measure accuracy with
+/// [`Network::predict`], restore the clean weights.
 ///
-/// Trials run on the fused engine (the private `fused` module), which
-/// batches every trial's perturbed weights into one GEMM per layer. In
-/// f32 its results are bit-identical to running each trial on its own
-/// clone of the network (the per-trial reference in this module's
-/// tests), at any thread count. Each weight matrix within a trial draws
-/// from its own random stream
-/// ([`lcda_variation::montecarlo::stream_seed`]), so no
-/// `(trial, matrix)` pair ever aliases another.
+/// Trials run one chip instance at a time, in place: the clean weights
+/// are snapshotted once, and each trial perturbs the network, scores it
+/// and restores the snapshot, so only one perturbed copy of the weights
+/// is ever live per worker. Trial `t` perturbs weight matrix `m` from
+/// `stream_seed(trial_seed(seed, t), m)`
+/// ([`lcda_variation::montecarlo::stream_seed`]), so no `(trial, matrix)`
+/// pair ever aliases another.
+///
+/// With `config.threads > 1` the trials split into the same contiguous
+/// chunks as [`lcda_variation::montecarlo::try_run_parallel`]. The
+/// calling thread runs the first chunk on `network`; every other worker
+/// runs its chunk on a weights-only copy, without the training caches
+/// and gradients `network` may hold. Each trial's accuracy depends only
+/// on its own seed, so every thread count gives the same statistics bit
+/// for bit, and a failure reports the lowest failing trial's error.
+///
+/// `network` comes back with bit-identical weights, and any training
+/// caches it held are left as they were.
 ///
 /// # Errors
 ///
@@ -89,47 +100,69 @@ pub fn mc_accuracy(
     data: &SynthCifar,
     config: &McEvalConfig,
 ) -> Result<McStats> {
-    crate::fused::mc_accuracy_fused(network, data, config)
+    let zero_trials =
+        || DnnError::InvalidTraining("monte-carlo evaluation needs trials > 0".into());
+    let trials = config.trials as usize;
+    if trials == 0 {
+        return Err(zero_trials());
+    }
+    let clean = network.snapshot_weights();
+    let perturber =
+        WeightPerturber::new(config.variation.clone(), network.max_abs_weight().max(1e-3));
+    // Scores trials `[lo, hi)` on `chip`, restoring the clean weights
+    // after each one, failed or not.
+    let run_chunk = |chip: &mut Network, lo: usize, hi: usize| -> Result<Vec<f32>> {
+        (lo..hi)
+            .map(|t| {
+                let seed = trial_seed(config.seed, t as u32);
+                let mut matrix = 0u64;
+                chip.perturb_weight_matrices(|w| {
+                    perturber.perturb_after(w, stream_seed(seed, matrix), config.elapsed_seconds);
+                    matrix += 1;
+                });
+                let score = chip
+                    .predict(data.images())
+                    .and_then(|preds| accuracy(&preds, data.labels()));
+                chip.restore_weights(&clean);
+                score
+            })
+            .collect()
+    };
+    let chunk = trials.div_ceil(config.threads.clamp(1, trials));
+    let samples = if chunk == trials {
+        run_chunk(network, 0, trials)?
+    } else {
+        let mut chips: Vec<Network> = (1..trials.div_ceil(chunk))
+            .map(|_| network.weights_only())
+            .collect();
+        let run_chunk = &run_chunk;
+        let parts = std::thread::scope(|s| {
+            let workers: Vec<_> = chips
+                .iter_mut()
+                .zip(1..)
+                .map(|(chip, w)| {
+                    let lo = w * chunk;
+                    s.spawn(move || run_chunk(chip, lo, (lo + chunk).min(trials)))
+                })
+                .collect();
+            let mut parts = vec![run_chunk(network, 0, chunk)];
+            parts.extend(workers.into_iter().map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            parts
+        });
+        parts.into_iter().collect::<Result<Vec<_>>>()?.concat()
+    };
+    McStats::from_samples(&samples).map_err(|_| zero_trials())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::Architecture;
-    use crate::network::argmax_rows;
     use crate::trainer::{TrainConfig, Trainer};
-    use lcda_variation::montecarlo::{stream_seed, try_run_parallel, TryRunError};
-    use lcda_variation::weights::WeightPerturber;
-
-    /// The per-trial reference the fused engine is pinned against, in
-    /// f32: every trial programs its own chip instance (a clone of the
-    /// clean network), perturbs it and measures it, fanned out across
-    /// `config.threads` workers by [`try_run_parallel`].
-    fn mc_accuracy_per_trial(
-        network: &Network,
-        data: &SynthCifar,
-        config: &McEvalConfig,
-    ) -> Result<McStats> {
-        let w_max = network.max_abs_weight().max(1e-3);
-        let perturber = WeightPerturber::new(config.variation.clone(), w_max);
-        let trial = |_t: u32, seed: u64| -> Result<f32> {
-            let mut chip = network.clone();
-            let mut matrix_index = 0u64;
-            chip.perturb_weight_matrices(|w| {
-                perturber.perturb_after(w, stream_seed(seed, matrix_index), config.elapsed_seconds);
-                matrix_index += 1;
-            });
-            // Whole-batch `infer`, not `predict`, so the reference does
-            // not share the engine's sample chunking.
-            accuracy(&argmax_rows(&chip.infer(data.images())?), data.labels())
-        };
-        try_run_parallel(config.trials, config.seed, config.threads, trial).map_err(|e| match e {
-            TryRunError::ZeroTrials => {
-                crate::DnnError::InvalidTraining("monte-carlo evaluation needs trials > 0".into())
-            }
-            TryRunError::Metric(err) => err,
-        })
-    }
 
     fn trained_network_and_data() -> (Network, SynthCifar) {
         let data = SynthCifar::generate_classes(48, 8, 4, 21).unwrap();
@@ -246,129 +279,24 @@ mod tests {
             ..McEvalConfig::default()
         };
         assert!(mc_accuracy(&mut net, &data, &cfg).is_err());
-        assert!(mc_accuracy_per_trial(&net, &data, &cfg).is_err());
-    }
-
-    /// 37 samples: two full chunks of `INFER_BATCH` and a ragged one (the
-    /// 48 training samples make three full chunks).
-    fn ragged_data() -> SynthCifar {
-        SynthCifar::generate_classes(37, 8, 4, 23).unwrap()
     }
 
     #[test]
-    fn fused_is_bit_identical_to_per_trial_sequential() {
-        let (mut net, data) = trained_network_and_data();
-        let base = McEvalConfig {
-            trials: 7,
-            seed: 13,
-            ..McEvalConfig::default()
-        };
-        for data in [data, ragged_data()] {
-            let reference = mc_accuracy_per_trial(&net, &data, &base).unwrap();
-            for threads in [1, 2, 4] {
-                let fused = mc_accuracy(
-                    &mut net,
-                    &data,
-                    &McEvalConfig {
-                        threads,
-                        ..base.clone()
-                    },
-                )
-                .unwrap();
-                assert_eq!(reference, fused, "fused threads={threads} n={}", data.len());
-            }
-        }
-    }
-
-    #[test]
-    fn per_trial_threads_match_fused() {
-        // Cross-check the other axis: the per-trial fan-out at several
-        // thread counts also lands exactly on the fused result.
-        let (mut net, data) = trained_network_and_data();
-        let base = McEvalConfig {
-            trials: 6,
-            seed: 2,
-            ..McEvalConfig::default()
-        };
-        for data in [data, ragged_data()] {
-            let fused = mc_accuracy(&mut net, &data, &base).unwrap();
-            for threads in [1, 2, 4] {
-                let per_trial = mc_accuracy_per_trial(
-                    &net,
-                    &data,
-                    &McEvalConfig {
-                        threads,
-                        ..base.clone()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    fused,
-                    per_trial,
-                    "per-trial threads={threads} n={}",
-                    data.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn int8_is_deterministic_and_thread_invariant() {
-        let (mut net, data) = trained_network_and_data();
-        let cfg = McEvalConfig {
-            trials: 5,
-            seed: 3,
-            precision: Precision::Int8,
-            ..McEvalConfig::default()
-        };
-        let a = mc_accuracy(&mut net, &data, &cfg).unwrap();
-        let b = mc_accuracy(&mut net, &data, &cfg).unwrap();
-        assert_eq!(a, b);
-        for threads in [2, 4] {
-            let threaded = McEvalConfig {
-                threads,
-                ..cfg.clone()
-            };
-            let par = mc_accuracy(&mut net, &data, &threaded).unwrap();
-            assert_eq!(a, par, "int8 threads={threads}");
-        }
-    }
-
-    #[test]
-    fn int8_tracks_f32_under_ideal_variation() {
-        let (mut net, data) = trained_network_and_data();
-        let clean = clean_accuracy(&mut net, &data).unwrap();
-        let stats = mc_accuracy(
-            &mut net,
-            &data,
-            &McEvalConfig {
-                trials: 2,
-                variation: VariationConfig::ideal(),
-                precision: Precision::Int8,
-                ..McEvalConfig::default()
-            },
-        )
-        .unwrap();
-        // Quantization costs some accuracy but must stay in the same
-        // ballpark on this easy synthetic task.
-        assert!(
-            (stats.mean - clean).abs() < 0.25,
-            "int8 mean {} strayed too far from f32 clean {clean}",
-            stats.mean
-        );
-    }
-
-    #[test]
-    fn int8_weights_restored_after_evaluation() {
-        let (mut net, data) = trained_network_and_data();
+    fn a_failing_trial_still_restores_the_weights() {
+        // 16x16 images pass the convolutions but not the dense layer
+        // sized for 8x8 inputs, so every trial fails after perturbing.
+        let (mut net, _) = trained_network_and_data();
+        let wrong_size = SynthCifar::generate_classes(4, 16, 4, 3).unwrap();
         let before = net.snapshot_weights();
-        let cfg = McEvalConfig {
-            trials: 3,
-            precision: Precision::Int8,
-            ..McEvalConfig::default()
-        };
-        mc_accuracy(&mut net, &data, &cfg).unwrap();
-        assert_eq!(net.snapshot_weights(), before);
+        for threads in [1, 2] {
+            let cfg = McEvalConfig {
+                trials: 3,
+                threads,
+                ..McEvalConfig::default()
+            };
+            assert!(mc_accuracy(&mut net, &wrong_size, &cfg).is_err());
+            assert_eq!(net.snapshot_weights(), before, "threads={threads}");
+        }
     }
 }
 

@@ -7,13 +7,13 @@ use lcda_tensor::ops::cross_entropy_loss;
 use lcda_tensor::optim::Sgd;
 use lcda_tensor::{Shape, Tensor};
 
-/// Samples per inference chunk in [`Network::predict`] and the fused
-/// Monte-Carlo engine: `TrainConfig::standard().batch_size`, so inference
-/// never holds more activations than a training step already does.
-pub(crate) const INFER_BATCH: usize = 16;
+/// Samples per inference chunk in [`Network::predict`]:
+/// `TrainConfig::standard().batch_size`, so inference never holds more
+/// activations than a training step already does.
+const INFER_BATCH: usize = 16;
 
 /// Argmax per logits row, first occurrence on ties.
-pub(crate) fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+fn argmax_rows(logits: &Tensor) -> Vec<usize> {
     let (n, c) = (logits.shape().dims()[0], logits.shape().dims()[1]);
     let mut out = Vec::with_capacity(n);
     for r in 0..n {
@@ -225,6 +225,13 @@ impl Network {
         assert_eq!(i, snapshot.len(), "snapshot length mismatch");
     }
 
+    /// A copy holding only what inference reads: every parameter's value,
+    /// with no training caches and empty gradients. Monte-Carlo workers
+    /// score chip instances on such copies.
+    pub(crate) fn weights_only(&self) -> Network {
+        Network::new(self.layers.iter().map(Layer::weights_only).collect())
+    }
+
     /// Applies `f` to every *weight matrix* buffer (not biases) — the
     /// tensors that live in crossbars and suffer device variation. Biases
     /// are implemented digitally and stay exact.
@@ -236,21 +243,6 @@ impl Network {
                 _ => {}
             }
         }
-    }
-
-    /// The crossbar-mapped weight matrices (not biases) in network order —
-    /// the same order and set as [`Network::perturb_weight_matrices`],
-    /// which is what keeps the fused Monte-Carlo engine's per-matrix
-    /// `stream_seed` indices aligned with the per-trial path.
-    pub fn weight_matrices(&self) -> Vec<&Tensor> {
-        self.layers
-            .iter()
-            .filter_map(|layer| match layer {
-                Layer::Conv2d(l) => Some(&l.weight.value),
-                Layer::Linear(l) => Some(&l.weight.value),
-                _ => None,
-            })
-            .collect()
     }
 
     /// The largest absolute weight value across all weight matrices —
@@ -415,19 +407,6 @@ mod tests {
             let whole = argmax_rows(&net.infer(&x).unwrap());
             assert_eq!(net.predict(&x).unwrap(), whole, "n={n}");
         }
-    }
-
-    #[test]
-    fn weight_matrices_match_perturbation_order() {
-        let mut net = Architecture::tiny_test().build(5).unwrap();
-        let via_accessor: Vec<Vec<f32>> = net
-            .weight_matrices()
-            .iter()
-            .map(|w| w.as_slice().to_vec())
-            .collect();
-        let mut via_perturb = Vec::new();
-        net.perturb_weight_matrices(|w| via_perturb.push(w.to_vec()));
-        assert_eq!(via_accessor, via_perturb);
     }
 
     #[test]

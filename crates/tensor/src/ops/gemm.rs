@@ -1,9 +1,8 @@
-//! Blocked, deterministic GEMM microkernels (f32 and int8).
+//! Blocked, deterministic f32 GEMM microkernel and its scalar reference.
 //!
 //! This module is the single matrix-multiply hot path for the whole
 //! workspace: [`crate::Tensor::matmul`] calls [`gemm_f32`], convolution
-//! rides on it via im2col, and the fused Monte-Carlo engine in `lcda-dnn`
-//! drives the kernels directly on raw buffers.
+//! rides on it via im2col.
 //!
 //! # Determinism contract
 //!
@@ -22,10 +21,6 @@
 //! output where the NaN-quarantine layer can catch them. An earlier
 //! `if a == 0.0 { continue }` fast path in `Tensor::matmul` masked exactly
 //! this class of corruption.
-//!
-//! The int8 kernel ([`gemm_i8`]) accumulates in `i32`, which is exact and
-//! associative — it is trivially deterministic under any blocking or
-//! threading scheme.
 
 /// Rows per register tile in the f32 microkernel. Four accumulator rows
 /// share each loaded `b` element, quartering memory traffic on `b` while
@@ -134,55 +129,6 @@ pub fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     }
 }
 
-/// Quantizes a buffer with a per-tensor symmetric int8 scheme.
-///
-/// `scale = max_abs / 127`; each element maps to
-/// `round(x / scale)` clamped to `[-127, 127]` (the `-128` code is unused
-/// so negation is exact — standard symmetric-quantization practice). An
-/// all-zero buffer gets `scale = 1.0` and all-zero codes. Inputs are
-/// assumed finite: the eval pipeline's NaN quarantine runs upstream, and
-/// non-finite values would be meaningless in a fixed-point crossbar model.
-///
-/// Returns `(codes, scale)`; `codes[i] * scale ≈ data[i]`.
-pub fn quantize_symmetric(data: &[f32]) -> (Vec<i8>, f32) {
-    let max_abs = data.iter().fold(0.0f32, |acc, &x| acc.max(x.abs()));
-    if max_abs == 0.0 {
-        return (vec![0i8; data.len()], 1.0);
-    }
-    let scale = max_abs / 127.0;
-    let inv = 127.0 / max_abs;
-    let codes = data
-        .iter()
-        .map(|&x| (x * inv).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    (codes, scale)
-}
-
-/// Int8 GEMM with exact i32 accumulation: `out += a · b` for row-major
-/// `a` (`m x k`, i8), `b` (`k x n`, i8), `out` (`m x n`, i32).
-///
-/// Integer accumulation is exact and associative, so this kernel is
-/// deterministic under any loop order; it uses the same i-k-j sweep as
-/// the f32 path. Callers dequantize with the product of the two operand
-/// scales (see [`quantize_symmetric`]). `k` must stay below ~2^16 for the
-/// i32 accumulator to be overflow-free in the worst case
-/// (127 · 127 · 2^16 < 2^31); every layer in this workspace is far
-/// smaller.
-pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
-    check_dims(m, k, n, a.len(), b.len(), out.len());
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            let av = i32::from(av);
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * i32::from(bv);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,89 +232,5 @@ mod tests {
         let mut out2 = [1.0f32, 2.0];
         gemm_f32(1, 0, 2, &[], &[], &mut out2);
         assert_eq!(out2, [1.0, 2.0]);
-    }
-
-    #[test]
-    fn quantize_symmetric_known_values() {
-        let (codes, scale) = quantize_symmetric(&[0.0, 1.0, -2.0, 4.0]);
-        assert!((scale - 4.0 / 127.0).abs() < 1e-9);
-        assert_eq!(codes, vec![0, 32, -64, 127]);
-    }
-
-    #[test]
-    fn quantize_symmetric_all_zero() {
-        let (codes, scale) = quantize_symmetric(&[0.0, 0.0]);
-        assert_eq!(codes, vec![0, 0]);
-        assert_eq!(scale, 1.0);
-    }
-
-    #[test]
-    fn gemm_i8_exact_on_integers() {
-        // Quantization is exact only when every value is a whole number
-        // of steps: with max |x| = 127 the scale is 127 / 127 = 1, each
-        // integer maps to itself, and the dequantized int8 product must
-        // equal the f32 product exactly. (Small integers alone are not
-        // enough: max |a| = 6 gives scale 6/127, and 1.0 lands on code
-        // round(21.17) = 21.)
-        let a = [1.0, -2.0, 3.0, 4.0, -5.0, 127.0];
-        let b = [7.0, 8.0, -9.0, 10.0, 127.0, -12.0];
-        let (qa, sa) = quantize_symmetric(&a);
-        let (qb, sb) = quantize_symmetric(&b);
-        assert_eq!((sa, sb), (1.0, 1.0));
-        let mut acc = [0i32; 4];
-        gemm_i8(2, 3, 2, &qa, &qb, &mut acc);
-        let mut exact = [0.0f32; 4];
-        gemm_f32(2, 3, 2, &a, &b, &mut exact);
-        for (i, &v) in acc.iter().enumerate() {
-            assert_eq!(v as f32 * sa * sb, exact[i], "element {i}");
-        }
-    }
-
-    #[test]
-    fn gemm_i8_error_is_bounded_by_the_quantization_steps() {
-        // Rounding to the nearest code leaves |x - q·s| <= s/2 per
-        // element, so each dot product over k terms is off by at most
-        // Σ_k (|a|·sb/2 + |b|·sa/2 + sa·sb/4); the slack covers f32
-        // rounding of the scales and the reference sum.
-        let (m, k, n) = (2, 3, 2);
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
-        let (qa, sa) = quantize_symmetric(&a);
-        let (qb, sb) = quantize_symmetric(&b);
-        let mut acc = [0i32; 4];
-        gemm_i8(m, k, n, &qa, &qb, &mut acc);
-        let mut exact = [0.0f32; 4];
-        gemm_f32(m, k, n, &a, &b, &mut exact);
-        let mut inexact = 0;
-        for i in 0..m {
-            for j in 0..n {
-                let bound: f32 = (0..k)
-                    .map(|p| {
-                        a[i * k + p].abs() * sb / 2.0
-                            + b[p * n + j].abs() * sa / 2.0
-                            + sa * sb / 4.0
-                    })
-                    .sum();
-                let deq = acc[i * n + j] as f32 * sa * sb;
-                let err = (deq - exact[i * n + j]).abs();
-                assert!(
-                    err <= bound + 1e-4,
-                    "({i},{j}): error {err} > bound {bound}"
-                );
-                inexact += usize::from(err > 0.0);
-            }
-        }
-        assert!(inexact > 0, "scales 6/127 and 12/127 cannot be exact");
-    }
-
-    #[test]
-    fn gemm_i8_is_deterministic() {
-        let a: Vec<i8> = (0..6).map(|i| (i * 7 % 11) as i8 - 5).collect();
-        let b: Vec<i8> = (0..8).map(|i| (i * 13 % 17) as i8 - 8).collect();
-        let mut x = vec![0i32; 12];
-        let mut y = vec![0i32; 12];
-        gemm_i8(3, 2, 4, &a, &b, &mut x);
-        gemm_i8(3, 2, 4, &a, &b, &mut y);
-        assert_eq!(x, y);
     }
 }

@@ -7,9 +7,9 @@
 //! Convolution lowers one sample at a time into a reused buffer (the
 //! crate-private `im2col_into` / `col2im_into`), so no patch matrix wider
 //! than one sample exists on the f32 training or inference path.
-//! [`im2col_batch`] lowers a whole batch for the int8 Monte-Carlo path,
-//! whose activation scale spans the batch, and for the fused engine's
-//! stacked first weighted layer.
+//! [`im2col_batch`] lowers a whole batch; no layer calls it. It remains
+//! for the benchmark crate under `perf/`, which times it, and for the
+//! batch-identity tests that pin the per-sample lowering against it.
 
 use crate::{Result, Shape, Tensor, TensorError};
 use std::ops::Range;
@@ -233,9 +233,7 @@ pub fn col2im(cols: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
 /// Sample `s`'s patch matrix occupies the contiguous column block
 /// `[s * patch_cols, (s+1) * patch_cols)`, so each column block is exactly
 /// what [`im2col`] produces for that sample. Convolution lowers one sample
-/// at a time instead; the batch form serves the int8 Monte-Carlo path,
-/// which takes its activation scale over the whole batch, and the fused
-/// f32 engine's stacked first weighted layer.
+/// at a time instead; see the module docs for why this form remains.
 ///
 /// # Errors
 ///

@@ -74,30 +74,6 @@ impl WeightPerturber {
         }
     }
 
-    /// Materializes one perturbed copy of `clean` per seed — the batched
-    /// form the fused Monte-Carlo engine uses to precompute every trial's
-    /// weights for a matrix before stacking them into one GEMM.
-    ///
-    /// Each copy is produced by exactly the code path of
-    /// [`WeightPerturber::perturb_after`] with that seed, so element `t`
-    /// of the result is bit-identical to what the sequential per-trial
-    /// path would have written into its cloned network.
-    pub fn perturb_batch(
-        &self,
-        clean: &[f32],
-        seeds: &[u64],
-        elapsed_seconds: f64,
-    ) -> Vec<Vec<f32>> {
-        seeds
-            .iter()
-            .map(|&seed| {
-                let mut copy = clean.to_vec();
-                self.perturb_after(&mut copy, seed, elapsed_seconds);
-                copy
-            })
-            .collect()
-    }
-
     /// Perturbs a single weight through the differential pair.
     fn perturb_one(
         &self,
@@ -202,21 +178,6 @@ mod tests {
     #[should_panic(expected = "w_max")]
     fn zero_wmax_panics() {
         let _ = WeightPerturber::new(VariationConfig::ideal(), 0.0);
-    }
-
-    #[test]
-    fn perturb_batch_matches_sequential_perturbs_bitwise() {
-        let p = WeightPerturber::new(VariationConfig::rram_moderate(), 1.0);
-        let clean: Vec<f32> = (0..96).map(|i| ((i as f32) / 48.0) - 1.0).collect();
-        let seeds = [7u64, 11, 13, 7];
-        let batch = p.perturb_batch(&clean, &seeds, 5.0);
-        assert_eq!(batch.len(), seeds.len());
-        for (copy, &seed) in batch.iter().zip(&seeds) {
-            let mut expected = clean.clone();
-            p.perturb_after(&mut expected, seed, 5.0);
-            assert_eq!(copy, &expected);
-        }
-        assert!(p.perturb_batch(&clean, &[], 0.0).is_empty());
     }
 }
 

@@ -17,7 +17,55 @@ cargo build --workspace --release --offline --locked
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 cargo test --workspace -q --offline --locked
 journal_dir="$(mktemp -d)"
-trap 'rm -rf "$journal_dir"' EXIT
+# Every server started below, so the EXIT trap can stop the ones a
+# failed step left running before it deletes their directories.
+server_pids=""
+cleanup() {
+    for pid in $server_pids; do
+        kill -9 "$pid" 2> /dev/null || true
+        wait "$pid" 2> /dev/null || true
+    done
+    rm -rf "$journal_dir"
+}
+trap cleanup EXIT
+
+# start_serve <log> <serve flags...>: starts `lcda serve` on an
+# ephemeral port and waits for it to print its address. Sets $serve_pid
+# and $addr. The log is created before the server forks, so the first
+# poll never reads a file that does not exist yet.
+start_serve() {
+    local log="$1"
+    shift
+    : > "$log"
+    ./target/release/lcda serve --addr 127.0.0.1:0 "$@" > "$log" &
+    serve_pid=$!
+    server_pids="$server_pids $serve_pid"
+    addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's#.*listening on http://##p' "$log")
+        [ -n "$addr" ] && return 0
+        sleep 0.1
+    done
+    echo "ci: serve logging to $(basename "$log") never printed its address" >&2
+    exit 1
+}
+
+# wait_done <job>: polls the server at $addr until the job is `done`;
+# fails on any other end state or after a minute.
+wait_done() {
+    local state=""
+    for _ in $(seq 1 600); do
+        state=$(curl -sf "http://$addr/jobs/$1" \
+            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+        case "$state" in
+            done) return 0 ;;
+            failed | cancelled) break ;;
+        esac
+        sleep 0.1
+    done
+    echo "ci: $1 ended '$state', not done" >&2
+    exit 1
+}
 
 # Example smoke: every example under examples/ must run to exit 0, not
 # just compile. explainable_nas is the LLM transcript's only user-facing
@@ -43,14 +91,21 @@ done
 
 # Trained-evaluator gate at CLI scale: noise-injection training and
 # Monte-Carlo accuracy on the full CIFAR-10-sized space must print
-# exactly the recorded result, in f32 and in int8 (each about 10 s).
+# exactly the recorded result (about 10 s).
 trained_design="[[16,1],[16,1],[16,1],[16,1],[16,1],[16,1]] | hw: [64,4,2,rram]"
-for precision in f32 int8; do
-    ./target/release/lcda evaluate --evaluator trained --precision "$precision" --json \
-        --design "$trained_design" > "$journal_dir/trained_$precision.json"
-    cmp "$journal_dir/trained_$precision.json" "tests/fixtures/trained_eval/$precision.json" \
-        || { echo "ci: trained $precision evaluation differs from its fixture" >&2; exit 1; }
-done
+./target/release/lcda evaluate --evaluator trained --json \
+    --design "$trained_design" > "$journal_dir/trained_f32.json"
+cmp "$journal_dir/trained_f32.json" tests/fixtures/trained_eval/f32.json \
+    || { echo "ci: trained f32 evaluation differs from its fixture" >&2; exit 1; }
+# Int8 inference was removed: --precision is refused by name before any
+# training starts.
+if ./target/release/lcda evaluate --evaluator trained --precision int8 \
+    --design "$trained_design" > /dev/null 2> "$journal_dir/precision.err"; then
+    echo "ci: evaluate accepted the removed --precision flag" >&2
+    exit 1
+fi
+grep -q -- "--precision is not accepted" "$journal_dir/precision.err" \
+    || { echo "ci: --precision was not refused by name" >&2; exit 1; }
 # The design above is all 1x1, so no two patches overlap. This one's
 # 3x3 and 5x5 kernels check the padded, overlapping im2col/col2im of
 # training and inference against recorded bytes (f32, about 30 s).
@@ -232,31 +287,16 @@ fi
     --checkpoint "$journal_dir/memo_expert.jsonl" > /dev/null
 ./target/release/lcda search --optimizer rl --episodes 40 --seed 5 \
     --checkpoint "$journal_dir/memo_rl.jsonl" > /dev/null
-./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
-    --cache "$journal_dir/memo_store.json" --journal-dir "$journal_dir/memo_jobs" \
-    > "$journal_dir/memo_serve.log" &
-memo_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/memo_serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "ci: memo-gate serve never printed its address" >&2; exit 1; }
+start_serve "$journal_dir/memo_serve.log" --workers 1 \
+    --cache "$journal_dir/memo_store.json" --journal-dir "$journal_dir/memo_jobs"
+# job-2 is submitted only once job-1 is done, so the WAL holds job-1's
+# `done` before job-2's `admitted`: the order its fixture records.
 curl -sf -X POST -d '{"episodes": 3, "seed": 21}' "http://$addr/jobs" > /dev/null
+wait_done job-1
 curl -sf -X POST -d '{"episodes": 4, "seed": 22}' "http://$addr/jobs" > /dev/null
-for job in job-1 job-2; do
-    state=""
-    for _ in $(seq 1 600); do
-        state=$(curl -sf "http://$addr/jobs/$job" \
-            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-        [ "$state" = "done" ] && break
-        sleep 0.1
-    done
-    [ "$state" = "done" ] || { echo "ci: memo-gate $job ended '$state', not done" >&2; exit 1; }
-done
+wait_done job-2
 curl -sf -X POST "http://$addr/shutdown" > /dev/null
-wait "$memo_pid"
+wait "$serve_pid"
 for pair in memo_expert.jsonl:expert.ckpt.jsonl memo_rl.jsonl:rl.ckpt.jsonl \
     memo_store.json:serve_store.json; do
     cmp "$journal_dir/${pair%%:*}" "tests/fixtures/memo/${pair##*:}" \
@@ -291,33 +331,13 @@ done
 #       cache seeded by the first, and
 #   (b) both served results to be byte-identical to the offline
 #       `lcda search --json` output for the same seed.
-./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
-    --journal-dir "$journal_dir/serve-journals" > "$journal_dir/serve.log" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "ci: serve never printed its address" >&2; exit 1; }
+start_serve "$journal_dir/serve.log" --workers 1 \
+    --journal-dir "$journal_dir/serve-journals"
 serve_spec='{"episodes": 3, "seed": 21}'
 curl -sf -X POST -d "$serve_spec" "http://$addr/jobs" > /dev/null
 curl -sf -X POST -d "$serve_spec" "http://$addr/jobs" > /dev/null
-for job in job-1 job-2; do
-    state=""
-    for _ in $(seq 1 600); do
-        state=$(curl -sf "http://$addr/jobs/$job" \
-            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-        [ "$state" = "done" ] && break
-        if [ "$state" = "failed" ] || [ "$state" = "cancelled" ]; then
-            echo "ci: serve $job landed in state $state" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    [ "$state" = "done" ] || { echo "ci: serve $job never finished" >&2; exit 1; }
-done
+wait_done job-1
+wait_done job-2
 # Finished jobs hold no open files: five more jobs run to `done` must
 # leave the server's descriptor count where it was. The pauses let
 # the connection threads of the last requests close their sockets.
@@ -327,14 +347,7 @@ for seed in 31 32 33 34 35; do
     curl -sf -X POST -d "{\"episodes\": 1, \"seed\": $seed}" "http://$addr/jobs" > /dev/null
 done
 for job in job-3 job-4 job-5 job-6 job-7; do
-    state=""
-    for _ in $(seq 1 600); do
-        state=$(curl -sf "http://$addr/jobs/$job" \
-            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-        [ "$state" = "done" ] && break
-        sleep 0.1
-    done
-    [ "$state" = "done" ] || { echo "ci: serve $job ended '$state', not done" >&2; exit 1; }
+    wait_done "$job"
 done
 sleep 0.2
 fds_after=$(ls "/proc/$serve_pid/fd" | wc -l)
@@ -363,45 +376,17 @@ wait "$serve_pid"
 # byte-identical to the uninterrupted offline run. The kill is racy by
 # design — a fast job that finishes first is restored terminally from
 # the ledger instead of re-run, and must compare equal all the same.
-./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
-    --journal-dir "$journal_dir/serve-crash" > "$journal_dir/serve_crash_a.log" &
-crash_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/serve_crash_a.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "ci: crash-smoke serve never printed its address" >&2; exit 1; }
+start_serve "$journal_dir/serve_crash_a.log" --workers 1 \
+    --journal-dir "$journal_dir/serve-crash"
 curl -sf -X POST -d '{"episodes": 3, "seed": 21}' "http://$addr/jobs" > /dev/null
 sleep 0.5
-kill -9 "$crash_pid" 2> /dev/null || true
-wait "$crash_pid" 2> /dev/null || true
+kill -9 "$serve_pid" 2> /dev/null || true
+wait "$serve_pid" 2> /dev/null || true
 # Restart on the crashed ledger — with a one-slot queue for the
 # backpressure check below.
-./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
-    --queue-capacity 1 \
-    --journal-dir "$journal_dir/serve-crash" > "$journal_dir/serve_crash_b.log" &
-crash_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/serve_crash_b.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "ci: restarted serve never printed its address" >&2; exit 1; }
-state=""
-for _ in $(seq 1 600); do
-    state=$(curl -sf "http://$addr/jobs/job-1" \
-        | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-    [ "$state" = "done" ] && break
-    if [ "$state" = "failed" ] || [ "$state" = "cancelled" ]; then
-        echo "ci: recovered job-1 landed in state $state" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-[ "$state" = "done" ] || { echo "ci: recovered job-1 never finished" >&2; exit 1; }
+start_serve "$journal_dir/serve_crash_b.log" --workers 1 --queue-capacity 1 \
+    --journal-dir "$journal_dir/serve-crash"
+wait_done job-1
 curl -sf "http://$addr/jobs/job-1/result" > "$journal_dir/serve_recovered.json"
 cmp "$journal_dir/serve_recovered.json" "$journal_dir/serve_offline.json"
 
@@ -427,7 +412,7 @@ for _ in $(seq 1 600); do
     sleep 0.1
 done
 curl -sf -X POST "http://$addr/shutdown" > /dev/null
-wait "$crash_pid"
+wait "$serve_pid"
 
 # Store-survival smoke: the shared store is saved when a job ends, so a
 # server killed with kill -9 right after a job reports `done` (with no
@@ -435,32 +420,16 @@ wait "$crash_pid"
 # the same spec from, as cross-run hits.
 store_spec='{"episodes": 3, "seed": 23}'
 for run in a b; do
-    ./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
-        --cache "$journal_dir/survive_store.json" --journal-dir "$journal_dir/survive_$run" \
-        > "$journal_dir/survive_$run.log" &
-    survive_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/survive_$run.log")
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "ci: store-survival serve $run never printed its address" >&2; exit 1; }
+    start_serve "$journal_dir/survive_$run.log" --workers 1 \
+        --cache "$journal_dir/survive_store.json" --journal-dir "$journal_dir/survive_$run"
     curl -sf -X POST -d "$store_spec" "http://$addr/jobs" > /dev/null
-    state=""
-    for _ in $(seq 1 600); do
-        state=$(curl -sf "http://$addr/jobs/job-1" \
-            | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-        [ "$state" = "done" ] && break
-        sleep 0.1
-    done
-    [ "$state" = "done" ] || { echo "ci: store-survival run $run ended '$state', not done" >&2; exit 1; }
+    wait_done job-1
     if [ "$run" = b ]; then
         cross=$(curl -sf "http://$addr/jobs/job-1" \
             | sed -n 's/.*"cross_run_hits":\([0-9]*\).*/\1/p')
     fi
-    kill -9 "$survive_pid" 2> /dev/null || true
-    wait "$survive_pid" 2> /dev/null || true
+    kill -9 "$serve_pid" 2> /dev/null || true
+    wait "$serve_pid" 2> /dev/null || true
 done
 [ -n "$cross" ] && [ "$cross" -gt 0 ] \
     || { echo "ci: the store did not survive kill -9 (cross_run_hits '$cross')" >&2; exit 1; }
@@ -473,16 +442,7 @@ done
 # the offline run.
 drain_dir="$journal_dir/serve-drain"
 for run in a b; do
-    ./target/release/lcda serve --addr 127.0.0.1:0 --workers 1 \
-        --journal-dir "$drain_dir" > "$journal_dir/drain_$run.log" &
-    drain_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's#.*listening on http://##p' "$journal_dir/drain_$run.log")
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "ci: drain serve $run never printed its address" >&2; exit 1; }
+    start_serve "$journal_dir/drain_$run.log" --workers 1 --journal-dir "$drain_dir"
     if [ "$run" = a ]; then
         curl -sf -X POST -d '{"optimizer": "rl", "episodes": 1000000, "deadline_secs": 1}' \
             "http://$addr/jobs" > /dev/null
@@ -497,32 +457,25 @@ for run in a b; do
         [ "$state" = "running" ] || { echo "ci: drain job-1 is '$state', not running" >&2; exit 1; }
         curl -sf -X POST "http://$addr/shutdown" > /dev/null
         for _ in $(seq 1 50); do
-            kill -0 "$drain_pid" 2> /dev/null || break
+            kill -0 "$serve_pid" 2> /dev/null || break
             sleep 0.1
         done
-        if kill -0 "$drain_pid" 2> /dev/null; then
-            kill -9 "$drain_pid" 2> /dev/null || true
+        if kill -0 "$serve_pid" 2> /dev/null; then
+            kill -9 "$serve_pid" 2> /dev/null || true
             echo "ci: serve was still running 5 s after POST /shutdown" >&2
             exit 1
         fi
-        wait "$drain_pid"
+        wait "$serve_pid"
         if [ -e "$drain_dir/job-2.result.json" ] \
             || grep -q '"job":2,"state":"running"' "$drain_dir/jobs.wal.jsonl"; then
             echo "ci: serve claimed queued job-2 after POST /shutdown" >&2
             exit 1
         fi
     else
-        state=""
-        for _ in $(seq 1 600); do
-            state=$(curl -sf "http://$addr/jobs/job-2" \
-                | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-            [ "$state" = "done" ] && break
-            sleep 0.1
-        done
-        [ "$state" = "done" ] || { echo "ci: re-admitted job-2 ended '$state', not done" >&2; exit 1; }
+        wait_done job-2
         curl -sf "http://$addr/jobs/job-2/result" > "$journal_dir/drain_2.json"
         cmp "$journal_dir/drain_2.json" "$journal_dir/serve_offline.json"
         curl -sf -X POST "http://$addr/shutdown" > /dev/null
-        wait "$drain_pid"
+        wait "$serve_pid"
     fi
 done

@@ -54,12 +54,9 @@ SEARCH OPTIONS:
                             bit-identical for every value     (default 1)
     --evaluator <surrogate|trained>
                             accuracy evaluator: the fast analytic surrogate
-                            or real noise-injection training plus fused
-                            Monte-Carlo evaluation           (default surrogate)
-    --precision <f32|int8>  inference precision of the trained evaluator's
-                            Monte-Carlo forward pass; int8 models a
-                            quantized crossbar readout and is cached under
-                            its own fingerprint               (default f32)
+                            or real noise-injection training plus
+                            Monte-Carlo evaluation, one chip instance at
+                            a time                           (default surrogate)
     --no-cache              disable evaluation memoization
     --journal <path>        stream a JSONL event journal of the run
                             (deterministic: same seed, same bytes)
@@ -98,7 +95,6 @@ EVALUATE OPTIONS:
     --objective <energy|latency>
     --hw-config <path>      declarative hardware hierarchy JSON
     --evaluator <surrogate|trained>      accuracy evaluator (default surrogate)
-    --precision <f32|int8>  trained-evaluator inference precision (default f32)
     --journal <path>        stream a JSONL event journal of the evaluation
     --json
 
@@ -131,6 +127,11 @@ const RETIRED_FLAGS: &[(&str, &str)] = &[
     (
         "--job-deadline",
         "give each job its own wall-clock deadline with the spec's \"deadline_secs\"",
+    ),
+    (
+        "--precision",
+        "the trained evaluator's Monte-Carlo pass always runs in f32; \
+         int8 inference was removed",
     ),
 ];
 
@@ -270,28 +271,16 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--evaluator`/`--precision` into an optional replacement for the
-/// default surrogate accuracy evaluator. Returns `None` for the surrogate
-/// (the default), so f32 surrogate runs are byte-identical to builds that
-/// predate these flags.
+/// Parses `--evaluator` into an optional replacement for the default
+/// surrogate accuracy evaluator. Returns `None` for the surrogate (the
+/// default), so surrogate runs are byte-identical to builds that predate
+/// the flag.
 fn parse_evaluator(args: &Args, seed: u64) -> Result<Option<Box<dyn AccuracyEvaluator>>, String> {
-    use lcda::dnn::mc_eval::Precision;
-    let precision = match args.get("--precision") {
-        None | Some("f32") => Precision::F32,
-        Some("int8") => Precision::Int8,
-        Some(other) => return Err(format!("unknown precision `{other}` (f32 or int8)")),
-    };
     match args.get("--evaluator") {
-        None | Some("surrogate") => {
-            if args.get("--precision").is_some() {
-                return Err("--precision requires --evaluator trained".into());
-            }
-            Ok(None)
-        }
+        None | Some("surrogate") => Ok(None),
         Some("trained") => {
             let mut cfg = TrainedEvalConfig::search_default();
             cfg.seed = seed;
-            cfg.precision = precision;
             let eval = TrainedEvaluator::new(DesignSpace::nacim_cifar10(), cfg)
                 .map_err(|e| e.to_string())?;
             Ok(Some(Box::new(eval)))
@@ -314,7 +303,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
             "--keep-checkpoints",
             "--threads",
             "--evaluator",
-            "--precision",
             "--journal",
         ],
         &["--json", "--resume", "--no-cache"],
@@ -547,7 +535,6 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
             "--objective",
             "--hw-config",
             "--evaluator",
-            "--precision",
             "--journal",
         ],
         &["--json"],

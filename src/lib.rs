@@ -64,6 +64,6 @@ pub mod prelude {
     pub use lcda_core::space::DesignSpace;
     pub use lcda_core::surrogate::SurrogateEvaluator;
     pub use lcda_core::trained::{TrainedEvalConfig, TrainedEvaluator};
-    pub use lcda_dnn::mc_eval::{McEvalConfig, Precision};
+    pub use lcda_dnn::mc_eval::McEvalConfig;
     pub use lcda_llm::design::CandidateDesign;
 }

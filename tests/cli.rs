@@ -163,6 +163,22 @@ fn retired_serve_flags_are_refused_by_name() {
 }
 
 #[test]
+fn precision_flag_is_refused_by_name() {
+    // The Monte-Carlo pass runs in f32 only; both old values are refused
+    // before any training starts.
+    for command in ["search", "evaluate"] {
+        for value in ["int8", "f32"] {
+            let (ok, stdout, stderr) =
+                lcda(&[command, "--evaluator", "trained", "--precision", value]);
+            assert!(!ok, "{command} --precision {value}");
+            assert!(stdout.is_empty(), "{stdout}");
+            assert!(stderr.contains("--precision is not accepted"), "{stderr}");
+            assert!(stderr.contains("f32"), "{stderr}");
+        }
+    }
+}
+
+#[test]
 fn hw_config_failure_classes_are_distinguished() {
     // A missing config file is reported as unreadable, naming it.
     let (ok, _, stderr) = lcda(&["reference", "--hw-config", "/nonexistent/hierarchy.json"]);
