@@ -1,14 +1,6 @@
 //! Runs the repository's ablation sweep: all optimizers at matched
 //! budgets, the three LLM personas, and noise-injection training on/off.
 
-use lcda_bench::{experiments, render};
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1u64);
-    println!("ABLATIONS (seed {seed}, objective accuracy-energy)\n");
-    let rows = experiments::ablation_suite(seed);
-    print!("{}", render::ablations(&rows));
+    lcda_bench::print("ABL");
 }

@@ -1,19 +1,6 @@
 //! Regenerates Fig. 2: accuracy-energy trade-offs, LCDA (20 episodes,
 //! blue/■) vs NACIM RL (500 episodes, orange/·), reward Eq. 1.
 
-use lcda_bench::{experiments, render};
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1u64);
-    println!("FIG 2 — accuracy vs energy (seed {seed})\n");
-    let data = experiments::fig2(seed);
-    print!("{}", render::scatter(&data, "energy(pJ)"));
-    println!(
-        "\npaper shape check: comparable best rewards (LCDA {:+.3} vs NACIM {:+.3}), \
-         LCDA keeps high accuracy across the energy spectrum.",
-        data.lcda_best, data.baseline_best
-    );
+    lcda_bench::print("FIG2");
 }

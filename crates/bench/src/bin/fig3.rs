@@ -1,26 +1,6 @@
 //! Regenerates Fig. 3: rewards per episode; panel (a) episodes 1–20,
 //! panel (b) episodes 21–500 with LCDA projected at its 20-episode max.
 
-use lcda_bench::{experiments, render};
-use lcda_core::analysis::speedup;
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1u64);
-    println!("FIG 3 — reward vs episode (seed {seed})\n");
-    let data = experiments::fig3(seed);
-    print!("{}", render::fig3(&data));
-    let rep = speedup(&data.lcda, &data.nacim, 0.02);
-    match rep.baseline_episodes {
-        Some(n) => println!(
-            "\nNACIM reaches LCDA's 20-episode quality at episode {n} → ~{:.0}x speedup (paper: 25x).",
-            rep.speedup_lower_bound
-        ),
-        None => println!(
-            "\nNACIM never reaches LCDA's 20-episode quality in 500 episodes (≥{:.0}x speedup; paper: 25x).",
-            rep.speedup_lower_bound
-        ),
-    }
+    lcda_bench::print("FIG3");
 }

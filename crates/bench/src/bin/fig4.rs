@@ -2,21 +2,6 @@
 //! experiment where LCDA falls short because of GPT-4's kernel-size
 //! misconceptions on CiM hardware.
 
-use lcda_bench::{experiments, render};
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1u64);
-    println!("FIG 4 — accuracy vs latency (seed {seed})\n");
-    let data = experiments::fig4(seed);
-    print!("{}", render::scatter(&data, "latency(ns)"));
-    let min = |pts: &[(f64, f64)]| pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-    println!(
-        "\npaper shape check: LCDA struggles to deliver low latency (min {:.0} ns) \
-         while NACIM reaches {:.0} ns; LCDA's candidates keep the accuracy edge.",
-        min(&data.lcda),
-        min(&data.baseline)
-    );
+    lcda_bench::print("FIG4");
 }

@@ -1,19 +1,6 @@
 //! Regenerates Fig. 5: the knowledge ablation — LCDA vs LCDA-naive
 //! (prompts without the co-design framing), reward Eq. 1.
 
-use lcda_bench::{experiments, render};
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1u64);
-    println!("FIG 5 — LCDA vs LCDA-naive, accuracy vs energy (seed {seed})\n");
-    let data = experiments::fig5(seed);
-    print!("{}", render::scatter(&data, "energy(pJ)"));
-    println!(
-        "\npaper shape check: without co-design framing the naive run fails to find \
-         efficient designs (best {:+.3} vs LCDA's {:+.3}).",
-        data.baseline_best, data.lcda_best
-    );
+    lcda_bench::print("FIG5");
 }

@@ -2,15 +2,6 @@
 //! energy and variation penalty as functions of kernel size — the facts
 //! GPT-4's general-hardware intuition gets wrong.
 
-use lcda_bench::{experiments, render};
-
 fn main() {
-    println!("KERNEL-UTIL — §IV-B mechanism (128x128 arrays, 2-bit cells, int8)\n");
-    let rows = experiments::kernel_utilization();
-    print!("{}", render::kernel_util(&rows));
-    println!(
-        "\nutilization is non-monotone in k (depends on how k²·c_in packs into 128-row \
-         arrays) and the variation penalty grows with k — so neither \"smaller kernels \
-         are faster\" nor \"larger kernels are more accurate\" survives on CiM hardware."
-    );
+    lcda_bench::print("KERNEL-UTIL");
 }

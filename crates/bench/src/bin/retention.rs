@@ -2,34 +2,6 @@
 //! increasing ages under RRAM-like and PCM-like drift corners (real
 //! training + Monte-Carlo path, tiny model).
 
-use lcda_bench::experiments::retention_study;
-
-fn human_time(secs: f64) -> String {
-    if secs == 0.0 {
-        "fresh".to_string()
-    } else if secs < 86400.0 {
-        format!("{:.0}h", secs / 3600.0)
-    } else if secs < 86400.0 * 32.0 {
-        format!("{:.0}d", secs / 86400.0)
-    } else {
-        format!("{:.0}mo", secs / (86400.0 * 30.0))
-    }
-}
-
 fn main() {
-    println!("RETENTION — MC accuracy vs time since programming\n");
-    println!("{:<12} {:>8} {:>10}", "corner", "age", "accuracy");
-    for r in retention_study() {
-        println!(
-            "{:<12} {:>8} {:>10.3}",
-            r.corner,
-            human_time(r.elapsed_seconds),
-            r.accuracy
-        );
-    }
-    println!(
-        "\nPower-law conductance drift (g ∝ t^-ν) erodes accuracy over months; \
-         the PCM-like corner (ν=0.05) decays faster than the RRAM-like one \
-         (ν=0.01) — the refresh-scheduling trade CiM deployments manage."
-    );
+    lcda_bench::print("RETENTION");
 }

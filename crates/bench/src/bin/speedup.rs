@@ -1,11 +1,6 @@
 //! Regenerates the §IV-A headline: episodes-to-comparable-quality speedup
 //! of LCDA over NACIM, across seeds.
 
-use lcda_bench::{experiments, render};
-
 fn main() {
-    let seeds: Vec<u64> = (1..=5).collect();
-    println!("SPEEDUP — NACIM episodes needed to reach within 0.02 of LCDA's 20-episode best\n");
-    let reports = experiments::speedup_table(&seeds, 0.02);
-    print!("{}", render::speedup_table(&reports));
+    lcda_bench::print("SPEEDUP");
 }

@@ -3,30 +3,6 @@
 //! accuracy), the ADC energy dominance, and the pipelined-vs-sequential
 //! latency gap.
 
-use lcda_bench::experiments::tech_sweep;
-
 fn main() {
-    println!("TECH SWEEP — ISAAC reference network on each memory technology\n");
-    println!(
-        "{:<9} {:>12} {:>12} {:>12} {:>9} {:>10} {:>9} {:>8}",
-        "tech", "energy(pJ)", "lat(ns)", "pipe(ns)", "area", "leak(uW)", "acc", "adc%"
-    );
-    for r in tech_sweep() {
-        println!(
-            "{:<9} {:>12.3e} {:>12.0} {:>12.0} {:>9.2} {:>10.1} {:>9.3} {:>7.1}%",
-            r.tech,
-            r.energy_pj,
-            r.latency_ns,
-            r.pipelined_latency_ns,
-            r.area_mm2,
-            r.leakage_uw,
-            r.accuracy,
-            r.adc_energy_share * 100.0
-        );
-    }
-    println!(
-        "\nNVM crossbars win on density and leakage; SRAM wins on accuracy (no analog \
-         variation) at 6-7x the energy. On the NVM technologies the ADCs dominate \
-         dynamic energy — the lever the low-energy designs in Fig. 2 pull."
-    );
+    lcda_bench::print("TECH");
 }

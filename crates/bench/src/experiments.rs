@@ -1,13 +1,24 @@
-//! Experiment definitions, one per paper artifact.
+//! The experiment table: one row per EXPERIMENTS.md section that has a
+//! binary.
+//!
+//! Each [`Experiment`] runs at one seed and returns [`Data`]; its
+//! renderer turns the data of one or more seeds into the text its binary
+//! prints. Every search comes from one runner, `search`, so the budgets
+//! and the tolerance below are named once.
 
-use lcda_core::analysis::{speedup, RewardCurve, SpeedupReport};
+use crate::render;
+use lcda_core::analysis::{self, RewardCurve, SpeedupReport};
 use lcda_core::backend::CimBackend;
 use lcda_core::evaluate::AccuracyEvaluator;
 use lcda_core::space::DesignSpace;
 use lcda_core::surrogate::SurrogateEvaluator;
+use lcda_core::OptimizerSpec::{
+    AdaptiveLlm, ExpertLlm, FinetunedLlm, Genetic, NaiveLlm, Random, Rl,
+};
 use lcda_core::{CoDesign, CoDesignConfig, Objective, OptimizerSpec, Outcome};
 use lcda_neurosim::chip::Chip;
 use lcda_neurosim::mapper::{LayerMapping, LayerWorkload, Precision};
+use lcda_variation::WriteVerifyConfig;
 
 /// LCDA's episode budget in the paper.
 pub const LCDA_EPISODES: u32 = 20;
@@ -15,209 +26,174 @@ pub const LCDA_EPISODES: u32 = 20;
 /// NACIM's episode budget in the paper.
 pub const NACIM_EPISODES: u32 = 500;
 
-fn cfg(objective: Objective, episodes: u32, seed: u64) -> CoDesignConfig {
-    CoDesignConfig::builder(objective)
+/// The seeds of the SPEEDUP table.
+pub const SPEEDUP_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
+
+/// How far below LCDA's best reward a baseline may stay and still count
+/// as "comparable quality" (§IV-A).
+pub const TOLERANCE: f64 = 0.02;
+
+const ENERGY: Objective = Objective::AccuracyEnergy;
+const LATENCY: Objective = Objective::AccuracyLatency;
+
+/// One search: optimizer, objective and episode budget. The experiment
+/// supplies the seed.
+type Search = (OptimizerSpec, Objective, u32);
+
+/// LCDA@20 vs NACIM@500 on reward Eq. 1: FIG2, FIG3 and SPEEDUP.
+const ENERGY_PAIR: [Search; 2] = [
+    (ExpertLlm, ENERGY, LCDA_EPISODES),
+    (Rl, ENERGY, NACIM_EPISODES),
+];
+
+/// FIG4: the same pair on reward Eq. 2, plus the fine-tuned persona.
+const FIG4_SEARCHES: [Search; 3] = [
+    (ExpertLlm, LATENCY, LCDA_EPISODES),
+    (Rl, LATENCY, NACIM_EPISODES),
+    (FinetunedLlm, LATENCY, LCDA_EPISODES),
+];
+
+/// FIG5: LCDA vs LCDA-naive at the same budget.
+const FIG5_SEARCHES: [Search; 2] = [
+    (ExpertLlm, ENERGY, LCDA_EPISODES),
+    (NaiveLlm, ENERGY, LCDA_EPISODES),
+];
+
+/// ABL's search rows on reward Eq. 1: name, optimizer, episodes, and
+/// whether cells are programmed with write-verify (SWIM, the paper's
+/// reference [5]), which shrinks the variation penalty.
+const ABLATIONS: [(&str, OptimizerSpec, u32, bool); 9] = [
+    ("lcda/pretrained @20", ExpertLlm, LCDA_EPISODES, false),
+    ("lcda/fine-tuned @20", FinetunedLlm, LCDA_EPISODES, false),
+    ("lcda/adaptive @20", AdaptiveLlm, LCDA_EPISODES, false),
+    ("lcda/naive @20", NaiveLlm, LCDA_EPISODES, false),
+    ("nacim-rl @20", Rl, LCDA_EPISODES, false),
+    ("nacim-rl @500", Rl, NACIM_EPISODES, false),
+    ("genetic @500", Genetic, NACIM_EPISODES, false),
+    ("random @500", Random, NACIM_EPISODES, false),
+    (
+        "lcda/pretrained @20 + write-verify",
+        ExpertLlm,
+        LCDA_EPISODES,
+        true,
+    ),
+];
+
+/// Runs one search. Every search of every experiment goes through here.
+fn search(
+    space: DesignSpace,
+    spec: OptimizerSpec,
+    objective: Objective,
+    episodes: u32,
+    seed: u64,
+) -> Outcome {
+    let config = CoDesignConfig::builder(objective)
         .episodes(episodes)
         .seed(seed)
-        .build()
-}
-
-fn run(spec: OptimizerSpec, space: DesignSpace, config: CoDesignConfig) -> CoDesign {
+        .build();
     CoDesign::builder(space, config)
         .optimizer(spec)
         .build()
         .expect("valid config")
-}
-
-/// Two scatter series plus their best rewards — the payload of Figs. 2,
-/// 4 and 5.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScatterData {
-    /// Label of the first series (LCDA variant).
-    pub lcda_name: String,
-    /// `(accuracy, cost)` points of the LCDA run.
-    pub lcda: Vec<(f64, f64)>,
-    /// Best reward of the LCDA run.
-    pub lcda_best: f64,
-    /// Label of the comparison series.
-    pub baseline_name: String,
-    /// `(accuracy, cost)` points of the comparison run.
-    pub baseline: Vec<(f64, f64)>,
-    /// Best reward of the comparison run.
-    pub baseline_best: f64,
-}
-
-lcda_base::impl_json!(struct ScatterData {
-    lcda_name, lcda, lcda_best, baseline_name, baseline, baseline_best,
-});
-
-fn outcome_points(outcome: &Outcome, objective: Objective) -> Vec<(f64, f64)> {
-    match objective {
-        Objective::AccuracyEnergy => outcome.accuracy_energy_points(),
-        Objective::AccuracyLatency => outcome.accuracy_latency_points(),
-    }
-}
-
-/// FIG2 — §IV-A: accuracy-energy trade-offs of LCDA (20 episodes) vs the
-/// NACIM RL baseline (500 episodes), reward Eq. 1.
-pub fn fig2(seed: u64) -> ScatterData {
-    let space = DesignSpace::nacim_cifar10();
-    let obj = Objective::AccuracyEnergy;
-    let lcda = run(
-        OptimizerSpec::ExpertLlm,
-        space.clone(),
-        cfg(obj, LCDA_EPISODES, seed),
-    )
-    .run()
-    .expect("run completes");
-    let nacim = run(OptimizerSpec::Rl, space, cfg(obj, NACIM_EPISODES, seed))
         .run()
-        .expect("run completes");
-    ScatterData {
-        lcda_name: "LCDA".into(),
-        lcda: outcome_points(&lcda, obj),
-        lcda_best: lcda.best.reward,
-        baseline_name: "NACIM".into(),
-        baseline: outcome_points(&nacim, obj),
-        baseline_best: nacim.best.reward,
-    }
+        .expect("run completes")
 }
 
-/// The payload of Fig. 3: per-episode reward curves for both methods.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig3Data {
-    /// LCDA's curve (20 episodes).
-    pub lcda: RewardCurve,
-    /// NACIM's curve (500 episodes).
-    pub nacim: RewardCurve,
-}
-
-lcda_base::impl_json!(struct Fig3Data { lcda, nacim });
-
-impl Fig3Data {
-    /// Panel (a): rewards of episodes 1–20 for both methods.
-    pub fn panel_a(&self) -> (Vec<f64>, Vec<f64>) {
-        (
-            self.lcda.rewards.clone(),
-            self.nacim.rewards[..20.min(self.nacim.rewards.len())].to_vec(),
-        )
-    }
-
-    /// Panel (b): episodes 21–500; LCDA projected at its first-20 maximum
-    /// exactly as the paper does.
-    pub fn panel_b(&self) -> (Vec<f64>, Vec<f64>) {
-        let total = self.nacim.rewards.len();
-        let lcda_projected = self.lcda.project_to(total)[20.min(total)..].to_vec();
-        let nacim_tail = self.nacim.best_so_far[20.min(total)..].to_vec();
-        (lcda_projected, nacim_tail)
-    }
-}
-
-/// FIG3 — §IV-A: reward vs episode, with LCDA's 20-episode maximum
-/// projected into episodes 21–500.
-pub fn fig3(seed: u64) -> Fig3Data {
-    let space = DesignSpace::nacim_cifar10();
-    let obj = Objective::AccuracyEnergy;
-    let lcda = run(
-        OptimizerSpec::ExpertLlm,
-        space.clone(),
-        cfg(obj, LCDA_EPISODES, seed),
+/// The §IV-A speedup: episodes NACIM needs to come within [`TOLERANCE`]
+/// of LCDA's best, as a multiple of the episodes LCDA needed.
+pub fn speedup(lcda: &Outcome, nacim: &Outcome) -> SpeedupReport {
+    analysis::speedup(
+        &RewardCurve::from_outcome(lcda),
+        &RewardCurve::from_outcome(nacim),
+        TOLERANCE,
     )
-    .run()
-    .expect("run completes");
-    let nacim = run(OptimizerSpec::Rl, space, cfg(obj, NACIM_EPISODES, seed))
-        .run()
-        .expect("run completes");
-    Fig3Data {
-        lcda: RewardCurve::from_outcome(&lcda),
-        nacim: RewardCurve::from_outcome(&nacim),
-    }
 }
 
-/// FIG4 — §IV-B: accuracy-latency trade-offs, reward Eq. 2 — the
-/// objective where the pretrained LLM's kernel-size misconceptions make
-/// LCDA fall short of NACIM.
-pub fn fig4(seed: u64) -> ScatterData {
-    let space = DesignSpace::nacim_cifar10();
-    let obj = Objective::AccuracyLatency;
-    let lcda = run(
-        OptimizerSpec::ExpertLlm,
-        space.clone(),
-        cfg(obj, LCDA_EPISODES, seed),
-    )
-    .run()
-    .expect("run completes");
-    let nacim = run(OptimizerSpec::Rl, space, cfg(obj, NACIM_EPISODES, seed))
-        .run()
-        .expect("run completes");
-    ScatterData {
-        lcda_name: "LCDA".into(),
-        lcda: outcome_points(&lcda, obj),
-        lcda_best: lcda.best.reward,
-        baseline_name: "NACIM".into(),
-        baseline: outcome_points(&nacim, obj),
-        baseline_best: nacim.best.reward,
-    }
-}
-
-/// FIG5 — §IV-C: the ablation. Same budget, same evaluators; the only
-/// difference is the prompt framing and the model's knowledge.
-pub fn fig5(seed: u64) -> ScatterData {
-    let space = DesignSpace::nacim_cifar10();
-    let obj = Objective::AccuracyEnergy;
-    let expert = run(
-        OptimizerSpec::ExpertLlm,
-        space.clone(),
-        cfg(obj, LCDA_EPISODES, seed),
-    )
-    .run()
-    .expect("run completes");
-    let naive = run(
-        OptimizerSpec::NaiveLlm,
-        space,
-        cfg(obj, LCDA_EPISODES, seed),
-    )
-    .run()
-    .expect("run completes");
-    ScatterData {
-        lcda_name: "LCDA".into(),
-        lcda: outcome_points(&expert, obj),
-        lcda_best: expert.best.reward,
-        baseline_name: "LCDA-naive".into(),
-        baseline: outcome_points(&naive, obj),
-        baseline_best: naive.best.reward,
-    }
-}
-
-/// SPEEDUP — the §IV-A headline, measured across seeds: episodes NACIM
-/// needs to reach within `tolerance` of LCDA's 20-episode best.
-pub fn speedup_table(seeds: &[u64], tolerance: f64) -> Vec<SpeedupReport> {
-    let space = DesignSpace::nacim_cifar10();
-    let obj = Objective::AccuracyEnergy;
-    seeds
+fn searches(table: &[Search], seed: u64) -> Data {
+    let outcomes = table
         .iter()
-        .map(|&seed| {
-            let lcda = run(
-                OptimizerSpec::ExpertLlm,
-                space.clone(),
-                cfg(obj, LCDA_EPISODES, seed),
-            )
-            .run()
-            .expect("run completes");
-            let nacim = run(
-                OptimizerSpec::Rl,
-                space.clone(),
-                cfg(obj, NACIM_EPISODES, seed),
-            )
-            .run()
-            .expect("run completes");
-            speedup(
-                &RewardCurve::from_outcome(&lcda),
-                &RewardCurve::from_outcome(&nacim),
-                tolerance,
-            )
+        .map(|(spec, objective, episodes)| {
+            let space = DesignSpace::nacim_cifar10();
+            search(space, spec.clone(), *objective, *episodes, seed)
         })
-        .collect()
+        .collect();
+    Data {
+        outcomes,
+        ..Data::default()
+    }
+}
+
+/// What one experiment measured at one seed. Each experiment fills the
+/// field it measures and leaves the others empty.
+#[derive(Debug, Clone, Default)]
+pub struct Data {
+    /// One outcome per search, in the order of the experiment's searches.
+    pub outcomes: Vec<Outcome>,
+    /// KERNEL-UTIL's table.
+    pub kernel_util: Vec<KernelUtilRow>,
+    /// ABL's table.
+    pub ablation: Vec<AblationRow>,
+    /// TECH's table.
+    pub tech: Vec<TechSweepRow>,
+    /// RETENTION's table.
+    pub retention: Vec<RetentionRow>,
+}
+
+/// An experiment's data at each seed it ran, in seed order.
+pub type Runs = [(u64, Data)];
+
+/// One row of the experiment table.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The id of its EXPERIMENTS.md section.
+    pub id: &'static str,
+    /// Its binary, which prints `artifacts/<bin>.txt` at [`Self::seeds`].
+    pub bin: &'static str,
+    /// The seeds its binary prints unless `argv[1]` names one.
+    pub seeds: &'static [u64],
+    /// Runs the experiment at one seed.
+    pub run: fn(u64) -> Data,
+    /// Renders the experiment's runs as its binary prints them.
+    pub render: fn(&Runs) -> String,
+}
+
+impl Experiment {
+    /// Runs the experiment at each seed, in order.
+    pub fn run_at(&self, seeds: &[u64]) -> Vec<(u64, Data)> {
+        seeds.iter().map(|&seed| (seed, (self.run)(seed))).collect()
+    }
+}
+
+/// One table row; braces keep each row on one line.
+macro_rules! row {
+    ($id:literal, $bin:literal, $seeds:expr, $run:expr, $render:expr) => {
+        Experiment {
+            id: $id,
+            bin: $bin,
+            seeds: $seeds,
+            run: $run,
+            render: $render,
+        }
+    };
+}
+
+/// Every experiment, in EXPERIMENTS.md order: id, binary, recorded
+/// seeds, runner and renderer.
+pub static EXPERIMENTS: [Experiment; 9] = [
+    row! {"FIG2", "fig2", &[1], |s| searches(&ENERGY_PAIR, s), render::fig2},
+    row! {"FIG3", "fig3", &[1], |s| searches(&ENERGY_PAIR, s), render::fig3},
+    row! {"SPEEDUP", "speedup", &SPEEDUP_SEEDS, |s| searches(&ENERGY_PAIR, s), render::speedup},
+    row! {"FIG4", "fig4", &[1], |s| searches(&FIG4_SEARCHES, s), render::fig4},
+    row! {"KERNEL-UTIL", "kernel_util", &[0], kernel_utilization, render::kernel_util},
+    row! {"FIG5", "fig5", &[1], |s| searches(&FIG5_SEARCHES, s), render::fig5},
+    row! {"ABL", "ablations", &[1], ablation_suite, render::ablations},
+    row! {"TECH", "tech_sweep", &[0], tech_sweep, render::tech_sweep},
+    row! {"RETENTION", "retention", &[7], retention_study, render::retention},
+];
+
+/// The experiment with this id.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
 /// One row of the §IV-B kernel-utilization mechanism table.
@@ -242,23 +218,20 @@ pub struct KernelUtilRow {
     pub variation_penalty: f64,
 }
 
-lcda_base::impl_json!(struct KernelUtilRow {
-    kernel, c_in, rows_needed, row_groups, utilization, latency_ns, energy_pj, variation_penalty,
-});
-
 /// KERNEL-UTIL — the mechanism behind Fig. 4's failure: crossbar
 /// utilization is a *non-monotone* function of kernel size (it depends on
 /// how `k²·c_in` packs into physical rows), and the accuracy cost of
 /// device variation *grows* with kernel size. Both facts contradict the
-/// pretrained model's general-hardware intuitions.
-pub fn kernel_utilization() -> Vec<KernelUtilRow> {
+/// pretrained model's general-hardware intuitions. `seed` seeds the
+/// surrogate that scores the penalty.
+fn kernel_utilization(seed: u64) -> Data {
     let space = DesignSpace::nacim_cifar10();
     let chip_cfg = CimBackend::new(space.clone())
         .chip_config(&space.reference_design())
         .expect("reference converts");
     let chip = Chip::new(chip_cfg).expect("valid chip");
-    let surrogate = SurrogateEvaluator::new(space.clone(), 0);
-    let mut rows = Vec::new();
+    let surrogate = SurrogateEvaluator::new(space.clone(), seed);
+    let mut data = Data::default();
     for &c_in in &[16u32, 24, 64] {
         for &kernel in &[1u32, 3, 5, 7] {
             let layer =
@@ -271,7 +244,7 @@ pub fn kernel_utilization() -> Vec<KernelUtilRow> {
                 conv.kernel = kernel;
             }
             let penalty = surrogate.variation_penalty(&d).expect("in space");
-            rows.push(KernelUtilRow {
+            data.kernel_util.push(KernelUtilRow {
                 kernel,
                 c_in,
                 rows_needed: mapping.rows_needed,
@@ -283,7 +256,7 @@ pub fn kernel_utilization() -> Vec<KernelUtilRow> {
             });
         }
     }
-    rows
+    data
 }
 
 /// One ablation result row.
@@ -299,181 +272,42 @@ pub struct AblationRow {
     pub episodes: u32,
 }
 
-lcda_base::impl_json!(struct AblationRow { name, best_reward, mean_reward, episodes });
-
-fn ablation_row(name: &str, outcome: &Outcome) -> AblationRow {
-    AblationRow {
-        name: name.to_string(),
-        best_reward: outcome.best.reward,
-        mean_reward: outcome.history.iter().map(|r| r.reward).sum::<f64>()
-            / outcome.history.len() as f64,
-        episodes: outcome.history.len() as u32,
-    }
-}
-
 /// ABL — the repository's own ablation sweep over DESIGN.md's design
 /// choices: every optimizer at matched budgets, the three LLM personas,
-/// and noise-injection training on/off.
-pub fn ablation_suite(seed: u64) -> Vec<AblationRow> {
+/// write-verify programming, and noise-injection training on/off.
+fn ablation_suite(seed: u64) -> Data {
     let space = DesignSpace::nacim_cifar10();
-    let obj = Objective::AccuracyEnergy;
-    let mut rows = Vec::new();
-
-    let runs: Vec<(&str, CoDesign)> = vec![
-        (
-            "lcda/pretrained @20",
-            run(
-                OptimizerSpec::ExpertLlm,
-                space.clone(),
-                cfg(obj, LCDA_EPISODES, seed),
-            ),
-        ),
-        (
-            "lcda/fine-tuned @20",
-            run(
-                OptimizerSpec::FinetunedLlm,
-                space.clone(),
-                cfg(obj, LCDA_EPISODES, seed),
-            ),
-        ),
-        (
-            "lcda/adaptive @20",
-            run(
-                OptimizerSpec::AdaptiveLlm,
-                space.clone(),
-                cfg(obj, LCDA_EPISODES, seed),
-            ),
-        ),
-        (
-            "lcda/naive @20",
-            run(
-                OptimizerSpec::NaiveLlm,
-                space.clone(),
-                cfg(obj, LCDA_EPISODES, seed),
-            ),
-        ),
-        (
-            "nacim-rl @20",
-            run(
-                OptimizerSpec::Rl,
-                space.clone(),
-                cfg(obj, LCDA_EPISODES, seed),
-            ),
-        ),
-        (
-            "nacim-rl @500",
-            run(
-                OptimizerSpec::Rl,
-                space.clone(),
-                cfg(obj, NACIM_EPISODES, seed),
-            ),
-        ),
-        (
-            "genetic @500",
-            run(
-                OptimizerSpec::Genetic,
-                space.clone(),
-                cfg(obj, NACIM_EPISODES, seed),
-            ),
-        ),
-        (
-            "random @500",
-            run(
-                OptimizerSpec::Random,
-                space.clone(),
-                cfg(obj, NACIM_EPISODES, seed),
-            ),
-        ),
-    ];
-    for (name, mut run) in runs {
-        rows.push(ablation_row(name, &run.run().expect("run completes")));
+    let mut data = Data::default();
+    for (name, spec, episodes, write_verify) in &ABLATIONS {
+        let mut space = space.clone();
+        if *write_verify {
+            space = space.with_write_verify(WriteVerifyConfig::standard());
+        }
+        let outcome = search(space, spec.clone(), ENERGY, *episodes, seed);
+        data.ablation.push(AblationRow {
+            name: name.to_string(),
+            best_reward: outcome.best.reward,
+            mean_reward: outcome.history.iter().map(|r| r.reward).sum::<f64>()
+                / outcome.history.len() as f64,
+            episodes: outcome.history.len() as u32,
+        });
     }
-
-    // Write-verify ablation (SWIM, the paper's reference [5]): the same
-    // LCDA search on a platform whose cells are programmed with a verify
-    // loop — variation severity drops, so accuracy (and reward) rise.
-    let wv_space = space
-        .clone()
-        .with_write_verify(lcda_variation::WriteVerifyConfig::standard());
-    let mut wv_run = run(
-        OptimizerSpec::ExpertLlm,
-        wv_space,
-        cfg(obj, LCDA_EPISODES, seed),
-    );
-    rows.push(ablation_row(
-        "lcda/pretrained @20 + write-verify",
-        &wv_run.run().expect("run completes"),
-    ));
 
     // Noise-injection ablation: accuracy of the reference design with and
     // without the paper's §III-C training method.
     let reference = space.reference_design();
-    let with_ni = SurrogateEvaluator::new(space.clone(), seed)
-        .accuracy(&reference)
-        .expect("in space");
-    let without_ni = SurrogateEvaluator::new(space.clone(), seed)
-        .without_noise_injection()
-        .accuracy(&reference)
-        .expect("in space");
-    rows.push(AblationRow {
-        name: "reference acc, noise-injection ON".into(),
-        best_reward: with_ni,
-        mean_reward: with_ni,
-        episodes: 0,
-    });
-    rows.push(AblationRow {
-        name: "reference acc, noise-injection OFF".into(),
-        best_reward: without_ni,
-        mean_reward: without_ni,
-        episodes: 0,
-    });
-    rows
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig5_shapes_hold_quickly() {
-        // Cheap smoke test of the full experiment path: the naive run must
-        // lose to the expert run.
-        let d = fig5(9);
-        assert!(d.lcda_best > d.baseline_best);
-        assert!(!d.lcda.is_empty());
+    let with_ni = SurrogateEvaluator::new(space.clone(), seed);
+    let without_ni = SurrogateEvaluator::new(space, seed).without_noise_injection();
+    for (state, mut evaluator) in [("ON", with_ni), ("OFF", without_ni)] {
+        let accuracy = evaluator.accuracy(&reference).expect("in space");
+        data.ablation.push(AblationRow {
+            name: format!("reference acc, noise-injection {state}"),
+            best_reward: accuracy,
+            mean_reward: accuracy,
+            episodes: 0,
+        });
     }
-
-    #[test]
-    fn kernel_util_is_nonmonotone_somewhere() {
-        let rows = kernel_utilization();
-        assert_eq!(rows.len(), 12);
-        // For at least one channel count, utilization is non-monotone in k
-        // (the §IV-B surprise).
-        let mut nonmonotone = false;
-        for &c in &[16u32, 24, 64] {
-            let utils: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.c_in == c)
-                .map(|r| r.utilization)
-                .collect();
-            let increasing = utils.windows(2).all(|w| w[1] >= w[0]);
-            let decreasing = utils.windows(2).all(|w| w[1] <= w[0]);
-            if !increasing && !decreasing {
-                nonmonotone = true;
-            }
-        }
-        assert!(
-            nonmonotone,
-            "utilization should be non-monotone in k somewhere"
-        );
-        // And the variation penalty grows with kernel size.
-        let p: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.c_in == 16)
-            .map(|r| r.variation_penalty)
-            .collect();
-        assert!(p.windows(2).all(|w| w[1] >= w[0]));
-    }
+    data
 }
 
 /// One row of the device-technology sweep.
@@ -498,15 +332,11 @@ pub struct TechSweepRow {
     pub adc_energy_share: f64,
 }
 
-lcda_base::impl_json!(struct TechSweepRow {
-    tech, energy_pj, latency_ns, pipelined_latency_ns, area_mm2, leakage_uw, accuracy,
-    adc_energy_share,
-});
-
 /// TECH — sweep the reference design across every supported memory
 /// technology (RRAM / FeFET / PCM / STT-MRAM / SRAM): the CiM-vs-SRAM
 /// story plus the accuracy cost of each technology's variation corner.
-pub fn tech_sweep() -> Vec<TechSweepRow> {
+/// `seed` seeds the surrogate that scores accuracy.
+fn tech_sweep(seed: u64) -> Data {
     use lcda_neurosim::chip::LatencyMode;
     use lcda_neurosim::device::DeviceTech;
 
@@ -517,9 +347,9 @@ pub fn tech_sweep() -> Vec<TechSweepRow> {
         .iter()
         .map(|t| t.name().to_string())
         .collect();
-    let mut surrogate = SurrogateEvaluator::new(space.clone(), 0);
+    let mut surrogate = SurrogateEvaluator::new(space.clone(), seed);
 
-    let mut rows = Vec::new();
+    let mut data = Data::default();
     for tech in DeviceTech::ALL {
         let mut design = space.reference_design();
         design.hw.tech = tech.name().to_string();
@@ -530,7 +360,7 @@ pub fn tech_sweep() -> Vec<TechSweepRow> {
         // Keep the cell choice inside the space's options.
         if !space.choices.cell_options.contains(&design.hw.cell_bits) {
             space.choices.cell_options.push(design.hw.cell_bits);
-            surrogate = SurrogateEvaluator::new(space.clone(), 0);
+            surrogate = SurrogateEvaluator::new(space.clone(), seed);
         }
 
         let cim = CimBackend::new(space.clone());
@@ -542,7 +372,7 @@ pub fn tech_sweep() -> Vec<TechSweepRow> {
         let rs = seq.evaluate(&layers).expect("evaluates");
         let rp = pipe.evaluate(&layers).expect("evaluates");
         let accuracy = surrogate.accuracy(&design).expect("in space");
-        rows.push(TechSweepRow {
+        data.tech.push(TechSweepRow {
             tech: tech.name().to_string(),
             energy_pj: rs.energy_pj,
             latency_ns: rs.latency_ns,
@@ -553,32 +383,7 @@ pub fn tech_sweep() -> Vec<TechSweepRow> {
             adc_energy_share: rs.energy_breakdown.adc_pj / rs.energy_pj,
         });
     }
-    rows
-}
-
-#[cfg(test)]
-mod tech_sweep_tests {
-    use super::*;
-
-    #[test]
-    fn sweep_covers_all_techs_with_sane_values() {
-        let rows = tech_sweep();
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert!(r.energy_pj > 0.0, "{}", r.tech);
-            assert!(r.pipelined_latency_ns <= r.latency_ns + 1e-9, "{}", r.tech);
-            assert!(r.accuracy > 0.3 && r.accuracy < 1.0, "{}", r.tech);
-            assert!(r.adc_energy_share > 0.0 && r.adc_energy_share < 1.0);
-        }
-        let get = |name: &str| rows.iter().find(|r| r.tech == name).unwrap();
-        // SRAM: much larger cells, real leakage, but an ideal variation
-        // corner → best accuracy.
-        assert!(get("sram").area_mm2 > get("rram").area_mm2 * 2.0);
-        assert!(get("sram").leakage_uw > get("rram").leakage_uw);
-        assert!(get("sram").accuracy > get("rram").accuracy);
-        // PCM has the harshest corner of the NVMs.
-        assert!(get("pcm").accuracy < get("fefet").accuracy);
-    }
+    data
 }
 
 /// One row of the retention study: Monte-Carlo accuracy of a trained
@@ -593,87 +398,55 @@ pub struct RetentionRow {
     pub accuracy: f64,
 }
 
-lcda_base::impl_json!(struct RetentionRow { corner, elapsed_seconds, accuracy });
-
 /// RETENTION — conductance drift over time: trains one small network and
 /// reads it back at increasing ages under RRAM-like and PCM-like drift
 /// corners. Uses the *real* training/evaluation path (not the surrogate).
-pub fn retention_study() -> Vec<RetentionRow> {
+/// `seed` seeds the Monte-Carlo chip instances; the training set and the
+/// network stay fixed.
+fn retention_study(seed: u64) -> Data {
     use lcda_dnn::arch::Architecture;
     use lcda_dnn::dataset::SynthCifar;
     use lcda_dnn::mc_eval::{mc_accuracy, McEvalConfig};
     use lcda_dnn::trainer::{TrainConfig, Trainer};
     use lcda_variation::{RetentionConfig, VariationConfig};
 
-    let data = SynthCifar::generate_classes(96, 8, 4, 77).expect("valid dataset");
+    let images = SynthCifar::generate_classes(96, 8, 4, 77).expect("valid dataset");
     let net = Architecture::tiny_test().build(77).expect("valid arch");
     let mut cfg = TrainConfig::fast_test();
     cfg.epochs = 10;
     let mut trainer = Trainer::new(net, cfg);
-    trainer.fit(&data).expect("training succeeds");
+    trainer.fit(&images).expect("training succeeds");
     let mut net = trainer.into_network();
 
     let corners = [
         ("rram-drift", RetentionConfig::rram_like()),
         ("pcm-drift", RetentionConfig::pcm_like()),
     ];
-    let hour = 3600.0;
-    let times = [
-        0.0,
-        hour,
-        24.0 * hour,
-        30.0 * 24.0 * hour,
-        365.0 * 24.0 * hour,
-    ];
-    let mut rows = Vec::new();
+    // Fresh, one hour, one day, 30 days and one year.
+    let times = [0.0, 1.0, 24.0, 720.0, 8760.0].map(|hours| hours * 3600.0);
+    let mut data = Data::default();
     for (name, retention) in corners {
         let variation = VariationConfig::rram_moderate().with_retention(retention);
         for &t in &times {
             let stats = mc_accuracy(
                 &mut net,
-                &data,
+                &images,
                 &McEvalConfig {
                     trials: 6,
                     variation: variation.clone(),
-                    seed: 7,
+                    seed,
                     elapsed_seconds: t,
                     threads: 1,
                     ..Default::default()
                 },
             )
             .expect("evaluation succeeds");
-            rows.push(RetentionRow {
+            data.retention.push(RetentionRow {
                 corner: name.to_string(),
                 elapsed_seconds: t,
                 accuracy: f64::from(stats.mean),
             });
         }
     }
-    rows
-}
-
-#[cfg(test)]
-mod retention_tests {
-    use super::*;
-
-    #[test]
-    fn retention_study_shapes() {
-        let rows = retention_study();
-        assert_eq!(rows.len(), 10);
-        for corner in ["rram-drift", "pcm-drift"] {
-            let series: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.corner == corner)
-                .map(|r| r.accuracy)
-                .collect();
-            // Fresh reads must be at least as good as year-old reads.
-            assert!(
-                series[0] >= *series.last().unwrap() - 1e-6,
-                "{corner}: {series:?}"
-            );
-        }
-        // The PCM corner drifts harder than the RRAM corner at one year.
-        let at_year = |corner: &str| rows.iter().rfind(|r| r.corner == corner).unwrap().accuracy;
-        assert!(at_year("pcm-drift") <= at_year("rram-drift") + 0.05);
-    }
+    data
 }

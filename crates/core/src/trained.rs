@@ -121,11 +121,6 @@ impl TrainedEvaluator {
             journal: Journal::disabled(),
         })
     }
-
-    /// The held-out dataset (exposed for diagnostics).
-    pub fn test_data(&self) -> &SynthCifar {
-        &self.test
-    }
 }
 
 impl AccuracyEvaluator for TrainedEvaluator {

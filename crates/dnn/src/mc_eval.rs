@@ -81,11 +81,11 @@ pub fn clean_accuracy(network: &mut Network, data: &SynthCifar) -> Result<f32> {
 /// ([`lcda_variation::montecarlo::stream_seed`]), so no `(trial, matrix)`
 /// pair ever aliases another.
 ///
-/// With `config.threads > 1` the trials split into the same contiguous
-/// chunks as [`lcda_variation::montecarlo::try_run_parallel`]. The
-/// calling thread runs the first chunk on `network`; every other worker
-/// runs its chunk on a weights-only copy, without the training caches
-/// and gradients `network` may hold. Each trial's accuracy depends only
+/// With `config.threads > 1` the trials split into contiguous chunks of
+/// `ceil(trials / threads)` trials. The calling thread runs the first
+/// chunk on `network`; every other worker runs its chunk on a
+/// weights-only copy, without the training caches and gradients
+/// `network` may hold. Each trial's accuracy depends only
 /// on its own seed, so every thread count gives the same statistics bit
 /// for bit, and a failure reports the lowest failing trial's error.
 ///

@@ -8,7 +8,8 @@
 //!
 //! - sensible channel scaling: each layer's output channels ≥ its input
 //!   channels, never growing by more than 4× (§IV-A),
-//! - a preference for well-behaved kernels (no degenerate `(1,7)` shapes),
+//! - well-behaved kernels (no degenerate `(1,7)` shapes): every kernel
+//!   choice is square, so this one holds by construction,
 //! - **misconception 1**: "larger kernel sizes enhance accuracy" — true in
 //!   general but wrong on CiM hardware where larger kernels amplify device
 //!   variation (§IV-B),

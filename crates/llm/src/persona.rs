@@ -41,7 +41,12 @@ lcda_base::impl_json!(
 );
 
 impl Persona {
-    /// The rules this persona reasons with.
+    /// The rules this persona reasons with. Every rule gates the code its
+    /// statement describes. Two of GPT-4's documented beliefs need no rule:
+    /// "wider is more accurate" is the width term of the scaling-law prior
+    /// every persona shares in [`KnowledgeBase::believed_accuracy`], and
+    /// "avoid degenerate kernels such as (1,7)" cannot be broken, because
+    /// every kernel choice is square.
     pub fn knowledge(self) -> KnowledgeBase {
         let mut rules = Vec::new();
         if self != Persona::Naive {
@@ -55,18 +60,6 @@ impl Persona {
                 name: "growth-cap",
                 statement: "never increase the number of output channels by more than 4x \
                             in one layer",
-                correct: true,
-            });
-            rules.push(Heuristic {
-                name: "wider-is-more-accurate",
-                statement: "given the same hardware, more channels per layer generally \
-                            achieve higher accuracy at higher hardware cost",
-                correct: true,
-            });
-            rules.push(Heuristic {
-                name: "avoid-degenerate-kernels",
-                statement: "avoid undesirable kernel shapes such as (1,7); keep kernels \
-                            square and reasonable",
                 correct: true,
             });
         }
@@ -405,6 +398,7 @@ mod tests {
     #[test]
     fn personas_have_expected_rules() {
         let pre = Persona::Pretrained.knowledge();
+        assert_eq!(pre.rules().len(), 4);
         assert!(pre.rules().iter().any(|r| !r.correct));
         assert!(pre
             .rules()
@@ -412,6 +406,7 @@ mod tests {
             .any(|r| r.name == "larger-kernels-boost-accuracy"));
 
         let ft = Persona::FineTuned.knowledge();
+        assert_eq!(ft.rules().len(), 4);
         assert!(ft.rules().iter().all(|r| r.correct));
         assert!(ft.rules().iter().any(|r| r.name == "kernel-utilization"));
 

@@ -222,12 +222,6 @@ impl CrossbarConfig {
         let adcs = self.adcs_per_array() as f64 * self.adc().leakage_uw();
         cells + adcs
     }
-
-    /// Energy to program the whole array once, picojoules (used for
-    /// write-cost ablations, not inference).
-    pub fn program_energy_pj(&self) -> f64 {
-        self.rows as f64 * self.cols as f64 * self.params().write_energy_pj
-    }
 }
 
 impl Default for CrossbarConfig {

@@ -73,21 +73,6 @@ impl Shape {
         self.len() == 0
     }
 
-    /// Size of dimension `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.dims
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::IndexOutOfBounds {
-                index: axis,
-                bound: self.dims.len(),
-            })
-    }
-
     /// Row-major strides for this shape.
     ///
     /// ```

@@ -1,10 +1,11 @@
-//! Monte-Carlo evaluation engine.
+//! Monte-Carlo seeding and statistics.
 //!
 //! The paper evaluates DNN performance under device variation "using the
 //! Monte Carlo simulation-based method" (Yan et al., ASP-DAC'21): sample
 //! many chip instances, measure accuracy on each, report the distribution.
-//! This module provides that engine generically over any per-trial metric,
-//! with optional multi-threading via `std::thread::scope`.
+//! This module holds the pieces every such run shares: the per-trial and
+//! per-stream seed derivations and the summary statistics. The trial loop
+//! itself is `lcda_dnn::mc_eval::mc_accuracy`.
 
 use crate::{Result, VariationError};
 
@@ -48,134 +49,6 @@ impl McStats {
             max: samples.iter().copied().fold(f32::NEG_INFINITY, f32::max),
         })
     }
-
-    /// Half-width of the 95% confidence interval on the mean (normal
-    /// approximation).
-    pub fn ci95_half_width(&self) -> f32 {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        1.96 * self.std / (self.trials as f32).sqrt()
-    }
-
-    /// A robustness-oriented summary: `mean − k·std`, the paper-adjacent
-    /// "expected accuracy minus k sigma" criterion used when selecting
-    /// designs that must not be disastrous under variation.
-    pub fn mean_minus_k_std(&self, k: f32) -> f32 {
-        self.mean - k * self.std
-    }
-}
-
-/// Runs `trials` evaluations of `metric(trial_index, trial_seed)`
-/// sequentially.
-///
-/// # Errors
-///
-/// Returns [`VariationError::ZeroTrials`] when `trials == 0`.
-pub fn run<F>(trials: u32, base_seed: u64, metric: F) -> Result<McStats>
-where
-    F: Fn(u32, u64) -> f32,
-{
-    if trials == 0 {
-        return Err(VariationError::ZeroTrials);
-    }
-    let samples: Vec<f32> = (0..trials)
-        .map(|t| metric(t, trial_seed(base_seed, t)))
-        .collect();
-    McStats::from_samples(&samples)
-}
-
-/// Runs `trials` evaluations across `threads` OS threads using
-/// `std::thread::scope`. The metric must be `Sync` since it is shared.
-/// A panicking metric panics the caller once every thread has stopped.
-///
-/// Results are identical to [`run`] regardless of thread count because
-/// every trial derives its own seed from `base_seed`.
-///
-/// # Errors
-///
-/// Returns [`VariationError::ZeroTrials`] when `trials == 0`.
-pub fn run_parallel<F>(trials: u32, base_seed: u64, threads: usize, metric: F) -> Result<McStats>
-where
-    F: Fn(u32, u64) -> f32 + Sync,
-{
-    try_run_parallel(trials, base_seed, threads, |t, seed| {
-        Ok::<f32, std::convert::Infallible>(metric(t, seed))
-    })
-    .map_err(|e| match e {
-        TryRunError::ZeroTrials => VariationError::ZeroTrials,
-        TryRunError::Metric(infallible) => match infallible {},
-    })
-}
-
-/// Error from a fallible Monte-Carlo run ([`try_run_parallel`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TryRunError<E> {
-    /// The run was asked for zero trials.
-    ZeroTrials,
-    /// A per-trial metric failed; carries the error of the *lowest-index*
-    /// failing trial so the reported error is deterministic regardless of
-    /// thread count.
-    Metric(E),
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for TryRunError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TryRunError::ZeroTrials => write!(f, "monte-carlo run needs trials > 0"),
-            TryRunError::Metric(e) => write!(f, "monte-carlo trial failed: {e}"),
-        }
-    }
-}
-
-/// Like [`run_parallel`] but for fallible metrics: each trial returns
-/// `Result<f32, E>` and the first (lowest trial index) failure aborts the
-/// statistics. Thread fan-out, seeding and results are otherwise identical
-/// to [`run_parallel`] — and therefore bit-identical to the sequential
-/// [`run`] for any thread count.
-///
-/// # Errors
-///
-/// Returns [`TryRunError::ZeroTrials`] when `trials == 0` and
-/// [`TryRunError::Metric`] carrying the lowest-index trial error when any
-/// trial fails.
-pub fn try_run_parallel<F, E>(
-    trials: u32,
-    base_seed: u64,
-    threads: usize,
-    metric: F,
-) -> std::result::Result<McStats, TryRunError<E>>
-where
-    F: Fn(u32, u64) -> std::result::Result<f32, E> + Sync,
-    E: Send,
-{
-    if trials == 0 {
-        return Err(TryRunError::ZeroTrials);
-    }
-    let threads = threads.max(1).min(trials as usize);
-    let mut slots: Vec<Option<std::result::Result<f32, E>>> = Vec::new();
-    slots.resize_with(trials as usize, || None);
-    let chunk = (trials as usize).div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, out_chunk) in slots.chunks_mut(chunk).enumerate() {
-            let metric = &metric;
-            let start = w * chunk;
-            s.spawn(move || {
-                for (i, out) in out_chunk.iter_mut().enumerate() {
-                    let t = (start + i) as u32;
-                    *out = Some(metric(t, trial_seed(base_seed, t)));
-                }
-            });
-        }
-    });
-    let mut samples = Vec::with_capacity(trials as usize);
-    for slot in slots {
-        match slot.expect("every trial slot is filled") {
-            Ok(v) => samples.push(v),
-            Err(e) => return Err(TryRunError::Metric(e)),
-        }
-    }
-    McStats::from_samples(&samples).map_err(|_| TryRunError::ZeroTrials)
 }
 
 /// Derives the deterministic seed of trial `t` from a base seed.
@@ -218,7 +91,6 @@ mod tests {
         assert_eq!(s.std, 0.0);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 2.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -243,28 +115,6 @@ mod tests {
     #[test]
     fn empty_sample_rejected() {
         assert_eq!(McStats::from_samples(&[]), Err(VariationError::ZeroTrials));
-        assert!(run(0, 0, |_, _| 0.0).is_err());
-        assert!(run_parallel(0, 0, 4, |_, _| 0.0).is_err());
-    }
-
-    #[test]
-    fn run_is_deterministic() {
-        let f = |_t: u32, seed: u64| (seed % 1000) as f32;
-        let a = run(32, 7, f).unwrap();
-        let b = run(32, 7, f).unwrap();
-        assert_eq!(a, b);
-        let c = run(32, 8, f).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let f = |t: u32, seed: u64| ((seed ^ t as u64) % 997) as f32;
-        let seq = run(100, 123, f).unwrap();
-        for threads in [1, 2, 3, 8, 200] {
-            let par = run_parallel(100, 123, threads, f).unwrap();
-            assert_eq!(seq, par, "threads={threads}");
-        }
     }
 
     #[test]
@@ -297,54 +147,5 @@ mod tests {
         let b = 101u64.wrapping_add(2);
         assert_eq!(a, b);
         assert_ne!(stream_seed(100, 3), stream_seed(101, 2));
-    }
-
-    #[test]
-    fn try_run_parallel_matches_run_parallel() {
-        let f = |t: u32, seed: u64| ((seed ^ t as u64) % 997) as f32;
-        let plain = run_parallel(50, 9, 4, f).unwrap();
-        let fallible =
-            try_run_parallel(50, 9, 4, |t, s| Ok::<f32, VariationError>(f(t, s))).unwrap();
-        assert_eq!(plain, fallible);
-    }
-
-    #[test]
-    fn try_run_parallel_reports_lowest_failing_trial() {
-        for threads in [1, 3, 8] {
-            let err = try_run_parallel(
-                32,
-                0,
-                threads,
-                |t, _s| {
-                    if t >= 5 {
-                        Err(t)
-                    } else {
-                        Ok(0.0)
-                    }
-                },
-            )
-            .unwrap_err();
-            assert_eq!(err, TryRunError::Metric(5), "threads={threads}");
-        }
-        assert_eq!(
-            try_run_parallel(0, 0, 2, |_, _| Ok::<f32, u32>(0.0)).unwrap_err(),
-            TryRunError::ZeroTrials
-        );
-    }
-
-    #[test]
-    fn mean_minus_k_std() {
-        let s = McStats::from_samples(&[0.8, 0.9, 1.0]).unwrap();
-        assert!(s.mean_minus_k_std(1.0) < s.mean);
-        assert_eq!(s.mean_minus_k_std(0.0), s.mean);
-    }
-
-    #[test]
-    fn ci_shrinks_with_trials() {
-        // Same underlying noise, more trials → tighter CI.
-        let noisy = |t: u32, _s: u64| if t.is_multiple_of(2) { 0.0 } else { 1.0 };
-        let small = run(10, 0, noisy).unwrap();
-        let large = run(1000, 0, noisy).unwrap();
-        assert!(large.ci95_half_width() < small.ci95_half_width());
     }
 }

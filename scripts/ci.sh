@@ -88,6 +88,12 @@ for bin in crates/bench/src/bin/*.rs; do
     cmp "$journal_dir/figure_$id.txt" "artifacts/$id.txt" \
         || { echo "ci: $id output differs from artifacts/$id.txt" >&2; exit 1; }
 done
+# An artifact no binary prints would go stale unnoticed.
+for artifact in artifacts/*.txt; do
+    id="$(basename "$artifact" .txt)"
+    [ -f "crates/bench/src/bin/$id.rs" ] \
+        || { echo "ci: no lcda-bench binary prints $artifact" >&2; exit 1; }
+done
 
 # Trained-evaluator gate at CLI scale: noise-injection training and
 # Monte-Carlo accuracy on the full CIFAR-10-sized space must print
