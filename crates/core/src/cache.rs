@@ -36,6 +36,14 @@
 //!   [`SessionStats::cross_run_hits`] — the number the serve acceptance
 //!   criterion observes.
 //!
+//! Which runs use a store: every `lcda serve` job opens a session on the
+//! server's shared store, whatever its evaluators. A single run's
+//! private store gets a session only when one of its evaluators
+//! memoizes (the trained evaluator does; the analytic surrogate and `cim`
+//! cost model, cheaper than a lookup, do not), so a private run on the
+//! analytic evaluators admits nothing and checkpoints no memo table. See
+//! the [`crate::pipeline`] docs for the rule.
+//!
 //! Consistency argument (why sharing is safe): every in-tree evaluator is
 //! a pure function of `(design, evaluator configuration)`, and the
 //! context fingerprint pins the configuration. Therefore any two sessions
@@ -972,6 +980,8 @@ mod tests {
             Box::new(SurrogateEvaluator::new(space.clone(), 1)),
             Box::new(CimBackend::new(space)),
         );
+        // The analytic pair memoizes only on an attached store.
+        pipeline.attach_store(&CacheStore::new());
         pipeline.evaluate(&design).unwrap();
         let mut snapshot = None;
         pipeline.catch_up_cache(&mut snapshot, &mut AdmissionCursor::default());

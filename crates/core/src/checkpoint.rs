@@ -631,10 +631,12 @@ mod tests {
             assert_eq!(recorded.as_str(), Some(fingerprint.as_str()));
         };
 
-        // A checkpoint of a real run: history plus a filled eval_cache.
+        // A checkpoint of a real run: history plus a filled eval_cache
+        // (an attached store memoizes the analytic evaluators).
         let mut last = None;
         CoDesign::builder(DesignSpace::tiny_test(), cfg())
             .optimizer(OptimizerSpec::Random)
+            .cache_store(&crate::cache::CacheStore::new())
             .build()
             .unwrap()
             .run_resumable(None, |cp| {
@@ -806,7 +808,8 @@ mod tests {
         )
     }
 
-    /// Every checkpoint of a random search over the paper's space.
+    /// Every checkpoint of a random search over the paper's space, on an
+    /// attached store so that each carries a memo table.
     fn run_checkpoints(episodes: u32) -> Vec<Checkpoint> {
         use crate::codesign::{CoDesign, OptimizerSpec};
         use crate::space::DesignSpace;
@@ -817,6 +820,7 @@ mod tests {
         let mut checkpoints = Vec::new();
         CoDesign::builder(DesignSpace::nacim_cifar10(), config)
             .optimizer(OptimizerSpec::Random)
+            .cache_store(&crate::cache::CacheStore::new())
             .build()
             .unwrap()
             .run_resumable(None, |cp| {

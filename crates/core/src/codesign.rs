@@ -405,6 +405,9 @@ impl CoDesignBuilder {
     }
 
     /// Enables or disables evaluation memoization (default: enabled).
+    /// Enabled, a run memoizes only where a lookup can pay: on a shared
+    /// store, or when an evaluator [memoizes](AccuracyEvaluator::memoize)
+    /// (the trained one does; the surrogate and `cim` do not).
     #[must_use]
     pub fn caching(mut self, enabled: bool) -> Self {
         self.caching = enabled;
@@ -424,7 +427,9 @@ impl CoDesignBuilder {
     /// ([`CoDesign::session_stats`] reports the cross-run split). Sharing
     /// never changes results — every evaluator is a pure function of
     /// `(design, configuration)` and entries are namespaced by the
-    /// evaluator-context fingerprint. Ignored when caching is disabled.
+    /// evaluator-context fingerprint. A shared store memoizes even the
+    /// analytic evaluators, since another run may have paid for an entry.
+    /// Ignored when caching is disabled.
     #[must_use]
     pub fn cache_store(mut self, store: &crate::cache::CacheStore) -> Self {
         self.store = Some(store.clone());
@@ -869,6 +874,19 @@ mod tests {
         CoDesign::builder(space, config).optimizer(spec).build()
     }
 
+    /// [`build`] on a fresh attached store: the analytic evaluators
+    /// memoize only on one.
+    fn build_memoized(
+        space: DesignSpace,
+        config: CoDesignConfig,
+        spec: OptimizerSpec,
+    ) -> Result<CoDesign> {
+        CoDesign::builder(space, config)
+            .optimizer(spec)
+            .cache_store(&crate::cache::CacheStore::new())
+            .build()
+    }
+
     /// Logs every prompt it receives into a shared list, then answers
     /// through `inner`.
     struct Recorder {
@@ -944,7 +962,8 @@ mod tests {
         // Memoization must be observable only through the counters —
         // never through the Outcome.
         let space = DesignSpace::nacim_cifar10();
-        let mut cached = build(space.clone(), cfg(8, 19), OptimizerSpec::ExpertLlm).unwrap();
+        let mut cached =
+            build_memoized(space.clone(), cfg(8, 19), OptimizerSpec::ExpertLlm).unwrap();
         let mut plain = CoDesign::builder(space, cfg(8, 19))
             .optimizer(OptimizerSpec::ExpertLlm)
             .no_cache()
@@ -1052,7 +1071,8 @@ mod tests {
 
         // Uninterrupted run, capturing every post-episode snapshot.
         let mut snapshots: Vec<crate::Checkpoint> = Vec::new();
-        let mut uninterrupted = build(space.clone(), config, OptimizerSpec::ExpertLlm).unwrap();
+        let mut uninterrupted =
+            build_memoized(space.clone(), config, OptimizerSpec::ExpertLlm).unwrap();
         let full = uninterrupted
             .run_resumable(None, |cp| {
                 snapshots.push(cp.clone());
@@ -1077,7 +1097,7 @@ mod tests {
                 config.objective.prompt_objective(),
             )
         };
-        let mut resumer = build(space.clone(), config, OptimizerSpec::ExpertLlm).unwrap();
+        let mut resumer = build_memoized(space.clone(), config, OptimizerSpec::ExpertLlm).unwrap();
         resumer.optimizer = Box::new(expert(Recorder {
             inner: SimLlm::new(Persona::Pretrained, config.seed),
             sent: Rc::clone(&sent),

@@ -68,6 +68,15 @@ pub trait AccuracyEvaluator {
         self.name().to_string()
     }
 
+    /// Whether memoizing this evaluator's results can pay: a lookup must
+    /// cost less than the call it replaces. [`crate::EvalPipeline`] opens
+    /// a private memo session only when one of its evaluators says so
+    /// (a shared store is always memoized). Results never depend on it.
+    /// Default: `true`, the safe choice for an evaluator of unknown cost.
+    fn memoize(&self) -> bool {
+        true
+    }
+
     /// Sets the worker-thread budget for evaluators that can fan out
     /// internally (Monte-Carlo trials). Results must be bit-identical for
     /// every thread count. Default: no-op for inherently serial
@@ -105,6 +114,12 @@ pub trait HardwareCostEvaluator {
     /// can never cross backends.
     fn fingerprint(&self) -> String {
         self.name().to_string()
+    }
+
+    /// Whether memoizing this evaluator's results can pay (see
+    /// [`AccuracyEvaluator::memoize`]). Default: `true`.
+    fn memoize(&self) -> bool {
+        true
     }
 
     /// Attaches a run journal so the evaluator can report its internal

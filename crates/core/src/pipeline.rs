@@ -9,17 +9,32 @@
 //!    [`HardwareCostEvaluator`] in this repository is a pure function of
 //!    `(design, evaluator configuration)`, so a result can be memoized and
 //!    replayed bit-exactly.
-//! 2. **Optimizers repeat themselves.** LLM optimizers in particular
-//!    re-propose designs they have already seen; NACIM's RL controller
-//!    revisits its favourite rollouts hundreds of times across 500
-//!    episodes.
+//! 2. **Some searches repeat themselves.** The genetic optimizer
+//!    re-scores surviving designs (29% of a 2,000-episode search's
+//!    lookups hit), and a shared serve store sees the same job twice.
+//!    NACIM's RL controller and random search almost never revisit a
+//!    design.
 //!
 //! [`EvalPipeline`] therefore wraps the two evaluators behind a single
 //! facade (it implements both evaluator traits itself) and adds a
 //! content-addressed memo table — a per-run [`CacheSession`] view onto a
 //! [`crate::cache::CacheStore`] (private to the pipeline by default,
 //! shared server-wide when one is attached via
-//! [`EvalPipeline::attach_store`]):
+//! [`EvalPipeline::attach_store`]).
+//!
+//! **When a run memoizes.** A memo lookup costs about 0.8 µs, more than a
+//! surrogate call (0.4 µs) and half a `cim` call (1.6 µs), and it holds
+//! every evaluated design in memory. So a pipeline opens a memo session
+//! only when caching is on (the default; `--no-cache` turns it off) *and*
+//! either its store is shared, as every `lcda serve` job's is, or one of
+//! its evaluators says a lookup pays ([`AccuracyEvaluator::memoize`],
+//! [`HardwareCostEvaluator::memoize`]): the trained evaluator does, the
+//! analytic surrogate and `cim` cost model do not. A private run on the
+//! analytic evaluators therefore evaluates every design afresh and
+//! writes exactly the journal and checkpoint log of a `--no-cache` run;
+//! results are the same either way. Without a session,
+//! [`EvalPipeline::evaluate`] renders the design key only for the
+//! journal. When a session is open:
 //!
 //! - **keys** are the candidate's canonical rollout text (its full
 //!   content, e.g. `[[32,3],…]| hw: [128,8,2,rram]`) — content-addressed,
@@ -135,6 +150,13 @@ pub struct EvalPipeline {
     /// The store sessions bind to: a fresh private store per pipeline
     /// until a shared one is attached ([`EvalPipeline::attach_store`]).
     store: CacheStore,
+    /// Whether `store` is shared ([`EvalPipeline::attach_store`]) rather
+    /// than the pipeline's own.
+    shared: bool,
+    /// The caller's on/off choice ([`EvalPipeline::set_caching`]).
+    caching: bool,
+    /// The open memo session: caching is on and a lookup can pay
+    /// ([`EvalPipeline::open_session`]).
     cache: Option<CacheSession>,
     context: Key,
     journal: Journal,
@@ -157,21 +179,34 @@ impl std::fmt::Debug for EvalPipeline {
 impl EvalPipeline {
     /// Wraps an evaluator pair with caching enabled (over a fresh private
     /// [`CacheStore`]; attach a shared one with
-    /// [`EvalPipeline::attach_store`]).
+    /// [`EvalPipeline::attach_store`]). A memo session opens only when one
+    /// of the evaluators [memoizes](AccuracyEvaluator::memoize).
     pub fn new(
         accuracy: Box<dyn AccuracyEvaluator>,
         hardware: Box<dyn HardwareCostEvaluator>,
     ) -> Self {
         let context = Self::context_of(accuracy.as_ref(), hardware.as_ref());
-        let store = CacheStore::new();
-        EvalPipeline {
-            cache: Some(store.session(context.clone())),
-            store,
+        let mut pipeline = EvalPipeline {
+            cache: None,
+            store: CacheStore::new(),
+            shared: false,
+            caching: true,
             accuracy,
             hardware,
             context,
             journal: Journal::disabled(),
-        }
+        };
+        pipeline.open_session();
+        pipeline
+    }
+
+    /// Replaces the memo session with a fresh one on the store when
+    /// caching is on and a lookup can pay: the store is shared, or an
+    /// evaluator [memoizes](AccuracyEvaluator::memoize). Otherwise closes
+    /// it, and every evaluation recomputes.
+    fn open_session(&mut self) {
+        let pays = self.shared || self.accuracy.memoize() || self.hardware.memoize();
+        self.cache = (self.caching && pays).then(|| self.store.session(self.context.clone()));
     }
 
     fn context_of(acc: &dyn AccuracyEvaluator, hw: &dyn HardwareCostEvaluator) -> Key {
@@ -181,38 +216,38 @@ impl EvalPipeline {
     /// Disables memoization (builder style). Every evaluation recomputes.
     #[must_use]
     pub fn without_cache(mut self) -> Self {
-        self.cache = None;
+        self.set_caching(false);
         self
     }
 
     /// Enables or disables memoization in place. Enabling opens a fresh
-    /// session on the pipeline's store; disabling drops the current one
+    /// session on the pipeline's store where a lookup can pay (see
+    /// [`EvalPipeline::memoizing`]); disabling drops the current one
     /// (entries stay in the store; session counters are lost).
     pub fn set_caching(&mut self, enabled: bool) {
-        if enabled {
-            if self.cache.is_none() {
-                self.cache = Some(self.store.session(self.context.clone()));
-            }
-        } else {
-            self.cache = None;
+        self.caching = enabled;
+        if self.cache.is_some() != enabled {
+            self.open_session();
         }
     }
 
-    /// Whether memoization is on.
-    pub fn caching(&self) -> bool {
+    /// Whether a memo session is open: caching is on, and the store is
+    /// shared or an evaluator [memoizes](AccuracyEvaluator::memoize).
+    pub fn memoizing(&self) -> bool {
         self.cache.is_some()
     }
 
     /// Rebinds the pipeline onto a shared [`CacheStore`]: admissions
     /// become visible to every other pipeline on the same store (and
-    /// vice versa), while hit/miss counters stay session-local. The
-    /// caching on/off choice is preserved; an active session is replaced
-    /// by a fresh one on the shared store (counters restart from zero).
+    /// vice versa), while hit/miss counters stay session-local. A shared
+    /// store is memoized whatever the evaluators cost, since another run
+    /// may have paid for an entry. The caching on/off choice is
+    /// preserved; with caching on, a fresh session opens on the shared
+    /// store (counters restart from zero).
     pub fn attach_store(&mut self, store: &CacheStore) {
         self.store = store.clone();
-        if self.cache.is_some() {
-            self.cache = Some(self.store.session(self.context.clone()));
-        }
+        self.shared = true;
+        self.open_session();
     }
 
     /// The store this pipeline's sessions bind to.
@@ -305,24 +340,31 @@ impl EvalPipeline {
     ///
     /// Propagates evaluator failures on malformed designs.
     pub fn evaluate(&mut self, design: &CandidateDesign) -> Result<(f64, Option<HwMetrics>)> {
-        let key = Key::from(design.to_response_text());
-        if self.journal.is_active() {
+        let key = self.key_of(design);
+        if let Some(key) = key.as_ref().filter(|_| self.journal.is_active()) {
             self.journal.record(JournalEvent::EvalRequest {
                 design: key.to_string(),
             });
         }
-        let hw = self.cost_keyed(design, &key)?;
+        let hw = self.cost_keyed(design, key.as_ref())?;
         let accuracy = match &hw {
-            Some(_) => self.accuracy_keyed(design, &key)?,
+            Some(_) => self.accuracy_keyed(design, key.as_ref())?,
             None => 0.0,
         };
         Ok((accuracy, hw))
     }
 
+    /// The design's text as a memo key, rendered only when a session
+    /// looks it up or the journal records it: on the analytic evaluators
+    /// rendering costs about as much as evaluating.
+    fn key_of(&self, design: &CandidateDesign) -> Option<Key> {
+        (self.cache.is_some() || self.journal.is_active()).then(|| design.to_response_text().into())
+    }
+
     /// [`AccuracyEvaluator::accuracy`] under `key`, the design's text:
     /// a miss admits a clone of `key`, not a copy of its text.
-    fn accuracy_keyed(&mut self, design: &CandidateDesign, key: &Key) -> Result<f64> {
-        if let Some(cache) = &mut self.cache {
+    fn accuracy_keyed(&mut self, design: &CandidateDesign, key: Option<&Key>) -> Result<f64> {
+        if let (Some(cache), Some(key)) = (&mut self.cache, key) {
             if let Some(hit) = cache.lookup_accuracy(key) {
                 self.journal.record(JournalEvent::CacheHit {
                     kind: CacheKind::Accuracy,
@@ -334,7 +376,7 @@ impl EvalPipeline {
             });
         }
         let value = self.guarded_accuracy(design)?;
-        if let Some(cache) = &mut self.cache {
+        if let (Some(cache), Some(key)) = (&mut self.cache, key) {
             if cache.insert_accuracy(key.clone(), value) {
                 self.journal.record(JournalEvent::CacheInsert {
                     kind: CacheKind::Accuracy,
@@ -345,8 +387,12 @@ impl EvalPipeline {
     }
 
     /// [`HardwareCostEvaluator::cost`] under `key`, the design's text.
-    fn cost_keyed(&mut self, design: &CandidateDesign, key: &Key) -> Result<Option<HwMetrics>> {
-        if let Some(cache) = &mut self.cache {
+    fn cost_keyed(
+        &mut self,
+        design: &CandidateDesign,
+        key: Option<&Key>,
+    ) -> Result<Option<HwMetrics>> {
+        if let (Some(cache), Some(key)) = (&mut self.cache, key) {
             if let Some(hit) = cache.lookup_hardware(key) {
                 self.journal.record(JournalEvent::CacheHit {
                     kind: CacheKind::Hardware,
@@ -364,7 +410,7 @@ impl EvalPipeline {
                 feasible: value.is_some(),
             });
         }
-        if let Some(cache) = &mut self.cache {
+        if let (Some(cache), Some(key)) = (&mut self.cache, key) {
             if cache.insert_hardware(key.clone(), value) {
                 self.journal.record(JournalEvent::CacheInsert {
                     kind: CacheKind::Hardware,
@@ -405,7 +451,8 @@ impl EvalPipeline {
 
 impl AccuracyEvaluator for EvalPipeline {
     fn accuracy(&mut self, design: &CandidateDesign) -> Result<f64> {
-        self.accuracy_keyed(design, &design.to_response_text().into())
+        let key = self.key_of(design);
+        self.accuracy_keyed(design, key.as_ref())
     }
 
     fn name(&self) -> &'static str {
@@ -427,7 +474,8 @@ impl AccuracyEvaluator for EvalPipeline {
 
 impl HardwareCostEvaluator for EvalPipeline {
     fn cost(&mut self, design: &CandidateDesign) -> Result<Option<HwMetrics>> {
-        self.cost_keyed(design, &design.to_response_text().into())
+        let key = self.key_of(design);
+        self.cost_keyed(design, key.as_ref())
     }
 
     fn name(&self) -> &'static str {
@@ -450,12 +498,20 @@ mod tests {
     use crate::space::DesignSpace;
     use crate::surrogate::SurrogateEvaluator;
 
-    fn pipeline(seed: u64) -> EvalPipeline {
+    /// The analytic pair on a private store: it keeps no memo.
+    fn private_pipeline(seed: u64) -> EvalPipeline {
         let space = DesignSpace::nacim_cifar10();
         EvalPipeline::new(
             Box::new(SurrogateEvaluator::new(space.clone(), seed)),
             Box::new(CimBackend::new(space)),
         )
+    }
+
+    /// The analytic pair on a fresh attached store, where it memoizes.
+    fn pipeline(seed: u64) -> EvalPipeline {
+        let mut p = private_pipeline(seed);
+        p.attach_store(&CacheStore::new());
+        p
     }
 
     /// The `cim` model under another backend id: same costs, same
@@ -517,6 +573,38 @@ mod tests {
     }
 
     #[test]
+    fn analytic_pair_keeps_no_memo_on_a_private_store() {
+        use crate::journal::RunReport;
+        let d = DesignSpace::nacim_cifar10().reference_design();
+        let (journal, buffer) = Journal::in_memory();
+        let mut p = private_pipeline(5);
+        p.set_journal(journal.clone());
+        assert!(!p.memoizing());
+        let first = p.evaluate(&d).unwrap();
+        assert_eq!(p.evaluate(&d).unwrap(), first);
+        assert_eq!(first, pipeline(5).evaluate(&d).unwrap());
+        assert_eq!(p.stats(), CacheStats::default());
+        assert!(p.cache().is_none());
+        assert!(p.cache_store().is_empty());
+        journal.finish().unwrap();
+        let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
+        assert_eq!(report.cache, CacheStats::default(), "no cache events");
+        assert_eq!((report.evals, report.backend_calls), (2, 2));
+
+        // Caching back on still finds nothing worth a lookup; a memoizing
+        // evaluator, or an attached store, opens a session.
+        p.set_caching(true);
+        assert!(!p.memoizing());
+        let space = DesignSpace::nacim_cifar10();
+        let nan = EvalPipeline::new(Box::new(NanAccuracy), Box::new(CimBackend::new(space)));
+        assert!(nan.memoizing());
+        p.attach_store(&CacheStore::new());
+        assert!(p.memoizing());
+        p.set_caching(false);
+        assert!(!p.memoizing());
+    }
+
+    #[test]
     fn cached_matches_uncached() {
         let d = DesignSpace::nacim_cifar10().reference_design();
         let mut cached = pipeline(3);
@@ -525,7 +613,7 @@ mod tests {
         let b = plain.evaluate(&d).unwrap();
         assert_eq!(a, b);
         assert_eq!(plain.stats(), CacheStats::default());
-        assert!(!plain.caching());
+        assert!(!plain.memoizing());
     }
 
     #[test]
@@ -537,6 +625,7 @@ mod tests {
             Box::new(SurrogateEvaluator::new(space.clone(), 0)),
             Box::new(CimBackend::new(space)),
         );
+        p.attach_store(&CacheStore::new());
         assert_eq!(p.evaluate(&d).unwrap().1, None);
         assert_eq!(p.evaluate(&d).unwrap().1, None);
         // Second round served from cache: one hardware hit, no second
@@ -695,7 +784,7 @@ mod tests {
         let store = crate::cache::CacheStore::new();
         let mut off = pipeline(0).without_cache();
         off.attach_store(&store);
-        assert!(!off.caching(), "attaching must not re-enable caching");
+        assert!(!off.memoizing(), "attaching must not re-enable caching");
         let d = DesignSpace::nacim_cifar10().reference_design();
         off.evaluate(&d).unwrap();
         assert!(store.is_empty(), "uncached pipeline admits nothing");

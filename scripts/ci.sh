@@ -288,7 +288,9 @@ fi
 # Persisted-bytes gate: the memo store shares one key per design in
 # memory, and none of that may reach the disk. The checkpoint logs of an
 # expert and an RL search, and the cache store a server saves after two
-# jobs, must equal the files recorded under tests/fixtures/memo/.
+# jobs, must equal the files recorded under tests/fixtures/memo/. The
+# searches are private runs on the analytic evaluators, so their logs
+# hold no memo entries; the served store does.
 ./target/release/lcda search --episodes 30 --seed 5 \
     --checkpoint "$journal_dir/memo_expert.jsonl" > /dev/null
 ./target/release/lcda search --optimizer rl --episodes 40 --seed 5 \
@@ -307,6 +309,19 @@ for pair in memo_expert.jsonl:expert.ckpt.jsonl memo_rl.jsonl:rl.ckpt.jsonl \
     memo_store.json:serve_store.json; do
     cmp "$journal_dir/${pair%%:*}" "tests/fixtures/memo/${pair##*:}" \
         || { echo "ci: ${pair%%:*} differs from tests/fixtures/memo/${pair##*:}" >&2; exit 1; }
+done
+# A private search on the analytic evaluators keeps no memo: with caching
+# on it writes the checkpoint log and journal that --no-cache writes.
+for mode in cached nocache; do
+    flag=""
+    [ "$mode" = nocache ] && flag="--no-cache"
+    ./target/release/lcda search --episodes 30 --seed 5 $flag \
+        --checkpoint "$journal_dir/private_$mode.ckpt.jsonl" \
+        --journal "$journal_dir/private_$mode.journal.jsonl" > /dev/null
+done
+for kind in ckpt journal; do
+    cmp "$journal_dir/private_cached.$kind.jsonl" "$journal_dir/private_nocache.$kind.jsonl" \
+        || { echo "ci: a private search's $kind differs from its --no-cache $kind" >&2; exit 1; }
 done
 
 # JSON-writer gate: every text the JSON writer streams must keep the

@@ -57,7 +57,9 @@ SEARCH OPTIONS:
                             or real noise-injection training plus
                             Monte-Carlo evaluation, one chip instance at
                             a time                           (default surrogate)
-    --no-cache              disable evaluation memoization
+    --no-cache              never memoize evaluations; without it, only
+                            runs with --evaluator trained memoize (a
+                            surrogate or cim call costs less than a lookup)
     --journal <path>        stream a JSONL event journal of the run
                             (deterministic: same seed, same bytes)
     --json                                                   emit JSON

@@ -83,8 +83,10 @@ fn cim_cache_entries_are_never_served_under_another_backend_id() {
         "the stub hashes the same parts as cim"
     );
 
-    // Fill a memo table under the cim backend…
+    // Fill a memo table under the cim backend (on an attached store:
+    // a private run on the analytic evaluators keeps no memo)…
     let mut cim = cim_pipeline(7);
+    cim.attach_store(&CacheStore::new());
     cim.evaluate(&d).unwrap();
     let snapshot = cim.cache().expect("caching on").clone();
     assert!(!snapshot.is_empty());
@@ -235,12 +237,16 @@ fn distinct_hierarchy_files_namespace_disjoint_fingerprints() {
 
     // And the pipeline enforces the split: a memo table filled under
     // hierarchy A is refused wholesale by a pipeline lowered from B.
+    // Both memoize on attached stores, as a private run on the analytic
+    // evaluators keeps no memo.
     let d = space.reference_design();
     let mut pa = EvalPipeline::new(Box::new(SurrogateEvaluator::new(space.clone(), 7)), from_a);
+    pa.attach_store(&CacheStore::new());
     pa.evaluate(&d).unwrap();
     let snapshot = pa.cache().expect("caching on").clone();
     assert!(!snapshot.is_empty());
     let mut pb = EvalPipeline::new(Box::new(SurrogateEvaluator::new(space, 7)), from_b);
+    pb.attach_store(&CacheStore::new());
     assert!(
         !pb.restore_cache(snapshot),
         "hierarchy A's memo table must be refused under hierarchy B"
@@ -298,6 +304,8 @@ fn perf_call_shape_builds_the_cim_backend() -> Result<(), String> {
         Box::new(SurrogateEvaluator::new(space.clone(), 3)),
         hardware,
     );
+    // The analytic pair memoizes only on an attached store.
+    pipeline.attach_store(&CacheStore::new());
     pipeline.evaluate(&design).map_err(err)?;
     pipeline.evaluate(&design).map_err(err)?;
     assert_eq!(pipeline.stats().hits, 2);

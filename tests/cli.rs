@@ -354,6 +354,41 @@ fn keep_checkpoints_requires_checkpoint_flag() {
     );
 }
 
+/// A private search on the analytic evaluators keeps no memo: with
+/// caching on it writes exactly the checkpoint log and journal that the
+/// same search writes with `--no-cache`.
+#[test]
+fn private_analytic_search_writes_the_no_cache_bytes() {
+    let dir = std::env::temp_dir().join(format!("lcda-cli-memo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |name: &str, extra: &[&str]| {
+        let ckpt = dir.join(format!("{name}.ckpt.jsonl"));
+        let journal = dir.join(format!("{name}.journal.jsonl"));
+        let mut args = vec![
+            "search",
+            "--episodes",
+            "30",
+            "--seed",
+            "5",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+            "--journal",
+            journal.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let (ok, stdout, stderr) = lcda(&args);
+        assert!(ok, "{stderr}");
+        let read = |path: &std::path::Path| std::fs::read(path).expect("written");
+        (stdout, read(&ckpt), read(&journal))
+    };
+    let cached = run("cached", &[]);
+    let uncached = run("uncached", &["--no-cache"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(cached.0, uncached.0, "stdout");
+    assert!(cached.1 == uncached.1, "the checkpoint logs differ");
+    assert!(cached.2 == uncached.2, "the journals differ");
+}
+
 #[test]
 fn checkpointed_search_resumes_to_identical_outcome() {
     let dir = std::env::temp_dir();

@@ -26,6 +26,8 @@ fn assert_one_writer<T: ToJson + ?Sized>(what: &str, value: &T) {
 }
 
 /// A seeded search, and the checkpoint it saved after its last episode.
+/// It runs on an attached store, so the checkpoint carries a memo table
+/// (a private run on the analytic evaluators keeps none).
 fn search(optimizer: OptimizerSpec, episodes: u32) -> (Outcome, Checkpoint) {
     let config = CoDesignConfig::builder(Objective::AccuracyEnergy)
         .episodes(episodes)
@@ -33,6 +35,7 @@ fn search(optimizer: OptimizerSpec, episodes: u32) -> (Outcome, Checkpoint) {
         .build();
     let mut run = CoDesign::builder(DesignSpace::nacim_cifar10(), config)
         .optimizer(optimizer)
+        .cache_store(&CacheStore::new())
         .build()
         .expect("build");
     let mut last = None;

@@ -20,6 +20,11 @@
 //! The build before the cache store stopped recording its own capacity
 //! wrote `store.json`, loaded in `tests/cache_store.rs`.
 //!
+//! The build before a private run on the analytic evaluators stopped
+//! memoizing wrote `expert.ckpt.jsonl`, the checkpoint log of `lcda
+//! search --episodes 30 --seed 5 --checkpoint`: every line after the
+//! header carries surrogate and `cim` memo entries.
+//!
 //! An old journal must read to the same report as the same run today; a
 //! checkpoint naming a retired backend must be refused by name, never
 //! resumed on another backend; a journal of retired events must still
@@ -42,6 +47,8 @@ fn parent_era_journal_reports_like_the_same_run_today() {
     let old = RunReport::from_jsonl(&text).unwrap();
     assert!(!old.truncated, "every parent-era line must parse");
 
+    // That build memoized a private run on the analytic evaluators; today
+    // only an attached store does, so the same cache events need one.
     let (journal, buffer) = Journal::in_memory();
     let config = CoDesignConfig::builder(Objective::AccuracyEnergy)
         .episodes(3)
@@ -49,6 +56,7 @@ fn parent_era_journal_reports_like_the_same_run_today() {
         .build();
     CoDesign::builder(DesignSpace::nacim_cifar10(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
+        .cache_store(&CacheStore::new())
         .journal(journal.clone())
         .build()
         .unwrap()
@@ -111,6 +119,47 @@ fn parent_era_checkpoint_on_a_retired_backend_is_refused_by_name() {
     assert!(
         unchanged,
         "a refused resume must not rewrite the checkpoint"
+    );
+}
+
+#[test]
+fn parent_era_memo_log_resumes_to_the_uninterrupted_json() {
+    let lcda = |extra: &[&std::ffi::OsStr]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_lcda"))
+            .args(["search", "--episodes", "40", "--seed", "5", "--json"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let tmp = |ext: &str| {
+        std::env::temp_dir().join(format!("lcda-parent-memo-{}.{ext}", std::process::id()))
+    };
+    let (copy, journal) = (tmp("ckpt.jsonl"), tmp("journal.jsonl"));
+    std::fs::copy(fixture("expert.ckpt.jsonl"), &copy).unwrap();
+    let resumed = lcda(&[
+        "--resume".as_ref(),
+        "--checkpoint".as_ref(),
+        copy.as_os_str(),
+        "--journal".as_ref(),
+        journal.as_os_str(),
+    ]);
+    let events = std::fs::read_to_string(&journal).unwrap();
+    let _ = std::fs::remove_file(&copy);
+    let _ = std::fs::remove_file(&journal);
+    assert!(
+        events.contains("\"resumed\":30"),
+        "the log's 30 episodes replay"
+    );
+    assert!(
+        resumed == lcda(&[]),
+        "a resume from a log holding analytic memo entries must print the \
+         uninterrupted run's --json"
     );
 }
 

@@ -2,6 +2,10 @@
 //! invisible in the results, thread counts must be invisible in the
 //! results, and the cache must survive a kill/resume cycle through the
 //! checkpoint JSON.
+//!
+//! The analytic evaluators memoize only on an attached store (a private
+//! run on them keeps no memo), so the memo-mechanics tests here attach a
+//! fresh [`CacheStore`], as a one-job server would.
 
 use lcda::prelude::*;
 use lcda_base::rng::check;
@@ -32,6 +36,7 @@ fn cached_run_is_bit_identical_to_uncached() {
         let space = DesignSpace::nacim_cifar10();
         let mut cached = CoDesign::builder(space.clone(), cfg(objective, 10, seed))
             .optimizer(OptimizerSpec::ExpertLlm)
+            .cache_store(&CacheStore::new())
             .build()
             .unwrap();
         let mut uncached = CoDesign::builder(space, cfg(objective, 10, seed))
@@ -61,6 +66,7 @@ fn revisited_designs_hit_the_cache() {
     assert_eq!(space.choices.space_size(), 16);
     let mut run = CoDesign::builder(space, cfg(Objective::AccuracyEnergy, 40, 5))
         .optimizer(OptimizerSpec::Random)
+        .cache_store(&CacheStore::new())
         .build()
         .unwrap();
     let outcome = run.run().unwrap();
@@ -99,6 +105,36 @@ fn revisited_designs_hit_the_cache() {
     assert_eq!(stats.inserts, stats.misses, "every finite miss is inserted");
 }
 
+/// An evaluator that costs more than a lookup keeps the memo on a
+/// private store: after a tiny trained-evaluator search, re-scoring a
+/// design it evaluated is served from the table, bit-identically.
+#[test]
+fn trained_run_memoizes_on_a_private_store() {
+    let space = DesignSpace::tiny_test();
+    let trained = TrainedEvaluator::new(space.clone(), TrainedEvalConfig::fast_test()).unwrap();
+    let mut run = CoDesign::builder(space, cfg(Objective::AccuracyEnergy, 2, 5))
+        .optimizer(OptimizerSpec::Random)
+        .accuracy_evaluator(Box::new(trained))
+        .build()
+        .unwrap();
+    assert!(run.pipeline().memoizing());
+    let outcome = run.run().unwrap();
+    let before = run.cache_stats();
+    assert!(before.inserts > 0, "{before:?}");
+    let seen = outcome
+        .history
+        .iter()
+        .find(|r| r.is_valid())
+        .expect("a feasible episode");
+    let again = run
+        .evaluate_design(seen.episode, seen.design.clone())
+        .unwrap();
+    assert_eq!(again.reward, seen.reward);
+    let after = run.cache_stats();
+    assert_eq!(after.hits, before.hits + 2, "both tables hit: {after:?}");
+    assert_eq!(after.misses, before.misses);
+}
+
 /// Thread counts are invisible in the results: the trained evaluator's
 /// Monte-Carlo loop fans out across worker threads, and any thread count
 /// is bit-identical to the sequential run.
@@ -132,6 +168,7 @@ fn cache_survives_kill_and_resume() {
     let mut snapshots: Vec<Checkpoint> = Vec::new();
     let full = CoDesign::builder(space.clone(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
+        .cache_store(&CacheStore::new())
         .build()
         .unwrap()
         .run_resumable(None, |cp| {
@@ -152,6 +189,7 @@ fn cache_survives_kill_and_resume() {
 
     let mut resumer = CoDesign::builder(space, config)
         .optimizer(OptimizerSpec::ExpertLlm)
+        .cache_store(&CacheStore::new())
         .build()
         .unwrap();
     let resumed = resumer.run_resumable(Some(restored), |_| Ok(())).unwrap();
@@ -177,6 +215,7 @@ fn resumed_session_starts_with_zero_stats_but_live_entries() {
     let mut last: Option<Checkpoint> = None;
     let mut first = CoDesign::builder(space.clone(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
+        .cache_store(&CacheStore::new())
         .build()
         .unwrap();
     let full = first
@@ -201,6 +240,7 @@ fn resumed_session_starts_with_zero_stats_but_live_entries() {
     let restored = Checkpoint::from_json(&json).unwrap();
     let mut resumer = CoDesign::builder(space, config)
         .optimizer(OptimizerSpec::ExpertLlm)
+        .cache_store(&CacheStore::new())
         .build()
         .unwrap();
     resumer.run_resumable(Some(restored), |_| Ok(())).unwrap();
