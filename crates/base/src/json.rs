@@ -1,9 +1,9 @@
-//! JSON for the workspace: one writer, one parser and one value tree.
+//! JSON for the workspace: one writer and one parser.
 //!
-//! [`ToJson`] writes a value as JSON text through [`JsonOut`], and can
-//! also build it as a [`Value`] tree; [`FromJson`] reads a tree back.
-//! [`impl_json!`](crate::impl_json) implements all three for a struct or
-//! enum from a list of its field or variant names. Every JSON text the
+//! [`ToJson`] writes a value as JSON text through [`JsonOut`];
+//! [`FromJson`] reads it back from the [`Value`] tree the parser builds.
+//! [`impl_json!`](crate::impl_json) implements both for a struct or enum
+//! from a list of its field or variant names. Every JSON text the
 //! workspace prints (checkpoints and their checksums, WAL lines, cache
 //! fingerprints, serve bodies, `--json` output) streams from
 //! [`ToJson::write_json`] through [`JsonOut`], with no tree in between;
@@ -30,8 +30,6 @@ pub enum Value {
     Bool(bool),
     /// An integer; `i128` holds the whole `u64` and `i64` ranges.
     Int(i128),
-    /// An `f32`, kept apart so it prints in its shortest `f32` form.
-    F32(f32),
     /// Any other number.
     F64(f64),
     /// A string.
@@ -66,13 +64,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// A value that can be written as JSON.
 pub trait ToJson {
-    /// This value's JSON tree.
-    fn to_json(&self) -> Value;
-
-    /// Writes this value's JSON text to `out`: the text [`to_json`]'s
-    /// tree prints, without building the tree.
-    ///
-    /// [`to_json`]: ToJson::to_json
+    /// Writes this value's JSON text to `out`.
     ///
     /// # Errors
     ///
@@ -172,6 +164,20 @@ fn render<T: ToJson + ?Sized>(value: &T, pretty: bool) -> String {
         );
     }
     text
+}
+
+/// `value` as a [`Value`]: its streamed text, parsed. The leaf of
+/// [`json!`](crate::json!) bodies and of `Value`'s comparisons with plain
+/// values. Numbers read back as the parser reads them (`Int` or `F64`),
+/// so the tree prints the text `value` streams.
+///
+/// # Panics
+///
+/// As [`to_string`], or when `value` nests deeper than the parser's
+/// limit of 128.
+pub fn to_value<T: ToJson + ?Sized>(value: &T) -> Value {
+    Value::parse(&to_string(value))
+        .unwrap_or_else(|e| panic!("JSON of {}: {e}", std::any::type_name::<T>()))
 }
 
 /// Parses JSON text into a `T`.
@@ -280,7 +286,6 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
-            Value::F32(x) => Some(f64::from(*x)),
             Value::F64(x) => Some(*x),
             _ => None,
         }
@@ -309,7 +314,7 @@ impl Value {
             Value::Null => "null",
             Value::Bool(_) => "boolean",
             Value::Int(_) => "integer",
-            Value::F32(_) | Value::F64(_) => "floating point",
+            Value::F64(_) => "floating point",
             Value::String(_) => "string",
             Value::Array(_) => "array",
             Value::Object(_) => "object",
@@ -439,7 +444,7 @@ macro_rules! value_eq {
     ($($t:ty),*) => {$(
         impl PartialEq<$t> for Value {
             fn eq(&self, other: &$t) -> bool {
-                *self == other.to_json()
+                *self == to_value(other)
             }
         }
     )*};
@@ -982,16 +987,11 @@ impl Parser<'_> {
 }
 
 impl ToJson for Value {
-    fn to_json(&self) -> Value {
-        self.clone()
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         match self {
             Value::Null => out.null(),
             Value::Bool(b) => out.bool(*b),
             Value::Int(i) => out.int(*i),
-            Value::F32(x) => out.f32(*x),
             Value::F64(x) => out.f64(*x),
             Value::String(s) => out.string(s),
             Value::Array(items) => items.write_json(out),
@@ -1013,10 +1013,6 @@ impl FromJson for Value {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.bool(*self)
     }
@@ -1034,10 +1030,6 @@ impl FromJson for bool {
 macro_rules! int_json {
     ($($t:ty)*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Value {
-                Value::Int(*self as i128)
-            }
-
             fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
                 out.int(*self as i128)
             }
@@ -1059,10 +1051,6 @@ macro_rules! int_json {
 int_json!(u8 u16 u32 u64 usize i8 i16 i32 i64 isize);
 
 impl ToJson for f32 {
-    fn to_json(&self) -> Value {
-        Value::F32(*self)
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.f32(*self)
     }
@@ -1070,18 +1058,11 @@ impl ToJson for f32 {
 
 impl FromJson for f32 {
     fn from_json(value: &Value) -> Result<Self> {
-        match value {
-            Value::F32(x) => Ok(*x),
-            other => f64::from_json(other).map(|x| x as f32),
-        }
+        f64::from_json(value).map(|x| x as f32)
     }
 }
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Value {
-        Value::F64(*self)
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.f64(*self)
     }
@@ -1094,20 +1075,12 @@ impl FromJson for f64 {
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_owned())
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.string(self)
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Value {
-        Value::String(self.clone())
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.string(self)
     }
@@ -1135,30 +1108,18 @@ impl FromJson for Arc<str> {
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Value {
-        (**self).to_json()
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         (**self).write_json(out)
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for Box<T> {
-    fn to_json(&self) -> Value {
-        (**self).to_json()
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         (**self).write_json(out)
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for Arc<T> {
-    fn to_json(&self) -> Value {
-        (**self).to_json()
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         (**self).write_json(out)
     }
@@ -1171,10 +1132,6 @@ impl<T: FromJson> FromJson for Box<T> {
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Value {
-        self.as_ref().map_or(Value::Null, ToJson::to_json)
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         match self {
             Some(value) => value.write_json(out),
@@ -1197,10 +1154,6 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.begin_array()?;
         for item in self {
@@ -1212,20 +1165,12 @@ impl<T: ToJson> ToJson for [T] {
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Value {
-        self.as_slice().to_json()
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         self.as_slice().write_json(out)
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Value {
-        self.as_slice().to_json()
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         self.as_slice().write_json(out)
     }
@@ -1276,14 +1221,6 @@ impl JsonKey for u64 {
 }
 
 impl<K: JsonKey, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.begin_object()?;
         for (key, value) in self {
@@ -1311,10 +1248,6 @@ impl<K: JsonKey + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
 macro_rules! tuple_json {
     ($($len:literal => ($($name:ident $idx:tt)+))*) => {$(
         impl<$($name: ToJson),+> ToJson for ($($name,)+) {
-            fn to_json(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_json()),+])
-            }
-
             fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
                 out.begin_array()?;
                 $(
@@ -1344,7 +1277,9 @@ tuple_json! {
 }
 
 /// Builds a [`Value`] from JSON-like syntax whose values are any
-/// [`ToJson`] expressions. Object entries keep the order written.
+/// [`ToJson`] expressions, each read in through [`to_value`]: tests use
+/// it for request bodies and documents to tamper with. Object entries
+/// keep the order written.
 ///
 /// ```
 /// use lcda_base::json;
@@ -1392,13 +1327,12 @@ macro_rules! json {
         $crate::json::Value::Object(object)
     }};
     ($other:expr) => {
-        $crate::json::ToJson::to_json(&$other)
+        $crate::json::to_value(&$other)
     };
 }
 
-/// Implements [`ToJson`] (both the tree and the streamed text) and
-/// [`FromJson`] for a struct or enum from the names of its fields or
-/// variants.
+/// Implements [`ToJson`] and [`FromJson`] for a struct or enum from the
+/// names of its fields or variants.
 ///
 /// A struct becomes an object whose entries follow the order the fields
 /// are listed in. A field may carry one option:
@@ -1438,14 +1372,6 @@ macro_rules! impl_json {
         }
     ) => {
         impl $(<$($gen: $crate::json::ToJson),+>)? $crate::json::ToJson for $name $(<$($gen),+>)? {
-            fn to_json(&self) -> $crate::json::Value {
-                let $name { $($field),* } = self;
-                #[allow(unused_mut)]
-                let mut out = ::std::vec::Vec::new();
-                $( $crate::impl_json!(@put out, $field $(, $opt $($arg)?)?); )*
-                $crate::json::Value::Object(out)
-            }
-
             fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) -> ::std::fmt::Result {
                 let $name { $($field),* } = self;
                 out.begin_object()?;
@@ -1466,10 +1392,6 @@ macro_rules! impl_json {
 
     (struct $name:ident;) => {
         impl $crate::json::ToJson for $name {
-            fn to_json(&self) -> $crate::json::Value {
-                $crate::json::Value::Null
-            }
-
             fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) -> ::std::fmt::Result {
                 out.null()
             }
@@ -1494,19 +1416,6 @@ macro_rules! impl_json {
         }
     ) => {
         impl $crate::json::ToJson for $name {
-            fn to_json(&self) -> $crate::json::Value {
-                match self {
-                    $( $name::$var $({ $($field),* })? => {
-                        #[allow(unused_mut)]
-                        let mut out = ::std::vec::Vec::new();
-                        $($( $crate::impl_json!(@put out, $field $(, $opt $($arg)?)?); )*)?
-                        let fields = $crate::json::Value::Object(out);
-                        let unit = $crate::impl_json!(@unit $({ $($field)* })?);
-                        $crate::impl_json!(@wrap $layout $var, unit, fields)
-                    } )*
-                }
-            }
-
             fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) -> ::std::fmt::Result {
                 match self {
                     $( $name::$var $({ $($field),* })? => {
@@ -1570,23 +1479,6 @@ macro_rules! impl_json {
     (@unit) => { true };
     (@unit { $($field:ident)* }) => { false };
 
-    (@wrap [tag = $tag:literal $(, $case:ident)?] $var:ident, $unit:ident, $fields:ident) => {{
-        let mut fields = $fields;
-        if let $crate::json::Value::Object(entries) = &mut fields {
-            let name = $crate::impl_json!(@case $($case)? $var);
-            entries.insert(0, ($tag.to_string(), $crate::json::Value::String(name)));
-        }
-        fields
-    }};
-    (@wrap [$layout:ident] $var:ident, $unit:ident, $fields:ident) => {{
-        let name = $crate::impl_json!(@case $layout $var);
-        if $unit {
-            $crate::json::Value::String(name)
-        } else {
-            $crate::json::Value::Object(vec![(name, $fields)])
-        }
-    }};
-
     (@open [tag = $tag:literal $(, $case:ident)?] $var:ident, $unit:ident, $out:ident) => {
         $out.begin_object()?;
         $out.key($tag)?;
@@ -1620,18 +1512,6 @@ macro_rules! impl_json {
         let (tag, payload) = $value.variant()?;
         (tag.to_string(), payload.unwrap_or(&$crate::json::Value::Null))
     }};
-
-    (@put $out:ident, $v:ident) => {
-        $out.push((stringify!($v).to_string(), $crate::json::ToJson::to_json($v)));
-    };
-    (@put $out:ident, $v:ident, default $($f:path)?) => {
-        $crate::impl_json!(@put $out, $v);
-    };
-    (@put $out:ident, $v:ident, skip_if $skip:path) => {
-        if !$skip($v) {
-            $crate::impl_json!(@put $out, $v);
-        }
-    };
 
     (@write $out:ident, $v:ident) => {
         $out.field(stringify!($v), $v)?;

@@ -4,8 +4,8 @@
 //!
 //! - [`rng`]: the one seedable random number generator, so every
 //!   experiment is reproducible from a single `u64` seed;
-//! - [`json`](mod@json): the one JSON writer, parser and value tree, with the
-//!   [`impl_json!`] macro that implements it for the workspace's types.
+//! - [`json`](mod@json): the one JSON writer and parser, with the
+//!   [`impl_json!`] macro that implements both for the workspace's types.
 //!
 //! The crate depends on `std` alone, so the workspace builds offline.
 

@@ -310,7 +310,7 @@ fn generic_and_unit_structs() {
         w
     );
     assert_eq!(Unit::from_json(&Value::Null), Ok(Unit));
-    assert_eq!(Unit.to_json(), Value::Null);
+    assert_eq!(json::to_value(&Unit), Value::Null);
 }
 
 #[test]
@@ -337,12 +337,16 @@ fn shared_strings_print_and_parse_like_owned_ones() {
     assert_eq!(back, shared);
 }
 
-/// Compact and pretty text streamed by `write_json` equal the text its
-/// `Value` tree prints.
-fn assert_one_writer<T: ToJson + ?Sized>(value: &T) {
-    let tree = value.to_json();
-    assert_eq!(json::to_string(value), tree.to_string());
-    assert_eq!(json::to_string_pretty(value), format!("{tree:#}"));
+/// `value` streams `compact`, and `pretty` in the pretty form.
+fn assert_writes<T: ToJson + ?Sized>(value: &T, compact: &str, pretty: &str) {
+    assert_eq!(json::to_string(value), compact);
+    assert_eq!(json::to_string_pretty(value), pretty);
+}
+
+/// `value`, which holds no non-empty array or object, streams `text` in
+/// both forms.
+fn assert_writes_flat<T: ToJson + ?Sized>(value: &T, text: &str) {
+    assert_writes(value, text, text);
 }
 
 #[derive(Debug)]
@@ -382,46 +386,70 @@ impl_json!(
 );
 
 #[test]
-fn streamed_text_equals_the_tree_text_on_edge_cases() {
-    for s in [
-        "",
-        "plain",
-        "quote \" and backslash \\ and slash /",
-        "controls \n \r \t \u{8} \u{c} \u{0} \u{1f} \u{7f}",
-        "non-ASCII é ß 中文 🦀 \u{2028}",
+fn edge_cases_stream_their_recorded_text() {
+    for (s, text) in [
+        ("", r#""""#),
+        ("plain", r#""plain""#),
+        (
+            "quote \" and backslash \\ and slash /",
+            r#""quote \" and backslash \\ and slash /""#,
+        ),
+        (
+            "controls \n \r \t \u{8} \u{c} \u{0} \u{1f} \u{7f}",
+            "\"controls \\n \\r \\t \\b \\f \\u0000 \\u001f \u{7f}\"",
+        ),
+        (
+            "non-ASCII é ß 中文 🦀 \u{2028}",
+            "\"non-ASCII é ß 中文 🦀 \u{2028}\"",
+        ),
     ] {
-        assert_one_writer(s);
-        assert_one_writer(&s.to_string());
+        assert_writes_flat(s, text);
+        assert_writes_flat(&s.to_string(), text);
         // The same escaping applies to keys.
-        assert_one_writer(&BTreeMap::from([(s.to_string(), 1u8)]));
+        assert_writes(
+            &BTreeMap::from([(s.to_string(), 1u8)]),
+            &format!("{{{text}:1}}"),
+            &format!("{{\n  {text}: 1\n}}"),
+        );
     }
-    for x in [
-        f64::NAN,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        -0.0,
-        1e-300,
-        0.1,
+    for (x, text, as_f32) in [
+        (f64::NAN, "null", "null"),
+        (f64::INFINITY, "null", "null"),
+        (f64::NEG_INFINITY, "null", "null"),
+        (-0.0, "-0.0", "-0.0"),
+        (1e-300, "1e-300", "0.0"),
+        (0.1, "0.1", "0.1"),
     ] {
-        assert_one_writer(&x);
-        assert_one_writer(&(x as f32));
+        assert_writes_flat(&x, text);
+        assert_writes_flat(&(x as f32), as_f32);
     }
     assert_eq!(json::to_string(&[f32::NAN, f32::INFINITY]), "[null,null]");
     assert_eq!(json::to_string(&f64::NEG_INFINITY), "null");
     for i in [i64::MIN, -1, 0, 9, 10, i64::MAX] {
-        assert_one_writer(&i);
+        assert_writes_flat(&i, &i.to_string());
     }
-    assert_one_writer(&u64::MAX);
-    assert_one_writer(&usize::MAX);
-    assert_one_writer(&Value::Int(i128::MIN));
+    assert_writes_flat(&u64::MAX, "18446744073709551615");
+    assert_writes_flat(&usize::MAX, &usize::MAX.to_string());
+    assert_writes_flat(
+        &Value::Int(i128::MIN),
+        "-170141183460469231731687303715884105728",
+    );
 
     // Empty containers, alone and nested.
     let empty: Vec<u8> = Vec::new();
-    assert_one_writer(&empty);
-    assert_one_writer(&vec![empty.clone(), vec![1], empty]);
-    assert_one_writer(&BTreeMap::<u64, u8>::new());
-    assert_one_writer(&Value::Object(Vec::new()));
-    assert_one_writer(&json!({ "a": [], "b": {}, "c": [{}, []] }));
+    assert_writes_flat(&empty, "[]");
+    assert_writes(
+        &vec![empty.clone(), vec![1], empty],
+        "[[],[1],[]]",
+        "[\n  [],\n  [\n    1\n  ],\n  []\n]",
+    );
+    assert_writes_flat(&BTreeMap::<u64, u8>::new(), "{}");
+    assert_writes_flat(&Value::Object(Vec::new()), "{}");
+    assert_writes(
+        &json!({ "a": [], "b": {}, "c": [{}, []] }),
+        r#"{"a":[],"b":{},"c":[{},[]]}"#,
+        "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    {},\n    []\n  ]\n}",
+    );
     assert_eq!(
         json::to_string_pretty(&json!({ "a": [] })),
         "{\n  \"a\": []\n}"
@@ -432,17 +460,24 @@ fn streamed_text_equals_the_tree_text_on_edge_cases() {
         note: None,
         flag: false,
     };
-    assert_eq!(json::to_string(&bare), "{}");
-    assert_one_writer(&bare);
-    assert_one_writer(&vec![bare]);
-    assert_one_writer(&Skipped {
-        note: Some("n".into()),
-        flag: true,
-    });
+    assert_writes_flat(&bare, "{}");
+    assert_writes(&vec![bare], "[{}]", "[\n  {}\n]");
+    assert_writes(
+        &Skipped {
+            note: Some("n".into()),
+            flag: true,
+        },
+        r#"{"note":"n","flag":true}"#,
+        "{\n  \"note\": \"n\",\n  \"flag\": true\n}",
+    );
 
     // Unit, external and tagged variants.
-    assert_one_writer(&Plain::First);
-    assert_one_writer(&vec![Kind::Unit, Kind::Named { size: 3 }]);
+    assert_writes_flat(&Plain::First, r#""First""#);
+    assert_writes(
+        &vec![Kind::Unit, Kind::Named { size: 3 }],
+        r#"["unit",{"named":{"size":3}}]"#,
+        "[\n  \"unit\",\n  {\n    \"named\": {\n      \"size\": 3\n    }\n  }\n]",
+    );
     let tagged = vec![
         Tagged::Bare,
         Tagged::Full {
@@ -454,24 +489,40 @@ fn streamed_text_equals_the_tree_text_on_edge_cases() {
             note: Some("x".into()),
         },
     ];
-    assert_eq!(
-        json::to_string(&tagged[..3]),
-        r#"[{"kind":"bare"},{"kind":"full","size":2,"note":null},{"kind":"empty"}]"#
+    assert_writes(
+        &tagged,
+        r#"[{"kind":"bare"},{"kind":"full","size":2,"note":null},{"kind":"empty"},{"kind":"empty","note":"x"}]"#,
+        "[\n  {\n    \"kind\": \"bare\"\n  },\n  {\n    \"kind\": \"full\",\n    \"size\": 2,\n    \"note\": null\n  },\n  {\n    \"kind\": \"empty\"\n  },\n  {\n    \"kind\": \"empty\",\n    \"note\": \"x\"\n  }\n]",
     );
-    assert_one_writer(&tagged);
-    assert_one_writer(&PlainTagged::OnlyUnit);
-    assert_one_writer(&Unit);
+    assert_writes(
+        &PlainTagged::OnlyUnit,
+        r#"{"t":"OnlyUnit"}"#,
+        "{\n  \"t\": \"OnlyUnit\"\n}",
+    );
+    assert_writes_flat(&Unit, "null");
 
     // `Option` nested in `Option`: both `None`s write `null`.
-    for v in [None, Some(None), Some(Some(4u8))] {
-        assert_one_writer(&v);
+    for (v, text) in [(None, "null"), (Some(None), "null"), (Some(Some(4u8)), "4")] {
+        assert_writes_flat(&v, text);
     }
-    assert_one_writer(&vec![Some(Some(1u8)), Some(None), None]);
+    assert_writes(
+        &vec![Some(Some(1u8)), Some(None), None],
+        "[1,null,null]",
+        "[\n  1,\n  null,\n  null\n]",
+    );
 
     // Tuples, arrays, shared and boxed values.
-    assert_one_writer(&(1u8, "two", [3.5f32, f32::NAN]));
-    assert_one_writer(&Box::new((Some(1u8), false, Unit)));
-    assert_one_writer(&std::sync::Arc::<str>::from("arc"));
+    assert_writes(
+        &(1u8, "two", [3.5f32, f32::NAN]),
+        r#"[1,"two",[3.5,null]]"#,
+        "[\n  1,\n  \"two\",\n  [\n    3.5,\n    null\n  ]\n]",
+    );
+    assert_writes(
+        &Box::new((Some(1u8), false, Unit)),
+        "[1,false,null]",
+        "[\n  1,\n  false,\n  null\n]",
+    );
+    assert_writes_flat(&std::sync::Arc::<str>::from("arc"), r#""arc""#);
 }
 
 #[test]
@@ -514,5 +565,8 @@ fn pretty_output_indents_past_sixteen_levels() {
         "{text}"
     );
     assert_eq!(Value::parse(&text).unwrap(), deep);
-    assert_one_writer(&deep);
+    assert_eq!(
+        json::to_string(&deep),
+        format!("{}1{}", "[".repeat(20), "]".repeat(20))
+    );
 }

@@ -839,13 +839,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_store_snapshot_streams_its_tree_text() {
+    fn a_store_snapshot_streams_its_recorded_text() {
         let store = CacheStore::new();
         crate::durable::tests::searched_checkpoint(&store);
         let snapshot = store.persisted();
         assert!(!snapshot.admissions.is_empty());
-        crate::durable::tests::assert_one_writer(&snapshot);
-        crate::durable::tests::assert_one_writer(&CacheStore::new().persisted());
+        crate::durable::tests::assert_recorded("store snapshot", &snapshot);
+        let empty = CacheStore::new().persisted();
+        assert_eq!(
+            lcda_base::json::to_string(&empty),
+            r#"{"version":1,"contexts":{},"admissions":[]}"#
+        );
+        assert_eq!(
+            lcda_base::json::to_string_pretty(&empty),
+            "{\n  \"version\": 1,\n  \"contexts\": {},\n  \"admissions\": []\n}"
+        );
     }
 
     fn hw(latency: f64) -> Option<HwMetrics> {

@@ -585,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn a_log_delta_streams_its_tree_text() {
+    fn a_log_delta_streams_its_recorded_text() {
         let cp = crate::durable::tests::searched_checkpoint(&crate::CacheStore::new());
         let cache = cp.eval_cache.clone().unwrap();
         let delta = LogDelta {
@@ -593,8 +593,16 @@ mod tests {
             accuracy: cache.accuracy,
             hardware: cache.hardware,
         };
-        crate::durable::tests::assert_one_writer(&delta);
-        crate::durable::tests::assert_one_writer(&LogDelta::default());
+        crate::durable::tests::assert_recorded("log delta", &delta);
+        let empty = LogDelta::default();
+        assert_eq!(
+            lcda_base::json::to_string(&empty),
+            r#"{"history":[],"accuracy":{},"hardware":{}}"#
+        );
+        assert_eq!(
+            lcda_base::json::to_string_pretty(&empty),
+            "{\n  \"history\": [],\n  \"accuracy\": {},\n  \"hardware\": {}\n}"
+        );
     }
 
     #[test]

@@ -326,14 +326,31 @@ pub(crate) mod tests {
     use crate::space::DesignSpace;
     use crate::Checkpoint;
 
-    /// Compact and pretty text streamed by `write_json` equal the text
-    /// the value's tree prints.
-    pub(crate) fn assert_one_writer<T: ToJson + ?Sized>(value: &T) {
-        let tree = value.to_json();
-        assert_eq!(lcda_base::json::to_string(value), tree.to_string());
+    /// The recorded text of the section `name` of
+    /// `tests/fixtures/searched_checkpoint.txt`: one `== name` line per
+    /// section, then its text. Each section holds the bytes the JSON
+    /// writer printed for a value of [`searched_checkpoint`]'s search.
+    pub(crate) fn recorded(name: &str) -> &'static str {
+        let values = include_str!("../tests/fixtures/searched_checkpoint.txt");
+        values
+            .strip_prefix("== ")
+            .expect("the fixture starts with a section")
+            .split("\n== ")
+            .find_map(|section| {
+                let (title, text) = section.split_once('\n')?;
+                (title == name).then(|| text.strip_suffix('\n').unwrap_or(text))
+            })
+            .unwrap_or_else(|| panic!("no recorded section `{name}`"))
+    }
+
+    /// `value` streams the compact text recorded as `name` and the pretty
+    /// text recorded as `name, pretty`.
+    pub(crate) fn assert_recorded<T: ToJson + ?Sized>(name: &str, value: &T) {
+        assert_eq!(lcda_base::json::to_string(value), recorded(name), "{name}");
         assert_eq!(
             lcda_base::json::to_string_pretty(value),
-            format!("{tree:#}")
+            recorded(&format!("{name}, pretty")),
+            "{name}, pretty"
         );
     }
 
@@ -358,37 +375,20 @@ pub(crate) mod tests {
         last.unwrap()
     }
 
-    /// The checksummed text as it was built before the writer streamed:
-    /// the artifact's tree, with the digest of its compact text inserted
-    /// as the first entry.
-    fn tree_checksummed<T: ToJson>(artifact: &T, pretty: bool) -> String {
-        let mut value = artifact.to_json();
-        let digest = stable_fingerprint(&[&value.to_string()]);
-        let Value::Object(entries) = &mut value else {
-            panic!("not an object");
-        };
-        entries.insert(0, (CHECKSUM_KEY.to_string(), Value::String(digest)));
-        if pretty {
-            format!("{value:#}")
-        } else {
-            value.to_string()
-        }
-    }
-
     #[test]
-    fn checksummed_writes_stream_the_tree_bytes() {
+    fn checksummed_writes_stream_the_recorded_bytes() {
         let store = crate::CacheStore::new();
         let cp = searched_checkpoint(&store);
         assert!(cp
             .eval_cache
             .as_ref()
             .is_some_and(|c| !c.accuracy.is_empty()));
-        assert_one_writer(&cp);
+        assert_recorded("checkpoint", &cp);
         let pretty = to_checksummed_json(&cp).unwrap();
-        assert_eq!(pretty, tree_checksummed(&cp, true));
+        assert_eq!(pretty, recorded("checksummed, pretty"));
         assert_eq!(
             to_checksummed_compact_json(&cp).unwrap(),
-            tree_checksummed(&cp, false)
+            recorded("checksummed")
         );
         let path =
             std::env::temp_dir().join(format!("lcda-durable-stream-{}.json", std::process::id()));
@@ -404,9 +404,10 @@ pub(crate) mod tests {
             assert!(to_checksummed_json(&not_an_object).is_err());
             assert!(to_checksummed_compact_json(&not_an_object).is_err());
         }
+        let empty = Value::Object(Vec::new());
         assert_eq!(
-            to_checksummed_compact_json(&Value::Object(Vec::new())).unwrap(),
-            tree_checksummed(&Value::Object(Vec::new()), false)
+            to_checksummed_compact_json(&empty).unwrap(),
+            format!("{{\"checksum\":\"{}\"}}", stable_fingerprint(&["{}"]))
         );
     }
 

@@ -337,14 +337,6 @@ pub struct JournalRecord {
 
 // `step` followed by the event's own tagged object, on one level.
 impl ToJson for JournalRecord {
-    fn to_json(&self) -> Value {
-        let mut entries = vec![("step".to_string(), self.step.to_json())];
-        if let Value::Object(fields) = self.event.to_json() {
-            entries.extend(fields);
-        }
-        Value::Object(entries)
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.flatten("step", &self.step, &self.event)
     }

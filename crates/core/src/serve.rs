@@ -164,10 +164,6 @@ impl FromStr for JobId {
 
 // A job id is written as its display form, `"job-<n>"`.
 impl ToJson for JobId {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_string())
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> fmt::Result {
         out.string_display(self)
     }
@@ -483,6 +479,53 @@ pub struct ServerStats {
 
 lcda_base::impl_json!(struct ServerStats { jobs, store, store_entries, store_capacity });
 
+/// Liveness, as returned by `GET /healthz`.
+struct Health {
+    /// Always `"ok"`: the server answered.
+    status: String,
+    uptime_secs: u64,
+    workers: usize,
+    queue_depth: usize,
+    jobs_running: usize,
+}
+
+lcda_base::impl_json!(struct Health { status, uptime_secs, workers, queue_depth, jobs_running });
+
+/// Readiness, as returned by `GET /readyz`.
+struct Readiness {
+    /// Accepting admissions right now: not shutting down, queue not full.
+    ready: bool,
+    shutting_down: bool,
+    queue_depth: usize,
+    queue_capacity: usize,
+    workers: usize,
+    uptime_secs: u64,
+}
+
+lcda_base::impl_json!(struct Readiness {
+    ready,
+    shutting_down,
+    queue_depth,
+    queue_capacity,
+    workers,
+    uptime_secs,
+});
+
+/// The `202` body of an admitted `POST /jobs`.
+struct Admitted {
+    job: JobId,
+    state: JobState,
+}
+
+lcda_base::impl_json!(struct Admitted { job, state });
+
+/// The body of every error response.
+struct ErrorBody {
+    error: String,
+}
+
+lcda_base::impl_json!(struct ErrorBody { error });
+
 /// One job's mutable record inside the server.
 struct JobRecord {
     spec: JobSpec,
@@ -747,35 +790,33 @@ impl ServerState {
     }
 
     /// Liveness payload for `GET /healthz`.
-    fn health(&self) -> lcda_base::json::Value {
+    fn health(&self) -> Health {
         let running = lock(&self.jobs)
             .values()
             .filter(|rec| rec.state == JobState::Running)
             .count();
-        lcda_base::json!({
-            "status": "ok",
-            "uptime_secs": self.started.elapsed().as_secs(),
-            "workers": self.worker_count,
-            "queue_depth": self.queue_depth(),
-            "jobs_running": running,
-        })
+        Health {
+            status: "ok".into(),
+            uptime_secs: self.started.elapsed().as_secs(),
+            workers: self.worker_count,
+            queue_depth: self.queue_depth(),
+            jobs_running: running,
+        }
     }
 
     /// Readiness for `GET /readyz`: accepting admissions right now.
-    fn ready(&self) -> (bool, lcda_base::json::Value) {
+    fn ready(&self) -> Readiness {
         let shutting_down = self.shutdown.load(Ordering::SeqCst);
         let depth = self.queue_depth();
         let full = depth >= self.queue_capacity;
-        let ready = !shutting_down && !full;
-        let payload = lcda_base::json!({
-            "ready": ready,
-            "shutting_down": shutting_down,
-            "queue_depth": depth,
-            "queue_capacity": self.queue_capacity,
-            "workers": self.worker_count,
-            "uptime_secs": self.started.elapsed().as_secs(),
-        });
-        (ready, payload)
+        Readiness {
+            ready: !shutting_down && !full,
+            shutting_down,
+            queue_depth: depth,
+            queue_capacity: self.queue_capacity,
+            workers: self.worker_count,
+            uptime_secs: self.started.elapsed().as_secs(),
+        }
     }
 
     /// Rebuilds the job table from a replayed WAL ledger. Terminal jobs
@@ -1183,7 +1224,7 @@ fn run_job(state: &Arc<ServerState>, id: JobId) {
     let (next, result, error) = match outcome {
         // Durability order: the result file reaches disk before the WAL
         // records `done`, so a replayed `done` always finds it. The
-        // trailing newline matches `lcda search --json`'s `println!`,
+        // trailing newline matches `lcda search --json`'s output,
         // keeping served results `cmp`-equal to the offline run.
         Ok(outcome) => match &state.journal_dir {
             Some(dir) => match crate::durable::atomic_write(&result_path(dir, id), |out| {
@@ -1508,18 +1549,24 @@ fn route(
                 Err(e) => return respond_error(stream, 400, &format!("invalid job spec: {e}")),
             };
             match state.submit(spec) {
-                Ok(id) => {
-                    let payload = lcda_base::json!({ "job": id, "state": JobState::Queued });
-                    respond_json(stream, 202, &payload.to_string())
-                }
+                Ok(id) => reply_value(
+                    stream,
+                    202,
+                    &Admitted {
+                        job: id,
+                        state: JobState::Queued,
+                    },
+                ),
                 Err(e @ CoreError::Overloaded(_)) => {
-                    let payload = lcda_base::json!({ "error": e.to_string() });
+                    let payload = ErrorBody {
+                        error: e.to_string(),
+                    };
                     respond_with_headers(
                         stream,
                         429,
                         "application/json",
                         &[("Retry-After", "1")],
-                        payload.to_string().as_bytes(),
+                        lcda_base::json::to_string(&payload).as_bytes(),
                     )
                 }
                 Err(e @ CoreError::Cancelled(_)) => respond_error(stream, 503, &e.to_string()),
@@ -1569,13 +1616,13 @@ fn route(
         ("GET", ["stats"]) => reply_value(stream, 200, &state.stats()),
         ("GET", ["healthz"]) => reply_value(stream, 200, &state.health()),
         ("GET", ["readyz"]) => {
-            let (ready, payload) = state.ready();
-            reply_value(stream, if ready { 200 } else { 503 }, &payload)
+            let payload = state.ready();
+            reply_value(stream, if payload.ready { 200 } else { 503 }, &payload)
         }
         ("POST", ["shutdown"]) => {
             // Reply first: `JobServer::wait` returns as soon as the flag
             // is set, and `lcda serve` may exit before a later reply.
-            let replied = reply_value(stream, 200, &lcda_base::json!({ "shutdown": true }));
+            let replied = respond_json(stream, 200, r#"{"shutdown":true}"#);
             state.request_shutdown();
             replied
         }
@@ -1671,8 +1718,10 @@ fn reply_value<T: ToJson>(stream: &mut TcpStream, status: u16, value: &T) -> std
 }
 
 fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> std::io::Result<()> {
-    let payload = lcda_base::json!({ "error": message });
-    respond_json(stream, status, &payload.to_string())
+    let payload = ErrorBody {
+        error: message.to_string(),
+    };
+    reply_value(stream, status, &payload)
 }
 
 fn not_found(stream: &mut TcpStream) -> std::io::Result<()> {

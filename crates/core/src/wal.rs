@@ -101,14 +101,6 @@ pub struct WalRecord {
 
 // `seq` followed by the entry's own tagged object, on one level.
 impl ToJson for WalRecord {
-    fn to_json(&self) -> Value {
-        let mut entries = vec![("seq".to_string(), self.seq.to_json())];
-        if let Value::Object(fields) = self.entry.to_json() {
-            entries.extend(fields);
-        }
-        Value::Object(entries)
-    }
-
     fn write_json(&self, out: &mut JsonOut<'_>) -> std::fmt::Result {
         out.flatten("seq", &self.seq, &self.entry)
     }

@@ -329,6 +329,7 @@ done
 # expert and an RL search, the expert run's journal, an `evaluate
 # --json`, and the WAL, job journals, job checkpoint logs and result
 # files the memo-gate server above kept in its --journal-dir.
+# (tests/json_writer.rs pins values.txt, the text of single values.)
 ./target/release/lcda search --episodes 20 --seed 5 --json \
     --journal "$journal_dir/writer_expert.journal.jsonl" > "$journal_dir/writer_expert.json"
 ./target/release/lcda search --optimizer rl --episodes 60 --seed 5 --json \
@@ -345,6 +346,16 @@ for name in jobs.wal.jsonl job-1.jsonl job-2.jsonl job-1.ckpt.json job-2.ckpt.js
     cmp "$journal_dir/memo_jobs/$name" "tests/fixtures/json_writer/serve.$name" \
         || { echo "ci: served $name differs from tests/fixtures/json_writer/serve.$name" >&2; exit 1; }
 done
+
+# Broken-pipe smoke: a reader that stops early closes lcda's stdout
+# mid-JSON; lcda must end quietly with exit 0 (pipefail checks it), not
+# panic.
+./target/release/lcda search --optimizer rl --episodes 500 --json \
+    2> "$journal_dir/pipe.err" | head -c 64 > /dev/null
+if grep -q panicked "$journal_dir/pipe.err"; then
+    echo "ci: lcda panicked on a closed stdout pipe" >&2
+    exit 1
+fi
 
 # Serve smoke: start the job server with one worker (jobs run strictly
 # in admission order), submit two identical-seed jobs, and require

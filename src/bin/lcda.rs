@@ -13,6 +13,7 @@ use lcda::core::mo::MultiObjectiveCoDesign;
 use lcda::core::HwHierarchy;
 use lcda::llm::parse::parse_design;
 use lcda::prelude::*;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -42,7 +43,8 @@ SEARCH OPTIONS:
     --seed <n>                                               (default 0)
     --checkpoint <path>     keep a checkpoint log: after every episode,
                             append one checksummed JSON line holding that
-                            episode and its new memo entries, fsynced
+                            episode, fsynced (a memoizing run, such as
+                            --evaluator trained, adds its new memo entries)
     --keep-checkpoints <n>  checkpoint logs kept on disk; a run of another
                             config starts a new log and rotates the older
                             ones to <path>.1, <path>.2, ...; resume salvages
@@ -101,14 +103,16 @@ EVALUATE OPTIONS:
     --json
 
 REFERENCE OPTIONS:
-    --hw-config <path>      declarative hardware hierarchy JSON    --json
+    --hw-config <path>      declarative hardware hierarchy JSON
+    --json
 
 FRONT OPTIONS:
     --episodes <n>   (default 240)    --seed <n>    --objective <energy|latency>
 
 REPORT USAGE:
     lcda report <journal.jsonl> [--allow-truncated]
-                print per-phase counters and timings; exits non-zero if
+                print the journal's event counts, overall and per
+                phase (journals hold no timings); exits non-zero if
                 the journal was salvaged (torn tail / dropped lines)
                 unless --allow-truncated is passed
 ";
@@ -242,6 +246,32 @@ impl Args {
     }
 }
 
+/// Why a command stopped early.
+enum Failure {
+    /// An error to report on stderr.
+    Message(String),
+    /// Writing to stdout failed.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Message(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Message(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first().cloned() else {
@@ -251,22 +281,32 @@ fn main() -> ExitCode {
     let args = Args {
         items: argv[1..].to_vec(),
     };
+    // Every command prints through this one buffered handle.
+    let mut out = BufWriter::new(std::io::stdout().lock());
     let result = match command.as_str() {
-        "search" => cmd_search(&args),
-        "serve" => cmd_serve(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "front" => cmd_front(&args),
-        "reference" => cmd_reference(&args),
-        "report" => cmd_report(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        "search" => cmd_search(&args, &mut out),
+        "serve" => cmd_serve(&args, &mut out),
+        "evaluate" => cmd_evaluate(&args, &mut out),
+        "front" => cmd_front(&args, &mut out),
+        "reference" => cmd_reference(&args, &mut out),
+        "report" => cmd_report(&args, &mut out),
+        "help" | "--help" | "-h" => write!(out, "{USAGE}").map_err(Failure::from),
+        other => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
     };
-    match result {
+    // What a failed command printed first (a salvaged `report`) still
+    // reaches stdout.
+    let flushed = out.flush().map_err(Failure::from);
+    match result.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader closed the pipe early (`lcda search --json | head`).
+        // Journals and checkpoints are complete before anything prints,
+        // so the run itself succeeded.
+        Err(Failure::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
@@ -293,7 +333,7 @@ fn parse_evaluator(args: &Args, seed: u64) -> Result<Option<Box<dyn AccuracyEval
     }
 }
 
-fn cmd_search(args: &Args) -> Result<(), String> {
+fn cmd_search(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.validate(
         &[
             "--optimizer",
@@ -403,33 +443,37 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     journal.finish().map_err(|e| e.to_string())?;
 
     if args.flag("--json") {
-        println!("{}", lcda_base::json::to_string_pretty(&outcome));
+        lcda_base::json::to_writer_pretty(out, &outcome)?;
+        writeln!(out)?;
         return Ok(());
     }
     let hw = args
         .get("--hw-config")
         .map(|path| format!(" on {path}"))
         .unwrap_or_default();
-    println!(
+    writeln!(
+        out,
         "{} · {} · backend {DEFAULT_BACKEND}{hw} · {episodes} episodes · seed {seed}\n",
         outcome.optimizer,
         objective.name()
-    );
-    println!("episode  reward    accuracy  design");
+    )?;
+    writeln!(out, "episode  reward    accuracy  design")?;
     for r in &outcome.history {
-        println!(
+        writeln!(
+            out,
             "{:>7}  {:>+7.3}   {:>6.3}    {}",
             r.episode, r.reward, r.accuracy, r.design
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nbest: {} (reward {:+.3})",
         outcome.best.design, outcome.best.reward
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.validate(
         &[
             "--addr",
@@ -468,22 +512,24 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         return Err("--checkpoint-every must be at least 1".into());
     }
     let server = JobServer::bind(config).map_err(|e| e.to_string())?;
-    // Stdout is line-buffered, so the address line is visible to a
-    // supervising script even when redirected to a file.
-    println!("lcda serve listening on http://{}", server.addr());
-    server.wait().map_err(|e| e.to_string())
+    // Flushed at once, so the address line is visible to a supervising
+    // script even when stdout is redirected to a file.
+    writeln!(out, "lcda serve listening on http://{}", server.addr())?;
+    out.flush()?;
+    server.wait().map_err(|e| Failure::Message(e.to_string()))
 }
 
 /// Scores one design text and prints it — shared by `evaluate` and
 /// `reference`.
 fn evaluate_design_text(
+    out: &mut dyn Write,
     text: &str,
     objective: Objective,
     hw: Option<HwHierarchy>,
     json: bool,
     journal: &Journal,
     evaluator: Option<Box<dyn AccuracyEvaluator>>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let space = DesignSpace::nacim_cifar10();
     let design = parse_design(text, &space.choices).map_err(|e| e.to_string())?;
     let config = CoDesignConfig::builder(objective)
@@ -505,32 +551,34 @@ fn evaluate_design_text(
         .map_err(|e| e.to_string())?;
     journal.finish().map_err(|e| e.to_string())?;
     if json {
-        println!("{}", lcda_base::json::to_string_pretty(&record));
+        lcda_base::json::to_writer_pretty(out, &record)?;
+        writeln!(out)?;
         return Ok(());
     }
-    println!("design   {}", record.design);
-    println!("reward   {:+.4} ({})", record.reward, objective.name());
-    println!("accuracy {:.4}", record.accuracy);
+    writeln!(out, "design   {}", record.design)?;
+    writeln!(out, "reward   {:+.4} ({})", record.reward, objective.name())?;
+    writeln!(out, "accuracy {:.4}", record.accuracy)?;
     match &record.hw {
         Some(hw) => {
-            println!(
+            writeln!(
+                out,
                 "energy   {:.4e} pJ   ({:.3}x ISAAC)",
                 hw.energy_pj,
                 hw.energy_pj / 8.0e7
-            );
+            )?;
             match hw.fps() {
-                Some(fps) => println!("latency  {:.0} ns   ({fps:.0} FPS)", hw.latency_ns),
-                None => println!("latency  {:.0} ns   (FPS undefined)", hw.latency_ns),
+                Some(fps) => writeln!(out, "latency  {:.0} ns   ({fps:.0} FPS)", hw.latency_ns)?,
+                None => writeln!(out, "latency  {:.0} ns   (FPS undefined)", hw.latency_ns)?,
             }
-            println!("area     {:.3} mm²", hw.area_mm2);
-            println!("leakage  {:.1} µW", hw.leakage_uw);
+            writeln!(out, "area     {:.3} mm²", hw.area_mm2)?;
+            writeln!(out, "leakage  {:.1} µW", hw.leakage_uw)?;
         }
-        None => println!("hardware INVALID (over area budget) → reward -1"),
+        None => writeln!(out, "hardware INVALID (over area budget) → reward -1")?,
     }
     Ok(())
 }
 
-fn cmd_evaluate(args: &Args) -> Result<(), String> {
+fn cmd_evaluate(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.validate(
         &[
             "--design",
@@ -552,6 +600,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
         None => Journal::disabled(),
     };
     evaluate_design_text(
+        out,
         text,
         objective,
         hw,
@@ -561,7 +610,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
     )
 }
 
-fn cmd_front(args: &Args) -> Result<(), String> {
+fn cmd_front(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.validate(&["--episodes", "--seed", "--objective"], &[])?;
     let objective = args.objective()?;
     let episodes = args.num_u32("--episodes", 240)?;
@@ -576,21 +625,23 @@ fn cmd_front(args: &Args) -> Result<(), String> {
         Objective::AccuracyEnergy => "pJ",
         Objective::AccuracyLatency => "ns",
     };
-    println!(
+    writeln!(
+        out,
         "NSGA-II front after {episodes} evaluations ({}):\n",
         objective.name()
-    );
+    )?;
     for (d, acc, cost) in &front {
-        println!("  acc {acc:.3} @ {cost:.4e} {unit}   {d}");
+        writeln!(out, "  acc {acc:.3} @ {cost:.4e} {unit}   {d}")?;
     }
     Ok(())
 }
 
-fn cmd_reference(args: &Args) -> Result<(), String> {
+fn cmd_reference(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.validate(&["--hw-config"], &["--json"])?;
     let space = DesignSpace::nacim_cifar10();
     let text = space.reference_design().to_response_text();
     evaluate_design_text(
+        out,
         &text,
         Objective::AccuracyEnergy,
         args.hw_config()?,
@@ -600,7 +651,7 @@ fn cmd_reference(args: &Args) -> Result<(), String> {
     )
 }
 
-fn cmd_report(args: &Args) -> Result<(), String> {
+fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let positional = args.positionals(&[], &["--allow-truncated"])?;
     let allow_truncated = args.flag("--allow-truncated");
     let [path] = positional.as_slice() else {
@@ -608,16 +659,16 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let report = RunReport::from_jsonl(&text).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     // Salvage must be loud: a torn tail or dropped lines mean the
     // journal does not tell the whole story, so the default is a
     // non-zero exit — CI pipelines must opt in to accept it.
     if (report.truncated || report.dropped_lines > 0) && !allow_truncated {
-        return Err(format!(
+        return Err(Failure::Message(format!(
             "journal was salvaged (truncated tail: {}, dropped lines: {}); \
              pass --allow-truncated to accept a partial report",
             report.truncated, report.dropped_lines
-        ));
+        )));
     }
     Ok(())
 }

@@ -69,6 +69,36 @@ fn search_json_is_parseable() {
     assert!(v["best"]["reward"].as_f64().is_some());
 }
 
+/// A reader that stops early (`lcda search --json | head -c 64`) closes
+/// the pipe: the run ends quietly, with exit 0 and nothing on stderr.
+#[test]
+fn a_closed_stdout_pipe_ends_the_run_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    // Its JSON outgrows the pipe's buffer, so the writer meets the
+    // closed end.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lcda"))
+        .args(["search", "--optimizer", "rl", "--episodes", "500", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut head = [0u8; 64];
+    // The read end drops, closing the pipe, once the bytes are read.
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .expect("the first bytes");
+    let out = child.wait_with_output().expect("child exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert!(out.status.success(), "{:?}", out.status);
+    assert!(head.starts_with(b"{\n  \"history\": ["), "{head:?}");
+}
+
 #[test]
 fn evaluate_accepts_design_text() {
     let (ok, stdout, _) = lcda(&[

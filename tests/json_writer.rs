@@ -1,28 +1,62 @@
-//! One writer: every persisted or printed type streams, through
-//! `ToJson::write_json`, exactly the text its `Value` tree prints, in the
-//! compact and the pretty form. The streamed text is what `--json`,
-//! journals, checkpoint logs, the WAL and served bodies hold; the tree is
-//! what `to_json()` builds for `json!` bodies and tests. The two are
-//! written by separate code (the `impl_json!` arms and the hand-written
-//! `JournalRecord`, `WalRecord` and `JobId` impls each implement both),
-//! so this pins them to each other; `scripts/ci.sh` pins the streamed
-//! bytes to files recorded from the tree writer.
+//! One writer, pinned to recorded bytes: every persisted or printed type
+//! streams, through `ToJson::write_json`, the text recorded under
+//! `tests/fixtures/json_writer/`, in the compact and the pretty form,
+//! and that text reads back (`FromJson`) to a value that streams it
+//! again. The streamed text is what `--json`, journals, checkpoint logs,
+//! the WAL and served bodies hold; `scripts/ci.sh` pins the same
+//! fixtures' CLI and server output byte for byte.
+//!
+//! `values.txt` holds one `== name` section per value below, followed by
+//! its text. The search outcomes' pretty text is `expert.json` and
+//! `rl.json`, which the CLI prints with a trailing newline.
 
 use lcda::core::serve::JobStatus;
 use lcda::core::wal::{WalEntry, WalRecord};
 use lcda::core::HwHierarchy;
 use lcda::prelude::*;
-use lcda_base::json::{self, ToJson};
+use lcda_base::json::{self, FromJson, ToJson};
 
-/// Compact and pretty streamed text equal the tree's.
-fn assert_one_writer<T: ToJson + ?Sized>(what: &str, value: &T) {
-    let tree = value.to_json();
-    assert_eq!(json::to_string(value), tree.to_string(), "{what}, compact");
-    assert_eq!(
-        json::to_string_pretty(value),
-        format!("{tree:#}"),
-        "{what}, pretty"
-    );
+/// The recorded text of the section `name` of `values.txt`.
+fn recorded(name: &str) -> &'static str {
+    let values = include_str!("fixtures/json_writer/values.txt");
+    values
+        .strip_prefix("== ")
+        .expect("values.txt starts with a section")
+        .split("\n== ")
+        .find_map(|section| {
+            let (title, text) = section.split_once('\n')?;
+            (title == name).then(|| text.strip_suffix('\n').unwrap_or(text))
+        })
+        .unwrap_or_else(|| panic!("values.txt has no section `{name}`"))
+}
+
+/// `value` streams the text recorded as `name` (compact, or pretty when
+/// `pretty` holds), and that text reads back to a value that streams it
+/// again.
+fn assert_recorded<T: ToJson + FromJson>(name: &str, value: &T, pretty: bool) {
+    assert_text(name, value, pretty, recorded(name));
+}
+
+/// `value` streams the compact text recorded as `name`.
+fn assert_streams<T: ToJson>(name: &str, value: &T) {
+    assert_eq!(json::to_string(value), recorded(name), "{name}");
+}
+
+/// `value` streams `expected`, which reads back to a value that streams
+/// it again.
+fn assert_text<T: ToJson + FromJson>(name: &str, value: &T, pretty: bool, expected: &str) {
+    let text = render(value, pretty);
+    assert_eq!(text, expected, "{name}");
+    let back = json::from_str::<T>(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(render(&back, pretty), text, "{name}, read back");
+}
+
+fn render<T: ToJson>(value: &T, pretty: bool) -> String {
+    if pretty {
+        json::to_string_pretty(value)
+    } else {
+        json::to_string(value)
+    }
 }
 
 /// A seeded search, and the checkpoint it saved after its last episode.
@@ -49,16 +83,30 @@ fn search(optimizer: OptimizerSpec, episodes: u32) -> (Outcome, Checkpoint) {
 }
 
 #[test]
-fn outcomes_and_checkpoints_stream_their_tree_text() {
-    for (name, optimizer, episodes) in [
-        ("expert", OptimizerSpec::ExpertLlm, 20),
-        ("rl", OptimizerSpec::Rl, 60),
+fn outcomes_and_checkpoints_stream_their_recorded_text() {
+    for (name, optimizer, episodes, printed) in [
+        (
+            "expert",
+            OptimizerSpec::ExpertLlm,
+            20,
+            include_str!("fixtures/json_writer/expert.json"),
+        ),
+        (
+            "rl",
+            OptimizerSpec::Rl,
+            60,
+            include_str!("fixtures/json_writer/rl.json"),
+        ),
     ] {
         let (outcome, checkpoint) = search(optimizer, episodes);
         assert_eq!(outcome.history.len(), episodes as usize);
-        assert_one_writer(&format!("{name} outcome"), &outcome);
+        // `lcda search --json` prints the pretty text and a newline.
+        let pretty = printed.strip_suffix('\n').expect("a trailing newline");
+        assert_text(&format!("{name} outcome, pretty"), &outcome, true, pretty);
+        assert_recorded(&format!("{name} outcome"), &outcome, false);
         assert!(checkpoint.eval_cache.is_some(), "{name}: memo table");
-        assert_one_writer(&format!("{name} checkpoint"), &checkpoint);
+        assert_recorded(&format!("{name} checkpoint"), &checkpoint, false);
+        assert_recorded(&format!("{name} checkpoint, pretty"), &checkpoint, true);
     }
 }
 
@@ -94,7 +142,7 @@ fn journal_variant(event: &JournalEvent) -> usize {
 }
 
 #[test]
-fn every_journal_event_streams_its_tree_text() {
+fn every_journal_event_streams_its_recorded_text() {
     use lcda::core::journal::CacheKind;
     let job = || "job-7".to_string();
     let events = vec![
@@ -201,13 +249,30 @@ fn every_journal_event_streams_its_tree_text() {
     let covered: Vec<usize> = events.iter().map(journal_variant).collect();
     assert_eq!(covered, (0..24).collect::<Vec<_>>());
     for (step, event) in events.into_iter().enumerate() {
-        let name = format!("{event:?}");
-        assert_one_writer(&name, &event);
         let record = JournalRecord {
             step: step as u64,
             event,
         };
-        assert_one_writer(&name, &record);
+        let (event_name, record_name) = (
+            format!("journal event {step}"),
+            format!("journal record {step}"),
+        );
+        let finite = match &record.event {
+            JournalEvent::Episode { reward: x, .. } | JournalEvent::McBatch { mean: x, .. } => {
+                x.is_finite()
+            }
+            _ => true,
+        };
+        if finite {
+            assert_recorded(&event_name, &record.event, false);
+            assert_recorded(&record_name, &record, false);
+        } else {
+            // A non-finite float prints `null`, which reads back as no
+            // number.
+            assert_streams(&event_name, &record.event);
+            assert_streams(&record_name, &record);
+            assert!(json::from_str::<JournalRecord>(recorded(&record_name)).is_err());
+        }
         // The step leads, and the event's own tag follows it on one level.
         let text = json::to_string(&record);
         assert!(
@@ -227,7 +292,7 @@ fn wal_variant(entry: &WalEntry) -> usize {
 }
 
 #[test]
-fn every_wal_entry_and_job_status_streams_its_tree_text() {
+fn every_wal_entry_and_job_status_streams_its_recorded_text() {
     let spec = JobSpec {
         optimizer: "rl".into(),
         episodes: 60,
@@ -260,14 +325,14 @@ fn every_wal_entry_and_job_status_streams_its_tree_text() {
     let covered: Vec<usize> = entries.iter().map(wal_variant).collect();
     assert_eq!(covered, [0, 1, 2, 2]);
     for (seq, entry) in entries.into_iter().enumerate() {
-        let name = format!("{entry:?}");
-        assert_one_writer(&name, &entry);
-        assert_one_writer(
-            &name,
+        assert_recorded(&format!("wal entry {seq}"), &entry, false);
+        assert_recorded(
+            &format!("wal record {seq}"),
             &WalRecord {
                 seq: seq as u64,
                 entry,
             },
+            false,
         );
     }
 
@@ -279,12 +344,14 @@ fn every_wal_entry_and_job_status_streams_its_tree_text() {
         cache: Some(SessionStats::default()),
         recovered: true,
     };
-    assert_one_writer("job status", &status);
+    assert_recorded("job status", &status, false);
+    assert_recorded("job status, pretty", &status, true);
     // Every optional field skipped.
     status.cache = None;
     status.recovered = false;
-    assert_one_writer("bare job status", &status);
-    assert_one_writer("hierarchy", &HwHierarchy::isaac());
+    assert_recorded("bare job status", &status, false);
+    assert_recorded("bare job status, pretty", &status, true);
+    assert_recorded("hierarchy", &HwHierarchy::isaac(), false);
 }
 
 #[test]

@@ -255,28 +255,28 @@ fn malformed_hw_configs_are_rejected_at_admission_over_http() {
     })
     .expect("bind");
 
-    let mut hw = lcda_base::json::ToJson::to_json(&lcda::core::HwHierarchy::isaac());
+    let mut hw = lcda_base::json::to_value(&lcda::core::HwHierarchy::isaac());
     hw["chip"]["noc"]["cost"] = lcda_base::json!([[0.0, 1.0]]);
     let spec = lcda_base::json!({ "hw": hw }).to_string();
     let (status, body) = http(server.addr(), "POST", "/jobs", &spec);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("chip.noc.cost"), "{body}");
 
-    let mut hw = lcda_base::json::ToJson::to_json(&lcda::core::HwHierarchy::isaac());
+    let mut hw = lcda_base::json::to_value(&lcda::core::HwHierarchy::isaac());
     hw["crossbar"]["rows"] = lcda_base::json!(0);
     let spec = lcda_base::json!({ "hw": hw }).to_string();
     let (status, body) = http(server.addr(), "POST", "/jobs", &spec);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("crossbar.rows"), "{body}");
 
-    let mut hw = lcda_base::json::ToJson::to_json(&lcda::core::HwHierarchy::isaac());
+    let mut hw = lcda_base::json::to_value(&lcda::core::HwHierarchy::isaac());
     hw["core"]["bus_gb_s"] = lcda_base::json!(-1.0);
     let spec = lcda_base::json!({ "hw": hw }).to_string();
     let (status, body) = http(server.addr(), "POST", "/jobs", &spec);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("core.bus_gb_s"), "{body}");
 
-    let mut hw = lcda_base::json::ToJson::to_json(&lcda::core::HwHierarchy::isaac());
+    let mut hw = lcda_base::json::to_value(&lcda::core::HwHierarchy::isaac());
     hw["crossbar"]["rws"] = lcda_base::json!(64);
     let spec = lcda_base::json!({ "hw": hw }).to_string();
     let (status, body) = http(server.addr(), "POST", "/jobs", &spec);
@@ -284,7 +284,7 @@ fn malformed_hw_configs_are_rejected_at_admission_over_http() {
 
     // The retired `cim@<config>` spelling is refused by name, with or
     // without `hw`, pointing at the `hw` object.
-    let hw = lcda_base::json::ToJson::to_json(&lcda::core::HwHierarchy::isaac());
+    let hw = lcda_base::json::to_value(&lcda::core::HwHierarchy::isaac());
     for spec in [
         lcda_base::json!({ "backend": "cim@configs/hw/isaac.json" }),
         lcda_base::json!({ "backend": "cim@configs/hw/isaac.json", "hw": hw }),
@@ -323,7 +323,7 @@ fn distinct_hierarchies_partition_the_shared_store() {
     custom.chip.global_buffer_kb = 128;
     let spec2 = lcda_base::json!({
         "episodes": 3, "seed": 4,
-        "hw": lcda_base::json::ToJson::to_json(&custom),
+        "hw": lcda_base::json::to_value(&custom),
     })
     .to_string();
     let (s2, _) = http(server.addr(), "POST", "/jobs", &spec2);
@@ -331,7 +331,7 @@ fn distinct_hierarchies_partition_the_shared_store() {
     // equivalence: it must share job 1's cache entries bit-for-bit.
     let spec3 = lcda_base::json!({
         "episodes": 3, "seed": 4,
-        "hw": lcda_base::json::ToJson::to_json(&HwHierarchy::isaac()),
+        "hw": lcda_base::json::to_value(&HwHierarchy::isaac()),
     })
     .to_string();
     let (s3, _) = http(server.addr(), "POST", "/jobs", &spec3);
