@@ -13,8 +13,8 @@
 //!
 //! # Cache-fingerprint namespacing
 //!
-//! [`crate::pipeline::EvalCache`] keys its context on the evaluator
-//! pair's fingerprints. The model's fingerprint is
+//! The memo store ([`crate::cache::CacheStore`]) keys its context on
+//! the evaluator pair's fingerprints. The model's fingerprint is
 //! `"cim/{digest-of-config}"` ([`backend_fingerprint`]), so a plugged-in
 //! model with another name can never collide with it even if their
 //! config digests did: a memoized `cim` result is structurally

@@ -1,13 +1,12 @@
 //! The shared, cross-run evaluation cache: [`CacheStore`] and
 //! [`CacheSession`].
 //!
-//! PR 2 introduced the content-addressed memo table as a per-pipeline
-//! [`EvalCache`] embedded in [`crate::Checkpoint`]. That shape is right
-//! for a one-shot CLI run but wrong for a job server: when many searches
-//! share one process, most of the throughput win comes from *cross-run*
-//! admission — user B's search hitting entries user A's search already
-//! paid for. This module extracts the memo table into a standalone,
-//! process-wide [`CacheStore`]:
+//! The content-addressed memo table of every run lives in a
+//! [`CacheStore`]. A one-shot CLI run keeps a private one; a job server
+//! shares one across its jobs, because when many searches share one
+//! process most of the throughput win comes from *cross-run* admission —
+//! user B's search hitting entries user A's search already paid for. A
+//! store is:
 //!
 //! - **concurrent** — a cheaply cloneable handle over a
 //!   `std::sync::Mutex`, locked poison-tolerantly so a panicking holder
@@ -24,11 +23,11 @@
 //!   namespace), so entries can never cross backends or evaluator
 //!   configurations;
 //! - **one shared key per design** — a [`Key`] is an `Arc<str>`: the
-//!   accuracy and hardware entries, both admission records and every
-//!   checkpoint snapshot of a design hold clones of the one key its
-//!   evaluation allocated, and each context's fingerprint is held once
-//!   per store. Keys order and serialize like `String`s, so the persisted
-//!   bytes are those of owned copies;
+//!   accuracy and hardware entries and both admission records of a
+//!   design hold clones of the one key its evaluation allocated, and each
+//!   context's fingerprint is held once per store. Keys order and
+//!   serialize like `String`s, so the persisted bytes are those of owned
+//!   copies;
 //! - **per-session stat views** — a [`CacheSession`] is one run's window
 //!   onto the store. Lookups and admissions go to the shared table, but
 //!   hit/miss/insert counters are session-local, and a hit on an entry
@@ -41,8 +40,10 @@
 //! private store gets a session only when one of its evaluators
 //! memoizes (the trained evaluator does; the analytic surrogate and `cim`
 //! cost model, cheaper than a lookup, do not), so a private run on the
-//! analytic evaluators admits nothing and checkpoints no memo table. See
-//! the [`crate::pipeline`] docs for the rule.
+//! analytic evaluators admits nothing. See the [`crate::pipeline`] docs
+//! for the rule. A checkpoint carries no memo table: a resumed session
+//! re-admits, silently and as its own, the results its replayed history
+//! records ([`crate::Checkpoint::cache_context`]).
 //!
 //! Consistency argument (why sharing is safe): every in-tree evaluator is
 //! a pure function of `(design, evaluator configuration)`, and the
@@ -55,16 +56,16 @@
 //! a served job byte-identical to the same seeded search run offline.
 
 use crate::evaluate::HwMetrics;
-use crate::{lock, CoreError, Result};
+use crate::{lock, Result};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// A memo key (a design's canonical text) or a context fingerprint: an
 /// immutable string shared by reference count. One evaluation allocates
-/// its design's key once; the store's table, its admission queue and
-/// every checkpoint snapshot hold clones of that one allocation. It
-/// orders, compares and prints exactly like the `String` it replaces.
+/// its design's key once; the store's table and its admission queue hold
+/// clones of that one allocation. It orders, compares and prints exactly
+/// like the `String` it replaces.
 pub type Key = Arc<str>;
 
 /// Hit/miss/insert counters of one cache view (see also [`SessionStats`],
@@ -132,7 +133,8 @@ pub struct StoreStats {
     pub hits: u64,
     /// Lookups that missed, all sessions.
     pub misses: u64,
-    /// Entries admitted by live sessions (absorbed snapshots not counted).
+    /// Entries admitted by live sessions (a resume's re-admissions not
+    /// counted).
     pub inserts: u64,
     /// Hits where the requesting session was not the admitting session.
     pub cross_run_hits: u64,
@@ -141,72 +143,6 @@ pub struct StoreStats {
 }
 
 lcda_base::impl_json!(struct StoreStats { hits, misses, inserts, cross_run_hits, evictions });
-
-/// A serializable snapshot of one context's memo table.
-///
-/// This is the type that rides inside [`crate::Checkpoint`] (field
-/// `eval_cache`): a resumed run re-absorbs it into its store via
-/// [`crate::pipeline::EvalPipeline::restore_cache`]. Counters are
-/// deliberately absent — they are session state, owned by
-/// [`CacheSession`], and were never serialized. Its keys are clones of
-/// the store's [`Key`]s, not copies of their text.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalCache {
-    /// Fingerprint of the evaluator pair that produced the entries.
-    context: Key,
-    /// design text → accuracy in `[0, 1]`.
-    pub(crate) accuracy: BTreeMap<Key, f64>,
-    /// design text → metrics (`None` = constraint violation, a valid and
-    /// deterministic outcome worth memoizing).
-    pub(crate) hardware: BTreeMap<Key, Option<HwMetrics>>,
-}
-
-lcda_base::impl_json!(struct EvalCache { context, accuracy, hardware });
-
-impl EvalCache {
-    /// An empty snapshot bound to an evaluator-context fingerprint.
-    pub fn new(context: impl Into<Key>) -> Self {
-        EvalCache {
-            context: context.into(),
-            accuracy: BTreeMap::new(),
-            hardware: BTreeMap::new(),
-        }
-    }
-
-    /// The evaluator-context fingerprint the entries belong to.
-    pub fn context(&self) -> &str {
-        &self.context
-    }
-
-    /// Number of memoized entries (accuracy + hardware).
-    pub fn len(&self) -> usize {
-        self.accuracy.len() + self.hardware.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.accuracy.is_empty() && self.hardware.is_empty()
-    }
-
-    /// Serializes the snapshot to checkpoint-compatible JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] when serialization fails.
-    pub fn to_json(&self) -> Result<String> {
-        Ok(lcda_base::json::to_string(self))
-    }
-
-    /// Deserializes a snapshot from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] for malformed JSON.
-    pub fn from_json(json: &str) -> Result<Self> {
-        lcda_base::json::from_str(json)
-            .map_err(|e| CoreError::Checkpoint(format!("parse eval cache: {e}")))
-    }
-}
 
 /// Which half of the memo table an entry lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -267,9 +203,6 @@ struct StoreInner {
     admissions: VecDeque<Admission>,
     stats: StoreStats,
     next_session: u64,
-    /// Admissions ever queued: `admissions` holds the last
-    /// `admitted - stats.evictions` of them ([`AdmissionCursor`]).
-    admitted: u64,
 }
 
 impl StoreInner {
@@ -281,16 +214,6 @@ impl StoreInner {
             .get_key_value(&**context)
             .map_or_else(|| context.clone(), |(k, _)| k.clone())
     }
-}
-
-/// A position in a store's admission order. [`CacheSession::catch_up`]
-/// uses it to keep a snapshot of one context current by merging only
-/// the entries admitted since, instead of snapshotting the whole table
-/// again.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct AdmissionCursor {
-    admitted: u64,
-    evictions: u64,
 }
 
 /// The persisted wire format: contexts plus the admission order (the
@@ -365,7 +288,6 @@ impl CacheStore {
                 admissions: VecDeque::new(),
                 stats: StoreStats::default(),
                 next_session: 0,
-                admitted: 0,
             })),
         }
     }
@@ -414,22 +336,6 @@ impl CacheStore {
         lock(&self.inner).stats
     }
 
-    /// Snapshots one context's entries as a checkpoint-compatible
-    /// [`EvalCache`] (empty when the context is unknown).
-    pub fn snapshot(&self, context: &str) -> EvalCache {
-        let g = lock(&self.inner);
-        Self::snapshot_of(&g, &g.intern(&Key::from(context)))
-    }
-
-    fn snapshot_of(g: &StoreInner, context: &Key) -> EvalCache {
-        let mut cache = EvalCache::new(context.clone());
-        if let Some(table) = g.contexts.get(context) {
-            cache.accuracy = Self::values(&table.accuracy);
-            cache.hardware = Self::values(&table.hardware);
-        }
-        cache
-    }
-
     /// A table's entries without their owners, sharing its keys.
     fn values<V: Copy>(table: &BTreeMap<Key, Entry<V>>) -> BTreeMap<Key, V> {
         table.iter().map(|(k, e)| (k.clone(), e.value)).collect()
@@ -440,7 +346,8 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Checkpoint`] when serialization fails.
+    /// Returns [`CoreError::Checkpoint`](crate::CoreError::Checkpoint)
+    /// when serialization fails.
     pub fn to_json(&self) -> Result<String> {
         crate::durable::to_checksummed_json(&self.persisted())
     }
@@ -474,7 +381,8 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Checkpoint`] for malformed or corrupt JSON.
+    /// Returns [`CoreError::Checkpoint`](crate::CoreError::Checkpoint)
+    /// for malformed or corrupt JSON.
     pub fn from_json(json: &str, capacity: Option<usize>) -> Result<Self> {
         crate::durable::from_checksummed_json(json).map(|snap| Self::restore(snap, capacity))
     }
@@ -532,7 +440,6 @@ impl CacheStore {
                     });
                 }
             }
-            g.admitted = order.len() as u64;
             g.admissions = order;
             Self::evict_to_capacity(&mut g);
         }
@@ -544,7 +451,8 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Checkpoint`] on serialization or I/O failure.
+    /// Returns [`CoreError::Checkpoint`](crate::CoreError::Checkpoint)
+    /// on serialization or I/O failure.
     pub fn save(&self, path: &Path) -> Result<()> {
         crate::durable::save_checksummed(path, &self.persisted())
     }
@@ -554,28 +462,10 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Checkpoint`] when the file is unreadable or
-    /// corrupt.
+    /// Returns [`CoreError::Checkpoint`](crate::CoreError::Checkpoint)
+    /// when the file is unreadable or corrupt.
     pub fn load(path: &Path, capacity: Option<usize>) -> Result<Self> {
         crate::durable::load_checksummed(path).map(|snap| Self::restore(snap, capacity))
-    }
-
-    /// Merges a snapshot's entries into the store under `owner`'s id.
-    /// Existing entries keep their original owner (values are identical
-    /// by the purity argument). Non-finite values are refused, exactly as
-    /// at live admission.
-    fn absorb(&self, snapshot: &EvalCache, owner: u64) {
-        let mut g = lock(&self.inner);
-        for (k, v) in &snapshot.accuracy {
-            if v.is_finite() {
-                Self::admit_accuracy(&mut g, &snapshot.context, k, *v, owner);
-            }
-        }
-        for (k, v) in &snapshot.hardware {
-            if v.as_ref().is_none_or(HwMetrics::is_finite) {
-                Self::admit_hardware(&mut g, &snapshot.context, k, *v, owner);
-            }
-        }
     }
 
     /// Inserts an accuracy entry if absent; returns true when the key is
@@ -624,7 +514,6 @@ impl CacheStore {
             kind,
             key: key.clone(),
         });
-        g.admitted += 1;
         Self::evict_to_capacity(g);
     }
 
@@ -773,64 +662,21 @@ impl CacheSession {
         admitted
     }
 
-    /// Snapshots this session's context for checkpointing.
-    pub fn snapshot(&self) -> EvalCache {
-        CacheStore::snapshot_of(&lock(&self.store.inner), &self.context)
-    }
-
-    /// Brings `cache`, this session's snapshot as of `cursor`, up to the
-    /// store's current state and advances the cursor. Only this
-    /// context's entries admitted since `cursor` are merged, so the cost
-    /// follows the new admissions, not the table size, and the merged
-    /// keys are clones of the store's. No snapshot yet, one of another
-    /// context, or one that an eviction since `cursor` made stale, is
-    /// taken again whole.
-    pub(crate) fn catch_up(&self, cache: &mut Option<EvalCache>, cursor: &mut AdmissionCursor) {
-        let g = lock(&self.store.inner);
-        match cache {
-            Some(cache)
-                if cache.context == self.context && cursor.evictions == g.stats.evictions =>
-            {
-                if let Some(table) = g.contexts.get(&self.context) {
-                    let fresh = g.admitted.saturating_sub(cursor.admitted) as usize;
-                    let skip = g.admissions.len().saturating_sub(fresh);
-                    for adm in g.admissions.iter().skip(skip) {
-                        if adm.context != self.context {
-                            continue;
-                        }
-                        match adm.kind {
-                            EntryKind::Accuracy => {
-                                if let Some(e) = table.accuracy.get(&adm.key) {
-                                    cache.accuracy.insert(adm.key.clone(), e.value);
-                                }
-                            }
-                            EntryKind::Hardware => {
-                                if let Some(e) = table.hardware.get(&adm.key) {
-                                    cache.hardware.insert(adm.key.clone(), e.value);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            _ => *cache = Some(CacheStore::snapshot_of(&g, &self.context)),
+    /// Admits one episode's results silently: owned by this session, so
+    /// its hits on them are its own, but counted as no insert, here or in
+    /// the store. A resumed run rebuilds its memo this way from the
+    /// history it replays. `accuracy` is `None` where the episode's design
+    /// failed the hardware check, so its accuracy was never evaluated.
+    /// Keys the store holds keep their entries, and non-finite values are
+    /// refused, as at live admission.
+    pub(crate) fn readmit(&self, key: &Key, hardware: Option<HwMetrics>, accuracy: Option<f64>) {
+        let mut g = lock(&self.store.inner);
+        if hardware.as_ref().is_none_or(HwMetrics::is_finite) {
+            CacheStore::admit_hardware(&mut g, &self.context, key, hardware, self.id);
         }
-        *cursor = AdmissionCursor {
-            admitted: g.admitted,
-            evictions: g.stats.evictions,
-        };
-    }
-
-    /// Absorbs a checkpoint snapshot into the store under this session's
-    /// ownership (a resumed run's rehydrated entries serve *own* hits,
-    /// not cross-run hits). Returns false — and absorbs nothing — when
-    /// the snapshot's context fingerprint does not match this session's.
-    pub fn absorb(&mut self, snapshot: &EvalCache) -> bool {
-        if snapshot.context != self.context {
-            return false;
+        if let Some(value) = accuracy.filter(|v| v.is_finite()) {
+            CacheStore::admit_accuracy(&mut g, &self.context, key, value, self.id);
         }
-        self.store.absorb(snapshot, self.id);
-        true
     }
 }
 
@@ -854,6 +700,11 @@ mod tests {
             lcda_base::json::to_string_pretty(&empty),
             "{\n  \"version\": 1,\n  \"contexts\": {},\n  \"admissions\": []\n}"
         );
+    }
+
+    /// The store's persisted text: its entries and admission order.
+    fn persisted(store: &CacheStore) -> String {
+        lcda_base::json::to_string(&store.persisted())
     }
 
     fn hw(latency: f64) -> Option<HwMetrics> {
@@ -932,50 +783,9 @@ mod tests {
         assert_eq!(store.len(), 2);
     }
 
-    /// A snapshot kept current through `catch_up` always equals a fresh
-    /// one, across other contexts' admissions, re-admissions, absorbed
-    /// snapshots, evictions and a reload.
-    #[test]
-    fn catch_up_keeps_a_snapshot_equal_to_a_fresh_one() {
-        for capacity in [None, Some(5)] {
-            let store = capacity.map_or_else(CacheStore::new, CacheStore::with_capacity);
-            let mut mine = store.session("ctx");
-            let mut other = store.session("ctx");
-            let mut foreign = store.session("other-ctx");
-            let mut cache = None;
-            let mut cursor = AdmissionCursor::default();
-            for i in 0..12 {
-                mine.insert_accuracy(format!("d{i}"), 0.5);
-                foreign.insert_hardware(format!("d{i}"), None);
-                if i % 3 == 0 {
-                    other.insert_hardware(format!("d{}", i / 3), hw(1.0));
-                    mine.insert_accuracy("d0", 0.5);
-                }
-                if i == 7 {
-                    let mut absorbed = EvalCache::new("ctx");
-                    absorbed.accuracy.insert("restored".into(), 0.25);
-                    mine.absorb(&absorbed);
-                }
-                mine.catch_up(&mut cache, &mut cursor);
-                assert_eq!(
-                    cache.as_ref(),
-                    Some(&mine.snapshot()),
-                    "capacity {capacity:?}, step {i}"
-                );
-            }
-            // A store reloaded from disk catches up from a default cursor.
-            let reloaded = CacheStore::from_json(&store.to_json().unwrap(), capacity).unwrap();
-            let session = reloaded.session("ctx");
-            let mut cache = Some(EvalCache::new("ctx"));
-            session.catch_up(&mut cache, &mut AdmissionCursor::default());
-            assert_eq!(cache, Some(session.snapshot()));
-        }
-    }
-
     /// One evaluation allocates its design's key once: the accuracy and
-    /// hardware entries, both admissions and a caught-up checkpoint
-    /// snapshot hold that one allocation, and every holder of the
-    /// context shares the store's.
+    /// hardware entries and both admissions hold that one allocation, and
+    /// every holder of the context shares the store's.
     #[test]
     fn every_holder_shares_one_key_per_design() {
         use crate::backend::CimBackend;
@@ -991,9 +801,6 @@ mod tests {
         // The analytic pair memoizes only on an attached store.
         pipeline.attach_store(&CacheStore::new());
         pipeline.evaluate(&design).unwrap();
-        let mut snapshot = None;
-        pipeline.catch_up_cache(&mut snapshot, &mut AdmissionCursor::default());
-        let snapshot = snapshot.unwrap();
 
         let text = design.to_response_text();
         let g = lock(&pipeline.cache_store().inner);
@@ -1003,18 +810,15 @@ mod tests {
             table.hardware.get_key_value(text.as_str()).unwrap().0,
             &g.admissions[0].key,
             &g.admissions[1].key,
-            snapshot.accuracy.get_key_value(text.as_str()).unwrap().0,
-            snapshot.hardware.get_key_value(text.as_str()).unwrap().0,
         ];
         for holder in holders {
             assert!(Arc::ptr_eq(key, holder));
         }
-        assert_eq!(Arc::strong_count(key), 6, "no other holder");
+        assert_eq!(Arc::strong_count(key), 4, "no other holder");
         assert!(g
             .admissions
             .iter()
             .all(|a| Arc::ptr_eq(&a.context, context)));
-        assert!(Arc::ptr_eq(&snapshot.context, context));
     }
 
     /// A loaded store keeps the first record of each live entry in file
@@ -1060,7 +864,6 @@ mod tests {
             (Hardware, "a"),
         ];
         assert_eq!(order, expected);
-        assert_eq!(g.admitted, 5);
         for a in &g.admissions {
             let (context, table) = g.contexts.get_key_value(&a.context).unwrap();
             assert!(Arc::ptr_eq(&a.context, context));
@@ -1139,9 +942,9 @@ mod tests {
         assert_eq!(back.len(), store.len());
         assert_eq!(back.capacity(), Some(4));
         assert_eq!(
-            back.snapshot("ctx"),
-            store.snapshot("ctx"),
-            "entries survive the round-trip"
+            persisted(&back),
+            persisted(&store),
+            "entries and their order survive the round-trip"
         );
 
         // Eviction continues from the persisted admission order: the next
@@ -1150,7 +953,7 @@ mod tests {
         let mut s2 = back.session("ctx");
         s1.insert_hardware("dX", None);
         s2.insert_hardware("dX", None);
-        assert_eq!(store.snapshot("ctx"), back.snapshot("ctx"));
+        assert_eq!(persisted(&store), persisted(&back));
 
         // Rehydrated entries are owned by pseudo-session 0 → cross-run.
         let mut probe = back.session("ctx");
@@ -1184,7 +987,7 @@ mod tests {
         store.save(&path).unwrap();
         let back = CacheStore::load(&path, None).unwrap();
         let _ = std::fs::remove_file(&path);
-        assert_eq!(back.snapshot("ctx"), store.snapshot("ctx"));
+        assert_eq!(persisted(&back), persisted(&store));
         assert!(CacheStore::load(
             &std::env::temp_dir().join("lcda-cache-store-missing.json"),
             None
@@ -1192,25 +995,37 @@ mod tests {
         .is_err());
     }
 
+    /// A resume's re-admissions are the session's own entries but count
+    /// no insert; a key the store holds keeps its entry, and accuracy
+    /// rides only with a hardware result.
     #[test]
-    fn absorb_respects_context_and_ownership() {
+    fn readmissions_are_owned_but_not_counted() {
         let store = CacheStore::new();
-        let mut donor = store.session("ctx");
-        donor.insert_accuracy("d", 0.5);
-        let snapshot = donor.snapshot();
+        let mut other = store.session("ctx");
+        other.insert_hardware("held", hw(1.0));
+        let mut resumed = store.session("ctx");
+        resumed.readmit(&Key::from("held"), hw(9.0), Some(0.5));
+        resumed.readmit(&Key::from("fits"), hw(2.0), Some(0.25));
+        resumed.readmit(&Key::from("too big"), None, None);
+        resumed.readmit(&Key::from("nan"), hw(2.0), Some(f64::NAN));
+        // held: the live hardware entry plus the accuracy; fits: both;
+        // too big and nan: hardware only.
+        assert_eq!(store.len(), 6);
+        assert_eq!(resumed.stats(), SessionStats::default());
+        assert_eq!(store.stats().inserts, 1, "only the live insert");
 
-        let other = CacheStore::new();
-        let mut wrong = other.session("different");
-        assert!(!wrong.absorb(&snapshot));
-        assert!(other.is_empty());
-
-        let mut right = other.session("ctx");
-        assert!(right.absorb(&snapshot));
-        assert_eq!(other.len(), 1);
-        // Absorbing session owns the entries: hits are not cross-run.
-        assert_eq!(right.lookup_accuracy("d"), Some(0.5));
-        assert_eq!(right.stats().cross_run_hits, 0);
-        assert_eq!(right.stats().hits, 1);
+        assert_eq!(resumed.lookup_hardware("held"), Some(hw(1.0)));
+        assert_eq!(
+            resumed.stats().cross_run_hits,
+            1,
+            "the first owner keeps it"
+        );
+        assert_eq!(resumed.lookup_accuracy("fits"), Some(0.25));
+        assert_eq!(resumed.lookup_hardware("too big"), Some(None));
+        assert_eq!(resumed.lookup_accuracy("too big"), None);
+        assert_eq!(resumed.lookup_accuracy("nan"), None, "non-finite refused");
+        let stats = resumed.stats();
+        assert_eq!((stats.hits, stats.cross_run_hits), (3, 1), "own hits");
     }
 
     #[test]

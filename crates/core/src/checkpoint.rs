@@ -2,11 +2,13 @@
 //!
 //! A [`Checkpoint`] snapshots everything a killed `lcda search` run needs
 //! to continue: the run configuration, the optimizer's name, every
-//! episode record so far and the evaluation memo table. An LLM
+//! episode record so far and the context of its evaluation memo. An LLM
 //! optimizer's conversation transcript is not stored: replay (below)
 //! rebuilds it exchange for exchange. Each exchange holds how its prompt
 //! was built, not the text, and `LlmOptimizer::prompt` renders it again
-//! from the replayed history.
+//! from the replayed history. Nor is the memo table: every evaluator is
+//! pure, so each record already holds what its evaluation memoized, and
+//! resume rebuilds the memo from the replayed records.
 //!
 //! Resume does **not** serialize RNG internals. Instead
 //! [`crate::CoDesign`] *replays* the recorded episodes through the
@@ -22,29 +24,23 @@
 //! [`CheckpointStore`] persists a run as an append-only JSONL log, so a
 //! save costs what the episode added, not the whole history. The first
 //! line is a header: version, config, optimizer, backend, hardware digest
-//! and the memo table's context. Each save appends one checksummed line
-//! holding only the episodes and memo entries the log does not hold yet,
-//! and fsyncs it. A save starts a new log — written atomically, rotating
-//! the older logs into generations (`--keep-checkpoints N`) — only when
-//! no log of the same header is open or on disk, or when the checkpoint
-//! no longer extends what the log holds. Loading salvages a torn final
-//! line; a bad header or mid-file damage falls back to the previous
-//! generation. A whole-file checkpoint ([`Checkpoint::save`], and every
-//! file written before the log) still loads. `durable.rs` holds these
-//! rules for every artifact.
+//! and the memo context. Each save appends one checksummed line holding
+//! only the episodes the log does not hold yet, and fsyncs it. A save
+//! starts a new log — written atomically, rotating the older logs into
+//! generations (`--keep-checkpoints N`) — only when no log of the same
+//! header is open or on disk, or when the checkpoint no longer extends
+//! what the log holds. Loading salvages a torn final line; a bad header
+//! or mid-file damage falls back to the previous generation. A whole-file
+//! checkpoint, and a log line with memo entries, both written by older
+//! builds, still load; their memo tables are ignored. `durable.rs` holds
+//! these rules for every artifact.
 
-use crate::cache::Key;
 use crate::codesign::{CoDesignConfig, EpisodeRecord};
 use crate::durable::{
     append_line, atomic_write, from_checksummed_json, generation_path, open_jsonl,
-    rotate_generations, save_checksummed, to_checksummed_compact_json, to_checksummed_json,
-    valid_jsonl_prefix,
+    rotate_generations, to_checksummed_compact_json, valid_jsonl_prefix,
 };
-use crate::evaluate::HwMetrics;
-use crate::pipeline::{EvalCache, Fnv};
 use crate::{lock, CoreError, Result};
-use std::collections::{BTreeMap, HashSet};
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -83,11 +79,12 @@ pub struct Checkpoint {
     /// not stored (older files that carry one still load; the entry is
     /// ignored).
     pub history: Vec<EpisodeRecord>,
-    /// The evaluation memo table ([`crate::pipeline::EvalCache`]), so a
-    /// resumed run re-serves already-evaluated designs from memory.
-    /// Optional: checkpoints written before the pipeline existed (or by
-    /// runs with caching off) load fine without it.
-    pub eval_cache: Option<EvalCache>,
+    /// The context fingerprint of the run's memo session
+    /// (`EvalPipeline::memo_context`), `None` for a run that
+    /// keeps no memo. A resumed run rebuilds its memo from `history` only
+    /// under this same context, so no value from another evaluator
+    /// configuration is ever served.
+    pub cache_context: Option<String>,
 }
 
 lcda_base::impl_json!(struct Checkpoint {
@@ -96,8 +93,8 @@ lcda_base::impl_json!(struct Checkpoint {
     optimizer,
     #[default = default_backend_name] backend,
     #[skip_if = Option::is_none] hw_digest,
+    #[skip_if = Option::is_none] cache_context,
     history,
-    #[skip_if = Option::is_none] eval_cache,
 });
 
 impl Checkpoint {
@@ -114,15 +111,8 @@ impl Checkpoint {
             backend: default_backend_name(),
             hw_digest: None,
             history,
-            eval_cache: None,
+            cache_context: None,
         }
-    }
-
-    /// Attaches the evaluation memo table (builder style).
-    #[must_use]
-    pub fn with_eval_cache(mut self, cache: EvalCache) -> Self {
-        self.eval_cache = Some(cache);
-        self
     }
 
     /// Stamps the hardware backend name (builder style).
@@ -145,18 +135,10 @@ impl Checkpoint {
         self.history.len() as u64
     }
 
-    /// Serializes to pretty JSON with an embedded content checksum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] when serialization fails.
-    pub fn to_json(&self) -> Result<String> {
-        to_checksummed_json(self)
-    }
-
-    /// Deserializes from JSON, verifying the content checksum (when
-    /// present — pre-checksum files load unverified) and the format
-    /// version.
+    /// Deserializes a whole-file checkpoint, verifying the content
+    /// checksum (when present — pre-checksum files load unverified) and
+    /// the format version. Only older builds wrote whole files; this
+    /// build writes logs ([`CheckpointStore`]).
     ///
     /// # Errors
     ///
@@ -172,25 +154,10 @@ impl Checkpoint {
         Ok(self)
     }
 
-    /// Writes the checkpoint as one whole file, atomically **and
-    /// durably**: serialize to `<file>.tmp`, fsync it, rename over
-    /// `path`, then fsync the parent directory. A kill at any instant
-    /// leaves either the previous or the new checkpoint — never a torn
-    /// file — and a power cut after return cannot unpublish the rename.
-    /// A run saving every episode wants [`CheckpointStore::save`], which
-    /// appends only what changed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Checkpoint`] on serialization or I/O failure.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        save_checksummed(path, self)
-    }
-
     /// Reads a checkpoint from disk: a checkpoint log
     /// ([`CheckpointStore`]), salvaging a torn final line, or a whole
-    /// file ([`Checkpoint::save`]), which is pretty JSON and so starts
-    /// with a lone `{` line.
+    /// file ([`Checkpoint::from_json`]), which is pretty JSON and so
+    /// starts with a lone `{` line.
     ///
     /// # Errors
     ///
@@ -222,8 +189,7 @@ fn check_version(version: u32) -> Result<()> {
 }
 
 /// The first line of a checkpoint log: everything of a [`Checkpoint`]
-/// except its history and memo entries. `cache_context` is the memo
-/// table's context, `None` for a run with caching off.
+/// except its history.
 struct LogHeader {
     version: u32,
     config: CoDesignConfig,
@@ -251,27 +217,40 @@ impl LogHeader {
             optimizer: cp.optimizer.clone(),
             backend: cp.backend.clone(),
             hw_digest: cp.hw_digest.clone(),
-            cache_context: cp.eval_cache.as_ref().map(|c| c.context().to_string()),
+            cache_context: cp.cache_context.clone(),
         })
     }
 }
 
-/// Every line after the header: the episodes and memo entries one save
-/// added. Its keys are clones of the checkpoint's, not copies.
-#[derive(Default)]
+/// Every line after the header: the episodes one save added.
 struct LogDelta {
     history: Vec<EpisodeRecord>,
-    accuracy: BTreeMap<Key, f64>,
-    hardware: BTreeMap<Key, Option<HwMetrics>>,
+    accuracy: NoMemo,
+    hardware: NoMemo,
 }
 
-lcda_base::impl_json!(struct LogDelta { history, accuracy, hardware });
+lcda_base::impl_json!(struct LogDelta { history, #[default] accuracy, #[default] hardware });
 
 impl LogDelta {
-    fn is_empty(&self) -> bool {
-        self.history.is_empty() && self.accuracy.is_empty() && self.hardware.is_empty()
+    fn of(history: Vec<EpisodeRecord>) -> Self {
+        LogDelta {
+            history,
+            accuracy: NoMemo {},
+            hardware: NoMemo {},
+        }
     }
 }
+
+/// Where older builds wrote the memo entries a save added. A line holds
+/// an empty object there, so a log keeps the bytes it always had, and
+/// the entries of an older line are read past: resume rebuilds the memo
+/// from the history.
+#[derive(Default)]
+struct NoMemo {}
+
+lcda_base::impl_json!(
+    struct NoMemo {}
+);
 
 /// Decodes the next line of a log into `log`, the checkpoint its lines
 /// so far rebuild: the header first, then deltas.
@@ -282,74 +261,34 @@ fn decode_log_line(log: &mut Option<Checkpoint>, line: &str) -> Result<()> {
         let mut cp = Checkpoint::new(header.config, header.optimizer, Vec::new())
             .with_backend(header.backend)
             .with_hw_digest(header.hw_digest);
-        cp.eval_cache = header.cache_context.map(EvalCache::new);
+        cp.cache_context = header.cache_context;
         *log = Some(cp);
         return Ok(());
     };
     let delta: LogDelta = from_checksummed_json(line)?;
     cp.history.extend(delta.history);
-    if let Some(cache) = &mut cp.eval_cache {
-        cache.accuracy.extend(delta.accuracy);
-        cache.hardware.extend(delta.hardware);
-    } else if !delta.accuracy.is_empty() || !delta.hardware.is_empty() {
-        return Err(CoreError::Checkpoint(
-            "memo entries in a log without a memo table".into(),
-        ));
-    }
     Ok(())
 }
 
-/// A memo key's identity in a log: which table, and the design text.
-fn key_fingerprint(table: char, key: &str) -> u64 {
-    let mut h = Fnv::default();
-    // Writing into the hasher cannot fail.
-    let _ = write!(h, "{table}{key}");
-    h.value()
-}
-
 /// What a checkpoint log holds, enough to tell whether a checkpoint
-/// extends it and what a save must append. Memo keys are kept as 64-bit
-/// fingerprints, not copies; a collision only costs the colliding entry
-/// on resume (a memo miss, never a wrong result).
+/// extends it and what a save must append.
 #[derive(Debug, Default)]
 struct Held {
     episodes: usize,
     /// The last episode record the log holds.
     last: Option<EpisodeRecord>,
-    keys: HashSet<u64>,
 }
 
 impl Held {
     /// What `cp` adds to the log, or `None` when `cp` does not extend
-    /// it: fewer episodes, another last record, or a memo entry the log
-    /// holds that `cp` lacks.
+    /// it: fewer episodes, or another last record.
     fn delta(&self, cp: &Checkpoint) -> Option<LogDelta> {
         if cp.history.len() < self.episodes
             || self.episodes.checked_sub(1).map(|i| &cp.history[i]) != self.last.as_ref()
         {
             return None;
         }
-        let mut delta = LogDelta {
-            history: cp.history[self.episodes..].to_vec(),
-            ..LogDelta::default()
-        };
-        if let Some(cache) = &cp.eval_cache {
-            for (key, value) in &cache.accuracy {
-                if !self.keys.contains(&key_fingerprint('a', key)) {
-                    delta.accuracy.insert(key.clone(), *value);
-                }
-            }
-            for (key, value) in &cache.hardware {
-                if !self.keys.contains(&key_fingerprint('h', key)) {
-                    delta.hardware.insert(key.clone(), *value);
-                }
-            }
-            let held = cache.len() - delta.accuracy.len() - delta.hardware.len();
-            if held < self.keys.len() {
-                return None;
-            }
-        }
-        Some(delta)
+        Some(LogDelta::of(cp.history[self.episodes..].to_vec()))
     }
 
     /// Records that `delta` is now in the log.
@@ -358,9 +297,6 @@ impl Held {
         if let Some(last) = delta.history.last() {
             self.last = Some(last.clone());
         }
-        let accuracy = delta.accuracy.keys().map(|k| key_fingerprint('a', k));
-        let hardware = delta.hardware.keys().map(|k| key_fingerprint('h', k));
-        self.keys.extend(accuracy.chain(hardware));
     }
 }
 
@@ -374,9 +310,9 @@ struct OpenLog {
 
 impl OpenLog {
     /// Appends `delta` as one checksummed, fsynced line; nothing when it
-    /// is empty.
+    /// holds no episode.
     fn append(&mut self, path: &Path, delta: LogDelta) -> Result<()> {
-        if delta.is_empty() {
+        if delta.history.is_empty() {
             return Ok(());
         }
         let line = to_checksummed_compact_json(&delta)?;
@@ -443,8 +379,8 @@ impl CheckpointStore {
     }
 
     /// Persists `checkpoint`. When it extends the log at the base path —
-    /// same header, and everything the log holds — one checksummed line
-    /// with only the new episodes and memo entries is appended and
+    /// same header, and every episode the log holds — one checksummed
+    /// line with only the new episodes is appended and
     /// fsynced; nothing is written when there is nothing new. Otherwise
     /// the older logs rotate up a generation and a new log holding the
     /// whole checkpoint is written atomically. The store keeps the log
@@ -517,14 +453,7 @@ impl CheckpointStore {
     /// holding all of `checkpoint`, atomically and durably.
     fn start_log(&self, header: String, checkpoint: &Checkpoint) -> Result<OpenLog> {
         rotate_generations(&self.path, self.keep)?;
-        let mut delta = LogDelta {
-            history: checkpoint.history.clone(),
-            ..LogDelta::default()
-        };
-        if let Some(cache) = &checkpoint.eval_cache {
-            delta.accuracy.clone_from(&cache.accuracy);
-            delta.hardware.clone_from(&cache.hardware);
-        }
+        let delta = LogDelta::of(checkpoint.history.clone());
         let body = to_checksummed_compact_json(&delta)?;
         atomic_write(&self.path, |out| writeln!(out, "{header}\n{body}"))?;
         let file = OpenOptions::new()
@@ -573,7 +502,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::{to_checksummed_compact_json, CHECKSUM_KEY};
+    use crate::durable::{save_checksummed, to_checksummed_json, CHECKSUM_KEY};
     use crate::reward::Objective;
     use lcda_base::json::Value;
 
@@ -587,14 +516,9 @@ mod tests {
     #[test]
     fn a_log_delta_streams_its_recorded_text() {
         let cp = crate::durable::tests::searched_checkpoint(&crate::CacheStore::new());
-        let cache = cp.eval_cache.clone().unwrap();
-        let delta = LogDelta {
-            history: cp.history[8..].to_vec(),
-            accuracy: cache.accuracy,
-            hardware: cache.hardware,
-        };
+        let delta = LogDelta::of(cp.history[8..].to_vec());
         crate::durable::tests::assert_recorded("log delta", &delta);
-        let empty = LogDelta::default();
+        let empty = LogDelta::of(Vec::new());
         assert_eq!(
             lcda_base::json::to_string(&empty),
             r#"{"history":[],"accuracy":{},"hardware":{}}"#
@@ -603,16 +527,24 @@ mod tests {
             lcda_base::json::to_string_pretty(&empty),
             "{\n  \"history\": [],\n  \"accuracy\": {},\n  \"hardware\": {}\n}"
         );
+        // An older build's line also held the memo entries the save
+        // added: they are read past.
+        let older = r#"{"history":[],"accuracy":{"d":0.5},"hardware":{"d":null}}"#;
+        let read: LogDelta = lcda_base::json::from_str(older).unwrap();
+        assert_eq!(
+            lcda_base::json::to_string(&read),
+            lcda_base::json::to_string(&empty)
+        );
     }
 
     #[test]
     fn checksum_is_stable_across_write_parse_write() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new())
-            .with_hw_digest(Some("0123456789abcdef".into()))
-            .with_eval_cache(EvalCache::new("deadbeefdeadbeef"));
-        let first = cp.to_json().unwrap();
+        let mut cp = Checkpoint::new(cfg(), "random", Vec::new())
+            .with_hw_digest(Some("0123456789abcdef".into()));
+        cp.cache_context = Some("deadbeefdeadbeef".into());
+        let first = to_checksummed_json(&cp).unwrap();
         assert!(first.starts_with("{\n  \"checksum\": \""), "{first}");
-        let second = Checkpoint::from_json(&first).unwrap().to_json().unwrap();
+        let second = to_checksummed_json(&Checkpoint::from_json(&first).unwrap()).unwrap();
         assert_eq!(first, second);
         // The compact form carries the same digest.
         let compact = to_checksummed_compact_json(&cp).unwrap();
@@ -620,8 +552,8 @@ mod tests {
         assert_eq!(digest(&compact), digest(&first));
     }
 
-    /// Every durable artifact saves the bytes its `to_json` renders, and
-    /// the streamed checksum is the fingerprint of the compact text.
+    /// Every durable artifact saves streamed text whose checksum is the
+    /// fingerprint of its compact form without the checksum.
     #[test]
     fn saves_stream_exactly_what_to_json_renders() {
         use crate::codesign::{CoDesign, OptimizerSpec};
@@ -630,17 +562,16 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("lcda-ckpt-stream-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let saved_as = |path: &Path, expected: String| {
-            let text = std::fs::read_to_string(path).unwrap();
-            assert_eq!(text, expected, "{}", path.display());
-            let mut value = Value::parse(&text).unwrap();
+        let verifies = |text: &str| {
+            let mut value = Value::parse(text).unwrap();
             let recorded = value.remove(CHECKSUM_KEY).unwrap();
             let fingerprint = stable_fingerprint(&[&value.to_string()]);
-            assert_eq!(recorded.as_str(), Some(fingerprint.as_str()));
+            assert_eq!(recorded.as_str(), Some(fingerprint.as_str()), "{text}");
         };
 
-        // A checkpoint of a real run: history plus a filled eval_cache
-        // (an attached store memoizes the analytic evaluators).
+        // The log of a real run: its header names the memo context of
+        // an attached store (where the analytic evaluators memoize).
+        let store = CheckpointStore::new(dir.join("run.json"), 1).unwrap();
         let mut last = None;
         CoDesign::builder(DesignSpace::tiny_test(), cfg())
             .optimizer(OptimizerSpec::Random)
@@ -649,13 +580,18 @@ mod tests {
             .unwrap()
             .run_resumable(None, |cp| {
                 last = Some(cp.clone());
-                Ok(())
+                store.save(cp)
             })
             .unwrap();
         let cp = last.unwrap();
-        assert!(cp.eval_cache.as_ref().is_some_and(|c| !c.is_empty()));
-        cp.save(&dir.join("run.json")).unwrap();
-        saved_as(&dir.join("run.json"), cp.to_json().unwrap());
+        assert!(cp.cache_context.is_some());
+        let log = std::fs::read_to_string(store.path()).unwrap();
+        assert_eq!(log.lines().count(), 5, "a header and four episodes");
+        assert_eq!(
+            log.lines().next(),
+            Some(LogHeader::line_of(&cp).unwrap().as_str())
+        );
+        log.lines().for_each(verifies);
 
         // A cache store, with a key that needs escaping.
         let store = crate::cache::CacheStore::new();
@@ -663,14 +599,16 @@ mod tests {
         session.insert_accuracy("[[32,3]] | \"quoted\"", 0.875);
         session.insert_hardware("[[64,5]]", None);
         store.save(&dir.join("store.json")).unwrap();
-        saved_as(&dir.join("store.json"), store.to_json().unwrap());
+        let text = std::fs::read_to_string(dir.join("store.json")).unwrap();
+        assert_eq!(text, store.to_json().unwrap());
+        verifies(&text);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn json_roundtrip() {
         let cp = Checkpoint::new(cfg(), "lcda/sim-llm/pretrained", Vec::new());
-        let json = cp.to_json().unwrap();
+        let json = to_checksummed_json(&cp).unwrap();
         let back = Checkpoint::from_json(&json).unwrap();
         assert_eq!(cp, back);
         assert_eq!(back.episodes_done(), 0);
@@ -690,8 +628,8 @@ mod tests {
         let cp = Checkpoint::new(cfg(), "x", Vec::new());
         // Strip the checksum so the (older) version gate is what fires,
         // not the corruption gate.
-        let json =
-            strip_checksum(&cp.to_json().unwrap()).replace("\"version\": 1", "\"version\": 99");
+        let json = strip_checksum(&to_checksummed_json(&cp).unwrap())
+            .replace("\"version\": 1", "\"version\": 99");
         match Checkpoint::from_json(&json) {
             Err(CoreError::Checkpoint(msg)) => assert!(msg.contains("version")),
             other => panic!("expected version error, got {other:?}"),
@@ -701,8 +639,7 @@ mod tests {
     #[test]
     fn tampered_json_fails_the_checksum() {
         let cp = Checkpoint::new(cfg(), "random", Vec::new());
-        let json = cp
-            .to_json()
+        let json = to_checksummed_json(&cp)
             .unwrap()
             .replace("\"version\": 1", "\"version\": 99");
         match Checkpoint::from_json(&json) {
@@ -716,7 +653,7 @@ mod tests {
     #[test]
     fn checksum_roundtrip_and_legacy_files_load_unverified() {
         let cp = Checkpoint::new(cfg(), "random", Vec::new());
-        let json = cp.to_json().unwrap();
+        let json = to_checksummed_json(&cp).unwrap();
         assert!(json.contains("\"checksum\""));
         assert_eq!(Checkpoint::from_json(&json).unwrap(), cp);
         // A pre-checksum file has no checksum key and still loads.
@@ -738,7 +675,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("lcda-ckpt-test-{}.json", std::process::id()));
         let cp = Checkpoint::new(cfg(), "random", Vec::new());
-        cp.save(&path).unwrap();
+        save_checksummed(&path, &cp).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(cp, back);
         // No stray temp file left behind (`<file>.tmp`, appended so
@@ -748,37 +685,36 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A whole file from a build whose checkpoints carried a memo table
+    /// (`eval_cache`) loads without it: no memo context, so a resume
+    /// rebuilds no memo.
     #[test]
-    fn eval_cache_rides_along_and_legacy_json_loads_without_it() {
-        let cp = Checkpoint::new(cfg(), "random", Vec::new())
-            .with_eval_cache(EvalCache::new("deadbeefdeadbeef"));
-        let json = cp.to_json().unwrap();
+    fn an_older_whole_files_memo_table_is_ignored() {
+        let cp = Checkpoint::new(cfg(), "random", Vec::new());
+        let Value::Object(mut fields) = Value::parse(&lcda_base::json::to_string(&cp)).unwrap()
+        else {
+            panic!("a checkpoint is an object");
+        };
+        let memo = r#"{"context":"deadbeefdeadbeef","accuracy":{"d":0.5},"hardware":{"d":null}}"#;
+        fields.push(("eval_cache".into(), Value::parse(memo).unwrap()));
+        let json = to_checksummed_json(&Value::Object(fields)).unwrap();
         assert!(json.contains("eval_cache"));
         let back = Checkpoint::from_json(&json).unwrap();
-        assert_eq!(
-            back.eval_cache.as_ref().unwrap().context(),
-            "deadbeefdeadbeef"
-        );
-
-        // A pre-pipeline checkpoint has no eval_cache key at all.
-        let legacy = Checkpoint::new(cfg(), "random", Vec::new());
-        let back = Checkpoint::from_json(&legacy.to_json().unwrap()).unwrap();
-        assert!(back.eval_cache.is_none());
+        assert_eq!(back, cp);
+        assert!(back.cache_context.is_none());
     }
 
     #[test]
     fn backend_stamp_roundtrips_and_legacy_json_defaults_to_cim() {
         let cp = Checkpoint::new(cfg(), "random", Vec::new()).with_backend("stub");
-        let back = Checkpoint::from_json(&cp.to_json().unwrap()).unwrap();
+        let back = Checkpoint::from_json(&to_checksummed_json(&cp).unwrap()).unwrap();
         assert_eq!(back.backend, "stub");
 
         // A pre-backend checkpoint has no `backend` key at all (and, being
         // that old, no checksum either); it must load under the default
         // `cim` backend (forward compatibility).
-        let json = Checkpoint::new(cfg(), "random", Vec::new())
-            .to_json()
-            .unwrap();
-        let legacy: String = strip_checksum(&json)
+        let json = lcda_base::json::to_string_pretty(&Checkpoint::new(cfg(), "random", Vec::new()));
+        let legacy: String = json
             .lines()
             .filter(|l| !l.trim_start().starts_with("\"backend\""))
             .collect::<Vec<_>>()
@@ -880,7 +816,7 @@ mod tests {
         // One header, then one line per save; no rotation happened.
         assert_eq!(lines(store.path()), 151);
         assert!(!store.generation_path(1).exists());
-        assert!(last.eval_cache.as_ref().is_some_and(|c| c.len() > 150));
+        assert!(last.cache_context.is_some());
         let (loaded, generation) = store.load_latest().unwrap().unwrap();
         assert_eq!((&loaded, generation), (last, 0));
         // Saving a checkpoint the log already holds writes nothing.
@@ -947,8 +883,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.path().parent().unwrap());
     }
 
-    /// Fewer episodes, or a memo table that lost an entry the log holds
-    /// (a bounded store evicts), cannot be appended: a new log starts.
+    /// Fewer episodes, or another record where the log holds its last,
+    /// cannot be appended: a new log starts.
     #[test]
     fn a_checkpoint_that_does_not_extend_the_log_starts_a_new_one() {
         let checkpoints = run_checkpoints(5);
@@ -963,12 +899,10 @@ mod tests {
             store.load_latest().unwrap().unwrap(),
             (checkpoints[2].clone(), 0)
         );
-        let mut evicted = checkpoints[3].clone();
-        let held = checkpoints[2].eval_cache.as_ref().unwrap().accuracy.keys();
-        let gone = held.last().unwrap();
-        evicted.eval_cache.as_mut().unwrap().accuracy.remove(gone);
-        store.save(&evicted).unwrap();
-        assert_eq!(store.load_latest().unwrap().unwrap(), (evicted, 0));
+        let mut diverged = checkpoints[3].clone();
+        diverged.history[2].reward += 1.0;
+        store.save(&diverged).unwrap();
+        assert_eq!(store.load_latest().unwrap().unwrap(), (diverged, 0));
         assert_eq!(
             Checkpoint::load(&store.generation_path(1)).unwrap(),
             checkpoints[2]
@@ -1037,7 +971,7 @@ mod tests {
     fn a_whole_file_checkpoint_loads_and_the_next_save_starts_a_log() {
         let checkpoints = run_checkpoints(3);
         let store = temp_store("whole", 2);
-        checkpoints[1].save(store.path()).unwrap();
+        save_checksummed(store.path(), &checkpoints[1]).unwrap();
         assert_eq!(
             store.load_latest().unwrap().unwrap(),
             (checkpoints[1].clone(), 0)

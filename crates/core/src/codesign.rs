@@ -14,7 +14,6 @@
 //! what makes the episode-count comparison of Fig. 3 fair.
 
 use crate::backend::{CimBackend, DEFAULT_BACKEND};
-use crate::cache::AdmissionCursor;
 use crate::checkpoint::Checkpoint;
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
 use crate::hwconfig::HwHierarchy;
@@ -628,15 +627,17 @@ impl CoDesign {
     /// through the freshly seeded optimizer (re-running `propose` and
     /// `observe` but skipping the evaluators), which restores optimizer
     /// state, RNG streams and transcript bit-exactly without serializing
-    /// RNG internals. `on_checkpoint` is invoked after every completed
-    /// episode with the run's checkpoint, the history so far plus the memo
-    /// table — pass a closure that calls [`crate::CheckpointStore::save`]
-    /// to persist, or a no-op to run unpersisted.
+    /// RNG internals. When the checkpoint names this run's memo context,
+    /// the replayed records are re-admitted to the memo, silently, so
+    /// designs evaluated before the kill stay cheap. `on_checkpoint` is
+    /// invoked after every completed episode with the run's checkpoint,
+    /// the history so far plus the memo context — pass a closure that
+    /// calls [`crate::CheckpointStore::save`] to persist, or a no-op to
+    /// run unpersisted.
     ///
     /// The checkpoint is the loop's own state, updated in place: each
-    /// episode pushes its record and merges only the memo entries the
-    /// store admitted since the previous episode. At the end its history
-    /// moves into the [`Outcome`].
+    /// episode pushes its record. At the end its history moves into the
+    /// [`Outcome`].
     ///
     /// # Errors
     ///
@@ -651,15 +652,20 @@ impl CoDesign {
         let mut state = Checkpoint::new(self.config, self.optimizer.name(), Vec::new())
             .with_backend(&self.backend)
             .with_hw_digest(self.hw_digest.clone());
+        state.cache_context = self.pipeline.memo_context().map(str::to_string);
         if let Some(cp) = resume {
             self.replay(&cp)?;
-            // Rehydrate the evaluation memo table so designs evaluated
-            // before the kill stay cheap. A cache whose context
-            // fingerprint does not match this run's evaluators is
-            // silently dropped — replay above already vouched for the
-            // run's identity, and a mismatched cache only costs misses.
-            if let Some(cache) = cp.eval_cache {
-                self.pipeline.restore_cache(cache);
+            // Rebuild the memo from the replayed records, as their
+            // evaluations admitted it. A checkpoint of another memo
+            // context — another evaluator configuration, or a run that
+            // kept no memo — rebuilds nothing: its values are not this
+            // run's to serve, and missing entries only cost misses.
+            if state.cache_context.is_some() && cp.cache_context == state.cache_context {
+                for rec in &cp.history {
+                    if !rec.quarantined && self.space.architecture(&rec.design).is_ok() {
+                        self.pipeline.readmit(&rec.design, rec.accuracy, rec.hw);
+                    }
+                }
             }
             state.history = cp.history;
         }
@@ -667,7 +673,6 @@ impl CoDesign {
         // reservation up front would abort the process on a huge
         // `episodes` before the first deadline or cancel check.
         let resumed = state.history.len();
-        let mut cursor = AdmissionCursor::default();
         self.journal.record(JournalEvent::RunStart {
             optimizer: self.optimizer.name().to_string(),
             backend: self.backend.clone(),
@@ -694,8 +699,6 @@ impl CoDesign {
                 quarantined: record.quarantined,
             });
             state.history.push(record);
-            self.pipeline
-                .catch_up_cache(&mut state.eval_cache, &mut cursor);
             on_checkpoint(&state)?;
             self.journal.record(JournalEvent::CheckpointSaved {
                 episodes_done: state.episodes_done(),
@@ -1082,8 +1085,8 @@ mod tests {
         assert_eq!(snapshots.len(), 6);
         assert_eq!(snapshots[2].episodes_done(), 3);
         assert!(
-            snapshots[5].eval_cache.is_some(),
-            "snapshots must carry the memo table"
+            snapshots[5].cache_context.is_some(),
+            "snapshots must name the memo context"
         );
 
         // "Kill" after episode 3 and resume from that snapshot, with the
@@ -1140,130 +1143,87 @@ mod tests {
         assert!(stats.hits + stats.misses > 0);
     }
 
-    /// Runs `run` from `resume` on the shared `store` and checks that at
-    /// every episode the checkpoint the callback sees, kept in place by
-    /// the loop, equals one built from scratch: the history copied, the
-    /// memo table snapshotted from the store (as `pipeline.cache()`
-    /// does). `between` runs after each check. Returns the outcome and
-    /// the last checkpoint.
-    fn run_checking_checkpoints(
-        mut run: CoDesign,
-        resume: Option<Checkpoint>,
-        store: &crate::cache::CacheStore,
-        mut between: impl FnMut(),
-    ) -> (Outcome, Checkpoint) {
-        let context = run.pipeline().cache().unwrap().context().to_string();
-        let blank = Checkpoint::new(run.config, run.optimizer.name(), Vec::new())
+    /// Each checkpoint the loop hands out, kept in place, equals one
+    /// built from scratch: the history so far, under the run's memo
+    /// context.
+    #[test]
+    fn in_place_checkpoint_equals_a_fresh_snapshot_every_episode() {
+        let mut run = build_memoized(
+            DesignSpace::nacim_cifar10(),
+            cfg(6, 5),
+            OptimizerSpec::ExpertLlm,
+        )
+        .unwrap();
+        let mut blank = Checkpoint::new(run.config, run.optimizer.name(), Vec::new())
             .with_backend(run.backend())
             .with_hw_digest(run.hw_digest().map(str::to_string));
+        blank.cache_context = run.pipeline().memo_context().map(str::to_string);
+        assert!(blank.cache_context.is_some());
         let mut seen = Vec::new();
         let outcome = run
-            .run_resumable(resume, |cp| {
-                let expected = blank.clone().with_eval_cache(store.snapshot(&context));
-                seen.push((cp.clone(), expected));
-                between();
+            .run_resumable(None, |cp| {
+                seen.push(cp.clone());
                 Ok(())
             })
             .unwrap();
-        for (cp, expected) in &mut seen {
+        assert_eq!(seen.len(), 6);
+        for cp in &seen {
+            let mut expected = blank.clone();
             expected.history = outcome.history[..cp.history.len()].to_vec();
-            assert_eq!(cp, expected, "episode {}", cp.episodes_done());
+            assert_eq!(*cp, expected, "episode {}", cp.episodes_done());
         }
-        let (last, _) = seen.pop().unwrap();
-        (outcome, last)
     }
 
-    fn build_on(
-        store: &crate::cache::CacheStore,
-        config: CoDesignConfig,
-        spec: OptimizerSpec,
-    ) -> CoDesign {
-        CoDesign::builder(DesignSpace::nacim_cifar10(), config)
-            .optimizer(spec)
-            .cache_store(store)
-            .build()
-            .unwrap()
-    }
-
+    /// A resume under the checkpoint's memo context rebuilds the memo its
+    /// history's evaluations admitted — a design that does not fit
+    /// admitted only its hardware result — and counts none of it. A
+    /// quarantined record admits nothing.
     #[test]
-    fn in_place_checkpoint_equals_a_fresh_snapshot_every_episode() {
-        // A fresh run.
-        let store = crate::cache::CacheStore::new();
-        let run = build_on(&store, cfg(6, 5), OptimizerSpec::ExpertLlm);
-        let (_, last) = run_checking_checkpoints(run, None, &store, || ());
-
-        // Resumed with a larger budget, on a fresh store: the rehydrated
-        // memo table is the starting snapshot.
-        let store = crate::cache::CacheStore::new();
-        let run = build_on(&store, cfg(10, 5), OptimizerSpec::ExpertLlm);
-        let (longer, _) = run_checking_checkpoints(run, Some(last), &store, || ());
-        assert_eq!(longer.history.len(), 10);
-    }
-
-    /// Two sessions on one shared store, taking strict turns episode by
-    /// episode: each one's checkpoint must also hold the same-context
-    /// entries the other admitted in between.
-    #[test]
-    fn in_place_checkpoint_follows_a_shared_store_across_interleaved_sessions() {
-        use std::sync::{Condvar, Mutex};
-        // (whose turn, which sessions are done)
-        let turns = (Mutex::new((0usize, [false; 2])), Condvar::new());
-        let wait = |me: usize| {
-            let mut g = crate::lock(&turns.0);
-            while g.0 != me && !g.1[1 - me] {
-                g = turns.1.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let pass = |me: usize, done: bool| {
-            let mut g = crate::lock(&turns.0);
-            g.0 = 1 - me;
-            g.1[me] |= done;
-            turns.1.notify_all();
-        };
-        // Marks a session done however it ends, so a failed assertion in
-        // one fails the test instead of leaving the other waiting.
-        struct Done<'a, F: Fn(usize, bool)>(&'a F, usize);
-        impl<F: Fn(usize, bool)> Drop for Done<'_, F> {
-            fn drop(&mut self) {
-                (self.0)(self.1, true);
-            }
-        }
-        let store = crate::cache::CacheStore::new();
-        // One seed, so one evaluator context; different optimizers, so
-        // different designs.
-        let specs = [OptimizerSpec::ExpertLlm, OptimizerSpec::Random];
-        let outcomes = std::thread::scope(|scope| {
-            let sessions = specs.clone().map(|spec| {
-                let (store, wait, pass) = (&store, &wait, &pass);
-                let me = usize::from(spec == OptimizerSpec::Random);
-                scope.spawn(move || {
-                    let _done = Done(pass, me);
-                    wait(me);
-                    let run = build_on(store, cfg(5, 9), spec);
-                    let (outcome, last) = run_checking_checkpoints(run, None, store, || {
-                        pass(me, false);
-                        wait(me);
-                    });
-                    // The other session's designs are in this one's table.
-                    let own: std::collections::BTreeSet<String> = outcome
-                        .history
-                        .iter()
-                        .map(|r| r.design.to_response_text())
-                        .collect();
-                    let cache = last.eval_cache.unwrap();
-                    assert!(cache.hardware.keys().any(|key| !own.contains(&**key)));
-                    outcome
-                })
-            });
-            sessions.map(|session| session.join().unwrap())
-        });
-        for (outcome, spec) in outcomes.iter().zip(specs) {
-            let alone = build(DesignSpace::nacim_cifar10(), cfg(5, 9), spec)
+    fn resume_rebuilds_the_memo_from_the_replayed_history() {
+        use crate::cache::{CacheStore, SessionStats, StoreStats};
+        let mut space = DesignSpace::nacim_cifar10();
+        space.area_budget_mm2 = 1.0; // some designs do not fit
+        let run_on = |store: &CacheStore| {
+            CoDesign::builder(space.clone(), cfg(8, 3))
+                .optimizer(OptimizerSpec::Random)
+                .cache_store(store)
+                .build()
                 .unwrap()
-                .run()
-                .unwrap();
-            assert_eq!(*outcome, alone);
-        }
+        };
+        let entries = |store: &CacheStore| {
+            let saved = lcda_base::json::Value::parse(&store.to_json().unwrap()).unwrap();
+            saved["contexts"].to_string()
+        };
+        let killed = CacheStore::new();
+        let mut last = None;
+        run_on(&killed)
+            .run_resumable(None, |cp| {
+                last = Some(cp.clone());
+                Ok(())
+            })
+            .unwrap();
+        let cp = last.unwrap();
+        let fits = cp.history.iter().filter(|r| r.hw.is_some()).count();
+        assert!(fits > 0 && fits < 8, "{fits} of 8 designs fit");
+        assert_eq!(killed.len(), 8 + fits, "accuracy only where it fits");
+
+        // The history replayed on a fresh store: the same entries, no
+        // evaluation, nothing counted.
+        let resumed = CacheStore::new();
+        let mut run = run_on(&resumed);
+        run.run_resumable(Some(cp.clone()), |_| Ok(())).unwrap();
+        assert_eq!(entries(&resumed), entries(&killed));
+        assert_eq!(run.session_stats(), SessionStats::default());
+        assert_eq!(resumed.stats(), StoreStats::default());
+
+        let mut quarantined = cp;
+        quarantined.history[0].quarantined = true;
+        let first = 1 + usize::from(quarantined.history[0].hw.is_some());
+        let store = CacheStore::new();
+        run_on(&store)
+            .run_resumable(Some(quarantined), |_| Ok(()))
+            .unwrap();
+        assert_eq!(store.len(), killed.len() - first);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub trait AccuracyEvaluator {
     /// A stable fingerprint of the evaluator's identity *and* every
     /// configuration input that affects its results (seeds, design space,
     /// calibration constants). The evaluation cache
-    /// ([`crate::pipeline::EvalCache`]) keys its context on this: two
+    /// ([`crate::cache::CacheStore`]) keys its context on this: two
     /// evaluators with the same fingerprint must return identical results
     /// for every design. The default covers stateless evaluators only —
     /// configurable evaluators must override it.

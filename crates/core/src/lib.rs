@@ -89,7 +89,7 @@ pub use codesign::{
 pub use error::CoreError;
 pub use hwconfig::{ChipTier, CoreTier, CrossbarTier, DeviceTier, HwHierarchy, NocKind, NocSpec};
 pub use journal::{Journal, JournalEvent, JournalRecord, RunReport};
-pub use pipeline::{CacheStats, EvalCache, EvalPipeline};
+pub use pipeline::{CacheStats, EvalPipeline};
 pub use reward::Objective;
 pub use serve::{JobId, JobServer, JobSpec, JobState, JobStatus, ServeConfig, ServerStats};
 

@@ -39,41 +39,40 @@
 //! - **keys** are the candidate's canonical rollout text (its full
 //!   content, e.g. `[[32,3],…]| hw: [128,8,2,rram]`) — content-addressed,
 //!   collision-free by construction. [`EvalPipeline::evaluate`] renders
-//!   it once into a shared [`Key`] that both lookups use; the store,
-//!   its admission queue and checkpoint snapshots keep clones of that
-//!   one key, never copies of the text;
+//!   it once into a shared [`Key`] that both lookups use; the store and
+//!   its admission queue keep clones of that one key, never copies of
+//!   the text;
 //! - **the context fingerprint** pins the cache to a specific evaluator
 //!   configuration ([`AccuracyEvaluator::fingerprint`] ×
-//!   [`HardwareCostEvaluator::fingerprint`]): a snapshot produced under a
-//!   different seed, design space or evaluator config is refused at
-//!   [`EvalPipeline::restore_cache`] time rather than silently served;
+//!   [`HardwareCostEvaluator::fingerprint`]): entries produced under a
+//!   different seed, design space or evaluator config are never served;
 //! - **values** are episode-grade results — Monte-Carlo/surrogate accuracy
 //!   and the full [`HwMetrics`] — and only finite values are admitted, so
-//!   a checkpoint JSON round-trip can never be poisoned by NaN;
+//!   a saved store can never be poisoned by NaN;
 //! - **counters** ([`CacheStats`]) expose hits/misses/inserts for run
 //!   reports and for the perf trajectory benches. Counters are strictly
-//!   **session-local**: they are never serialized (checkpoint bytes stay
-//!   independent of lookup patterns) and reset to zero when a snapshot is
-//!   rehydrated, so a resumed run reports its own hit-rate — not the
-//!   previous run's. The memoized *entries* are lifetime state and do
-//!   persist.
+//!   **session-local**: they are never serialized, and a resumed run
+//!   starts its own from zero, so it reports its own hit-rate — not the
+//!   previous run's.
 //!
-//! The cache snapshots to checkpoint-compatible JSON
-//! ([`EvalCache::to_json`]) and rides inside [`crate::Checkpoint`], so a
-//! resumed run rehydrates its memo table and re-proposed designs stay
+//! A checkpoint carries the session's context
+//! (`EvalPipeline::memo_context`) but no memo table: each episode
+//! record already holds what its evaluation memoized, so a resumed run
+//! under the same context re-admits the records it replays
+//! ([`crate::CoDesign::run_resumable`]) and re-proposed designs stay
 //! cheap across kills. When a [`Journal`] is attached, every lookup and
 //! admission is also emitted as a `cache_hit`/`cache_miss`/`cache_insert`
 //! event at exactly the points the counters tick, so a journal's
 //! aggregated cache stats always equal [`EvalPipeline::stats`].
 
-use crate::cache::{AdmissionCursor, CacheSession, CacheStore, Key, SessionStats};
+use crate::cache::{CacheSession, CacheStore, Key, SessionStats};
 use crate::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
 use crate::journal::{CacheKind, Journal, JournalEvent};
 use crate::{CoreError, Result};
 use lcda_llm::design::CandidateDesign;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-pub use crate::cache::{CacheStats, EvalCache};
+pub use crate::cache::CacheStats;
 
 /// A stable 64-bit FNV-1a fingerprint of evaluator-identity strings,
 /// rendered as fixed-width hex. Used by evaluators to compress their
@@ -119,12 +118,7 @@ impl Fnv {
 
     /// The digest as fixed-width hex.
     pub(crate) fn hex(&self) -> String {
-        format!("{:016x}", self.value())
-    }
-
-    /// The digest.
-    pub(crate) fn value(&self) -> u64 {
-        self.0
+        format!("{:016x}", self.0)
     }
 }
 
@@ -168,10 +162,7 @@ impl std::fmt::Debug for EvalPipeline {
             .field("accuracy", &self.accuracy.name())
             .field("hardware", &self.hardware.name())
             .field("context", &self.context)
-            .field(
-                "cached_entries",
-                &self.cache.as_ref().map(|s| s.snapshot().len()),
-            )
+            .field("memoizing", &self.memoizing())
             .finish()
     }
 }
@@ -255,25 +246,11 @@ impl EvalPipeline {
         &self.store
     }
 
-    /// A snapshot of this pipeline's memo table (its context's entries in
-    /// the store), for checkpointing. `None` when caching is off.
-    pub fn cache(&self) -> Option<EvalCache> {
-        self.cache.as_ref().map(CacheSession::snapshot)
-    }
-
-    /// Keeps `cache`, a [`EvalPipeline::cache`] snapshot as of `cursor`,
-    /// equal to a fresh one by merging only what the store admitted
-    /// since ([`CacheSession::catch_up`]). Sets it to `None` when caching
-    /// is off.
-    pub(crate) fn catch_up_cache(
-        &self,
-        cache: &mut Option<EvalCache>,
-        cursor: &mut AdmissionCursor,
-    ) {
-        match &self.cache {
-            Some(session) => session.catch_up(cache, cursor),
-            None => *cache = None,
-        }
+    /// The context fingerprint of the open memo session, `None` when the
+    /// pipeline keeps no memo. A checkpoint records it
+    /// ([`crate::Checkpoint::cache_context`]).
+    pub(crate) fn memo_context(&self) -> Option<&str> {
+        self.cache.as_ref().map(CacheSession::context)
     }
 
     /// Hit/miss/insert counters (zeroes when caching is disabled).
@@ -299,29 +276,15 @@ impl EvalPipeline {
         self.journal = journal;
     }
 
-    /// Rehydrates the memo table from a checkpoint snapshot by absorbing
-    /// it into the pipeline's store under this session's ownership.
-    ///
-    /// Returns `true` when the snapshot was adopted. A snapshot whose
-    /// context fingerprint does not match this pipeline's evaluators (or a
-    /// pipeline with caching disabled) is refused — serving entries from a
-    /// different evaluator configuration would silently corrupt results.
-    ///
-    /// The memoized *entries* carry over; the session counters are
-    /// session state and restart from zero, so a resumed run reports its
-    /// own hit-rate rather than inheriting the previous run's. Absorbed
-    /// entries are owned by the absorbing session: the resumed run's hits
-    /// on them are *own* hits, not cross-run hits.
-    pub fn restore_cache(&mut self, snapshot: EvalCache) -> bool {
-        match &mut self.cache {
-            Some(session) => {
-                let adopted = session.absorb(&snapshot);
-                if adopted {
-                    session.reset_stats();
-                }
-                adopted
-            }
-            None => false,
+    /// Re-admits a replayed episode's results silently, as
+    /// [`EvalPipeline::evaluate`] admitted them: the hardware cost, and
+    /// the accuracy only where the design met the platform constraint
+    /// (`hw` is `Some`). No counter ticks and no journal event is
+    /// written; nothing happens when the pipeline keeps no memo.
+    pub(crate) fn readmit(&self, design: &CandidateDesign, accuracy: f64, hw: Option<HwMetrics>) {
+        if let Some(session) = &self.cache {
+            let key = design.to_response_text().into();
+            session.readmit(&key, hw, hw.is_some().then_some(accuracy));
         }
     }
 
@@ -584,7 +547,7 @@ mod tests {
         assert_eq!(p.evaluate(&d).unwrap(), first);
         assert_eq!(first, pipeline(5).evaluate(&d).unwrap());
         assert_eq!(p.stats(), CacheStats::default());
-        assert!(p.cache().is_none());
+        assert!(p.memo_context().is_none());
         assert!(p.cache_store().is_empty());
         journal.finish().unwrap();
         let report = RunReport::from_jsonl(&buffer.contents()).unwrap();
@@ -634,28 +597,41 @@ mod tests {
         assert_eq!(p.stats().inserts, 1);
     }
 
+    /// A replayed episode's results, re-admitted, serve the next
+    /// evaluation of its design as the session's own hits, while the
+    /// counters stay at zero until then.
     #[test]
-    fn cache_json_roundtrip_restores() {
+    fn readmitted_results_serve_own_hits() {
         let d = DesignSpace::nacim_cifar10().reference_design();
         let mut p = pipeline(1);
-        let before = p.evaluate(&d).unwrap();
-        let json = p.cache().unwrap().to_json().unwrap();
-        let snapshot = EvalCache::from_json(&json).unwrap();
-        assert_eq!(snapshot.len(), 2);
+        let (accuracy, hw) = p.evaluate(&d).unwrap();
+        assert!(hw.is_some());
 
         let mut q = pipeline(1);
-        assert!(q.restore_cache(snapshot));
-        let after = q.evaluate(&d).unwrap();
-        assert_eq!(before, after);
-        assert_eq!(q.stats().hits, 2, "restored entries must serve hits");
+        q.readmit(&d, accuracy, hw);
+        assert_eq!(q.cache_store().len(), 2);
+        assert_eq!(q.session_stats(), SessionStats::default());
+        assert_eq!(q.evaluate(&d).unwrap(), (accuracy, hw));
+        let stats = q.session_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0));
+        assert_eq!(
+            stats.cross_run_hits, 0,
+            "a resumed run owns what it re-admits"
+        );
+        assert_eq!(stats.inserts, 0);
+
+        // Without a memo session nothing is admitted.
+        let off = pipeline(1).without_cache();
+        off.readmit(&d, accuracy, hw);
+        assert!(off.cache_store().is_empty());
     }
 
     #[test]
     fn cache_never_crosses_backends() {
-        // A memo table filled under the cim backend must be refused by a
-        // pipeline over the *same* space and seed whose backend hashes the
-        // same parts under another id: the id namespaces the context
-        // fingerprint.
+        // Entries admitted under the cim backend must never serve a
+        // pipeline on the same store over the *same* space and seed whose
+        // backend hashes the same parts under another id: the id
+        // namespaces the context fingerprint.
         let space = DesignSpace::nacim_cifar10();
         let d = space.reference_design();
         let cim = CimBackend::new(space.clone());
@@ -664,34 +640,18 @@ mod tests {
         assert_eq!(digest(stub.fingerprint()), digest(cim.fingerprint()));
         assert_ne!(stub.fingerprint(), cim.fingerprint());
 
+        let store = CacheStore::new();
         let mut cim = pipeline(1);
+        cim.attach_store(&store);
         cim.evaluate(&d).unwrap();
-        let snapshot = cim.cache().unwrap();
 
         let mut other = stub_pipeline(1);
-        assert!(!other.restore_cache(snapshot));
-        assert!(other.cache().unwrap().is_empty());
+        other.attach_store(&store);
         // The stub evaluation is a miss, not a stale cim hit.
         let (_, hw) = other.evaluate(&d).unwrap();
         assert!(hw.is_some());
         assert_eq!(other.stats().hits, 0);
-    }
-
-    #[test]
-    fn foreign_cache_is_refused() {
-        let d = DesignSpace::nacim_cifar10().reference_design();
-        let mut p = pipeline(1);
-        p.evaluate(&d).unwrap();
-        let snapshot = p.cache().unwrap();
-
-        // Different surrogate seed → different context fingerprint.
-        let mut other = pipeline(2);
-        assert!(!other.restore_cache(snapshot.clone()));
-        assert!(other.cache().unwrap().is_empty());
-
-        // Caching disabled → also refused.
-        let mut off = pipeline(1).without_cache();
-        assert!(!off.restore_cache(snapshot));
+        assert_eq!(store.contexts(), 2);
     }
 
     #[test]
@@ -699,14 +659,14 @@ mod tests {
         let d = DesignSpace::nacim_cifar10().reference_design();
         let mut p = pipeline(0);
         let first = p.evaluate(&d).unwrap();
-        let entries = p.cache().unwrap();
-        assert!(!entries.is_empty());
+        let entries = p.cache_store().len();
+        assert_eq!(entries, 2);
         p.set_caching(false);
-        assert!(p.cache().is_none());
+        assert!(p.memo_context().is_none());
         // Disabling drops the session, not the entries in the store: the
         // re-enabled session sees them and re-evaluating is a hit.
         p.set_caching(true);
-        assert_eq!(p.cache().unwrap(), entries);
+        assert_eq!(p.cache_store().len(), entries);
         assert_eq!(p.session_stats(), SessionStats::default());
         let again = p.evaluate(&d).unwrap();
         assert_eq!(again, first);
@@ -715,7 +675,7 @@ mod tests {
     }
 
     /// An accuracy evaluator that returns NaN: the cache must refuse the
-    /// entry so checkpoints stay JSON-serializable.
+    /// entry so a saved store stays JSON-serializable.
     struct NanAccuracy;
     impl AccuracyEvaluator for NanAccuracy {
         fn accuracy(&mut self, _design: &CandidateDesign) -> Result<f64> {
@@ -724,32 +684,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "nan"
         }
-    }
-
-    #[test]
-    fn serialized_cache_omits_counters_and_restore_zeroes_session_stats() {
-        let d = DesignSpace::nacim_cifar10().reference_design();
-        let mut p = pipeline(1);
-        p.evaluate(&d).unwrap();
-        p.evaluate(&d).unwrap();
-        assert_ne!(p.stats(), CacheStats::default());
-
-        // Checkpoint bytes must not depend on lookup patterns: the
-        // snapshot carries entries only, never counters.
-        let json = p.cache().unwrap().to_json().unwrap();
-        assert!(!json.contains("hits"), "counters must not be serialized");
-
-        // A restored snapshot is adopted with zeroed session stats — the
-        // resumed run reports its own rate, and its hits on rehydrated
-        // entries are *own* hits (not cross-run: it owns what it absorbs).
-        let snapshot = p.cache().unwrap();
-        let mut q = pipeline(1);
-        assert!(q.restore_cache(snapshot));
-        assert_eq!(q.stats(), CacheStats::default());
-        let _ = q.evaluate(&d).unwrap();
-        assert_eq!(q.stats().hits, 2, "rehydrated entries still serve hits");
-        assert_eq!(q.stats().misses, 0);
-        assert_eq!(q.session_stats().cross_run_hits, 0);
     }
 
     #[test]
@@ -816,8 +750,9 @@ mod tests {
         assert!(hw.is_some());
         // Hardware was cached; the NaN accuracy was not.
         assert_eq!(p.stats().inserts, 1);
-        let json = p.cache().unwrap().to_json().unwrap();
-        assert!(EvalCache::from_json(&json).is_ok());
+        assert_eq!(p.cache_store().len(), 1);
+        let json = p.cache_store().to_json().unwrap();
+        assert!(CacheStore::from_json(&json, None).is_ok());
     }
 
     /// An accuracy evaluator that panics: the pipeline must convert the

@@ -17,8 +17,9 @@ cargo build --workspace --release --offline --locked
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 cargo test --workspace -q --offline --locked
 journal_dir="$(mktemp -d)"
-# Every server started below, so the EXIT trap can stop the ones a
-# failed step left running before it deletes their directories.
+# Every server (and background search) started below, so the EXIT trap
+# can stop the ones a failed step left running before it deletes their
+# directories.
 server_pids=""
 cleanup() {
     for pid in $server_pids; do
@@ -221,6 +222,37 @@ fi
 grep -q "corrupted record before the final line" "$journal_dir/mid.err"
 cmp "$journal_dir/mid.json" "$journal_dir/mid.saved.json"
 
+# Memoizing chaos drill: the runs above keep no memo (--no-cache), so
+# this is the one resume here that rebuilds a memo. A short
+# --evaluator trained search, whose log names its memo context, is
+# killed with kill -9 once its log holds an episode; a kill inside the
+# next append would leave part of a line, so one is torn onto the log.
+# The resume replays the episode, rebuilds the memo from it and must
+# print a clean run's `--json`. The clean run trains in the background
+# meanwhile: each episode trains a network (about a minute each).
+trained_search=(search --evaluator trained --optimizer random --episodes 2 --seed 7838)
+./target/release/lcda "${trained_search[@]}" --json > "$journal_dir/memo_chaos_clean.json" &
+memo_clean_pid=$!
+./target/release/lcda "${trained_search[@]}" \
+    --checkpoint "$journal_dir/memo_chaos.jsonl" > /dev/null &
+memo_chaos_pid=$!
+server_pids="$server_pids $memo_clean_pid $memo_chaos_pid"
+for _ in $(seq 1 6000); do
+    [ "$(cat "$journal_dir/memo_chaos.jsonl" 2> /dev/null | wc -l)" -ge 2 ] && break
+    sleep 0.1
+done
+kill -9 "$memo_chaos_pid" 2> /dev/null || true
+wait "$memo_chaos_pid" 2> /dev/null || true
+grep -q '"cache_context"' "$journal_dir/memo_chaos.jsonl" \
+    || { echo "ci: the trained search's log names no memo context" >&2; exit 1; }
+printf '%s' '{"checksum":"' >> "$journal_dir/memo_chaos.jsonl"
+./target/release/lcda "${trained_search[@]}" --json \
+    --checkpoint "$journal_dir/memo_chaos.jsonl" --resume \
+    > "$journal_dir/memo_chaos_resumed.json"
+wait "$memo_clean_pid"
+cmp "$journal_dir/memo_chaos_clean.json" "$journal_dir/memo_chaos_resumed.json" \
+    || { echo "ci: a resumed trained search differs from its clean run" >&2; exit 1; }
+
 # The default-backend run the hardware-preset smoke below compares against.
 ./target/release/lcda search --episodes 4 --seed 9 --json \
     > "$journal_dir/clean.json"
@@ -289,8 +321,9 @@ fi
 # memory, and none of that may reach the disk. The checkpoint logs of an
 # expert and an RL search, and the cache store a server saves after two
 # jobs, must equal the files recorded under tests/fixtures/memo/. The
-# searches are private runs on the analytic evaluators, so their logs
-# hold no memo entries; the served store does.
+# searches are private runs on the analytic evaluators, which keep no
+# memo, and no checkpoint log holds memo entries; the served store holds
+# the entries its two jobs admitted.
 ./target/release/lcda search --episodes 30 --seed 5 \
     --checkpoint "$journal_dir/memo_expert.jsonl" > /dev/null
 ./target/release/lcda search --optimizer rl --episodes 40 --seed 5 \

@@ -44,7 +44,8 @@ SEARCH OPTIONS:
     --checkpoint <path>     keep a checkpoint log: after every episode,
                             append one checksummed JSON line holding that
                             episode, fsynced (a memoizing run, such as
-                            --evaluator trained, adds its new memo entries)
+                            --evaluator trained, rebuilds its memo from
+                            those episodes on --resume)
     --keep-checkpoints <n>  checkpoint logs kept on disk; a run of another
                             config starts a new log and rotates the older
                             ones to <path>.1, <path>.2, ...; resume salvages

@@ -58,7 +58,7 @@ pub mod prelude {
     };
     pub use lcda_core::evaluate::{AccuracyEvaluator, HardwareCostEvaluator, HwMetrics};
     pub use lcda_core::journal::{Journal, JournalEvent, JournalRecord, RunReport};
-    pub use lcda_core::pipeline::{CacheStats, EvalCache, EvalPipeline};
+    pub use lcda_core::pipeline::{CacheStats, EvalPipeline};
     pub use lcda_core::reward::Objective;
     pub use lcda_core::serve::{JobId, JobServer, JobSpec, JobState, ServeConfig};
     pub use lcda_core::space::DesignSpace;

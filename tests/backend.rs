@@ -83,25 +83,26 @@ fn cim_cache_entries_are_never_served_under_another_backend_id() {
         "the stub hashes the same parts as cim"
     );
 
-    // Fill a memo table under the cim backend (on an attached store:
-    // a private run on the analytic evaluators keeps no memo)…
+    // Fill a store under the cim backend (an attached one: a private
+    // run on the analytic evaluators keeps no memo)…
+    let store = CacheStore::new();
     let mut cim = cim_pipeline(7);
-    cim.attach_store(&CacheStore::new());
+    cim.attach_store(&store);
     cim.evaluate(&d).unwrap();
-    let snapshot = cim.cache().expect("caching on").clone();
-    assert!(!snapshot.is_empty());
+    assert_eq!(store.len(), 2);
 
-    // …and offer it to a stub pipeline over the same space and seed.
+    // …and share it with a stub pipeline over the same space and seed.
     let mut other = pipeline_on(Box::new(stub), 7);
-    assert!(
-        !other.restore_cache(snapshot),
-        "a cim memo table must be refused under another backend id"
-    );
-    assert!(other.cache().unwrap().is_empty());
+    other.attach_store(&store);
     let (_, hw) = other.evaluate(&d).unwrap();
     assert!(hw.is_some());
     assert_eq!(other.stats().hits, 0, "the stub evaluation must be a miss");
     assert_eq!(other.stats().misses, 2);
+    assert_eq!(
+        store.contexts(),
+        2,
+        "cim entries are never served to the stub"
+    );
 }
 
 #[test]
@@ -166,13 +167,10 @@ fn pre_backend_checkpoint_resumes_under_default_cim() {
     // Simulate a checkpoint written before the backend layer existed: the
     // JSON simply has no `backend` key. Checksums came later than the
     // backend key, so such a file has no `checksum` key either.
-    let json = snaps[2].to_json().unwrap();
+    let json = lcda_base::json::to_string_pretty(&snaps[2]);
     let legacy: String = json
         .lines()
-        .filter(|l| {
-            let l = l.trim_start();
-            !l.starts_with("\"backend\"") && !l.starts_with("\"checksum\"")
-        })
+        .filter(|l| !l.trim_start().starts_with("\"backend\""))
         .collect::<Vec<_>>()
         .join("\n");
     assert!(!legacy.contains("\"backend\""));
@@ -235,22 +233,24 @@ fn distinct_hierarchy_files_namespace_disjoint_fingerprints() {
     assert!(from_a.fingerprint().starts_with("cim/"));
     assert!(from_b.fingerprint().starts_with("cim/"));
 
-    // And the pipeline enforces the split: a memo table filled under
-    // hierarchy A is refused wholesale by a pipeline lowered from B.
-    // Both memoize on attached stores, as a private run on the analytic
-    // evaluators keeps no memo.
+    // And the pipeline enforces the split: entries admitted under
+    // hierarchy A never serve a pipeline lowered from B on the same
+    // store. Both memoize on the attached store, as a private run on the
+    // analytic evaluators keeps no memo.
     let d = space.reference_design();
+    let store = CacheStore::new();
     let mut pa = EvalPipeline::new(Box::new(SurrogateEvaluator::new(space.clone(), 7)), from_a);
-    pa.attach_store(&CacheStore::new());
+    pa.attach_store(&store);
     pa.evaluate(&d).unwrap();
-    let snapshot = pa.cache().expect("caching on").clone();
-    assert!(!snapshot.is_empty());
     let mut pb = EvalPipeline::new(Box::new(SurrogateEvaluator::new(space, 7)), from_b);
-    pb.attach_store(&CacheStore::new());
-    assert!(
-        !pb.restore_cache(snapshot),
-        "hierarchy A's memo table must be refused under hierarchy B"
+    pb.attach_store(&store);
+    pb.evaluate(&d).unwrap();
+    assert_eq!(
+        (pb.stats().hits, pb.stats().misses),
+        (0, 2),
+        "hierarchy A's entries must not serve hierarchy B"
     );
+    assert_eq!(store.contexts(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

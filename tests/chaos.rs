@@ -47,10 +47,36 @@ fn remove_generations(path: &PathBuf, keep: u32) {
     }
 }
 
+/// A store's (key, value) entries, sorted: its saved contexts, whose
+/// tables are ordered maps.
+fn entries(store: &CacheStore) -> String {
+    let saved = lcda_base::json::Value::parse(&store.to_json().unwrap()).unwrap();
+    saved["contexts"].to_string()
+}
+
+/// A memoizing search: the expert run of [`clean_run`] on `store`.
+fn search_on(store: &CacheStore, episodes: u32) -> CoDesign {
+    CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(episodes, 13))
+        .optimizer(OptimizerSpec::ExpertLlm)
+        .cache_store(store)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn kill_at_every_step_resumes_to_the_identical_outcome() {
     let episodes = 5;
-    let reference = clean_run(episodes, 13);
+    // The memo is invisible in the outcome; its entries after every
+    // episode are what a resume at that step must rebuild.
+    let uninterrupted = CacheStore::new();
+    let mut held = Vec::new();
+    let reference = search_on(&uninterrupted, episodes)
+        .run_resumable(None, |_| {
+            held.push(entries(&uninterrupted));
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(reference, clean_run(episodes, 13));
     for kill_after in 1..episodes {
         let path = scratch("kill");
         let store = CheckpointStore::new(&path, 2).unwrap();
@@ -58,33 +84,39 @@ fn kill_at_every_step_resumes_to_the_identical_outcome() {
         // — run_resumable propagates the error like a process death would
         // lose the rest of the loop.
         let mut saved = 0u32;
-        let crashed = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(episodes, 13))
-            .optimizer(OptimizerSpec::ExpertLlm)
-            .build()
-            .unwrap()
-            .run_resumable(None, |cp| {
-                store.save(cp)?;
-                saved += 1;
-                if saved == kill_after {
-                    return Err(CoreError::Checkpoint("simulated kill".into()));
-                }
-                Ok(())
-            });
+        let crashed = search_on(&CacheStore::new(), episodes).run_resumable(None, |cp| {
+            store.save(cp)?;
+            saved += 1;
+            if saved == kill_after {
+                return Err(CoreError::Checkpoint("simulated kill".into()));
+            }
+            Ok(())
+        });
         assert!(crashed.is_err(), "the simulated kill must abort the run");
 
         let (cp, generation) = store.load_latest().unwrap().expect("checkpoint persisted");
         assert_eq!(generation, 0, "newest generation is intact here");
         assert_eq!(cp.episodes_done(), kill_after as u64);
-        let resumed = CoDesign::builder(DesignSpace::nacim_cifar10(), cfg(episodes, 13))
-            .optimizer(OptimizerSpec::ExpertLlm)
-            .build()
-            .unwrap()
+        // Replayed alone, the log rebuilds the memo the uninterrupted
+        // run held at that step.
+        let replayed = CacheStore::new();
+        search_on(&replayed, kill_after)
+            .run_resumable(Some(cp.clone()), |_| Ok(()))
+            .unwrap();
+        assert_eq!(
+            entries(&replayed),
+            held[kill_after as usize - 1],
+            "memo rebuilt at step {kill_after}"
+        );
+        let memo = CacheStore::new();
+        let resumed = search_on(&memo, episodes)
             .run_resumable(Some(cp), |cp| store.save(cp))
             .unwrap();
         assert_eq!(
             resumed, reference,
             "resume after kill at step {kill_after} diverged"
         );
+        assert_eq!(entries(&memo), held[episodes as usize - 1]);
         remove_generations(&path, 2);
     }
 }

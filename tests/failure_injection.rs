@@ -218,24 +218,32 @@ fn checkpoint_kill_resume_equals_uninterrupted_run() {
     }
 }
 
-/// Checkpoints survive the JSON round trip byte-exactly, so an on-disk
-/// resume behaves like the in-memory one.
+/// Checkpoints survive the JSON round trip through the checkpoint log
+/// exactly, so an on-disk resume behaves like the in-memory one.
 #[test]
 fn checkpoint_json_roundtrip_resumes_identically() {
     let space = DesignSpace::nacim_cifar10();
     let config = resilient_cfg(4, 9);
+    let path = std::env::temp_dir().join(format!("lcda-roundtrip-{}.jsonl", std::process::id()));
+    let log = CheckpointStore::new(&path, 1).unwrap();
     let mut snapshots: Vec<Checkpoint> = Vec::new();
     let full = CoDesign::builder(space.clone(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
         .build()
         .unwrap()
         .run_resumable(None, |cp| {
+            if snapshots.len() < 2 {
+                log.save(cp)?;
+            }
             snapshots.push(cp.clone());
             Ok(())
         })
         .unwrap();
-    let json = snapshots[1].to_json().unwrap();
-    let restored = Checkpoint::from_json(&json).unwrap();
+    let (restored, _) = log
+        .load_latest()
+        .unwrap()
+        .expect("the log holds two episodes");
+    let _ = std::fs::remove_file(&path);
     assert_eq!(&restored, &snapshots[1]);
     let resumed = CoDesign::builder(space, config)
         .optimizer(OptimizerSpec::ExpertLlm)

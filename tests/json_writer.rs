@@ -60,8 +60,8 @@ fn render<T: ToJson>(value: &T, pretty: bool) -> String {
 }
 
 /// A seeded search, and the checkpoint it saved after its last episode.
-/// It runs on an attached store, so the checkpoint carries a memo table
-/// (a private run on the analytic evaluators keeps none).
+/// It runs on an attached store, so the checkpoint names a memo context
+/// (a private run on the analytic evaluators keeps no memo).
 fn search(optimizer: OptimizerSpec, episodes: u32) -> (Outcome, Checkpoint) {
     let config = CoDesignConfig::builder(Objective::AccuracyEnergy)
         .episodes(episodes)
@@ -104,7 +104,7 @@ fn outcomes_and_checkpoints_stream_their_recorded_text() {
         let pretty = printed.strip_suffix('\n').expect("a trailing newline");
         assert_text(&format!("{name} outcome, pretty"), &outcome, true, pretty);
         assert_recorded(&format!("{name} outcome"), &outcome, false);
-        assert!(checkpoint.eval_cache.is_some(), "{name}: memo table");
+        assert!(checkpoint.cache_context.is_some(), "{name}: memo context");
         assert_recorded(&format!("{name} checkpoint"), &checkpoint, false);
         assert_recorded(&format!("{name} checkpoint, pretty"), &checkpoint, true);
     }

@@ -1,7 +1,7 @@
 //! Acceptance properties of the evaluation pipeline: memoization must be
 //! invisible in the results, thread counts must be invisible in the
-//! results, and the cache must survive a kill/resume cycle through the
-//! checkpoint JSON.
+//! results, and the memo must survive a kill/resume cycle through the
+//! checkpoint log.
 //!
 //! The analytic evaluators memoize only on an attached store (a private
 //! run on them keeps no memo), so the memo-mechanics tests here attach a
@@ -157,87 +157,104 @@ fn thread_count_is_bit_identical() {
     }
 }
 
-/// The memo table survives a kill/resume cycle *through the JSON
-/// checkpoint*: the snapshot carries the cache, a fresh process restores
-/// it, and the resumed run is bit-identical to the uninterrupted one.
+/// A unique checkpoint-log path per test in this process.
+fn log_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("lcda-pipeline-{tag}-{}.jsonl", std::process::id()))
+}
+
+/// The memo survives a kill/resume cycle *through the checkpoint log*:
+/// the log names the memo context, a fresh process rebuilds the memo
+/// from the history it replays, and the resumed run is bit-identical to
+/// the uninterrupted one.
 #[test]
 fn cache_survives_kill_and_resume() {
     let space = DesignSpace::nacim_cifar10();
     let config = cfg(Objective::AccuracyEnergy, 8, 13);
+    let path = log_path("survives");
+    let log = CheckpointStore::new(&path, 1).unwrap();
 
-    let mut snapshots: Vec<Checkpoint> = Vec::new();
+    // "Kill" after episode 4: the log holds four episodes.
+    let killed = CacheStore::new();
+    let mut saved = 0;
+    let mut held_at_kill = 0;
     let full = CoDesign::builder(space.clone(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
-        .cache_store(&CacheStore::new())
+        .cache_store(&killed)
         .build()
         .unwrap()
         .run_resumable(None, |cp| {
-            snapshots.push(cp.clone());
+            if saved < 4 {
+                log.save(cp)?;
+                saved += 1;
+                held_at_kill = killed.len();
+            }
             Ok(())
         })
         .unwrap();
+    let (restored, _) = CheckpointStore::new(&path, 1)
+        .unwrap()
+        .load_latest()
+        .unwrap()
+        .expect("the log holds the killed run");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(restored.episodes_done(), 4);
+    assert!(
+        restored.cache_context.is_some(),
+        "the log names the memo context"
+    );
+    assert!(held_at_kill > 0);
 
-    // "Kill" after episode 4; the wire format must carry the memo table.
-    let json = snapshots[3].to_json().unwrap();
-    assert!(json.contains("\"eval_cache\""));
-    let restored = Checkpoint::from_json(&json).unwrap();
-    let carried = restored
-        .eval_cache
-        .as_ref()
-        .expect("snapshot carries cache");
-    assert!(!carried.is_empty());
-
+    let store = CacheStore::new();
     let mut resumer = CoDesign::builder(space, config)
         .optimizer(OptimizerSpec::ExpertLlm)
-        .cache_store(&CacheStore::new())
+        .cache_store(&store)
         .build()
         .unwrap();
     let resumed = resumer.run_resumable(Some(restored), |_| Ok(())).unwrap();
     assert_eq!(outcome_json(&resumed), outcome_json(&full));
 
-    // The restored entries are live: the resumed episodes consulted the
-    // table and it still holds everything the snapshot carried.
-    let cache = resumer.pipeline().cache().expect("caching stays on");
-    assert!(cache.len() >= snapshots[3].eval_cache.as_ref().unwrap().len());
+    // The rebuilt entries are live: the resumed episodes consulted the
+    // table and it holds everything the killed run had admitted.
+    assert!(store.len() >= held_at_kill);
     let stats = resumer.cache_stats();
     assert!(stats.hits + stats.misses > 0);
 }
 
-/// Cache *statistics* are session-local and never ride the checkpoint:
-/// the snapshot JSON carries entries but no counters, and a resumed
-/// process starts counting from zero while the rehydrated entries still
-/// serve hits.
+/// Cache *statistics* are session-local and never reach the checkpoint
+/// log: a resumed process starts counting from zero while the rebuilt
+/// entries still serve hits.
 #[test]
 fn resumed_session_starts_with_zero_stats_but_live_entries() {
     let space = DesignSpace::nacim_cifar10();
     let config = cfg(Objective::AccuracyEnergy, 4, 21);
+    let path = log_path("zero-stats");
+    let log = CheckpointStore::new(&path, 1).unwrap();
 
-    let mut last: Option<Checkpoint> = None;
     let mut first = CoDesign::builder(space.clone(), config)
         .optimizer(OptimizerSpec::ExpertLlm)
         .cache_store(&CacheStore::new())
         .build()
         .unwrap();
-    let full = first
-        .run_resumable(None, |cp| {
-            last = Some(cp.clone());
-            Ok(())
-        })
-        .unwrap();
+    let full = first.run_resumable(None, |cp| log.save(cp)).unwrap();
     let pre_kill = first.cache_stats();
     assert!(pre_kill.misses > 0, "the first session did real work");
 
-    // The wire format carries the memo table but none of the counters.
-    let json = last.as_ref().unwrap().to_json().unwrap();
-    assert!(json.contains("\"eval_cache\""));
-    assert!(!json.contains("\"hits\""), "stats must not be serialized");
-    assert!(!json.contains("\"misses\""));
-    assert!(!json.contains("\"inserts\""));
+    // The log names the memo context but holds none of the counters.
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"cache_context\""));
+    assert!(!text.contains("\"hits\""), "stats must not be serialized");
+    assert!(!text.contains("\"misses\""));
+    assert!(!text.contains("\"inserts\""));
 
-    // A fresh process resumes from the completed snapshot: replay only,
-    // no new evaluations — so its session counters must read zero, not
-    // the first session's totals.
-    let restored = Checkpoint::from_json(&json).unwrap();
+    // A fresh process resumes from the completed log: replay only, no
+    // new evaluations — so its session counters must read zero, not the
+    // first session's totals.
+    let (restored, _) = CheckpointStore::new(&path, 1)
+        .unwrap()
+        .load_latest()
+        .unwrap()
+        .expect("the log holds the run");
+    let _ = std::fs::remove_file(&path);
     let mut resumer = CoDesign::builder(space, config)
         .optimizer(OptimizerSpec::ExpertLlm)
         .cache_store(&CacheStore::new())
@@ -246,12 +263,12 @@ fn resumed_session_starts_with_zero_stats_but_live_entries() {
     resumer.run_resumable(Some(restored), |_| Ok(())).unwrap();
     let after_resume = resumer.cache_stats();
     assert_eq!(
-        after_resume.hits + after_resume.misses,
+        after_resume.hits + after_resume.misses + after_resume.inserts,
         0,
         "{after_resume:?}"
     );
 
-    // …while the rehydrated entries are live: re-scoring a design the
+    // …while the rebuilt entries are live: re-scoring a design the
     // first session evaluated is served entirely from the table.
     let seen = full
         .history
@@ -262,9 +279,86 @@ fn resumed_session_starts_with_zero_stats_but_live_entries() {
         .evaluate_design(seen.episode, seen.design.clone())
         .unwrap();
     assert_eq!(record.reward, seen.reward);
-    let stats = resumer.cache_stats();
+    let stats = resumer.session_stats();
     assert_eq!(stats.hits, 2, "accuracy + hardware both hit: {stats:?}");
     assert_eq!(stats.misses, 0);
+    assert_eq!(
+        stats.cross_run_hits, 0,
+        "the resumed run owns what it rebuilt"
+    );
+}
+
+/// The surrogate under another evaluator identity: the same values, a
+/// fingerprint of its own, and a memo even on a private store.
+struct Renamed {
+    inner: SurrogateEvaluator,
+    fingerprint: &'static str,
+}
+
+impl AccuracyEvaluator for Renamed {
+    fn accuracy(&mut self, design: &CandidateDesign) -> lcda::core::Result<f64> {
+        self.inner.accuracy(design)
+    }
+
+    fn name(&self) -> &'static str {
+        "renamed"
+    }
+
+    fn fingerprint(&self) -> String {
+        self.fingerprint.to_string()
+    }
+
+    fn memoize(&self) -> bool {
+        true
+    }
+}
+
+/// A checkpoint names the memo context it was written under, and a
+/// resume under another context — another evaluator configuration, or
+/// caching off — rebuilds nothing: no value of one configuration is
+/// ever served to another. Under its own context it rebuilds every
+/// entry the killed run admitted.
+#[test]
+fn a_resume_under_another_evaluator_context_admits_nothing() {
+    let space = DesignSpace::nacim_cifar10();
+    let config = cfg(Objective::AccuracyEnergy, 4, 9);
+    let run_on = |store: &CacheStore, fingerprint: &'static str, caching: bool| {
+        CoDesign::builder(space.clone(), config)
+            .optimizer(OptimizerSpec::ExpertLlm)
+            .accuracy_evaluator(Box::new(Renamed {
+                inner: SurrogateEvaluator::new(space.clone(), config.seed),
+                fingerprint,
+            }))
+            .caching(caching)
+            .cache_store(store)
+            .build()
+            .unwrap()
+    };
+    let killed = CacheStore::new();
+    let mut last = None;
+    let full = run_on(&killed, "surrogate-a", true)
+        .run_resumable(None, |cp| {
+            last = Some(cp.clone());
+            Ok(())
+        })
+        .unwrap();
+    let cp = last.unwrap();
+    assert!(cp.cache_context.is_some());
+    assert!(!killed.is_empty());
+
+    for (fingerprint, caching) in [("surrogate-b", true), ("surrogate-a", false)] {
+        let store = CacheStore::new();
+        let resumed = run_on(&store, fingerprint, caching)
+            .run_resumable(Some(cp.clone()), |_| Ok(()))
+            .unwrap();
+        assert_eq!(resumed, full);
+        assert!(store.is_empty(), "{fingerprint}, caching {caching}");
+    }
+    let store = CacheStore::new();
+    run_on(&store, "surrogate-a", true)
+        .run_resumable(Some(cp), |_| Ok(()))
+        .unwrap();
+    assert_eq!(store.len(), killed.len());
 }
 
 /// Journals are deterministic artifacts: two identically seeded runs
@@ -311,7 +405,8 @@ fn journal_is_byte_identical_across_identical_runs() {
 }
 
 /// Disabling the cache through the CLI-facing builder knob really turns
-/// memoization off, including for checkpoints: snapshots carry no cache.
+/// memoization off, including for checkpoints: snapshots name no memo
+/// context.
 #[test]
 fn no_cache_runs_snapshot_without_a_memo_table() {
     let mut snapshots: Vec<Checkpoint> = Vec::new();
@@ -328,5 +423,5 @@ fn no_cache_runs_snapshot_without_a_memo_table() {
         Ok(())
     })
     .unwrap();
-    assert!(snapshots.iter().all(|cp| cp.eval_cache.is_none()));
+    assert!(snapshots.iter().all(|cp| cp.cache_context.is_none()));
 }
